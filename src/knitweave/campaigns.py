@@ -9,10 +9,8 @@ as graph6 and every claimed certificate can be re-checked by
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
 from .errors import InputError, PreconditionError
@@ -38,25 +36,9 @@ from .solver import (
     pairs_spec,
     s_value,
 )
-from .structure import is_p_massed, minimize_pair, pair_is_knitted
+from .structure import is_p_massed, minimize_pair
 
 SCHEMA = 1
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KNITWEAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_instances(fn: Callable, args: list) -> list:
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
 
 
 def _now(no_timestamps: bool) -> Optional[float]:
@@ -226,8 +208,8 @@ def campaign_lemma_si(
                         for i in range(5):
                             if i == j:
                                 continue
-                            si = s_value(cfg, a, b, i, closed=True)
-                            si2 = s_value(cfg, a2, b2, i, closed=True)
+                            si = s_value(cfg, a, b, i)
+                            si2 = s_value(cfg, a2, b2, i)
                             if si < si2:
                                 si, si2 = si2, si
                                 lo_pair = ((a2, b2), (a, b))
@@ -322,10 +304,9 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool
     except PreconditionError as exc:
         if exc.clause != "knitted":
             raise
-        knitted, _ = pair_is_knitted(g, s)
         stages.append({
             "stage": "minimize",
-            "ok": knitted,
+            "ok": True,
             "outcome": "already-knitted",
         })
 
@@ -436,9 +417,7 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
             verts = rng.sample(range(g.n), 8)
             pairs = tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4))
             jobs.append((g, pairs))
-    results = _map_instances(
-        lambda job: _pipeline_one(job[0], job[1], 30, seed, no_timestamps), jobs
-    )
+    results = [_pipeline_one(g, pairs, 30, seed, no_timestamps) for g, pairs in jobs]
     violations = [
         {"instance": i, "stages": inst["stages"]}
         for i, inst in enumerate(results)
@@ -475,7 +454,6 @@ def revalidate_report(report: dict) -> None:
             cfg = Configuration(
                 host=g,
                 u0=inst["blocks"][0][0],
-                pairs=tuple((b[0], b[-1]) for b in inst["blocks"][1:]),
                 blocks=tuple(tuple(b) for b in inst["blocks"]),
             )
             cfg.validate(induced_paths=False)

@@ -16,7 +16,6 @@ from .solver import (
     TerminalSpec,
     disjoint_paths,
     is_profile_knitted,
-    knit,
 )
 
 
@@ -216,7 +215,7 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
     certificates on dense candidate subgraphs. A certified candidate is
     still spot-validated on ``samples`` random terminal systems, exhaustively
     when it has at most 12 vertices. With no certificate the whole graph is
-    sampled; a failing sample is re-verified and reported, never swallowed.
+    sampled; a failing sample is reported, never swallowed.
     """
     if p not in _TARGETS:
         raise InputError(f"threshold must be one of {sorted(_TARGETS)}")
@@ -248,9 +247,8 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
             run += 1
             local = tuple(tuple(back[x] for x in part) for part in parts)
             local_forb = mask_of(back[x] for x in bits(forb))
-            if knit(sub, TerminalSpec(local, local_forb)) is None:
-                if disjoint_paths(sub, TerminalSpec(local, local_forb)) is None:  # re-verify
-                    return False, run, (parts, forb)
+            if disjoint_paths(sub, TerminalSpec(local, local_forb)) is None:
+                return False, run, (parts, forb)
         if cand.bit_count() <= 12:
             profile = (2,) * k + ((1,) if variant else ())
             need = 2 * k + 1 if variant else 2 * k

@@ -115,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rigid")
     p.add_argument("--side-a", required=True)
     p.add_argument("--side-b", required=True)
-    p.add_argument("--convention", default="all-size-le-2")
 
     sub.add_parser("chromatic")
 
@@ -269,7 +268,7 @@ def _dispatch(args) -> int:
             mask_of(_parse_ints(args.side_a)), mask_of(_parse_ints(args.side_b))
         )
         sep.validate(g)
-        return _emit({"rigid": structure.is_rigid(g, sep, args.convention)})
+        return _emit({"rigid": structure.is_rigid(g, sep)})
     if cmd == "chromatic":
         chi, col = coloring.chromatic_number(g)
         return _emit({"chromatic_number": chi, "coloring": [c + 1 for c in col.colors]})

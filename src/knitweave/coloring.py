@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     MinorWitness,
     bits,
-    canonical_form,
     components,
     enumerate_minors,
     independence_number,
@@ -125,13 +124,8 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     chi, _ = chromatic_number(g)
     if chi != k:
         return False, None
-    cache: dict = {}
     for wit in enumerate_minors(g):
-        q = wit.quotient()
-        key = canonical_form(q)
-        if key not in cache:
-            cache[key] = chromatic_number(q)[0]
-        if cache[key] > k - 1:
+        if chromatic_number(wit.quotient())[0] > k - 1:
             wit.validate()
             return False, wit
     return True, None

@@ -460,8 +460,11 @@ class Configuration:
 
     host: Graph
     u0: int
-    pairs: tuple[tuple[int, int], ...]
     blocks: tuple[tuple[int, ...], ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((b[0], b[-1]) for b in self.blocks[1:])
 
     @property
     def connected_count(self) -> int:
@@ -478,14 +481,18 @@ class Configuration:
         return mask_of(v for b in self.blocks for v in b)
 
     def validate(self, induced_paths: bool = True) -> None:
+        if len(self.blocks) != 5:
+            raise InputError("need five blocks")
         if self.blocks[0] != (self.u0,):
             raise InputError("block 0 must be exactly the anchor vertex")
         used = 1 << self.u0
         conn_sizes = []
         seen_disconnected = False
-        for (u, v), block in zip(self.pairs, self.blocks[1:]):
-            if block[0] != u or block[-1] != v or len(set(block)) != len(block):
-                raise InputError(f"block {block} does not run from {u} to {v}")
+        for block in self.blocks[1:]:
+            if len(block) < 2:
+                raise InputError(f"block {block} must hold a pair's two ends")
+            if len(set(block)) != len(block):
+                raise InputError(f"block {block} repeats a vertex")
             m = mask_of(block)
             if m & used:
                 raise InputError("blocks overlap")
@@ -600,7 +607,6 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
     cfg = Configuration(
         host=h,
         u0=u0,
-        pairs=tuple((blk[0], blk[-1]) for _, _, blk, _ in items),
         blocks=((u0,),) + tuple(blk for _, _, blk, _ in items),
     )
     cfg.validate(induced_paths=True)
@@ -654,7 +660,6 @@ def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration
     new_cfg = Configuration(
         host=h,
         u0=cfg.u0,
-        pairs=tuple((blk[0], blk[-1]) for _, _, blk in items),
         blocks=((cfg.u0,),) + tuple(blk for _, _, blk in items),
     )
     new_cfg.validate(induced_paths=False)
@@ -663,14 +668,11 @@ def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration
     return new_cfg
 
 
-def s_value(cfg: Configuration, a: int, b: int, i: int, closed: bool = False) -> int:
+def s_value(cfg: Configuration, a: int, b: int, i: int) -> int:
     """Coverage score of block ``i`` by the neighborhoods of ``a`` and ``b``:
     common neighbors inside the block minus block vertices missed by both.
-
-    ``closed`` selects closed neighborhoods in the missed term; the two
-    spellings agree whenever a and b lie outside the block, which the
-    preconditions enforce.
-    """
+    Since a and b must lie outside the block, open and closed neighborhoods
+    give the same score."""
     h = cfg.host
     h._check_vertex(a)
     h._check_vertex(b)
@@ -679,10 +681,6 @@ def s_value(cfg: Configuration, a: int, b: int, i: int, closed: bool = False) ->
     ci = cfg.block_mask(i)
     if (ci >> a) & 1 or (ci >> b) & 1:
         raise InputError("a and b must lie outside the block")
-    na, nb = h.adj[a], h.adj[b]
-    if closed:
-        na |= 1 << a
-        nb |= 1 << b
     common = (h.adj[a] & h.adj[b] & ci).bit_count()
-    missed = (ci & ~(na | nb)).bit_count()
+    missed = (ci & ~(h.adj[a] | h.adj[b])).bit_count()
     return common - missed

@@ -16,8 +16,6 @@ from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, components, induced, mask_of, rho, set_of
 from .solver import TerminalSpec, knit, max_vertex_disjoint_flow, partitions_with_profile
 
-PARTITION_CONVENTIONS = ("all-size-le-2", "max-pairing")
-
 
 @dataclass(frozen=True)
 class Separation:
@@ -171,49 +169,30 @@ def is_p_massed(l: Graph, s: int, p: int) -> MassedReport:
 # Knittedness of a pair, rigidity
 # ---------------------------------------------------------------------------
 
-def _cut_partitions(cut: tuple[int, ...], convention: str) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if convention not in PARTITION_CONVENTIONS:
-        raise InputError(f"unknown partition convention {convention!r}")
-    k = len(cut)
-    if convention == "max-pairing":
-        profiles = [[2] * (k // 2) + [1] * (k % 2)]
-    else:
-        # most pairs first: unknittable partitions are pair-heavy, so sweeps
-        # that stop at the first failure find it early
-        profiles = [[2] * q + [1] * (k - 2 * q) for q in range(k // 2, -1, -1)]
-    for profile in profiles:
-        if not profile:
-            yield ()
-            continue
-        yield from partitions_with_profile(cut, profile)
-
-
-def pair_is_knitted(
-    l: Graph, s: int, convention: str = "all-size-le-2"
-) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
+def pair_is_knitted(l: Graph, s: int) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
     """Whether (l, s) is knitted for every partition of ``s`` into parts of
     size at most two. Returns the first violating partition otherwise."""
-    for part_sets in _cut_partitions(set_of(s), convention):
-        if len(part_sets) == 0:
-            continue
+    # Sweeping the max-pairing partitions (floor(|s|/2) pairs, at most one
+    # singleton) decides every partition into parts of size at most two: pair
+    # up the spare singletons of any such partition, knit that, then split
+    # each added pair back into its two vertices. The max-pairing profile also
+    # opens a most-pairs-first sweep of all profiles, so the first violating
+    # partition is that sweep's first as well.
+    k = s.bit_count()
+    for part_sets in partitions_with_profile(set_of(s), [2] * (k // 2) + [1] * (k % 2)):
         if knit(l, TerminalSpec(part_sets)) is None:
             return False, part_sets
     return True, None
 
 
-def is_rigid(l: Graph, sep: Separation, convention: str = "all-size-le-2") -> bool:
+def is_rigid(l: Graph, sep: Separation) -> bool:
     """A separation is rigid when the b side, seen from the separator, is
-    knitted for every partition of the separator under the convention."""
+    knitted for every partition of the separator into parts of size at most
+    two."""
     sep.validate(l)
     sub, vmap = induced(l, sep.b)
     back = {v: i for i, v in enumerate(vmap)}
-    cut = tuple(back[v] for v in bits(sep.separator))
-    for part_sets in _cut_partitions(cut, convention):
-        if len(part_sets) == 0:
-            continue
-        if knit(sub, TerminalSpec(part_sets)) is None:
-            return False
-    return True
+    return pair_is_knitted(sub, mask_of(back[v] for v in bits(sep.separator)))[0]
 
 
 # ---------------------------------------------------------------------------

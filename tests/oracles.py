@@ -39,6 +39,60 @@ def two_pair_systems_solvable(g: Graph, p1, p2) -> bool:
     return False
 
 
+def size_le_2_partitions(verts) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of ``verts`` into parts of size one or two, most pairs
+    first, then lexicographically with the singleton parts written first."""
+    verts = sorted(verts)
+
+    def rec(rest):
+        if not rest:
+            yield []
+            return
+        first, tail = rest[0], rest[1:]
+        for sub in rec(tail):
+            yield [(first,)] + sub
+        for k, partner in enumerate(tail):
+            for sub in rec(tail[:k] + tail[k + 1:]):
+                yield [(first, partner)] + sub
+
+    out = []
+    for parts in rec(verts):
+        singles = sorted(p for p in parts if len(p) == 1)
+        pairs = sorted(p for p in parts if len(p) == 2)
+        out.append(tuple(singles + pairs))
+    out.sort(key=lambda parts: (-sum(len(p) == 2 for p in parts), parts))
+    return out
+
+
+def knittable_by_paths(g: Graph, parts) -> bool:
+    """Disjoint connected subgraphs exist, one per part, iff the pair parts
+    have vertex-disjoint paths avoiding every other part's vertices; tries
+    every path of every pair."""
+    terminals = {v for p in parts for v in p}
+    pairs = [p for p in parts if len(p) == 2]
+
+    def rec(i, used):
+        if i == len(pairs):
+            return True
+        u, v = pairs[i]
+        banned = (terminals - {u, v}) | used
+        return any(
+            rec(i + 1, used | set(path)) for path in all_simple_paths(g, u, v, banned)
+        )
+
+    return rec(0, set())
+
+
+def first_unknittable_partition(g: Graph, verts):
+    """The first partition of ``verts`` into parts of size at most two, in
+    :func:`size_le_2_partitions` order, that ``g`` cannot knit; None if every
+    one can be knit."""
+    for parts in size_le_2_partitions(verts):
+        if not knittable_by_paths(g, parts):
+            return parts
+    return None
+
+
 def independence_by_enumeration(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):

@@ -85,6 +85,20 @@ def test_separations_cli(capsys, tmp_path):
     assert json.loads(out)["count"] == 0
 
 
+def test_rigid_cli(capsys, tmp_path):
+    sides = ["--side-a", "0,1,2", "--side-b", "1,2,3,4"]
+    k4_edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 1), (0, 2)]
+    path = graph_file(tmp_path, Graph.from_edges(5, k4_edges))
+    code, out = run(capsys, ["--input", path, "rigid", *sides])
+    assert code == 0 and json.loads(out)["rigid"] is True
+    # inside side b the separator vertices 1 and 2 lie on separate branches
+    path = graph_file(tmp_path, Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)]))
+    code, out = run(capsys, ["--input", path, "rigid", *sides])
+    assert code == 0 and json.loads(out)["rigid"] is False
+    code, _ = run(capsys, ["--input", path, "rigid", "--side-a", "0,1", "--side-b", "2,3,4"])
+    assert code == 2  # edge 0-2 joins the private sides
+
+
 def test_massed_cli(capsys, tmp_path):
     path = graph_file(tmp_path, Graph.complete(6))
     code, out = run(capsys, ["--input", path, "massed", "--set", "0,1,2", "--p", "4"])

@@ -219,7 +219,6 @@ def _reroute_fixture():
     cfg = Configuration(
         host=h,
         u0=0,
-        pairs=((9, 10), (11, 12), (1, 5), (6, 7)),
         blocks=((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5), (6, 7)),
     )
     cfg.validate()
@@ -262,7 +261,6 @@ def test_reroute_randomized_invariants():
         cfg = Configuration(
             host=h,
             u0=0,
-            pairs=((9, 10), (11, 12), (1, 5), (6, 7)),
             blocks=((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5), (6, 7)),
         )
         cfg.validate(induced_paths=False)
@@ -279,7 +277,6 @@ def test_s_value_examples():
     cfg = build_configuration(h, [8, 0, 2, 3, 4, 5, 6, 11, 12])
     i = cfg.blocks.index((0, 1, 2))
     assert s_value(cfg, 9, 10, i) == 3  # both complete to a 3-block
-    assert s_value(cfg, 9, 10, i, closed=True) == 3
     lonely = cfg.blocks.index((3, 4))
     assert s_value(cfg, 9, 10, lonely) == -2  # no neighbors there at all
     with pytest.raises(InputError):

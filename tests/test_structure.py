@@ -17,6 +17,7 @@ from knitweave.structure import (
 )
 
 from conftest import random_graph
+from oracles import first_unknittable_partition
 
 
 def naive_separations(g: Graph, s: int, max_order: int):
@@ -131,14 +132,11 @@ def test_rigidity_examples():
     split = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
     sep2 = Separation(a=0b00111, b=0b11110)
     assert not is_rigid(split, sep2)
-    assert is_rigid(split, sep2, convention="max-pairing") is False
 
 
 def test_rigidity_agrees_with_direct_sweep():
     rng = random.Random(13)
     from knitweave.graphs import induced
-    from knitweave.solver import TerminalSpec, knit
-    from knitweave.structure import _cut_partitions
 
     for _ in range(20):
         g = random_graph(rng, 7, p=rng.uniform(0.3, 0.9))
@@ -151,15 +149,26 @@ def test_rigidity_agrees_with_direct_sweep():
         aa = g.full_mask & ~comps[0]
         sep = Separation(aa, b)
         sep.validate(g)
-        want = True
         sub, vmap = induced(g, b)
         back = {v: i for i, v in enumerate(vmap)}
         local_cut = tuple(back[v] for v in bits(aa & b))
-        for parts in _cut_partitions(local_cut, "all-size-le-2"):
-            if parts and knit(sub, TerminalSpec(parts)) is None:
-                want = False
-                break
+        want = first_unknittable_partition(sub, local_cut) is None
         assert is_rigid(g, sep) == want
+
+
+def test_pair_is_knitted_matches_oracle():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for trial in range(140):
+        k = trial % 7  # |S| = 0..6, odd sizes included
+        n = rng.randint(max(2, k), 8)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.9))
+        verts = rng.sample(range(n), k)
+        ok, wit = pair_is_knitted(g, mask_of(verts))
+        want = first_unknittable_partition(g, verts)
+        assert (ok, wit) == (want is None, want), (g.adj, verts)
+        seen[ok] += 1
+    assert seen[True] and seen[False]
 
 
 MINIMIZE_EDGES = None
