@@ -16,7 +16,7 @@ from .graphs import (
     bits,
     canonical_form,
     contract_edge,
-    enumerate_minors,
+    contraction_quotients,
     independence_number,
     induced,
     mask_of,

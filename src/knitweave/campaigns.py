@@ -451,20 +451,32 @@ def revalidate_report(report: dict) -> None:
     if kind == "lemma-si":
         for inst in report["instances"]:
             g = parse_graph6(inst["graph6"])
+            blocks = inst["blocks"]
+            if not blocks or not blocks[0]:
+                raise InputError("block 0 must hold the anchor vertex")
             cfg = Configuration(
                 host=g,
-                u0=inst["blocks"][0][0],
-                blocks=tuple(tuple(b) for b in inst["blocks"]),
+                u0=blocks[0][0],
+                blocks=tuple(tuple(b) for b in blocks),
             )
             cfg.validate(induced_paths=False)
             for rec in inst["samples"]:
-                if rec["lemma"] != "si":
-                    continue
-                for i_str, val in rec["scores"].items():
-                    got = s_value(cfg, rec["a"], rec["b"], int(i_str))
+                if rec["lemma"] == "si":
+                    observers = [(rec["a"], rec["b"])]
+                    claims = {i_str: [val] for i_str, val in rec["scores"].items()}
+                elif rec["lemma"] == "si2":
+                    a, a2, b, b2 = rec["observers"]
+                    observers = [(a, b), (a2, b2)]
+                    claims = rec["pair_scores"]
+                else:
+                    raise InputError(f"unknown lemma record {rec['lemma']!r}")
+                for i_str, val in claims.items():
+                    # a pair's two scores are written higher first
+                    i = int(i_str)
+                    got = sorted((s_value(cfg, x, y, i) for x, y in observers), reverse=True)
                     if got != val:
                         raise InputError(
-                            f"embedded score {val} for block {i_str} does not recompute ({got})"
+                            f"embedded scores {val} for block {i_str} do not recompute ({got})"
                         )
     elif kind == "pipeline-4linked":
         for inst in report["instances"]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -23,7 +23,7 @@ from .graphs import (
     MinorWitness,
     bits,
     components,
-    enumerate_minors,
+    contraction_quotients,
     independence_number,
     induced,
     mask_of,
@@ -118,14 +118,32 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     return ub, Coloring(tuple(greedy), ub)
 
 
+def _single_deletions(g: Graph) -> Iterator[MinorWitness]:
+    """G - v for every vertex v, then G - e for every edge e."""
+    singletons = tuple(1 << v for v in range(g.n))
+    edges = tuple(g.edges())
+    for v in range(g.n):
+        kept = tuple((i - (i > v), j - (j > v)) for i, j in edges if v not in (i, j))
+        yield MinorWitness(g, singletons[:v] + singletons[v + 1:], kept)
+    for e in edges:
+        yield MinorWitness(g, singletons, tuple(f for f in edges if f != e))
+
+
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
     """Whether the chromatic number is exactly k and every proper minor needs
-    fewer colors. On failure returns a validated witness minor."""
+    fewer colors. On failure returns a validated witness minor.
+
+    Every proper minor is a subgraph of G - v, of G - e, or of a contraction
+    G/F with F nonempty, and deleting never raises the chromatic number. So
+    the check tries the vertex deletions, then the edge deletions, then
+    :func:`contraction_quotients`, and returns the first of them that needs
+    k colors.
+    """
     chi, _ = chromatic_number(g)
     if chi != k:
         return False, None
-    for wit in enumerate_minors(g):
-        if chromatic_number(wit.quotient())[0] > k - 1:
+    for wit in itertools.chain(_single_deletions(g), contraction_quotients(g)):
+        if chromatic_number(wit.quotient())[0] >= k:
             wit.validate()
             return False, wit
     return True, None

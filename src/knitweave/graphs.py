@@ -456,64 +456,32 @@ class MinorWitness:
                 raise InputError(f"model edge {i},{j} has no host edge backing it")
 
 
-def enumerate_minors(g: Graph, max_order_drop: Optional[int] = None) -> Iterator[MinorWitness]:
-    """Stream every proper minor of ``g`` up to isomorphism, with witnesses.
+def contraction_quotients(g: Graph) -> Iterator[MinorWitness]:
+    """Stream G/F for every nonempty edge set F, one per isomorphism class.
 
-    Full recursive deletion/contraction enumeration with canonical-form
-    memoization; one-step enumeration would be wrong because chromatic number
-    is not monotone under single contractions (C_5 is the classic trap).
+    Each witness partitions the vertices into connected branch sets and keeps
+    every quotient edge. Contracting the edges of G/F gives the contractions
+    of G that coarsen its partition, so the walk merges two adjacent branch
+    sets per step and expands one representative per class, level by level
+    (every quotient on a level has the same order).
     """
     if g.n > MINOR_ENUM_LIMIT:
         raise ResourceError(
-            f"minor enumeration supported for n <= {MINOR_ENUM_LIMIT}; "
+            f"contraction quotients supported for n <= {MINOR_ENUM_LIMIT}; "
             f"got n = {g.n} (the state space is the set of all smaller graphs)"
         )
-    drop = g.n if max_order_drop is None else max_order_drop
-    if drop < 0:
-        raise InputError("negative order drop")
-    min_order = g.n - drop
-
-    identity = MinorWitness(
-        g,
-        tuple(1 << v for v in range(g.n)),
-        tuple(g.edges()),
-    )
-    seen = {canonical_form(g)}
-    queue = [(g, identity)]
-    while queue:
-        cur, wit = queue.pop(0)
-        out: list[MinorWitness] = []
-        if cur.n > min_order:
-            for v in range(cur.n):
-                bs = wit.branch_sets[:v] + wit.branch_sets[v + 1:]
-                edges = tuple(
-                    (i - (i > v), j - (j > v))
-                    for i, j in wit.model_edges
-                    if i != v and j != v
-                )
-                out.append(MinorWitness(g, bs, edges))
-        for u, v in cur.edges():
-            edges = tuple(e for e in wit.model_edges if e != (u, v) and e != (v, u))
-            out.append(MinorWitness(g, wit.branch_sets, edges))
-            if cur.n > min_order:
-                keep, gone = min(u, v), max(u, v)
-                bs = list(wit.branch_sets)
-                bs[keep] |= bs[gone]
-                del bs[gone]
-                merged_edges = set()
-                for i, j in wit.model_edges:
-                    if (i, j) in ((u, v), (v, u)):
-                        continue
-                    a = keep if i == gone else i - (i > gone)
-                    b = keep if j == gone else j - (j > gone)
-                    if a != b:
-                        merged_edges.add((min(a, b), max(a, b)))
-                out.append(MinorWitness(g, tuple(bs), tuple(sorted(merged_edges))))
-        for w in out:
-            q = w.quotient()
-            key = canonical_form(q)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield w
-            queue.append((q, w))
+    level = [(g, tuple(1 << v for v in range(g.n)))]
+    while level:
+        found: dict = {}
+        for q, branch_sets in level:
+            for u, v in q.edges():
+                h = contract_edge(q, u, v)
+                key = canonical_form(h)
+                if key in found:
+                    continue
+                merged = list(branch_sets)
+                merged[u] |= merged.pop(v)  # u < v, so u keeps its index
+                bs = tuple(merged)
+                found[key] = (h, bs)
+                yield MinorWitness(g, bs, tuple(h.edges()))
+        level = list(found.values())

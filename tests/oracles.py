@@ -174,6 +174,23 @@ def minors_by_recursion(g: Graph) -> set:
     return seen
 
 
+def contractions_by_recursion(g: Graph) -> set:
+    """Canonical forms of every contraction G/F with F nonempty, by plain
+    edge-contraction recursion."""
+    seen = set()
+
+    def visit(h: Graph):
+        for u, v in list(h.edges()):
+            c = _contract(h, u, v)
+            key = _canon_small(c)
+            if key not in seen:
+                seen.add(key)
+                visit(c)
+
+    visit(g)
+    return seen
+
+
 def _sub(g: Graph, keep: list[int]) -> Graph:
     pos = {v: i for i, v in enumerate(keep)}
     edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]

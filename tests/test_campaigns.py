@@ -64,13 +64,24 @@ def test_revalidation_rejects_malformed_blocks():
     rep = campaign_lemma_si(4, seed=3, no_timestamps=True)
     good = rep["instances"][0]["blocks"]
     assert good[:2] == [[22], [23, 24]]
-    for blocks in ([good[0], [23]] + good[2:], [good[0], []] + good[2:], good[:4]):
+    malformed = ([good[0], [23]] + good[2:], [good[0], []] + good[2:], good[:4], [[]] + good[1:], [])
+    for blocks in malformed:
         blob = json.loads(report_to_json(rep))
         inst = blob["instances"][0]
         inst["blocks"] = blocks
         inst["samples"] = []  # no recomputed score can give the tampering away
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
+
+
+def test_revalidation_recomputes_pair_scores():
+    rep = campaign_lemma_si(4, seed=3, no_timestamps=True)
+    blob = json.loads(report_to_json(rep))
+    paired = [s for s in blob["instances"][0]["samples"] if s["lemma"] == "si2"]
+    assert paired[0]["pair_scores"]["1"] == [2, 2]
+    paired[0]["pair_scores"]["1"] = [9, 9]
+    with pytest.raises(InputError):
+        load_report(json.dumps(blob))
 
 
 def test_pipeline_completes_on_both_hosts():

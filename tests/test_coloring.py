@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,11 +13,11 @@ from knitweave.coloring import (
     recombine,
     validate_power_set_coding,
 )
-from knitweave.errors import InputError, PreconditionError, SplitClassError
-from knitweave.graphs import Graph, are_isomorphic, mask_of, set_of
+from knitweave.errors import InputError, PreconditionError, ResourceError, SplitClassError
+from knitweave.graphs import Graph, are_isomorphic, mask_of, nonisomorphic_graphs, set_of
 
 from conftest import random_graph
-from oracles import chromatic_by_enumeration
+from oracles import chromatic_by_enumeration, minors_by_recursion
 from recomb_fixtures import build_recomb_fixture
 
 
@@ -50,6 +51,31 @@ def test_contraction_critical_complete():
         assert ok and wit is None
 
 
+def test_contraction_critical_envelope():
+    for k in (8, 9):
+        t0 = time.perf_counter()
+        assert is_contraction_critical(Graph.complete(k), k) == (True, None)
+        assert time.perf_counter() - t0 < 5.0
+    with pytest.raises(ResourceError):
+        is_contraction_critical(Graph.complete(10), 10)
+
+
+def test_contraction_critical_matches_minor_oracle():
+    for n in range(6):
+        for g in nonisomorphic_graphs(n):
+            chi = chromatic_by_enumeration(g)
+            worst_minor = max(
+                (chromatic_by_enumeration(Graph(key[0], key[1])) for key in minors_by_recursion(g)),
+                default=-1,  # K0 has no proper minor
+            )
+            for k in (chi - 1, chi, chi + 1):
+                ok, wit = is_contraction_critical(g, k)
+                assert ok == (chi == k and worst_minor < k), (g, k)
+                if wit is not None:
+                    wit.validate()
+                    assert chromatic_number(wit.quotient())[0] >= k
+
+
 def test_contraction_critical_c5_pins_deep_minors():
     ok, wit = is_contraction_critical(Graph.cycle(5), 3)
     assert not ok
@@ -57,6 +83,19 @@ def test_contraction_critical_c5_pins_deep_minors():
     q = wit.quotient()
     assert chromatic_number(q)[0] >= 3
     assert are_isomorphic(q, Graph.complete(3))
+
+
+def test_contraction_critical_witness_order():
+    # vertex deletions come first: K2 plus an isolated vertex keeps K2
+    ok, wit = is_contraction_critical(Graph.from_edges(3, [(0, 1)]), 2)
+    assert not ok and wit.branch_sets == (1, 2) and wit.model_edges == ((0, 1),)
+    # then edge deletions: every G - v of this graph is 3-colorable, G - 14 is not
+    edges = [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6),
+             (3, 5), (3, 6), (4, 6)]
+    ok, wit = is_contraction_critical(Graph.from_edges(7, edges), 4)
+    assert not ok
+    assert wit.branch_sets == tuple(1 << v for v in range(7))
+    assert list(wit.model_edges) == [e for e in edges if e != (1, 4)]
 
 
 def test_contraction_critical_wrong_chi():

@@ -3,29 +3,31 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knitweave.errors import InputError, ResourceError
+from knitweave.errors import InputError
 from knitweave.graphs import (
     Graph,
     are_isomorphic,
     bits,
     canonical_form,
     contract_edge,
-    enumerate_minors,
+    contraction_quotients,
     independence_number,
     induced,
     is_connected,
     mask_of,
     max_clique,
     neighbors_closed,
+    nonisomorphic_graphs,
     rho,
     set_of,
 )
 
 from conftest import random_graph
 from oracles import (
+    _canon_small,
     clique_by_enumeration,
+    contractions_by_recursion,
     independence_by_enumeration,
-    minors_by_recursion,
     rho_by_double_loop,
 )
 
@@ -192,30 +194,33 @@ def test_canonical_form_agrees_with_networkx():
         assert ours == truth
 
 
-def test_minor_enumeration_k3():
-    witnesses = list(enumerate_minors(Graph.complete(3)))
+def _quotient_classes(g):
+    witnesses = list(contraction_quotients(g))
     for w in witnesses:
         w.validate()
-    keys = {canonical_form(w.quotient()) for w in witnesses}
-    assert len(keys) == len(witnesses)
-    oracle = minors_by_recursion(Graph.complete(3))
-    assert len(witnesses) == len(oracle) == 7
+    keys = [_canon_small(w.quotient()) for w in witnesses]
+    assert len(set(keys)) == len(keys)
+    return set(keys)
+
+
+def test_minor_enumeration_k3():
+    assert _quotient_classes(Graph.complete(3)) == contractions_by_recursion(Graph.complete(3))
+    assert [w.quotient().n for w in contraction_quotients(Graph.complete(3))] == [2, 1]
 
 
 def test_minor_enumeration_matches_oracle_small():
+    graphs = [g for n in range(6) for g in nonisomorphic_graphs(n)]
     rng = random.Random(9)
-    for _ in range(6):
-        g = random_graph(rng, rng.randint(1, 5), p=0.6)
-        ours = {canonical_form(w.quotient()) for w in enumerate_minors(g)}
-        assert len(ours) == len(minors_by_recursion(g))
+    graphs += [random_graph(rng, rng.randint(6, 7), p=rng.uniform(0.3, 0.8)) for _ in range(6)]
+    for g in graphs:
+        assert _quotient_classes(g) == contractions_by_recursion(g)
 
 
 def test_minor_k1_and_c5():
-    k1 = list(enumerate_minors(Graph.complete(1)))
-    assert len(k1) == 1 and k1[0].quotient().n == 0
+    assert list(contraction_quotients(Graph.complete(1))) == []
     c5 = Graph.cycle(5)
     hits = [
-        w for w in enumerate_minors(c5) if are_isomorphic(w.quotient(), Graph.complete(3))
+        w for w in contraction_quotients(c5) if are_isomorphic(w.quotient(), Graph.complete(3))
     ]
     assert hits
     hits[0].validate()
@@ -223,22 +228,18 @@ def test_minor_k1_and_c5():
 
 
 def test_minor_witnesses_validate():
-    for g in (Graph.cycle(6), Graph.petersen(), Graph.complete(4)):
-        if g.n > 9:
-            continue
-        for w in enumerate_minors(g, max_order_drop=2):
+    petersen_minus_vertex, _ = induced(Graph.petersen(), (1 << 10) - 2)
+    for g in (Graph.cycle(6), petersen_minus_vertex, Graph.complete(4)):
+        for w in contraction_quotients(g):
             w.validate()
-
-
-def test_minor_envelope():
-    with pytest.raises(ResourceError):
-        next(enumerate_minors(Graph.complete(10)))
-
-
-def test_max_order_drop_limits_orders():
-    g = Graph.complete(5)
-    orders = {w.quotient().n for w in enumerate_minors(g, max_order_drop=1)}
-    assert orders <= {4, 5}
+            # the model keeps every edge between adjacent branch sets
+            bs = w.branch_sets
+            assert set(w.model_edges) == {
+                (i, j)
+                for i in range(len(bs))
+                for j in range(i + 1, len(bs))
+                if any(g.adj[v] & bs[j] for v in bits(bs[i]))
+            }
 
 
 def test_components_and_connectivity():
