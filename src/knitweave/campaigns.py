@@ -71,10 +71,10 @@ def _config_block_facts(cfg: Configuration):
     return conn
 
 
-def _score_checks(cfg: Configuration, j: int, form: str, a: int, b: int, a2=None, b2=None):
-    """Evaluate every lemma conclusion that applies; returns violation strings."""
+def _score_checks(cfg: Configuration, conn: list[bool], j: int, a: int, b: int):
+    """Evaluate every lemma conclusion that applies; returns violation strings.
+    ``conn[i - 1]`` says whether block ``i`` is connected."""
     h = cfg.host
-    conn = _config_block_facts(cfg)
     out = []
     svals = {}
     for i in range(5):
@@ -162,7 +162,7 @@ def campaign_lemma_si(
                         break
                     a = rng.choice(pool_a)
                     b = rng.choice(pool_b)
-                    bad, svals = _score_checks(cfg, j, form, a, b)
+                    bad, svals = _score_checks(cfg, conn, j, a, b)
                     total = sum(svals.values()) + s_value(cfg, a, b, j)
                     # the side remainders are taken outside the block system so
                     # the decomposition behind (d) stays disjoint; in the

@@ -148,45 +148,6 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
                 yield p
 
 
-def _bfs_dist(g: Graph, src: int, dom: int) -> dict[int, int]:
-    dist = {src: 0}
-    frontier = 1 << src
-    seen = frontier
-    d = 0
-    while frontier:
-        nxt = 0
-        for x in bits(frontier):
-            nxt |= g.adj[x]
-        nxt &= dom & ~seen
-        d += 1
-        for x in bits(nxt):
-            dist[x] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
-
-def shortest_path(g: Graph, u: int, v: int, allowed: int, max_len: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """Lexicographically least shortest u-v path with interior in ``allowed``."""
-    dom = (allowed | (1 << u) | (1 << v)) & g.full_mask
-    du = _bfs_dist(g, u, dom)
-    if v not in du:
-        return None
-    total = du[v]
-    if max_len is not None and total + 1 > max_len:
-        return None
-    dv = _bfs_dist(g, v, dom)
-    path = [u]
-    cur = u
-    while cur != v:
-        for w in bits(g.adj[cur] & dom):
-            if du.get(w) == du[cur] + 1 and dv.get(w) == total - du[cur] - 1:
-                path.append(w)
-                cur = w
-                break
-    return tuple(path)
-
-
 def max_vertex_disjoint_flow(
     g: Graph,
     sources: int,
@@ -517,12 +478,16 @@ class Configuration:
 def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
     """Best block system for nine terminals: anchor u_0 plus four pairs.
 
-    Slots 1..3 take a connecting path of at most five vertices whenever one
-    exists in what remains after earlier blocks and later terminals are
-    removed; slot 4 is always the bare pair. The pair-to-slot assignment and
-    the path choices are optimized exactly: first maximize the number of
-    connected blocks, then minimize the total number of vertices. First-found
-    under lexicographic enumeration breaks ties.
+    Each pair's paths of at most ``PATH_CAP`` vertices whose interior avoids
+    all nine terminals are listed once, shortest first and lexicographic
+    within a length. One pair is the bare slot-4 block, connected iff its
+    ends are adjacent; all four choices of that pair are tried. The other
+    three pairs each take a listed path or stay bare, with pairwise-disjoint
+    path interiors. The selection is optimized exactly: first maximize the
+    number of connected blocks, then minimize the total number of vertices.
+    Ties go to the first selection found, taking the bare slot-4 pair from
+    the last input pair back and deciding the other pairs in input order,
+    each trying its paths in list order before staying bare.
     """
     terminals = tuple(terminals)
     if len(terminals) != 9 or len(set(terminals)) != 9:
@@ -531,83 +496,57 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
         h._check_vertex(t)
     u0 = terminals[0]
     in_pairs = tuple((terminals[1 + 2 * i], terminals[2 + 2 * i]) for i in range(4))
-    all_term_mask = mask_of(terminals)
+    free = h.full_mask & ~mask_of(terminals)
+    options = [
+        [(mask_of(p[1:-1]), p) for p in sorted(iter_paths(h, u, v, free, PATH_CAP), key=lambda p: (len(p), p))]
+        for u, v in in_pairs
+    ]
+    # best (connected, -size) one pair can add: its shortest path, else bare
+    floor = [(1, -len(opts[0][1])) if opts else (0, -2) for opts in options]
 
-    # admissible lower bound on a slot's size if it ever connects
-    pair_floor = {}
-    for p in in_pairs:
-        free = h.full_mask & ~(all_term_mask & ~mask_of(p)) & ~(1 << u0)
-        sp = shortest_path(h, p[0], p[1], free & ~mask_of(p), PATH_CAP)
-        pair_floor[p] = len(sp) if sp is not None else None
+    best: dict = {"key": (-1, 0), "blocks": None}  # below every real key
+    chosen: list[tuple[int, ...]] = []
 
-    best: dict = {"key": None, "blocks": None, "order": None}
-
-    def consider(order, blocks):
-        s = sum(
-            1 for blk in blocks
-            if all(h.has_edge(a, b) for a, b in zip(blk, blk[1:]))
-        )
-        size = 1 + sum(len(b) for b in blocks)
-        key = (s, -size)
-        if best["key"] is None or key > best["key"]:
-            best["key"] = key
-            best["blocks"] = tuple(blocks)
-            best["order"] = order
-
-    def bound_ok(order, blocks, used):
-        if best["key"] is None:
-            return True
-        s = sum(1 for blk in blocks if all(h.has_edge(a, b) for a, b in zip(blk, blk[1:])))
-        size = 1 + sum(len(b) for b in blocks)
-        opt_s = s
-        opt_size = size
-        for j in range(len(blocks), 4):
-            p = order[j]
-            if j == 3:
-                opt_s += 1 if h.has_edge(*p) else 0
-                opt_size += 2
-            elif pair_floor[p] is None:
-                opt_size += 2
-            else:
-                opt_s += 1
-                opt_size += pair_floor[p]
-        return (opt_s, -opt_size) >= best["key"]
-
-    def extend(order, blocks, used):
-        slot = len(blocks) + 1
-        if slot == 5:
-            consider(order, blocks)
+    def search(slots, k, used, conn, size):
+        if k == len(slots):
+            key = (conn, -size)
+            if key > best["key"]:
+                best["key"] = key
+                best["blocks"] = tuple(chosen)
             return
-        if not bound_ok(order, blocks, used):
-            return
-        u, v = order[slot - 1]
-        if slot == 4:
-            extend(order, blocks + [(u, v)], used | mask_of((u, v)))
-            return
-        later = mask_of(x for p in order[slot - 1:] for x in p)
-        avail = h.full_mask & ~used & ~later
-        found_path = False
-        for path in iter_paths_by_length(h, u, v, avail & ~(1 << u) & ~(1 << v), PATH_CAP):
-            found_path = True
-            extend(order, blocks + [path], used | mask_of(path))
-        if not found_path:
-            extend(order, blocks + [(u, v)], used | mask_of((u, v)))
+        i = slots[k]
+        rest_conn = sum(floor[j][0] for j in slots[k + 1:])
+        rest_size = sum(floor[j][1] for j in slots[k + 1:])
+        for m, path in options[i]:
+            if (conn + 1 + rest_conn, -size - len(path) + rest_size) <= best["key"]:
+                break
+            if not m & used:
+                chosen.append(path)
+                search(slots, k + 1, used | m, conn + 1, size + len(path))
+                chosen.pop()
+        # leave it bare; for an adjacent pair this repeats its first path but
+        # counts as unconnected, so it never replaces the incumbent
+        if (conn + rest_conn, -size - 2 + rest_size) > best["key"]:
+            chosen.append(in_pairs[i])
+            search(slots, k + 1, used, conn, size + 2)
+            chosen.pop()
 
-    for order in itertools.permutations(in_pairs):
-        extend(list(order), [], 1 << u0)
+    for bare in reversed(range(4)):
+        slots = [i for i in range(4) if i != bare]
+        chosen.append(in_pairs[bare])
+        search(slots, 0, 0, 1 if h.has_edge(*in_pairs[bare]) else 0, 3)
+        chosen.pop()
 
-    order = best["order"]
-    blocks = best["blocks"]
     # normalize: connected blocks first, ascending size, disconnected after
     items = []
-    for p, blk in zip(order, blocks):
+    for blk in best["blocks"]:
         conn = all(h.has_edge(a, b) for a, b in zip(blk, blk[1:]))
-        items.append((not conn, len(blk), blk, p))
+        items.append((not conn, len(blk), blk))
     items.sort(key=lambda t: (t[0], t[1], t[2]))
     cfg = Configuration(
         host=h,
         u0=u0,
-        blocks=((u0,),) + tuple(blk for _, _, blk, _ in items),
+        blocks=((u0,),) + tuple(blk for _, _, blk in items),
     )
     cfg.validate(induced_paths=True)
     return cfg

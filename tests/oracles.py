@@ -1,14 +1,19 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against the definitions directly, sharing no
-search machinery with the package, so the two sides can disagree.
+search machinery with the package, so the two sides can disagree. The one
+exception is ``configuration_by_orders``, the previous configuration search,
+kept as a reference for the selected blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
-from knitweave.graphs import Graph, set_of
+from knitweave.errors import InputError
+from knitweave.graphs import Graph, mask_of, set_of
+from knitweave.solver import PATH_CAP, Configuration, iter_paths_by_length
 
 
 def all_simple_paths(g: Graph, u: int, v: int, banned: set[int]):
@@ -257,3 +262,108 @@ def best_configuration_value(h: Graph, terminals) -> tuple[int, int]:
     for order in itertools.permutations(in_pairs):
         extend(list(order), 1, {u0}, 0, 1)
     return best[0]
+
+
+# -- reference configuration search ------------------------------------------
+# The greedy search over all 24 pair orders that the library ran before the
+# disjoint-selection search replaced it; it shares path enumeration with the
+# package and is kept to pin the selected blocks, ties included.
+
+def configuration_by_orders(h: Graph, terminals: Sequence[int]) -> Configuration:
+    """Best block system for nine terminals: anchor u_0 plus four pairs, by
+    the 24-order search ``solver.build_configuration`` used to run.
+
+    Slots 1..3 take a connecting path of at most five vertices whenever one
+    exists in what remains after earlier blocks and later terminals are
+    removed; slot 4 is always the bare pair. The pair-to-slot assignment and
+    the path choices are optimized exactly: first maximize the number of
+    connected blocks, then minimize the total number of vertices. First-found
+    under lexicographic enumeration breaks ties.
+    """
+    terminals = tuple(terminals)
+    if len(terminals) != 9 or len(set(terminals)) != 9:
+        raise InputError("need nine distinct terminals")
+    for t in terminals:
+        h._check_vertex(t)
+    u0 = terminals[0]
+    in_pairs = tuple((terminals[1 + 2 * i], terminals[2 + 2 * i]) for i in range(4))
+    all_term_mask = mask_of(terminals)
+
+    # admissible lower bound on a slot's size if it ever connects
+    pair_floor = {}
+    for p in in_pairs:
+        free = h.full_mask & ~(all_term_mask & ~mask_of(p)) & ~(1 << u0)
+        sp = next(iter_paths_by_length(h, p[0], p[1], free & ~mask_of(p), PATH_CAP), None)
+        pair_floor[p] = len(sp) if sp is not None else None
+
+    best: dict = {"key": None, "blocks": None, "order": None}
+
+    def consider(order, blocks):
+        s = sum(
+            1 for blk in blocks
+            if all(h.has_edge(a, b) for a, b in zip(blk, blk[1:]))
+        )
+        size = 1 + sum(len(b) for b in blocks)
+        key = (s, -size)
+        if best["key"] is None or key > best["key"]:
+            best["key"] = key
+            best["blocks"] = tuple(blocks)
+            best["order"] = order
+
+    def bound_ok(order, blocks, used):
+        if best["key"] is None:
+            return True
+        s = sum(1 for blk in blocks if all(h.has_edge(a, b) for a, b in zip(blk, blk[1:])))
+        size = 1 + sum(len(b) for b in blocks)
+        opt_s = s
+        opt_size = size
+        for j in range(len(blocks), 4):
+            p = order[j]
+            if j == 3:
+                opt_s += 1 if h.has_edge(*p) else 0
+                opt_size += 2
+            elif pair_floor[p] is None:
+                opt_size += 2
+            else:
+                opt_s += 1
+                opt_size += pair_floor[p]
+        return (opt_s, -opt_size) >= best["key"]
+
+    def extend(order, blocks, used):
+        slot = len(blocks) + 1
+        if slot == 5:
+            consider(order, blocks)
+            return
+        if not bound_ok(order, blocks, used):
+            return
+        u, v = order[slot - 1]
+        if slot == 4:
+            extend(order, blocks + [(u, v)], used | mask_of((u, v)))
+            return
+        later = mask_of(x for p in order[slot - 1:] for x in p)
+        avail = h.full_mask & ~used & ~later
+        found_path = False
+        for path in iter_paths_by_length(h, u, v, avail & ~(1 << u) & ~(1 << v), PATH_CAP):
+            found_path = True
+            extend(order, blocks + [path], used | mask_of(path))
+        if not found_path:
+            extend(order, blocks + [(u, v)], used | mask_of((u, v)))
+
+    for order in itertools.permutations(in_pairs):
+        extend(list(order), [], 1 << u0)
+
+    order = best["order"]
+    blocks = best["blocks"]
+    # normalize: connected blocks first, ascending size, disconnected after
+    items = []
+    for p, blk in zip(order, blocks):
+        conn = all(h.has_edge(a, b) for a, b in zip(blk, blk[1:]))
+        items.append((not conn, len(blk), blk, p))
+    items.sort(key=lambda t: (t[0], t[1], t[2]))
+    cfg = Configuration(
+        host=h,
+        u0=u0,
+        blocks=((u0,),) + tuple(blk for _, _, blk, _ in items),
+    )
+    cfg.validate(induced_paths=True)
+    return cfg

@@ -172,13 +172,15 @@ def test_acceptance_06_recombination_500():
 
 
 def test_acceptance_07_lemma_sweep_1000():
+    t0 = time.time()
     rep = campaign_lemma_si(1000, seed=2026, no_timestamps=True)
     revalidate_report(rep)
+    elapsed = time.time() - t0
     _report(
         7,
-        rep["samples_run"] == 1000 and len(rep["violations"]) == 0,
+        rep["samples_run"] == 1000 and len(rep["violations"]) == 0 and elapsed < 20.0,
         f"coverage-score sweep: {rep['samples_run']} samples, "
-        f"{len(rep['violations'])} violations (tolerance 0)",
+        f"{len(rep['violations'])} violations (tolerance 0) in {elapsed:.1f}s (< 20s)",
     )
 
 

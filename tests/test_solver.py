@@ -3,6 +3,8 @@ import random
 import pytest
 
 from knitweave.errors import InputError, PreconditionError
+from knitweave.formats import parse_graph6
+from knitweave.generators import gen_min_degree, gen_split_host
 from knitweave.graphs import Graph, mask_of
 from knitweave.solver import (
     Configuration,
@@ -20,7 +22,7 @@ from knitweave.solver import (
 )
 
 from conftest import random_graph
-from oracles import best_configuration_value, two_pair_systems_solvable
+from oracles import best_configuration_value, configuration_by_orders, two_pair_systems_solvable
 
 
 def test_terminal_spec_validation():
@@ -209,6 +211,57 @@ def test_build_configuration_disconnected_pair():
     assert cfg.connected_count == 3
     assert cfg.blocks[-1] == (3, 5)
     cfg.validate()
+
+
+def test_build_configuration_straddling_pair_first():
+    # the same two cliques, with (8, 9) now joined only through vertex 10: the
+    # unlinkable pair comes first, so the last pair must not be the bare block
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(u, v) for u in range(5, 11) for v in range(u + 1, 11) if (u, v) != (8, 9)]
+    g = Graph.from_edges(11, edges)
+    cfg = build_configuration(g, [0, 3, 5, 1, 2, 6, 7, 8, 9])
+    assert cfg.blocks == ((0,), (1, 2), (6, 7), (8, 10, 9), (3, 5))
+
+
+def test_build_configuration_leaves_blocking_pair_bare():
+    # (1, 2) and (3, 4) each have one path, through both 9 and 10; (5, 6) needs
+    # 9 and (7, 8) needs 10, so the optimum leaves the first two pairs bare
+    edges = [(1, 9), (9, 10), (10, 2), (3, 9), (10, 4), (5, 9), (9, 6), (7, 10), (10, 8)]
+    g = Graph.from_edges(11, edges)
+    cfg = build_configuration(g, range(9))
+    assert cfg.blocks == ((0,), (5, 9, 6), (7, 10, 8), (1, 2), (3, 4))
+
+
+def test_build_configuration_tie_break():
+    # (1, 10) stays bare: both its paths run through 3 and 8, and (9, 8, 7)
+    # needs 8. The 24-order search leaves a slot 1-3 pair bare only once
+    # earlier paths block all of its paths, so it put (5, 3, 2) ahead of
+    # (1, 10); the disjoint selection leaves (1, 10) bare by choice and keeps
+    # the first path of that length, (5, 0, 2)
+    g = parse_graph6("LtRQZsVYhL}OFg")
+    terms = [12, 1, 10, 5, 2, 6, 4, 9, 7]
+    assert build_configuration(g, terms).blocks == ((12,), (6, 4), (5, 0, 2), (9, 8, 7), (1, 10))
+    assert configuration_by_orders(g, terms).blocks == ((12,), (6, 4), (5, 3, 2), (9, 8, 7), (1, 10))
+
+
+def test_build_configuration_matches_reference():
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(9, 14)
+        g = random_graph(rng, n, p=rng.uniform(0.15, 0.7))
+        terms = rng.sample(range(n), 9)
+        cfg = build_configuration(g, terms)
+        s, size = best_configuration_value(g, terms)
+        assert (cfg.connected_count, 1 + sum(len(b) for b in cfg.blocks[1:])) == (s, size)
+        cases.append((g, terms))
+    for seed in range(3):
+        host = gen_split_host(seed, blob_size=10)
+        cases.append((host.graph, host.terminals))
+        g = gen_min_degree(16, 12, seed)
+        cases.append((g, rng.sample(range(16), 9)))
+    for g, terms in cases:
+        assert build_configuration(g, terms).blocks == configuration_by_orders(g, terms).blocks
 
 
 REROUTE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (8, 2), (8, 4), (6, 3), (3, 7), (9, 10), (11, 12)]
