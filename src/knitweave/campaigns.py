@@ -62,18 +62,8 @@ def _is_biconnected(g: Graph, domain: int) -> bool:
 # Coverage-score lemma campaign
 # ---------------------------------------------------------------------------
 
-def _config_block_facts(cfg: Configuration):
-    h = cfg.host
-    conn = []
-    for idx in range(1, 5):
-        blk = cfg.blocks[idx]
-        conn.append(all(h.has_edge(a, b) for a, b in zip(blk, blk[1:])))
-    return conn
-
-
-def _score_checks(cfg: Configuration, conn: list[bool], j: int, a: int, b: int):
-    """Evaluate every lemma conclusion that applies; returns violation strings.
-    ``conn[i - 1]`` says whether block ``i`` is connected."""
+def _score_checks(cfg: Configuration, j: int, a: int, b: int):
+    """Evaluate every lemma conclusion that applies; returns violation strings."""
     h = cfg.host
     out = []
     svals = {}
@@ -82,10 +72,10 @@ def _score_checks(cfg: Configuration, conn: list[bool], j: int, a: int, b: int):
             continue
         svals[i] = s_value(cfg, a, b, i)
         blk = cfg.blocks[i]
-        if i >= 1 and not conn[i - 1]:
+        if i >= 1 and not cfg.connected[i]:
             if svals[i] > 0:
                 out.append(f"(a) disconnected block {i} has score {svals[i]} > 0")
-        if i >= 1 and conn[i - 1]:
+        if i >= 1 and cfg.connected[i]:
             for x in (a, b):
                 hits = [pos for pos, w in enumerate(blk) if h.has_edge(x, w)]
                 if any(q - pq > 2 for pq, q in zip(hits, hits[1:])):
@@ -124,7 +114,6 @@ def campaign_lemma_si(
             terminals = tuple(rng.sample(range(g.n), 9))
         host_idx += 1
         cfg = build_configuration(g, terminals)
-        conn = _config_block_facts(cfg)
         inst = {
             "graph6": write_graph6(g),
             "terminals": list(terminals),
@@ -132,7 +121,7 @@ def campaign_lemma_si(
             "samples": [],
             "skipped": False,
         }
-        djs = [i for i in range(1, 5) if not conn[i - 1]]
+        djs = [i for i in range(1, 5) if not cfg.connected[i]]
         if not djs:
             inst["skipped"] = True
             inst["wall_ms"] = _elapsed_ms(t0)
@@ -162,7 +151,7 @@ def campaign_lemma_si(
                         break
                     a = rng.choice(pool_a)
                     b = rng.choice(pool_b)
-                    bad, svals = _score_checks(cfg, conn, j, a, b)
+                    bad, svals = _score_checks(cfg, j, a, b)
                     total = sum(svals.values()) + s_value(cfg, a, b, j)
                     # the side remainders are taken outside the block system so
                     # the decomposition behind (d) stays disjoint; in the
@@ -180,7 +169,7 @@ def campaign_lemma_si(
                     )
                     if e_applies:
                         for i in range(1, 5):
-                            if i != j and conn[i - 1] and svals.get(i) == 3:
+                            if i != j and cfg.connected[i] and svals.get(i) == 3:
                                 bad.append(f"(e) connected block {i} has score 3")
                     rec = {
                         "lemma": "si",

@@ -117,20 +117,13 @@ def uncommon_neighbor_certificate(
     v: int,
     k: int,
     knitted_variant: bool = False,
-    pair_reading: str = "xy",
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Two-tier certificate around a distinguished vertex: pairs involving v
-    need 2k-1 (2k) common neighbors; other non-adjacent pairs need 3k-2
-    (3k-1).
-
-    ``pair_reading`` selects whether tier two counts common neighbors of the
-    pair itself ("xy", the sensible reading) or of v with the first element
-    ("vx", the literal spelling it corrects).
+    need 2k-1 (2k) common neighbors; other non-adjacent pairs x, y need 3k-2
+    (3k-1) common neighbors of x and y.
     """
     if l.n < 2 * k + 1:
         raise InputError(f"need at least {2 * k + 1} vertices")
-    if pair_reading not in ("xy", "vx"):
-        raise InputError("pair_reading must be 'xy' or 'vx'")
     l._check_vertex(v)
     tier1 = 2 * k if knitted_variant else 2 * k - 1
     tier2 = 3 * k - 1 if knitted_variant else 3 * k - 2
@@ -143,8 +136,7 @@ def uncommon_neighbor_certificate(
         for y in bits(rest >> (x + 1) << (x + 1)):
             if l.has_edge(x, y):
                 continue
-            lhs = l.adj[x] & (l.adj[y] if pair_reading == "xy" else l.adj[v])
-            if lhs.bit_count() < tier2:
+            if (l.adj[x] & l.adj[y]).bit_count() < tier2:
                 return False, (x, y)
     return True, None
 

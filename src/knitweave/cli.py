@@ -62,6 +62,8 @@ def _spec_from_args(args) -> solver.TerminalSpec:
         ts = _parse_ints(args.terminals)
         if getattr(args, "profile", None):
             profile = _parse_ints(args.profile)
+            if sum(profile) != len(ts):
+                raise InputError(f"profile sums to {sum(profile)}, but there are {len(ts)} terminals")
             pos = 0
             for size in profile:
                 parts.append(tuple(ts[pos:pos + size]))

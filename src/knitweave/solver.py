@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -365,46 +366,29 @@ def is_k_linked(
 ) -> tuple[bool, Optional[tuple[tuple[int, int], ...]]]:
     """Whether every k disjoint terminal pairs admit disjoint linking paths.
 
-    Exhaustive mode sweeps all unordered systems of k disjoint unordered pairs
-    in lexicographic order, so a returned counterexample is the least one.
+    Exhaustive mode sweeps the 2k-sets of vertices in lexicographic order and
+    asks :func:`is_profile_knitted` for all k-pair partitions of each, so a
+    returned counterexample is the least system of k disjoint pairs.
     Sampled mode draws ``samples`` pseudorandom systems.
     """
     if g.n < 2 * k:
         raise InputError(f"need at least {2 * k} vertices for k = {k}")
     if mode == "exhaustive":
-        systems = (
-            tuple(sorted(pr))
-            for verts in itertools.combinations(range(g.n), 2 * k)
-            for pr in _pairings_of(verts)
-        )
-    elif mode == "sampled":
-        rng = random.Random(seed)
-
-        def sample_iter():
-            for _ in range(samples):
-                verts = rng.sample(range(g.n), 2 * k)
-                rng.shuffle(verts)
-                yield tuple(sorted(tuple(sorted(verts[2 * i:2 * i + 2])) for i in range(k)))
-
-        systems = sample_iter()
-    else:
+        for verts in itertools.combinations(range(g.n), 2 * k):
+            ok, system = is_profile_knitted(g, mask_of(verts), (2,) * k)
+            if not ok:
+                return False, system
+        return True, None
+    if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
-    for system in systems:
+    rng = random.Random(seed)
+    for _ in range(samples):
+        verts = rng.sample(range(g.n), 2 * k)
+        rng.shuffle(verts)
+        system = tuple(sorted(tuple(sorted(verts[2 * i:2 * i + 2])) for i in range(k)))
         if disjoint_paths(g, pairs_spec(system)) is None:
             return False, system
     return True, None
-
-
-def _pairings_of(verts: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    verts = tuple(verts)
-    if not verts:
-        yield ()
-        return
-    first = verts[0]
-    for k in range(1, len(verts)):
-        rest = verts[1:k] + verts[k + 1:]
-        for sub in _pairings_of(rest):
-            yield ((first, verts[k]),) + sub
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +396,10 @@ def _pairings_of(verts: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
 # ---------------------------------------------------------------------------
 
 PATH_CAP = 5  # vertex cap for connecting paths when building configurations
+
+
+def _is_path(h: Graph, block: Sequence[int]) -> bool:
+    return all(h.has_edge(a, b) for a, b in zip(block, block[1:]))
 
 
 @dataclass(frozen=True)
@@ -423,16 +411,26 @@ class Configuration:
     u0: int
     blocks: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def normal(cls, host: Graph, u0: int, pair_blocks: Sequence[tuple[int, ...]]) -> "Configuration":
+        """The configuration with anchor ``u0`` and blocks 1-4 ``pair_blocks``
+        in normal order: connected blocks first, then by size, then by vertex
+        sequence."""
+        ordered = sorted(pair_blocks, key=lambda b: (not _is_path(host, b), len(b), b))
+        return cls(host, u0, ((u0,),) + tuple(ordered))
+
+    @cached_property
+    def connected(self) -> tuple[bool, ...]:
+        """``connected[i]``: whether consecutive vertices of block i are adjacent."""
+        return tuple(_is_path(self.host, b) for b in self.blocks)
+
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((b[0], b[-1]) for b in self.blocks[1:])
 
     @property
     def connected_count(self) -> int:
-        return sum(1 for b in self.blocks[1:] if self._block_connected(b))
-
-    def _block_connected(self, block: tuple[int, ...]) -> bool:
-        return all(self.host.has_edge(a, b) for a, b in zip(block, block[1:]))
+        return sum(self.connected[1:])
 
     def block_mask(self, i: int) -> int:
         return mask_of(self.blocks[i])
@@ -444,12 +442,12 @@ class Configuration:
     def validate(self, induced_paths: bool = True) -> None:
         if len(self.blocks) != 5:
             raise InputError("need five blocks")
+        if not all(0 <= v < self.host.n for b in self.blocks for v in b):
+            raise InputError(f"a block vertex lies outside 0..{self.host.n - 1}")
         if self.blocks[0] != (self.u0,):
             raise InputError("block 0 must be exactly the anchor vertex")
         used = 1 << self.u0
-        conn_sizes = []
-        seen_disconnected = False
-        for block in self.blocks[1:]:
+        for block, conn in zip(self.blocks[1:], self.connected[1:]):
             if len(block) < 2:
                 raise InputError(f"block {block} must hold a pair's two ends")
             if len(set(block)) != len(block):
@@ -458,21 +456,15 @@ class Configuration:
             if m & used:
                 raise InputError("blocks overlap")
             used |= m
-            if self._block_connected(block):
-                if seen_disconnected:
-                    raise InputError("connected blocks must precede disconnected ones")
-                if induced_paths:
-                    for i, a in enumerate(block):
-                        for j in range(i + 2, len(block)):
-                            if self.host.has_edge(a, block[j]):
-                                raise InputError(f"block {block} is not an induced path")
-                conn_sizes.append(len(block))
-            else:
-                if len(block) != 2:
-                    raise InputError("a disconnected block must be a bare pair")
-                seen_disconnected = True
-        if conn_sizes != sorted(conn_sizes):
-            raise InputError("connected blocks must be ordered by size")
+            if not conn and len(block) != 2:
+                raise InputError("a disconnected block must be a bare pair")
+            if conn and induced_paths:
+                for i, a in enumerate(block):
+                    for j in range(i + 2, len(block)):
+                        if self.host.has_edge(a, block[j]):
+                            raise InputError(f"block {block} is not an induced path")
+        if self.blocks != Configuration.normal(self.host, self.u0, self.blocks[1:]).blocks:
+            raise InputError("blocks are not in normal order: connected first, then by size")
 
 
 def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
@@ -537,17 +529,7 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
         search(slots, 0, 0, 1 if h.has_edge(*in_pairs[bare]) else 0, 3)
         chosen.pop()
 
-    # normalize: connected blocks first, ascending size, disconnected after
-    items = []
-    for blk in best["blocks"]:
-        conn = all(h.has_edge(a, b) for a, b in zip(blk, blk[1:]))
-        items.append((not conn, len(blk), blk))
-    items.sort(key=lambda t: (t[0], t[1], t[2]))
-    cfg = Configuration(
-        host=h,
-        u0=u0,
-        blocks=((u0,),) + tuple(blk for _, _, blk in items),
-    )
+    cfg = Configuration.normal(h, u0, best["blocks"])
     cfg.validate(induced_paths=True)
     return cfg
 
@@ -563,14 +545,14 @@ def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration
     if not (1 <= i <= 4 and 1 <= j <= 4 and i != j):
         raise PreconditionError("block-indices", "i and j must be distinct block indices in 1..4")
     bi = cfg.blocks[i]
-    if not all(h.has_edge(a, b) for a, b in zip(bi, bi[1:])):
+    if not cfg.connected[i]:
         raise PreconditionError("i-connected", f"block {i} is not a connected path")
     if y not in bi[1:-1]:
         raise PreconditionError("y-interior", f"{y} is not interior to block {i}")
     pos = bi.index(y)
     z1, z2 = bi[pos - 1], bi[pos + 1]
     bj = cfg.blocks[j]
-    if len(bj) != 2 or h.has_edge(*bj):
+    if len(bj) != 2 or cfg.connected[j]:
         raise PreconditionError("j-disconnected", f"block {j} is not a disconnected pair")
     cover = cfg.cover_mask
     if (cover >> x) & 1:
@@ -589,18 +571,10 @@ def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration
             "path-through-y",
             f"no ({uj},{vj})-path whose only configuration-interior vertex is {y}",
         )
-    new_bi = bi[:pos] + (x,) + bi[pos + 1:]
-    items = []
-    for idx in range(1, 5):
-        blk = new_bi if idx == i else (newpath if idx == j else cfg.blocks[idx])
-        conn = all(h.has_edge(a, b) for a, b in zip(blk, blk[1:]))
-        items.append((not conn, len(blk), blk))
-    items.sort(key=lambda t: (t[0], t[1], t[2]))
-    new_cfg = Configuration(
-        host=h,
-        u0=cfg.u0,
-        blocks=((cfg.u0,),) + tuple(blk for _, _, blk in items),
-    )
+    blocks = list(cfg.blocks[1:])
+    blocks[i - 1] = bi[:pos] + (x,) + bi[pos + 1:]
+    blocks[j - 1] = newpath
+    new_cfg = Configuration.normal(h, cfg.u0, blocks)
     new_cfg.validate(induced_paths=False)
     if new_cfg.connected_count <= cfg.connected_count:
         raise PreconditionError("more-connected", "reroute did not increase the connected count")

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, components, induced, mask_of, rho, set_of
-from .solver import TerminalSpec, knit, max_vertex_disjoint_flow, partitions_with_profile
+from .solver import is_profile_knitted, max_vertex_disjoint_flow
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,10 @@ def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separati
     if max_order < s.bit_count() and not separations_exist(l, s, max_order):
         return
     full = l.full_mask
-    seen = set()
     for xs in _subsets_lex(tuple(range(l.n)), max_order):
         x = mask_of(xs)
         comps = components(l, full & ~x)
         free = [c for c in comps if not (c & s)]
-        anchored = [c for c in comps if c & s]
         if not free:
             continue
         for r in range(1, len(free) + 1):
@@ -123,10 +121,6 @@ def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separati
                 a = full & ~(bset & ~x)
                 if a & ~bset == 0:
                     continue  # A must keep a private side
-                key = (a, bset)
-                if key in seen:
-                    continue
-                seen.add(key)
                 yield Separation(a, bset)
 
 
@@ -179,10 +173,7 @@ def pair_is_knitted(l: Graph, s: int) -> tuple[bool, Optional[tuple[tuple[int, .
     # opens a most-pairs-first sweep of all profiles, so the first violating
     # partition is that sweep's first as well.
     k = s.bit_count()
-    for part_sets in partitions_with_profile(set_of(s), [2] * (k // 2) + [1] * (k % 2)):
-        if knit(l, TerminalSpec(part_sets)) is None:
-            return False, part_sets
-    return True, None
+    return is_profile_knitted(l, s, [2] * (k // 2) + [1] * (k % 2))
 
 
 def is_rigid(l: Graph, sep: Separation) -> bool:
@@ -230,20 +221,9 @@ def minimize_pair(l: Graph, s: int, p: int, limit: int) -> MinimizeResult:
     cur_s = s
     vmap = tuple(range(l.n))
     trail: list[tuple] = []
-    # cache of partitions known to defeat knits; re-checking one solve usually
-    # settles "still not knitted" without sweeping every partition again
-    known_bad: list[tuple[tuple[int, ...], ...]] = []
 
     def admissible(g2: Graph, s2: int) -> bool:
-        if not is_p_massed(g2, s2, p).satisfied:
-            return False
-        for part in known_bad:
-            if knit(g2, TerminalSpec(part)) is None:
-                return True
-        k, wit = pair_is_knitted(g2, s2)
-        if not k:
-            known_bad.append(wit)
-        return not k
+        return is_p_massed(g2, s2, p).satisfied and not pair_is_knitted(g2, s2)[0]
 
     improved = True
     while improved:
@@ -256,11 +236,6 @@ def minimize_pair(l: Graph, s: int, p: int, limit: int) -> MinimizeResult:
             if admissible(g2, s2):
                 trail.append(("delete_vertex", vmap[v]))
                 vmap = tuple(vmap[old] for old in sub_map)
-                relabel = {old: i for i, old in enumerate(sub_map)}
-                known_bad = [
-                    tuple(tuple(relabel[x] for x in part) for part in parts)
-                    for parts in known_bad
-                ]
                 cur, cur_s = g2, s2
                 improved = True
                 break

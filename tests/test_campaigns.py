@@ -10,6 +10,7 @@ from knitweave.campaigns import (
     revalidate_report,
 )
 from knitweave.errors import InputError
+from knitweave.formats import parse_graph6
 
 
 def test_lemma_si_zero_samples():
@@ -64,7 +65,16 @@ def test_revalidation_rejects_malformed_blocks():
     rep = campaign_lemma_si(4, seed=3, no_timestamps=True)
     good = rep["instances"][0]["blocks"]
     assert good[:2] == [[22], [23, 24]]
-    malformed = ([good[0], [23]] + good[2:], [good[0], []] + good[2:], good[:4], [[]] + good[1:], [])
+    n = parse_graph6(rep["instances"][0]["graph6"]).n
+    malformed = (
+        [good[0], [23]] + good[2:],
+        [good[0], []] + good[2:],
+        good[:4],
+        [[]] + good[1:],
+        [],
+        [[-1]] + good[1:],
+        [[n]] + good[1:],
+    )
     for blocks in malformed:
         blob = json.loads(report_to_json(rep))
         inst = blob["instances"][0]

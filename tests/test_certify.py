@@ -133,13 +133,6 @@ def test_uncommon_neighbor_certificate():
     assert ok
     ok, wit = uncommon_neighbor_certificate(Graph.cycle(8), 0, 3)
     assert not ok
-    # both readings exposed
-    g = complete_minus_matching(12, 6)
-    for reading in ("xy", "vx"):
-        ok, _ = uncommon_neighbor_certificate(g, 0, 3, pair_reading=reading)
-        assert isinstance(ok, bool)
-    with pytest.raises(InputError):
-        uncommon_neighbor_certificate(g, 0, 3, pair_reading="zz")
 
 
 def _appendix_shape(break_it: bool) -> Graph:

@@ -33,6 +33,15 @@ def test_knit_k9(capsys, tmp_path):
     assert len(data["subgraphs"]) == 5
 
 
+def test_knit_profile_must_cover_terminals(capsys, tmp_path):
+    path = graph_file(tmp_path, Graph.complete(6))
+    for profile in ("2,2", "2,2,2"):
+        code, _ = run(
+            capsys, ["--input", path, "knit", "--terminals", "0,1,2,3,4", "--profile", profile]
+        )
+        assert code == 2  # a part would drop or cut short a terminal
+
+
 def test_critical_c5(capsys, tmp_path):
     path = graph_file(tmp_path, Graph.cycle(5))
     code, out = run(capsys, ["--input", path, "critical", "--k", "3"])

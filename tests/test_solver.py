@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -126,6 +127,21 @@ def test_is_k_linked():
     assert not ok
     with pytest.raises(InputError):
         is_k_linked(Graph.complete(3), 2)
+
+
+def test_is_k_linked_matches_oracle():
+    rng = random.Random(31)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(4, 7), p=rng.uniform(0.2, 0.9))
+        bad = [
+            (p1, p2)
+            for p1 in itertools.combinations(range(g.n), 2)
+            for p2 in itertools.combinations(range(g.n), 2)
+            if p1 < p2 and not set(p1) & set(p2) and not two_pair_systems_solvable(g, p1, p2)
+        ]
+        # least by vertex set first, then by the pairs
+        least = min(bad, key=lambda sys: (sorted(sys[0] + sys[1]), sys), default=None)
+        assert is_k_linked(g, 2) == (least is None, least)
 
 
 def test_k_linked_boundary_on_matching_deleted_clique():

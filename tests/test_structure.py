@@ -53,8 +53,9 @@ def test_enumeration_matches_naive_small():
             if rng.random() < 0.4:
                 s |= 1 << v
         max_order = rng.randint(0, g.n)
-        ours = {(sep.a, sep.b) for sep in enumerate_separations(g, s, max_order)}
-        assert ours == naive_separations(g, s, max_order)
+        ours = [(sep.a, sep.b) for sep in enumerate_separations(g, s, max_order)]
+        assert len(set(ours)) == len(ours)  # each separation exactly once
+        assert set(ours) == naive_separations(g, s, max_order)
         for sep in enumerate_separations(g, s, max_order):
             sep.validate(g, s)
 
