@@ -428,6 +428,29 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
 # Revalidation
 # ---------------------------------------------------------------------------
 
+def _check_into_paths(g: Graph, s: int, stage: dict) -> None:
+    """The paths of a ``paths-into-subgraph`` stage: vertex-disjoint host
+    paths, each starting at a terminal (so at distinct ones); ``ok`` iff
+    every terminal has one."""
+    paths = stage["paths"]
+    if stage["count"] != len(paths) or stage["ok"] != (len(paths) == s.bit_count()):
+        raise InputError("into-paths count does not match its paths")
+    used = 0
+    for path in paths:
+        if not path or not all(type(v) is int and 0 <= v < g.n for v in path):
+            raise InputError(f"into-path {path} is not a vertex sequence of the host")
+        if not (s >> path[0]) & 1:
+            raise InputError(f"into-path {path} does not start at a terminal")
+        m = mask_of(path)
+        if m.bit_count() != len(path):
+            raise InputError(f"into-path {path} repeats a vertex")
+        if m & used:
+            raise InputError("into-paths are not vertex-disjoint")
+        used |= m
+        if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
+            raise InputError(f"into-path {path} leaves the host's edges")
+
+
 def revalidate_report(report: dict) -> None:
     """Re-check every embedded certificate; raises on the first mismatch.
 
@@ -449,6 +472,14 @@ def revalidate_report(report: dict) -> None:
                 blocks=tuple(tuple(b) for b in blocks),
             )
             cfg.validate(induced_paths=False)
+            terminals = inst["terminals"]
+            if (
+                len(terminals) != 9
+                or not all(type(t) is int for t in terminals)
+                or terminals[0] != cfg.u0
+                or sorted(zip(terminals[1::2], terminals[2::2])) != sorted(cfg.pairs)
+            ):
+                raise InputError("terminals are not the anchor and the block ends")
             for rec in inst["samples"]:
                 if rec["lemma"] == "si":
                     observers = [(rec["a"], rec["b"])]
@@ -479,6 +510,9 @@ def revalidate_report(report: dict) -> None:
                 linkage.validate(g, pairs_spec(pairs))
             massed = [st for st in inst["stages"] if st["stage"] == "massed"][0]
             s = mask_of(x for pr in pairs for x in pr)
+            for st in inst["stages"]:
+                if st["stage"] == "paths-into-subgraph":
+                    _check_into_paths(g, s, st)
             rep = is_p_massed(g, s, inst["p"])
             if rep.satisfied != massed["ok"] or rep.rho_value != massed["rho"]:
                 raise InputError("massed stage does not recompute")

@@ -159,68 +159,123 @@ def max_vertex_disjoint_flow(
 ):
     """Maximum number of vertex-disjoint paths from ``sources`` to ``sinks``.
 
-    Unit vertex capacities via node splitting (v_in = 2v, v_out = 2v + 1).
     Interior vertices are restricted to ``allowed``; source and sink vertices
     carry capacity one as well, so each is the endpoint of at most one path.
     Paths stop at the first sink they touch. A vertex that is both a source
-    and a sink counts as a length-one path.
+    and a sink counts as a length-one path. The search stops at ``cap`` paths
+    (default: the smaller of the two end sets). With ``collect`` it returns
+    ``(flow, paths)``, one path per used source in ascending order.
+
+    This is Edmonds-Karp on the node-split network: a super source S, arcs
+    S -> v_in for sources, v_in -> v_out for usable v, v_out -> w_in along
+    usable edges when v is not a sink, and v_out -> T for sinks. The residual
+    is kept as bitmasks rather than a capacity matrix: ``started`` (sources
+    whose arc from S carries flow), ``thru`` (vertices whose split arc
+    carries flow) and, per vertex, the one-bit mask ``succ[v]`` of its flow
+    successor (0 when v carries no flow or is a sink) and, for a vertex
+    carrying flow that is not started, its flow predecessor ``pred[v]``. A
+    sink's flow always ends at T, so the vertices whose flow ends at the
+    sink are ``thru & sinks``.
+
+    The breadth-first search visits residual nodes in the order of the
+    matrix form, whose nodes were numbered v_in = 2v, v_out = 2v + 1, S = 2n,
+    T = 2n + 1 and whose rows were scanned in index order:
+
+    - S expands to the in-nodes of the unstarted sources, ascending.
+    - The out-node of a non-sink v expands to the in-nodes of
+      ``adj[v] & usable & ~succ[v]``, plus its own in-node through the
+      reversed split arc when v carries flow, all ascending and unvisited.
+    - An in-node has at most one residual successor: its own out-node when
+      v carries no flow, else the out-node of its predecessor (nothing when
+      that is S, which is always visited). So each out-node is reached at
+      most once, and it is handled as soon as its in-node is found; this
+      keeps the first-in-first-out order of out-nodes unchanged.
+    - T hangs off the out-node of a sink that carries no flow, and nothing
+      else reaches that out-node; the first such in-node found closes the
+      path, as T did in the matrix form when its row came up.
+
+    So every augmenting path, and hence the value and the collected paths,
+    equals the matrix form's; ``tests/oracles.py`` keeps that form as
+    ``flow_by_matrix``. Before any search, each vertex of ``sources & sinks``
+    is taken as a length-one path in ascending order, up to the limit.
+    Edmonds-Karp finds exactly these paths first and in this order: while
+    flow consists of them only, S reaches the least unstarted overlap vertex
+    first and its in-node closes a length-3 path at once.
     """
     n = g.n
+    adj = g.adj
     sources &= g.full_mask
     sinks &= g.full_mask
     usable = (allowed | sources | sinks) & g.full_mask
-    size = 2 * n + 2
-    S, T = 2 * n, 2 * n + 1
-    capm = [[0] * size for _ in range(size)]
-    for v in bits(usable):
-        capm[2 * v][2 * v + 1] = 1
-        if (sources >> v) & 1:
-            capm[S][2 * v] = 1
-        if (sinks >> v) & 1:
-            capm[2 * v + 1][T] = 1
-        else:
-            for w in bits(g.adj[v] & usable):
-                capm[2 * v + 1][2 * w] = 1
-    flow = 0
     limit = min(sources.bit_count(), sinks.bit_count()) if cap is None else cap
+    seeds = sources & sinks
+    while seeds.bit_count() > max(limit, 0):
+        seeds &= ~(1 << (seeds.bit_length() - 1))
+    flow = seeds.bit_count()
+    started = thru = seeds
+    succ = [0] * n
+    pred = [0] * n
     while flow < limit:
-        parent = [-1] * size
-        parent[S] = S
-        queue = [S]
-        while queue and parent[T] == -1:
-            x = queue.pop(0)
-            row = capm[x]
-            for y in range(size):
-                if row[y] > 0 and parent[y] == -1:
-                    parent[y] = x
-                    if y == T:
-                        break
-                    queue.append(y)
-        if parent[T] == -1:
+        pin = {}  # in-node w -> the out-node reaching it (-1 for S)
+        entry = {}  # out-node x -> the in-node reaching it
+        seen = 0  # visited in-nodes
+        layer = [-1]
+        end = -1
+        while layer and end < 0:
+            nxt = []
+            for x in layer:
+                if x < 0:
+                    cand = sources & ~started & ~seen
+                else:
+                    cand = ((adj[x] & usable & ~succ[x]) | (thru & (1 << x))) & ~seen
+                seen |= cand
+                while cand:
+                    wb = cand & -cand
+                    cand ^= wb
+                    w = wb.bit_length() - 1
+                    pin[w] = x
+                    if not thru & wb:
+                        if sinks & wb:
+                            end = w
+                            break
+                        entry[w] = w
+                        nxt.append(w)
+                    elif not started & wb:
+                        entry[pred[w]] = w
+                        nxt.append(pred[w])
+                if end >= 0:
+                    break
+            layer = nxt
+        if end < 0:
             break
-        y = T
-        while y != S:
-            x = parent[y]
-            capm[x][y] -= 1
-            capm[y][x] += 1
-            y = x
+        # augment back from T: end_out -> T and end's split arc take flow
+        thru |= 1 << end
+        w = end
+        while True:
+            x = pin[w]
+            if x < 0:  # S -> w_in
+                started |= 1 << w
+                break
+            if x == w:  # reversed split arc: x carries no flow any more
+                thru &= ~(1 << x)
+                succ[x] = 0
+            else:  # x_out -> w_in
+                succ[x] = 1 << w
+                pred[w] = x
+            w = entry[x]
+            if w == x:  # x_in -> x_out
+                thru |= 1 << x
+            # else the reversed arc cancels x -> w; the next step gives w a
+            # new predecessor or takes its flow away
         flow += 1
     if not collect:
         return flow
     paths = []
-    for s in bits(sources):
-        if capm[S][2 * s] == 0 and capm[2 * s][S] == 1:
-            path = [s]
-            cur = s
-            while capm[T][2 * cur + 1] == 0:  # walk until the unit reaches T
-                nxt = None
-                for w in bits(usable):
-                    if capm[2 * w][2 * cur + 1] == 1 and g.has_edge(cur, w):
-                        nxt = w
-                        break
-                path.append(nxt)
-                cur = nxt
-            paths.append(tuple(path))
+    for s in bits(started):
+        path = [s]
+        while not (sinks >> path[-1]) & 1:
+            path.append(succ[path[-1]].bit_length() - 1)
+        paths.append(tuple(path))
     return flow, paths
 
 
@@ -442,6 +497,8 @@ class Configuration:
     def validate(self, induced_paths: bool = True) -> None:
         if len(self.blocks) != 5:
             raise InputError("need five blocks")
+        if not all(type(v) is int for b in self.blocks for v in b):
+            raise InputError("block vertices must be integers")
         if not all(0 <= v < self.host.n for b in self.blocks for v in b):
             raise InputError(f"a block vertex lies outside 0..{self.host.n - 1}")
         if self.blocks[0] != (self.u0,):

@@ -1,18 +1,21 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against the definitions directly, sharing no
-search machinery with the package, so the two sides can disagree. The one
-exception is ``configuration_by_orders``, the previous configuration search,
-kept as a reference for the selected blocks.
+search machinery with the package, so the two sides can disagree. The two
+exceptions are previous implementations kept as references:
+``configuration_by_orders``, the previous configuration search, for the
+selected blocks, and ``flow_by_matrix``, the previous
+``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
+and collected paths.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Optional, Sequence
 
 from knitweave.errors import InputError
-from knitweave.graphs import Graph, mask_of, set_of
+from knitweave.graphs import Graph, bits, mask_of, set_of
 from knitweave.solver import PATH_CAP, Configuration, iter_paths_by_length
 
 
@@ -367,3 +370,84 @@ def configuration_by_orders(h: Graph, terminals: Sequence[int]) -> Configuration
     )
     cfg.validate(induced_paths=True)
     return cfg
+
+
+# -- reference flow ----------------------------------------------------------
+# The Edmonds-Karp search over a dense (2n+2)^2 capacity matrix that
+# ``solver.max_vertex_disjoint_flow`` ran before the bitset residual replaced
+# it; kept to pin flow values and the collected paths, which campaign reports
+# embed.
+
+def flow_by_matrix(
+    g: Graph,
+    sources: int,
+    sinks: int,
+    allowed: int,
+    cap: Optional[int] = None,
+    collect: bool = False,
+):
+    """Maximum number of vertex-disjoint paths from ``sources`` to ``sinks``.
+
+    Unit vertex capacities via node splitting (v_in = 2v, v_out = 2v + 1).
+    Interior vertices are restricted to ``allowed``; source and sink vertices
+    carry capacity one as well, so each is the endpoint of at most one path.
+    Paths stop at the first sink they touch. A vertex that is both a source
+    and a sink counts as a length-one path.
+    """
+    n = g.n
+    sources &= g.full_mask
+    sinks &= g.full_mask
+    usable = (allowed | sources | sinks) & g.full_mask
+    size = 2 * n + 2
+    S, T = 2 * n, 2 * n + 1
+    capm = [[0] * size for _ in range(size)]
+    for v in bits(usable):
+        capm[2 * v][2 * v + 1] = 1
+        if (sources >> v) & 1:
+            capm[S][2 * v] = 1
+        if (sinks >> v) & 1:
+            capm[2 * v + 1][T] = 1
+        else:
+            for w in bits(g.adj[v] & usable):
+                capm[2 * v + 1][2 * w] = 1
+    flow = 0
+    limit = min(sources.bit_count(), sinks.bit_count()) if cap is None else cap
+    while flow < limit:
+        parent = [-1] * size
+        parent[S] = S
+        queue = [S]
+        while queue and parent[T] == -1:
+            x = queue.pop(0)
+            row = capm[x]
+            for y in range(size):
+                if row[y] > 0 and parent[y] == -1:
+                    parent[y] = x
+                    if y == T:
+                        break
+                    queue.append(y)
+        if parent[T] == -1:
+            break
+        y = T
+        while y != S:
+            x = parent[y]
+            capm[x][y] -= 1
+            capm[y][x] += 1
+            y = x
+        flow += 1
+    if not collect:
+        return flow
+    paths = []
+    for s in bits(sources):
+        if capm[S][2 * s] == 0 and capm[2 * s][S] == 1:
+            path = [s]
+            cur = s
+            while capm[T][2 * cur + 1] == 0:  # walk until the unit reaches T
+                nxt = None
+                for w in bits(usable):
+                    if capm[2 * w][2 * cur + 1] == 1 and g.has_edge(cur, w):
+                        nxt = w
+                        break
+                path.append(nxt)
+                cur = nxt
+            paths.append(tuple(path))
+    return flow, paths

@@ -11,6 +11,9 @@ from knitweave.campaigns import (
 )
 from knitweave.errors import InputError
 from knitweave.formats import parse_graph6
+from knitweave.graphs import bits, mask_of
+
+from oracles import flow_by_matrix
 
 
 def test_lemma_si_zero_samples():
@@ -74,12 +77,25 @@ def test_revalidation_rejects_malformed_blocks():
         [],
         [[-1]] + good[1:],
         [[n]] + good[1:],
+        [[22.0]] + good[1:],
     )
     for blocks in malformed:
         blob = json.loads(report_to_json(rep))
         inst = blob["instances"][0]
         inst["blocks"] = blocks
         inst["samples"] = []  # no recomputed score can give the tampering away
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
+
+
+def test_revalidation_checks_terminals_against_blocks():
+    rep = campaign_lemma_si(4, seed=3, no_timestamps=True)
+    inst = rep["instances"][0]
+    assert inst["terminals"] == [22, 23, 24, 25, 26, 27, 28, 1, 12]
+    swapped = inst["terminals"][:7] + [12, 1]  # block (1, 12) read as (12, 1)
+    for terminals in (list(range(9)), swapped, inst["terminals"][:8]):
+        blob = json.loads(report_to_json(rep))
+        blob["instances"][0]["terminals"] = terminals
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
 
@@ -114,3 +130,61 @@ def test_pipeline_tampered_linkage_detected():
             st["paths"][0] = st["paths"][0][:1] + st["paths"][0]
     with pytest.raises(InputError):
         load_report(json.dumps(blob))
+
+
+def _into_stage(inst):
+    return next(st for st in inst["stages"] if st["stage"] == "paths-into-subgraph")
+
+
+def test_pipeline_tampered_into_paths_detected():
+    rep = campaign_pipeline_4linked(1, seed=3, no_timestamps=True)
+    st = _into_stage(rep["instances"][0])
+    assert st["paths"][:2] == [[11, 0], [15, 1]] and st["count"] == 8
+    # the second host is K33 minus a matching; 27 lies on no into-path
+    assert _into_stage(rep["instances"][1])["paths"][3] == [26, 9]
+    assert not parse_graph6(rep["instances"][1]["graph6"]).has_edge(26, 27)
+
+    def all_zero(st):
+        st["paths"] = [[0, 0, 0] for _ in st["paths"]]
+
+    def shared(st):
+        st["paths"][1] = [15, 0]
+
+    def off_terminal(st):
+        st["paths"][0] = [0, 11]
+
+    def miscounted(st):
+        st["count"] = 7
+
+    def short(st):
+        st["paths"].pop()
+        st["count"] = 7
+
+    def non_integer(st):
+        st["paths"][0] = [11.0, 0]
+
+    def non_edge(st):
+        st["paths"][3] = [26, 27]
+
+    cases = [(0, all_zero), (0, shared), (0, off_terminal), (0, miscounted),
+             (0, short), (0, non_integer), (1, non_edge)]
+    for idx, tamper in cases:
+        blob = json.loads(report_to_json(rep))
+        tamper(_into_stage(blob["instances"][idx]))
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pipeline_into_paths_match_matrix_flow(seed):
+    # the report embeds the collected flow paths, so their order is schema
+    rep = campaign_pipeline_4linked(2, seed=seed, no_timestamps=True)
+    for inst in rep["instances"]:
+        g = parse_graph6(inst["graph6"])
+        s = mask_of(x for pr in inst["pairs"] for x in pr)
+        dense = next(st for st in inst["stages"] if st["stage"] == "dense-subgraph")
+        assert dense["route"] == "clique"
+        cand = mask_of(dense["candidate"])
+        _, into = flow_by_matrix(g, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True)
+        want = [list(p) for p in into] + [[x] for x in bits(s & cand)]
+        assert _into_stage(inst)["paths"] == want

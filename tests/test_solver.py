@@ -1,12 +1,13 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from knitweave.errors import InputError, PreconditionError
 from knitweave.formats import parse_graph6
 from knitweave.generators import gen_min_degree, gen_split_host
-from knitweave.graphs import Graph, mask_of
+from knitweave.graphs import Graph, bits, mask_of
 from knitweave.solver import (
     Configuration,
     TerminalSpec,
@@ -23,7 +24,12 @@ from knitweave.solver import (
 )
 
 from conftest import random_graph
-from oracles import best_configuration_value, configuration_by_orders, two_pair_systems_solvable
+from oracles import (
+    best_configuration_value,
+    configuration_by_orders,
+    flow_by_matrix,
+    two_pair_systems_solvable,
+)
 
 
 def test_terminal_spec_validation():
@@ -184,6 +190,61 @@ def test_flow_collect_paths_disjoint():
         used |= set(p)
         for a, b in zip(p, p[1:]):
             assert g.has_edge(a, b)
+
+
+def _flow_by_networkx(g, sources, sinks, allowed):
+    """Maximum flow value on the node-split network, by networkx."""
+    usable = (allowed | sources | sinks) & g.full_mask
+    d = nx.DiGraph()
+    d.add_nodes_from("ST")
+    for v in bits(usable):
+        d.add_edge(("in", v), ("out", v), capacity=1)
+        if (sources >> v) & 1:
+            d.add_edge("S", ("in", v), capacity=1)
+        if (sinks >> v) & 1:
+            d.add_edge(("out", v), "T", capacity=1)
+        else:
+            for w in bits(g.adj[v] & usable):
+                d.add_edge(("out", v), ("in", w), capacity=1)
+    return nx.maximum_flow_value(d, "S", "T")
+
+
+def test_flow_matches_matrix_reference():
+    rng = random.Random(6)
+    cases = []
+    for i in range(1200):
+        n = rng.randint(1, 15)
+        # every other graph is sparse, where augmenting paths run back along
+        # earlier flow
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(1.2, 3) / n)
+        sources = rng.getrandbits(n) & rng.getrandbits(n)
+        sinks = rng.getrandbits(n) & rng.getrandbits(n)
+        if i % 3 == 0:
+            sinks &= ~sources
+        elif i % 3 == 1:
+            sinks |= sources & rng.getrandbits(n)
+        allowed = g.full_mask if i % 4 == 0 else rng.getrandbits(n) | rng.getrandbits(n)
+        cases.append((g, sources, sinks, allowed))
+    for _ in range(4):
+        g = random_graph(rng, 33, p=0.85)
+        sources = rng.getrandbits(33) & rng.getrandbits(33)
+        sinks = (rng.getrandbits(33) & rng.getrandbits(33)) | (sources & rng.getrandbits(33))
+        cases.append((g, sources, sinks, rng.getrandbits(33)))
+    # an augmenting path here reverses a whole vertex's split arc
+    g = Graph.from_edges(8, [(0, 1), (0, 7), (1, 2), (1, 5), (2, 4), (3, 5), (5, 6), (5, 7)])
+    cases.append((g, mask_of([1, 3, 6]), mask_of([4, 6, 7]), g.full_mask))
+    for g, sources, sinks, allowed in cases:
+        value = _flow_by_networkx(g, sources, sinks, allowed)
+        overlap = (sources & sinks).bit_count()
+        for cap in (None, 0, max(overlap - 1, 0), rng.randint(0, 10)):
+            want = flow_by_matrix(g, sources, sinks, allowed, cap, collect=True)
+            assert max_vertex_disjoint_flow(g, sources, sinks, allowed, cap, collect=True) == want
+            assert max_vertex_disjoint_flow(g, sources, sinks, allowed, cap) == want[0]
+            assert want[0] == (value if cap is None else min(value, cap))
+    # a cap below the overlap takes its lowest vertices
+    k6 = Graph.complete(6)
+    got = max_vertex_disjoint_flow(k6, mask_of([1, 2, 3, 4]), mask_of([2, 3, 4, 5]), 0, cap=2, collect=True)
+    assert got == (2, [(2,), (3,)])
 
 
 # --- configurations ---------------------------------------------------------
