@@ -428,10 +428,10 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
 # Revalidation
 # ---------------------------------------------------------------------------
 
-def _check_into_paths(g: Graph, s: int, stage: dict) -> None:
-    """The paths of a ``paths-into-subgraph`` stage: vertex-disjoint host
-    paths, each starting at a terminal (so at distinct ones); ``ok`` iff
-    every terminal has one."""
+def _check_into_paths(g: Graph, s: int, stage: dict, cand: Optional[int]) -> dict:
+    """The paths of a ``paths-into-subgraph`` stage, by their terminal:
+    vertex-disjoint host paths from distinct terminals, ending in ``cand``
+    when it is known; ``ok`` iff every terminal has one."""
     paths = stage["paths"]
     if stage["count"] != len(paths) or stage["ok"] != (len(paths) == s.bit_count()):
         raise InputError("into-paths count does not match its paths")
@@ -449,6 +449,9 @@ def _check_into_paths(g: Graph, s: int, stage: dict) -> None:
         used |= m
         if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
             raise InputError(f"into-path {path} leaves the host's edges")
+        if cand is not None and not (cand >> path[-1]) & 1:
+            raise InputError(f"into-path {path} does not end inside the candidate")
+    return {path[0]: path for path in paths}
 
 
 def revalidate_report(report: dict) -> None:
@@ -502,17 +505,27 @@ def revalidate_report(report: dict) -> None:
         for inst in report["instances"]:
             g = parse_graph6(inst["graph6"])
             pairs = tuple(tuple(pr) for pr in inst["pairs"])
+            s = mask_of(x for pr in pairs for x in pr)
+            cand = None
+            into = {}
+            for st in inst["stages"]:
+                if st["stage"] == "dense-subgraph" and st.get("route") == "clique":
+                    # only a host vertex can end an into-path
+                    cand = mask_of(v for v in st["candidate"] if type(v) is int and 0 <= v < g.n)
+                if st["stage"] == "paths-into-subgraph":
+                    into = _check_into_paths(g, s, st, cand)
             if inst["ok"]:
                 final = [st for st in inst["stages"] if st["stage"] == "linkage"]
                 if not final:
                     raise InputError("successful instance lacks a linkage certificate")
                 linkage = Linkage(tuple(tuple(pp) for pp in final[0]["paths"]))
                 linkage.validate(g, pairs_spec(pairs))
+                # each path enters by x's into-path and leaves by y's
+                for (x, y), path in zip(pairs, final[0]["paths"]):
+                    head, tail = into.get(x), into.get(y)
+                    if not (head and tail and path[:len(head)] == head and path[::-1][:len(tail)] == tail):
+                        raise InputError(f"linkage path {path} does not extend the into-paths of {x}, {y}")
             massed = [st for st in inst["stages"] if st["stage"] == "massed"][0]
-            s = mask_of(x for pr in pairs for x in pr)
-            for st in inst["stages"]:
-                if st["stage"] == "paths-into-subgraph":
-                    _check_into_paths(g, s, st)
             rep = is_p_massed(g, s, inst["p"])
             if rep.satisfied != massed["ok"] or rep.rho_value != massed["rho"]:
                 raise InputError("massed stage does not recompute")

@@ -73,7 +73,7 @@ def greedy_link(
     spec.check_in_graph(l)
     if any(len(p) != 2 for p in spec.parts):
         raise InputError("greedy_link takes pair parts only")
-    pairs = [p for _, p in spec.pair_parts()]
+    pairs = spec.parts
     k = len(pairs)
     if l.n < 2 * k + 1:
         raise InputError(f"need at least {2 * k + 1} vertices for {k} pairs")

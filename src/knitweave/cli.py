@@ -8,6 +8,7 @@ Exit codes: 0 = verdict computed (whatever it is), 1 = a mathematical finding
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -73,6 +74,7 @@ def _spec_from_args(args) -> solver.TerminalSpec:
     return solver.TerminalSpec(tuple(parts), _mask_arg(getattr(args, "forbidden", None)))
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="knitweave")
     ap.add_argument("--input", "-i", default="-", help="graph file or - for stdin")

@@ -47,12 +47,6 @@ class TerminalSpec:
     def terminal_mask(self) -> int:
         return mask_of(v for part in self.parts for v in part)
 
-    def pair_parts(self) -> list[tuple[int, tuple[int, int]]]:
-        return [(i, p) for i, p in enumerate(self.parts) if len(p) == 2]
-
-    def singleton_parts(self) -> list[tuple[int, int]]:
-        return [(i, p[0]) for i, p in enumerate(self.parts) if len(p) == 1]
-
     def check_in_graph(self, g: Graph) -> None:
         if (self.terminal_mask | self.forbidden) & ~g.full_mask:
             raise InputError("terminal specification mentions out-of-range vertices")
@@ -283,65 +277,64 @@ def max_vertex_disjoint_flow(
 # Disjoint paths and knits
 # ---------------------------------------------------------------------------
 
-def disjoint_paths(g: Graph, spec: TerminalSpec, max_path_len: Optional[int] = None) -> Optional[Linkage]:
-    """Pairwise vertex-disjoint paths joining every pair of ``spec``.
+def _link(
+    g: Graph, pairs: Sequence[tuple[int, int]], blocked: int, max_len: Optional[int] = None
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Vertex-disjoint paths from u to v for each ``(u, v)`` of ``pairs``, in
+    pair order, with no interior vertex in ``blocked`` (which must hold every
+    pair's ends); None if there are none.
 
-    Exhaustive backtracking. Pairs are attacked fewest-candidate-paths first
-    (recomputed as the search deepens), and a unit-capacity flow bound between
-    the unlinked terminals prunes hopeless branches early.
+    Exhaustive backtracking: direct edges first, then the other pairs
+    fewest-candidate-paths first (recomputed as the search deepens), each in
+    lexicographic path order, under a unit-capacity flow bound between the
+    unlinked terminals that prunes hopeless branches early.
     """
-    spec.check_in_graph(g)
-    if any(len(p) != 2 for p in spec.parts):
-        raise InputError("disjoint_paths takes pair parts only; use knit for singletons")
-    all_pairs = [p for _, p in spec.pair_parts()]
-    if not all_pairs:
-        return Linkage(())
-    base_blocked = spec.forbidden | spec.terminal_mask
-    chosen: dict[int, tuple[int, ...]] = {}
-    pairs = []
-    for idx, p in enumerate(all_pairs):
-        if g.has_edge(*p):
-            # a direct edge uses no interior vertex, so it can never conflict
-            # with the other paths; taking it loses no solutions
-            chosen[idx] = p
-        else:
-            pairs.append((idx, p))
-    if not pairs:
-        return Linkage(tuple(chosen[i] for i in range(len(all_pairs))))
+    chosen = list(pairs)
+    # a direct edge uses no interior vertex, so it can never conflict with the
+    # other paths; taking it loses no solutions
+    todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
+    free = g.full_mask & ~blocked
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
         if not remaining:
             return True
-        interior = g.full_mask & ~used & ~base_blocked
+        interior = free & ~used
+        best = remaining[0]
         if len(remaining) > 1:
             srcs = mask_of(p[0] for _, p in remaining)
             snks = mask_of(p[1] for _, p in remaining)
             if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=len(remaining)) < len(remaining):
                 return False
-        best = None
-        best_count = None
-        for item in remaining:
-            u, v = item[1]
-            cnt = sum(1 for _ in itertools.islice(
-                iter_paths(g, u, v, interior, max_path_len), _COUNT_CAP))
-            if cnt == 0:
-                return False
-            if best_count is None or cnt < best_count:
-                best, best_count = item, cnt
-                if cnt == 1:
-                    break
+            best_count = None
+            for item in remaining:
+                u, v = item[1]
+                cnt = sum(1 for _ in itertools.islice(
+                    iter_paths(g, u, v, interior, max_len), _COUNT_CAP))
+                if cnt == 0:
+                    return False
+                if best_count is None or cnt < best_count:
+                    best, best_count = item, cnt
+                    if cnt == 1:
+                        break
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
-        for path in iter_paths(g, u, v, interior, max_path_len):
+        for path in iter_paths(g, u, v, interior, max_len):
             chosen[idx] = path
             if search(used | mask_of(path[1:-1]), rest):
                 return True
-            del chosen[idx]
         return False
 
-    if search(0, pairs):
-        return Linkage(tuple(chosen[i] for i in range(len(all_pairs))))
-    return None
+    return tuple(chosen) if search(0, todo) else None
+
+
+def disjoint_paths(g: Graph, spec: TerminalSpec, max_path_len: Optional[int] = None) -> Optional[Linkage]:
+    """Pairwise vertex-disjoint paths joining every pair of ``spec``, each at
+    most ``max_path_len`` vertices long; the search is :func:`_link`."""
+    spec.check_in_graph(g)
+    if any(len(p) != 2 for p in spec.parts):
+        raise InputError("disjoint_paths takes pair parts only; use knit for singletons")
+    paths = _link(g, spec.parts, spec.forbidden | spec.terminal_mask, max_path_len)
+    return None if paths is None else Linkage(paths)
 
 
 def knit(g: Graph, spec: TerminalSpec) -> Optional[Knit]:
@@ -353,19 +346,11 @@ def knit(g: Graph, spec: TerminalSpec) -> Optional[Knit]:
     singleton-part vertices.
     """
     spec.check_in_graph(g)
-    singles = spec.singleton_parts()
-    pairs = spec.pair_parts()
-    extra_forbidden = mask_of(v for _, v in singles)
-    sub_spec = TerminalSpec(tuple(p for _, p in pairs), spec.forbidden | extra_forbidden)
-    linkage = disjoint_paths(g, sub_spec) if pairs else Linkage(())
-    if linkage is None and pairs:
+    paths = _link(g, [p for p in spec.parts if len(p) == 2], spec.forbidden | spec.terminal_mask)
+    if paths is None:
         return None
-    out = [0] * len(spec.parts)
-    for (idx, _), path in zip(pairs, linkage.paths):
-        out[idx] = mask_of(path)
-    for idx, v in singles:
-        out[idx] = 1 << v
-    return Knit(tuple(out))
+    walk = iter(paths)
+    return Knit(tuple(mask_of(next(walk)) if len(p) == 2 else 1 << p[0] for p in spec.parts))
 
 
 def partitions_with_profile(vertices: Sequence[int], profile: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -395,19 +380,18 @@ def partitions_with_profile(vertices: Sequence[int], profile: Sequence[int]) -> 
 
 
 def is_profile_knitted(
-    g: Graph, s: int, profile: Sequence[int], forbidden: int = 0
+    g: Graph, s: int, profile: Sequence[int]
 ) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
     """Whether every partition of ``s`` with the given part sizes can be knit.
 
     Returns the lexicographically first violating partition on failure.
     """
+    if s & ~g.full_mask:
+        raise InputError("terminal set mentions out-of-range vertices")
     if any(x not in (1, 2) for x in profile):
         raise InputError("profile sizes must be 1 or 2")
-    if sum(profile) != s.bit_count():
-        raise InputError("profile does not sum to the terminal set size")
     for part_sets in partitions_with_profile(set_of(s), profile):
-        spec = TerminalSpec(part_sets, forbidden)
-        if knit(g, spec) is None:
+        if _link(g, [p for p in part_sets if len(p) == 2], s) is None:
             return False, part_sets
     return True, None
 
@@ -441,7 +425,7 @@ def is_k_linked(
         verts = rng.sample(range(g.n), 2 * k)
         rng.shuffle(verts)
         system = tuple(sorted(tuple(sorted(verts[2 * i:2 * i + 2])) for i in range(k)))
-        if disjoint_paths(g, pairs_spec(system)) is None:
+        if _link(g, system, mask_of(verts)) is None:
             return False, system
     return True, None
 
@@ -599,6 +583,7 @@ def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration
     raises a structured error naming the failed clause.
     """
     h = cfg.host
+    h._check_vertex(x)
     if not (1 <= i <= 4 and 1 <= j <= 4 and i != j):
         raise PreconditionError("block-indices", "i and j must be distinct block indices in 1..4")
     bi = cfg.blocks[i]

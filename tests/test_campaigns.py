@@ -166,8 +166,11 @@ def test_pipeline_tampered_into_paths_detected():
     def non_edge(st):
         st["paths"][3] = [26, 27]
 
+    def outside_candidate(st):
+        st["paths"][0] = [11, 30]  # the candidate is 0..8; 30 is on no path
+
     cases = [(0, all_zero), (0, shared), (0, off_terminal), (0, miscounted),
-             (0, short), (0, non_integer), (1, non_edge)]
+             (0, short), (0, non_integer), (1, non_edge), (0, outside_candidate)]
     for idx, tamper in cases:
         blob = json.loads(report_to_json(rep))
         tamper(_into_stage(blob["instances"][idx]))

@@ -2,7 +2,8 @@ import json
 
 from knitweave.cli import cli_main
 from knitweave.formats import write_edge_list, write_graph6
-from knitweave.graphs import Graph
+from knitweave.graphs import Graph, set_of
+from knitweave.solver import TerminalSpec, knit
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -162,3 +163,18 @@ def test_certify_greedy_cli(capsys, tmp_path):
     code, out = run(capsys, ["--input", path, "certify-greedy", "--pairs", "0-1,2-3,4-5"])
     data = json.loads(out)
     assert code == 0 and data["linked"] is True
+
+
+def test_repeated_calls_share_no_state(capsys, tmp_path):
+    g = Graph.path(6)  # 0-1-2-3-4-5: the one 0-4 path runs through 2
+    path = graph_file(tmp_path, g)
+    answers = []
+    for forbidden, extra in ((1 << 2, ["--forbidden", "2"]), (0, [])):
+        code, out = run(capsys, ["--input", path, "knit", "--pairs", "0-4", "--terminals", "5"] + extra)
+        assert code == 0
+        want = knit(g, TerminalSpec(((0, 4), (5,)), forbidden))
+        data = json.loads(out)
+        assert data["exists"] is (want is not None)
+        assert data["subgraphs"] == (want and [sorted(set_of(m)) for m in want.subgraphs])
+        answers.append(data["exists"])
+    assert answers == [False, True]

@@ -28,6 +28,7 @@ from oracles import (
     best_configuration_value,
     configuration_by_orders,
     flow_by_matrix,
+    knittable_by_paths,
     two_pair_systems_solvable,
 )
 
@@ -104,6 +105,26 @@ def test_knit_agrees_with_reduction_randomized():
             got.validate(g, spec)
 
 
+def test_knit_matches_path_oracle():
+    # the oracle sees each forbidden vertex as one more singleton part
+    rng = random.Random(2026)
+    for _ in range(400):
+        n = rng.randint(5, 9)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.9))
+        k = rng.randint(1, min(3, n // 2))
+        singles = rng.randint(0, min(2, n - 2 * k))
+        verts = rng.sample(range(n), 2 * k + singles)
+        parts = tuple((verts[2 * i], verts[2 * i + 1]) for i in range(k))
+        parts += tuple((v,) for v in verts[2 * k:])
+        rest = [v for v in range(n) if v not in verts]
+        forbidden = rng.sample(rest, rng.randint(0, min(2, len(rest))))
+        spec = TerminalSpec(parts, mask_of(forbidden))
+        got = knit(g, spec)
+        assert (got is not None) == knittable_by_paths(g, parts + tuple((v,) for v in forbidden))
+        if got is not None:
+            got.validate(g, spec)
+
+
 def test_partitions_with_profile_counts():
     # 9 vertices into four pairs and a singleton: 9 * 7!! = 945
     count = sum(1 for _ in partitions_with_profile(range(9), (2, 2, 2, 2, 1)))
@@ -121,6 +142,10 @@ def test_profile_knitted_examples():
     assert knit(Graph.cycle(6), TerminalSpec(wit)) is None
     ok, _ = is_profile_knitted(Graph.empty(3), 0b111, (1, 1, 1))
     assert ok
+    # a negative set, a set beyond the graph, a part of size 3
+    for s, profile in ((-1, (1,)), (1 << 6, (1,)), (0b11 << 5, (2,)), (0b111, (3,))):
+        with pytest.raises(InputError):
+            is_profile_knitted(Graph.cycle(6), s, profile)
 
 
 def test_is_k_linked():
@@ -376,6 +401,8 @@ def test_reroute_precondition_errors():
         with pytest.raises(PreconditionError) as err:
             reroute(cfg, x, y, i, j)
         assert err.value.clause == clause
+    with pytest.raises(InputError):
+        reroute(cfg, -1, 3, 3, 4)
 
 
 def test_reroute_randomized_invariants():
