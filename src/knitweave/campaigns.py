@@ -13,7 +13,7 @@ import time
 from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .formats import parse_graph6, write_graph6
 from .generators import complete_minus_matching, gen_min_degree, gen_split_host
 from .graphs import (
@@ -36,7 +36,7 @@ from .solver import (
     pairs_spec,
     s_value,
 )
-from .structure import is_p_massed, minimize_pair
+from .structure import descend_pair, is_p_massed, pair_is_knitted
 
 SCHEMA = 1
 
@@ -278,10 +278,15 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool
         inst["wall_ms"] = _elapsed_ms(t0)
         return inst
 
-    work = g
-    work_s = s
-    try:
-        res = minimize_pair(g, s, p, limit=s.bit_count())
+    work, work_s = g, s
+    if pair_is_knitted(g, s)[0]:
+        stages.append({
+            "stage": "minimize",
+            "ok": True,
+            "outcome": "already-knitted",
+        })
+    else:
+        res = descend_pair(g, s, p)
         work, work_s = res.graph, res.s
         stages.append({
             "stage": "minimize",
@@ -289,14 +294,6 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool
             "outcome": "descended",
             "trail": [list(t) for t in res.trail],
             "graph6": write_graph6(work),
-        })
-    except PreconditionError as exc:
-        if exc.clause != "knitted":
-            raise
-        stages.append({
-            "stage": "minimize",
-            "ok": True,
-            "outcome": "already-knitted",
         })
 
     clique = max_clique(work)

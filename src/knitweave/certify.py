@@ -206,8 +206,9 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
     Certificate routes first: a big enough clique, then the common-neighbor
     certificates on dense candidate subgraphs. A certified candidate is
     still spot-validated on ``samples`` random terminal systems, exhaustively
-    when it has at most 12 vertices. With no certificate the whole graph is
-    sampled; a failing sample is reported, never swallowed.
+    when it has at most 12 vertices. With no certificate each distinct
+    candidate is sampled once, the whole graph first; a failing sample is
+    reported, never swallowed.
     """
     if p not in _TARGETS:
         raise InputError(f"threshold must be one of {sorted(_TARGETS)}")
@@ -263,11 +264,10 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
     for z in sorted(range(h.n), key=lambda x: -h.degree(x)):
         candidates.append(neighbors_closed(h, z))
     candidates.append(_min_degree_core(h, half))
-    seen = set()
+    # each distinct candidate once: the universal vertex's closed
+    # neighbourhood repeats the whole graph
+    candidates = list(dict.fromkeys(c for c in candidates if c.bit_count() >= 2 * k + 1))
     for cand in candidates:
-        if cand in seen or cand.bit_count() < 2 * k + 1:
-            continue
-        seen.add(cand)
         sub, vmap = induced(h, cand)
         cert, _ = common_neighbor_certificate(sub, k, variant)
         route = "common-neighbor"
@@ -286,12 +286,10 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
     failures = []
     total = 0
     for cand in candidates:
-        if cand.bit_count() < 2 * k + 1:
-            continue
         ok, run, fail = validate(cand)
         total += run
         if ok:
-            return Knitted1Verdict("sampled-pass", "sampled", cand, total, ())
+            return Knitted1Verdict("sampled-pass", "sampled", cand, total, tuple(failures))
         failures.append(fail)
     return Knitted1Verdict("not-found", "sampled", 0, total, tuple(failures))
 

@@ -164,16 +164,7 @@ def components(g: Graph, domain: Optional[int] = None) -> list[int]:
     remaining = g.full_mask if domain is None else domain & g.full_mask
     out = []
     while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= remaining & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = reachable(g, remaining & -remaining, remaining)
         out.append(comp)
         remaining &= ~comp
     return out
@@ -238,45 +229,9 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def independence_number(g: Graph) -> int:
-    """Exact independence number via branch and bound.
-
-    The upper bound at each node is a greedy clique cover of the candidate
-    set: each clique can contribute at most one vertex to an independent set.
-    """
-    adj = g.adj
-    best = 0
-
-    def clique_cover_bound(cand: int) -> int:
-        count = 0
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            clique = 1 << v
-            pool = rest & adj[v]
-            while pool:
-                w = (pool & -pool).bit_length() - 1
-                clique |= 1 << w
-                pool &= adj[w]
-            rest &= ~clique
-            count += 1
-        return count
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if not cand:
-            best = max(best, size)
-            return
-        if size + clique_cover_bound(cand) <= best:
-            return
-        # branch on a vertex of maximum degree within the candidate set
-        v = max(bits(cand), key=lambda x: (adj[x] & cand).bit_count())
-        expand(cand & ~adj[v] & ~(1 << v), size + 1)
-        expand(cand & ~(1 << v), size)
-
-    expand(g.full_mask, 0)
-    return best
+    """Exact independence number: the size of a maximum clique of the
+    complement, found by :func:`max_clique`."""
+    return max_clique(g.complement()).bit_count()
 
 
 def max_clique(g: Graph) -> int:

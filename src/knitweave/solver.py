@@ -52,8 +52,8 @@ class TerminalSpec:
             raise InputError("terminal specification mentions out-of-range vertices")
 
 
-def pairs_spec(pairs: Sequence[tuple[int, int]], forbidden: int = 0) -> TerminalSpec:
-    return TerminalSpec(tuple(tuple(p) for p in pairs), forbidden)
+def pairs_spec(pairs: Sequence[tuple[int, int]]) -> TerminalSpec:
+    return TerminalSpec(tuple(tuple(p) for p in pairs))
 
 
 @dataclass(frozen=True)
@@ -511,16 +511,17 @@ class Configuration:
 def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
     """Best block system for nine terminals: anchor u_0 plus four pairs.
 
-    Each pair's paths of at most ``PATH_CAP`` vertices whose interior avoids
-    all nine terminals are listed once, shortest first and lexicographic
-    within a length. One pair is the bare slot-4 block, connected iff its
-    ends are adjacent; all four choices of that pair are tried. The other
-    three pairs each take a listed path or stay bare, with pairwise-disjoint
-    path interiors. The selection is optimized exactly: first maximize the
+    One pair is the bare slot-4 block, connected iff its ends are adjacent;
+    all four choices of that pair are tried. The other three pairs each take
+    a path of at most ``PATH_CAP`` vertices or stay bare, with
+    pairwise-disjoint path interiors that avoid all nine terminals. Paths are
+    read on demand from :func:`iter_paths_by_length`, shortest first and
+    lexicographic within a length, inside the vertices the pairs decided so
+    far leave free. The selection is optimized exactly: first maximize the
     number of connected blocks, then minimize the total number of vertices.
     Ties go to the first selection found, taking the bare slot-4 pair from
     the last input pair back and deciding the other pairs in input order,
-    each trying its paths in list order before staying bare.
+    each trying its paths in that order before staying bare.
     """
     terminals = tuple(terminals)
     if len(terminals) != 9 or len(set(terminals)) != 9:
@@ -530,12 +531,11 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
     u0 = terminals[0]
     in_pairs = tuple((terminals[1 + 2 * i], terminals[2 + 2 * i]) for i in range(4))
     free = h.full_mask & ~mask_of(terminals)
-    options = [
-        [(mask_of(p[1:-1]), p) for p in sorted(iter_paths(h, u, v, free, PATH_CAP), key=lambda p: (len(p), p))]
-        for u, v in in_pairs
-    ]
+    # a pair with no path in ``free`` has none once vertices are used, so its
+    # generator is skipped at every node
+    shortest = [next(iter_paths_by_length(h, u, v, free, PATH_CAP), None) for u, v in in_pairs]
     # best (connected, -size) one pair can add: its shortest path, else bare
-    floor = [(1, -len(opts[0][1])) if opts else (0, -2) for opts in options]
+    floor = [(1, -len(p)) if p else (0, -2) for p in shortest]
 
     best: dict = {"key": (-1, 0), "blocks": None}  # below every real key
     chosen: list[tuple[int, ...]] = []
@@ -550,12 +550,12 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
         i = slots[k]
         rest_conn = sum(floor[j][0] for j in slots[k + 1:])
         rest_size = sum(floor[j][1] for j in slots[k + 1:])
-        for m, path in options[i]:
-            if (conn + 1 + rest_conn, -size - len(path) + rest_size) <= best["key"]:
-                break
-            if not m & used:
+        if shortest[i]:
+            for path in iter_paths_by_length(h, *in_pairs[i], free & ~used, PATH_CAP):
+                if (conn + 1 + rest_conn, -size - len(path) + rest_size) <= best["key"]:
+                    break
                 chosen.append(path)
-                search(slots, k + 1, used | m, conn + 1, size + len(path))
+                search(slots, k + 1, used | mask_of(path), conn + 1, size + len(path))
                 chosen.pop()
         # leave it bare; for an adjacent pair this repeats its first path but
         # counts as unconnected, so it never replaces the incumbent

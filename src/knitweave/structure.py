@@ -201,11 +201,9 @@ class MinimizeResult:
 def minimize_pair(l: Graph, s: int, p: int, limit: int) -> MinimizeResult:
     """Locally minimal massed-but-unknitted pair by greedy descent.
 
-    Moves, scanned in lexicographic order and restarted after each accepted
-    one: delete a vertex outside ``s``, delete an edge not inside ``s``, add a
-    missing edge inside ``s``. A move is kept when the pair stays massed and
-    unknitted and the (vertex count, outside-rho, -edges inside s) triple
-    improves. The fixpoint is local; nothing global is claimed.
+    Checks the preconditions (``limit`` at most p/2 - 1, |s| at most
+    ``limit``, the pair massed and unknitted), each failure naming its
+    clause, then runs :func:`descend_pair`.
     """
     if limit > p // 2 - 1:
         raise InputError(f"limit {limit} exceeds p/2 - 1 = {p // 2 - 1}")
@@ -213,59 +211,55 @@ def minimize_pair(l: Graph, s: int, p: int, limit: int) -> MinimizeResult:
         raise PreconditionError("size", f"|s| = {s.bit_count()} exceeds the limit {limit}")
     if not is_p_massed(l, s, p).satisfied:
         raise PreconditionError("massed", "(1) fails: pair is not massed")
-    knitted, _ = pair_is_knitted(l, s)
-    if knitted:
+    if pair_is_knitted(l, s)[0]:
         raise PreconditionError("knitted", "(2) fails: pair is knitted")
+    return descend_pair(l, s, p)
 
-    cur = l
-    cur_s = s
+
+def descend_pair(l: Graph, s: int, p: int) -> MinimizeResult:
+    """Greedy descent from a massed, unknitted pair (l, s), unchecked.
+
+    Moves, scanned in the order of :func:`_moves` and restarted after each
+    accepted one: delete a vertex outside ``s``, delete an edge not inside
+    ``s``, add a missing edge inside ``s``. A move is kept when the pair
+    stays massed and unknitted; each one lowers the (vertex count,
+    outside-rho, -edges inside s) triple. The fixpoint is local; nothing
+    global is claimed.
+    """
+    cur, cur_s = l, s
     vmap = tuple(range(l.n))
     trail: list[tuple] = []
-
-    def admissible(g2: Graph, s2: int) -> bool:
-        return is_p_massed(g2, s2, p).satisfied and not pair_is_knitted(g2, s2)[0]
-
-    improved = True
-    while improved:
-        improved = False
-        outside = cur.full_mask & ~cur_s
-        for v in bits(outside):  # vertex deletions always shrink the triple
-            keep = cur.full_mask & ~(1 << v)
-            g2, sub_map = induced(cur, keep)
-            s2 = mask_of(i for i, old in enumerate(sub_map) if (cur_s >> old) & 1)
-            if admissible(g2, s2):
-                trail.append(("delete_vertex", vmap[v]))
+    while True:
+        for move, g2, s2, sub_map in _moves(cur, cur_s):
+            if is_p_massed(g2, s2, p).satisfied and not pair_is_knitted(g2, s2)[0]:
+                trail.append((move[0], *(vmap[x] for x in move[1:])))
                 vmap = tuple(vmap[old] for old in sub_map)
                 cur, cur_s = g2, s2
-                improved = True
                 break
-        if improved:
-            continue
-        for u, v in cur.edges():
-            if (cur_s >> u) & 1 and (cur_s >> v) & 1:
-                continue
-            rows = list(cur.adj)
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            g2 = Graph(cur.n, tuple(rows))
-            if admissible(g2, cur_s):
-                trail.append(("delete_edge", vmap[u], vmap[v]))
-                cur = g2
-                improved = True
-                break
-        if improved:
-            continue
-        svs = set_of(cur_s)
-        for u, v in itertools.combinations(svs, 2):
-            if cur.has_edge(u, v):
-                continue
-            rows = list(cur.adj)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            g2 = Graph(cur.n, tuple(rows))
-            if admissible(g2, cur_s):
-                trail.append(("add_edge", vmap[u], vmap[v]))
-                cur = g2
-                improved = True
-                break
-    return MinimizeResult(graph=cur, s=cur_s, trail=tuple(trail), vertex_map=vmap)
+        else:
+            return MinimizeResult(graph=cur, s=cur_s, trail=tuple(trail), vertex_map=vmap)
+
+
+def _moves(g: Graph, s: int) -> Iterator[tuple[tuple, Graph, int, tuple[int, ...]]]:
+    """The descent's moves on (g, s) in scan order, each with the graph and
+    terminal set it leads to and the map from their labels to g's: vertex
+    deletions outside ``s``, then edge deletions not inside ``s``, then edge
+    additions inside ``s``, each kind in lexicographic order."""
+    same = tuple(range(g.n))
+    for v in bits(g.full_mask & ~s):
+        g2, sub_map = induced(g, g.full_mask & ~(1 << v))
+        s2 = mask_of(i for i, old in enumerate(sub_map) if (s >> old) & 1)
+        yield ("delete_vertex", v), g2, s2, sub_map
+    for u, v in g.edges():
+        if not ((s >> u) & 1 and (s >> v) & 1):
+            yield ("delete_edge", u, v), _toggle_edge(g, u, v), s, same
+    for u, v in itertools.combinations(set_of(s), 2):
+        if not g.has_edge(u, v):
+            yield ("add_edge", u, v), _toggle_edge(g, u, v), s, same
+
+
+def _toggle_edge(g: Graph, u: int, v: int) -> Graph:
+    rows = list(g.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.n, tuple(rows))

@@ -239,3 +239,21 @@ def test_knitted1_sampled_route():
             continue
         v = knitted1_check(g, 18, samples=15, seed=seed)
         assert v.status in ("certified", "sampled-pass")
+
+
+def test_knitted1_sampled_route_never_passes_a_failed_candidate(monkeypatch):
+    # an acceptance-08 graph that no certificate covers; its universal
+    # vertex's closed neighbourhood is the whole graph, the first candidate
+    g, _ = gen_universal_vertex(16, 9, 29)
+    assert knitted1_check(g, 18, samples=20, seed=29).route == "sampled"
+    sizes = []
+
+    def first_call_fails(sub, spec):
+        sizes.append(sub.n)
+        return None if len(sizes) == 1 else disjoint_paths(sub, spec)
+
+    monkeypatch.setattr("knitweave.certify.disjoint_paths", first_call_fails)
+    v = knitted1_check(g, 18, samples=20, seed=29)
+    assert sizes[0] == g.n
+    assert v.route == "sampled" and len(v.failures) == 1
+    assert v.status == "not-found" or v.candidate != g.full_mask

@@ -112,7 +112,9 @@ def test_independence_equals_complement_clique():
     rng = random.Random(11)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 9))
-        assert independence_number(g) == max_clique(g.complement()).bit_count()
+        alpha = independence_number(g)
+        assert alpha == max_clique(g.complement()).bit_count()
+        assert alpha == independence_by_enumeration(g)
 
 
 def test_contract_edge_examples():

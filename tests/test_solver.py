@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -364,6 +365,18 @@ def test_build_configuration_matches_reference():
         cases.append((g, rng.sample(range(16), 9)))
     for g, terms in cases:
         assert build_configuration(g, terms).blocks == configuration_by_orders(g, terms).blocks
+
+
+def test_build_configuration_reads_paths_on_demand():
+    # K40 minus the four pair edges holds about 28k paths of at most five
+    # vertices per pair; the search needs only the first one of each
+    missing = {(1, 2), (3, 4), (5, 6), (7, 8)}
+    g = Graph.from_edges(40, [e for e in itertools.combinations(range(40), 2) if e not in missing])
+    t0 = time.perf_counter()
+    cfg = build_configuration(g, range(9))
+    elapsed = time.perf_counter() - t0
+    assert cfg.blocks == ((0,), (1, 9, 2), (3, 10, 4), (5, 11, 6), (7, 8))
+    assert elapsed < 0.2
 
 
 REROUTE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (8, 2), (8, 4), (6, 3), (3, 7), (9, 10), (11, 12)]
