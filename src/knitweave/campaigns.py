@@ -502,7 +502,8 @@ def revalidate_report(report: dict) -> None:
         for inst in report["instances"]:
             g = parse_graph6(inst["graph6"])
             pairs = tuple(tuple(pr) for pr in inst["pairs"])
-            s = mask_of(x for pr in pairs for x in pr)
+            spec = pairs_spec(pairs)
+            s = spec.terminal_mask
             cand = None
             into = {}
             for st in inst["stages"]:
@@ -516,13 +517,15 @@ def revalidate_report(report: dict) -> None:
                 if not final:
                     raise InputError("successful instance lacks a linkage certificate")
                 linkage = Linkage(tuple(tuple(pp) for pp in final[0]["paths"]))
-                linkage.validate(g, pairs_spec(pairs))
+                linkage.validate(g, spec)
                 # each path enters by x's into-path and leaves by y's
                 for (x, y), path in zip(pairs, final[0]["paths"]):
                     head, tail = into.get(x), into.get(y)
                     if not (head and tail and path[:len(head)] == head and path[::-1][:len(tail)] == tail):
                         raise InputError(f"linkage path {path} does not extend the into-paths of {x}, {y}")
-            massed = [st for st in inst["stages"] if st["stage"] == "massed"][0]
+            massed = next((st for st in inst["stages"] if st["stage"] == "massed"), None)
+            if massed is None:
+                raise InputError("instance lacks its massed stage")
             rep = is_p_massed(g, s, inst["p"])
             if rep.satisfied != massed["ok"] or rep.rho_value != massed["rho"]:
                 raise InputError("massed stage does not recompute")

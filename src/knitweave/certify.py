@@ -197,7 +197,7 @@ class Knitted1Verdict:
     route: str   # "clique", "common-neighbor", "uncommon-neighbor", "sampled", ""
     candidate: int
     samples_run: int
-    failures: tuple
+    failures: tuple  # (pairs, forbidden mask) per failing system, host labels
 
 
 def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict:
@@ -248,7 +248,8 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
             for verts in itertools.combinations(range(sub.n), need):
                 ok, wit = is_profile_knitted(sub, mask_of(verts), profile)
                 if not ok:
-                    return False, run, (wit,)
+                    pairs = tuple(tuple(vmap[x] for x in part) for part in wit if len(part) == 2)
+                    return False, run, (pairs, mask_of(vmap[part[0]] for part in wit if len(part) == 1))
         return True, run, ()
 
     clique = max_clique(h)
@@ -257,7 +258,7 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
         ok, run, fail = validate(cand)
         if ok:
             return Knitted1Verdict("certified", "clique", cand, run, ())
-        return Knitted1Verdict("not-found", "clique", cand, run, fail)
+        return Knitted1Verdict("not-found", "clique", cand, run, (fail,))
 
     half = p // 2
     candidates = [h.full_mask]
@@ -281,7 +282,7 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
             ok, run, fail = validate(cand)
             if ok:
                 return Knitted1Verdict("certified", route, cand, run, ())
-            return Knitted1Verdict("not-found", route, cand, run, fail)
+            return Knitted1Verdict("not-found", route, cand, run, (fail,))
 
     failures = []
     total = 0

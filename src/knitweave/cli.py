@@ -320,6 +320,10 @@ def _dispatch(args) -> int:
             "route": verdict.route,
             "candidate": sorted(set_of(verdict.candidate)),
             "samples_run": verdict.samples_run,
+            "failures": [
+                {"pairs": [list(pair) for pair in pairs], "forbidden": sorted(set_of(forbidden))}
+                for pairs, forbidden in verdict.failures
+            ],
         })
         return code
     raise InputError(f"unknown command {cmd!r}")

@@ -281,61 +281,37 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact canonical form: (n, lexicographically maximal row-bit sequence).
 
     Row i of a vertex ordering records adjacency toward the already placed
-    vertices. Backtracking keeps only orderings whose row sequence can still
-    reach the maximum; interchangeable twin vertices are pruned since swapping
-    them is an automorphism.
+    vertices, the first placed one in its highest bit. The search places at
+    each position only vertices whose row is the largest, one of each twin
+    pair (swapping twins is an automorphism), and drops a prefix whose row
+    falls below the best sequence found.
     """
-    n = g.n
-    if n == 0:
-        return (0, ())
-    adj = g.adj
-    best: list[Optional[list[int]]] = [None]
-    perm: list[int] = []
-
-    def rec(i: int, used: int, rows: list[int], tight: bool) -> None:
+    n, adj = g.n, g.adj
+    # the best sequence found; its first entries are the current prefix's
+    # rows, and a prefix that beats it overwrites it from there on
+    best = [0] if n else []
+    # one frame per position: the rows toward the placed vertices (-1 for a
+    # placed one) and the vertices with the largest row left to try, last first
+    stack = [([0] * n, list(range(n - 1, -1, -1)))]
+    while stack:
+        rows, todo = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        x = todo.pop()
+        todo[:] = [w for w in todo if (adj[w] ^ adj[x]) & ~(1 << w | 1 << x)]
+        i = len(stack)
         if i == n:
-            cur = best[0]
-            if cur is None or rows > cur:
-                best[0] = list(rows)
-            return
-        cand = []
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            b = 0
-            row = adj[v]
-            for k in range(i):
-                if (row >> perm[k]) & 1:
-                    b |= 1 << (i - 1 - k)
-            cand.append((b, v))
-        cand.sort(key=lambda t: (-t[0], t[1]))
-        seen_twins: list[tuple[int, int]] = []
-        for b, v in cand:
-            twin = False
-            for b2, v2 in seen_twins:
-                if b2 == b and (adj[v] ^ adj[v2]) & ~((1 << v) | (1 << v2)) == 0:
-                    twin = True
-                    break
-            if twin:
-                continue
-            seen_twins.append((b, v))
-            t = tight
-            cur = best[0]
-            if t and cur is not None:
-                if b < cur[i]:
-                    break  # sorted descending, every later candidate is worse
-                if b > cur[i]:
-                    best[0] = None  # stale optimum, strictly dominated below here
-                    t = True
-            perm.append(v)
-            rows.append(b)
-            rec(i + 1, used | (1 << v), rows, t)
-            rows.pop()
-            perm.pop()
-        return
-
-    rec(0, 0, [], True)
-    return (n, tuple(best[0]))
+            continue  # a full ordering; ``best`` already holds its rows
+        nxt = [r << 1 | (a >> x & 1) for r, a in zip(rows, adj)]
+        nxt[x] = -1
+        top = max(nxt)
+        if i < len(best) and top < best[i]:
+            continue
+        if i == len(best) or top > best[i]:
+            best[i:] = [top]
+        stack.append((nxt, [w for w in range(n - 1, -1, -1) if nxt[w] == top]))
+    return (n, tuple(best))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

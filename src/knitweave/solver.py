@@ -31,6 +31,8 @@ class TerminalSpec:
         seen = 0
         norm = []
         for part in self.parts:
+            if not all(type(x) is int and x >= 0 for x in part):
+                raise InputError(f"part {part} must hold vertex indices")
             t = tuple(sorted(part))
             if len(t) not in (1, 2) or len(set(t)) != len(t):
                 raise InputError(f"part {part} must have one or two distinct vertices")
@@ -65,6 +67,8 @@ class Linkage:
             raise InputError("path count does not match the terminal parts")
         used = 0
         for part, path in zip(spec.parts, self.paths):
+            if not path or not all(type(x) is int and 0 <= x < g.n for x in path):
+                raise InputError(f"path {path} is not a nonempty sequence of vertices of the graph")
             if len(part) != 2:
                 raise InputError("linkage parts must be pairs")
             if {path[0], path[-1]} != set(part):
@@ -91,6 +95,8 @@ class Knit:
             raise InputError("subgraph count does not match the terminal parts")
         used = 0
         for part, sub in zip(spec.parts, self.subgraphs):
+            if sub & ~g.full_mask:
+                raise InputError("a subgraph mentions out-of-range vertices")
             if mask_of(part) & ~sub:
                 raise InputError(f"subgraph misses its terminals {part}")
             if sub & used:
@@ -110,29 +116,29 @@ def iter_paths(g: Graph, u: int, v: int, allowed: int, max_len: Optional[int]) -
     """Simple u-v paths whose interior lies in ``allowed``, in lexicographic
     order of the vertex sequence, at most ``max_len`` vertices long."""
     cap = g.n if max_len is None else max_len
-    if cap < 2 or u == v:
-        return
-    if not (reachable(g, 1 << u, allowed | (1 << u) | (1 << v)) >> v) & 1:
+    if cap < 2 or u == v or not (reachable(g, 1 << u, allowed | (1 << u) | (1 << v)) >> v) & 1:
         return
     adj = g.adj
+    target = 1 << v
     path = [u]
-    state = {"on": 1 << u}
-    target_bit = 1 << v
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        cand = adj[last] & ((allowed & ~state["on"]) | target_bit)
-        for w in bits(cand):
-            if w == v:
-                yield (*path, v)
-            elif len(path) + 2 <= cap:
-                path.append(w)
-                state["on"] |= 1 << w
-                yield from rec()
-                state["on"] &= ~(1 << w)
-                path.pop()
-
-    yield from rec()
+    on = 1 << u
+    # untried[i]: the next vertices not yet tried after path[i]; only v once
+    # the path has no room for another interior vertex
+    untried = [adj[u] & (target if cap < 3 else allowed & ~on | target)]
+    while untried:
+        cand = untried[-1]
+        if not cand:
+            untried.pop()
+            on ^= 1 << path.pop()
+            continue
+        low = cand & -cand
+        untried[-1] = cand ^ low
+        if low == target:
+            yield (*path, v)
+            continue
+        path.append(low.bit_length() - 1)
+        on |= low
+        untried.append(adj[path[-1]] & (target if len(path) + 2 > cap else allowed & ~on | target))
 
 
 def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:

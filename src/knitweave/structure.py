@@ -133,8 +133,8 @@ def is_p_massed(l: Graph, s: int, p: int) -> MassedReport:
     """
     if s & ~l.full_mask:
         raise InputError("terminal set is not a subset of the graph")
-    if p < 0:
-        raise InputError("p must be nonnegative")
+    if type(p) is not int or p < 0:
+        raise InputError("p must be a nonnegative integer")
     outside = l.full_mask & ~s
     rv = rho(l, outside)
     size = outside.bit_count()

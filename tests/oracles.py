@@ -157,6 +157,21 @@ def _canon_small(g: Graph) -> tuple:
     return best if best is not None else (0, ())
 
 
+def canonical_by_permutations(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The package's canonical form by its definition: the largest row
+    sequence over every vertex ordering, where row i holds the adjacency of
+    the i-th vertex toward the earlier ones, the first of them in its
+    highest bit."""
+    best = max(
+        tuple(
+            sum(((g.adj[order[i]] >> order[k]) & 1) << (i - 1 - k) for k in range(i))
+            for i in range(g.n)
+        )
+        for order in itertools.permutations(range(g.n))
+    )
+    return (g.n, best)
+
+
 def minors_by_recursion(g: Graph) -> set:
     """Canonical forms of all proper minors via plain delete/contract
     recursion with no shared code."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,30 @@ def test_lemma_si_zero_samples():
     assert rep["samples_run"] == 0
     assert rep["violations"] == []
     revalidate_report(rep)
+
+
+# sha256 of report_to_json with no_timestamps: campaign reports are meant to
+# stay byte-stable, so a change that alters these bytes must say why and re-pin
+PINNED_DIGESTS = {
+    ("lemma-si", 1): "e0e0d2f5c49d8c8cb43af16f7ade734de72259e24661d924ba87548de616c606",
+    ("lemma-si", 2): "3d7b3eb552838d5280fea81d67b68e169812c4636038dd07a62705d3b7b0a1a0",
+    ("lemma-si", 3): "251b5b900e09f78e45391777c1d4f6350259e378c96cea9a1310e98d369f4e2b",
+    ("pipeline-4linked", 1): "cbb646480627c75cf59f5dd8e914d398ca67f162d65c4f717e787853f8dd4ed1",
+    ("pipeline-4linked", 2): "26be60265b27a39b4af979e161c1c3a3009fb3875267c94a52146277d0c2e04b",
+    ("pipeline-4linked", 3): "78878fe9a144a4c043331a3f270decaf02189f1adcd78fae7ce324fd0a4ab895",
+}
+
+
+def test_reports_match_pinned_digests():
+    got = {}
+    for seed in (1, 2, 3):
+        for rep in (
+            campaign_lemma_si(30, seed, no_timestamps=True),
+            campaign_pipeline_4linked(2, seed, no_timestamps=True),
+        ):
+            digest = hashlib.sha256(report_to_json(rep).encode()).hexdigest()
+            got[rep["experiment"], seed] = digest
+    assert got == PINNED_DIGESTS
 
 
 def test_lemma_si_runs_clean_and_deterministic():
@@ -122,14 +147,38 @@ def test_pipeline_completes_on_both_hosts():
     revalidate_report(rep)
 
 
+def _linkage_stage(inst):
+    return next(st for st in inst["stages"] if st["stage"] == "linkage")
+
+
 def test_pipeline_tampered_linkage_detected():
-    rep = campaign_pipeline_4linked(1, seed=11, no_timestamps=True)
-    blob = json.loads(report_to_json(rep))
-    for st in blob["instances"][0]["stages"]:
-        if st["stage"] == "linkage":
-            st["paths"][0] = st["paths"][0][:1] + st["paths"][0]
-    with pytest.raises(InputError):
-        load_report(json.dumps(blob))
+    def repeated(inst):
+        path = _linkage_stage(inst)["paths"][0]
+        path.insert(0, path[0])
+
+    def empty_path(inst):
+        _linkage_stage(inst)["paths"][0] = []
+
+    def float_path(inst):
+        _linkage_stage(inst)["paths"][0] = [15.0, 1, 3, 18]
+
+    def float_pair(inst):
+        inst["pairs"][0] = [15.0, 18]
+
+    def fractional_p(inst):
+        inst["p"] = 30.5
+
+    def no_massed(inst):
+        inst["stages"] = [st for st in inst["stages"] if st["stage"] != "massed"]
+
+    texts = {seed: report_to_json(campaign_pipeline_4linked(1, seed=seed, no_timestamps=True)) for seed in (3, 11)}
+    assert _linkage_stage(json.loads(texts[3])["instances"][0])["paths"][0] == [15, 1, 3, 18]
+    cases = [(11, repeated)] + [(3, t) for t in (empty_path, float_path, float_pair, fractional_p, no_massed)]
+    for seed, tamper in cases:
+        blob = json.loads(texts[seed])
+        tamper(blob["instances"][0])
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
 
 
 def _into_stage(inst):

@@ -257,3 +257,18 @@ def test_knitted1_sampled_route_never_passes_a_failed_candidate(monkeypatch):
     assert sizes[0] == g.n
     assert v.route == "sampled" and len(v.failures) == 1
     assert v.status == "not-found" or v.candidate != g.full_mask
+
+
+def test_knitted1_sweep_failure_in_host_labels(monkeypatch):
+    # K17 minus the triangle 0, 1, 2: the clique route takes 2..8, so the
+    # exhaustive sweep runs on local labels 0..6 that stand for 2..8
+    n = 17
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v > 2])
+    assert knitted1_check(g, 18, samples=5, seed=1).candidate == mask_of(range(2, 9))
+    monkeypatch.setattr(
+        "knitweave.certify.is_profile_knitted",
+        lambda sub, s, profile: (False, ((0, 1), (2, 3), (4, 5), (6,))),
+    )
+    v = knitted1_check(g, 18, samples=5, seed=1)
+    assert v.status == "not-found" and v.route == "clique"
+    assert v.failures == ((((2, 3), (4, 5), (6, 7)), 1 << 8),)

@@ -2,8 +2,9 @@ import json
 
 from knitweave.cli import cli_main
 from knitweave.formats import write_edge_list, write_graph6
+from knitweave.generators import gen_universal_vertex
 from knitweave.graphs import Graph, set_of
-from knitweave.solver import TerminalSpec, knit
+from knitweave.solver import TerminalSpec, disjoint_paths, knit
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -178,3 +179,25 @@ def test_repeated_calls_share_no_state(capsys, tmp_path):
         assert data["subgraphs"] == (want and [sorted(set_of(m)) for m in want.subgraphs])
         answers.append(data["exists"])
     assert answers == [False, True]
+
+
+def test_knitted1_prints_failures(capsys, tmp_path, monkeypatch):
+    # the sampled-route graph of the certify test; its first sample fails
+    g, _ = gen_universal_vertex(16, 9, 29)
+    path = graph_file(tmp_path, g)
+    calls = []
+
+    def first_call_fails(sub, spec):
+        calls.append(spec)
+        return None if len(calls) == 1 else disjoint_paths(sub, spec)
+
+    monkeypatch.setattr("knitweave.certify.disjoint_paths", first_call_fails)
+    argv = ["--input", path, "--samples", "20", "--seed", "29", "knitted1", "--p", "18"]
+    _, out = run(capsys, argv)
+    data = json.loads(out)
+    assert data["route"] == "sampled"
+    # the first candidate is the whole graph, so local labels are host labels
+    (failure,) = data["failures"]
+    assert tuple(tuple(sorted(p)) for p in failure["pairs"]) == calls[0].parts
+    assert failure["forbidden"] == sorted(set_of(calls[0].forbidden))
+    assert len(failure["pairs"]) == 3 and len(failure["forbidden"]) == 1

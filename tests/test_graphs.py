@@ -25,6 +25,7 @@ from knitweave.graphs import (
 from conftest import random_graph
 from oracles import (
     _canon_small,
+    canonical_by_permutations,
     clique_by_enumeration,
     contractions_by_recursion,
     independence_by_enumeration,
@@ -170,6 +171,16 @@ def test_canonical_form_invariance():
         edges = [(perm[u], perm[v]) for u, v in g.edges()]
         h = Graph.from_edges(g.n, edges)
         assert canonical_form(g) == canonical_form(h)
+
+
+def test_canonical_form_matches_permutation_oracle():
+    for n in range(7):
+        for g in nonisomorphic_graphs(n):
+            assert canonical_form(g) == canonical_by_permutations(g)
+    rng = random.Random(7)
+    for _ in range(30):
+        g = random_graph(rng, 7, p=rng.uniform(0.1, 0.9))
+        assert canonical_form(g) == canonical_by_permutations(g)
 
 
 def test_canonical_form_distinguishes():

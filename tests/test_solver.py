@@ -11,11 +11,13 @@ from knitweave.generators import gen_min_degree, gen_split_host
 from knitweave.graphs import Graph, bits, mask_of
 from knitweave.solver import (
     Configuration,
+    Knit,
     TerminalSpec,
     build_configuration,
     disjoint_paths,
     is_k_linked,
     is_profile_knitted,
+    iter_paths,
     knit,
     max_vertex_disjoint_flow,
     pairs_spec,
@@ -26,6 +28,7 @@ from knitweave.solver import (
 
 from conftest import random_graph
 from oracles import (
+    all_simple_paths,
     best_configuration_value,
     configuration_by_orders,
     flow_by_matrix,
@@ -41,8 +44,24 @@ def test_terminal_spec_validation():
         TerminalSpec(((0, 1, 2),))
     with pytest.raises(InputError):
         TerminalSpec(((0, 1),), forbidden=0b10)
+    with pytest.raises(InputError):
+        TerminalSpec(((0, 1.0),))
     spec = TerminalSpec(((3, 1), (2,)))
     assert spec.parts == ((1, 3), (2,))
+
+
+def test_iter_paths_matches_oracle():
+    rng = random.Random(11)
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.6))
+        u, v = rng.sample(range(n), 2)
+        allowed = rng.getrandbits(n) | rng.getrandbits(n)
+        want = [tuple(p) for p in all_simple_paths(g, u, v, set(bits(g.full_mask & ~allowed)))]
+        for cap in (None, 2, 3, 4, 6):
+            assert list(iter_paths(g, u, v, allowed, cap)) == [
+                p for p in want if cap is None or len(p) <= cap
+            ]
 
 
 def test_disjoint_paths_direct_edges():
@@ -89,6 +108,8 @@ def test_knit_reduction_and_examples():
     got = knit(Graph.empty(3), singles)
     assert got.subgraphs == (1, 2, 4)
     assert knit(Graph.cycle(6), pairs_spec([(0, 3), (1, 4)])) is None
+    with pytest.raises(InputError):  # the mask holds 5, beyond the path's 0..2
+        Knit((0b100111,)).validate(Graph.path(3), TerminalSpec(((0, 2),)))
 
 
 def test_knit_agrees_with_reduction_randomized():
