@@ -3,12 +3,16 @@ configurations, and replay the dense-graph linkage pipeline end to end.
 
 Reports are self-contained JSON-ready dicts: every instance embeds its graph
 as graph6 and every claimed certificate can be re-checked by
-:func:`revalidate_report`, which trusts nothing it reads.
+:func:`revalidate_report`, which trusts nothing it reads. It rebuilds every
+lemma-si sample record in full with the campaign's own record builder,
+recomputes each lemma-si instance's ``skipped`` flag, and recomputes both
+reports' ``samples_run`` and ``violations`` from their instances.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import time
 from typing import Optional
 
@@ -31,6 +35,7 @@ from .solver import (
     Configuration,
     Linkage,
     build_configuration,
+    check_path,
     disjoint_paths,
     max_vertex_disjoint_flow,
     pairs_spec,
@@ -62,30 +67,128 @@ def _is_biconnected(g: Graph, domain: int) -> bool:
 # Coverage-score lemma campaign
 # ---------------------------------------------------------------------------
 
-def _score_checks(cfg: Configuration, j: int, a: int, b: int):
-    """Evaluate every lemma conclusion that applies; returns violation strings."""
-    h = cfg.host
-    out = []
-    svals = {}
+def _sides(cfg: Configuration, j: int) -> Optional[dict]:
+    """The two side forms of pair block ``j``, each as (A, B, whether paired
+    draws are allowed): "AB", the components of the block's ends once the
+    other block vertices are deleted (paired draws need both biconnected), and
+    "AjBj", the ends' neighbors off the blocks. None when the components
+    meet, since the setup needs them disjoint."""
+    g = cfg.host
+    uj, vj = cfg.pairs[j - 1]
+    cover = cfg.cover_mask
+    dom = g.full_mask & ~(cover & ~mask_of((uj, vj)))
+    comp_a = reachable(g, 1 << uj, dom)
+    comp_b = reachable(g, 1 << vj, dom)
+    if comp_a & comp_b:
+        return None
+    return {
+        "AB": (comp_a, comp_b, _is_biconnected(g, comp_a) and _is_biconnected(g, comp_b)),
+        "AjBj": (g.adj[uj] & ~cover, g.adj[vj] & ~cover, True),
+    }
+
+
+def _lemma_record(cfg: Configuration, j, form, sides: Optional[dict], observers: list) -> dict:
+    """The lemma-si record of one draw, with every lemma conclusion it breaks.
+
+    ``sides`` is ``_sides(cfg, j)``. ``observers`` is ``[a, b]`` for a lemma
+    "si" draw and ``[a, a2, b, b2]`` for a lemma "si2" draw, the a's from the
+    pool of side A of ``form`` (A less the block end) and the b's from B's.
+    Raises InputError for a draw the campaign cannot make.
+    """
+    g = cfg.host
+    if type(j) is not int or not 1 <= j <= 4 or cfg.connected[j] or sides is None:
+        raise InputError(f"j = {j!r} is not a disconnected pair block with disjoint sides")
+    if not (isinstance(form, str) and form in sides):
+        raise InputError(f"unknown side form {form!r}")
+    uj, vj = cfg.pairs[j - 1]
+    cover = cfg.cover_mask
+    amask, bmask, paired = sides[form]
+    half = len(observers) // 2
+    pools = ((amask & ~(1 << uj), observers[:half]), (bmask & ~(1 << vj), observers[half:]))
+    if len(observers) not in (2, 4) or not all(
+        type(x) is int and 0 <= x < g.n and (pool >> x) & 1 for pool, xs in pools for x in xs
+    ):
+        raise InputError(f"observers {observers} are not drawn from the pools of block {j}")
+    bad = []
+    if len(observers) == 2:
+        a, b = observers
+        svals = {i: s_value(cfg, a, b, i) for i in range(5) if i != j}
+        for i in range(1, 5):
+            if i == j:
+                continue
+            blk = cfg.blocks[i]
+            if not cfg.connected[i]:
+                if svals[i] > 0:
+                    bad.append(f"(a) disconnected block {i} has score {svals[i]} > 0")
+                continue
+            for x in (a, b):
+                hits = [pos for pos, w in enumerate(blk) if g.has_edge(x, w)]
+                if any(q - pq > 2 for pq, q in zip(hits, hits[1:])):
+                    bad.append(f"(b) vertex {x} has spread neighbors on block {i}")
+                if len(hits) > 3:
+                    bad.append(f"(b) vertex {x} has {len(hits)} > 3 neighbors on block {i}")
+            lo, hi = -len(blk), min(len(blk), 6 - len(blk))
+            if not lo <= svals[i] <= hi:
+                bad.append(f"(c) score {svals[i]} of block {i} outside [{lo}, {hi}]")
+        total = sum(svals.values()) + s_value(cfg, a, b, j)
+        # the side remainders are taken outside the block system so the
+        # decomposition behind (d) stays disjoint; in the neighborhood form
+        # the sets avoid it already
+        ta = (amask & ~neighbors_closed(g, a) & ~cover).bit_count()
+        tb = (bmask & ~neighbors_closed(g, b) & ~cover).bit_count()
+        rhs = g.degree(a) + g.degree(b) - (g.n - 2) + ta + tb
+        if total < rhs:
+            bad.append(f"(d) total score {total} < bound {rhs}")
+        if (
+            form == "AB"
+            and paired
+            and (g.full_mask & ~(amask | bmask)).bit_count() <= g.min_degree() - 2
+        ):
+            for i in range(1, 5):
+                if i != j and cfg.connected[i] and svals[i] == 3:
+                    bad.append(f"(e) connected block {i} has score 3")
+        return {
+            "lemma": "si",
+            "j": j,
+            "form": form,
+            "a": a,
+            "b": b,
+            "scores": {str(i): v for i, v in svals.items()},
+            "violations": bad,
+        }
+
+    if len(set(observers)) != 4 or not paired:
+        raise InputError(f"paired observers {observers} repeat or come from sides that are not biconnected")
+    a, a2, b, b2 = observers
+    comp_a, comp_b, _ = sides["AB"]
+    pair_scores = {}
     for i in range(5):
         if i == j:
             continue
-        svals[i] = s_value(cfg, a, b, i)
+        si, si2 = sorted((s_value(cfg, a, b, i), s_value(cfg, a2, b2, i)), reverse=True)
+        pair_scores[str(i)] = [si, si2]
+        if si + si2 < 3:
+            continue
         blk = cfg.blocks[i]
-        if i >= 1 and not cfg.connected[i]:
-            if svals[i] > 0:
-                out.append(f"(a) disconnected block {i} has score {svals[i]} > 0")
-        if i >= 1 and cfg.connected[i]:
-            for x in (a, b):
-                hits = [pos for pos, w in enumerate(blk) if h.has_edge(x, w)]
-                if any(q - pq > 2 for pq, q in zip(hits, hits[1:])):
-                    out.append(f"(b) vertex {x} has spread neighbors on block {i}")
-                if len(hits) > 3:
-                    out.append(f"(b) vertex {x} has {len(hits)} > 3 neighbors on block {i}")
-            lo, hi = -len(blk), min(len(blk), 6 - len(blk))
-            if not lo <= svals[i] <= hi:
-                out.append(f"(c) score {svals[i]} of block {i} outside [{lo}, {hi}]")
-    return out, svals
+        if si + si2 not in (3, 4) or len(blk) not in (2, 3):
+            bad.append(f"(a) pair scores {si}+{si2} block size {len(blk)}")
+        if len(blk) == 3:
+            covered = any(not cfg.block_mask(i) & ~g.adj[x] for x in bits(comp_a))
+            if covered and g.adj[blk[1]] & comp_b:
+                bad.append(f"(b) covered middle of block {i} sees the far side")
+        if si + si2 == 4:
+            if si != 2 or si2 != 2:
+                bad.append(f"(c) pair scores {si},{si2} not both 2")
+            elif not all(g.has_edge(x, e) for x in observers for e in (blk[0], blk[-1])):
+                bad.append(f"(c) observers not complete to block {i} ends")
+    return {
+        "lemma": "si2",
+        "j": j,
+        "form": form,
+        "observers": [a, a2, b, b2],
+        "pair_scores": pair_scores,
+        "violations": bad,
+    }
 
 
 def campaign_lemma_si(
@@ -97,16 +200,12 @@ def campaign_lemma_si(
     """Sample configurations and assert the coverage-score conclusions on
     every (a, b) draw whose preconditions hold. Violations are findings."""
     instances = []
-    violations = []
     done = 0
     host_idx = 0
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     while done < samples and host_idx < 40 * (samples + 1):
         t0 = _now(no_timestamps)
-        use_split = host_idx % 5 != 4
-        if use_split:
+        if host_idx % 5 != 4:
             host = gen_split_host(seed * 1000 + host_idx, blob_size=rng.randint(*size_range))
             g, terminals = host.graph, host.terminals
         else:
@@ -114,32 +213,16 @@ def campaign_lemma_si(
             terminals = tuple(rng.sample(range(g.n), 9))
         host_idx += 1
         cfg = build_configuration(g, terminals)
-        inst = {
-            "graph6": write_graph6(g),
-            "terminals": list(terminals),
-            "blocks": [list(b) for b in cfg.blocks],
-            "samples": [],
-            "skipped": False,
-        }
         djs = [i for i in range(1, 5) if not cfg.connected[i]]
-        if not djs:
-            inst["skipped"] = True
-            inst["wall_ms"] = _elapsed_ms(t0)
-            instances.append(inst)
-            continue
+        records = []
         for j in djs:
             if done >= samples:
                 break
+            sides = _sides(cfg, j)
+            if sides is None:
+                continue
             uj, vj = cfg.pairs[j - 1]
-            cover = cfg.cover_mask
-            dom = g.full_mask & ~(cover & ~mask_of((uj, vj)))
-            comp_a = reachable(g, 1 << uj, dom)
-            comp_b = reachable(g, 1 << vj, dom)
-            if comp_a & comp_b:
-                continue  # the sides must be disjoint for the setup to apply
-            aj = g.adj[uj] & ~cover
-            bj = g.adj[vj] & ~cover
-            for form, amask, bmask in (("AB", comp_a, comp_b), ("AjBj", aj, bj)):
+            for form, (amask, bmask, paired) in sides.items():
                 if done >= samples:
                     break
                 pool_a = set_of(amask & ~(1 << uj))
@@ -149,107 +232,23 @@ def campaign_lemma_si(
                 for _ in range(3):
                     if done >= samples:
                         break
-                    a = rng.choice(pool_a)
-                    b = rng.choice(pool_b)
-                    bad, svals = _score_checks(cfg, j, a, b)
-                    total = sum(svals.values()) + s_value(cfg, a, b, j)
-                    # the side remainders are taken outside the block system so
-                    # the decomposition behind (d) stays disjoint; in the
-                    # neighborhood form the sets avoid it already
-                    ta = (amask & ~neighbors_closed(g, a) & ~cover).bit_count()
-                    tb = (bmask & ~neighbors_closed(g, b) & ~cover).bit_count()
-                    rhs = g.degree(a) + g.degree(b) - (g.n - 2) + ta + tb
-                    if total < rhs:
-                        bad.append(f"(d) total score {total} < bound {rhs}")
-                    e_applies = (
-                        form == "AB"
-                        and _is_biconnected(g, comp_a)
-                        and _is_biconnected(g, comp_b)
-                        and (g.full_mask & ~(comp_a | comp_b)).bit_count() <= g.min_degree() - 2
-                    )
-                    if e_applies:
-                        for i in range(1, 5):
-                            if i != j and cfg.connected[i] and svals.get(i) == 3:
-                                bad.append(f"(e) connected block {i} has score 3")
-                    rec = {
-                        "lemma": "si",
-                        "j": j,
-                        "form": form,
-                        "a": a,
-                        "b": b,
-                        "scores": {str(i): v for i, v in svals.items()},
-                        "violations": bad,
-                    }
-                    inst["samples"].append(rec)
+                    draw = [rng.choice(pool_a), rng.choice(pool_b)]
+                    records.append(_lemma_record(cfg, j, form, sides, draw))
                     done += 1
-                    if bad:
-                        violations.append({"instance": len(instances), **rec})
                 # paired draws for the two-observer conclusions
-                if len(pool_a) >= 2 and len(pool_b) >= 2 and done < samples:
-                    two_ok = form == "AjBj" or (
-                        _is_biconnected(g, amask) and _is_biconnected(g, bmask)
-                    )
-                    if two_ok:
-                        a, a2 = rng.sample(pool_a, 2)
-                        b, b2 = rng.sample(pool_b, 2)
-                        bad = []
-                        pair_scores = {}
-                        for i in range(5):
-                            if i == j:
-                                continue
-                            si = s_value(cfg, a, b, i)
-                            si2 = s_value(cfg, a2, b2, i)
-                            if si < si2:
-                                si, si2 = si2, si
-                                lo_pair = ((a2, b2), (a, b))
-                            else:
-                                lo_pair = ((a, b), (a2, b2))
-                            pair_scores[str(i)] = [si, si2]
-                            if si + si2 < 3:
-                                continue
-                            blk = cfg.blocks[i]
-                            if si + si2 not in (3, 4) or len(blk) not in (2, 3):
-                                bad.append(f"(a) pair scores {si}+{si2} block size {len(blk)}")
-                            if len(blk) == 3:
-                                mid = blk[1]
-                                if any(
-                                    all(g.has_edge(x, w) for w in blk)
-                                    for x in bits(comp_a)
-                                ) and g.adj[mid] & comp_b:
-                                    bad.append(f"(b) covered middle of block {i} sees the far side")
-                            if si + si2 == 4:
-                                (aa, bb), (aa2, bb2) = lo_pair
-                                ends = (blk[0], blk[-1])
-                                if si != 2 or si2 != 2:
-                                    bad.append(f"(c) pair scores {si},{si2} not both 2")
-                                elif not all(
-                                    g.has_edge(x, e) for x in (aa, aa2, bb, bb2) for e in ends
-                                ):
-                                    bad.append(f"(c) observers not complete to block {i} ends")
-                        rec = {
-                            "lemma": "si2",
-                            "j": j,
-                            "form": form,
-                            "observers": [a, a2, b, b2],
-                            "pair_scores": pair_scores,
-                            "violations": bad,
-                        }
-                        inst["samples"].append(rec)
-                        done += 1
-                        if bad:
-                            violations.append({"instance": len(instances), **rec})
-        inst["wall_ms"] = _elapsed_ms(t0)
-        instances.append(inst)
-    return {
-        "schema": SCHEMA,
-        "experiment": "lemma-si",
-        "seed": seed,
-        "samples_requested": samples,
-        "samples_run": done,
-        "timestamp": _now(no_timestamps),
-        "instances": instances,
-        "violations": violations,
-    }
+                if len(pool_a) >= 2 and len(pool_b) >= 2 and done < samples and paired:
+                    draw = rng.sample(pool_a, 2) + rng.sample(pool_b, 2)
+                    records.append(_lemma_record(cfg, j, form, sides, draw))
+                    done += 1
+        instances.append({
+            "graph6": write_graph6(g),
+            "terminals": list(terminals),
+            "blocks": [list(b) for b in cfg.blocks],
+            "samples": records,
+            "skipped": not djs,
+            "wall_ms": _elapsed_ms(t0),
+        })
+    return _report("lemma-si", seed, samples, _now(no_timestamps), instances)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +392,7 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
     """Replay the dense-host linkage pipeline on complete and near-complete
     hosts: mass check, minimization, dense-subgraph certificate, and an
     explicit four-pair linkage assembled through it."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     hosts = [Graph.complete(32), complete_minus_matching(33, 16)]
     jobs = []
     for hidx, g in enumerate(hosts):
@@ -404,20 +401,27 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
             pairs = tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4))
             jobs.append((g, pairs))
     results = [_pipeline_one(g, pairs, 30, seed, no_timestamps) for g, pairs in jobs]
-    violations = [
-        {"instance": i, "stages": inst["stages"]}
-        for i, inst in enumerate(results)
-        if not inst["ok"]
-    ]
+    return _report("pipeline-4linked", seed, samples, _now(no_timestamps), results)
+
+
+def _report(experiment: str, seed, samples, timestamp, instances: list) -> dict:
+    """A campaign report around its instances, with ``samples_run`` and
+    ``violations`` tallied from them: a lemma-si sample is a record and a
+    violation when it lists any; a pipeline sample is an instance and a
+    violation when it did not finish."""
+    if experiment == "lemma-si":
+        runs = [(i, rec, rec["violations"]) for i, inst in enumerate(instances) for rec in inst["samples"]]
+    else:
+        runs = [(i, {"stages": inst["stages"]}, not inst["ok"]) for i, inst in enumerate(instances)]
     return {
         "schema": SCHEMA,
-        "experiment": "pipeline-4linked",
+        "experiment": experiment,
         "seed": seed,
         "samples_requested": samples,
-        "samples_run": len(results),
-        "timestamp": _now(no_timestamps),
-        "instances": results,
-        "violations": violations,
+        "samples_run": len(runs),
+        "timestamp": timestamp,
+        "instances": instances,
+        "violations": [{"instance": i, **entry} for i, entry, bad in runs if bad],
     }
 
 
@@ -434,18 +438,12 @@ def _check_into_paths(g: Graph, s: int, stage: dict, cand: Optional[int]) -> dic
         raise InputError("into-paths count does not match its paths")
     used = 0
     for path in paths:
-        if not path or not all(type(v) is int and 0 <= v < g.n for v in path):
-            raise InputError(f"into-path {path} is not a vertex sequence of the host")
+        m = check_path(g, path)
         if not (s >> path[0]) & 1:
             raise InputError(f"into-path {path} does not start at a terminal")
-        m = mask_of(path)
-        if m.bit_count() != len(path):
-            raise InputError(f"into-path {path} repeats a vertex")
         if m & used:
             raise InputError("into-paths are not vertex-disjoint")
         used |= m
-        if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
-            raise InputError(f"into-path {path} leaves the host's edges")
         if cand is not None and not (cand >> path[-1]) & 1:
             raise InputError(f"into-path {path} does not end inside the candidate")
     return {path[0]: path for path in paths}
@@ -480,24 +478,18 @@ def revalidate_report(report: dict) -> None:
                 or sorted(zip(terminals[1::2], terminals[2::2])) != sorted(cfg.pairs)
             ):
                 raise InputError("terminals are not the anchor and the block ends")
+            djs = [i for i in range(1, 5) if not cfg.connected[i]]
+            if inst["skipped"] != (not djs):
+                raise InputError("an instance is skipped exactly when its pair blocks are all connected")
+            sides = {j: _sides(cfg, j) for j in djs}
             for rec in inst["samples"]:
-                if rec["lemma"] == "si":
-                    observers = [(rec["a"], rec["b"])]
-                    claims = {i_str: [val] for i_str, val in rec["scores"].items()}
-                elif rec["lemma"] == "si2":
-                    a, a2, b, b2 = rec["observers"]
-                    observers = [(a, b), (a2, b2)]
-                    claims = rec["pair_scores"]
-                else:
-                    raise InputError(f"unknown lemma record {rec['lemma']!r}")
-                for i_str, val in claims.items():
-                    # a pair's two scores are written higher first
-                    i = int(i_str)
-                    got = sorted((s_value(cfg, x, y, i) for x, y in observers), reverse=True)
-                    if got != val:
-                        raise InputError(
-                            f"embedded scores {val} for block {i_str} do not recompute ({got})"
-                        )
+                j, lemma = rec.get("j"), rec.get("lemma")
+                observers = [rec.get("a"), rec.get("b")] if lemma == "si" else rec.get("observers")
+                if not isinstance(observers, list):
+                    raise InputError(f"sample record {rec} names no observers")
+                block_sides = sides.get(j) if type(j) is int else None
+                if rec != _lemma_record(cfg, j, rec.get("form"), block_sides, observers):
+                    raise InputError(f"sample record {rec} does not recompute")
     elif kind == "pipeline-4linked":
         for inst in report["instances"]:
             g = parse_graph6(inst["graph6"])
@@ -531,6 +523,12 @@ def revalidate_report(report: dict) -> None:
                 raise InputError("massed stage does not recompute")
     else:
         raise InputError(f"unknown experiment kind {kind!r}")
+    # the tallies read the records, so they are checked after the instances
+    tallied = _report(
+        kind, report.get("seed"), report.get("samples_requested"), report.get("timestamp"), report["instances"]
+    )
+    if report != tallied:
+        raise InputError("samples_run or violations do not match the instances")
 
 
 def report_to_json(report: dict) -> str:

@@ -322,27 +322,27 @@ def recombine(
     u: int,
     plan: RecombinationPlan,
     phi2prime: Coloring,
-    domain1: Optional[int] = None,
-    domain2: Optional[int] = None,
+    domain1: int,
+    domain2: int,
 ) -> Coloring:
     """Merge the side colorings into one proper coloring of the whole graph.
 
-    The side-2 coloring must be proper, monochromatic on ``u``, constant on
-    every class, and use the group code of each set of classes it merges (a
-    solo class keeps its own color). Swapping, per component: the side-2
-    color with the class color on each class component, and the side-2 color
-    of its separator vertices with the reserved color on each leftover
-    component. The result is asserted proper; a failure here would mean the
-    swap argument itself is wrong and raises InternalConsistencyError.
+    ``domain1`` and ``domain2`` are the vertex masks of the two sides, which
+    must cover the graph and meet exactly in ``s``. The side-2 coloring must
+    be proper, monochromatic on ``u``, constant on every class, and use the
+    group code of each set of classes it merges (a solo class keeps its own
+    color). Swapping, per component: the side-2 color with the class color
+    on each class component, and the side-2 color of its separator vertices
+    with the reserved color on each leftover component. The result is
+    asserted proper; a failure here would mean the swap argument itself is
+    wrong and raises InternalConsistencyError.
     """
-    dom1 = _resolve_domain(g1, s, domain1)
-    dom2 = _resolve_domain(g2, s, domain2)
-    if dom1 != plan.domain:
+    if domain1 != plan.domain:
         raise PreconditionError("plan-domain", "plan was built for a different side-1 domain")
-    if (dom1 | dom2) != g.full_mask or (dom1 & dom2) != s:
+    if (domain1 | domain2) != g.full_mask or (domain1 & domain2) != s:
         raise PreconditionError("gluing", "sides must cover the graph and meet exactly in s")
-    for v in bits(dom1 & ~s):
-        if g.adj[v] & dom2 & ~s:
+    for v in bits(domain1 & ~s):
+        if g.adj[v] & domain2 & ~s:
             raise PreconditionError("gluing", "edge between the private sides")
     for v in range(g.n):
         row1 = g1.adj[v] if v < g1.n else 0
@@ -353,7 +353,7 @@ def recombine(
     r = plan.phi1.palette_size
     if phi2prime.palette_size != r:
         raise PreconditionError("palette", "side colorings use different palettes")
-    phi2prime.check_proper(g2, dom2)
+    phi2prime.check_proper(g2, domain2)
     mu = None
     for v in bits(u):
         if mu is None:
@@ -422,7 +422,7 @@ def recombine(
 
     phi1prime = Coloring(tuple(new1), r)
     try:
-        phi1prime.check_proper(g1, dom1)
+        phi1prime.check_proper(g1, domain1)
     except InputError as exc:
         raise InternalConsistencyError(f"swaps broke properness on side 1: {exc}") from exc
     for v in bits(s):
@@ -432,17 +432,10 @@ def recombine(
             )
     merged = [0] * g.n
     for v in range(g.n):
-        merged[v] = phi1prime.colors[v] if (dom1 >> v) & 1 else phi2prime.colors[v]
+        merged[v] = phi1prime.colors[v] if (domain1 >> v) & 1 else phi2prime.colors[v]
     final = Coloring(tuple(merged), r)
     try:
         final.check_proper(g)
     except InputError as exc:
         raise InternalConsistencyError(f"merged coloring is not proper: {exc}") from exc
     return final
-
-
-def _resolve_domain(side: Graph, s: int, explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    support = mask_of(v for v in range(side.n) if side.adj[v])
-    return support | s

@@ -58,6 +58,20 @@ def pairs_spec(pairs: Sequence[tuple[int, int]]) -> TerminalSpec:
     return TerminalSpec(tuple(tuple(p) for p in pairs))
 
 
+def check_path(g: Graph, path: Sequence[int]) -> int:
+    """Raise InputError unless ``path`` is a nonempty sequence of vertices of
+    ``g`` that repeats none and runs along edges of ``g``; return its mask."""
+    if not path or not all(type(x) is int and 0 <= x < g.n for x in path):
+        raise InputError(f"path {path} is not a nonempty sequence of vertices of the graph")
+    m = mask_of(path)
+    if m.bit_count() != len(path):
+        raise InputError(f"path {path} repeats a vertex")
+    for a, b in zip(path, path[1:]):
+        if not g.has_edge(a, b):
+            raise InputError(f"{a},{b} on path {path} is not an edge")
+    return m
+
+
 @dataclass(frozen=True)
 class Linkage:
     paths: tuple[tuple[int, ...], ...]
@@ -67,18 +81,11 @@ class Linkage:
             raise InputError("path count does not match the terminal parts")
         used = 0
         for part, path in zip(spec.parts, self.paths):
-            if not path or not all(type(x) is int and 0 <= x < g.n for x in path):
-                raise InputError(f"path {path} is not a nonempty sequence of vertices of the graph")
+            m = check_path(g, path)
             if len(part) != 2:
                 raise InputError("linkage parts must be pairs")
             if {path[0], path[-1]} != set(part):
                 raise InputError(f"path {path} does not join {part}")
-            if len(set(path)) != len(path):
-                raise InputError(f"path {path} repeats a vertex")
-            for a, b in zip(path, path[1:]):
-                if not g.has_edge(a, b):
-                    raise InputError(f"{a},{b} on path {path} is not an edge")
-            m = mask_of(path)
             if m & used:
                 raise InputError("paths are not vertex-disjoint")
             if m & spec.forbidden:

@@ -78,15 +78,61 @@ def test_lemma_si_pair_conclusions_trigger():
 def test_revalidation_catches_tampering():
     rep = campaign_lemma_si(10, seed=2, no_timestamps=True)
     blob = json.loads(report_to_json(rep))
-    for inst in blob["instances"]:
-        for s in inst["samples"]:
-            if s["lemma"] == "si" and s["scores"]:
-                key = next(iter(s["scores"]))
-                s["scores"][key] += 5
-                with pytest.raises(InputError):
-                    load_report(json.dumps(blob))
-                return
-    pytest.skip("no scored sample found")
+    scored = next(
+        s for inst in blob["instances"] for s in inst["samples"] if s["lemma"] == "si" and s["scores"]
+    )
+    scored["scores"][next(iter(scored["scores"]))] += 5
+    with pytest.raises(InputError):
+        load_report(json.dumps(blob))
+
+    text = report_to_json(campaign_lemma_si(30, seed=3, no_timestamps=True))
+    first = json.loads(text)["instances"][0]
+    assert first["blocks"][1:] == [[23, 24], [25, 26], [27, 0, 28], [1, 12]]
+    assert first["samples"][0]["j"] == 4
+    assert first["samples"][7]["form"] == "AjBj" and first["samples"][7]["observers"] == [7, 10, 15, 16]
+
+    def sample(blob):
+        return blob["instances"][0]["samples"][0]
+
+    def faked_violations(blob):
+        sample(blob)["violations"] = ["(d) total score 0 < bound 1"]
+
+    def emptied_scores(blob):
+        sample(blob)["scores"] = {}
+
+    def unknown_form(blob):
+        sample(blob)["form"] = "zz"
+
+    def connected_j(blob):
+        sample(blob)["j"] = 1
+
+    def j_out_of_range(blob):
+        sample(blob)["j"] = 9
+
+    def flipped_skipped(blob):
+        blob["instances"][0]["skipped"] = True
+
+    def samples_run(blob):
+        blob["samples_run"] -= 1
+
+    def fake_violation(blob):
+        blob["violations"].append({"instance": 0, **sample(blob)})
+
+    def si2_observer_outside_side(blob):
+        # 4 lies in the component A of block 4's end 1 but not among the
+        # end's neighbors A_j, which is the side of form AjBj
+        blob["instances"][0]["samples"][7]["observers"][1] = 4
+
+    def si2_observer_repeated(blob):
+        blob["instances"][0]["samples"][3]["observers"][1] = 3  # [3, 2, 19, 16] -> [3, 3, 19, 16]
+
+    for tamper in (faked_violations, emptied_scores, unknown_form, connected_j, j_out_of_range,
+                   flipped_skipped, samples_run, fake_violation, si2_observer_outside_side,
+                   si2_observer_repeated):
+        blob = json.loads(text)
+        tamper(blob)
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
 
 
 def test_revalidation_rejects_malformed_blocks():
@@ -108,7 +154,10 @@ def test_revalidation_rejects_malformed_blocks():
         blob = json.loads(report_to_json(rep))
         inst = blob["instances"][0]
         inst["blocks"] = blocks
-        inst["samples"] = []  # no recomputed score can give the tampering away
+        # no recomputed record can give the tampering away, and the tallies
+        # still match the instances
+        blob["samples_run"] -= len(inst["samples"])
+        inst["samples"] = []
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
 
@@ -171,12 +220,23 @@ def test_pipeline_tampered_linkage_detected():
     def no_massed(inst):
         inst["stages"] = [st for st in inst["stages"] if st["stage"] != "massed"]
 
+    def samples_run(blob):
+        blob["samples_run"] += 1
+
+    def fake_violation(blob):
+        blob["violations"].append({"instance": 0, "stages": blob["instances"][0]["stages"]})
+
     texts = {seed: report_to_json(campaign_pipeline_4linked(1, seed=seed, no_timestamps=True)) for seed in (3, 11)}
     assert _linkage_stage(json.loads(texts[3])["instances"][0])["paths"][0] == [15, 1, 3, 18]
     cases = [(11, repeated)] + [(3, t) for t in (empty_path, float_path, float_pair, fractional_p, no_massed)]
     for seed, tamper in cases:
         blob = json.loads(texts[seed])
         tamper(blob["instances"][0])
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
+    for tamper in (samples_run, fake_violation):
+        blob = json.loads(texts[3])
+        tamper(blob)
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
 

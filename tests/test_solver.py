@@ -18,6 +18,7 @@ from knitweave.solver import (
     is_k_linked,
     is_profile_knitted,
     iter_paths,
+    iter_paths_by_length,
     knit,
     max_vertex_disjoint_flow,
     pairs_spec,
@@ -61,6 +62,11 @@ def test_iter_paths_matches_oracle():
         for cap in (None, 2, 3, 4, 6):
             assert list(iter_paths(g, u, v, allowed, cap)) == [
                 p for p in want if cap is None or len(p) <= cap
+            ]
+        shortest_first = sorted(want, key=lambda p: (len(p), p))
+        for cap in range(2, 7):
+            assert list(iter_paths_by_length(g, u, v, allowed, cap)) == [
+                p for p in shortest_first if len(p) <= cap
             ]
 
 
