@@ -504,10 +504,10 @@ def revalidate_report(report: dict) -> None:
                     cand = mask_of(v for v in st["candidate"] if type(v) is int and 0 <= v < g.n)
                 if st["stage"] == "paths-into-subgraph":
                     into = _check_into_paths(g, s, st, cand)
-            if inst["ok"]:
-                final = [st for st in inst["stages"] if st["stage"] == "linkage"]
-                if not final:
-                    raise InputError("successful instance lacks a linkage certificate")
+            final = [st for st in inst["stages"] if st["stage"] == "linkage"]
+            if inst["ok"] != bool(final):
+                raise InputError("an instance is ok exactly when it has a linkage certificate")
+            if final:
                 linkage = Linkage(tuple(tuple(pp) for pp in final[0]["paths"]))
                 linkage.validate(g, spec)
                 # each path enters by x's into-path and leaves by y's

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     InputError,
@@ -118,17 +118,6 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     return ub, Coloring(tuple(greedy), ub)
 
 
-def _single_deletions(g: Graph) -> Iterator[MinorWitness]:
-    """G - v for every vertex v, then G - e for every edge e."""
-    singletons = tuple(1 << v for v in range(g.n))
-    edges = tuple(g.edges())
-    for v in range(g.n):
-        kept = tuple((i - (i > v), j - (j > v)) for i, j in edges if v not in (i, j))
-        yield MinorWitness(g, singletons[:v] + singletons[v + 1:], kept)
-    for e in edges:
-        yield MinorWitness(g, singletons, tuple(f for f in edges if f != e))
-
-
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
     """Whether the chromatic number is exactly k and every proper minor needs
     fewer colors. On failure returns a validated witness minor.
@@ -137,12 +126,35 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     G/F with F nonempty, and deleting never raises the chromatic number. So
     the check tries the vertex deletions, then the edge deletions, then
     :func:`contraction_quotients`, and returns the first of them that needs
-    k colors.
+    k colors. An edge vw is not tried when N(v) - w misses a color of the
+    (k - 1)-coloring found for G - v: v takes that color in G - vw, so G - vw
+    needs fewer than k colors.
     """
     chi, _ = chromatic_number(g)
     if chi != k:
         return False, None
-    for wit in itertools.chain(_single_deletions(g), contraction_quotients(g)):
+    singletons = tuple(1 << v for v in range(g.n))
+    edges = tuple(g.edges())
+    # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
+    spare = []
+    for v in range(g.n):
+        kept = tuple((i - (i > v), j - (j > v)) for i, j in edges if v not in (i, j))
+        wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], kept)
+        c, coloring = chromatic_number(wit.quotient())
+        if c >= k:
+            wit.validate()
+            return False, wit
+        colors = coloring.colors[:v] + (-1,) + coloring.colors[v:]
+        classes = [0] * (k - 1)  # N(v) by color; disjoint, so a sum is a union
+        for w in bits(g.adj[v]):
+            classes[colors[w]] |= 1 << w
+        spare.append(g.adj[v] if 0 in classes else sum(m for m in classes if m.bit_count() == 1))
+    edge_deletions = (
+        MinorWitness(g, singletons, tuple(f for f in edges if f != (u, w)))
+        for u, w in edges
+        if not (spare[u] >> w & 1 or spare[w] >> u & 1)
+    )
+    for wit in itertools.chain(edge_deletions, contraction_quotients(g)):
         if chromatic_number(wit.quotient())[0] >= k:
             wit.validate()
             return False, wit

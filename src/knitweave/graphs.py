@@ -281,18 +281,30 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact canonical form: (n, lexicographically maximal row-bit sequence).
 
     Row i of a vertex ordering records adjacency toward the already placed
-    vertices, the first placed one in its highest bit. The search places at
-    each position only vertices whose row is the largest, one of each twin
-    pair (swapping twins is an automorphism), and drops a prefix whose row
-    falls below the best sequence found.
+    vertices, the first placed one in its highest bit.
     """
-    n, adj = g.n, g.adj
+    return (g.n, _max_rows(g.n, g.adj))
+
+
+def _max_rows(
+    n: int, adj: tuple[int, ...], bound: Optional[tuple[int, ...]] = None
+) -> Optional[tuple[int, ...]]:
+    """The largest row sequence over every vertex ordering of the graph.
+
+    The search places at each position only vertices whose row is the
+    largest, one of each twin pair (swapping twins is an automorphism), and
+    drops a prefix whose row falls below the best sequence found. Given
+    ``bound``, the rows of some ordering, it returns None as soon as a
+    prefix beats the bound and the bound itself when none does.
+    """
     # the best sequence found; its first entries are the current prefix's
     # rows, and a prefix that beats it overwrites it from there on
-    best = [0] if n else []
+    best = list(bound) if bound is not None else [0] if n else []
     # one frame per position: the rows toward the placed vertices (-1 for a
-    # placed one) and the vertices with the largest row left to try, last first
-    stack = [([0] * n, list(range(n - 1, -1, -1)))]
+    # placed one) and the vertices with the largest row left to try, popped
+    # highest label first: a census candidate's bound comes from the ordering
+    # by falling labels, so its vertices are tried first (nonisomorphic_graphs)
+    stack = [([0] * n, list(range(n)))]
     while stack:
         rows, todo = stack[-1]
         if not todo:
@@ -309,9 +321,11 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
         if i < len(best) and top < best[i]:
             continue
         if i == len(best) or top > best[i]:
+            if bound is not None:
+                return None
             best[i:] = [top]
-        stack.append((nxt, [w for w in range(n - 1, -1, -1) if nxt[w] == top]))
-    return (n, tuple(best))
+        stack.append((nxt, [w for w in range(n) if nxt[w] == top]))
+    return tuple(best)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -322,7 +336,25 @@ _CENSUS_CACHE: dict[int, list[Graph]] = {}
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """All graphs on ``n`` vertices up to isomorphism (small n only)."""
+    """All graphs on ``n`` vertices up to isomorphism (small n only), by
+    orderly generation from the graphs on n - 1 vertices.
+
+    Let S be the canonical rows of G (see :func:`canonical_form`), reached
+    by the ordering s, and let x be the last vertex of s. The first n - 1
+    rows of S are the canonical rows of G - x: if an ordering t of G - x
+    gave larger rows, t followed by x would beat s on G, since a row reads
+    only the vertices placed before it. A row sequence determines its graph,
+    so each class on n vertices is exactly one pair (canonical rows R of a
+    class on n - 1 vertices, last row r) such that R + (r,) is the largest
+    row sequence of the graph it describes, and a candidate is kept when
+    :func:`_max_rows` finds no ordering beating it. Swapping the last two
+    vertices moves row r >> 1 to position n - 2, so a candidate with
+    r >> 1 > R[-1] is never kept and is not built.
+
+    Vertex i of each graph is the (n - 1 - i)-th vertex of its canonical
+    ordering, so its canonical rows are ``adj[v] >> (v + 1)`` for v from
+    n - 1 down to 0, and a candidate's new last vertex is vertex 0.
+    """
     if n < 0:
         raise InputError("negative vertex count")
     if n > 8:
@@ -332,16 +364,14 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     if n == 0:
         out = [Graph.empty(0)]
     else:
-        seen = {}
+        out = []
         for g in nonisomorphic_graphs(n - 1):
-            for nb in range(1 << (n - 1)):
-                rows = [row | ((nb >> v & 1) << (n - 1)) for v, row in enumerate(g.adj)]
-                rows.append(nb)
-                h = Graph(n, tuple(rows))
-                key = canonical_form(h)
-                if key not in seen:
-                    seen[key] = h
-        out = list(seen.values())
+            rows = tuple(g.adj[v] >> (v + 1) for v in range(n - 2, -1, -1))
+            # the last rows r with r >> 1 <= rows[-1]
+            for r in range(2 * rows[-1] + 2 if rows else 1):
+                adj = (r << 1,) + tuple(a << 1 | (r >> v & 1) for v, a in enumerate(g.adj))
+                if _max_rows(n, adj, rows + (r,)) is not None:
+                    out.append(Graph(n, adj))
     _CENSUS_CACHE[n] = out
     return out
 

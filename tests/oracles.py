@@ -1,21 +1,33 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against the definitions directly, sharing no
-search machinery with the package, so the two sides can disagree. The two
+search machinery with the package, so the two sides can disagree. The
 exceptions are previous implementations kept as references:
 ``configuration_by_orders``, the previous configuration search, for the
-selected blocks, and ``flow_by_matrix``, the previous
+selected blocks; ``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
-and collected paths.
+and collected paths; ``census_by_dedup``, the previous census, for the
+isomorphism classes; and ``critical_by_scan``, the previous
+``is_contraction_critical``, for verdicts and witnesses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from knitweave.coloring import chromatic_number
 from knitweave.errors import InputError
-from knitweave.graphs import Graph, bits, mask_of, set_of
+from knitweave.graphs import (
+    Graph,
+    MinorWitness,
+    bits,
+    canonical_form,
+    contraction_quotients,
+    mask_of,
+    set_of,
+)
 from knitweave.solver import PATH_CAP, Configuration, iter_paths_by_length
 
 
@@ -466,3 +478,47 @@ def flow_by_matrix(
                 cur = nxt
             paths.append(tuple(path))
     return flow, paths
+
+
+# -- reference census --------------------------------------------------------
+
+@functools.cache
+def census_by_dedup(n: int) -> list[Graph]:
+    """Every graph on ``n`` vertices up to isomorphism: each one-vertex
+    extension of every class on n - 1 vertices, deduplicated by
+    ``canonical_form``."""
+    if n == 0:
+        return [Graph.empty(0)]
+    seen = {}
+    for g in census_by_dedup(n - 1):
+        for nb in range(1 << (n - 1)):
+            rows = [row | ((nb >> v & 1) << (n - 1)) for v, row in enumerate(g.adj)]
+            rows.append(nb)
+            h = Graph(n, tuple(rows))
+            seen.setdefault(canonical_form(h), h)
+    return list(seen.values())
+
+
+# -- reference contraction-criticality ---------------------------------------
+
+def _single_deletions(g: Graph) -> Iterator[MinorWitness]:
+    """G - v for every vertex v, then G - e for every edge e."""
+    singletons = tuple(1 << v for v in range(g.n))
+    edges = tuple(g.edges())
+    for v in range(g.n):
+        kept = tuple((i - (i > v), j - (j > v)) for i, j in edges if v not in (i, j))
+        yield MinorWitness(g, singletons[:v] + singletons[v + 1:], kept)
+    for e in edges:
+        yield MinorWitness(g, singletons, tuple(f for f in edges if f != e))
+
+
+def critical_by_scan(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
+    """Contraction-criticality by asking ``chromatic_number`` of every vertex
+    deletion, then every edge deletion, then every contraction quotient, and
+    returning the first that needs k colors."""
+    if chromatic_number(g)[0] != k:
+        return False, None
+    for wit in itertools.chain(_single_deletions(g), contraction_quotients(g)):
+        if chromatic_number(wit.quotient())[0] >= k:
+            return False, wit
+    return True, None

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from knitweave.campaigns import (
+    _report,
     campaign_lemma_si,
     campaign_pipeline_4linked,
     load_report,
@@ -226,6 +227,12 @@ def test_pipeline_tampered_linkage_detected():
     def fake_violation(blob):
         blob["violations"].append({"instance": 0, "stages": blob["instances"][0]["stages"]})
 
+    def flipped_ok(blob):
+        # a finished linkage reported as a failure, with the tallies to match
+        blob["instances"][0]["ok"] = False
+        blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
+                            blob["timestamp"], blob["instances"]))
+
     texts = {seed: report_to_json(campaign_pipeline_4linked(1, seed=seed, no_timestamps=True)) for seed in (3, 11)}
     assert _linkage_stage(json.loads(texts[3])["instances"][0])["paths"][0] == [15, 1, 3, 18]
     cases = [(11, repeated)] + [(3, t) for t in (empty_path, float_path, float_pair, fractional_p, no_massed)]
@@ -234,7 +241,7 @@ def test_pipeline_tampered_linkage_detected():
         tamper(blob["instances"][0])
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
-    for tamper in (samples_run, fake_violation):
+    for tamper in (samples_run, fake_violation, flipped_ok):
         blob = json.loads(texts[3])
         tamper(blob)
         with pytest.raises(InputError):

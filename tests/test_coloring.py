@@ -17,7 +17,7 @@ from knitweave.errors import InputError, PreconditionError, ResourceError, Split
 from knitweave.graphs import Graph, are_isomorphic, mask_of, nonisomorphic_graphs, set_of
 
 from conftest import random_graph
-from oracles import chromatic_by_enumeration, minors_by_recursion
+from oracles import chromatic_by_enumeration, critical_by_scan, minors_by_recursion
 from recomb_fixtures import build_recomb_fixture
 
 
@@ -74,6 +74,20 @@ def test_contraction_critical_matches_minor_oracle():
                 if wit is not None:
                     wit.validate()
                     assert chromatic_number(wit.quotient())[0] >= k
+
+
+def _verdict(result):
+    ok, wit = result
+    return ok, wit and (wit.branch_sets, wit.model_edges)
+
+
+def test_contraction_critical_matches_scan(census7):
+    rng = random.Random(13)
+    graphs = census7 + [random_graph(rng, 8, p=rng.uniform(0.2, 0.9)) for _ in range(100)]
+    for g in graphs:
+        chi = chromatic_number(g)[0]
+        for k in (chi - 1, chi, chi + 1):
+            assert _verdict(is_contraction_critical(g, k)) == _verdict(critical_by_scan(g, k)), (g, k)
 
 
 def test_contraction_critical_c5_pins_deep_minors():

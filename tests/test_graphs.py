@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from conftest import random_graph
 from oracles import (
     _canon_small,
     canonical_by_permutations,
+    census_by_dedup,
     clique_by_enumeration,
     contractions_by_recursion,
     independence_by_enumeration,
@@ -164,13 +166,37 @@ def test_contract_shrinks_and_stays_simple(g):
 
 def test_canonical_form_invariance():
     rng = random.Random(3)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 7))
+    graphs = [random_graph(rng, rng.randint(1, 7)) for _ in range(30)]
+    graphs += [random_graph(rng, n, p=rng.uniform(0.1, 0.9)) for n in range(8, 13) for _ in range(20)]
+    for g in graphs:
         perm = list(range(g.n))
         rng.shuffle(perm)
         edges = [(perm[u], perm[v]) for u, v in g.edges()]
         h = Graph.from_edges(g.n, edges)
         assert canonical_form(g) == canonical_form(h)
+
+
+A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+
+
+def test_census_matches_dedup_reference():
+    for n in range(8):
+        forms = [canonical_form(g) for g in nonisomorphic_graphs(n)]
+        assert len(forms) == len(set(forms)) == A000088[n]
+        assert set(forms) == {canonical_form(h) for h in census_by_dedup(n)}
+
+
+def test_census_labelling_reverses_canonical_order():
+    # vertex i is the (n - 1 - i)-th vertex of the canonical ordering
+    for n in range(8):
+        for g in nonisomorphic_graphs(n):
+            assert tuple(g.adj[v] >> (v + 1) for v in reversed(range(n))) == canonical_form(g)[1]
+
+
+def test_census_n8_budget():
+    t0 = time.perf_counter()
+    assert len(nonisomorphic_graphs(8)) == A000088[8]
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_canonical_form_matches_permutation_oracle():
