@@ -2,11 +2,12 @@
 configurations, and replay the dense-graph linkage pipeline end to end.
 
 Reports are self-contained JSON-ready dicts: every instance embeds its graph
-as graph6 and every claimed certificate can be re-checked by
-:func:`revalidate_report`, which trusts nothing it reads. It rebuilds every
-lemma-si sample record in full with the campaign's own record builder,
-recomputes each lemma-si instance's ``skipped`` flag, and recomputes both
-reports' ``samples_run`` and ``violations`` from their instances.
+as graph6, and :func:`revalidate_report` trusts nothing it reads. It rebuilds
+each instance from its embedded inputs with the same builders the campaign
+ran and compares the result field by field as JSON text, so every report
+field has one definition. Rebuilding a pipeline instance validates its
+linkage certificate again. Revalidation therefore costs about as much as the
+campaign did.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .solver import (
     Configuration,
     Linkage,
     build_configuration,
-    check_path,
     disjoint_paths,
     max_vertex_disjoint_flow,
     pairs_spec,
@@ -240,97 +240,92 @@ def campaign_lemma_si(
                     draw = rng.sample(pool_a, 2) + rng.sample(pool_b, 2)
                     records.append(_lemma_record(cfg, j, form, sides, draw))
                     done += 1
-        instances.append({
-            "graph6": write_graph6(g),
-            "terminals": list(terminals),
-            "blocks": [list(b) for b in cfg.blocks],
-            "samples": records,
-            "skipped": not djs,
-            "wall_ms": _elapsed_ms(t0),
-        })
+        instances.append({**_lemma_instance(g, terminals, cfg, records), "wall_ms": _elapsed_ms(t0)})
     return _report("lemma-si", seed, samples, _now(no_timestamps), instances)
+
+
+def _lemma_instance(g: Graph, terminals, cfg: Configuration, records: list) -> dict:
+    """One lemma-si instance without its ``wall_ms``; it is skipped exactly
+    when all four pair blocks are connected, since then nothing is drawn."""
+    return {
+        "graph6": write_graph6(g),
+        "terminals": list(terminals),
+        "blocks": [list(b) for b in cfg.blocks],
+        "samples": records,
+        "skipped": cfg.connected_count == 4,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Pipeline replay campaign
 # ---------------------------------------------------------------------------
 
-def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool) -> dict:
-    t0 = _now(no_timestamps)
+def _pipeline_stages(g: Graph, pairs: tuple, p: int, seed: int):
+    """Yield the pipeline's stages on one instance in order, up to and
+    including the first that is not ok."""
     s = mask_of(x for pr in pairs for x in pr)
-    stages = []
-    inst = {
-        "graph6": write_graph6(g),
-        "pairs": [list(pr) for pr in pairs],
-        "p": p,
-        "stages": stages,
-        "ok": False,
-    }
     rep = is_p_massed(g, s, p)
-    stages.append({
+    yield {
         "stage": "massed",
         "ok": rep.satisfied,
         "rho": rep.rho_value,
         "outside": (g.full_mask & ~s).bit_count(),
-    })
+    }
     if not rep.satisfied:
-        inst["wall_ms"] = _elapsed_ms(t0)
-        return inst
+        return
 
     work, work_s = g, s
     if pair_is_knitted(g, s)[0]:
-        stages.append({
+        yield {
             "stage": "minimize",
             "ok": True,
             "outcome": "already-knitted",
-        })
+        }
     else:
         res = descend_pair(g, s, p)
         work, work_s = res.graph, res.s
-        stages.append({
+        yield {
             "stage": "minimize",
             "ok": True,
             "outcome": "descended",
             "trail": [list(t) for t in res.trail],
             "graph6": write_graph6(work),
-        })
+        }
 
     clique = max_clique(work)
     if clique.bit_count() >= 9:
         cand = mask_of(set_of(clique)[:9])
-        stages.append({
+        yield {
             "stage": "dense-subgraph",
             "ok": True,
             "route": "clique",
             "candidate": sorted(set_of(cand)),
-        })
-        stages.append({"stage": "knitted-subgraph", "ok": True, "route": "clique"})
+        }
+        yield {"stage": "knitted-subgraph", "ok": True, "route": "clique"}
     else:
         hit = find_dense_neighborhood(work, work_s, p)
         if hit is None:
-            stages.append({"stage": "dense-subgraph", "ok": False})
-            inst["wall_ms"] = _elapsed_ms(t0)
-            return inst
+            yield {"stage": "dense-subgraph", "ok": False}
+            return
         v, drep = hit
         sub_mask = neighbors_closed(work, v)
-        stages.append({
+        yield {
             "stage": "dense-subgraph",
             "ok": True,
             "route": "neighborhood",
             "vertex": v,
             "case": drep.case,
-        })
+        }
         sub, vmap = induced(work, sub_mask)
         verdict = knitted1_check(sub, p, samples=20, seed=seed)
-        stages.append({
+        yield {
             "stage": "knitted-subgraph",
             "ok": verdict.status in ("certified", "sampled-pass"),
             "route": verdict.route,
             "status": verdict.status,
-        })
+        }
         if verdict.status == "not-found":
-            inst["wall_ms"] = _elapsed_ms(t0)
-            return inst
+            return
         cand = mask_of(vmap[i] for i in bits(verdict.candidate))
 
     # route |s| disjoint paths from s into the certified subgraph, then link
@@ -341,15 +336,14 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool
     trivial = [(x,) for x in bits(s & cand)]
     into = list(into) + trivial
     ok_flow = len(into) == s.bit_count()
-    stages.append({
+    yield {
         "stage": "paths-into-subgraph",
         "ok": ok_flow,
         "count": len(into),
         "paths": [list(pp) for pp in into],
-    })
+    }
     if not ok_flow:
-        inst["wall_ms"] = _elapsed_ms(t0)
-        return inst
+        return
     entry = {pp[0]: pp for pp in into}
     end_pairs = []
     for pr in pairs:
@@ -363,10 +357,9 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool
     if inner is None:
         inner = disjoint_paths(sub, pairs_spec(local))
         method = "exact"
-    stages.append({"stage": "link-inside", "ok": inner is not None, "method": method})
+    yield {"stage": "link-inside", "ok": inner is not None, "method": method}
     if inner is None:
-        inst["wall_ms"] = _elapsed_ms(t0)
-        return inst
+        return
     full_paths = []
     for pr, link in zip(pairs, inner.paths):
         left = entry[pr[0]]
@@ -378,14 +371,24 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int, no_timestamps: bool
         full_paths.append(tuple(path))
     linkage = Linkage(tuple(full_paths))
     linkage.validate(g, pairs_spec(pairs))
-    stages.append({
+    yield {
         "stage": "linkage",
         "ok": True,
         "paths": [list(pp) for pp in full_paths],
-    })
-    inst["ok"] = True
-    inst["wall_ms"] = _elapsed_ms(t0)
-    return inst
+    }
+
+
+def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int) -> dict:
+    """One pipeline instance without its ``wall_ms``. It is ok exactly when
+    its last stage is ok, and only a linkage stage ends ok."""
+    stages = list(_pipeline_stages(g, pairs, p, seed))
+    return {
+        "graph6": write_graph6(g),
+        "pairs": [list(pr) for pr in pairs],
+        "p": p,
+        "stages": stages,
+        "ok": stages[-1]["ok"],
+    }
 
 
 def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = False) -> dict:
@@ -400,7 +403,10 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
             verts = rng.sample(range(g.n), 8)
             pairs = tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4))
             jobs.append((g, pairs))
-    results = [_pipeline_one(g, pairs, 30, seed, no_timestamps) for g, pairs in jobs]
+    results = []
+    for g, pairs in jobs:
+        t0 = _now(no_timestamps)
+        results.append({**_pipeline_one(g, pairs, 30, seed), "wall_ms": _elapsed_ms(t0)})
     return _report("pipeline-4linked", seed, samples, _now(no_timestamps), results)
 
 
@@ -429,105 +435,92 @@ def _report(experiment: str, seed, samples, timestamp, instances: list) -> dict:
 # Revalidation
 # ---------------------------------------------------------------------------
 
-def _check_into_paths(g: Graph, s: int, stage: dict, cand: Optional[int]) -> dict:
-    """The paths of a ``paths-into-subgraph`` stage, by their terminal:
-    vertex-disjoint host paths from distinct terminals, ending in ``cand``
-    when it is known; ``ok`` iff every terminal has one."""
-    paths = stage["paths"]
-    if stage["count"] != len(paths) or stage["ok"] != (len(paths) == s.bit_count()):
-        raise InputError("into-paths count does not match its paths")
-    used = 0
-    for path in paths:
-        m = check_path(g, path)
-        if not (s >> path[0]) & 1:
-            raise InputError(f"into-path {path} does not start at a terminal")
-        if m & used:
-            raise InputError("into-paths are not vertex-disjoint")
-        used |= m
-        if cand is not None and not (cand >> path[-1]) & 1:
-            raise InputError(f"into-path {path} does not end inside the candidate")
-    return {path[0]: path for path in paths}
+def _same(a, b) -> bool:
+    """Equality of report parts as JSON text, where ``2.0 != 2`` and
+    ``True != 1``, unlike Python's ``==``. The text is compact, which
+    ``json`` writes in C."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _rebuild_lemma(g: Graph, inst: dict) -> dict:
+    """The lemma-si instance that ``inst``'s graph and terminals give, with
+    each of its sample records recomputed from the record's own draw."""
+    terminals, samples = inst.get("terminals"), inst.get("samples")
+    if not (isinstance(terminals, list) and all(type(t) is int for t in terminals)):
+        raise InputError("terminals must be a list of vertex indices")
+    if not (isinstance(samples, list) and all(isinstance(rec, dict) for rec in samples)):
+        raise InputError("samples must be a list of records")
+    cfg = build_configuration(g, terminals)
+    sides = {j: _sides(cfg, j) for j in range(1, 5) if not cfg.connected[j]}
+    records = []
+    for rec in samples:
+        j, lemma = rec.get("j"), rec.get("lemma")
+        observers = [rec.get("a"), rec.get("b")] if lemma == "si" else rec.get("observers")
+        if not isinstance(observers, list):
+            raise InputError(f"sample record {rec} names no observers")
+        block_sides = sides.get(j) if type(j) is int else None
+        records.append(_lemma_record(cfg, j, rec.get("form"), block_sides, observers))
+        if not _same(rec, records[-1]):
+            raise InputError(f"sample record {rec} does not recompute")
+    return _lemma_instance(g, terminals, cfg, records)
+
+
+def _rebuild_pipeline(g: Graph, inst: dict, seed: int) -> dict:
+    """The pipeline instance that ``inst``'s graph, pairs and p give; the
+    first stage, ``is_p_massed``, rejects a p that is not a nonnegative
+    integer."""
+    pairs = inst.get("pairs")
+    if not (
+        isinstance(pairs, list)
+        and len(pairs) == 4
+        and all(isinstance(pr, list) and len(pr) == 2 for pr in pairs)
+    ):
+        raise InputError("an instance needs four vertex pairs")
+    pairs = tuple(tuple(pr) for pr in pairs)
+    pairs_spec(pairs).check_in_graph(g)
+    return _pipeline_one(g, pairs, inst.get("p"), seed)
 
 
 def revalidate_report(report: dict) -> None:
-    """Re-check every embedded certificate; raises on the first mismatch.
+    """Rebuild every instance from its embedded inputs with the builders that
+    wrote it, and raise InputError on the first difference.
 
     A report is evidence, not a verdict: anything it claims must be
-    reproducible from the embedded graphs alone.
+    reproducible from the embedded graphs alone. A lemma-si instance is
+    rebuilt from its graph and terminals by ``build_configuration``, and each
+    sample record from its own draw; a pipeline instance is rerun from its
+    graph, pairs and p, which validates its linkage again. ``wall_ms`` and
+    ``timestamp`` are taken as read, and so is ``seed`` wherever no rebuilt
+    stage draws from it. The report's ``samples_run`` and
+    ``violations`` are then tallied from the rebuilt instances. Inputs are
+    checked before they are used, so malformed ones raise InputError too.
+    Revalidation costs about as much as running the campaign.
     """
-    if report.get("schema") != SCHEMA:
+    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
         raise InputError("unknown report schema")
-    kind = report.get("experiment")
-    if kind == "lemma-si":
-        for inst in report["instances"]:
-            g = parse_graph6(inst["graph6"])
-            blocks = inst["blocks"]
-            if not blocks or not blocks[0]:
-                raise InputError("block 0 must hold the anchor vertex")
-            cfg = Configuration(
-                host=g,
-                u0=blocks[0][0],
-                blocks=tuple(tuple(b) for b in blocks),
-            )
-            cfg.validate(induced_paths=False)
-            terminals = inst["terminals"]
-            if (
-                len(terminals) != 9
-                or not all(type(t) is int for t in terminals)
-                or terminals[0] != cfg.u0
-                or sorted(zip(terminals[1::2], terminals[2::2])) != sorted(cfg.pairs)
-            ):
-                raise InputError("terminals are not the anchor and the block ends")
-            djs = [i for i in range(1, 5) if not cfg.connected[i]]
-            if inst["skipped"] != (not djs):
-                raise InputError("an instance is skipped exactly when its pair blocks are all connected")
-            sides = {j: _sides(cfg, j) for j in djs}
-            for rec in inst["samples"]:
-                j, lemma = rec.get("j"), rec.get("lemma")
-                observers = [rec.get("a"), rec.get("b")] if lemma == "si" else rec.get("observers")
-                if not isinstance(observers, list):
-                    raise InputError(f"sample record {rec} names no observers")
-                block_sides = sides.get(j) if type(j) is int else None
-                if rec != _lemma_record(cfg, j, rec.get("form"), block_sides, observers):
-                    raise InputError(f"sample record {rec} does not recompute")
-    elif kind == "pipeline-4linked":
-        for inst in report["instances"]:
-            g = parse_graph6(inst["graph6"])
-            pairs = tuple(tuple(pr) for pr in inst["pairs"])
-            spec = pairs_spec(pairs)
-            s = spec.terminal_mask
-            cand = None
-            into = {}
-            for st in inst["stages"]:
-                if st["stage"] == "dense-subgraph" and st.get("route") == "clique":
-                    # only a host vertex can end an into-path
-                    cand = mask_of(v for v in st["candidate"] if type(v) is int and 0 <= v < g.n)
-                if st["stage"] == "paths-into-subgraph":
-                    into = _check_into_paths(g, s, st, cand)
-            final = [st for st in inst["stages"] if st["stage"] == "linkage"]
-            if inst["ok"] != bool(final):
-                raise InputError("an instance is ok exactly when it has a linkage certificate")
-            if final:
-                linkage = Linkage(tuple(tuple(pp) for pp in final[0]["paths"]))
-                linkage.validate(g, spec)
-                # each path enters by x's into-path and leaves by y's
-                for (x, y), path in zip(pairs, final[0]["paths"]):
-                    head, tail = into.get(x), into.get(y)
-                    if not (head and tail and path[:len(head)] == head and path[::-1][:len(tail)] == tail):
-                        raise InputError(f"linkage path {path} does not extend the into-paths of {x}, {y}")
-            massed = next((st for st in inst["stages"] if st["stage"] == "massed"), None)
-            if massed is None:
-                raise InputError("instance lacks its massed stage")
-            rep = is_p_massed(g, s, inst["p"])
-            if rep.satisfied != massed["ok"] or rep.rho_value != massed["rho"]:
-                raise InputError("massed stage does not recompute")
-    else:
+    kind, seed, requested = report.get("experiment"), report.get("seed"), report.get("samples_requested")
+    if kind not in ("lemma-si", "pipeline-4linked"):
         raise InputError(f"unknown experiment kind {kind!r}")
-    # the tallies read the records, so they are checked after the instances
-    tallied = _report(
-        kind, report.get("seed"), report.get("samples_requested"), report.get("timestamp"), report["instances"]
-    )
-    if report != tallied:
+    if type(seed) is not int or type(requested) is not int:
+        raise InputError("seed and samples_requested must be integers")
+    instances = report.get("instances")
+    if not (
+        isinstance(instances, list)
+        and all(isinstance(inst, dict) and isinstance(inst.get("graph6"), str) for inst in instances)
+    ):
+        raise InputError("instances must each embed a graph6 string")
+    rebuilt = []
+    for i, inst in enumerate(instances):
+        g = parse_graph6(inst["graph6"])
+        fresh = _rebuild_lemma(g, inst) if kind == "lemma-si" else _rebuild_pipeline(g, inst, seed)
+        rebuilt.append({**fresh, "wall_ms": inst.get("wall_ms")})
+        if not _same(inst, rebuilt[-1]):
+            raise InputError(f"instance {i} does not match its rebuild")
+    tallied = _report(kind, seed, requested, report.get("timestamp"), rebuilt)
+    # a lemma-si campaign stops at the samples requested; a negative request runs none
+    if kind == "lemma-si" and tallied["samples_run"] > max(requested, 0):
+        raise InputError("samples_run exceeds samples_requested")
+    if not _same(report, tallied):
         raise InputError("samples_run or violations do not match the instances")
 
 

@@ -60,15 +60,14 @@ class GreedyLinkResult:
     failed_pair: Optional[tuple[int, int]]
 
 
-def greedy_link(
-    l: Graph, spec: TerminalSpec, knitted_variant: bool = False
-) -> GreedyLinkResult:
+def greedy_link(l: Graph, spec: TerminalSpec) -> GreedyLinkResult:
     """Link each pair by its edge or by a fresh common neighbor, processing
     non-adjacent pairs in ascending order of common-neighbor count so the
     tightest pair meets the weakest demand.
 
-    When ``knitted_variant`` is set the interior vertices also avoid the
-    spec's forbidden set. All paths have at most three vertices.
+    Interior vertices avoid the terminals and the spec's forbidden set, so a
+    returned linkage passes ``Linkage.validate(l, spec)``. All paths have at
+    most three vertices.
     """
     spec.check_in_graph(l)
     if any(len(p) != 2 for p in spec.parts):
@@ -81,8 +80,7 @@ def greedy_link(
     nonadj.sort(key=lambda p: ((l.adj[p[0]] & l.adj[p[1]]).bit_count(), p))
     adj = [p for p in pairs if l.has_edge(*p)]
     ordering = tuple(pairs.index(p) for p in nonadj + adj)
-    terminals = spec.terminal_mask
-    avoid = terminals | (spec.forbidden if knitted_variant else 0)
+    avoid = spec.terminal_mask | spec.forbidden
     used_interior = 0
     link_of: dict[tuple[int, int], tuple[int, ...]] = {}
     for p in nonadj:

@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-greedy")
     p.add_argument("--pairs", required=True)
     p.add_argument("--forbidden")
-    p.add_argument("--knitted-variant", action="store_true")
 
     p = sub.add_parser("dense")
     p.add_argument("--p", type=int, required=True)
@@ -292,7 +291,7 @@ def _dispatch(args) -> int:
         return _emit({"certified": ok, "violating_pair": pair and list(pair)})
     if cmd == "certify-greedy":
         spec = _spec_from_args(args)
-        res = certify.greedy_link(g, spec, args.knitted_variant)
+        res = certify.greedy_link(g, spec)
         return _emit({
             "linked": res.linkage is not None,
             "paths": _paths_json(res.linkage),

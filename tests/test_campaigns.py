@@ -14,6 +14,7 @@ from knitweave.campaigns import (
 from knitweave.errors import InputError
 from knitweave.formats import parse_graph6
 from knitweave.graphs import bits, mask_of
+from knitweave.solver import Configuration
 
 from oracles import flow_by_matrix
 
@@ -127,11 +128,44 @@ def test_revalidation_catches_tampering():
     def si2_observer_repeated(blob):
         blob["instances"][0]["samples"][3]["observers"][1] = 3  # [3, 2, 19, 16] -> [3, 3, 19, 16]
 
+    def float_score(blob):
+        scores = sample(blob)["scores"]
+        key = next(k for k, v in scores.items() if v == 2)
+        scores[key] = 2.0
+
+    def float_samples_run(blob):
+        blob["samples_run"] = float(blob["samples_run"])
+
+    def fewer_requested(blob):
+        blob["samples_requested"] = 5  # 30 samples were run
+
     for tamper in (faked_violations, emptied_scores, unknown_form, connected_j, j_out_of_range,
                    flipped_skipped, samples_run, fake_violation, si2_observer_outside_side,
-                   si2_observer_repeated):
+                   si2_observer_repeated, float_score, float_samples_run, fewer_requested):
         blob = json.loads(text)
         tamper(blob)
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
+
+    def bare_block(blob):
+        # a connected block read as its bare pair: a valid configuration on
+        # the same terminals, with everything else made to agree, but not the
+        # best one
+        inst = blob["instances"][0]
+        g = parse_graph6(inst["graph6"])
+        blocks = [tuple(b) for b in inst["blocks"]]
+        i = next(i for i, b in enumerate(blocks) if i and len(b) > 2)
+        blocks[i] = (blocks[i][0], blocks[i][-1])
+        cfg = Configuration.normal(g, blocks[0][0], blocks[1:])
+        inst["blocks"] = [list(b) for b in cfg.blocks]
+        inst["skipped"] = cfg.connected_count == 4
+        inst["samples"] = []
+        blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
+                            blob["timestamp"], blob["instances"]))
+
+    for seed in (1, 2, 3):
+        blob = json.loads(report_to_json(campaign_lemma_si(30, seed, no_timestamps=True)))
+        bare_block(blob)
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
 
@@ -168,7 +202,7 @@ def test_revalidation_checks_terminals_against_blocks():
     inst = rep["instances"][0]
     assert inst["terminals"] == [22, 23, 24, 25, 26, 27, 28, 1, 12]
     swapped = inst["terminals"][:7] + [12, 1]  # block (1, 12) read as (12, 1)
-    for terminals in (list(range(9)), swapped, inst["terminals"][:8]):
+    for terminals in (list(range(9)), swapped, inst["terminals"][:8], [22.0] + inst["terminals"][1:]):
         blob = json.loads(report_to_json(rep))
         blob["instances"][0]["terminals"] = terminals
         with pytest.raises(InputError):
@@ -221,6 +255,32 @@ def test_pipeline_tampered_linkage_detected():
     def no_massed(inst):
         inst["stages"] = [st for st in inst["stages"] if st["stage"] != "massed"]
 
+    def one_vertex_pair(inst):
+        inst["pairs"][0] = [15]
+
+    def stage(inst, name):
+        return next(st for st in inst["stages"] if st["stage"] == name)
+
+    def descended(inst):
+        stage(inst, "minimize")["outcome"] = "descended"
+
+    def candidate_off_host(inst):
+        # 8 ends no into-path, and K32 has no vertex 40
+        stage(inst, "dense-subgraph")["candidate"][8] = 40
+
+    def sampled_route(inst):
+        stage(inst, "knitted-subgraph")["route"] = "sampled"
+
+    def exact_method(inst):
+        stage(inst, "link-inside")["method"] = "exact"
+
+    def stages_dropped(inst):
+        drop = ("minimize", "knitted-subgraph", "link-inside")
+        inst["stages"] = [st for st in inst["stages"] if st["stage"] not in drop]
+
+    def float_rho(inst):
+        stage(inst, "massed")["rho"] = float(stage(inst, "massed")["rho"])
+
     def samples_run(blob):
         blob["samples_run"] += 1
 
@@ -235,7 +295,9 @@ def test_pipeline_tampered_linkage_detected():
 
     texts = {seed: report_to_json(campaign_pipeline_4linked(1, seed=seed, no_timestamps=True)) for seed in (3, 11)}
     assert _linkage_stage(json.loads(texts[3])["instances"][0])["paths"][0] == [15, 1, 3, 18]
-    cases = [(11, repeated)] + [(3, t) for t in (empty_path, float_path, float_pair, fractional_p, no_massed)]
+    cases = [(11, repeated)] + [(3, t) for t in (empty_path, float_path, float_pair, fractional_p, no_massed,
+                                                 one_vertex_pair, descended, candidate_off_host,
+                                                 sampled_route, exact_method, stages_dropped, float_rho)]
     for seed, tamper in cases:
         blob = json.loads(texts[seed])
         tamper(blob["instances"][0])
@@ -292,6 +354,13 @@ def test_pipeline_tampered_into_paths_detected():
         tamper(_into_stage(blob["instances"][idx]))
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
+
+
+def test_timestamped_reports_revalidate():
+    for rep in (campaign_lemma_si(30, seed=1), campaign_pipeline_4linked(1, seed=1)):
+        assert rep["timestamp"] is not None
+        assert all(inst["wall_ms"] is not None for inst in rep["instances"])
+        assert load_report(report_to_json(rep)) == rep
 
 
 @pytest.mark.parametrize("seed", [1, 2])

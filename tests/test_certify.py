@@ -16,7 +16,7 @@ from knitweave.certify import (
 from knitweave.errors import InputError
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of
-from knitweave.solver import disjoint_paths, pairs_spec
+from knitweave.solver import TerminalSpec, disjoint_paths, pairs_spec
 
 
 
@@ -91,10 +91,18 @@ def test_greedy_link_knitted_variant_avoids_forbidden():
     from knitweave.solver import TerminalSpec
 
     spec = TerminalSpec(((0, 1), (2, 3), (4, 5)), forbidden=1 << 10)
-    res = greedy_link(g, spec, knitted_variant=True)
+    res = greedy_link(g, spec)
     assert res.failed_pair is None
     for path in res.linkage.paths:
         assert 10 not in path
+
+
+def test_greedy_link_certificate_validates_with_forbidden():
+    g = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])  # the 4-cycle 0-2-1-3-0
+    spec = TerminalSpec(((0, 1),), forbidden=1 << 2)
+    res = greedy_link(g, spec)
+    assert res.linkage.paths == ((0, 3, 1),)
+    res.linkage.validate(g, spec)
 
 
 def test_greedy_link_failure_reports_pair():
