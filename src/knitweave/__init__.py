@@ -30,6 +30,7 @@ from .solver import (
     Configuration,
     Knit,
     Linkage,
+    PlanarObstruction,
     TerminalSpec,
     build_configuration,
     disjoint_paths,
@@ -39,6 +40,7 @@ from .solver import (
     pairs_spec,
     reroute,
     s_value,
+    two_pair_obstruction,
 )
 from .structure import (
     MassedReport,

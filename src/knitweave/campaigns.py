@@ -44,6 +44,8 @@ from .solver import (
 from .structure import descend_pair, is_p_massed, pair_is_knitted
 
 SCHEMA = 1
+# the pipeline's connectivity threshold: every 30-connected graph is 4-linked
+PIPELINE_P = 30
 
 
 def _now(no_timestamps: bool) -> Optional[float]:
@@ -351,9 +353,10 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int, seed: int):
     sub, vmap = induced(g, cand)
     back = {v: i for i, v in enumerate(vmap)}
     local = [(back[x], back[y]) for x, y in end_pairs]
-    res = greedy_link(sub, pairs_spec(local))
+    # greedy linking needs a vertex beyond the 2k ends; a smaller candidate
+    # is linked exactly
+    inner = greedy_link(sub, pairs_spec(local)).linkage if sub.n > 2 * len(local) else None
     method = "greedy"
-    inner = res.linkage
     if inner is None:
         inner = disjoint_paths(sub, pairs_spec(local))
         method = "exact"
@@ -406,7 +409,7 @@ def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = Fal
     results = []
     for g, pairs in jobs:
         t0 = _now(no_timestamps)
-        results.append({**_pipeline_one(g, pairs, 30, seed), "wall_ms": _elapsed_ms(t0)})
+        results.append({**_pipeline_one(g, pairs, PIPELINE_P, seed), "wall_ms": _elapsed_ms(t0)})
     return _report("pipeline-4linked", seed, samples, _now(no_timestamps), results)
 
 
@@ -466,9 +469,11 @@ def _rebuild_lemma(g: Graph, inst: dict) -> dict:
 
 
 def _rebuild_pipeline(g: Graph, inst: dict, seed: int) -> dict:
-    """The pipeline instance that ``inst``'s graph, pairs and p give; the
-    first stage, ``is_p_massed``, rejects a p that is not a nonnegative
-    integer."""
+    """The pipeline instance that ``inst``'s graph and pairs give at the
+    campaign's threshold, which ``inst``'s p must be."""
+    p = inst.get("p")
+    if type(p) is not int or p != PIPELINE_P:
+        raise InputError(f"a pipeline instance runs at p = {PIPELINE_P}, not {p!r}")
     pairs = inst.get("pairs")
     if not (
         isinstance(pairs, list)
@@ -478,7 +483,7 @@ def _rebuild_pipeline(g: Graph, inst: dict, seed: int) -> dict:
         raise InputError("an instance needs four vertex pairs")
     pairs = tuple(tuple(pr) for pr in pairs)
     pairs_spec(pairs).check_in_graph(g)
-    return _pipeline_one(g, pairs, inst.get("p"), seed)
+    return _pipeline_one(g, pairs, p, seed)
 
 
 def revalidate_report(report: dict) -> None:

@@ -166,6 +166,20 @@ def _paths_json(linkage: Optional[solver.Linkage]):
     return None if linkage is None else [list(p) for p in linkage.paths]
 
 
+def _obstruction_json(cert: Optional[solver.PlanarObstruction]):
+    """The reductions (separator and side vertex lists) and the rotation
+    system, whose last entry is the apex's."""
+    if cert is None:
+        return None
+    return {
+        "reductions": [
+            {"separator": list(set_of(separator)), "side": list(set_of(side))}
+            for separator, side in cert.reductions
+        ],
+        "rotation": [list(order) for order in cert.rotation],
+    }
+
+
 def cli_main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     try:
@@ -221,7 +235,12 @@ def _dispatch(args) -> int:
     if cmd == "linkage":
         spec = _spec_from_args(args)
         got = solver.disjoint_paths(g, spec, args.max_path_len)
-        return _emit({"exists": got is not None, "paths": _paths_json(got)})
+        cert = solver.two_pair_obstruction(g, spec) if got is None else None
+        return _emit({
+            "exists": got is not None,
+            "paths": _paths_json(got),
+            "certificate": _obstruction_json(cert),
+        })
     if cmd == "knit":
         spec = _spec_from_args(args)
         got = solver.knit(g, spec)

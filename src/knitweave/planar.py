@@ -1,0 +1,213 @@
+"""Planarity testing that returns a plane rotation system.
+
+Graphs here are sequences of adjacency bitmasks, like ``Graph.adj`` but of
+any length, so that a 64-vertex graph can take one extra vertex. A rotation
+system lists, for each vertex, its neighbours in the cyclic order in which
+they leave it in a drawing. Its faces are the orbits of the darts under
+``(x, y) -> (y, z)``, where z follows x in the rotation at y. A connected
+graph's rotation system is a plane drawing exactly when V - E + F = 2
+(Euler's formula), which is what a validator checks with
+:func:`face_count`.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+from .graphs import bits, mask_of
+
+
+def face_count(rotation: Sequence[Sequence[int]]) -> int:
+    """Number of faces of ``rotation``, whose lists must name every neighbour
+    of each vertex exactly once and be symmetric (y in x's list iff x in
+    y's)."""
+    after = {}
+    for y, order in enumerate(rotation):
+        for i, x in enumerate(order):
+            after[x, y] = (y, order[(i + 1) % len(order)])
+    faces = 0
+    for dart in list(after):
+        if dart in after:
+            faces += 1
+            while dart in after:
+                dart = after.pop(dart)
+    return faces
+
+
+def planar_rotation(adj: Sequence[int]) -> Optional[list[list[int]]]:
+    """A plane rotation system of the graph, or None if it is not planar.
+
+    Each biconnected block is embedded on its own by Demoucron, Malgrange and
+    Pertuiset (:func:`_block_faces`). At a cut vertex the rotations from its
+    blocks are concatenated, which draws each block inside one face of the
+    others. Isolated vertices get empty rotations.
+    """
+    rotation: list[list[int]] = [[] for _ in adj]
+    for block in _blocks(adj):
+        if block.bit_count() == 2:
+            x, y = bits(block)
+            rotation[x].append(y)
+            rotation[y].append(x)
+            continue
+        faces = _block_faces(adj, block)
+        if faces is None:
+            return None
+        # a face runs ... x, y, z ...: z follows x in the rotation at y
+        after = {}
+        for face in faces:
+            for i, y in enumerate(face):
+                after[y, face[i - 1]] = face[(i + 1) % len(face)]
+        for y in bits(block):
+            first = x = (adj[y] & block & -(adj[y] & block)).bit_length() - 1
+            while True:
+                rotation[y].append(x)
+                x = after[y, x]
+                if x == first:
+                    break
+    return rotation
+
+
+def _blocks(adj: Sequence[int]) -> list[int]:
+    """Vertex masks of the biconnected blocks that hold an edge (Hopcroft and
+    Tarjan's low points, as one loop over an explicit stack). An edge lies in
+    the one block that holds both its ends."""
+    disc = [0] * len(adj)  # discovery time, from 1; 0 = not yet visited
+    low = [0] * len(adj)
+    clock = 0
+    out = []
+    for root in range(len(adj)):
+        if disc[root] or not adj[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        open_ = [root]  # visited vertices not yet closed into a block
+        stack = [[root, -1, adj[root]]]  # vertex, parent, neighbours untried
+        while stack:
+            top = stack[-1]
+            v, parent, rest = top
+            if rest:
+                wb = rest & -rest
+                top[2] = rest ^ wb
+                w = wb.bit_length() - 1
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    open_.append(w)
+                    stack.append([w, v, adj[w]])
+                elif w != parent:
+                    low[v] = min(low[v], disc[w])
+                continue
+            stack.pop()
+            if parent < 0:
+                continue
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                block = 1 << parent
+                while True:
+                    x = open_.pop()
+                    block |= 1 << x
+                    if x == v:
+                        break
+                out.append(block)
+    return out
+
+
+def _path(adj: Sequence[int], src: int, first: int, domain: int, dst: int) -> list[int]:
+    """A shortest path src, w1, ..., wk, dst with w1 in ``first``, every wi in
+    ``domain``, and wk adjacent to dst; the caller guarantees one exists."""
+    parent = dict.fromkeys(bits(first), src)
+    frontier = seen = first
+    while True:
+        nxt = 0
+        for w in bits(frontier):
+            if (adj[w] >> dst) & 1:
+                path = [dst]
+                while w != src:
+                    path.append(w)
+                    w = parent[w]
+                path.append(src)
+                return path[::-1]
+            new = adj[w] & domain & ~seen
+            seen |= new
+            nxt |= new
+            for x in bits(new):
+                parent[x] = w
+        frontier = nxt
+
+
+def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
+    """The faces of a plane drawing of a biconnected block with at least three
+    vertices, each a vertex cycle oriented so that every edge is run once each
+    way; None if the block is not planar.
+
+    Demoucron-Malgrange-Pertuiset: draw one cycle, then repeatedly take the
+    fragments of the block relative to the drawn part H (an undrawn edge
+    between two drawn vertices, or a component of the undrawn vertices with
+    its edges to H) and the faces of H that hold all of a fragment's
+    attachment vertices. If some fragment fits no face the block is not
+    planar; otherwise draw a path through a fragment that fits one face only,
+    else through the first fragment, inside the first face it fits.
+    """
+    nb = {v: adj[v] & block for v in bits(block)}
+    if sum(m.bit_count() for m in nb.values()) // 2 > 3 * block.bit_count() - 6:
+        return None
+    a = (block & -block).bit_length() - 1
+    b = (nb[a] & -nb[a]).bit_length() - 1
+    rest = block & ~(1 << a) & ~(1 << b)
+    cycle = _path(nb, b, nb[b] & rest, rest, a)
+    faces = [cycle, cycle[::-1]]
+    masks = [mask_of(cycle)] * 2
+    drawn = masks[0]
+    drawn_adj = dict.fromkeys(nb, 0)
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        drawn_adj[x] |= 1 << y
+        drawn_adj[y] |= 1 << x
+    while True:
+        fragments = []  # (attachments, undrawn vertices; 0 for one edge)
+        for x in bits(drawn):
+            for y in bits(nb[x] & drawn & ~drawn_adj[x] & ~((2 << x) - 1)):
+                fragments.append(((1 << x) | (1 << y), 0))
+        left = block & ~drawn
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                nxt = 0
+                for w in bits(frontier):
+                    nxt |= nb[w]
+                frontier = nxt & left & ~comp
+                comp |= frontier
+            attach = 0
+            for w in bits(comp):
+                attach |= nb[w]
+            fragments.append((attach & drawn, comp))
+            left &= ~comp
+        if not fragments:
+            return faces
+        pick = None
+        for attach, comp in fragments:
+            fits = [i for i, m in enumerate(masks) if not attach & ~m]
+            if not fits:
+                return None
+            if pick is None or len(fits) == 1:
+                pick = (attach, comp, fits[0])
+                if len(fits) == 1:
+                    break
+        attach, comp, i = pick
+        u = (attach & -attach).bit_length() - 1
+        w = (attach & (attach - 1) & -(attach & (attach - 1))).bit_length() - 1
+        path = [u, w] if not comp else _path(nb, u, nb[u] & comp, comp, w)
+        face = faces[i]
+        iu, iw = face.index(u), face.index(w)
+        if iu < iw:
+            there, back = face[iu:iw + 1], face[iw:] + face[:iu + 1]
+        else:
+            there, back = face[iu:] + face[:iw + 1], face[iw:iu + 1]
+        inner = path[1:-1]
+        faces[i] = there + inner[::-1]
+        faces.append(back + inner)
+        masks[i] = mask_of(faces[i])
+        masks.append(mask_of(faces[-1]))
+        for x, y in zip(path, path[1:]):
+            drawn_adj[x] |= 1 << y
+            drawn_adj[y] |= 1 << x
+            drawn |= 1 << y

@@ -15,6 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, is_connected, mask_of, reachable, set_of
+from .planar import face_count, planar_rotation
 
 _COUNT_CAP = 24  # candidate-path counting cutoff, used only for search ordering
 
@@ -149,11 +150,51 @@ def iter_paths(g: Graph, u: int, v: int, allowed: int, max_len: Optional[int]) -
 
 
 def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Like :func:`iter_paths` but shortest first ((length, lex) order)."""
-    for cap in range(2, max_len + 1):
-        for p in iter_paths(g, u, v, allowed, cap):
-            if len(p) == cap:
-                yield p
+    """The paths of :func:`iter_paths`, shortest first and in lexicographic
+    order within a length ((length, lex) order).
+
+    One breadth-first search from v inside ``allowed`` gives ``near[r]``, the
+    interior vertices at most r steps from v. Then one depth-first pass per
+    exact length steps only to a vertex that is near enough to v for the
+    steps left; the last step goes to v.
+    """
+    if u == v:
+        return
+    adj = g.adj
+    target = 1 << v
+    inner = allowed & ~(1 << u) & ~target
+    near = [target]  # near[0]: the only vertex a path can step to last
+    seen = frontier = target
+    while frontier:
+        nxt = 0
+        for w in bits(frontier):
+            nxt |= adj[w]
+        frontier = nxt & inner & ~seen
+        seen |= frontier
+        near.append(seen & inner)
+    top = len(near) - 1
+    shortest = next((r + 2 for r in range(top + 1) if adj[u] & near[r]), None)
+    if shortest is None:
+        return
+    for length in range(shortest, min(max_len, inner.bit_count() + 2) + 1):
+        path = [u]
+        on = 1 << u
+        # untried[i]: the next vertices not yet tried after path[i]
+        untried = [adj[u] & near[min(length - 2, top)]]
+        while untried:
+            cand = untried[-1]
+            if not cand:
+                untried.pop()
+                on ^= 1 << path.pop()
+                continue
+            low = cand & -cand
+            untried[-1] = cand ^ low
+            if low == target:
+                yield (*path, v)
+                continue
+            path.append(low.bit_length() - 1)
+            on |= low
+            untried.append(adj[path[-1]] & near[min(length - len(path) - 1, top)] & ~on)
 
 
 def max_vertex_disjoint_flow(
@@ -287,6 +328,201 @@ def max_vertex_disjoint_flow(
 
 
 # ---------------------------------------------------------------------------
+# Two pairs: the two-paths theorem
+# ---------------------------------------------------------------------------
+
+def _reduce(adj: list[int], separator: int, side: int) -> None:
+    """Delete ``side`` and make ``separator`` a clique."""
+    for x in bits(side):
+        adj[x] = 0
+    for x in bits(separator):
+        adj[x] = (adj[x] & ~side) | (separator & ~(1 << x))
+
+
+def _deleted(g: Graph, ends: int, blocked: int) -> tuple[int, list[int]]:
+    """The vertices of ``g`` outside ``blocked``, plus ``ends``, and the
+    adjacency of the graph they induce (empty rows for the others)."""
+    live = g.full_mask & ~blocked | ends
+    return live, [row & live if (live >> v) & 1 else 0 for v, row in enumerate(g.adj)]
+
+
+@dataclass(frozen=True)
+class PlanarObstruction:
+    """Certificate that the two pairs s1-t1 and s2-t2 of a specification have
+    no disjoint linking paths.
+
+    The ``reductions`` replay in order on the graph with the specification's
+    other vertices deleted. Each is a mask pair ``(separator, side)``: a
+    terminal-free side whose neighbours all lie in a separator of at most
+    three vertices is deleted and the separator made a clique. A linkage
+    before a reduction gives one after it, because at most one path can
+    cross a separator of three vertices and a clique edge stands in for its
+    detour.
+
+    ``rotation[v]`` is the cyclic order of v's neighbours in a plane drawing
+    of the reduced graph plus an apex, vertex ``g.n``, joined to the four
+    terminals; a deleted vertex has none. The apex sees the terminals in the
+    order s1, s2, t1, t2, so a path from s1 to t1 closes through the apex a
+    cycle that separates s2 from t2.
+    """
+
+    reductions: tuple[tuple[int, int], ...]
+    rotation: tuple[tuple[int, ...], ...]
+
+    def validate(self, g: Graph, spec: TerminalSpec) -> None:
+        spec.check_in_graph(g)
+        pairs = [p for p in spec.parts if len(p) == 2]
+        if len(pairs) != 2:
+            raise InputError("a planar obstruction is for exactly two pairs")
+        (s1, t1), (s2, t2) = pairs
+        ends = mask_of((s1, t1, s2, t2))
+        live, adj = _deleted(g, ends, spec.forbidden | spec.terminal_mask)
+        if not all(isinstance(r, tuple) and len(r) == 2 for r in self.reductions):
+            raise InputError("each reduction must be a (separator, side) pair")
+        for separator, side in self.reductions:
+            if not (type(separator) is int and type(side) is int and side > 0 and separator >= 0):
+                raise InputError("a reduction needs a separator mask and a nonempty side mask")
+            if (side | separator) & ~live or side & separator:
+                raise InputError("a reduction's side and separator must be disjoint and in the graph")
+            if side & ends:
+                raise InputError("a reduction's side holds a terminal")
+            if separator.bit_count() > 3:
+                raise InputError("a reduction's separator has more than three vertices")
+            if any(adj[x] & ~side & ~separator for x in bits(side)):
+                raise InputError("a reduction's side has neighbours outside its separator")
+            _reduce(adj, separator, side)
+            live &= ~side
+        apex = g.n
+        adj.append(ends)
+        for t in (s1, t1, s2, t2):
+            adj[t] |= 1 << apex
+        if not isinstance(self.rotation, tuple) or len(self.rotation) != len(adj):
+            raise InputError(f"the rotation must list {len(adj)} vertices, the last the apex")
+        for v, order in enumerate(self.rotation):
+            if not (
+                isinstance(order, tuple)
+                and all(type(x) is int and 0 <= x <= apex for x in order)
+                and len(order) == adj[v].bit_count()
+                and mask_of(order) == adj[v]
+            ):
+                raise InputError(f"the rotation at {v} does not list each of its neighbours once")
+        ring = tuple(self.rotation[apex])
+        i = ring.index(s1)
+        if ring[i:] + ring[:i] not in ((s1, s2, t1, t2), (s1, t2, t1, s2)):
+            raise InputError("the apex does not see the terminals in the order s1, s2, t1, t2")
+        live |= 1 << apex
+        seen = frontier = 1 << apex
+        while frontier:
+            nxt = 0
+            for x in bits(frontier):
+                nxt |= adj[x]
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen != live:
+            raise InputError("the reduced graph plus the apex is not connected")
+        edges = sum(row.bit_count() for row in adj) // 2
+        if live.bit_count() - edges + face_count(self.rotation) != 2:
+            raise InputError("the rotation's faces break Euler's formula: it is not a plane drawing")
+
+
+def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tuple[int, int]]:
+    """The separator and the least terminal-free side around the
+    non-terminal ``v`` that at most three vertices cut off from ``ends``, or
+    None.
+
+    A flow capped at four paths from v's neighbours to the ends, inside
+    ``live`` without v, finds whether there is one (Menger). Its side is
+    then the set of vertices whose out-node the residual reaches from v, in
+    the node-split network with unbounded edge arcs, and the separator is
+    the set of vertices whose in-node alone is reached.
+    """
+    allowed = live & ~(1 << v)
+    flow, paths = max_vertex_disjoint_flow(h, h.adj[v], ends, allowed, cap=4, collect=True)
+    if flow == 4:
+        return None
+    on = starts = 0
+    pred = {}
+    for p in paths:
+        on |= mask_of(p)
+        starts |= 1 << p[0]
+        pred.update(zip(p[1:], p))
+    reach_in = todo = h.adj[v]
+    reach_out = 0
+    while todo:
+        out = 0
+        for x in bits(todo):
+            if not (on >> x) & 1:
+                out |= 1 << x
+            elif not (starts >> x) & 1:
+                out |= 1 << pred[x]
+        out &= ~reach_out
+        reach_out |= out
+        todo = 0
+        for x in bits(out):
+            todo |= h.adj[x] & allowed
+        todo = (todo | (out & on)) & ~reach_in
+        reach_in |= todo
+    return reach_in & ~reach_out, reach_out | (1 << v)
+
+
+def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
+    """Decide whether the two ``pairs`` are linked with no interior vertex in
+    ``blocked``, by the two-paths theorem (Seymour 1980; Thomassen 1980): a
+    certificate when they are not, None when they are.
+
+    Delete the blocked vertices other than the terminals. Then, for each
+    non-terminal vertex once, cut off the least terminal-free side around it
+    that at most three vertices separate from the terminals, and make that
+    separator a clique. Reducing never lowers another vertex's connectivity
+    to the terminals (a clique edge stands in for a path's detour through
+    the side), so one pass leaves no such side. The theorem then says the
+    pairs are not linked exactly when the reduced graph plus the cycle
+    s1 s2 t1 t2 has a plane drawing with the cycle bounding a face, that is,
+    when it stays planar with an apex joined to the cycle. The certificate
+    keeps that drawing without the cycle's added edges.
+    """
+    (s1, t1), (s2, t2) = pairs
+    ends = mask_of((s1, t1, s2, t2))
+    live, adj = _deleted(g, ends, blocked)
+    reductions = []
+    h = Graph(g.n, tuple(adj))
+    for v in bits(live & ~ends):
+        if (live >> v) & 1:
+            r = _terminal_free_side(h, v, ends, live)
+            if r is not None:
+                reductions.append(r)
+                _reduce(adj, *r)
+                live &= ~r[1]
+                h = Graph(g.n, tuple(adj))
+    ring = (s1, s2, t1, t2)
+    added = [(a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not (adj[a] >> b) & 1]
+    for a, b in added:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    adj.append(ends)
+    for t in ring:
+        adj[t] |= 1 << g.n
+    rotation = planar_rotation(adj)
+    if rotation is None:
+        return None
+    for a, b in added:
+        rotation[a].remove(b)
+        rotation[b].remove(a)
+    return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
+
+
+def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruction]:
+    """The certificate that the two pairs of ``spec`` have no disjoint linking
+    paths avoiding its other vertices, when ``spec`` has two pair parts,
+    neither an edge, and they have none; otherwise None."""
+    spec.check_in_graph(g)
+    pairs = [p for p in spec.parts if len(p) == 2]
+    if len(pairs) != 2 or any(g.has_edge(*p) for p in pairs):
+        return None
+    return _obstruction(g, pairs, spec.forbidden | spec.terminal_mask)
+
+
+# ---------------------------------------------------------------------------
 # Disjoint paths and knits
 # ---------------------------------------------------------------------------
 
@@ -297,15 +533,21 @@ def _link(
     pair order, with no interior vertex in ``blocked`` (which must hold every
     pair's ends); None if there are none.
 
-    Exhaustive backtracking: direct edges first, then the other pairs
+    Two pairs, neither an edge, with no length cap are decided first in
+    polynomial time by :func:`_obstruction` (the two-paths theorem); a "no"
+    returns None there. Every linkage comes from the exhaustive backtracking
+    search: direct edges first, then the other pairs
     fewest-candidate-paths first (recomputed as the search deepens), each in
     lexicographic path order, under a unit-capacity flow bound between the
-    unlinked terminals that prunes hopeless branches early.
+    unlinked terminals that prunes hopeless branches early. With three or
+    more pairs to link, a "no" is that search's exhaustion.
     """
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions
     todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
+    if max_len is None and len(pairs) == len(todo) == 2 and _obstruction(g, pairs, blocked) is not None:
+        return None
     free = g.full_mask & ~blocked
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
@@ -342,7 +584,12 @@ def _link(
 
 def disjoint_paths(g: Graph, spec: TerminalSpec, max_path_len: Optional[int] = None) -> Optional[Linkage]:
     """Pairwise vertex-disjoint paths joining every pair of ``spec``, each at
-    most ``max_path_len`` vertices long; the search is :func:`_link`."""
+    most ``max_path_len`` vertices long; the search is :func:`_link`.
+
+    Two pairs, neither an edge, with no length cap are decided in polynomial
+    time (:func:`two_pair_obstruction` gives the certificate of a "no");
+    three or more pairs, or a length cap, take the exhaustive search.
+    """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):
         raise InputError("disjoint_paths takes pair parts only; use knit for singletons")

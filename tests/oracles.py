@@ -4,7 +4,8 @@ Everything here is written against the definitions directly, sharing no
 search machinery with the package, so the two sides can disagree. The
 exceptions are previous implementations kept as references:
 ``configuration_by_orders``, the previous configuration search, for the
-selected blocks; ``flow_by_matrix``, the previous
+selected blocks; ``paths_by_length_per_cap``, the previous
+``iter_paths_by_length``, for path order; ``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
 and collected paths; ``census_by_dedup``, the previous census, for the
 isomorphism classes; and ``critical_by_scan``, the previous
@@ -28,7 +29,7 @@ from knitweave.graphs import (
     mask_of,
     set_of,
 )
-from knitweave.solver import PATH_CAP, Configuration, iter_paths_by_length
+from knitweave.solver import PATH_CAP, Configuration, iter_paths, iter_paths_by_length
 
 
 def all_simple_paths(g: Graph, u: int, v: int, banned: set[int]):
@@ -57,6 +58,40 @@ def two_pair_systems_solvable(g: Graph, p1, p2) -> bool:
             if not body & set(_path2):
                 return True
     return False
+
+
+def two_pairs_linked_by_induced_paths(g: Graph, p1, p2, banned: frozenset = frozenset()) -> bool:
+    """Whether p1 and p2 have disjoint linking paths that avoid ``banned``:
+    try every induced p1 path (a linkage survives shortcutting its first path
+    to an induced one) and search for p2 in what is left."""
+    (s1, t1), (s2, t2) = p1, p2
+
+    def connected(a, b, avoid):
+        seen, todo = {a}, [a]
+        while todo:
+            x = todo.pop()
+            for y in range(g.n):
+                if g.has_edge(x, y) and y not in seen and y not in avoid:
+                    if y == b:
+                        return True
+                    seen.add(y)
+                    todo.append(y)
+        return False
+
+    def extend(path, avoid):
+        last = path[-1]
+        if g.has_edge(last, t1):
+            return connected(s2, t2, banned | set(path) | {t1})
+        for y in range(g.n):
+            if y in avoid or y == t1 or not g.has_edge(last, y):
+                continue
+            if any(g.has_edge(y, x) for x in path[:-1]):
+                continue  # a chord: the path would not be induced
+            if extend(path + [y], avoid | {y}):
+                return True
+        return False
+
+    return extend([s1], banned | {s1, s2, t2})
 
 
 def size_le_2_partitions(verts) -> list[tuple[tuple[int, ...], ...]]:
@@ -397,6 +432,19 @@ def configuration_by_orders(h: Graph, terminals: Sequence[int]) -> Configuration
     )
     cfg.validate(induced_paths=True)
     return cfg
+
+
+# -- reference path order ----------------------------------------------------
+# ``solver.iter_paths_by_length`` as it was before it had its own body.
+
+def paths_by_length_per_cap(g: Graph, u: int, v: int, allowed: int, max_len: int):
+    """The simple u-v paths of ``iter_paths``, shortest first, by rerunning
+    it once per length cap 2..max_len and keeping the paths of that exact
+    length."""
+    for cap in range(2, max_len + 1):
+        for p in iter_paths(g, u, v, allowed, cap):
+            if len(p) == cap:
+                yield p
 
 
 # -- reference flow ----------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from knitweave.campaigns import (
+    PIPELINE_P,
+    _pipeline_one,
     _report,
     campaign_lemma_si,
     campaign_pipeline_4linked,
@@ -13,7 +15,7 @@ from knitweave.campaigns import (
 )
 from knitweave.errors import InputError
 from knitweave.formats import parse_graph6
-from knitweave.graphs import bits, mask_of
+from knitweave.graphs import Graph, bits, mask_of
 from knitweave.solver import Configuration
 
 from oracles import flow_by_matrix
@@ -353,6 +355,30 @@ def test_pipeline_tampered_into_paths_detected():
         blob = json.loads(report_to_json(rep))
         tamper(_into_stage(blob["instances"][idx]))
         with pytest.raises(InputError):
+            load_report(json.dumps(blob))
+
+
+def test_pipeline_reports_an_eight_vertex_candidate():
+    # Turan T(28, 8): its certified candidate at p = 30 is an 8-clique, one
+    # vertex short of greedy linking, so the four pairs are linked exactly
+    g = Graph.from_edges(28, [(u, v) for u in range(28) for v in range(u + 1, 28) if u % 8 != v % 8])
+    inst = {**_pipeline_one(g, ((20, 12), (25, 6), (3, 15), (0, 26)), PIPELINE_P, 0), "wall_ms": None}
+    assert inst["ok"]
+    stage = {st["stage"]: st for st in inst["stages"]}
+    assert stage["knitted-subgraph"]["route"] == "clique"
+    assert stage["link-inside"]["method"] == "exact"
+    rep = _report("pipeline-4linked", 0, 1, None, [inst])
+    assert load_report(report_to_json(rep)) == rep
+
+
+def test_pipeline_p_is_the_campaign_threshold():
+    text = report_to_json(campaign_pipeline_4linked(1, seed=3, no_timestamps=True))
+    for p in (0, 1, 8, 29, 31):
+        blob = json.loads(text)
+        blob["instances"][0]["p"] = p
+        blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
+                            blob["timestamp"], blob["instances"]))
+        with pytest.raises(InputError, match="p = 30"):
             load_report(json.dumps(blob))
 
 

@@ -3,8 +3,8 @@ import json
 from knitweave.cli import cli_main
 from knitweave.formats import write_edge_list, write_graph6
 from knitweave.generators import gen_universal_vertex
-from knitweave.graphs import Graph, set_of
-from knitweave.solver import TerminalSpec, disjoint_paths, knit
+from knitweave.graphs import Graph, mask_of, set_of
+from knitweave.solver import PlanarObstruction, TerminalSpec, disjoint_paths, knit, pairs_spec
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -70,6 +70,22 @@ def test_linkage_and_exit_codes(capsys, tmp_path):
     assert json.loads(out)["exists"] is False
     code, _ = run(capsys, ["--input", path, "linkage", "--pairs", "0-0"])
     assert code == 2  # malformed pair: input error
+
+
+def test_linkage_prints_a_certificate_for_a_two_pair_no(capsys, tmp_path):
+    g = Graph.cycle(6)
+    path = graph_file(tmp_path, g)
+    code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-3,1-4"])
+    data = json.loads(out)
+    assert code == 0 and data["exists"] is False
+    cert = PlanarObstruction(
+        tuple((mask_of(r["separator"]), mask_of(r["side"])) for r in data["certificate"]["reductions"]),
+        tuple(tuple(order) for order in data["certificate"]["rotation"]),
+    )
+    cert.validate(g, pairs_spec([(0, 3), (1, 4)]))
+    code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-2,3-5"])
+    data = json.loads(out)
+    assert data["exists"] is True and data["certificate"] is None
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,0 +1,178 @@
+import dataclasses
+import random
+import time
+
+import networkx as nx
+import pytest
+
+from knitweave.errors import InputError
+from knitweave.graphs import Graph, bits, components, mask_of
+from knitweave.planar import face_count, planar_rotation
+from knitweave.solver import (
+    TerminalSpec,
+    disjoint_paths,
+    pairs_spec,
+    two_pair_obstruction,
+)
+
+from conftest import random_graph
+from oracles import two_pair_systems_solvable, two_pairs_linked_by_induced_paths
+
+
+def crossing_grid(rows: int, cols: int, rng=None) -> tuple[Graph, TerminalSpec]:
+    """The triangulated grid with the corners paired across it, vertices
+    shuffled by ``rng`` when given: the corners lie on the outer face in the
+    order TL, TR, BR, BL, so TL-BR and TR-BL cannot be linked."""
+    perm = list(range(rows * cols))
+    if rng is not None:
+        rng.shuffle(perm)
+    at = lambda i, j: perm[i * cols + j]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            if j + 1 < cols:
+                edges.append((at(i, j), at(i, j + 1)))
+            if i + 1 < rows:
+                edges.append((at(i, j), at(i + 1, j)))
+            if i + 1 < rows and j + 1 < cols:
+                edges.append((at(i, j), at(i + 1, j + 1)))
+    pairs = ((at(0, 0), at(rows - 1, cols - 1)), (at(0, cols - 1), at(rows - 1, 0)))
+    return Graph.from_edges(rows * cols, edges), pairs_spec(pairs)
+
+
+def test_planar_rotation_matches_networkx():
+    rng = random.Random(2024)
+    planar = 0
+    for _ in range(1500):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.2, 0.3, 0.45]))
+        want, _ = nx.check_planarity(nx.Graph(list(g.edges())))
+        rotation = planar_rotation(g.adj)
+        assert (rotation is not None) == want
+        if rotation is None:
+            continue
+        planar += 1
+        for v in range(n):
+            assert len(rotation[v]) == g.adj[v].bit_count() and mask_of(rotation[v]) == g.adj[v]
+        # Euler per component; an isolated vertex traces no face
+        isolated = sum(1 for row in g.adj if not row)
+        faces = face_count(rotation) + isolated
+        assert n - g.edge_count() + faces == 2 * len(components(g))
+    assert 300 < planar < 1400  # both answers are well exercised
+
+
+def test_planar_rotation_dense_near_planar():
+    # the triangulated grid's inner faces are triangles, and it is
+    # 3-connected; an edge between two inner vertices on no common face,
+    # (1, 1) and (3, 3), makes it nonplanar
+    g, _ = crossing_grid(5, 5)
+    assert planar_rotation(g.adj) is not None
+    chord = Graph.from_edges(25, [*g.edges(), (6, 18)])
+    assert planar_rotation(chord.adj) is None
+    assert planar_rotation(list(Graph.complete(5).adj)) is None
+    k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert planar_rotation(k33.adj) is None
+    assert planar_rotation(Graph.petersen().adj) is None
+
+
+def test_two_pair_decision_matches_independent_oracle():
+    rng = random.Random(8)
+    answers = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(8, 14)
+        g = random_graph(rng, n, p=rng.uniform(0.15, 0.45))
+        verts = rng.sample(range(n), 5)
+        p1, p2 = (verts[0], verts[1]), (verts[2], verts[3])
+        forbidden = 1 << verts[4] if rng.random() < 0.3 else 0
+        spec = TerminalSpec((p1, p2), forbidden)
+        got = disjoint_paths(g, spec)
+        truth = two_pairs_linked_by_induced_paths(g, p1, p2, frozenset(bits(forbidden)))
+        assert (got is not None) == truth
+        answers[truth] += 1
+        cert = two_pair_obstruction(g, spec)
+        if got is not None:
+            got.validate(g, spec)
+            assert cert is None
+        elif not (g.has_edge(*p1) or g.has_edge(*p2)):
+            cert.validate(g, spec)
+    assert min(answers.values()) > 150
+
+
+def test_induced_path_oracle_matches_naive_oracle():
+    rng = random.Random(5)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(4, 8), p=rng.uniform(0.1, 0.9))
+        verts = rng.sample(range(g.n), 4)
+        p1, p2 = (verts[0], verts[1]), (verts[2], verts[3])
+        assert two_pairs_linked_by_induced_paths(g, p1, p2) == two_pair_systems_solvable(g, p1, p2)
+
+
+def _c6_certificate():
+    g = Graph.cycle(6)
+    spec = pairs_spec([(0, 3), (1, 4)])
+    cert = two_pair_obstruction(g, spec)
+    cert.validate(g, spec)
+    # 2 and 5 each hang off two terminals; the reduced graph is the 4-cycle
+    assert cert.reductions == ((0b1010, 0b100), (0b10001, 0b100000))
+    return g, spec, cert
+
+
+def test_obstruction_tampering_detected():
+    g, spec, cert = _c6_certificate()
+    rot = [list(order) for order in cert.rotation]
+    apex = g.n
+    assert sorted(rot[apex]) == [0, 1, 3, 4]
+
+    def with_rotation(v, order):
+        new = list(map(tuple, rot))
+        new[v] = tuple(order)
+        return dataclasses.replace(cert, rotation=tuple(new))
+
+    def with_reductions(*reductions):
+        return dataclasses.replace(cert, reductions=reductions)
+
+    first, second = cert.reductions
+    cases = [
+        # side {1} holds terminal 1 (its neighbours 0 and 2 form the separator)
+        (with_reductions((0b101, 0b10), second), "holds a terminal"),
+        # side {2} with four separator vertices
+        (with_reductions((0b101011, 0b100), second), "more than three"),
+        (with_reductions(second), "does not list each"),
+        (with_reductions((0b1000, 0b100), second), "outside its separator"),
+        (with_rotation(0, rot[0][:-1]), "does not list each"),
+        (with_rotation(0, rot[0][:-1] + rot[0][:1]), "does not list each"),
+        (with_rotation(apex, [0, 3, 1, 4]), "order s1, s2, t1, t2"),
+    ]
+    for tampered, message in cases:
+        with pytest.raises(InputError, match=message):
+            tampered.validate(g, spec)
+    # the same certificate says nothing about pairs 0-1 and 3-4
+    with pytest.raises(InputError):
+        cert.validate(g, pairs_spec([(0, 1), (3, 4)]))
+
+
+def test_obstruction_rotation_must_be_plane():
+    g, spec = crossing_grid(5, 5)
+    cert = two_pair_obstruction(g, spec)
+    cert.validate(g, spec)
+    # reversing the cyclic order at one degree-6 vertex keeps every
+    # neighbour listed once but leaves a drawing of higher genus
+    centre = 12
+    assert len(cert.rotation[centre]) == 6
+    rotation = list(cert.rotation)
+    rotation[centre] = rotation[centre][::-1]
+    tampered = dataclasses.replace(cert, rotation=tuple(rotation))
+    assert face_count(tampered.rotation) != face_count(cert.rotation)
+    with pytest.raises(InputError, match="Euler"):
+        tampered.validate(g, spec)
+
+
+@pytest.mark.parametrize("rows, cols, budget", [(5, 5, 1.0), (6, 6, 1.0), (8, 8, 5.0)])
+def test_crossing_grids_decided_within_budget(rows, cols, budget):
+    for rng in (None, random.Random(rows * cols)):
+        g, spec = crossing_grid(rows, cols, rng)
+        t0 = time.perf_counter()
+        assert disjoint_paths(g, spec) is None
+        cert = two_pair_obstruction(g, spec)
+        cert.validate(g, spec)
+        assert time.perf_counter() - t0 < budget

@@ -34,6 +34,7 @@ from oracles import (
     configuration_by_orders,
     flow_by_matrix,
     knittable_by_paths,
+    paths_by_length_per_cap,
     two_pair_systems_solvable,
 )
 
@@ -68,6 +69,20 @@ def test_iter_paths_matches_oracle():
             assert list(iter_paths_by_length(g, u, v, allowed, cap)) == [
                 p for p in shortest_first if len(p) <= cap
             ]
+
+
+def test_iter_paths_by_length_matches_per_cap_reference():
+    rng = random.Random(13)
+    for _ in range(1500):
+        n = rng.randint(2, 14)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.6))
+        u, v = rng.sample(range(n), 2)
+        allowed = rng.getrandbits(n) | rng.getrandbits(n)
+        cap = rng.randint(0, n + 1)
+        want = paths_by_length_per_cap(g, u, v, allowed, cap)
+        got = iter_paths_by_length(g, u, v, allowed, cap)
+        read = rng.choice([1, 3, 10, None])  # partial reads stop the generator early
+        assert list(itertools.islice(got, read)) == list(itertools.islice(want, read))
 
 
 def test_disjoint_paths_direct_edges():
