@@ -11,10 +11,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, bits, is_connected, mask_of, reachable, set_of
+from .graphs import Graph, bits, is_connected, mask_of, set_of
 from .planar import face_count, planar_rotation
 
 _COUNT_CAP = 24  # candidate-path counting cutoff, used only for search ordering
@@ -120,38 +121,10 @@ class Knit:
 # Path and flow machinery
 # ---------------------------------------------------------------------------
 
-def iter_paths(g: Graph, u: int, v: int, allowed: int, max_len: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """Simple u-v paths whose interior lies in ``allowed``, in lexicographic
-    order of the vertex sequence, at most ``max_len`` vertices long."""
-    cap = g.n if max_len is None else max_len
-    if cap < 2 or u == v or not (reachable(g, 1 << u, allowed | (1 << u) | (1 << v)) >> v) & 1:
-        return
-    adj = g.adj
-    target = 1 << v
-    path = [u]
-    on = 1 << u
-    # untried[i]: the next vertices not yet tried after path[i]; only v once
-    # the path has no room for another interior vertex
-    untried = [adj[u] & (target if cap < 3 else allowed & ~on | target)]
-    while untried:
-        cand = untried[-1]
-        if not cand:
-            untried.pop()
-            on ^= 1 << path.pop()
-            continue
-        low = cand & -cand
-        untried[-1] = cand ^ low
-        if low == target:
-            yield (*path, v)
-            continue
-        path.append(low.bit_length() - 1)
-        on |= low
-        untried.append(adj[path[-1]] & (target if len(path) + 2 > cap else allowed & ~on | target))
-
-
 def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """The paths of :func:`iter_paths`, shortest first and in lexicographic
-    order within a length ((length, lex) order).
+    """Simple u-v paths whose interior lies in ``allowed``, at most
+    ``max_len`` vertices long, shortest first and in lexicographic order of
+    the vertex sequence within a length ((length, lex) order).
 
     One breadth-first search from v inside ``allowed`` gives ``near[r]``, the
     interior vertices at most r steps from v. Then one depth-first pass per
@@ -485,7 +458,9 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     ends = mask_of((s1, t1, s2, t2))
     live, adj = _deleted(g, ends, blocked)
     reductions = []
-    h = Graph(g.n, tuple(adj))
+    # the flow reads only n, adj and full_mask, and _reduce keeps ``adj`` a
+    # simple graph's adjacency, so a view of the list stands in for a Graph
+    h = SimpleNamespace(n=g.n, adj=adj, full_mask=g.full_mask)
     for v in bits(live & ~ends):
         if (live >> v) & 1:
             r = _terminal_free_side(h, v, ends, live)
@@ -493,7 +468,6 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
                 reductions.append(r)
                 _reduce(adj, *r)
                 live &= ~r[1]
-                h = Graph(g.n, tuple(adj))
     ring = (s1, s2, t1, t2)
     added = [(a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not (adj[a] >> b) & 1]
     for a, b in added:
@@ -537,10 +511,13 @@ def _link(
     polynomial time by :func:`_obstruction` (the two-paths theorem); a "no"
     returns None there. Every linkage comes from the exhaustive backtracking
     search: direct edges first, then the other pairs
-    fewest-candidate-paths first (recomputed as the search deepens), each in
-    lexicographic path order, under a unit-capacity flow bound between the
-    unlinked terminals that prunes hopeless branches early. With three or
-    more pairs to link, a "no" is that search's exhaustion.
+    fewest-candidate-paths first (recomputed as the search deepens), each
+    trying its paths from :func:`iter_paths_by_length`, shortest first and
+    lexicographic within a length ((length, lex) order), under a
+    unit-capacity flow bound between the unlinked terminals that prunes
+    hopeless branches early. So each pair takes the first path in that
+    order that lets the pairs after it be linked. With three or more pairs
+    to link, a "no" is that search's exhaustion.
     """
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
@@ -549,6 +526,7 @@ def _link(
     if max_len is None and len(pairs) == len(todo) == 2 and _obstruction(g, pairs, blocked) is not None:
         return None
     free = g.full_mask & ~blocked
+    longest = g.n if max_len is None else max_len
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
         if not remaining:
@@ -564,7 +542,7 @@ def _link(
             for item in remaining:
                 u, v = item[1]
                 cnt = sum(1 for _ in itertools.islice(
-                    iter_paths(g, u, v, interior, max_len), _COUNT_CAP))
+                    iter_paths_by_length(g, u, v, interior, longest), _COUNT_CAP))
                 if cnt == 0:
                     return False
                 if best_count is None or cnt < best_count:
@@ -573,7 +551,7 @@ def _link(
                         break
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
-        for path in iter_paths(g, u, v, interior, max_len):
+        for path in iter_paths_by_length(g, u, v, interior, longest):
             chosen[idx] = path
             if search(used | mask_of(path[1:-1]), rest):
                 return True
@@ -584,7 +562,8 @@ def _link(
 
 def disjoint_paths(g: Graph, spec: TerminalSpec, max_path_len: Optional[int] = None) -> Optional[Linkage]:
     """Pairwise vertex-disjoint paths joining every pair of ``spec``, each at
-    most ``max_path_len`` vertices long; the search is :func:`_link`.
+    most ``max_path_len`` vertices long; the search is :func:`_link`, which
+    tries each pair's paths shortest first, in (length, lex) order.
 
     Two pairs, neither an edge, with no length cap are decided in polynomial
     time (:func:`two_pair_obstruction` gives the certificate of a "no");
@@ -603,7 +582,8 @@ def knit(g: Graph, spec: TerminalSpec) -> Optional[Knit]:
     Reduces to disjoint paths: a connected subgraph containing a pair contains
     a path between its two vertices, and a path is itself connected, so the
     pair parts are solved as a linkage whose paths must additionally avoid all
-    singleton-part vertices.
+    singleton-part vertices. Each pair's subgraph is the path :func:`_link`
+    picks, trying the pair's paths in (length, lex) order.
     """
     spec.check_in_graph(g)
     paths = _link(g, [p for p in spec.parts if len(p) == 2], spec.forbidden | spec.terminal_mask)

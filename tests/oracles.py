@@ -4,8 +4,7 @@ Everything here is written against the definitions directly, sharing no
 search machinery with the package, so the two sides can disagree. The
 exceptions are previous implementations kept as references:
 ``configuration_by_orders``, the previous configuration search, for the
-selected blocks; ``paths_by_length_per_cap``, the previous
-``iter_paths_by_length``, for path order; ``flow_by_matrix``, the previous
+selected blocks; ``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
 and collected paths; ``census_by_dedup``, the previous census, for the
 isomorphism classes; and ``critical_by_scan``, the previous
@@ -29,20 +28,24 @@ from knitweave.graphs import (
     mask_of,
     set_of,
 )
-from knitweave.solver import PATH_CAP, Configuration, iter_paths, iter_paths_by_length
+from knitweave.solver import PATH_CAP, Configuration, iter_paths_by_length
 
 
-def all_simple_paths(g: Graph, u: int, v: int, banned: set[int]):
-    """Every simple u-v path avoiding ``banned`` in between, DFS order."""
+def all_simple_paths(g: Graph, u: int, v: int, banned: set[int], max_len: Optional[int] = None):
+    """Every simple u-v path avoiding ``banned`` in between, of at most
+    ``max_len`` vertices when that is given, DFS order."""
+    cap = g.n if max_len is None else max_len
 
     def rec(path, seen):
+        if len(path) >= cap:
+            return
         last = path[-1]
         for w in range(g.n):
             if not g.has_edge(last, w) or w in seen:
                 continue
             if w == v:
                 yield path + [v]
-            elif w not in banned:
+            elif w not in banned and len(path) + 2 <= cap:
                 yield from rec(path + [w], seen | {w})
 
     yield from rec([u], {u})
@@ -432,19 +435,6 @@ def configuration_by_orders(h: Graph, terminals: Sequence[int]) -> Configuration
     )
     cfg.validate(induced_paths=True)
     return cfg
-
-
-# -- reference path order ----------------------------------------------------
-# ``solver.iter_paths_by_length`` as it was before it had its own body.
-
-def paths_by_length_per_cap(g: Graph, u: int, v: int, allowed: int, max_len: int):
-    """The simple u-v paths of ``iter_paths``, shortest first, by rerunning
-    it once per length cap 2..max_len and keeping the paths of that exact
-    length."""
-    for cap in range(2, max_len + 1):
-        for p in iter_paths(g, u, v, allowed, cap):
-            if len(p) == cap:
-                yield p
 
 
 # -- reference flow ----------------------------------------------------------

@@ -17,7 +17,6 @@ from knitweave.solver import (
     disjoint_paths,
     is_k_linked,
     is_profile_knitted,
-    iter_paths,
     iter_paths_by_length,
     knit,
     max_vertex_disjoint_flow,
@@ -34,7 +33,6 @@ from oracles import (
     configuration_by_orders,
     flow_by_matrix,
     knittable_by_paths,
-    paths_by_length_per_cap,
     two_pair_systems_solvable,
 )
 
@@ -60,10 +58,6 @@ def test_iter_paths_matches_oracle():
         u, v = rng.sample(range(n), 2)
         allowed = rng.getrandbits(n) | rng.getrandbits(n)
         want = [tuple(p) for p in all_simple_paths(g, u, v, set(bits(g.full_mask & ~allowed)))]
-        for cap in (None, 2, 3, 4, 6):
-            assert list(iter_paths(g, u, v, allowed, cap)) == [
-                p for p in want if cap is None or len(p) <= cap
-            ]
         shortest_first = sorted(want, key=lambda p: (len(p), p))
         for cap in range(2, 7):
             assert list(iter_paths_by_length(g, u, v, allowed, cap)) == [
@@ -71,7 +65,7 @@ def test_iter_paths_matches_oracle():
             ]
 
 
-def test_iter_paths_by_length_matches_per_cap_reference():
+def test_iter_paths_by_length_matches_sorted_oracle():
     rng = random.Random(13)
     for _ in range(1500):
         n = rng.randint(2, 14)
@@ -79,7 +73,8 @@ def test_iter_paths_by_length_matches_per_cap_reference():
         u, v = rng.sample(range(n), 2)
         allowed = rng.getrandbits(n) | rng.getrandbits(n)
         cap = rng.randint(0, n + 1)
-        want = paths_by_length_per_cap(g, u, v, allowed, cap)
+        paths = all_simple_paths(g, u, v, set(bits(g.full_mask & ~allowed)), cap)
+        want = sorted(map(tuple, paths), key=lambda p: (len(p), p))
         got = iter_paths_by_length(g, u, v, allowed, cap)
         read = rng.choice([1, 3, 10, None])  # partial reads stop the generator early
         assert list(itertools.islice(got, read)) == list(itertools.islice(want, read))
@@ -105,6 +100,16 @@ def test_disjoint_paths_common_neighbor():
     got = disjoint_paths(g, spec)
     got.validate(g, spec)
     assert got.paths == ((0, 2, 1),)
+
+
+def test_disjoint_paths_takes_shortest_paths_first():
+    # Turan T(40, 8): 29 and 37 lie in one part and share the 35 vertices of
+    # the other parts as common neighbours
+    g = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if u % 8 != v % 8])
+    spec = pairs_spec([(29, 37)])
+    got = disjoint_paths(g, spec)
+    got.validate(g, spec)
+    assert got.paths == ((29, 0, 37),)
 
 
 def test_disjoint_paths_respects_cap_and_forbidden():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,18 @@ def test_pair_is_knitted_matches_oracle():
         assert (ok, wit) == (want is None, want), (g.adj, verts)
         seen[ok] += 1
     assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [52, 64])
+def test_pair_is_knitted_on_dense_circulants(n, seed):
+    # C_n(1..15) is 30-connected; each of the 105 pairings of eight terminals
+    # is linked by short paths, which the search reads first
+    g = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
+    s = mask_of(random.Random(seed).sample(range(n), 8))
+    t0 = time.perf_counter()
+    assert pair_is_knitted(g, s) == (True, None)
+    assert time.perf_counter() - t0 < 10
 
 
 MINIMIZE_EDGES = None
