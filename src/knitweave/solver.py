@@ -619,21 +619,88 @@ def partitions_with_profile(vertices: Sequence[int], profile: Sequence[int]) -> 
             yield tuple((s,) for s in singles) + pr
 
 
+def _nonedge_matchings(g: Graph, s: int, j: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of non-edges of ``g`` inside ``s`` that have ``j`` pairs
+    or are maximal with fewer, each once, as pairs ``(v, w)`` with v < w in
+    increasing order of v.
+
+    A lazy depth-first search over the vertices of ``s`` in increasing order
+    matches the least undecided vertex to each later undecided non-neighbour
+    in turn, then leaves it unmatched; a matching is complete at ``j`` pairs.
+    Leaving a vertex unmatched beside an unmatched non-neighbour rules out
+    maximality, so that branch goes on only while the undecided vertices
+    could still bring the matching to ``j`` pairs.
+    """
+    non = {v: s & ~g.adj[v] & ~(1 << v) for v in bits(s)}
+
+    def grow(rest: int, lone: int, pairs: tuple, maximal: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+        if len(pairs) == j or not rest:
+            if len(pairs) == j or maximal:
+                yield pairs
+            return
+        if not maximal and len(pairs) + rest.bit_count() // 2 < j:
+            return
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
+        for w in bits(non[v] & rest):
+            yield from grow(rest & ~(1 << w), lone, pairs + ((v, w),), maximal)
+        yield from grow(rest, lone | low, pairs, maximal and not non[v] & lone)
+
+    return grow(s, 0, (), True)
+
+
 def is_profile_knitted(
     g: Graph, s: int, profile: Sequence[int]
 ) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
     """Whether every partition of ``s`` with the given part sizes can be knit.
 
-    Returns the lexicographically first violating partition on failure.
+    Let j be the number of pairs in ``profile``, and N(P) the pairs of a
+    partition P that are not edges. The answer rests on three facts:
+
+    - P is knittable exactly when N(P) is linked with ``s`` blocked, because
+      a pair that is an edge is linked by that edge, which uses no interior
+      vertex, and :func:`_link` drops it.
+    - Linkability with ``s`` blocked is closed under subsets: drop the paths
+      of the pairs left out.
+    - Every N(P) is a matching of non-edges inside ``s`` with at most j pairs,
+      so it lies in one that has j pairs or is maximal. Each such matching M
+      is N(P') for some partition P': the terminals M leaves unmatched are
+      pairwise adjacent when M is maximal, so pairing j - |M| of them and
+      leaving the rest single adds only edges.
+
+    So ``s`` is knitted exactly when every such matching is linked, and one
+    :func:`_link` call per matching of :func:`_nonedge_matchings` decides it,
+    stopping at the first that fails. There are never more of them than
+    partitions: one, the empty matching, when ``s`` is a clique. On a "no"
+    the partitions are swept in the lexicographic order of
+    :func:`partitions_with_profile` and the first violating one is
+    returned; a partition's pairs are linked as given, once per distinct
+    N(P) (a matching already answered counts).
     """
     if s & ~g.full_mask:
         raise InputError("terminal set mentions out-of-range vertices")
     if any(x not in (1, 2) for x in profile):
         raise InputError("profile sizes must be 1 or 2")
-    for part_sets in partitions_with_profile(set_of(s), profile):
-        if _link(g, [p for p in part_sets if len(p) == 2], s) is None:
-            return False, part_sets
-    return True, None
+    if sum(profile) != s.bit_count():
+        raise InputError("profile does not sum to the terminal set size")
+    linked = {}
+    for pairs in _nonedge_matchings(g, s, profile.count(2)):
+        linked[pairs] = _link(g, pairs, s) is not None
+        if not linked[pairs]:
+            break
+    else:
+        return True, None
+
+    def knittable(parts: tuple[tuple[int, ...], ...]) -> bool:
+        pairs = [p for p in parts if len(p) == 2]
+        key = tuple(p for p in pairs if not g.has_edge(*p))
+        if key not in linked:
+            linked[key] = _link(g, pairs, s) is not None
+        return linked[key]
+
+    partitions = partitions_with_profile(set_of(s), profile)
+    return False, next(parts for parts in partitions if not knittable(parts))
 
 
 def is_k_linked(

@@ -166,12 +166,16 @@ def is_p_massed(l: Graph, s: int, p: int) -> MassedReport:
 def pair_is_knitted(l: Graph, s: int) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
     """Whether (l, s) is knitted for every partition of ``s`` into parts of
     size at most two. Returns the first violating partition otherwise."""
-    # Sweeping the max-pairing partitions (floor(|s|/2) pairs, at most one
-    # singleton) decides every partition into parts of size at most two: pair
-    # up the spare singletons of any such partition, knit that, then split
-    # each added pair back into its two vertices. The max-pairing profile also
-    # opens a most-pairs-first sweep of all profiles, so the first violating
-    # partition is that sweep's first as well.
+    # The max-pairing partitions (floor(|s|/2) pairs, at most one singleton)
+    # decide every partition into parts of size at most two: pair up the
+    # spare singletons of any such partition, knit that, then split each
+    # added pair back into its two vertices. No matching inside s has more
+    # than floor(|s|/2) pairs, so is_profile_knitted links exactly the
+    # maximal matchings of non-edges inside s, one linkage search each (one
+    # in all when s is a clique). The max-pairing profile also opens a
+    # most-pairs-first sweep of all profiles, so the first violating
+    # partition, which the partition sweep finds on a "no", is that sweep's
+    # first as well.
     k = s.bit_count()
     return is_profile_knitted(l, s, [2] * (k // 2) + [1] * (k % 2))
 

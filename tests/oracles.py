@@ -4,7 +4,9 @@ Everything here is written against the definitions directly, sharing no
 search machinery with the package, so the two sides can disagree. The
 exceptions are previous implementations kept as references:
 ``configuration_by_orders``, the previous configuration search, for the
-selected blocks; ``flow_by_matrix``, the previous
+selected blocks; ``profile_knitted_by_sweep``, the previous
+``is_profile_knitted``, for verdicts and violating partitions;
+``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
 and collected paths; ``census_by_dedup``, the previous census, for the
 isomorphism classes; and ``critical_by_scan``, the previous
@@ -28,7 +30,13 @@ from knitweave.graphs import (
     mask_of,
     set_of,
 )
-from knitweave.solver import PATH_CAP, Configuration, iter_paths_by_length
+from knitweave.solver import (
+    PATH_CAP,
+    Configuration,
+    _link,
+    iter_paths_by_length,
+    partitions_with_profile,
+)
 
 
 def all_simple_paths(g: Graph, u: int, v: int, banned: set[int], max_len: Optional[int] = None):
@@ -149,6 +157,18 @@ def first_unknittable_partition(g: Graph, verts):
         if not knittable_by_paths(g, parts):
             return parts
     return None
+
+
+def profile_knitted_by_sweep(
+    g: Graph, s: int, profile: Sequence[int]
+) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
+    """The previous ``is_profile_knitted``: one linkage search per partition
+    of ``s`` with the given part sizes, in lexicographic order, returning the
+    first that cannot be knit."""
+    for part_sets in partitions_with_profile(set_of(s), profile):
+        if _link(g, [p for p in part_sets if len(p) == 2], s) is None:
+            return False, part_sets
+    return True, None
 
 
 def independence_by_enumeration(g: Graph) -> int:

@@ -7,12 +7,13 @@ import pytest
 
 from knitweave.errors import InputError, PreconditionError
 from knitweave.formats import parse_graph6
-from knitweave.generators import gen_min_degree, gen_split_host
+from knitweave.generators import complete_minus_matching, gen_min_degree, gen_split_host
 from knitweave.graphs import Graph, bits, mask_of
 from knitweave.solver import (
     Configuration,
     Knit,
     TerminalSpec,
+    _nonedge_matchings,
     build_configuration,
     disjoint_paths,
     is_k_linked,
@@ -33,6 +34,7 @@ from oracles import (
     configuration_by_orders,
     flow_by_matrix,
     knittable_by_paths,
+    profile_knitted_by_sweep,
     two_pair_systems_solvable,
 )
 
@@ -50,22 +52,11 @@ def test_terminal_spec_validation():
     assert spec.parts == ((1, 3), (2,))
 
 
-def test_iter_paths_matches_oracle():
-    rng = random.Random(11)
-    for _ in range(1000):
-        n = rng.randint(2, 12)
-        g = random_graph(rng, n, p=rng.uniform(0.2, 0.6))
-        u, v = rng.sample(range(n), 2)
-        allowed = rng.getrandbits(n) | rng.getrandbits(n)
-        want = [tuple(p) for p in all_simple_paths(g, u, v, set(bits(g.full_mask & ~allowed)))]
-        shortest_first = sorted(want, key=lambda p: (len(p), p))
-        for cap in range(2, 7):
-            assert list(iter_paths_by_length(g, u, v, allowed, cap)) == [
-                p for p in shortest_first if len(p) <= cap
-            ]
-
-
-def test_iter_paths_by_length_matches_sorted_oracle():
+def _path_cases():
+    """(g, u, v, allowed, caps, read) cases for the path generator: 1500 with
+    one random cap and a random partial read (a read of None takes every
+    path), then 1000 graphs of at most 12 vertices, each read in full at
+    every cap 2..6."""
     rng = random.Random(13)
     for _ in range(1500):
         n = rng.randint(2, 14)
@@ -73,11 +64,25 @@ def test_iter_paths_by_length_matches_sorted_oracle():
         u, v = rng.sample(range(n), 2)
         allowed = rng.getrandbits(n) | rng.getrandbits(n)
         cap = rng.randint(0, n + 1)
-        paths = all_simple_paths(g, u, v, set(bits(g.full_mask & ~allowed)), cap)
-        want = sorted(map(tuple, paths), key=lambda p: (len(p), p))
-        got = iter_paths_by_length(g, u, v, allowed, cap)
-        read = rng.choice([1, 3, 10, None])  # partial reads stop the generator early
-        assert list(itertools.islice(got, read)) == list(itertools.islice(want, read))
+        yield g, u, v, allowed, (cap,), rng.choice([1, 3, 10, None])
+    rng = random.Random(11)
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.6))
+        u, v = rng.sample(range(n), 2)
+        allowed = rng.getrandbits(n) | rng.getrandbits(n)
+        yield g, u, v, allowed, range(2, 7), None
+
+
+def test_iter_paths_by_length_matches_sorted_oracle():
+    for g, u, v, allowed, caps, read in _path_cases():
+        paths = all_simple_paths(g, u, v, set(bits(g.full_mask & ~allowed)), max(caps))
+        shortest_first = sorted(map(tuple, paths), key=lambda p: (len(p), p))
+        for cap in caps:
+            want = [p for p in shortest_first if len(p) <= cap]
+            got = iter_paths_by_length(g, u, v, allowed, cap)
+            # partial reads stop the generator early
+            assert list(itertools.islice(got, read)) == want[:read]
 
 
 def test_disjoint_paths_direct_edges():
@@ -194,6 +199,90 @@ def test_profile_knitted_examples():
     for s, profile in ((-1, (1,)), (1 << 6, (1,)), (0b11 << 5, (2,)), (0b111, (3,))):
         with pytest.raises(InputError):
             is_profile_knitted(Graph.cycle(6), s, profile)
+
+
+def _profiles(k):
+    return [(2,) * j + (1,) * (k - 2 * j) for j in range(k // 2 + 1)]
+
+
+def test_profile_knitted_matches_sweep_on_census(census7):
+    # every terminal set and every profile of it, on every graph of <= 6 vertices
+    seen = {True: 0, False: 0}
+    for g in census7:
+        if g.n > 6:
+            continue
+        for s in range(1 << g.n):
+            for profile in _profiles(s.bit_count()):
+                got = is_profile_knitted(g, s, profile)
+                assert got == profile_knitted_by_sweep(g, s, profile), (g.adj, s, profile)
+                seen[got[0]] += 1
+    assert seen[True] and seen[False]
+
+
+def test_profile_knitted_matches_sweep_randomized():
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(1, 11)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.95))
+        k = rng.randint(0, n)
+        s = mask_of(rng.sample(range(n), k))
+        profile = rng.choice(_profiles(k))
+        got = is_profile_knitted(g, s, profile)
+        assert got == profile_knitted_by_sweep(g, s, profile), (g.adj, s, profile)
+        seen[got[0]] += 1
+    assert seen[True] and seen[False]
+
+
+def test_profile_knitted_matches_sweep_on_k33_minus_matching():
+    # the removed edges are {0, 1}, {2, 3}, ..., {30, 31}; each terminal set
+    # holds r of them and eight vertices in all
+    g = complete_minus_matching(33, 16)
+    rng = random.Random(33)
+    for r in range(5):
+        for _ in range(4):
+            removed = rng.sample(range(16), r)
+            verts = [v for i in removed for v in (2 * i, 2 * i + 1)]
+            # one vertex from each of the other removed edges, or the last vertex
+            others = [2 * i + rng.randint(0, 1) for i in range(16) if i not in removed] + [32]
+            verts += rng.sample(others, 8 - 2 * r)
+            s = mask_of(verts)
+            assert sum((s >> 2 * i) & 3 == 3 for i in range(16)) == r
+            for profile in ((2, 2, 2, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1, 1, 1)):
+                assert is_profile_knitted(g, s, profile) == profile_knitted_by_sweep(g, s, profile)
+
+
+def test_profile_knitted_matches_sweep_on_circulant():
+    n = 40
+    g = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
+    for seed in (1, 2, 3):
+        s = mask_of(random.Random(seed).sample(range(n), 8))
+        for profile in ((2, 2, 2, 2), (2, 2, 2, 1, 1)):
+            assert is_profile_knitted(g, s, profile) == profile_knitted_by_sweep(g, s, profile) == (True, None)
+
+
+def test_nonedge_matchings_match_brute_force():
+    # the matchings of the complement of G[s] with j edges, or maximal with
+    # fewer, each produced once
+    rng = random.Random(17)
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.9))
+        s = mask_of(rng.sample(range(n), rng.randint(0, n)))
+        j = rng.randint(0, s.bit_count() // 2)
+        non = [e for e in itertools.combinations(bits(s), 2) if not g.has_edge(*e)]
+        matchings = [
+            m for size in range(j + 1) for m in itertools.combinations(non, size)
+            if len({v for e in m for v in e}) == 2 * size
+        ]
+
+        def maximal(m):
+            used = {v for e in m for v in e}
+            return all(u in used or v in used for u, v in non)
+
+        want = sorted(m for m in matchings if len(m) == j or maximal(m))
+        # want holds each matching once, so a repeat in got would show
+        assert sorted(_nonedge_matchings(g, s, j)) == want
 
 
 def test_is_k_linked():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from knitweave.errors import InputError, PreconditionError
+from knitweave.generators import complete_minus_matching
 from knitweave.graphs import Graph, bits, mask_of, rho
+from knitweave.solver import _link
 from knitweave.structure import (
     Separation,
     enumerate_separations,
@@ -176,13 +178,36 @@ def test_pair_is_knitted_matches_oracle():
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("n", [52, 64])
 def test_pair_is_knitted_on_dense_circulants(n, seed):
-    # C_n(1..15) is 30-connected; each of the 105 pairings of eight terminals
-    # is linked by short paths, which the search reads first
+    # C_n(1..15) is 30-connected; each maximal matching of non-edges among
+    # eight terminals is linked by short paths, which the search reads first
     g = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
     s = mask_of(random.Random(seed).sample(range(n), 8))
     t0 = time.perf_counter()
     assert pair_is_knitted(g, s) == (True, None)
     assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("host", ["K32", "K33-matching"])
+def test_pair_is_knitted_links_one_matching(host, monkeypatch):
+    # the non-edges inside eight terminals of K32 (none) or of K33 minus a
+    # 16-edge matching (the removed edges there) form the only maximal
+    # matching, so one linkage search decides all 105 pairings
+    g = Graph.complete(32) if host == "K32" else complete_minus_matching(33, 16)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _link(*args, **kwargs)
+
+    monkeypatch.setattr("knitweave.solver._link", counted)
+    rng = random.Random(5)
+    sizes = set()
+    for _ in range(50):
+        calls.clear()
+        assert pair_is_knitted(g, mask_of(rng.sample(range(g.n), 8))) == (True, None)
+        assert len(calls) <= 1
+        sizes.update(map(len, calls))
+    assert sizes == ({0} if host == "K32" else {0, 1, 2, 3})
 
 
 MINIMIZE_EDGES = None
