@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linkage", help="disjoint paths for the given pairs")
     p.add_argument("--pairs", required=True, help="e.g. 0-1,2-3")
     p.add_argument("--forbidden")
-    p.add_argument("--max-path-len", type=int)
 
     p = sub.add_parser("knit", help="disjoint connected subgraphs per part")
     p.add_argument("--pairs")
@@ -234,7 +233,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "linkage":
         spec = _spec_from_args(args)
-        got = solver.disjoint_paths(g, spec, args.max_path_len)
+        got = solver.disjoint_paths(g, spec)
         cert = solver.two_pair_obstruction(g, spec) if got is None else None
         return _emit({
             "exists": got is not None,

@@ -18,7 +18,9 @@ from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, is_connected, mask_of, set_of
 from .planar import face_count, planar_rotation
 
-_COUNT_CAP = 24  # candidate-path counting cutoff, used only for search ordering
+# _link branches on the pair with the fewest candidate paths, counted by
+# _count_paths up to this cap; larger counts tie, and no path is built
+_COUNT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -121,18 +123,12 @@ class Knit:
 # Path and flow machinery
 # ---------------------------------------------------------------------------
 
-def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Simple u-v paths whose interior lies in ``allowed``, at most
-    ``max_len`` vertices long, shortest first and in lexicographic order of
-    the vertex sequence within a length ((length, lex) order).
-
-    One breadth-first search from v inside ``allowed`` gives ``near[r]``, the
-    interior vertices at most r steps from v. Then one depth-first pass per
-    exact length steps only to a vertex that is near enough to v for the
-    steps left; the last step goes to v.
-    """
-    if u == v:
-        return
+def _near_layers(g: Graph, u: int, v: int, allowed: int) -> tuple[int, list[int], Optional[int]]:
+    """The breadth-first layers that both path walkers below step through:
+    ``(inner, near, shortest)``, where ``inner`` is ``allowed`` without u and
+    v, ``near[0]`` is v alone, ``near[r]`` for r >= 1 holds the vertices of
+    ``inner`` at most r steps from v inside it, and ``shortest`` is the
+    vertex count of a shortest u-v path (None if there is none)."""
     adj = g.adj
     target = 1 << v
     inner = allowed & ~(1 << u) & ~target
@@ -145,10 +141,28 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
         frontier = nxt & inner & ~seen
         seen |= frontier
         near.append(seen & inner)
-    top = len(near) - 1
-    shortest = next((r + 2 for r in range(top + 1) if adj[u] & near[r]), None)
+    shortest = next((r + 2 for r, layer in enumerate(near) if adj[u] & layer), None)
+    return inner, near, shortest
+
+
+def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Simple u-v paths whose interior lies in ``allowed``, at most
+    ``max_len`` vertices long, shortest first and in lexicographic order of
+    the vertex sequence within a length ((length, lex) order).
+
+    One breadth-first search from v inside ``allowed`` (:func:`_near_layers`)
+    gives the interior vertices at most r steps from v. Then one depth-first
+    pass per exact length steps only to a vertex that is near enough to v for
+    the steps left; the last step goes to v.
+    """
+    if u == v:
+        return
+    inner, near, shortest = _near_layers(g, u, v, allowed)
     if shortest is None:
         return
+    adj = g.adj
+    target = 1 << v
+    top = len(near) - 1
     for length in range(shortest, min(max_len, inner.bit_count() + 2) + 1):
         path = [u]
         on = 1 << u
@@ -168,6 +182,53 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
             path.append(low.bit_length() - 1)
             on |= low
             untried.append(adj[path[-1]] & near[min(length - len(path) - 1, top)] & ~on)
+
+
+def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
+    """``min(cap, number of simple u-v paths with interior in allowed)``,
+    without building a path.
+
+    The walk is :func:`iter_paths_by_length`'s, one depth-first pass per
+    length, but each pass stops one vertex early: at the second-to-last
+    interior vertex w, every unused interior neighbour of both w and v is
+    the last interior vertex of exactly one path, so the pass adds their
+    number. Lengths 2 and 3 need no pass. It returns as soon as the count
+    reaches ``cap``.
+    """
+    if u == v:
+        return 0
+    inner, near, shortest = _near_layers(g, u, v, allowed)
+    if shortest is None:
+        return 0
+    adj = g.adj
+    top = len(near) - 1
+    last = near[1]  # the interior vertices adjacent to v
+    count = (1 if shortest == 2 else 0) + (adj[u] & last).bit_count()
+    for length in range(max(shortest, 4), inner.bit_count() + 3):
+        if count >= cap:
+            return cap
+        depth = length - 3  # path vertices before the second-to-last interior vertex
+        path = [1 << u]
+        on = 1 << u
+        untried = [adj[u] & near[min(length - 2, top)]]
+        while untried:
+            cand = untried[-1]
+            if not cand:
+                untried.pop()
+                on ^= path.pop()
+                continue
+            low = cand & -cand
+            untried[-1] = cand ^ low
+            w = low.bit_length() - 1
+            if len(path) == depth:
+                count += (adj[w] & last & ~on).bit_count()
+                if count >= cap:
+                    return cap
+                continue
+            path.append(low)
+            on |= low
+            untried.append(adj[w] & near[min(length - len(path) - 1, top)] & ~on)
+    return min(count, cap)
 
 
 def max_vertex_disjoint_flow(
@@ -500,33 +561,31 @@ def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruc
 # Disjoint paths and knits
 # ---------------------------------------------------------------------------
 
-def _link(
-    g: Graph, pairs: Sequence[tuple[int, int]], blocked: int, max_len: Optional[int] = None
-) -> Optional[tuple[tuple[int, ...], ...]]:
+def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[tuple[tuple[int, ...], ...]]:
     """Vertex-disjoint paths from u to v for each ``(u, v)`` of ``pairs``, in
     pair order, with no interior vertex in ``blocked`` (which must hold every
     pair's ends); None if there are none.
 
-    Two pairs, neither an edge, with no length cap are decided first in
-    polynomial time by :func:`_obstruction` (the two-paths theorem); a "no"
-    returns None there. Every linkage comes from the exhaustive backtracking
-    search: direct edges first, then the other pairs
-    fewest-candidate-paths first (recomputed as the search deepens), each
-    trying its paths from :func:`iter_paths_by_length`, shortest first and
-    lexicographic within a length ((length, lex) order), under a
-    unit-capacity flow bound between the unlinked terminals that prunes
-    hopeless branches early. So each pair takes the first path in that
-    order that lets the pairs after it be linked. With three or more pairs
-    to link, a "no" is that search's exhaustion.
+    Two pairs, neither an edge, are decided first in polynomial time by
+    :func:`_obstruction` (the two-paths theorem); a "no" returns None there.
+    Every linkage comes from the exhaustive backtracking search: direct
+    edges first, then the other pairs fewest-candidate-paths first
+    (recomputed as the search deepens, each count from :func:`_count_paths`,
+    which builds no path), each trying its paths from
+    :func:`iter_paths_by_length`, shortest first and lexicographic within a
+    length ((length, lex) order), under a unit-capacity flow bound between
+    the unlinked terminals that prunes hopeless branches early. So each pair
+    takes the first path in that order that lets the pairs after it be
+    linked. With three or more pairs to link, a "no" is that search's
+    exhaustion.
     """
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions
     todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
-    if max_len is None and len(pairs) == len(todo) == 2 and _obstruction(g, pairs, blocked) is not None:
+    if len(pairs) == len(todo) == 2 and _obstruction(g, pairs, blocked) is not None:
         return None
     free = g.full_mask & ~blocked
-    longest = g.n if max_len is None else max_len
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
         if not remaining:
@@ -540,9 +599,7 @@ def _link(
                 return False
             best_count = None
             for item in remaining:
-                u, v = item[1]
-                cnt = sum(1 for _ in itertools.islice(
-                    iter_paths_by_length(g, u, v, interior, longest), _COUNT_CAP))
+                cnt = _count_paths(g, *item[1], interior, _COUNT_CAP)
                 if cnt == 0:
                     return False
                 if best_count is None or cnt < best_count:
@@ -551,7 +608,7 @@ def _link(
                         break
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
-        for path in iter_paths_by_length(g, u, v, interior, longest):
+        for path in iter_paths_by_length(g, u, v, interior, g.n):
             chosen[idx] = path
             if search(used | mask_of(path[1:-1]), rest):
                 return True
@@ -560,19 +617,19 @@ def _link(
     return tuple(chosen) if search(0, todo) else None
 
 
-def disjoint_paths(g: Graph, spec: TerminalSpec, max_path_len: Optional[int] = None) -> Optional[Linkage]:
-    """Pairwise vertex-disjoint paths joining every pair of ``spec``, each at
-    most ``max_path_len`` vertices long; the search is :func:`_link`, which
-    tries each pair's paths shortest first, in (length, lex) order.
+def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
+    """Pairwise vertex-disjoint paths joining every pair of ``spec``; the
+    search is :func:`_link`, which tries each pair's paths shortest first, in
+    (length, lex) order, with no cap on their length.
 
-    Two pairs, neither an edge, with no length cap are decided in polynomial
-    time (:func:`two_pair_obstruction` gives the certificate of a "no");
-    three or more pairs, or a length cap, take the exhaustive search.
+    Two pairs, neither an edge, are decided in polynomial time
+    (:func:`two_pair_obstruction` gives the certificate of a "no"); three or
+    more pairs take the exhaustive search.
     """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):
         raise InputError("disjoint_paths takes pair parts only; use knit for singletons")
-    paths = _link(g, spec.parts, spec.forbidden | spec.terminal_mask, max_path_len)
+    paths = _link(g, spec.parts, spec.forbidden | spec.terminal_mask)
     return None if paths is None else Linkage(paths)
 
 

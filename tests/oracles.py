@@ -3,8 +3,10 @@
 Everything here is written against the definitions directly, sharing no
 search machinery with the package, so the two sides can disagree. The
 exceptions are previous implementations kept as references:
-``configuration_by_orders``, the previous configuration search, for the
-selected blocks; ``profile_knitted_by_sweep``, the previous
+``count_paths_by_enumeration``, the previous candidate-path count in
+``_link``, for path counts; ``configuration_by_orders``, the previous
+configuration search, for the selected blocks;
+``profile_knitted_by_sweep``, the previous
 ``is_profile_knitted``, for verdicts and violating partitions;
 ``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
@@ -57,6 +59,12 @@ def all_simple_paths(g: Graph, u: int, v: int, banned: set[int], max_len: Option
                 yield from rec(path + [w], seen | {w})
 
     yield from rec([u], {u})
+
+
+def count_paths_by_enumeration(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
+    """The candidate-path count ``_link`` made before ``_count_paths``: build
+    the first ``cap`` u-v paths with interior in ``allowed`` and count them."""
+    return sum(1 for _ in itertools.islice(iter_paths_by_length(g, u, v, allowed, g.n), cap))
 
 
 def two_pair_systems_solvable(g: Graph, p1, p2) -> bool:

@@ -15,29 +15,8 @@ from knitweave.solver import (
     two_pair_obstruction,
 )
 
-from conftest import random_graph
+from conftest import crossing_grid, random_graph
 from oracles import two_pair_systems_solvable, two_pairs_linked_by_induced_paths
-
-
-def crossing_grid(rows: int, cols: int, rng=None) -> tuple[Graph, TerminalSpec]:
-    """The triangulated grid with the corners paired across it, vertices
-    shuffled by ``rng`` when given: the corners lie on the outer face in the
-    order TL, TR, BR, BL, so TL-BR and TR-BL cannot be linked."""
-    perm = list(range(rows * cols))
-    if rng is not None:
-        rng.shuffle(perm)
-    at = lambda i, j: perm[i * cols + j]
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            if j + 1 < cols:
-                edges.append((at(i, j), at(i, j + 1)))
-            if i + 1 < rows:
-                edges.append((at(i, j), at(i + 1, j)))
-            if i + 1 < rows and j + 1 < cols:
-                edges.append((at(i, j), at(i + 1, j + 1)))
-    pairs = ((at(0, 0), at(rows - 1, cols - 1)), (at(0, cols - 1), at(rows - 1, 0)))
-    return Graph.from_edges(rows * cols, edges), pairs_spec(pairs)
 
 
 def test_planar_rotation_matches_networkx():

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 import time
 
 import networkx as nx
 import pytest
 
+from knitweave import solver
 from knitweave.errors import InputError, PreconditionError
 from knitweave.formats import parse_graph6
 from knitweave.generators import complete_minus_matching, gen_min_degree, gen_split_host
@@ -13,6 +15,8 @@ from knitweave.solver import (
     Configuration,
     Knit,
     TerminalSpec,
+    _count_paths,
+    _link,
     _nonedge_matchings,
     build_configuration,
     disjoint_paths,
@@ -27,11 +31,12 @@ from knitweave.solver import (
     s_value,
 )
 
-from conftest import random_graph
+from conftest import crossing_grid, random_graph
 from oracles import (
     all_simple_paths,
     best_configuration_value,
     configuration_by_orders,
+    count_paths_by_enumeration,
     flow_by_matrix,
     knittable_by_paths,
     profile_knitted_by_sweep,
@@ -85,6 +90,90 @@ def test_iter_paths_by_length_matches_sorted_oracle():
             assert list(itertools.islice(got, read)) == want[:read]
 
 
+def _count_cases():
+    """(g, u, v, allowed) cases for the path counter: 3000 random graphs of
+    2..22 vertices with random interior sets, then corner and random pairs on
+    triangulated grids and random pairs on the circulant C_40(1..15)."""
+    rng = random.Random(16)
+    for _ in range(3000):
+        n = rng.randint(2, 22)
+        g = random_graph(rng, n, p=rng.uniform(0.05, 0.7))
+        allowed = rng.getrandbits(n) | (rng.getrandbits(n) if rng.random() < 0.7 else 0)
+        yield g, rng.randrange(n), rng.randrange(n), allowed
+    for rows, cols in ((3, 3), (4, 5), (5, 5), (6, 6), (8, 8)):
+        g, spec = crossing_grid(rows, cols)
+        ends = list(spec.parts) + [tuple(rng.sample(range(g.n), 2)) for _ in range(20)]
+        for u, v in ends:
+            yield g, u, v, g.full_mask
+            yield g, u, v, g.full_mask & ~rng.getrandbits(g.n) & ~rng.getrandbits(g.n)
+    n = 40
+    g = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
+    for _ in range(40):
+        u, v = rng.sample(range(n), 2)
+        yield g, u, v, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+
+
+def test_count_paths_matches_enumeration():
+    counts = set()
+    for g, u, v, allowed in _count_cases():
+        for cap in (1, 2, 24):
+            got = _count_paths(g, u, v, allowed, cap)
+            assert got == count_paths_by_enumeration(g, u, v, allowed, cap), (g.n, u, v, allowed, cap)
+            counts.add(got)
+    assert counts == set(range(25))  # every count below the cap occurs
+
+
+def _link_corpus():
+    rng = random.Random(2853)
+    for _ in range(2000):
+        n = rng.randint(6, 18)
+        g = random_graph(rng, n, p=rng.uniform(0.15, 0.6))
+        k = rng.randint(2, min(4, n // 2))
+        verts = rng.sample(range(n), 2 * k)
+        rest = [w for w in range(n) if w not in verts]
+        extra = rng.sample(rest, rng.randint(0, min(3, len(rest))))
+        yield g, [(verts[2 * i], verts[2 * i + 1]) for i in range(k)], mask_of(verts + extra)
+
+
+def test_link_unchanged_under_enumerated_counts(monkeypatch):
+    corpus = list(_link_corpus())
+    got = [_link(*case) for case in corpus]
+    monkeypatch.setattr(solver, "_count_paths", count_paths_by_enumeration)
+    assert [_link(*case) for case in corpus] == got
+    linked = sum(paths is not None for paths in got)
+    assert 500 < linked < len(corpus) - 500
+
+
+def test_link_reads_paths_once_per_search_node(monkeypatch):
+    # four pairs, none an edge, on a sparse pool-style host, where the search
+    # backtracks; the candidate counts take no path from the generator, so
+    # only a node's branching loop calls it
+    g = gen_min_degree(20, 4, 14)
+    verts = random.Random(14).sample(range(20), 8)
+    pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(4)]
+    reads = nodes = 0
+    walk = solver.iter_paths_by_length
+
+    def counted(*args):
+        nonlocal reads
+        reads += 1
+        return walk(*args)
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "search" and frame.f_code.co_filename == solver.__file__:
+            nodes += 1
+
+    monkeypatch.setattr(solver, "iter_paths_by_length", counted)
+    sys.setprofile(profile)
+    try:
+        paths = _link(g, pairs, mask_of(verts))
+    finally:
+        sys.setprofile(None)
+    assert paths is not None
+    assert nodes == 7 and reads <= nodes
+
+
 def test_disjoint_paths_direct_edges():
     g = Graph.complete(8)
     spec = pairs_spec([(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -117,11 +206,8 @@ def test_disjoint_paths_takes_shortest_paths_first():
     assert got.paths == ((29, 0, 37),)
 
 
-def test_disjoint_paths_respects_cap_and_forbidden():
+def test_disjoint_paths_respects_forbidden():
     g = Graph.path(5)  # 0-1-2-3-4
-    assert disjoint_paths(g, pairs_spec([(0, 4)]), max_path_len=4) is None
-    got = disjoint_paths(g, pairs_spec([(0, 4)]), max_path_len=5)
-    assert got.paths == ((0, 1, 2, 3, 4),)
     assert disjoint_paths(g, TerminalSpec(((0, 4),), forbidden=1 << 2)) is None
 
 
