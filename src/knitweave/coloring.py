@@ -62,23 +62,38 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     Saturation-guided backtracking: try k-colorability for increasing k
     between the clique lower bound and the greedy upper bound, branching on
     the most saturated vertex and never opening more than one fresh color.
+    The greedy bound keeps each color class as a bitset and puts a vertex in
+    the first class its neighborhood misses. That is the smallest color no
+    neighbor carries, so the coloring is the same as from a set of neighbor
+    colors.
     """
+    k, coloring, _ = _color_with_clique(g)
+    return k, coloring
+
+
+def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
+    """:func:`chromatic_number`'s answer plus the maximum clique (a bitset)
+    that gave its lower bound."""
     n = g.n
     if n == 0:
-        return 0, Coloring((), 0)
+        return 0, Coloring((), 0), 0
     adj = g.adj
     clique = max_clique(g)
     lb = clique.bit_count()
 
-    greedy = [-1] * n
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    for v in order:
-        used = {greedy[u] for u in bits(adj[v]) if greedy[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
+    greedy = [0] * n
+    classes: list[int] = []
+    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
+        row = adj[v]
+        for c, cls in enumerate(classes):
+            if not cls & row:
+                classes[c] = cls | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
         greedy[v] = c
-    ub = max(greedy) + 1
+    ub = len(classes)
 
     def try_k(k: int) -> Optional[list[int]]:
         colors = [-1] * n
@@ -114,8 +129,15 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     for k in range(lb, ub):
         got = try_k(k)
         if got is not None:
-            return k, Coloring(tuple(got), k)
-    return ub, Coloring(tuple(greedy), ub)
+            return k, Coloring(tuple(got), k), clique
+    return ub, Coloring(tuple(greedy), ub), clique
+
+
+def _delete_vertex(g: Graph, v: int) -> Graph:
+    """G - v, the vertices above v shifted down by one."""
+    low = (1 << v) - 1
+    rows = g.adj[:v] + g.adj[v + 1:]
+    return Graph(g.n - 1, tuple((r & low) | (r >> (v + 1) << v) for r in rows))
 
 
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
@@ -129,19 +151,24 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     k colors. An edge vw is not tried when N(v) - w misses a color of the
     (k - 1)-coloring found for G - v: v takes that color in G - vw, so G - vw
     needs fewer than k colors.
+
+    Let C be the maximum clique found while coloring G. If |C| = k, then for
+    v outside C, G - v contains C and needs k colors, so it is taken
+    uncolored. The vertices of C, and every vertex when |C| < k, are still
+    colored, so the first witness is the same as if every G - v were colored.
     """
-    chi, _ = chromatic_number(g)
+    chi, _, clique = _color_with_clique(g)
     if chi != k:
         return False, None
+    colored = clique if clique.bit_count() == k else g.full_mask
     singletons = tuple(1 << v for v in range(g.n))
-    edges = tuple(g.edges())
     # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
     spare = []
     for v in range(g.n):
-        kept = tuple((i - (i > v), j - (j > v)) for i, j in edges if v not in (i, j))
-        wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], kept)
-        c, coloring = chromatic_number(wit.quotient())
+        h = _delete_vertex(g, v)
+        c, coloring = chromatic_number(h) if colored >> v & 1 else (k, None)
         if c >= k:
+            wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], tuple(h.edges()))
             wit.validate()
             return False, wit
         colors = coloring.colors[:v] + (-1,) + coloring.colors[v:]
@@ -149,6 +176,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
         for w in bits(g.adj[v]):
             classes[colors[w]] |= 1 << w
         spare.append(g.adj[v] if 0 in classes else sum(m for m in classes if m.bit_count() == 1))
+    edges = tuple(g.edges())
     edge_deletions = (
         MinorWitness(g, singletons, tuple(f for f in edges if f != (u, w)))
         for u, w in edges

@@ -393,27 +393,39 @@ class MinorWitness:
         return Graph.from_edges(len(self.branch_sets), self.model_edges)
 
     def validate(self) -> None:
+        host, branch_sets = self.host, self.branch_sets
+        adj, full = host.adj, host.full_mask
         seen = 0
-        for bs in self.branch_sets:
+        reach = []  # reach[i]: the host vertices adjacent to branch set i
+        for bs in branch_sets:
             if bs == 0:
                 raise InputError("empty branch set")
             if bs & seen:
                 raise InputError("branch sets overlap")
-            if bs & ~self.host.full_mask:
+            if bs & ~full:
                 raise InputError("branch set outside host")
-            if not is_connected(self.host, bs):
-                raise InputError("branch set does not induce a connected subgraph")
             seen |= bs
+            if not bs & (bs - 1):  # a single vertex
+                reach.append(adj[bs.bit_length() - 1])
+                continue
+            if not is_connected(host, bs):
+                raise InputError("branch set does not induce a connected subgraph")
+            r = 0
+            for v in bits(bs):
+                r |= adj[v]
+            reach.append(r)
+        m = len(reach)
         used = set()
         for i, j in self.model_edges:
+            if not (type(i) is int and type(j) is int and 0 <= i < m and 0 <= j < m):
+                raise InputError(f"model edge {i!r},{j!r} is not a pair of branch set indices")
             if i == j:
                 raise InputError("model loop")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in used:
                 raise InputError("parallel model edge")
             used.add(key)
-            bi, bj = self.branch_sets[i], self.branch_sets[j]
-            if not any(self.host.adj[v] & bj for v in bits(bi)):
+            if not reach[i] & branch_sets[j]:
                 raise InputError(f"model edge {i},{j} has no host edge backing it")
 
 

@@ -11,8 +11,10 @@ configuration search, for the selected blocks;
 ``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
 and collected paths; ``census_by_dedup``, the previous census, for the
-isomorphism classes; and ``critical_by_scan``, the previous
-``is_contraction_critical``, for verdicts and witnesses.
+isomorphism classes; ``chromatic_by_saturation``, the previous
+``chromatic_number``, for chromatic numbers and colorings; and
+``critical_by_scan``, the previous ``is_contraction_critical``, for
+verdicts and witnesses.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from knitweave.coloring import chromatic_number
+from knitweave.coloring import Coloring, chromatic_number
 from knitweave.errors import InputError
 from knitweave.graphs import (
     Graph,
@@ -30,6 +32,7 @@ from knitweave.graphs import (
     canonical_form,
     contraction_quotients,
     mask_of,
+    max_clique,
     set_of,
 )
 from knitweave.solver import (
@@ -563,6 +566,70 @@ def census_by_dedup(n: int) -> list[Graph]:
             h = Graph(n, tuple(rows))
             seen.setdefault(canonical_form(h), h)
     return list(seen.values())
+
+
+# -- reference chromatic number ----------------------------------------------
+
+def chromatic_by_saturation(g: Graph) -> tuple[int, Coloring]:
+    """Exact chromatic number with an optimal coloring.
+
+    Saturation-guided backtracking: try k-colorability for increasing k
+    between the clique lower bound and the greedy upper bound, branching on
+    the most saturated vertex and never opening more than one fresh color.
+    """
+    n = g.n
+    if n == 0:
+        return 0, Coloring((), 0)
+    adj = g.adj
+    clique = max_clique(g)
+    lb = clique.bit_count()
+
+    greedy = [-1] * n
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    for v in order:
+        used = {greedy[u] for u in bits(adj[v]) if greedy[u] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        greedy[v] = c
+    ub = max(greedy) + 1
+
+    def try_k(k: int) -> Optional[list[int]]:
+        colors = [-1] * n
+        for i, v in enumerate(bits(clique)):
+            colors[v] = i
+
+        def admissible(v: int) -> set[int]:
+            used = {colors[u] for u in bits(adj[v]) if colors[u] >= 0}
+            hi = min(k, max((c for c in colors if c >= 0), default=-1) + 2)
+            return {c for c in range(hi) if c not in used}
+
+        def rec() -> bool:
+            pending = [v for v in range(n) if colors[v] < 0]
+            if not pending:
+                return True
+            v = max(
+                pending,
+                key=lambda x: (
+                    len({colors[u] for u in bits(adj[x]) if colors[u] >= 0}),
+                    adj[x].bit_count(),
+                    -x,
+                ),
+            )
+            for c in sorted(admissible(v)):
+                colors[v] = c
+                if rec():
+                    return True
+                colors[v] = -1
+            return False
+
+        return colors if rec() else None
+
+    for k in range(lb, ub):
+        got = try_k(k)
+        if got is not None:
+            return k, Coloring(tuple(got), k)
+    return ub, Coloring(tuple(greedy), ub)
 
 
 # -- reference contraction-criticality ---------------------------------------

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import knitweave.coloring as coloring
 from knitweave.coloring import (
     Coloring,
     build_recombination_plan,
@@ -14,10 +15,25 @@ from knitweave.coloring import (
     validate_power_set_coding,
 )
 from knitweave.errors import InputError, PreconditionError, ResourceError, SplitClassError
-from knitweave.graphs import Graph, are_isomorphic, mask_of, nonisomorphic_graphs, set_of
+from knitweave.graphs import (
+    Graph,
+    are_isomorphic,
+    bits,
+    canonical_form,
+    induced,
+    mask_of,
+    max_clique,
+    nonisomorphic_graphs,
+    set_of,
+)
 
 from conftest import random_graph
-from oracles import chromatic_by_enumeration, critical_by_scan, minors_by_recursion
+from oracles import (
+    chromatic_by_enumeration,
+    chromatic_by_saturation,
+    critical_by_scan,
+    minors_by_recursion,
+)
 from recomb_fixtures import build_recomb_fixture
 
 
@@ -38,6 +54,15 @@ def test_chromatic_vs_enumeration():
         if g.n:
             col.check_proper(g)
             assert len(col.colors_used(g.full_mask)) == chi
+
+
+def test_chromatic_matches_saturation_reference(census7):
+    rng = random.Random(23)
+    graphs = census7 + [
+        random_graph(rng, rng.randint(0, 12), p=rng.uniform(0.1, 0.9)) for _ in range(1000)
+    ]
+    for g in graphs:
+        assert chromatic_number(g) == chromatic_by_saturation(g), g
 
 
 def test_complete_graph_chromatic():
@@ -81,13 +106,52 @@ def _verdict(result):
     return ok, wit and (wit.branch_sets, wit.model_edges)
 
 
+def _census8_sample(rng, count):
+    """``count`` distinct members of ``nonisomorphic_graphs(8)``, found without
+    building the census: a census graph is labelled by its canonical rows,
+    vertex v's higher neighbors being row 7 - v."""
+    out = {}
+    while len(out) < count:
+        _, rows = canonical_form(random_graph(rng, 8, p=rng.uniform(0.1, 0.9)))
+        edges = [(v, v + 1 + b) for v in range(8) for b in bits(rows[7 - v])]
+        out.setdefault(Graph.from_edges(8, edges), None)
+    return list(out)
+
+
 def test_contraction_critical_matches_scan(census7):
     rng = random.Random(13)
     graphs = census7 + [random_graph(rng, 8, p=rng.uniform(0.2, 0.9)) for _ in range(100)]
+    graphs += _census8_sample(rng, 300)
     for g in graphs:
         chi = chromatic_number(g)[0]
         for k in (chi - 1, chi, chi + 1):
             assert _verdict(is_contraction_critical(g, k)) == _verdict(critical_by_scan(g, k)), (g, k)
+
+
+def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkeypatch):
+    # when the clique found while coloring G has chi(G) = k vertices and
+    # misses vertex 0, G - 0 contains it and is the witness without a coloring
+    real = coloring.chromatic_number
+    orders = []
+
+    def spy(h):
+        orders.append(h.n)
+        return real(h)
+
+    monkeypatch.setattr(coloring, "chromatic_number", spy)
+    cases = 0
+    for g in census7:
+        k = real(g)[0]
+        clique = max_clique(g)
+        if not g.n or clique.bit_count() != k or clique & 1:
+            continue
+        orders.clear()
+        ok, wit = coloring.is_contraction_critical(g, k)
+        assert min(orders, default=g.n) >= g.n, g
+        assert not ok and wit.branch_sets == tuple(1 << v for v in range(1, g.n)), g
+        assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
+        cases += 1
+    assert cases > 1000
 
 
 def test_contraction_critical_c5_pins_deep_minors():

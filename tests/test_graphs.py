@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from knitweave.errors import InputError
 from knitweave.graphs import (
     Graph,
+    MinorWitness,
     are_isomorphic,
     bits,
     canonical_form,
@@ -279,6 +280,26 @@ def test_minor_witnesses_validate():
                 for j in range(i + 1, len(bs))
                 if any(g.adj[v] & bs[j] for v in bits(bs[i]))
             }
+
+
+def test_minor_witness_validate_rejects():
+    k3, p3 = Graph.complete(3), Graph.path(3)
+    bad = [
+        (MinorWitness(k3, (1, 0, 4), ()), "empty branch set"),
+        (MinorWitness(k3, (3, 2), ()), "overlap"),
+        (MinorWitness(k3, (1, 8), ()), "outside host"),
+        (MinorWitness(p3, (0b101, 0b010), ()), "connected"),
+        (MinorWitness(k3, (1, 2, 4), ((1, 1),)), "loop"),
+        (MinorWitness(k3, (1, 2, 4), ((0, 1), (0, 1))), "parallel"),
+        (MinorWitness(k3, (1, 2, 4), ((0, 1), (1, 0))), "parallel"),
+        (MinorWitness(p3, (1, 2, 4), ((0, 2),)), "backing"),
+        (MinorWitness(k3, (1, 2, 4), ((0, -1),)), "indices"),
+        (MinorWitness(k3, (1, 2, 4), ((0, 3),)), "indices"),
+        (MinorWitness(k3, (1, 2, 4), ((0, True),)), "indices"),
+    ]
+    for wit, message in bad:
+        with pytest.raises(InputError, match=message):
+            wit.validate()
 
 
 def test_components_and_connectivity():
