@@ -49,9 +49,13 @@ def _mask_arg(text: Optional[str]) -> int:
     return mask_of(_parse_ints(text)) if text else 0
 
 
+def _write_json(obj: dict) -> None:
+    # one write: json.dump would make thousands of small ones
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _emit(payload: dict, code: int = 0) -> int:
-    json.dump({"schema": campaigns.SCHEMA, **payload}, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _write_json({"schema": campaigns.SCHEMA, **payload})
     return code
 
 
@@ -188,8 +192,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     try:
         return _dispatch(args)
     except InternalConsistencyError as exc:
-        json.dump({"error": str(exc), "kind": "internal-consistency"}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json({"error": str(exc), "kind": "internal-consistency"})
         return 1
     except (InputError, KnitweaveError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -6,31 +6,36 @@ triangle read column by column, packed into 6-bit printable characters.
 
 from __future__ import annotations
 
+import binascii
+
 from .errors import Graph6Error, InputError
 from .graphs import Graph, MAX_VERTICES
 
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
 
 def write_graph6(g: Graph) -> str:
-    """Encode under the given labeling; no canonical relabeling is applied."""
-    n = g.n
+    """Encode under the given labeling; no canonical relabeling is applied.
+
+    The upper triangle is one bit string: column j = 1..n-1 gives bits 0..j-1
+    of row j, lowest first. Padded to a multiple of 24 bits it is a whole
+    number of bytes, whose base64 text has one character per 6 bits in the
+    same order; mapping the base64 alphabet onto chr(63)..chr(126) and
+    dropping the characters that hold only padding gives the graph6 body.
+    """
+    n, adj = g.n, g.adj
     if n <= 62:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    bits_out = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits_out.append((col >> i) & 1)
-    while len(bits_out) % 6:
-        bits_out.append(0)
-    chars = []
-    for k in range(0, len(bits_out), 6):
-        val = 0
-        for b in bits_out[k:k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
-    return head + "".join(chars)
+    nbits = n * (n - 1) // 2
+    upper = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
+    upper += "0" * (-nbits % 24)
+    data = int("0" + upper, 2).to_bytes(len(upper) // 8, "big")
+    body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_GRAPH6)
+    return head + body[:(nbits + 5) // 6].decode()
 
 
 def parse_graph6(text: str) -> Graph:

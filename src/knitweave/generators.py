@@ -52,13 +52,10 @@ def complete_minus_matching(n: int, m: int) -> Graph:
     """Complete graph minus the matching {0,1}, {2,3}, ..., {2m-2, 2m-1}."""
     if 2 * m > n:
         raise InputError("matching does not fit")
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not (u % 2 == 0 and v == u + 1 and u < 2 * m)
-    ]
-    return Graph.from_edges(n, edges)
+    full = (1 << n) - 1
+    return Graph(n, tuple(
+        full ^ 1 << v ^ 1 << (v ^ 1) if v < 2 * m else full ^ 1 << v for v in range(n)
+    ))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ targets (nothing in the domain exceeds a few dozen vertices).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -35,12 +36,55 @@ def set_of(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+# struct codes packing one row into w bits, for the packing widths above 8
+_PACK_CODE = {16: "H", 32: "I", 64: "Q"}
+# the (mask, shift) rounds of _transpose per width, built on first use
+_TRANSPOSE_ROUNDS: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _transpose(x: int, w: int) -> int:
+    """Transpose the w x w bit matrix ``x``, bit (r, c) at r * w + c.
+
+    Transposing swaps the bits of r and c. Round j (j = w/2, ..., 2, 1)
+    swaps their bit of value j: every position with that bit set in c but
+    not in r trades places with the position j rows down and j columns
+    left, j * (w - 1) bits higher, in one mask-shift-xor step on the whole
+    matrix.
+    """
+    rounds = _TRANSPOSE_ROUNDS.get(w)
+    if rounds is None:
+        out = []
+        j = w >> 1
+        while j:
+            row = sum(1 << c for c in range(w) if c & j)
+            out.append((sum(row << (r * w) for r in range(w) if not r & j), j * (w - 1)))
+            j >>= 1
+        rounds = _TRANSPOSE_ROUNDS[w] = tuple(out)
+    for mask, shift in rounds:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x
+
+
 class Graph:
     """Immutable simple undirected graph with one adjacency bitset per vertex."""
 
     __slots__ = ("n", "adj", "_hash")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
+        """Validate and store the rows: ``n`` and every row must be ints (not
+        bools), rows within range and loop-free, and the matrix symmetric.
+
+        Symmetry is checked on the whole matrix at once. The rows are packed
+        into one int x, row v at bit v * w, for the least width w in 8, 16,
+        32, 64 with n <= w, and x must equal its transpose (see
+        :func:`_transpose`). Bit v * w + u of ``x & ~transpose(x)`` is set
+        exactly when u is in row v but v is not in row u, so its lowest set
+        bit is the least such v and then the least such u: the edge a scan
+        over the rows in order, each row's bits ascending, reports first.
+        """
+        if type(n) is not int:
+            raise InputError(f"vertex count {n!r} is not an int")
         if not 0 <= n <= MAX_VERTICES:
             raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
         adj = tuple(adj)
@@ -48,14 +92,20 @@ class Graph:
             raise InputError("adjacency table length does not match vertex count")
         full = (1 << n) - 1
         for v, row in enumerate(adj):
+            if type(row) is not int:
+                raise InputError(f"adjacency of vertex {v} is not an int: {row!r}")
             if row & ~full:
                 raise InputError(f"adjacency of vertex {v} mentions out-of-range vertices")
             if (row >> v) & 1:
                 raise InputError(f"vertex {v} has a loop")
-        for v, row in enumerate(adj):
-            for u in bits(row):
-                if not (adj[u] >> v) & 1:
-                    raise InputError(f"edge {v},{u} is not symmetric")
+        if n:
+            w = 8 if n <= 8 else 1 << (n - 1).bit_length()
+            packed = bytes(adj) if w == 8 else struct.pack(f"<{n}{_PACK_CODE[w]}", *adj)
+            x = int.from_bytes(packed, "little")
+            bad = x & ~_transpose(x, w)
+            if bad:
+                v, u = divmod((bad & -bad).bit_length() - 1, w)
+                raise InputError(f"edge {v},{u} is not symmetric")
         self.n = n
         self.adj = adj
         self._hash = hash((n, adj))
@@ -235,7 +285,15 @@ def independence_number(g: Graph) -> int:
 
 
 def max_clique(g: Graph) -> int:
-    """A maximum clique as a bitset, via coloring-bounded branch and bound."""
+    """A maximum clique as a bitset, via coloring-bounded branch and bound.
+
+    A candidate set that is a clique of k vertices is taken whole. ``expand``
+    is called only when size + k beats the best size. The greedy coloring
+    gives each vertex of the clique its own color, so the loop would recurse
+    from the highest vertex into the rest, again a clique, down to ``cur |
+    cand`` as the new best, and then prune every later sibling, whose bound
+    is at most size + k - 1. The mask is the same.
+    """
     adj = g.adj
     best_mask = 0
     best_size = 0
@@ -258,6 +316,11 @@ def max_clique(g: Graph) -> int:
     def expand(cur: int, size: int, cand: int) -> None:
         nonlocal best_mask, best_size
         order = color_sort(cand)
+        if not order or order[-1][1] == len(order):
+            # every vertex got its own color: cand is a clique
+            best_size = size + len(order)
+            best_mask = cur | cand
+            return
         for v, bound in reversed(order):
             if size + bound <= best_size:
                 return

@@ -14,7 +14,12 @@ and collected paths; ``census_by_dedup``, the previous census, for the
 isomorphism classes; ``chromatic_by_saturation``, the previous
 ``chromatic_number``, for chromatic numbers and colorings; and
 ``critical_by_scan``, the previous ``is_contraction_critical``, for
-verdicts and witnesses.
+verdicts and witnesses; ``graph_rows_by_scan``, the previous check in
+``Graph.__init__``, for accepting or rejecting rows and the message;
+``clique_by_branching``, the previous ``max_clique``, for clique masks;
+``graph6_by_bit_lists``, the previous ``write_graph6``, for graph6 text;
+and ``complete_minus_matching_by_edges``, the previous
+``complete_minus_matching``, for its graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Iterator, Optional, Sequence
 from knitweave.coloring import Coloring, chromatic_number
 from knitweave.errors import InputError
 from knitweave.graphs import (
+    MAX_VERTICES,
     Graph,
     MinorWitness,
     bits,
@@ -655,3 +661,104 @@ def critical_by_scan(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
         if chromatic_number(wit.quotient())[0] >= k:
             return False, wit
     return True, None
+
+
+# -- reference constructor check, clique search and encoders -----------------
+
+def graph_rows_by_scan(n: int, adj: tuple[int, ...]) -> None:
+    """The previous ``Graph.__init__`` check: raise ``InputError`` with the
+    constructor's message when the rows are not a simple graph, walking
+    every edge for symmetry."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+    adj = tuple(adj)
+    if len(adj) != n:
+        raise InputError("adjacency table length does not match vertex count")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise InputError(f"adjacency of vertex {v} mentions out-of-range vertices")
+        if (row >> v) & 1:
+            raise InputError(f"vertex {v} has a loop")
+    for v, row in enumerate(adj):
+        for u in bits(row):
+            if not (adj[u] >> v) & 1:
+                raise InputError(f"edge {v},{u} is not symmetric")
+
+
+def clique_by_branching(g: Graph) -> int:
+    """The previous ``max_clique``: the same search, descending into every
+    candidate set, clique or not."""
+    adj = g.adj
+    best_mask = 0
+    best_size = 0
+
+    def color_sort(cand: int) -> list[tuple[int, int]]:
+        # greedy coloring of the candidate set; bound for v = its color index + 1
+        order = []
+        rest = cand
+        color = 0
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                avail &= ~adj[v] & ~(1 << v)
+                rest &= ~(1 << v)
+        return order
+
+    def expand(cur: int, size: int, cand: int) -> None:
+        nonlocal best_mask, best_size
+        order = color_sort(cand)
+        for v, bound in reversed(order):
+            if size + bound <= best_size:
+                return
+            newcand = cand & adj[v]
+            if size + 1 + newcand.bit_count() > best_size:
+                expand(cur | (1 << v), size + 1, newcand)
+            if size + 1 > best_size:
+                best_size = size + 1
+                best_mask = cur | (1 << v)
+            cand &= ~(1 << v)
+
+    expand(0, 0, g.full_mask)
+    return best_mask
+
+
+def graph6_by_bit_lists(g: Graph) -> str:
+    """The previous ``write_graph6``: one list entry per upper-triangle bit,
+    packed six at a time."""
+    n = g.n
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    bits_out = []
+    for j in range(1, n):
+        col = g.adj[j]
+        for i in range(j):
+            bits_out.append((col >> i) & 1)
+    while len(bits_out) % 6:
+        bits_out.append(0)
+    chars = []
+    for k in range(0, len(bits_out), 6):
+        val = 0
+        for b in bits_out[k:k + 6]:
+            val = (val << 1) | b
+        chars.append(chr(63 + val))
+    return head + "".join(chars)
+
+
+def complete_minus_matching_by_edges(n: int, m: int) -> Graph:
+    """The previous ``complete_minus_matching``: K_n minus {0,1}, ...,
+    {2m-2, 2m-1}, built from its edge list."""
+    if 2 * m > n:
+        raise InputError("matching does not fit")
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not (u % 2 == 0 and v == u + 1 and u < 2 * m)
+    ]
+    return Graph.from_edges(n, edges)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from knitweave.cli import cli_main
@@ -146,6 +147,42 @@ def test_campaign_cli_deterministic(capsys):
     code2, out2 = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of cli_main's standard output with --no-timestamps; PINNED_DIGESTS in
+# test_campaigns.py pins report_to_json, this pins the text the CLI writes
+PINNED_STDOUT = {
+    ("campaign-4linked", 1): "9f15dfe50614ae3a7de05f34d1e399642ddcc37d427c59ea22d5c794dc333aa9",
+    ("campaign-4linked", 2): "21e0342240029b0af7d05da3a7f6b7266ae4a6efd0f81d3900477837c771c29d",
+    ("campaign-4linked", 3): "6fd9fd081edbb0c312a0ede34a6b92564042b5fb490395051355419b81bceb4d",
+    ("campaign-si", 1): "668534a9a36b1f049f2d6171d5a295e091901f07aa7f37817c43770dd9976be9",
+    ("campaign-si", 2): "5c7c6c51f3316c64997505b757eff37ce73f6c9f1065401978316babd1211739",
+    ("campaign-si", 3): "ab5ba7e2d7bd005f7c6a075e9930016b1b3a27ac1c180bf09c22dcb621896ce6",
+}
+
+
+def test_campaign_stdout_matches_pinned_digests(capsys):
+    got = {}
+    for cmd, samples in (("campaign-4linked", 2), ("campaign-si", 30)):
+        for seed in (1, 2, 3):
+            argv = ["--samples", str(samples), "--seed", str(seed), "--no-timestamps", cmd]
+            code, out = run(capsys, argv)
+            assert code == 0
+            got[cmd, seed] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_STDOUT
+
+
+def test_internal_consistency_error_output(capsys, monkeypatch):
+    from knitweave import cli
+    from knitweave.errors import InternalConsistencyError
+
+    def fail(args):
+        raise InternalConsistencyError("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    code, out = run(capsys, ["thresholds", "--t", "8"])
+    assert code == 1
+    assert out == '{\n  "error": "boom",\n  "kind": "internal-consistency"\n}\n'
 
 
 def test_thresholds_cli(capsys):

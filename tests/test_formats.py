@@ -15,6 +15,7 @@ from knitweave.formats import (
 from knitweave.graphs import Graph
 
 from conftest import random_graph
+from oracles import graph6_by_bit_lists
 
 
 def nx_roundtrip(g: Graph) -> str:
@@ -43,6 +44,21 @@ def test_matches_networkx_reference():
     for _ in range(50):
         g = random_graph(rng, rng.randint(0, 12))
         assert write_graph6(g) == nx_roundtrip(g)
+
+
+def test_matches_previous_encoder_and_networkx_up_to_64():
+    """The same text as the previous bit-list encoder and as networkx on
+    every order up to 64, the extended header (n >= 63) included."""
+    rng = random.Random(19)
+    orders = [n for n in range(65) for _ in range(3)] + [62, 63, 64] * 20
+    for n in orders:
+        g = random_graph(rng, n, rng.random())
+        text = write_graph6(g)
+        assert text == graph6_by_bit_lists(g) == nx_roundtrip(g), n
+        assert parse_graph6(text) == g
+    for n in (62, 63, 64):
+        for g in (Graph.complete(n), Graph.empty(n)):
+            assert write_graph6(g) == graph6_by_bit_lists(g) == nx_roundtrip(g)
 
 
 def test_parse_rejects_garbage():

@@ -11,6 +11,8 @@ from knitweave.generators import (
 from knitweave.graphs import Graph, reachable
 from knitweave.solver import build_configuration
 
+from oracles import complete_minus_matching_by_edges
+
 
 def test_min_degree_postcondition():
     for seed in range(10):
@@ -51,6 +53,16 @@ def test_complete_minus_matching():
         assert not g.has_edge(2 * i, 2 * i + 1)
     with pytest.raises(InputError):
         complete_minus_matching(5, 3)
+
+
+def test_complete_minus_matching_matches_edge_list():
+    for n in range(41):
+        for m in range(n // 2 + 1):
+            assert complete_minus_matching(n, m) == complete_minus_matching_by_edges(n, m)
+        for m in (n // 2 + 1, n + 1):
+            for build in (complete_minus_matching, complete_minus_matching_by_edges):
+                with pytest.raises(InputError):
+                    build(n, m)
 
 
 def test_split_host_forces_disconnected_blocks():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knitweave.errors import InputError
+from knitweave.generators import complete_minus_matching
 from knitweave.graphs import (
+    MAX_VERTICES,
     Graph,
     MinorWitness,
     are_isomorphic,
@@ -29,8 +31,10 @@ from oracles import (
     _canon_small,
     canonical_by_permutations,
     census_by_dedup,
+    clique_by_branching,
     clique_by_enumeration,
     contractions_by_recursion,
+    graph_rows_by_scan,
     independence_by_enumeration,
     rho_by_double_loop,
 )
@@ -58,6 +62,40 @@ def test_construction_rejects_bad_input():
         Graph(2, (0b01, 0b01))  # loop at 0? bit 0 of row 0
     with pytest.raises(InputError):
         Graph.from_edges(3, [(0, 3)])
+    # non-int rows and counts, and bools, which are ints to Python
+    for n, rows in ((2, (2.0, 1)), (2, ("a", 1)), (2.0, (2, 1)), (True, (0,)), (2, (2, True))):
+        with pytest.raises(InputError):
+            Graph(n, rows)
+
+
+def test_construction_matches_scan_reference():
+    """Accept or reject random rows, with the same message, as the previous
+    edge-by-edge check; some rows get an asymmetric bit, a loop or a bit out
+    of range, or two of these."""
+    rng = random.Random(19)
+    for _ in range(3000):
+        n = rng.randint(0, MAX_VERTICES)
+        rows = list(random_graph(rng, n, rng.random()).adj)
+        for _ in range(rng.choice((0, 1, 1, 2)) if n else 0):
+            v = rng.randrange(n)
+            kind = rng.choice(("asymmetric", "loop", "range"))
+            if kind == "asymmetric":
+                rows[v] ^= 1 << rng.choice([u for u in range(n) if u != v] or [v])
+            elif kind == "loop":
+                rows[v] |= 1 << v
+            else:
+                rows[v] |= 1 << rng.randint(n, 2 * MAX_VERTICES) if rng.random() < 0.9 else -1
+        try:
+            graph_rows_by_scan(n, tuple(rows))
+            want = None
+        except InputError as exc:
+            want = str(exc)
+        try:
+            Graph(n, tuple(rows))
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        assert got == want, (n, rows)
 
 
 def test_neighbors_closed_examples():
@@ -198,6 +236,31 @@ def test_census_n8_budget():
     t0 = time.perf_counter()
     assert len(nonisomorphic_graphs(8)) == A000088[8]
     assert time.perf_counter() - t0 < 60.0
+
+
+def _turan(n: int, r: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u % r != v % r])
+
+
+def test_max_clique_matches_previous_search(census7):
+    """The same mask as the previous search, which descended into clique
+    candidate sets, on every graph of at most 7 vertices, 300 of 8, and 2000
+    seeded graphs on up to 64 vertices: K_n, K_n minus a matching, Turan
+    graphs T(n, r), and random graphs of edge density 0.05 to 0.98."""
+    rng = random.Random(19)
+    cases = list(census7) + rng.sample(nonisomorphic_graphs(8), 300)
+    for i in range(2000):
+        n = rng.randint(1, MAX_VERTICES)
+        if i % 20 == 0:
+            cases.append(Graph.complete(n))
+        elif i % 20 == 1:
+            cases.append(complete_minus_matching(n, rng.randint(0, n // 2)))
+        elif i % 20 == 2:
+            cases.append(_turan(n, rng.randint(2, 10)))
+        else:
+            cases.append(random_graph(rng, n, rng.uniform(0.05, 0.98)))
+    for g in cases:
+        assert max_clique(g) == clique_by_branching(g), g
 
 
 def test_canonical_form_matches_permutation_oracle():
