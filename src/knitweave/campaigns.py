@@ -19,7 +19,7 @@ from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
 from .errors import InputError
-from .formats import parse_graph6, write_graph6
+from .formats import parse_graph6, write_graph6, write_json
 from .generators import complete_minus_matching, gen_min_degree, gen_split_host
 from .graphs import (
     Graph,
@@ -530,7 +530,7 @@ def revalidate_report(report: dict) -> None:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    return write_json(report)
 
 
 def load_report(text: str) -> dict:

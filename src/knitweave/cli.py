@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional
 
 from . import campaigns, certify, coloring, solver, structure
 from .errors import InputError, InternalConsistencyError, KnitweaveError
-from .formats import parse_edge_list, parse_graph6, parse_graph_auto, write_edge_list, write_graph6
+from .formats import (
+    parse_edge_list,
+    parse_graph6,
+    parse_graph_auto,
+    write_edge_list,
+    write_graph6,
+    write_json,
+)
 from .generators import gen_min_degree, gen_universal_vertex
 from .graphs import Graph, mask_of, set_of
 
@@ -50,8 +56,7 @@ def _mask_arg(text: Optional[str]) -> int:
 
 
 def _write_json(obj: dict) -> None:
-    # one write: json.dump would make thousands of small ones
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(write_json(obj) + "\n")
 
 
 def _emit(payload: dict, code: int = 0) -> int:

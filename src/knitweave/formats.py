@@ -1,4 +1,4 @@
-"""graph6 and edge-list text formats.
+"""graph6, edge-list and indented JSON text formats.
 
 graph6 follows the McKay convention bit for bit: size header, then the upper
 triangle read column by column, packed into 6-bit printable characters.
@@ -7,13 +7,16 @@ triangle read column by column, packed into 6-bit printable characters.
 from __future__ import annotations
 
 import binascii
+import re
+from json.encoder import encode_basestring_ascii
 
 from .errors import Graph6Error, InputError
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph, MAX_VERTICES, symmetric_closure
 
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_NOT_GRAPH6_DATA = re.compile("[^?-~]")
 
 
 def write_graph6(g: Graph) -> str:
@@ -39,6 +42,14 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 string, with or without the ``>>graph6<<`` header;
+    a malformed one raises ``Graph6Error`` at its first fault.
+
+    The inverse of :func:`write_graph6`: the body, mapped back onto the
+    base64 alphabet and padded with zero characters to whole 4-character
+    groups, decodes to bytes whose leading n(n-1)/2 bits are the upper
+    triangle, and the bits after them must be zero.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -73,25 +84,73 @@ def parse_graph6(text: str) -> Graph:
             f"expected {nchars} data characters for n={n}, found {len(s) - pos}",
             min(len(s), pos + nchars),
         )
-    bitstream = []
-    for k in range(nchars):
-        c = ord(s[pos + k]) - 63
-        if not 0 <= c <= 63:
-            raise Graph6Error("invalid data character", pos + k)
-        for shift in range(5, -1, -1):
-            bitstream.append((c >> shift) & 1)
-    for extra in bitstream[nbits:]:
-        if extra:
-            raise Graph6Error("nonzero padding bits", pos + nchars - 1)
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bitstream[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    return Graph(n, tuple(rows))
+    body = s[pos:]
+    bad = _NOT_GRAPH6_DATA.search(body)
+    if bad:
+        raise Graph6Error("invalid data character", pos + bad.start())
+    data = binascii.a2b_base64(body.encode().translate(_GRAPH6_TO_BASE64) + b"A" * (-nchars % 4))
+    spare = 8 * len(data) - nbits
+    stream = int.from_bytes(data, "big")
+    if stream & ((1 << spare) - 1):
+        raise Graph6Error("nonzero padding bits", pos + nchars - 1)
+    # reversed, the bit of the edge ij with i < j is bit j(j-1)/2 + i
+    upper = int("0" + format(stream >> spare, f"0{nbits}b")[::-1], 2)
+    cols = tuple((upper >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n))
+    return Graph(n, symmetric_closure(cols))
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written directly.
+
+    With ``indent`` set, ``json`` drops to its pure-Python encoder, which
+    walks the value through nested generators and yields one fragment per
+    token. This writer makes the same walk as one recursive function that
+    returns each value's text whole. It takes values whose type is exactly
+    str, int, float, bool, None, list, tuple or dict with str keys; any
+    other type, subclasses included, raises ``TypeError``. On those values
+    the text cannot differ from the encoder's: strings go through the same
+    ``encode_basestring_ascii``, ints and floats through the same
+    ``__repr__`` (NaN and the infinities spelled as ``json`` spells them),
+    the three constants as ``null``, ``true`` and ``false``, and each
+    nonempty container puts its items on their own lines, two spaces deeper
+    than the container's line, separated by ``,``, with the closing bracket
+    back at the container's indent; dict entries are ``key: value`` in
+    sorted key order, and an empty container is ``[]`` or ``{}``.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    # nl: a newline and the indent of the line that holds ``obj``; the
+    # common types are tested first
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a str fails the sort or the escape with TypeError
+        entries = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(entries) + nl + "}"
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is float:
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def write_edge_list(g: Graph) -> str:

@@ -66,6 +66,35 @@ def _transpose(x: int, w: int) -> int:
     return x
 
 
+def _pack_rows(rows: tuple[int, ...]) -> tuple[int, int]:
+    """The rows as one int x, row v at bit v * w, and the width w: the least
+    of 8, 16, 32, 64 that is at least the number of rows."""
+    n = len(rows)
+    w = 8 if n <= 8 else 1 << (n - 1).bit_length()
+    packed = bytes(rows) if w == 8 else struct.pack(f"<{n}{_PACK_CODE[w]}", *rows)
+    return int.from_bytes(packed, "little"), w
+
+
+def symmetric_closure(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the least symmetric relation that contains ``rows`` (n
+    rows of bits below n): row v of the result is row v plus every u whose
+    row holds v. The packed rows are OR-ed with their transpose (see
+    :func:`_transpose`)."""
+    n = len(rows)
+    x, w = _pack_rows(rows)
+    x |= _transpose(x, w)
+    if w == 8:
+        return tuple(x.to_bytes(n, "little"))
+    return struct.unpack(f"<{n}{_PACK_CODE[w]}", x.to_bytes(n * w // 8, "little"))
+
+
+def _check_count(n) -> None:
+    if type(n) is not int:
+        raise InputError(f"vertex count {n!r} is not an int")
+    if not 0 <= n <= MAX_VERTICES:
+        raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+
+
 class Graph:
     """Immutable simple undirected graph with one adjacency bitset per vertex."""
 
@@ -83,10 +112,7 @@ class Graph:
         bit is the least such v and then the least such u: the edge a scan
         over the rows in order, each row's bits ascending, reports first.
         """
-        if type(n) is not int:
-            raise InputError(f"vertex count {n!r} is not an int")
-        if not 0 <= n <= MAX_VERTICES:
-            raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+        _check_count(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise InputError("adjacency table length does not match vertex count")
@@ -99,9 +125,7 @@ class Graph:
             if (row >> v) & 1:
                 raise InputError(f"vertex {v} has a loop")
         if n:
-            w = 8 if n <= 8 else 1 << (n - 1).bit_length()
-            packed = bytes(adj) if w == 8 else struct.pack(f"<{n}{_PACK_CODE[w]}", *adj)
-            x = int.from_bytes(packed, "little")
+            x, w = _pack_rows(adj)
             bad = x & ~_transpose(x, w)
             if bad:
                 v, u = divmod((bad & -bad).bit_length() - 1, w)
@@ -112,8 +136,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_count(n)
         rows = [0] * n
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"edge {u!r},{v!r} has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {u},{v} outside vertex range 0..{n - 1}")
             if u == v:
@@ -124,10 +151,12 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        _check_count(n)
         return cls(n, tuple([0] * n))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_count(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -293,44 +322,55 @@ def max_clique(g: Graph) -> int:
     from the highest vertex into the rest, again a clique, down to ``cur |
     cand`` as the new best, and then prune every later sibling, whose bound
     is at most size + k - 1. The mask is the same.
+
+    The greedy coloring is one bitset per color class, each filled lowest
+    vertex first. ``expand`` tries the vertices in decreasing (color,
+    vertex) order, the reverse of the order in which the coloring assigns
+    them, each under the bound of its own color.
     """
     adj = g.adj
     best_mask = 0
     best_size = 0
 
-    def color_sort(cand: int) -> list[tuple[int, int]]:
-        # greedy coloring of the candidate set; bound for v = its color index + 1
-        order = []
+    def color_sort(cand: int) -> list[int]:
+        # greedy coloring of the candidate set, one bitset per color class;
+        # the bound for a vertex of class i is i + 1
+        classes = []
         rest = cand
-        color = 0
         while rest:
-            color += 1
+            cls = 0
             avail = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                avail &= ~adj[v] & ~(1 << v)
-                rest &= ~(1 << v)
-        return order
+                low = avail & -avail
+                cls |= low
+                avail &= ~adj[low.bit_length() - 1] & ~low
+            classes.append(cls)
+            rest &= ~cls
+        return classes
 
     def expand(cur: int, size: int, cand: int) -> None:
         nonlocal best_mask, best_size
-        order = color_sort(cand)
-        if not order or order[-1][1] == len(order):
+        classes = color_sort(cand)
+        if len(classes) == cand.bit_count():
             # every vertex got its own color: cand is a clique
-            best_size = size + len(order)
+            best_size = size + len(classes)
             best_mask = cur | cand
             return
-        for v, bound in reversed(order):
-            if size + bound <= best_size:
-                return
-            newcand = cand & adj[v]
-            if size + 1 + newcand.bit_count() > best_size:
-                expand(cur | (1 << v), size + 1, newcand)
-            if size + 1 > best_size:
-                best_size = size + 1
-                best_mask = cur | (1 << v)
-            cand &= ~(1 << v)
+        # last class first, each from its highest vertex down
+        for bound in range(len(classes), 0, -1):
+            cls = classes[bound - 1]
+            while cls:
+                if size + bound <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                newcand = cand & adj[v]
+                if size + 1 + newcand.bit_count() > best_size:
+                    expand(cur | (1 << v), size + 1, newcand)
+                if size + 1 > best_size:
+                    best_size = size + 1
+                    best_mask = cur | (1 << v)
+                cand &= ~(1 << v)
 
     expand(0, 0, g.full_mask)
     return best_mask

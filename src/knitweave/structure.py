@@ -77,17 +77,37 @@ def separations_exist(l: Graph, s: int, max_order: int) -> bool:
     Valid whenever ``max_order < |s|``: such a separation exists iff some
     vertex outside s can be cut off from s by at most ``max_order`` vertices
     (Menger, with the terminal set as sinks).
+
+    Before its flow, each vertex b gets a lower bound on that fan from the
+    paths seen without a search: one one-vertex path per neighbour of b in
+    s, and one two-vertex path c-t per terminal t not adjacent to b that
+    has a neighbour c among b's neighbours outside s not yet taken, each t
+    taking its least such c. These paths are vertex-disjoint (distinct
+    terminals, distinct c, and no c in s), so the flow is at least their
+    number; when that number exceeds ``max_order`` the flow would too, and
+    b cannot be cut off. So the flow runs only where the bound is at most
+    ``max_order``, and the answer is the same.
     """
     if max_order >= s.bit_count():
         raise InputError("shortcut requires max_order < |s|")
     full = l.full_mask
+    adj = l.adj
     for b in bits(full & ~s):
-        # fan from b: paths share only b, so its neighbors act as the sources
-        flow = max_vertex_disjoint_flow(
-            l, l.adj[b] & ~(1 << b), s, full & ~s & ~(1 << b), cap=max_order + 1
-        )
-        if flow <= max_order:
-            return True
+        fan = adj[b] & s
+        bound = fan.bit_count()
+        spare = adj[b] & ~s
+        for t in bits(s & ~fan):
+            if bound > max_order:
+                break
+            c = adj[t] & spare
+            if c:
+                spare ^= c & -c
+                bound += 1
+        if bound <= max_order:
+            # fan from b: paths share only b, so its neighbors act as the sources
+            flow = max_vertex_disjoint_flow(l, adj[b], s, full & ~s & ~(1 << b), cap=max_order + 1)
+            if flow <= max_order:
+                return True
     return False
 
 

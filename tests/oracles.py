@@ -18,8 +18,12 @@ verdicts and witnesses; ``graph_rows_by_scan``, the previous check in
 ``Graph.__init__``, for accepting or rejecting rows and the message;
 ``clique_by_branching``, the previous ``max_clique``, for clique masks;
 ``graph6_by_bit_lists``, the previous ``write_graph6``, for graph6 text;
-and ``complete_minus_matching_by_edges``, the previous
-``complete_minus_matching``, for its graphs.
+``complete_minus_matching_by_edges``, the previous
+``complete_minus_matching``, for its graphs; ``separations_by_flows``,
+the previous ``separations_exist``, for its answers;
+``link_by_obstruction_first``, the previous ``_link``, for verdicts and
+witnesses; and ``graph6_parse_by_bit_lists``, the previous
+``parse_graph6``, for graphs and error messages and positions.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from knitweave.coloring import Coloring, chromatic_number
-from knitweave.errors import InputError
+from knitweave.errors import Graph6Error, InputError
 from knitweave.graphs import (
     MAX_VERTICES,
     Graph,
@@ -42,10 +46,14 @@ from knitweave.graphs import (
     set_of,
 )
 from knitweave.solver import (
+    _COUNT_CAP,
     PATH_CAP,
     Configuration,
+    _count_paths,
     _link,
+    _obstruction,
     iter_paths_by_length,
+    max_vertex_disjoint_flow,
     partitions_with_profile,
 )
 
@@ -762,3 +770,122 @@ def complete_minus_matching_by_edges(n: int, m: int) -> Graph:
         if not (u % 2 == 0 and v == u + 1 and u < 2 * m)
     ]
     return Graph.from_edges(n, edges)
+
+
+# -- reference separator sweep, two-pair linkage and graph6 decoder ----------
+
+def separations_by_flows(l: Graph, s: int, max_order: int) -> bool:
+    """The previous ``separations_exist``: one capped flow per vertex
+    outside ``s``, with no bound taken first."""
+    if max_order >= s.bit_count():
+        raise InputError("shortcut requires max_order < |s|")
+    full = l.full_mask
+    for b in bits(full & ~s):
+        # fan from b: paths share only b, so its neighbors act as the sources
+        flow = max_vertex_disjoint_flow(
+            l, l.adj[b] & ~(1 << b), s, full & ~s & ~(1 << b), cap=max_order + 1
+        )
+        if flow <= max_order:
+            return True
+    return False
+
+
+def link_by_obstruction_first(
+    g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The previous ``_link``: two pairs, neither an edge, go to the
+    two-paths test before any path is read."""
+    chosen = list(pairs)
+    # a direct edge uses no interior vertex, so it can never conflict with the
+    # other paths; taking it loses no solutions
+    todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
+    if len(pairs) == len(todo) == 2 and _obstruction(g, pairs, blocked) is not None:
+        return None
+    free = g.full_mask & ~blocked
+
+    def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
+        if not remaining:
+            return True
+        interior = free & ~used
+        best = remaining[0]
+        if len(remaining) > 1:
+            srcs = mask_of(p[0] for _, p in remaining)
+            snks = mask_of(p[1] for _, p in remaining)
+            if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=len(remaining)) < len(remaining):
+                return False
+            best_count = None
+            for item in remaining:
+                cnt = _count_paths(g, *item[1], interior, _COUNT_CAP)
+                if cnt == 0:
+                    return False
+                if best_count is None or cnt < best_count:
+                    best, best_count = item, cnt
+                    if cnt == 1:
+                        break
+        idx, (u, v) = best
+        rest = [it for it in remaining if it is not best]
+        for path in iter_paths_by_length(g, u, v, interior, g.n):
+            chosen[idx] = path
+            if search(used | mask_of(path[1:-1]), rest):
+                return True
+        return False
+
+    return tuple(chosen) if search(0, todo) else None
+
+
+def graph6_parse_by_bit_lists(text: str) -> Graph:
+    """The previous ``parse_graph6``: one list entry per data bit, read back
+    one upper-triangle bit at a time."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    pos = 0
+    if s[0] == "~":
+        if len(s) >= 2 and s[1] == "~":
+            raise Graph6Error("graph too large for this package", 1)
+        if len(s) < 4:
+            raise Graph6Error("truncated extended size header", len(s))
+        vals = []
+        for k in range(1, 4):
+            c = ord(s[k]) - 63
+            if not 0 <= c <= 63:
+                raise Graph6Error("invalid size character", k)
+            vals.append(c)
+        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
+        pos = 4
+    else:
+        c = ord(s[0]) - 63
+        if not 0 <= c <= 62:
+            raise Graph6Error("invalid size character", 0)
+        n = c
+        pos = 1
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"graph order {n} exceeds the {MAX_VERTICES}-vertex envelope", 0)
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    if len(s) - pos != nchars:
+        raise Graph6Error(
+            f"expected {nchars} data characters for n={n}, found {len(s) - pos}",
+            min(len(s), pos + nchars),
+        )
+    bitstream = []
+    for k in range(nchars):
+        c = ord(s[pos + k]) - 63
+        if not 0 <= c <= 63:
+            raise Graph6Error("invalid data character", pos + k)
+        for shift in range(5, -1, -1):
+            bitstream.append((c >> shift) & 1)
+    for extra in bitstream[nbits:]:
+        if extra:
+            raise Graph6Error("nonzero padding bits", pos + nchars - 1)
+    rows = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bitstream[idx]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            idx += 1
+    return Graph(n, tuple(rows))

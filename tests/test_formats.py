@@ -1,9 +1,11 @@
+import json
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knitweave.campaigns import campaign_lemma_si, campaign_pipeline_4linked, report_to_json
 from knitweave.errors import Graph6Error
 from knitweave.formats import (
     parse_edge_list,
@@ -11,11 +13,12 @@ from knitweave.formats import (
     parse_graph_auto,
     write_edge_list,
     write_graph6,
+    write_json,
 )
 from knitweave.graphs import Graph
 
 from conftest import random_graph
-from oracles import graph6_by_bit_lists
+from oracles import graph6_by_bit_lists, graph6_parse_by_bit_lists
 
 
 def nx_roundtrip(g: Graph) -> str:
@@ -59,6 +62,38 @@ def test_matches_previous_encoder_and_networkx_up_to_64():
     for n in (62, 63, 64):
         for g in (Graph.complete(n), Graph.empty(n)):
             assert write_graph6(g) == graph6_by_bit_lists(g) == nx_roundtrip(g)
+
+
+def _decoded(parse, text):
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+def test_parse_matches_previous_decoder_up_to_64():
+    """The same graph as the previous bit-list decoder on every order up to
+    64, and the same error message and position on truncated and over-long
+    strings, bad size characters, bad data characters and nonzero padding."""
+    rng = random.Random(23)
+    texts = ["", "~", "~~", "~?", "~??", "~?~~", "~??~", "~?@@", chr(62), chr(126), chr(127), " ", ">>graph6<<"]
+    for n in [n for n in range(65) for _ in range(4)]:
+        text = write_graph6(random_graph(rng, n, rng.random()))
+        assert parse_graph6(text) == graph6_parse_by_bit_lists(text), n
+        texts += [text, ">>graph6<<" + text, text[:-1], text + "?", text + "~"]
+        head = 4 if text.startswith("~") else 1
+        if len(text) > head:
+            k = rng.randrange(head, len(text))
+            texts += [text[:k] + c + text[k + 1:] for c in ("\x01", " ", ">", "\x7f", "\u00e9", "~", "?")]
+            # the last character's low bits past the triangle are padding
+            texts.append(text[:-1] + chr(ord(text[-1]) | 1))
+        texts.append(chr(63 + n + 1) + text[head:] if n < 62 else "~" + text[1:])
+    errors = 0
+    for text in texts:
+        got = _decoded(parse_graph6, text)
+        assert got == _decoded(graph6_parse_by_bit_lists, text), repr(text)
+        errors += isinstance(got, tuple)
+    assert 500 < errors < len(texts) - 200
 
 
 def test_parse_rejects_garbage():
@@ -105,3 +140,44 @@ def test_auto_detection():
     g = Graph.cycle(5)
     assert parse_graph_auto(write_graph6(g)) == g
     assert parse_graph_auto(write_edge_list(g)) == g
+
+
+_STRINGS = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t\r ab\u00e9\u2028\u6f22\U0001f600')
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | st.sampled_from([0.1, 1e-7, 1e16, -0.0, 0.0, 2.5e-308, 1.7976931348623157e308])
+    | _STRINGS
+)
+_VALUES = st.recursive(
+    _SCALARS | st.just([]) | st.just({}),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_VALUES)
+def test_write_json_matches_indented_dumps(value):
+    assert write_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_write_json_matches_dumps_on_campaign_reports():
+    for seed in range(1, 6):
+        for stamped in (False, True):
+            for rep in (
+                campaign_lemma_si(8, seed, no_timestamps=not stamped),
+                campaign_pipeline_4linked(2, seed, no_timestamps=not stamped),
+            ):
+                assert report_to_json(rep) == json.dumps(rep, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": 1, 2: "b"}, [{"a": {None: 0}}], {"a", "b"}, [1, {2}]])
+def test_write_json_rejects_non_str_keys_and_other_types(value):
+    with pytest.raises(TypeError):
+        write_json(value)

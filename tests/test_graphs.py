@@ -68,6 +68,23 @@ def test_construction_rejects_bad_input():
             Graph(n, rows)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edges(2.0, [(0, 1)]),
+        lambda: Graph.empty(2.0),
+        lambda: Graph.complete(2.0),
+        lambda: Graph.from_edges(2, [(0.0, 1)]),
+        lambda: Graph.from_edges(2, [(0, True)]),
+    ],
+    ids=["from_edges-count", "empty-count", "complete-count", "from_edges-endpoint", "from_edges-bool-endpoint"],
+)
+def test_constructors_reject_non_int_counts_and_endpoints(build):
+    # the classmethods check their own arguments, as Graph() checks its rows
+    with pytest.raises(InputError):
+        build()
+
+
 def test_construction_matches_scan_reference():
     """Accept or reject random rows, with the same message, as the previous
     edge-by-edge check; some rows get an asymmetric bit, a loop or a bit out

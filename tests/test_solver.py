@@ -39,6 +39,7 @@ from oracles import (
     count_paths_by_enumeration,
     flow_by_matrix,
     knittable_by_paths,
+    link_by_obstruction_first,
     profile_knitted_by_sweep,
     two_pair_systems_solvable,
 )
@@ -142,6 +143,75 @@ def test_link_unchanged_under_enumerated_counts(monkeypatch):
     assert [_link(*case) for case in corpus] == got
     linked = sum(paths is not None for paths in got)
     assert 500 < linked < len(corpus) - 500
+
+
+def _two_pair_systems(graphs, rng, count):
+    """``count`` seeded two-pair systems on the given graphs, each with its
+    four ends and up to two other vertices blocked."""
+    hosts = [g for g in graphs if g.n >= 4]
+    for _ in range(count):
+        g = rng.choice(hosts)
+        verts = rng.sample(range(g.n), 4)
+        rest = [w for w in range(g.n) if w not in verts]
+        extra = rng.sample(rest, rng.randint(0, min(2, len(rest))))
+        yield g, [(verts[0], verts[1]), (verts[2], verts[3])], mask_of(verts + extra)
+
+
+def test_link_two_pairs_matches_obstruction_first(census7):
+    """The same verdict and witness as the search that runs the two-paths
+    test first, on 3000 census two-pair systems, the crossing grids (both
+    pairings of their corners) and 500 random systems on up to 16
+    vertices."""
+    rng = random.Random(2020)
+    cases = list(_two_pair_systems(census7, rng, 3000))
+    cases += list(_two_pair_systems(
+        [random_graph(rng, rng.randint(6, 16), p=rng.uniform(0.1, 0.7)) for _ in range(500)], rng, 500
+    ))
+    for rows, cols in [(r, c) for r in range(3, 7) for c in range(r, 7)]:
+        g, spec = crossing_grid(rows, cols, random.Random(rows * cols))
+        (a, b), (c, d) = spec.parts
+        cases += [(g, [(a, b), (c, d)], spec.terminal_mask), (g, [(a, c), (b, d)], spec.terminal_mask)]
+    # a "yes" that the greedy check misses: each pair's first path blocks the
+    # other, and the linkage takes (0, 5, 6, 1) and (2, 4, 7, 8, 3)
+    edges = [(0, 4), (4, 1), (0, 5), (5, 6), (6, 1), (2, 4), (4, 5), (5, 3), (4, 7), (7, 8), (8, 3)]
+    cases.append((Graph.from_edges(9, edges), [(0, 1), (2, 3)], 0b1111))
+    seen = {True: 0, False: 0}
+    greedy = 0
+    for g, pairs, blocked in cases:
+        got = _link(g, pairs, blocked)
+        assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
+        seen[got is not None] += 1
+        # the greedy check only ever skips the two-paths test on a "yes"
+        if solver._greedy_pair(g, pairs, g.full_mask & ~blocked):
+            assert got is not None, (g.adj, pairs, blocked)
+            greedy += 1
+    assert min(seen.values()) > 500 and 0 < greedy < seen[True]
+
+
+def test_link_two_pairs_skips_planarity_on_k33_minus_matching(monkeypatch):
+    # two removed edges among eight terminals of K33 minus a 16-edge matching
+    # are linked by one path each, which the greedy check finds first
+    g = complete_minus_matching(33, 16)
+    calls = 0
+    test = solver._obstruction
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return test(*args)
+
+    monkeypatch.setattr(solver, "_obstruction", counted)
+    rng = random.Random(33)
+    linked = 0
+    while linked < 20:
+        verts = rng.sample(range(33), 8)
+        s = mask_of(verts)
+        pairs = [(v, v + 1) for v in range(0, 32, 2) if (s >> v) & 3 == 3]
+        if len(pairs) == 2:
+            assert is_profile_knitted(g, s, [2, 2, 2, 2]) == (True, None)
+            assert _link(g, pairs, s) is not None
+            linked += 1
+    assert calls == 0
 
 
 def test_link_reads_paths_once_per_search_node(monkeypatch):

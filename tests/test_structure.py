@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from knitweave import structure
 from knitweave.errors import InputError, PreconditionError
 from knitweave.generators import complete_minus_matching
 from knitweave.graphs import Graph, bits, mask_of, rho
@@ -20,7 +21,7 @@ from knitweave.structure import (
 )
 
 from conftest import random_graph
-from oracles import first_unknittable_partition
+from oracles import first_unknittable_partition, separations_by_flows
 
 
 def naive_separations(g: Graph, s: int, max_order: int):
@@ -85,6 +86,54 @@ def test_separations_exist_shortcut_agrees():
         fast = separations_exist(g, s, max_order)
         slow = bool(naive_separations(g, s, max_order))
         assert fast == slow
+
+
+def test_separations_exist_matches_flow_sweep_on_census(census7):
+    """The same answer as the sweep that runs every flow, on every graph of
+    at most 7 vertices, every terminal set of 1 to 4 vertices and every
+    order below its size."""
+    for g in census7:
+        for k in range(1, min(g.n, 4) + 1):
+            for sverts in itertools.combinations(range(g.n), k):
+                s = mask_of(sverts)
+                for max_order in range(k):
+                    want = separations_by_flows(g, s, max_order)
+                    assert separations_exist(g, s, max_order) == want, (g.adj, sverts, max_order)
+
+
+def test_separations_exist_matches_flow_sweep_randomized():
+    rng = random.Random(20)
+    answers = set()
+    for _ in range(1000):
+        n = rng.randint(2, 20)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.95))
+        s = mask_of(rng.sample(range(n), rng.randint(1, min(n, 9))))
+        for max_order in range(s.bit_count()):
+            got = separations_exist(g, s, max_order)
+            assert got == separations_by_flows(g, s, max_order), (g.adj, s, max_order)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("host", ["K32", "K33-matching"])
+def test_separations_exist_runs_no_flow_on_dense_hosts(host, monkeypatch):
+    # every vertex outside eight terminals sees at least seven of them, and a
+    # missed one through any other neighbour outside, so the fan bound
+    # reaches 8 > 7 before a flow is needed
+    g = Graph.complete(32) if host == "K32" else complete_minus_matching(33, 16)
+    calls = 0
+    flow = structure.max_vertex_disjoint_flow
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "max_vertex_disjoint_flow", counted)
+    for seed in range(20):
+        s = mask_of(random.Random(seed).sample(range(g.n), 8))
+        assert separations_exist(g, s, 7) is False
+    assert calls == 0
 
 
 def test_is_p_massed_examples():
