@@ -394,20 +394,25 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int, seed: int) -> dict:
     }
 
 
+def _pipeline_jobs(samples: int, seed: int) -> list[tuple[Graph, tuple]]:
+    """The (host, pairs) jobs of a pipeline campaign: max(1, samples) on K32
+    and then as many on K33 minus a 16-edge matching, each pairing 8
+    terminals drawn from one ``random.Random(seed)`` in draw order."""
+    rng = random.Random(seed)
+    jobs = []
+    for g in (Graph.complete(32), complete_minus_matching(33, 16)):
+        for _ in range(max(1, samples)):
+            verts = rng.sample(range(g.n), 8)
+            jobs.append((g, tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4))))
+    return jobs
+
+
 def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = False) -> dict:
     """Replay the dense-host linkage pipeline on complete and near-complete
     hosts: mass check, minimization, dense-subgraph certificate, and an
     explicit four-pair linkage assembled through it."""
-    rng = random.Random(seed)
-    hosts = [Graph.complete(32), complete_minus_matching(33, 16)]
-    jobs = []
-    for hidx, g in enumerate(hosts):
-        for _ in range(max(1, samples)):
-            verts = rng.sample(range(g.n), 8)
-            pairs = tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4))
-            jobs.append((g, pairs))
     results = []
-    for g, pairs in jobs:
+    for g, pairs in _pipeline_jobs(samples, seed):
         t0 = _now(no_timestamps)
         results.append({**_pipeline_one(g, pairs, PIPELINE_P, seed), "wall_ms": _elapsed_ms(t0)})
     return _report("pipeline-4linked", seed, samples, _now(no_timestamps), results)
@@ -468,21 +473,16 @@ def _rebuild_lemma(g: Graph, inst: dict) -> dict:
     return _lemma_instance(g, terminals, cfg, records)
 
 
-def _rebuild_pipeline(g: Graph, inst: dict, seed: int) -> dict:
-    """The pipeline instance that ``inst``'s graph and pairs give at the
-    campaign's threshold, which ``inst``'s p must be."""
+def _rebuild_pipeline(inst: dict, job: tuple, seed: int) -> dict:
+    """The pipeline instance that the campaign's job ``(g, pairs)`` gives at
+    the campaign's threshold. ``inst``'s graph and pairs must be the job's,
+    and its p the threshold."""
+    g, pairs = job
+    if not _same([inst["graph6"], inst.get("pairs")], [write_graph6(g), [list(pr) for pr in pairs]]):
+        raise InputError("a pipeline instance's graph and pairs are not the campaign's draw")
     p = inst.get("p")
     if type(p) is not int or p != PIPELINE_P:
         raise InputError(f"a pipeline instance runs at p = {PIPELINE_P}, not {p!r}")
-    pairs = inst.get("pairs")
-    if not (
-        isinstance(pairs, list)
-        and len(pairs) == 4
-        and all(isinstance(pr, list) and len(pr) == 2 for pr in pairs)
-    ):
-        raise InputError("an instance needs four vertex pairs")
-    pairs = tuple(tuple(pr) for pr in pairs)
-    pairs_spec(pairs).check_in_graph(g)
     return _pipeline_one(g, pairs, p, seed)
 
 
@@ -493,10 +493,12 @@ def revalidate_report(report: dict) -> None:
     A report is evidence, not a verdict: anything it claims must be
     reproducible from the embedded graphs alone. A lemma-si instance is
     rebuilt from its graph and terminals by ``build_configuration``, and each
-    sample record from its own draw; a pipeline instance is rerun from its
-    graph, pairs and p, which validates its linkage again. ``wall_ms`` and
-    ``timestamp`` are taken as read, and so is ``seed`` wherever no rebuilt
-    stage draws from it. The report's ``samples_run`` and
+    sample record from its own draw. A pipeline report must hold exactly the
+    jobs that its ``seed`` and ``samples_requested`` draw, in order: each
+    instance embeds its job's graph and pairs and is rerun from them, which
+    validates its linkage again. ``wall_ms`` and ``timestamp`` are taken as
+    read, and so is a lemma-si report's ``seed``, which no rebuilt record
+    draws from. The report's ``samples_run`` and
     ``violations`` are then tallied from the rebuilt instances. Inputs are
     checked before they are used, so malformed ones raise InputError too.
     Revalidation costs about as much as running the campaign.
@@ -514,10 +516,17 @@ def revalidate_report(report: dict) -> None:
         and all(isinstance(inst, dict) and isinstance(inst.get("graph6"), str) for inst in instances)
     ):
         raise InputError("instances must each embed a graph6 string")
+    if kind == "pipeline-4linked":
+        # counted first, so that a huge request draws nothing
+        if len(instances) != 2 * max(1, requested):
+            raise InputError("a pipeline report holds max(1, samples_requested) instances per host")
+        jobs = _pipeline_jobs(requested, seed)
     rebuilt = []
     for i, inst in enumerate(instances):
-        g = parse_graph6(inst["graph6"])
-        fresh = _rebuild_lemma(g, inst) if kind == "lemma-si" else _rebuild_pipeline(g, inst, seed)
+        if kind == "lemma-si":
+            fresh = _rebuild_lemma(parse_graph6(inst["graph6"]), inst)
+        else:
+            fresh = _rebuild_pipeline(inst, jobs[i], seed)
         rebuilt.append({**fresh, "wall_ms": inst.get("wall_ms")})
         if not _same(inst, rebuilt[-1]):
             raise InputError(f"instance {i} does not match its rebuild")

@@ -399,35 +399,54 @@ def _max_rows(
     drops a prefix whose row falls below the best sequence found. Given
     ``bound``, the rows of some ordering, it returns None as soon as a
     prefix beats the bound and the bound itself when none does.
+
+    The unplaced vertices form an ordered partition: cells ``(mask, row)``
+    with the rows toward the placed vertices falling. Placing x splits each
+    cell into its part in N(x), row 2r + 1, and the rest, row 2r, and since
+    2r + 1 < 2r' whenever r < r' the parts stay in falling order. So the
+    first cell holds exactly the vertices of largest row, under that row.
     """
     # the best sequence found; its first entries are the current prefix's
     # rows, and a prefix that beats it overwrites it from there on
     best = list(bound) if bound is not None else [0] if n else []
-    # one frame per position: the rows toward the placed vertices (-1 for a
-    # placed one) and the vertices with the largest row left to try, popped
-    # highest label first: a census candidate's bound comes from the ordering
-    # by falling labels, so its vertices are tried first (nonisomorphic_graphs)
-    stack = [([0] * n, list(range(n)))]
+    # one frame per position: the cells of the unplaced vertices and the
+    # first cell's vertices left to try, highest label first, so that a
+    # census candidate's bound, the ordering by falling labels, comes first
+    full = (1 << n) - 1
+    stack = [[[(full, 0)], full]]
     while stack:
-        rows, todo = stack[-1]
+        cells, todo = frame = stack[-1]
         if not todo:
             stack.pop()
             continue
-        x = todo.pop()
-        todo[:] = [w for w in todo if (adj[w] ^ adj[x]) & ~(1 << w | 1 << x)]
+        x = todo.bit_length() - 1
+        bit, a = 1 << x, adj[x]
+        rest = todo = todo ^ bit
+        while rest:
+            w = rest.bit_length() - 1
+            rest ^= 1 << w
+            if not (adj[w] ^ a) & ~(1 << w | bit):
+                todo ^= 1 << w  # a twin of x
+        frame[1] = todo
         i = len(stack)
         if i == n:
             continue  # a full ordering; ``best`` already holds its rows
-        nxt = [r << 1 | (a >> x & 1) for r, a in zip(rows, adj)]
-        nxt[x] = -1
-        top = max(nxt)
+        nxt = []
+        for m, r in cells:
+            m &= ~bit
+            hi = m & a
+            if hi:
+                nxt.append((hi, 2 * r + 1))
+            if m ^ hi:
+                nxt.append((m ^ hi, 2 * r))
+        top = nxt[0][1]
         if i < len(best) and top < best[i]:
             continue
         if i == len(best) or top > best[i]:
             if bound is not None:
                 return None
             best[i:] = [top]
-        stack.append((nxt, [w for w in range(n) if nxt[w] == top]))
+        stack.append([nxt, nxt[0][0]])
     return tuple(best)
 
 
@@ -435,7 +454,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-_CENSUS_CACHE: dict[int, list[Graph]] = {}
+_CENSUS_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
@@ -456,14 +475,15 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
 
     Vertex i of each graph is the (n - 1 - i)-th vertex of its canonical
     ordering, so its canonical rows are ``adj[v] >> (v + 1)`` for v from
-    n - 1 down to 0, and a candidate's new last vertex is vertex 0.
+    n - 1 down to 0, and a candidate's new last vertex is vertex 0. Each
+    call returns a new list, so a caller may change it.
     """
     if n < 0:
         raise InputError("negative vertex count")
     if n > 8:
         raise ResourceError("census generation supported for n <= 8")
     if n in _CENSUS_CACHE:
-        return _CENSUS_CACHE[n]
+        return list(_CENSUS_CACHE[n])
     if n == 0:
         out = [Graph.empty(0)]
     else:
@@ -475,7 +495,7 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
                 adj = (r << 1,) + tuple(a << 1 | (r >> v & 1) for v, a in enumerate(g.adj))
                 if _max_rows(n, adj, rows + (r,)) is not None:
                     out.append(Graph(n, adj))
-    _CENSUS_CACHE[n] = out
+    _CENSUS_CACHE[n] = tuple(out)
     return out
 
 

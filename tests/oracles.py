@@ -22,8 +22,10 @@ verdicts and witnesses; ``graph_rows_by_scan``, the previous check in
 ``complete_minus_matching``, for its graphs; ``separations_by_flows``,
 the previous ``separations_exist``, for its answers;
 ``link_by_obstruction_first``, the previous ``_link``, for verdicts and
-witnesses; and ``graph6_parse_by_bit_lists``, the previous
-``parse_graph6``, for graphs and error messages and positions.
+witnesses; ``graph6_parse_by_bit_lists``, the previous
+``parse_graph6``, for graphs and error messages and positions; and
+``max_rows_by_vertex_rows``, the previous ``_max_rows``, for canonical
+rows and census verdicts.
 """
 
 from __future__ import annotations
@@ -580,6 +582,51 @@ def census_by_dedup(n: int) -> list[Graph]:
             h = Graph(n, tuple(rows))
             seen.setdefault(canonical_form(h), h)
     return list(seen.values())
+
+
+def max_rows_by_vertex_rows(
+    n: int, adj: tuple[int, ...], bound: Optional[tuple[int, ...]] = None
+) -> Optional[tuple[int, ...]]:
+    """The previous ``_max_rows``: the same search, each frame holding one
+    row per vertex.
+
+    The largest row sequence over every vertex ordering of the graph.
+
+    The search places at each position only vertices whose row is the
+    largest, one of each twin pair (swapping twins is an automorphism), and
+    drops a prefix whose row falls below the best sequence found. Given
+    ``bound``, the rows of some ordering, it returns None as soon as a
+    prefix beats the bound and the bound itself when none does.
+    """
+    # the best sequence found; its first entries are the current prefix's
+    # rows, and a prefix that beats it overwrites it from there on
+    best = list(bound) if bound is not None else [0] if n else []
+    # one frame per position: the rows toward the placed vertices (-1 for a
+    # placed one) and the vertices with the largest row left to try, popped
+    # highest label first: a census candidate's bound comes from the ordering
+    # by falling labels, so its vertices are tried first (nonisomorphic_graphs)
+    stack = [([0] * n, list(range(n)))]
+    while stack:
+        rows, todo = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        x = todo.pop()
+        todo[:] = [w for w in todo if (adj[w] ^ adj[x]) & ~(1 << w | 1 << x)]
+        i = len(stack)
+        if i == n:
+            continue  # a full ordering; ``best`` already holds its rows
+        nxt = [r << 1 | (a >> x & 1) for r, a in zip(rows, adj)]
+        nxt[x] = -1
+        top = max(nxt)
+        if i < len(best) and top < best[i]:
+            continue
+        if i == len(best) or top > best[i]:
+            if bound is not None:
+                return None
+            best[i:] = [top]
+        stack.append((nxt, [w for w in range(n) if nxt[w] == top]))
+    return tuple(best)
 
 
 # -- reference chromatic number ----------------------------------------------

@@ -368,7 +368,10 @@ def test_pipeline_reports_an_eight_vertex_candidate():
     assert stage["knitted-subgraph"]["route"] == "clique"
     assert stage["link-inside"]["method"] == "exact"
     rep = _report("pipeline-4linked", 0, 1, None, [inst])
-    assert load_report(report_to_json(rep)) == rep
+    assert json.loads(report_to_json(rep)) == rep
+    # revalidation reruns only the jobs the campaign draws, two per sample
+    with pytest.raises(InputError, match="instances per host"):
+        load_report(report_to_json(rep))
 
 
 def test_pipeline_p_is_the_campaign_threshold():
@@ -380,6 +383,54 @@ def test_pipeline_p_is_the_campaign_threshold():
                             blob["timestamp"], blob["instances"]))
         with pytest.raises(InputError, match="p = 30"):
             load_report(json.dumps(blob))
+
+
+def test_pipeline_report_must_hold_the_campaign_draw():
+    """Revalidation redraws the jobs from the report's seed and
+    samples_requested, so a dropped instance, an edited request or seed, or
+    swapped pairs fail, even with the tallies redone and the instance
+    rebuilt from its swapped pairs."""
+    text = report_to_json(campaign_pipeline_4linked(2, seed=1, no_timestamps=True))
+
+    def dropped(blob):
+        del blob["instances"][1]
+
+    def fewer_requested(blob):
+        blob["samples_requested"] = 1
+        blob["instances"] = blob["instances"][::2]
+
+    def more_requested(blob):
+        blob["samples_requested"] = 3
+
+    def huge_request(blob):
+        blob["samples_requested"] = 10**18
+
+    def other_seed(blob):
+        blob["seed"] = 2
+
+    def rerun(blob, i, pairs):
+        # instance i rebuilt, as the campaign would write it, from other pairs
+        g = parse_graph6(blob["instances"][i]["graph6"])
+        blob["instances"][i] = {**_pipeline_one(g, pairs, PIPELINE_P, 1), "wall_ms": None}
+
+    def swapped_pairs(blob):
+        p = [tuple(pr) for pr in blob["instances"][0]["pairs"]]
+        rerun(blob, 0, (p[1], p[0], p[2], p[3]))
+
+    def swapped_ends(blob):
+        p = [tuple(pr) for pr in blob["instances"][2]["pairs"]]
+        rerun(blob, 2, (p[0][::-1], p[1], p[2], p[3]))
+
+    cases = [(dropped, "instances per host"), (fewer_requested, "draw"), (more_requested, "instances per host"),
+             (huge_request, "instances per host"), (other_seed, "draw"), (swapped_pairs, "draw"),
+             (swapped_ends, "draw")]
+    for tamper, message in cases:
+        blob = json.loads(text)
+        tamper(blob)
+        blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
+                            blob["timestamp"], blob["instances"]))
+        with pytest.raises(InputError, match=message):
+            revalidate_report(blob)
 
 
 def test_timestamped_reports_revalidate():
