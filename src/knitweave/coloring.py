@@ -41,10 +41,12 @@ class Coloring:
         dom = g.full_mask if domain is None else domain
         if len(self.colors) != g.n:
             raise InputError("coloring length does not match the graph")
+        if type(self.palette_size) is not int:
+            raise InputError(f"palette size is not an int: {self.palette_size!r}")
         for v in bits(dom):
             c = self.colors[v]
-            if not 0 <= c < self.palette_size:
-                raise InputError(f"color of {v} outside the palette")
+            if type(c) is not int or not 0 <= c < self.palette_size:
+                raise InputError(f"color of {v} outside the palette: {c!r}")
             for u in bits(g.adj[v] & dom):
                 if self.colors[u] == c:
                     raise InputError(f"monochromatic edge {v},{u}")
@@ -72,14 +74,21 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 
 
 def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
-    """:func:`chromatic_number`'s answer plus the maximum clique (a bitset)
-    that gave its lower bound."""
+    """:func:`chromatic_number`'s answer plus a maximum clique (a bitset).
+
+    Let ub be the number of greedy classes. One clique H is built first:
+    from the whole vertex set, take the highest vertex v and narrow the set
+    to N(v), until it is empty. If |H| = ub, then omega >= |H| = ub >= chi
+    >= omega, so the greedy coloring is optimal and H is a maximum clique:
+    the search would have had lb = ub and returned the same coloring, so
+    :func:`max_clique` is not called. H may differ from its mask, but both
+    then have chi vertices, and :func:`is_contraction_critical` gives the
+    same witness from any clique of chi vertices.
+    """
     n = g.n
     if n == 0:
         return 0, Coloring((), 0), 0
     adj = g.adj
-    clique = max_clique(g)
-    lb = clique.bit_count()
 
     greedy = [0] * n
     classes: list[int] = []
@@ -94,6 +103,15 @@ def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
             classes.append(1 << v)
         greedy[v] = c
     ub = len(classes)
+    clique, cand = 0, g.full_mask
+    while cand:
+        v = cand.bit_length() - 1
+        clique |= 1 << v
+        cand &= adj[v]
+    if clique.bit_count() == ub:
+        return ub, Coloring(tuple(greedy), ub), clique
+    clique = max_clique(g)
+    lb = clique.bit_count()
 
     def try_k(k: int) -> Optional[list[int]]:
         colors = [-1] * n
@@ -133,11 +151,15 @@ def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
     return ub, Coloring(tuple(greedy), ub), clique
 
 
-def _delete_vertex(g: Graph, v: int) -> Graph:
-    """G - v, the vertices above v shifted down by one."""
+def _delete_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The rows of G - v, the vertices above v shifted down by one, unchecked."""
     low = (1 << v) - 1
-    rows = g.adj[:v] + g.adj[v + 1:]
-    return Graph(g.n - 1, tuple((r & low) | (r >> (v + 1) << v) for r in rows))
+    return tuple((r & low) | (r >> (v + 1) << v) for r in rows[:v] + rows[v + 1:])
+
+
+def _delete_vertex(g: Graph, v: int) -> Graph:
+    """G - v, validated."""
+    return Graph(g.n - 1, _delete_rows(g.adj, v))
 
 
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
@@ -152,11 +174,13 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     (k - 1)-coloring found for G - v: v takes that color in G - vw, so G - vw
     needs fewer than k colors.
 
-    Let C be the maximum clique found while coloring G. If |C| = k, then for
+    Let C be the clique found while coloring G. If |C| = k, then for
     v outside C, G - v contains C and needs k colors, so it is taken
     uncolored. The vertices of C, and every vertex when |C| < k, are still
     colored, so the first witness is the same as if every G - v were colored.
     """
+    if type(k) is not int:
+        raise InputError(f"k is not an int: {k!r}")
     chi, _, clique = _color_with_clique(g)
     if chi != k:
         return False, None
@@ -165,10 +189,12 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
     spare = []
     for v in range(g.n):
-        h = _delete_vertex(g, v)
-        c, coloring = chromatic_number(h) if colored >> v & 1 else (k, None)
+        c, coloring = chromatic_number(_delete_vertex(g, v)) if colored >> v & 1 else (k, None)
         if c >= k:
-            wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], tuple(h.edges()))
+            # the edges of G - v, as Graph.edges lists them
+            rows = _delete_rows(g.adj, v)
+            edges = tuple((u, w) for u, r in enumerate(rows) for w in bits(r >> u + 1 << u + 1))
+            wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
             wit.validate()
             return False, wit
         colors = coloring.colors[:v] + (-1,) + coloring.colors[v:]

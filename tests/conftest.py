@@ -22,6 +22,13 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """G with its vertices permuted by ``rng``."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def crossing_grid(rows: int, cols: int, rng=None) -> tuple[Graph, TerminalSpec]:
     """The triangulated grid with the corners paired across it, vertices
     shuffled by ``rng`` when given: the corners lie on the outer face in the

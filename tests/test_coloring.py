@@ -27,7 +27,7 @@ from knitweave.graphs import (
     set_of,
 )
 
-from conftest import random_graph
+from conftest import random_graph, relabelled
 from oracles import (
     chromatic_by_enumeration,
     chromatic_by_saturation,
@@ -58,11 +58,40 @@ def test_chromatic_vs_enumeration():
 
 def test_chromatic_matches_saturation_reference(census7):
     rng = random.Random(23)
-    graphs = census7 + [
-        random_graph(rng, rng.randint(0, 12), p=rng.uniform(0.1, 0.9)) for _ in range(1000)
-    ]
+    graphs = census7 + [relabelled(g, rng) for g in census7 for _ in range(2)]
+    graphs += [random_graph(rng, rng.randint(0, 12), p=rng.uniform(0.1, 0.9)) for _ in range(1000)]
     for g in graphs:
         assert chromatic_number(g) == chromatic_by_saturation(g), g
+
+
+def _is_clique(g, mask):
+    return all((g.adj[v] | 1 << v) & mask == mask for v in bits(mask))
+
+
+def test_chromatic_number_skips_max_clique_when_a_greedy_clique_fills_the_classes(
+    census7, monkeypatch
+):
+    # the clique built from the highest vertex down proves the greedy coloring
+    # optimal whenever it has as many vertices as the coloring has classes
+    real = coloring.max_clique
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(coloring, "max_clique", spy)
+    searched = 0
+    for g in census7[1:]:
+        calls.clear()
+        chi, col = chromatic_number(g)
+        assert (chi, col) == chromatic_by_saturation(g), g
+        if calls:
+            searched += 1
+            continue
+        _, _, clique = coloring._color_with_clique(g)
+        assert clique.bit_count() == chi and _is_clique(g, clique), g
+    assert len(census7[1:]) == 1252 and searched <= 80
 
 
 def test_complete_graph_chromatic():
@@ -122,6 +151,8 @@ def test_contraction_critical_matches_scan(census7):
     rng = random.Random(13)
     graphs = census7 + [random_graph(rng, 8, p=rng.uniform(0.2, 0.9)) for _ in range(100)]
     graphs += _census8_sample(rng, 300)
+    # a relabelling can change which chi-clique the coloring returns
+    graphs += [relabelled(g, rng) for g in census7 for _ in range(3)]
     for g in graphs:
         chi = chromatic_number(g)[0]
         for k in (chi - 1, chi, chi + 1):
@@ -152,6 +183,51 @@ def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkey
         assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
         cases += 1
     assert cases > 1000
+
+
+def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census7, monkeypatch):
+    # G - 0 is the witness, found from G's rows with no G - v built or colored,
+    # when the clique returned with G's coloring has chi(G) vertices and misses 0
+    calls = []
+
+    def spy(real):
+        def call(*args):
+            calls.append(args)
+            return real(*args)
+        return call
+
+    for name in ("chromatic_number", "_delete_vertex"):
+        monkeypatch.setattr(coloring, name, spy(getattr(coloring, name)))
+    cases = 0
+    for g in census7[1:]:
+        k, _, clique = coloring._color_with_clique(g)
+        if clique.bit_count() != k or clique & 1:
+            continue
+        calls.clear()
+        ok, wit = coloring.is_contraction_critical(g, k)
+        assert not calls and not ok, g
+        assert wit.branch_sets == tuple(1 << v for v in range(1, g.n)), g
+        assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
+        cases += 1
+    assert cases > 1000
+
+
+def test_contraction_critical_rejects_a_k_that_is_not_an_int():
+    for g, k in ((Graph.cycle(5), 3.0), (Graph.complete(1), True), (Graph.cycle(5), "3")):
+        with pytest.raises(InputError, match="k is not an int"):
+            is_contraction_critical(g, k)
+    assert is_contraction_critical(Graph.cycle(5), 3)[0] is False
+
+
+def test_check_proper_requires_int_colors_and_palette():
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    Coloring((0, 1, 0), 2).check_proper(p3)
+    for colors in ((0, 1.5, 0), (0, True, 0), (0.0, 1, 0)):
+        with pytest.raises(InputError, match="outside the palette"):
+            Coloring(colors, 2).check_proper(p3)
+    for palette in (2.0, True, "2"):
+        with pytest.raises(InputError, match="palette size is not an int"):
+            Coloring((0, 1, 0), palette).check_proper(p3)
 
 
 def test_contraction_critical_c5_pins_deep_minors():

@@ -27,7 +27,7 @@ from knitweave.graphs import (
     set_of,
 )
 
-from conftest import random_graph
+from conftest import random_graph, relabelled
 from oracles import (
     _canon_small,
     canonical_by_permutations,
@@ -268,12 +268,6 @@ def test_census_results_are_not_shared():
     assert nonisomorphic_graphs(3) is not nonisomorphic_graphs(3)
 
 
-def _relabelled(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _grid(rows: int, cols: int) -> Graph:
     right = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
     down = [(v, v + cols) for v in range(rows * cols - cols)]
@@ -295,7 +289,7 @@ def test_max_rows_matches_vertex_rows_search(census7):
     above 11 vertices and on K_16 - M with 5 to 8 matching edges, so the
     random graphs there have edge density at most 0.5."""
     rng = random.Random(21)
-    cases = [_relabelled(g, rng) for g in census7 for _ in range(3)]
+    cases = [relabelled(g, rng) for g in census7 for _ in range(3)]
     cases += [random_graph(rng, 8, rng.uniform(0.05, 0.95)) for _ in range(300)]
     for _ in range(500):
         n = rng.randint(9, 16)
