@@ -2,12 +2,15 @@
 configurations, and replay the dense-graph linkage pipeline end to end.
 
 Reports are self-contained JSON-ready dicts: every instance embeds its graph
-as graph6, and :func:`revalidate_report` trusts nothing it reads. It rebuilds
-each instance from its embedded inputs with the same builders the campaign
-ran and compares the result field by field as JSON text, so every report
-field has one definition. Rebuilding a pipeline instance validates its
-linkage certificate again. Revalidation therefore costs about as much as the
-campaign did.
+as graph6, so a reader can check it without the campaign. Each campaign is a
+generator of instances from ``samples`` and ``seed`` alone, and
+:func:`revalidate_report` holds a report valid exactly when it equals that
+generator's rerun from the report's ``experiment``, ``seed`` and
+``samples_requested``, taking only ``wall_ms`` and ``timestamp`` as read.
+Every report field therefore has one definition, and rerunning a pipeline
+instance validates its linkage certificate again. Revalidation costs about
+as much as the campaign did, and never more than the report's own instances
+and one more.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
 from .errors import InputError
-from .formats import parse_graph6, write_graph6, write_json
+from .formats import write_graph6, write_json
 from .generators import complete_minus_matching, gen_min_degree, gen_split_host
 from .graphs import (
     Graph,
@@ -89,28 +92,16 @@ def _sides(cfg: Configuration, j: int) -> Optional[dict]:
     }
 
 
-def _lemma_record(cfg: Configuration, j, form, sides: Optional[dict], observers: list) -> dict:
+def _lemma_record(cfg: Configuration, j: int, form: str, sides: dict, observers: list) -> dict:
     """The lemma-si record of one draw, with every lemma conclusion it breaks.
 
     ``sides`` is ``_sides(cfg, j)``. ``observers`` is ``[a, b]`` for a lemma
     "si" draw and ``[a, a2, b, b2]`` for a lemma "si2" draw, the a's from the
     pool of side A of ``form`` (A less the block end) and the b's from B's.
-    Raises InputError for a draw the campaign cannot make.
     """
     g = cfg.host
-    if type(j) is not int or not 1 <= j <= 4 or cfg.connected[j] or sides is None:
-        raise InputError(f"j = {j!r} is not a disconnected pair block with disjoint sides")
-    if not (isinstance(form, str) and form in sides):
-        raise InputError(f"unknown side form {form!r}")
-    uj, vj = cfg.pairs[j - 1]
     cover = cfg.cover_mask
     amask, bmask, paired = sides[form]
-    half = len(observers) // 2
-    pools = ((amask & ~(1 << uj), observers[:half]), (bmask & ~(1 << vj), observers[half:]))
-    if len(observers) not in (2, 4) or not all(
-        type(x) is int and 0 <= x < g.n and (pool >> x) & 1 for pool, xs in pools for x in xs
-    ):
-        raise InputError(f"observers {observers} are not drawn from the pools of block {j}")
     bad = []
     if len(observers) == 2:
         a, b = observers
@@ -159,8 +150,6 @@ def _lemma_record(cfg: Configuration, j, form, sides: Optional[dict], observers:
             "violations": bad,
         }
 
-    if len(set(observers)) != 4 or not paired:
-        raise InputError(f"paired observers {observers} repeat or come from sides that are not biconnected")
     a, a2, b, b2 = observers
     comp_a, comp_b, _ = sides["AB"]
     pair_scores = {}
@@ -193,69 +182,60 @@ def _lemma_record(cfg: Configuration, j, form, sides: Optional[dict], observers:
     }
 
 
-def campaign_lemma_si(
-    samples: int,
-    seed: int,
-    size_range: tuple[int, int] = (10, 13),
-    no_timestamps: bool = False,
-) -> dict:
-    """Sample configurations and assert the coverage-score conclusions on
-    every (a, b) draw whose preconditions hold. Violations are findings."""
-    instances = []
+def _draws(cfg: Configuration, rng: random.Random):
+    """Yield the records of the draws on one configuration in order: three
+    (a, b) draws per side form of each disconnected pair block with disjoint
+    sides, then a paired draw where both pools have two vertices and the
+    form allows it."""
+    for j in range(1, 5):
+        if cfg.connected[j] or (sides := _sides(cfg, j)) is None:
+            continue
+        uj, vj = cfg.pairs[j - 1]
+        for form, (amask, bmask, paired) in sides.items():
+            pool_a = set_of(amask & ~(1 << uj))
+            pool_b = set_of(bmask & ~(1 << vj))
+            if not pool_a or not pool_b:
+                continue
+            for _ in range(3):
+                yield _lemma_record(cfg, j, form, sides, [rng.choice(pool_a), rng.choice(pool_b)])
+            # paired draws for the two-observer conclusions
+            if len(pool_a) >= 2 and len(pool_b) >= 2 and paired:
+                yield _lemma_record(cfg, j, form, sides, rng.sample(pool_a, 2) + rng.sample(pool_b, 2))
+
+
+def _lemma_instances(samples: int, seed: int):
+    """Yield the lemma-si campaign's instances in order, without ``wall_ms``.
+    Each samples a configuration and records its draws until ``samples`` are
+    made; it is skipped exactly when all four pair blocks are connected,
+    since then nothing is drawn."""
     done = 0
     host_idx = 0
     rng = random.Random(seed)
     while done < samples and host_idx < 40 * (samples + 1):
-        t0 = _now(no_timestamps)
         if host_idx % 5 != 4:
-            host = gen_split_host(seed * 1000 + host_idx, blob_size=rng.randint(*size_range))
+            host = gen_split_host(seed * 1000 + host_idx, blob_size=rng.randint(10, 13))
             g, terminals = host.graph, host.terminals
         else:
             g = gen_min_degree(rng.randint(16, 20), 12, seed * 1000 + host_idx)
             terminals = tuple(rng.sample(range(g.n), 9))
         host_idx += 1
         cfg = build_configuration(g, terminals)
-        djs = [i for i in range(1, 5) if not cfg.connected[i]]
-        records = []
-        for j in djs:
-            if done >= samples:
-                break
-            sides = _sides(cfg, j)
-            if sides is None:
-                continue
-            uj, vj = cfg.pairs[j - 1]
-            for form, (amask, bmask, paired) in sides.items():
-                if done >= samples:
-                    break
-                pool_a = set_of(amask & ~(1 << uj))
-                pool_b = set_of(bmask & ~(1 << vj))
-                if not pool_a or not pool_b:
-                    continue
-                for _ in range(3):
-                    if done >= samples:
-                        break
-                    draw = [rng.choice(pool_a), rng.choice(pool_b)]
-                    records.append(_lemma_record(cfg, j, form, sides, draw))
-                    done += 1
-                # paired draws for the two-observer conclusions
-                if len(pool_a) >= 2 and len(pool_b) >= 2 and done < samples and paired:
-                    draw = rng.sample(pool_a, 2) + rng.sample(pool_b, 2)
-                    records.append(_lemma_record(cfg, j, form, sides, draw))
-                    done += 1
-        instances.append({**_lemma_instance(g, terminals, cfg, records), "wall_ms": _elapsed_ms(t0)})
-    return _report("lemma-si", seed, samples, _now(no_timestamps), instances)
+        # zip stops at the range before it asks for a draw past ``samples``
+        records = [rec for _, rec in zip(range(samples - done), _draws(cfg, rng))]
+        done += len(records)
+        yield {
+            "graph6": write_graph6(g),
+            "terminals": list(terminals),
+            "blocks": [list(b) for b in cfg.blocks],
+            "samples": records,
+            "skipped": cfg.connected_count == 4,
+        }
 
 
-def _lemma_instance(g: Graph, terminals, cfg: Configuration, records: list) -> dict:
-    """One lemma-si instance without its ``wall_ms``; it is skipped exactly
-    when all four pair blocks are connected, since then nothing is drawn."""
-    return {
-        "graph6": write_graph6(g),
-        "terminals": list(terminals),
-        "blocks": [list(b) for b in cfg.blocks],
-        "samples": records,
-        "skipped": cfg.connected_count == 4,
-    }
+def campaign_lemma_si(samples: int, seed: int, no_timestamps: bool = False) -> dict:
+    """Sample configurations and assert the coverage-score conclusions on
+    every (a, b) draw whose preconditions hold. Violations are findings."""
+    return _campaign("lemma-si", samples, seed, no_timestamps)
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +375,35 @@ def _pipeline_one(g: Graph, pairs: tuple, p: int) -> dict:
     }
 
 
-def _pipeline_jobs(samples: int, seed: int) -> list[tuple[Graph, tuple]]:
-    """The (host, pairs) jobs of a pipeline campaign: max(1, samples) on K32
-    and then as many on K33 minus a 16-edge matching, each pairing 8
-    terminals drawn from one ``random.Random(seed)`` in draw order."""
+def _pipeline_instances(samples: int, seed: int):
+    """Yield the pipeline campaign's instances in order, without ``wall_ms``:
+    max(1, samples) on K32 and then as many on K33 minus a 16-edge matching,
+    each pairing 8 terminals drawn from one ``random.Random(seed)``."""
     rng = random.Random(seed)
-    jobs = []
     for g in (Graph.complete(32), complete_minus_matching(33, 16)):
         for _ in range(max(1, samples)):
             verts = rng.sample(range(g.n), 8)
-            jobs.append((g, tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4))))
-    return jobs
+            yield _pipeline_one(g, tuple((verts[2 * i], verts[2 * i + 1]) for i in range(4)), PIPELINE_P)
 
 
 def campaign_pipeline_4linked(samples: int, seed: int, no_timestamps: bool = False) -> dict:
     """Replay the dense-host linkage pipeline on complete and near-complete
     hosts: mass check, minimization, dense-subgraph certificate, and an
     explicit four-pair linkage assembled through it."""
-    results = []
-    for g, pairs in _pipeline_jobs(samples, seed):
+    return _campaign("pipeline-4linked", samples, seed, no_timestamps)
+
+
+_INSTANCES = {"lemma-si": _lemma_instances, "pipeline-4linked": _pipeline_instances}
+
+
+def _campaign(experiment: str, samples: int, seed: int, no_timestamps: bool) -> dict:
+    """The report of one campaign run, each instance timed in ``wall_ms``."""
+    instances = []
+    t0 = _now(no_timestamps)
+    for inst in _INSTANCES[experiment](samples, seed):
+        instances.append({**inst, "wall_ms": _elapsed_ms(t0)})
         t0 = _now(no_timestamps)
-        results.append({**_pipeline_one(g, pairs, PIPELINE_P), "wall_ms": _elapsed_ms(t0)})
-    return _report("pipeline-4linked", seed, samples, _now(no_timestamps), results)
+    return _report(experiment, seed, samples, _now(no_timestamps), instances)
 
 
 def _report(experiment: str, seed, samples, timestamp, instances: list) -> dict:
@@ -451,91 +438,43 @@ def _same(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _rebuild_lemma(g: Graph, inst: dict) -> dict:
-    """The lemma-si instance that ``inst``'s graph and terminals give, with
-    each of its sample records recomputed from the record's own draw."""
-    terminals, samples = inst.get("terminals"), inst.get("samples")
-    if not (isinstance(terminals, list) and all(type(t) is int for t in terminals)):
-        raise InputError("terminals must be a list of vertex indices")
-    if not (isinstance(samples, list) and all(isinstance(rec, dict) for rec in samples)):
-        raise InputError("samples must be a list of records")
-    cfg = build_configuration(g, terminals)
-    sides = {j: _sides(cfg, j) for j in range(1, 5) if not cfg.connected[j]}
-    records = []
-    for rec in samples:
-        j, lemma = rec.get("j"), rec.get("lemma")
-        observers = [rec.get("a"), rec.get("b")] if lemma == "si" else rec.get("observers")
-        if not isinstance(observers, list):
-            raise InputError(f"sample record {rec} names no observers")
-        block_sides = sides.get(j) if type(j) is int else None
-        records.append(_lemma_record(cfg, j, rec.get("form"), block_sides, observers))
-        if not _same(rec, records[-1]):
-            raise InputError(f"sample record {rec} does not recompute")
-    return _lemma_instance(g, terminals, cfg, records)
-
-
-def _rebuild_pipeline(inst: dict, job: tuple) -> dict:
-    """The pipeline instance that the campaign's job ``(g, pairs)`` gives at
-    the campaign's threshold. ``inst``'s graph and pairs must be the job's,
-    and its p the threshold."""
-    g, pairs = job
-    if not _same([inst["graph6"], inst.get("pairs")], [write_graph6(g), [list(pr) for pr in pairs]]):
-        raise InputError("a pipeline instance's graph and pairs are not the campaign's draw")
-    p = inst.get("p")
-    if type(p) is not int or p != PIPELINE_P:
-        raise InputError(f"a pipeline instance runs at p = {PIPELINE_P}, not {p!r}")
-    return _pipeline_one(g, pairs, p)
-
-
 def revalidate_report(report: dict) -> None:
-    """Rebuild every instance from its embedded inputs with the builders that
-    wrote it, and raise InputError on the first difference.
+    """Rerun the campaign a report names and raise InputError unless the
+    report equals the rerun.
 
-    A report is evidence, not a verdict: anything it claims must be
-    reproducible from the embedded graphs alone. A lemma-si instance is
-    rebuilt from its graph and terminals by ``build_configuration``, and each
-    sample record from its own draw. A pipeline report must hold exactly the
-    jobs that its ``seed`` and ``samples_requested`` draw, in order: each
-    instance embeds its job's graph and pairs and is rerun from them, which
-    validates its linkage again. ``wall_ms`` and ``timestamp`` are taken as
-    read, and so is a lemma-si report's ``seed``, which no rebuilt record
-    draws from. The report's ``samples_run`` and
-    ``violations`` are then tallied from the rebuilt instances. Inputs are
-    checked before they are used, so malformed ones raise InputError too.
-    Revalidation costs about as much as running the campaign.
+    A report is evidence, not a verdict: it is valid exactly when the
+    campaign of its ``experiment``, rerun from its ``seed`` and
+    ``samples_requested``, writes the same report, with only ``wall_ms`` and
+    ``timestamp`` taken as read. Rerunning a pipeline instance validates its
+    linkage again. The rerun is walked lazily and compared instance by
+    instance, stopping at the first instance that differs and at the first
+    rerun instance the report does not hold, so a huge ``samples_requested``
+    costs no more than the report's own instances and one more. Last, the
+    report's ``samples_run`` and ``violations`` are compared with the tallies
+    of the rerun. Malformed inputs raise InputError too.
     """
     if not isinstance(report, dict) or report.get("schema") != SCHEMA:
         raise InputError("unknown report schema")
     kind, seed, requested = report.get("experiment"), report.get("seed"), report.get("samples_requested")
-    if kind not in ("lemma-si", "pipeline-4linked"):
+    if kind not in _INSTANCES:
         raise InputError(f"unknown experiment kind {kind!r}")
     if type(seed) is not int or type(requested) is not int:
         raise InputError("seed and samples_requested must be integers")
     instances = report.get("instances")
-    if not (
-        isinstance(instances, list)
-        and all(isinstance(inst, dict) and isinstance(inst.get("graph6"), str) for inst in instances)
-    ):
-        raise InputError("instances must each embed a graph6 string")
-    if kind == "pipeline-4linked":
-        # counted first, so that a huge request draws nothing
-        if len(instances) != 2 * max(1, requested):
-            raise InputError("a pipeline report holds max(1, samples_requested) instances per host")
-        jobs = _pipeline_jobs(requested, seed)
+    if not (isinstance(instances, list) and all(isinstance(inst, dict) for inst in instances)):
+        raise InputError("instances must be a list of objects")
+    rerun = _INSTANCES[kind](requested, seed)
     rebuilt = []
     for i, inst in enumerate(instances):
-        if kind == "lemma-si":
-            fresh = _rebuild_lemma(parse_graph6(inst["graph6"]), inst)
-        else:
-            fresh = _rebuild_pipeline(inst, jobs[i])
+        fresh = next(rerun, None)
+        if fresh is None:
+            raise InputError(f"the campaign's rerun has no instance {i}")
         rebuilt.append({**fresh, "wall_ms": inst.get("wall_ms")})
         if not _same(inst, rebuilt[-1]):
-            raise InputError(f"instance {i} does not match its rebuild")
-    tallied = _report(kind, seed, requested, report.get("timestamp"), rebuilt)
-    # a lemma-si campaign stops at the samples requested; a negative request runs none
-    if kind == "lemma-si" and tallied["samples_run"] > max(requested, 0):
-        raise InputError("samples_run exceeds samples_requested")
-    if not _same(report, tallied):
+            raise InputError(f"instance {i} differs from the campaign's rerun")
+    if next(rerun, None) is not None:
+        raise InputError(f"the report lacks instance {len(instances)} of the campaign's rerun")
+    if not _same(report, _report(kind, seed, requested, report.get("timestamp"), rebuilt)):
         raise InputError("samples_run or violations do not match the instances")
 
 

@@ -151,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knitted1")
     p.add_argument("--p", type=int, required=True)
 
-    p = sub.add_parser("campaign-si")
-    p.add_argument("--size-range", default="10,13")
-
+    sub.add_parser("campaign-si")
     sub.add_parser("campaign-4linked")
 
     p = sub.add_parser("gen")
@@ -209,8 +207,9 @@ def _dispatch(args) -> int:
     if cmd == "thresholds":
         out = {}
         if args.t is not None:
-            out["mader"] = certify.mader_threshold(args.t - 1, args.t - 3)
+            # first, so that a small t is named as the --t given: both need t >= 6
             out["easy_connectivity"] = certify.easy_connectivity_threshold(args.t)
+            out["mader"] = certify.mader_threshold(args.t - 1, args.t - 3)
         if args.k is not None:
             out["connectivity"] = certify.main_theorem_table(args.k)
         return _emit(out)
@@ -220,17 +219,9 @@ def _dispatch(args) -> int:
             return _emit({"graph6": write_graph6(g), "universal_vertex": z})
         g = gen_min_degree(args.n, args.delta, args.seed)
         return _emit({"graph6": write_graph6(g)})
-    if cmd == "campaign-si":
-        lo, hi = _parse_ints(args.size_range)
-        rep = campaigns.campaign_lemma_si(
-            args.samples, args.seed, (lo, hi), no_timestamps=args.no_timestamps
-        )
-        _emit(rep)
-        return 1 if rep["violations"] else 0
-    if cmd == "campaign-4linked":
-        rep = campaigns.campaign_pipeline_4linked(
-            args.samples, args.seed, no_timestamps=args.no_timestamps
-        )
+    if cmd in ("campaign-si", "campaign-4linked"):
+        run = campaigns.campaign_lemma_si if cmd == "campaign-si" else campaigns.campaign_pipeline_4linked
+        rep = run(args.samples, args.seed, no_timestamps=args.no_timestamps)
         _emit(rep)
         return 1 if rep["violations"] else 0
 

@@ -204,8 +204,8 @@ class Graph:
         return Graph(self.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(self.adj)))
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} outside range 0..{self.n - 1}")
+        if type(v) is not int or not 0 <= v < self.n:
+            raise InputError(f"vertex {v!r} is not an int in range 0..{self.n - 1}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

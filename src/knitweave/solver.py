@@ -1036,8 +1036,8 @@ def s_value(cfg: Configuration, a: int, b: int, i: int) -> int:
     h = cfg.host
     h._check_vertex(a)
     h._check_vertex(b)
-    if not 0 <= i <= 4:
-        raise InputError("block index out of range")
+    if type(i) is not int or not 0 <= i <= 4:
+        raise InputError(f"block index {i!r} is not an int in range 0..4")
     ci = cfg.block_mask(i)
     if (ci >> a) & 1 or (ci >> b) & 1:
         raise InputError("a and b must lie outside the block")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -369,8 +370,8 @@ def test_pipeline_reports_an_eight_vertex_candidate():
     assert stage["link-inside"]["method"] == "exact"
     rep = _report("pipeline-4linked", 0, 1, None, [inst])
     assert json.loads(report_to_json(rep)) == rep
-    # revalidation reruns only the jobs the campaign draws, two per sample
-    with pytest.raises(InputError, match="instances per host"):
+    # revalidation compares with the campaign's rerun, whose first host is K32
+    with pytest.raises(InputError, match="instance 0 differs"):
         load_report(report_to_json(rep))
 
 
@@ -381,7 +382,7 @@ def test_pipeline_p_is_the_campaign_threshold():
         blob["instances"][0]["p"] = p
         blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
                             blob["timestamp"], blob["instances"]))
-        with pytest.raises(InputError, match="p = 30"):
+        with pytest.raises(InputError, match="instance 0 differs"):
             load_report(json.dumps(blob))
 
 
@@ -421,16 +422,52 @@ def test_pipeline_report_must_hold_the_campaign_draw():
         p = [tuple(pr) for pr in blob["instances"][2]["pairs"]]
         rerun(blob, 2, (p[0][::-1], p[1], p[2], p[3]))
 
-    cases = [(dropped, "instances per host"), (fewer_requested, "draw"), (more_requested, "instances per host"),
-             (huge_request, "instances per host"), (other_seed, "draw"), (swapped_pairs, "draw"),
-             (swapped_ends, "draw")]
+    cases = [(dropped, "instance 1 differs"), (fewer_requested, "instance 1 differs"),
+             (more_requested, "instance 2 differs"), (huge_request, "instance 2 differs"),
+             (other_seed, "instance 0 differs"), (swapped_pairs, "instance 0 differs"),
+             (swapped_ends, "instance 2 differs")]
     for tamper, message in cases:
         blob = json.loads(text)
         tamper(blob)
         blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
                             blob["timestamp"], blob["instances"]))
+        t0 = time.perf_counter()
         with pytest.raises(InputError, match=message):
             revalidate_report(blob)
+        # the rerun stops at the first instance that differs, whatever the request
+        assert time.perf_counter() - t0 < 1.0, tamper.__name__
+
+
+def test_lemma_report_must_hold_the_campaign_draw():
+    """A lemma-si report is rerun from its seed and samples_requested, so an
+    edited seed or request, or a dropped or appended instance, fails, even
+    with the tallies redone; a huge request stops where the report ends."""
+    text = report_to_json(campaign_lemma_si(30, seed=3, no_timestamps=True))
+
+    def other_seed(blob):
+        blob["seed"] = 4
+
+    def one_more_requested(blob):
+        blob["samples_requested"] = 31
+
+    def huge_request(blob):
+        blob["samples_requested"] = 10**18
+
+    def dropped_last(blob):
+        blob["instances"].pop()
+
+    def appended(blob):
+        blob["instances"].append(blob["instances"][0])
+
+    for tamper in (other_seed, one_more_requested, huge_request, dropped_last, appended):
+        blob = json.loads(text)
+        tamper(blob)
+        blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
+                            blob["timestamp"], blob["instances"]))
+        t0 = time.perf_counter()
+        with pytest.raises(InputError):
+            load_report(json.dumps(blob))
+        assert time.perf_counter() - t0 < 1.0, tamper.__name__
 
 
 def test_timestamped_reports_revalidate():

@@ -192,6 +192,12 @@ def test_thresholds_cli(capsys):
     assert data["easy_connectivity"] == 18 and data["connectivity"] == 10
 
 
+def test_thresholds_names_the_bound_on_t(capsys):
+    for t in ("3", "5"):
+        assert cli_main(["thresholds", "--t", t]) == 2
+        assert capsys.readouterr().err == "error: t must be at least 6\n"
+
+
 def test_profile_knitted_cli(capsys, tmp_path):
     path = graph_file(tmp_path, Graph.cycle(6))
     code, out = run(

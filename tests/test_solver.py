@@ -10,7 +10,7 @@ from knitweave import solver
 from knitweave.errors import InputError, PreconditionError
 from knitweave.formats import parse_graph6
 from knitweave.generators import complete_minus_matching, gen_min_degree, gen_split_host
-from knitweave.graphs import Graph, bits, mask_of
+from knitweave.graphs import Graph, bits, mask_of, neighbors_closed
 from knitweave.solver import (
     Configuration,
     Knit,
@@ -788,6 +788,28 @@ def test_s_value_matches_naive():
             common = sum(1 for w in blk if g.has_edge(a, w) and g.has_edge(b, w))
             missed = sum(1 for w in blk if not g.has_edge(a, w) and not g.has_edge(b, w))
             assert s_value(cfg, a, b, i) == common - missed
+
+
+@pytest.mark.parametrize("v", [1.0, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h, cfg, v: h.has_edge(0, v),
+        lambda h, cfg, v: h.degree(v),
+        lambda h, cfg, v: neighbors_closed(h, v),
+        lambda h, cfg, v: build_configuration(h, (0, v, 2, 3, 4, 5, 6, 7, 8)),
+        lambda h, cfg, v: reroute(cfg, v, 3, 3, 4),
+        lambda h, cfg, v: s_value(cfg, 8, v, 1),
+        lambda h, cfg, v: s_value(cfg, 8, 8, v),
+    ],
+    ids=["has_edge", "degree", "neighbors_closed", "build_configuration", "reroute", "s_value",
+         "s_value_block"],
+)
+def test_non_int_vertex_is_an_input_error(call, v):
+    # a float or a bool equal to a valid index is still not a vertex
+    h, cfg = _reroute_fixture()
+    with pytest.raises(InputError, match="not an int"):
+        call(h, cfg, v)
 
 
 def test_solver_matches_oracle_random_two_pairs():
