@@ -316,12 +316,16 @@ def independence_number(g: Graph) -> int:
 def max_clique(g: Graph) -> int:
     """A maximum clique as a bitset, via coloring-bounded branch and bound.
 
-    A candidate set that is a clique of k vertices is taken whole. ``expand``
-    is called only when size + k beats the best size. The greedy coloring
-    gives each vertex of the clique its own color, so the loop would recurse
-    from the highest vertex into the rest, again a clique, down to ``cur |
-    cand`` as the new best, and then prune every later sibling, whose bound
-    is at most size + k - 1. The mask is the same.
+    A candidate set that is complete multipartite on its k greedy color
+    classes (each vertex adjacent to every candidate outside its class) is
+    taken whole. The greedy coloring of such a set gives each part one
+    class, lowest vertex first, so the loop would recurse from the highest
+    vertex of the last class into the other classes, again complete
+    multipartite with the same classes, down to the highest vertex of each
+    class as the new best when size + k beats the best size. It would then
+    prune every later sibling, whose bound is at most size + k. The mask is
+    the same. A clique is the case where every class has one vertex, which
+    passes the test without a look.
 
     The greedy coloring is one bitset per color class, each filled lowest
     vertex first. ``expand`` tries the vertices in decreasing (color,
@@ -351,10 +355,30 @@ def max_clique(g: Graph) -> int:
     def expand(cur: int, size: int, cand: int) -> None:
         nonlocal best_mask, best_size
         classes = color_sort(cand)
-        if len(classes) == cand.bit_count():
-            # every vertex got its own color: cand is a clique
-            best_size = size + len(classes)
-            best_mask = cur | cand
+        # tops: the highest vertex of each class if every vertex is adjacent
+        # to all of cand outside its class, else None; with one vertex per
+        # class, cand is a clique and the test needs no look
+        tops = cand
+        if len(classes) < cand.bit_count():
+            tops = 0
+            for cls in classes:
+                out = cand & ~cls
+                rest = cls
+                while rest:
+                    low = rest & -rest
+                    if out & ~adj[low.bit_length() - 1]:
+                        break
+                    rest ^= low
+                if rest:
+                    tops = None
+                    break
+                tops |= 1 << (cls.bit_length() - 1)
+        if tops is not None:
+            # cand is complete multipartite on its classes: the first descent
+            # takes the highest vertex of each class, and prunes the rest
+            if size + len(classes) > best_size:
+                best_size = size + len(classes)
+                best_mask = cur | tops
             return
         # last class first, each from its highest vertex down
         for bound in range(len(classes), 0, -1):

@@ -136,8 +136,10 @@ def _near_layers(g: Graph, u: int, v: int, allowed: int) -> tuple[int, list[int]
     seen = frontier = target
     while frontier:
         nxt = 0
-        for w in bits(frontier):
-            nxt |= adj[w]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & inner & ~seen
         seen |= frontier
         near.append(seen & inner)
@@ -188,25 +190,63 @@ def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
     """``min(cap, number of simple u-v paths with interior in allowed)``,
     without building a path.
 
-    The walk is :func:`iter_paths_by_length`'s, one depth-first pass per
-    length, but each pass stops one vertex early: at the second-to-last
-    interior vertex w, every unused interior neighbour of both w and v is
-    the last interior vertex of exactly one path, so the pass adds their
-    number. Lengths 2 and 3 need no pass. It returns as soon as the count
-    reaches ``cap``.
+    Let inner be ``allowed`` without u and v, first = N(u) & inner and
+    last = N(v) & inner. Paths of at most five vertices are counted in
+    closed form:
+
+    - 2 vertices: 1 if uv is an edge;
+    - 3 vertices (u a v): |first & last|;
+    - 4 vertices (u a c v): the sum over a in first of |N(a) & last|;
+    - 5 vertices (u a b c v): the sum over b in N(first) & inner of
+      |N(b) & first| * |N(b) & last| - |N(b) & first & last|.
+
+    In each, a vertex differs from the next one because they are adjacent,
+    and every interior vertex differs from u and v because it lies in
+    inner. That leaves only a and c of a 5-vertex path, both neighbours of
+    b, and the subtracted term drops the choices with a = c.
+
+    Longer paths are walked as in :func:`iter_paths_by_length`, one
+    depth-first pass per length from six vertices, but each pass stops one
+    vertex early: at the second-to-last interior vertex w, every unused
+    vertex of N(w) & last is the last interior vertex of exactly one path,
+    so the pass adds their number. Every term is a count of paths, so the
+    running count never falls, and it returns ``cap`` as soon as the count
+    reaches it, within a sum or a pass. So the walk and its breadth-first
+    search run only when the short paths leave the count below ``cap``.
     """
     if u == v:
         return 0
+    adj = g.adj
+    inner = allowed & ~(1 << u) & ~(1 << v)
+    first = adj[u] & inner
+    last = adj[v] & inner
+    count = ((adj[u] >> v) & 1) + (first & last).bit_count()
+    if count >= cap:
+        return cap
+    second = 0  # N(first) & inner: the middle vertex b of a 5-vertex path
+    rest = first
+    while rest:
+        low = rest & -rest
+        a = adj[low.bit_length() - 1]
+        count += (a & last).bit_count()
+        if count >= cap:
+            return cap
+        second |= a
+        rest ^= low
+    rest = second & inner
+    while rest:
+        low = rest & -rest
+        b = adj[low.bit_length() - 1]
+        ends = b & first
+        count += ends.bit_count() * (b & last).bit_count() - (ends & last).bit_count()
+        if count >= cap:
+            return cap
+        rest ^= low
     inner, near, shortest = _near_layers(g, u, v, allowed)
     if shortest is None:
         return 0
-    adj = g.adj
     top = len(near) - 1
-    last = near[1]  # the interior vertices adjacent to v
-    count = (1 if shortest == 2 else 0) + (adj[u] & last).bit_count()
-    for length in range(max(shortest, 4), inner.bit_count() + 3):
-        if count >= cap:
-            return cap
+    for length in range(max(shortest, 6), inner.bit_count() + 3):
         depth = length - 3  # path vertices before the second-to-last interior vertex
         path = [1 << u]
         on = 1 << u
@@ -228,7 +268,7 @@ def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
             path.append(low)
             on |= low
             untried.append(adj[w] & near[min(length - len(path) - 1, top)] & ~on)
-    return min(count, cap)
+    return count
 
 
 def max_vertex_disjoint_flow(
@@ -594,7 +634,9 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     every "yes". Every linkage comes from the exhaustive backtracking search: direct
     edges first, then the other pairs fewest-candidate-paths first
     (recomputed as the search deepens, each count from :func:`_count_paths`,
-    which builds no path), each trying its paths from
+    which builds no path, and capped at the fewest so far: a pair replaces
+    the one chosen only with a smaller count, so the first pair of least
+    count wins a tie), each trying its paths from
     :func:`iter_paths_by_length`, shortest first and lexicographic within a
     length ((length, lex) order), under a unit-capacity flow bound between
     the unlinked terminals that prunes hopeless branches early. So each pair
@@ -624,12 +666,13 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
             snks = mask_of(p[1] for _, p in remaining)
             if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=len(remaining)) < len(remaining):
                 return False
-            best_count = None
+            best_count = _COUNT_CAP
             for item in remaining:
-                cnt = _count_paths(g, *item[1], interior, _COUNT_CAP)
+                # only a count below the fewest so far changes the choice
+                cnt = _count_paths(g, *item[1], interior, best_count)
                 if cnt == 0:
                     return False
-                if best_count is None or cnt < best_count:
+                if cnt < best_count:
                     best, best_count = item, cnt
                     if cnt == 1:
                         break
@@ -989,6 +1032,11 @@ def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration
     """
     h = cfg.host
     h._check_vertex(x)
+    if type(y) is not int:
+        raise InputError(f"vertex {y!r} is not an int")
+    for index in (i, j):
+        if type(index) is not int:
+            raise InputError(f"block index {index!r} is not an int")
     if not (1 <= i <= 4 and 1 <= j <= 4 and i != j):
         raise PreconditionError("block-indices", "i and j must be distinct block indices in 1..4")
     bi = cfg.blocks[i]

@@ -341,6 +341,16 @@ def test_max_clique_matches_previous_search(census7):
         assert max_clique(g) == clique_by_branching(g), g
 
 
+def test_max_clique_matches_previous_search_on_multipartite_graphs():
+    """The same mask as the previous search on the complete multipartite
+    graphs that ``max_clique`` takes whole at the root: K_n minus a matching
+    of every size for n <= 40, and the Turan graphs T(n, r) for n <= 40."""
+    cases = [complete_minus_matching(n, m) for n in range(1, 41) for m in range(n // 2 + 1)]
+    cases += [_turan(n, r) for n in range(1, 41) for r in range(1, n + 1)]
+    for g in cases:
+        assert max_clique(g) == clique_by_branching(g), g
+
+
 def test_canonical_form_matches_permutation_oracle():
     for n in range(7):
         for g in nonisomorphic_graphs(n):

@@ -94,7 +94,9 @@ def test_iter_paths_by_length_matches_sorted_oracle():
 def _count_cases():
     """(g, u, v, allowed) cases for the path counter: 3000 random graphs of
     2..22 vertices with random interior sets, then corner and random pairs on
-    triangulated grids and random pairs on the circulant C_40(1..15)."""
+    triangulated grids, random pairs on the circulant C_40(1..15), and random
+    pairs and interior sets on pool-like hosts of minimum degree 4..8 on
+    20..30 vertices."""
     rng = random.Random(16)
     for _ in range(3000):
         n = rng.randint(2, 22)
@@ -112,16 +114,45 @@ def _count_cases():
     for _ in range(40):
         u, v = rng.sample(range(n), 2)
         yield g, u, v, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+    for n in range(20, 31):
+        for delta in range(4, 9):
+            g = gen_min_degree(n, delta, rng.randrange(1 << 30))
+            for _ in range(4):
+                u, v = rng.sample(range(n), 2)
+                yield g, u, v, rng.getrandbits(n) & rng.getrandbits(n)
 
 
-def test_count_paths_matches_enumeration():
+def test_count_paths_matches_enumeration(monkeypatch):
+    """The capped count equals the count of enumerated paths at every cap
+    1..24, and the cases reach each way it can end: the closed forms for
+    paths of at most five vertices reaching the cap, and the walk from six
+    vertices adding paths, both up to the cap and short of it."""
+    walks = 0
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return near_layers(*args)
+
+    near_layers = solver._near_layers
+    monkeypatch.setattr(solver, "_near_layers", counted)
     counts = set()
+    ends = {"closed form": 0, "walk at cap": 0, "walk below cap": 0}
     for g, u, v, allowed in _count_cases():
-        for cap in (1, 2, 24):
+        total = count_paths_by_enumeration(g, u, v, allowed, 24)  # at cap c it reads min(total, c)
+        short = sum(1 for _ in iter_paths_by_length(g, u, v, allowed, 5))
+        for cap in range(1, 25):
+            walks = 0
             got = _count_paths(g, u, v, allowed, cap)
-            assert got == count_paths_by_enumeration(g, u, v, allowed, cap), (g.n, u, v, allowed, cap)
+            assert got == min(total, cap), (g.n, u, v, allowed, cap)
             counts.add(got)
+            if not walks:
+                assert got == 0 or min(short, cap) == cap
+                ends["closed form"] += got == cap
+            elif got > short:
+                ends["walk at cap" if got == cap else "walk below cap"] += 1
     assert counts == set(range(25))  # every count below the cap occurs
+    assert min(ends.values()) > 100, ends
 
 
 def _link_corpus():
@@ -143,6 +174,19 @@ def test_link_unchanged_under_enumerated_counts(monkeypatch):
     assert [_link(*case) for case in corpus] == got
     linked = sum(paths is not None for paths in got)
     assert 500 < linked < len(corpus) - 500
+
+
+def test_link_matches_obstruction_first_on_three_and_four_pairs():
+    """The same verdict and witness as the previous search, whose counts all
+    run to the full cap, on every corpus case of three or more pairs: capping
+    each later count at the fewest so far changes no choice."""
+    cases = [case for case in _link_corpus() if len(case[1]) >= 3]
+    linked = 0
+    for g, pairs, blocked in cases:
+        got = _link(g, pairs, blocked)
+        assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
+        linked += got is not None
+    assert 100 < linked < len(cases) - 100
 
 
 def _two_pair_systems(graphs, rng, count):
@@ -736,6 +780,15 @@ def test_reroute_precondition_errors():
         assert err.value.clause == clause
     with pytest.raises(InputError):
         reroute(cfg, -1, 3, 3, 4)
+
+
+@pytest.mark.parametrize("args", [(8, 3.0, 3, 4), (8, 3, 3.0, 4), (8, 3, 3, 4.0), (8, 3, True, 4)])
+def test_reroute_non_int_arguments_are_input_errors(args):
+    # y is a vertex, i and j are block indices; a float or a bool equal to a
+    # valid value is none of them
+    h, cfg = _reroute_fixture()
+    with pytest.raises(InputError, match="not an int"):
+        reroute(cfg, *args)
 
 
 def test_reroute_randomized_invariants():
