@@ -14,14 +14,7 @@ from typing import Optional
 
 from . import campaigns, certify, coloring, solver, structure
 from .errors import InputError, InternalConsistencyError, KnitweaveError
-from .formats import (
-    parse_edge_list,
-    parse_graph6,
-    parse_graph_auto,
-    write_edge_list,
-    write_graph6,
-    write_json,
-)
+from .formats import parse_graph_auto, write_edge_list, write_graph6, write_json
 from .generators import gen_min_degree, gen_universal_vertex
 from .graphs import Graph, mask_of, set_of
 
@@ -29,14 +22,8 @@ from .graphs import Graph, mask_of, set_of
 def _read_graph(args) -> Graph:
     if args.input and args.input != "-":
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    if args.format == "graph6":
-        return parse_graph6(text)
-    if args.format == "edges":
-        return parse_edge_list(text)
-    return parse_graph_auto(text)
+            return parse_graph_auto(fh.read())
+    return parse_graph_auto(sys.stdin.read())
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -59,9 +46,9 @@ def _write_json(obj: dict) -> None:
     sys.stdout.write(write_json(obj) + "\n")
 
 
-def _emit(payload: dict, code: int = 0) -> int:
+def _emit(payload: dict) -> int:
     _write_json({"schema": campaigns.SCHEMA, **payload})
-    return code
+    return 0
 
 
 def _spec_from_args(args) -> solver.TerminalSpec:
@@ -87,7 +74,6 @@ def _spec_from_args(args) -> solver.TerminalSpec:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="knitweave")
     ap.add_argument("--input", "-i", default="-", help="graph file or - for stdin")
-    ap.add_argument("--format", choices=["auto", "graph6", "edges"], default="auto")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--no-timestamps", action="store_true")
@@ -118,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize")
     p.add_argument("--set", required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
 
     p = sub.add_parser("separations")
     p.add_argument("--set", required=True)
@@ -277,7 +262,7 @@ def _dispatch(args) -> int:
         ]
         return _emit({"count": len(seps), "separations": seps})
     if cmd == "minimize":
-        res = structure.minimize_pair(g, mask_of(_parse_ints(args.set)), args.p, args.limit)
+        res = structure.minimize_pair(g, mask_of(_parse_ints(args.set)), args.p)
         return _emit({
             "graph6": write_graph6(res.graph),
             "set": sorted(set_of(res.s)),

@@ -64,17 +64,24 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     Saturation-guided backtracking: try k-colorability for increasing k
     between the clique lower bound and the greedy upper bound, branching on
     the most saturated vertex and never opening more than one fresh color.
-    The greedy bound keeps each color class as a bitset and puts a vertex in
-    the first class its neighborhood misses. That is the smallest color no
-    neighbor carries, so the coloring is the same as from a set of neighbor
-    colors.
+    Both keep each color class as a bitset: a vertex's saturation is the
+    number of classes its neighborhood meets, and its colors are the classes
+    it misses, tried first to last, so the coloring is the same as from sets
+    of neighbor colors.
     """
-    k, coloring, _ = _color_with_clique(g)
-    return k, coloring
+    k, classes, _ = _color_with_clique(g)
+    colors = [0] * g.n
+    for c, cls in enumerate(classes):
+        while cls:
+            low = cls & -cls
+            colors[low.bit_length() - 1] = c
+            cls ^= low
+    return k, Coloring(tuple(colors), k)
 
 
-def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
-    """:func:`chromatic_number`'s answer plus a maximum clique (a bitset).
+def _color_with_clique(g: Graph) -> tuple[int, list[int], int]:
+    """:func:`chromatic_number`'s answer as its k color classes (bitsets,
+    class i holding color i), plus a maximum clique (a bitset).
 
     Let ub be the number of greedy classes. One clique H is built first:
     from the whole vertex set, take the highest vertex v and narrow the set
@@ -84,13 +91,15 @@ def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
     :func:`max_clique` is not called. H may differ from its mask, but both
     then have chi vertices, and :func:`is_contraction_critical` gives the
     same witness from any clique of chi vertices.
+
+    The search gives the clique colors 0, 1, ... in vertex order; its colors
+    in use stay 0..used - 1, as each step opens at most the next one.
     """
     n = g.n
     if n == 0:
-        return 0, Coloring((), 0), 0
+        return 0, [], 0
     adj = g.adj
 
-    greedy = [0] * n
     classes: list[int] = []
     for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
         row = adj[v]
@@ -99,9 +108,7 @@ def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
                 classes[c] = cls | 1 << v
                 break
         else:
-            c = len(classes)
             classes.append(1 << v)
-        greedy[v] = c
     ub = len(classes)
     clique, cand = 0, g.full_mask
     while cand:
@@ -109,46 +116,36 @@ def _color_with_clique(g: Graph) -> tuple[int, Coloring, int]:
         clique |= 1 << v
         cand &= adj[v]
     if clique.bit_count() == ub:
-        return ub, Coloring(tuple(greedy), ub), clique
+        return ub, classes, clique
     clique = max_clique(g)
     lb = clique.bit_count()
 
     def try_k(k: int) -> Optional[list[int]]:
-        colors = [-1] * n
-        for i, v in enumerate(bits(clique)):
-            colors[v] = i
+        trial = [1 << v for v in bits(clique)] + [0] * (k - lb)
 
-        def admissible(v: int) -> set[int]:
-            used = {colors[u] for u in bits(adj[v]) if colors[u] >= 0}
-            hi = min(k, max((c for c in colors if c >= 0), default=-1) + 2)
-            return {c for c in range(hi) if c not in used}
+        def saturation(x: int) -> tuple[int, int, int]:
+            return sum(1 for cls in trial if cls & adj[x]), adj[x].bit_count(), -x
 
-        def rec() -> bool:
-            pending = [v for v in range(n) if colors[v] < 0]
+        def rec(pending: int, used: int) -> bool:
             if not pending:
                 return True
-            v = max(
-                pending,
-                key=lambda x: (
-                    len({colors[u] for u in bits(adj[x]) if colors[u] >= 0}),
-                    adj[x].bit_count(),
-                    -x,
-                ),
-            )
-            for c in sorted(admissible(v)):
-                colors[v] = c
-                if rec():
-                    return True
-                colors[v] = -1
+            v = max(bits(pending), key=saturation)
+            bit, row = 1 << v, adj[v]
+            for c in range(min(k, used + 1)):
+                if not trial[c] & row:
+                    trial[c] |= bit
+                    if rec(pending ^ bit, max(used, c + 1)):
+                        return True
+                    trial[c] ^= bit
             return False
 
-        return colors if rec() else None
+        return trial if rec(g.full_mask & ~clique, lb) else None
 
     for k in range(lb, ub):
         got = try_k(k)
         if got is not None:
-            return k, Coloring(tuple(got), k), clique
-    return ub, Coloring(tuple(greedy), ub), clique
+            return k, got, clique
+    return ub, classes, clique
 
 
 def _delete_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -189,7 +186,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
     spare = []
     for v in range(g.n):
-        c, coloring = chromatic_number(_delete_vertex(g, v)) if colored >> v & 1 else (k, None)
+        c, classes, _ = _color_with_clique(_delete_vertex(g, v)) if colored >> v & 1 else (k, None, 0)
         if c >= k:
             # the edges of G - v, as Graph.edges lists them
             rows = _delete_rows(g.adj, v)
@@ -197,11 +194,11 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
             wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
             wit.validate()
             return False, wit
-        colors = coloring.colors[:v] + (-1,) + coloring.colors[v:]
-        classes = [0] * (k - 1)  # N(v) by color; disjoint, so a sum is a union
-        for w in bits(g.adj[v]):
-            classes[colors[w]] |= 1 << w
-        spare.append(g.adj[v] if 0 in classes else sum(m for m in classes if m.bit_count() == 1))
+        low, row = (1 << v) - 1, g.adj[v]
+        # N(v) by color of G - v, in its labels; disjoint, so a sum is a union
+        by_class = [((row & low) | (row >> (v + 1) << v)) & cls for cls in classes]
+        single = sum(m for m in by_class if m.bit_count() == 1)
+        spare.append(row if 0 in by_class else (single & low) | (single >> v << (v + 1)))
     edges = tuple(g.edges())
     edge_deletions = (
         MinorWitness(g, singletons, tuple(f for f in edges if f != (u, w)))
@@ -209,7 +206,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
         if not (spare[u] >> w & 1 or spare[w] >> u & 1)
     )
     for wit in itertools.chain(edge_deletions, contraction_quotients(g)):
-        if chromatic_number(wit.quotient())[0] >= k:
+        if _color_with_clique(wit.quotient())[0] >= k:
             wit.validate()
             return False, wit
     return True, None
@@ -381,32 +378,27 @@ def build_recombination_plan(
 
 
 def recombine(
-    g: Graph,
-    g1: Graph,
-    g2: Graph,
-    s: int,
-    u: int,
-    plan: RecombinationPlan,
-    phi2prime: Coloring,
-    domain1: int,
-    domain2: int,
+    g: Graph, g1: Graph, g2: Graph, plan: RecombinationPlan, phi2prime: Coloring
 ) -> Coloring:
     """Merge the side colorings into one proper coloring of the whole graph.
 
-    ``domain1`` and ``domain2`` are the vertex masks of the two sides, which
-    must cover the graph and meet exactly in ``s``. The side-2 coloring must
-    be proper, monochromatic on ``u``, constant on every class, and use the
-    group code of each set of classes it merges (a solo class keeps its own
+    The plan fixes the sides: u is ``plan.u``, the separator s is
+    ``plan.u | plan.w``, side 1 is ``plan.domain`` and side 2 is the rest of
+    the graph plus s. Side 1 must lie in g and in g1, side 2 in g2, no edge
+    may join the private sides, and g must be the union of g1 and g2; each
+    failure raises the clause ``"gluing"``. The side-2 coloring must be
+    proper, monochromatic on u, constant on every class, and use the group
+    code of each set of classes it merges (a solo class keeps its own
     color). Swapping, per component: the side-2 color with the class color
     on each class component, and the side-2 color of its separator vertices
     with the reserved color on each leftover component. The result is
     asserted proper; a failure here would mean the swap argument itself is
     wrong and raises InternalConsistencyError.
     """
-    if domain1 != plan.domain:
-        raise PreconditionError("plan-domain", "plan was built for a different side-1 domain")
-    if (domain1 | domain2) != g.full_mask or (domain1 & domain2) != s:
-        raise PreconditionError("gluing", "sides must cover the graph and meet exactly in s")
+    u, s, domain1 = plan.u, plan.u | plan.w, plan.domain
+    domain2 = g.full_mask & ~domain1 | s
+    if domain1 & ~(g.full_mask & g1.full_mask) or domain2 & ~g2.full_mask:
+        raise PreconditionError("gluing", "a side does not fit its graph")
     for v in bits(domain1 & ~s):
         if g.adj[v] & domain2 & ~s:
             raise PreconditionError("gluing", "edge between the private sides")

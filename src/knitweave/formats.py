@@ -164,28 +164,29 @@ def parse_edge_list(text: str) -> Graph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1 and n is None and not edges:
-            n = int(parts[0])
-            continue
-        if len(parts) != 2:
+        try:
+            ints = [int(x) for x in raw.split("#", 1)[0].split()]
+        except ValueError:
+            raise InputError(f"line {lineno}: expected integers, got {raw!r}") from None
+        if len(ints) == 1 and n is None and not edges:
+            n = ints[0]
+        elif len(ints) == 2:
+            edges.append(tuple(ints))
+        elif ints:
             raise InputError(f"line {lineno}: expected 'u v', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
     if n is None:
         n = max((max(u, v) for u, v in edges), default=-1) + 1
     return Graph.from_edges(n, edges)
 
 
 def parse_graph_auto(text: str) -> Graph:
-    """Accept either format: a single graph6 line or an edge list."""
-    stripped = text.strip()
-    if "\n" not in stripped and stripped and not stripped.split()[0].isdigit():
-        return parse_graph6(stripped)
-    try:
-        return parse_edge_list(text)
-    except (InputError, ValueError):
-        return parse_graph6(stripped)
+    """Read graph6 or an edge list, told apart by the first non-blank
+    character: graph6 starts in ``>``..``~`` (``>`` only for its
+    ``>>graph6<<`` header), and anything else, such as the digit, sign or
+    ``#`` an edge list starts with, is read as an edge list. The format is
+    picked once, so a malformed text raises its own format's error; blank
+    text is the empty edge list."""
+    body = text.lstrip()
+    if ">" <= body[:1] <= "~":
+        return parse_graph6(body)
+    return parse_edge_list(text)

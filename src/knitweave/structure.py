@@ -222,17 +222,15 @@ class MinimizeResult:
     vertex_map: tuple[int, ...]  # new index -> original vertex
 
 
-def minimize_pair(l: Graph, s: int, p: int, limit: int) -> MinimizeResult:
+def minimize_pair(l: Graph, s: int, p: int) -> MinimizeResult:
     """Locally minimal massed-but-unknitted pair by greedy descent.
 
-    Checks the preconditions (``limit`` at most p/2 - 1, |s| at most
-    ``limit``, the pair massed and unknitted), each failure naming its
-    clause, then runs :func:`descend_pair`.
+    Checks the preconditions (|s| at most p/2 - 1, the pair massed and
+    unknitted), each failure naming its clause, then runs
+    :func:`descend_pair`.
     """
-    if limit > p // 2 - 1:
-        raise InputError(f"limit {limit} exceeds p/2 - 1 = {p // 2 - 1}")
-    if s.bit_count() > limit:
-        raise PreconditionError("size", f"|s| = {s.bit_count()} exceeds the limit {limit}")
+    if 2 * s.bit_count() > p - 2:
+        raise PreconditionError("size", f"|s| = {s.bit_count()} exceeds p/2 - 1 for p = {p}")
     if not is_p_massed(l, s, p).satisfied:
         raise PreconditionError("massed", "(1) fails: pair is not massed")
     if pair_is_knitted(l, s)[0]:

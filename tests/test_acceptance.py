@@ -158,10 +158,7 @@ def test_acceptance_06_recombination_500():
         sub, _ = induced(fx.g, fx.s)
         assert independence_number(sub) == fx.s.bit_count() - 4
         plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-        final = recombine(
-            fx.g, fx.g1, fx.g2, fx.s, fx.u, plan, fx.phi2prime,
-            domain1=fx.dom1, domain2=fx.dom2,
-        )
+        final = recombine(fx.g, fx.g1, fx.g2, plan, fx.phi2prime)
         final.check_proper(fx.g)
         if max(final.colors) >= fx.r or any(
             final.colors[v] != fx.phi2prime.colors[v] for v in set_of(fx.s)

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 
 from knitweave.cli import cli_main
 from knitweave.formats import write_edge_list, write_graph6
@@ -92,6 +94,39 @@ def test_linkage_prints_a_certificate_for_a_two_pair_no(capsys, tmp_path):
 def test_usage_error_exit_2(capsys):
     assert cli_main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_malformed_edge_list_names_its_own_fault(capsys, monkeypatch):
+    for text, fault in (("0 1\n1 x\n", "line 2"), ("3\n0 1\n1 5\n", "outside vertex range")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli_main(["chromatic"]) == 2
+        err = capsys.readouterr().err
+        assert fault in err and "size character" not in err, err
+
+
+def test_comment_line_reads_as_the_empty_graph(capsys, monkeypatch):
+    code, out = run(capsys, ["chromatic"], stdin="# comment", monkeypatch=monkeypatch)
+    assert code == 0
+    data = json.loads(out)
+    assert data["chromatic_number"] == 0 and data["coloring"] == []
+
+
+def test_removed_options_are_usage_errors(capsys, tmp_path):
+    path = graph_file(tmp_path, Graph.complete(12))
+    for argv in (["--format", "graph6", "chromatic"],
+                 ["minimize", "--set", "0,1,2", "--p", "12", "--limit", "4"]):
+        assert cli_main(["--input", path] + argv) == 2, argv
+    capsys.readouterr()
+
+
+def test_minimize_cli_descends_without_a_limit(capsys, tmp_path):
+    from test_structure import _massed_unknitted_fixture
+
+    g, s = _massed_unknitted_fixture()
+    path = graph_file(tmp_path, g)
+    code, out = run(capsys, ["--input", path, "minimize", "--set", ",".join(map(str, set_of(s))), "--p", "22"])
+    data = json.loads(out)
+    assert code == 0 and data["trail"] == [["delete_edge", 0, 10]] and data["set"] == list(set_of(s))
 
 
 def test_chromatic_one_based_palette(capsys, tmp_path):

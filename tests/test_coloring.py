@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -162,14 +163,14 @@ def test_contraction_critical_matches_scan(census7):
 def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkeypatch):
     # when the clique found while coloring G has chi(G) = k vertices and
     # misses vertex 0, G - 0 contains it and is the witness without a coloring
-    real = coloring.chromatic_number
+    real = coloring._color_with_clique
     orders = []
 
     def spy(h):
         orders.append(h.n)
         return real(h)
 
-    monkeypatch.setattr(coloring, "chromatic_number", spy)
+    monkeypatch.setattr(coloring, "_color_with_clique", spy)
     cases = 0
     for g in census7:
         k = real(g)[0]
@@ -350,10 +351,7 @@ def test_plan_reports_split_class_as_swap():
 def test_recombine_identity_when_colors_agree():
     fx = build_recomb_fixture(3)
     plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-    final = recombine(
-        fx.g, fx.g1, fx.g2, fx.s, fx.u, plan, fx.phi2prime,
-        domain1=fx.dom1, domain2=fx.dom2,
-    )
+    final = recombine(fx.g, fx.g1, fx.g2, plan, fx.phi2prime)
     final.check_proper(fx.g)
     for v in set_of(fx.s):
         assert final.colors[v] == fx.phi2prime.colors[v]
@@ -366,10 +364,7 @@ def test_recombine_batch_of_fixtures():
     for seed in range(120):
         fx = build_recomb_fixture(seed)
         plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-        final = recombine(
-            fx.g, fx.g1, fx.g2, fx.s, fx.u, plan, fx.phi2prime,
-            domain1=fx.dom1, domain2=fx.dom2,
-        )
+        final = recombine(fx.g, fx.g1, fx.g2, plan, fx.phi2prime)
         final.check_proper(fx.g)
         assert max(final.colors) < fx.r
         for v in set_of(fx.s):
@@ -395,8 +390,51 @@ def test_recombine_rejects_wrong_group_code():
     for v in cls0:
         bad[v] = wrong
     with pytest.raises(PreconditionError) as err:
-        recombine(
-            fx.g, fx.g1, fx.g2, fx.s, fx.u, plan,
-            Coloring(tuple(bad), fx.r), domain1=fx.dom1, domain2=fx.dom2,
-        )
+        recombine(fx.g, fx.g1, fx.g2, plan, Coloring(tuple(bad), fx.r))
     assert err.value.clause in ("group-code", "class-constant")
+
+
+def _with_edges(g, add=(), drop=()):
+    return Graph.from_edges(g.n, [e for e in g.edges() if e not in drop] + list(add))
+
+
+def _truncated(g, m):
+    """g on its first m vertices."""
+    return Graph(m, tuple(r & ((1 << m) - 1) for r in g.adj[:m]))
+
+
+def test_recombine_rejects_each_gluing_fault():
+    # each fault raises the clause, never an IndexError from a side that
+    # reaches past a graph
+    for seed in range(20):
+        fx = build_recomb_fixture(seed)
+        plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
+        a = set_of(fx.dom1 & ~fx.s)[0]
+        b = set_of(fx.dom2 & ~fx.s)[0]
+        first = next(iter(fx.g.edges()))
+        cases = [
+            # an edge between the private sides, in g and in g2
+            (_with_edges(fx.g, add=[(a, b)]), fx.g1, _with_edges(fx.g2, add=[(a, b)]), plan),
+            # g is not g1 plus g2
+            (_with_edges(fx.g, drop=[first]), fx.g1, fx.g2, plan),
+            # side 1 reaches past g
+            (fx.g, fx.g1, fx.g2, dataclasses.replace(plan, domain=plan.domain | 1 << fx.g.n)),
+            # side 1 does not fit g1, side 2 does not fit g2
+            (fx.g, _truncated(fx.g1, fx.dom1.bit_length() - 1), fx.g2, plan),
+            (fx.g, fx.g1, _truncated(fx.g2, fx.g.n - 1), plan),
+        ]
+        for g, g1, g2, pl in cases:
+            with pytest.raises(PreconditionError) as err:
+                recombine(g, g1, g2, pl, fx.phi2prime)
+            assert err.value.clause == "gluing", (seed, str(err.value))
+
+
+def test_recombine_rejects_a_side2_coloring_not_constant_on_the_plans_u():
+    for seed in range(20):
+        fx = build_recomb_fixture(seed)
+        plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
+        bad = list(fx.phi2prime.colors)
+        bad[set_of(plan.u)[0]] = fx.r - 1  # the reserved color, unused on side 2: still proper
+        with pytest.raises(PreconditionError) as err:
+            recombine(fx.g, fx.g1, fx.g2, plan, Coloring(tuple(bad), fx.r))
+        assert err.value.clause == "u-monochromatic", seed

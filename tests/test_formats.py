@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knitweave.campaigns import campaign_lemma_si, campaign_pipeline_4linked, report_to_json
-from knitweave.errors import Graph6Error
+from knitweave.errors import Graph6Error, InputError
 from knitweave.formats import (
     parse_edge_list,
     parse_graph6,
@@ -140,6 +140,27 @@ def test_auto_detection():
     g = Graph.cycle(5)
     assert parse_graph_auto(write_graph6(g)) == g
     assert parse_graph_auto(write_edge_list(g)) == g
+
+
+def test_edge_list_names_the_line_of_a_token_that_is_not_an_integer():
+    with pytest.raises(InputError, match="line 2"):
+        parse_edge_list("0 1\n1 x\n")
+
+
+def test_auto_detection_reads_each_format_by_its_first_character():
+    # a malformed edge list raises its own error, never a graph6 one
+    with pytest.raises(InputError, match="line 2") as err:
+        parse_graph_auto("0 1\n1 x\n")
+    assert not isinstance(err.value, Graph6Error)
+    with pytest.raises(InputError, match="outside vertex range"):
+        parse_graph_auto("3\n0 1\n1 5\n")
+    assert parse_graph_auto("# comment") == Graph.empty(0)
+    with pytest.raises(InputError, match="outside vertex range"):
+        parse_graph_auto("-1 0")  # a sign starts an edge list
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 6)])
+    text = write_graph6(g)
+    for wrapped in (text, ">>graph6<<" + text, "\n\n" + text + "\n\n", "\n >>graph6<<" + text + "\n\n"):
+        assert parse_graph_auto(wrapped) == g, repr(wrapped)
 
 
 _STRINGS = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t\r ab\u00e9\u2028\u6f22\U0001f600')

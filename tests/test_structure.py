@@ -284,25 +284,26 @@ def test_minimize_pair_descends_to_fixpoint():
     assert is_p_massed(g, s, 22).satisfied
     knitted, wit = pair_is_knitted(g, s)
     assert not knitted and wit == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
-    res = minimize_pair(g, s, 22, 10)
+    res = minimize_pair(g, s, 22)
     assert res.trail == (("delete_edge", 0, 10),)
     assert res.s == s
     assert is_p_massed(res.graph, res.s, 22).satisfied
     assert not pair_is_knitted(res.graph, res.s)[0]
     # fixpoint: re-running leaves it alone
-    again = minimize_pair(res.graph, res.s, 22, 10)
+    again = minimize_pair(res.graph, res.s, 22)
     assert again.trail == ()
 
 
 def test_minimize_pair_errors():
     with pytest.raises(PreconditionError) as err:
-        minimize_pair(Graph.complete(12), 0b111, 12, 4)
+        minimize_pair(Graph.complete(12), 0b111, 12)
     assert err.value.clause == "knitted"
     with pytest.raises(PreconditionError) as err:
-        minimize_pair(Graph.empty(6), 0b111, 10, 4)
+        minimize_pair(Graph.empty(6), 0b111, 10)
     assert err.value.clause == "massed"
-    with pytest.raises(InputError):
-        minimize_pair(Graph.complete(12), 0b111, 6, 3)  # limit over p/2 - 1
+    with pytest.raises(InputError) as err:
+        minimize_pair(Graph.complete(12), 0b111, 6)  # |s| over p/2 - 1
+    assert err.value.clause == "size"
 
 
 def test_minimized_pair_has_dense_neighborhood():
@@ -312,7 +313,7 @@ def test_minimized_pair_has_dense_neighborhood():
     from knitweave.certify import find_dense_neighborhood
 
     g, s = _massed_unknitted_fixture()
-    res = minimize_pair(g, s, 22, 10)
+    res = minimize_pair(g, s, 22)
     hit = find_dense_neighborhood(res.graph, res.s, 22)
     assert hit is not None
     v, rep = hit
@@ -329,7 +330,7 @@ def test_minimize_restores_missing_terminal_edges():
     # conditions and raises the terminal edge count, so the descent takes it
     edges = [e for e in g.edges() if set(e) != {0, 2}]
     g2 = Graph.from_edges(14, edges)
-    res = minimize_pair(g2, s, 22, 10)
+    res = minimize_pair(g2, s, 22)
     assert ("add_edge", 0, 2) in res.trail
     assert res.graph.has_edge(0, 2)
     assert is_p_massed(res.graph, res.s, 22).satisfied
