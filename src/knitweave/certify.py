@@ -175,6 +175,8 @@ def find_dense_neighborhood(
     l: Graph, s: int, p: int
 ) -> Optional[tuple[int, DenseNeighborhoodReport]]:
     """First vertex outside ``s`` whose closed neighborhood classifies densely."""
+    if s & ~l.full_mask:
+        raise InputError(f"the set holds vertex {s.bit_length() - 1}, outside 0..{l.n - 1}")
     for v in range(l.n):
         if (s >> v) & 1:
             continue
@@ -229,10 +231,11 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
         cand = mask_of(set_of(clique)[: max(clique_bound, 2 * k + 1)])
         return Knitted1Verdict("certified", "clique", cand, 0, ())
 
+    # every dense shape has minimum degree at least p // 2, so the graph is
+    # its own p // 2 core and no smaller core is a candidate
     candidates = [h.full_mask]
     for z in sorted(range(h.n), key=lambda x: -h.degree(x)):
         candidates.append(neighbors_closed(h, z))
-    candidates.append(_min_degree_core(h, p // 2))
     # each distinct candidate once: the universal vertex's closed
     # neighbourhood repeats the whole graph
     candidates = list(dict.fromkeys(c for c in candidates if c.bit_count() >= 2 * k + 1))
@@ -269,14 +272,3 @@ def _in_host(pairs: tuple, forbidden: int, vmap) -> tuple:
     """A (pairs, forbidden mask) system of an induced subgraph in host labels."""
     return tuple(tuple(vmap[x] for x in pr) for pr in pairs), mask_of(vmap[x] for x in bits(forbidden))
 
-
-def _min_degree_core(h: Graph, d: int) -> int:
-    core = h.full_mask
-    changed = True
-    while changed and core:
-        changed = False
-        for v in bits(core):
-            if (h.adj[v] & core).bit_count() < d:
-                core &= ~(1 << v)
-                changed = True
-    return core

@@ -26,15 +26,28 @@ def _read_graph(args) -> Graph:
     return parse_graph_auto(sys.stdin.read())
 
 
+def _parse_int(token: str) -> int:
+    """A vertex or a part size, so a nonnegative integer."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InputError(f"{token!r} is not a nonnegative integer")
+    return value
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+    return [_parse_int(x) for x in text.replace(",", " ").split()]
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     out = []
     for chunk in text.split(","):
-        a, b = chunk.split("-")
-        out.append((int(a), int(b)))
+        ends = chunk.split("-")
+        if len(ends) != 2:
+            raise InputError(f"pair {chunk!r} is not two vertices joined by '-'")
+        out.append((_parse_int(ends[0]), _parse_int(ends[1])))
     return out
 
 

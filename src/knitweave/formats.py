@@ -50,9 +50,8 @@ def parse_graph6(text: str) -> Graph:
     groups, decodes to bytes whose leading n(n-1)/2 bits are the upper
     triangle, and the bits after them must be zero.
     """
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    # the header may stand on its own line
+    s = text.strip().removeprefix(">>graph6<<").lstrip()
     if not s:
         raise Graph6Error("empty graph6 string", 0)
     pos = 0

@@ -389,11 +389,11 @@ def max_clique(g: Graph) -> int:
                 v = cls.bit_length() - 1
                 cls ^= 1 << v
                 newcand = cand & adj[v]
+                # the call, or the bound that skips it, leaves best_size >=
+                # size + 1: every expand leaves best_size at least its own
+                # size (by induction on depth), so cur | v needs no update
                 if size + 1 + newcand.bit_count() > best_size:
                     expand(cur | (1 << v), size + 1, newcand)
-                if size + 1 > best_size:
-                    best_size = size + 1
-                    best_mask = cur | (1 << v)
                 cand &= ~(1 << v)
 
     expand(0, 0, g.full_mask)

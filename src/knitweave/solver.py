@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, bits, is_connected, mask_of, reachable, set_of
+from .graphs import Graph, bits, is_connected, mask_of, set_of
 from .planar import face_count, planar_rotation
 
 # _link branches on the pair with the fewest candidate paths, counted by
@@ -601,37 +601,12 @@ def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruc
 # Disjoint paths and knits
 # ---------------------------------------------------------------------------
 
-def _greedy_pair(g: Graph, pairs: Sequence[tuple[int, int]], free: int) -> bool:
-    """Whether the two ``pairs`` are linked in ``free`` by one pair's first
-    path from :func:`iter_paths_by_length` and any path of the other pair
-    around it, trying each pair first in turn.
-
-    ``free`` holds no end of either pair, so when the second pair's ends are
-    still connected through ``free`` less the first path's interior, a path
-    between them there is disjoint from the first path, and the two paths
-    are a linkage. So a True is a "yes", which :func:`_obstruction` could
-    only confirm. A False proves nothing, and the two-paths test decides.
-    """
-    for (u, v), (x, y) in (pairs, pairs[::-1]):
-        path = next(iter_paths_by_length(g, u, v, free, g.n), None)
-        if path is None:
-            return False
-        if (reachable(g, 1 << x, (free & ~mask_of(path[1:-1])) | (1 << x) | (1 << y)) >> y) & 1:
-            return True
-    return False
-
-
 def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[tuple[tuple[int, ...], ...]]:
     """Vertex-disjoint paths from u to v for each ``(u, v)`` of ``pairs``, in
     pair order, with no interior vertex in ``blocked`` (which must hold every
     pair's ends); None if there are none.
 
-    Two pairs, neither an edge, are decided first: when
-    :func:`_greedy_pair` finds them linked, they are, and the two-paths test
-    could only agree; otherwise :func:`_obstruction` decides them in
-    polynomial time (the two-paths theorem), and a "no" returns None there.
-    Neither changes the linkage returned, which the search below finds on
-    every "yes". Every linkage comes from the exhaustive backtracking search: direct
+    Every linkage comes from the exhaustive backtracking search: direct
     edges first, then the other pairs fewest-candidate-paths first
     (recomputed as the search deepens, each count from :func:`_count_paths`,
     which builds no path, and capped at the fewest so far: a pair replaces
@@ -641,20 +616,19 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     length ((length, lex) order), under a unit-capacity flow bound between
     the unlinked terminals that prunes hopeless branches early. So each pair
     takes the first path in that order that lets the pairs after it be
-    linked. With three or more pairs to link, a "no" is that search's
-    exhaustion.
+    linked.
+
+    Two pairs, neither an edge, are decided by the two-paths theorem
+    (:func:`_obstruction`, polynomial) only where the search is stuck: after
+    the root's flow bound and counts, when its first path does not extend.
+    A "no" there returns None; a "yes" lets the search go on to its linkage.
+    Every other "no" is the search's exhaustion.
     """
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions
     todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
     free = g.full_mask & ~blocked
-    if (
-        len(pairs) == len(todo) == 2
-        and not _greedy_pair(g, pairs, free)
-        and _obstruction(g, pairs, blocked) is not None
-    ):
-        return None
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
         if not remaining:
@@ -678,10 +652,16 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
                         break
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
+        # the root of two pairs, neither an edge: once its first path fails,
+        # the two-paths theorem decides, and only a "yes" goes on searching
+        decide = len(remaining) == len(pairs) == 2
         for path in iter_paths_by_length(g, u, v, interior, g.n):
             chosen[idx] = path
             if search(used | mask_of(path[1:-1]), rest):
                 return True
+            if decide and _obstruction(g, pairs, blocked) is not None:
+                return False
+            decide = False
         return False
 
     return tuple(chosen) if search(0, todo) else None
@@ -692,12 +672,10 @@ def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
     search is :func:`_link`, which tries each pair's paths shortest first, in
     (length, lex) order, with no cap on their length.
 
-    Two pairs, neither an edge, are decided in polynomial time
-    (:func:`two_pair_obstruction` gives the certificate of a "no"); three or
-    more pairs take the exhaustive search. A two-pair "yes" that one pair's
-    first path and a path of the other around it already show skips the
-    two-paths test, which could only have said "yes"; the linkage returned
-    is the search's either way.
+    Two pairs, neither an edge, whose root path does not extend are decided
+    there by the two-paths test (:func:`two_pair_obstruction` gives the
+    certificate of a "no"): a "no" ends in polynomial time, and a "yes" is
+    the search's linkage. Three or more pairs take the exhaustive search.
     """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):

@@ -231,6 +231,8 @@ def test_find_dense_neighborhood():
     assert find_dense_neighborhood(Graph.cycle(12), 0, 18) is None
     got = find_dense_neighborhood(Graph.complete(18), 0b1, 18)
     assert got[0] == 1  # scans outside the excluded set
+    with pytest.raises(InputError, match="vertex 99"):
+        find_dense_neighborhood(Graph.complete(5), 1 << 99, 4)
 
 
 def _complete_multipartite(*sizes: int) -> Graph:
@@ -263,6 +265,15 @@ def test_knitted1_certifies_universal_vertex_graphs():
             continue
         v = knitted1_check(g, 18, samples=15, seed=seed)
         assert v.status == "certified"
+
+
+def test_knitted1_not_found_without_a_failing_sample():
+    # no certificate covers this host and no candidate is small enough to
+    # clear exhaustively, so 5 passing samples on each of its 30 candidates
+    # answer "not-found"
+    g = gen_universal_vertex(30, 16, 8)[0]
+    v = knitted1_check(g, 30, 5, 8)
+    assert (v.status, v.route, v.candidate, v.samples_run, v.failures) == ("not-found", "", 0, 150, ())
 
 
 def test_knitted1_reports_a_failed_sample_and_certifies_a_smaller_candidate(monkeypatch):

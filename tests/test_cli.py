@@ -4,10 +4,11 @@ import json
 import sys
 
 from knitweave.cli import cli_main
-from knitweave.formats import write_edge_list, write_graph6
+from knitweave.formats import parse_graph6, write_edge_list, write_graph6
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of, set_of
 from knitweave.solver import PlanarObstruction, TerminalSpec, disjoint_paths, knit, pairs_spec
+from knitweave.structure import Separation
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -104,6 +105,26 @@ def test_malformed_edge_list_names_its_own_fault(capsys, monkeypatch):
         assert fault in err and "size character" not in err, err
 
 
+def test_graph6_header_on_its_own_line_reads(capsys, monkeypatch):
+    code, out = run(capsys, ["chromatic"], stdin=">>graph6<<\nD?{\n", monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["chromatic_number"] == 2
+
+
+def test_malformed_vertex_arguments_name_their_token(capsys, tmp_path):
+    path = graph_file(tmp_path, Graph.complete(5))
+    for argv, fault in (
+        (["linkage", "--pairs", "0-1-2"], "'0-1-2'"),
+        (["linkage", "--pairs", "0-x"], "'x'"),
+        (["linkage", "--pairs", "0-1,2"], "'2'"),
+        (["knit", "--terminals", "0,1,y", "--profile", "2,1"], "'y'"),
+        (["dense", "--p", "4", "--set", "99"], "vertex 99"),
+        (["massed", "--p", "4", "--set", "0,-1"], "'-1'"),
+    ):
+        assert cli_main(["--input", path] + argv) == 2, argv
+        err = capsys.readouterr().err
+        assert fault in err and not any(bare in err for bare in ("unpack", "base 10", "shift")), (argv, err)
+
+
 def test_comment_line_reads_as_the_empty_graph(capsys, monkeypatch):
     code, out = run(capsys, ["chromatic"], stdin="# comment", monkeypatch=monkeypatch)
     assert code == 0
@@ -167,6 +188,16 @@ def test_massed_cli(capsys, tmp_path):
     code, out = run(capsys, ["--input", path, "massed", "--set", "0,1,2", "--p", "4"])
     data = json.loads(out)
     assert code == 0 and data["massed"] is True and data["rho"] == 12
+    # K5 with a triangle hanging off vertex 4 by the edge 4-5
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5), (5, 6), (5, 7), (6, 7)]
+    g = Graph.from_edges(8, edges)
+    path = graph_file(tmp_path, g)
+    code, out = run(capsys, ["--input", path, "massed", "--set", "0,1,2", "--p", "2"])
+    data = json.loads(out)
+    assert code == 0 and data["massed"] is False and data["condition_ii"] is False
+    sep = data["violating_separation"]
+    assert sep == {"a": [0, 1, 2, 3, 4], "b": [0, 4, 5, 6, 7]}
+    Separation(mask_of(sep["a"]), mask_of(sep["b"])).validate(g, 0b111)
 
 
 def test_gen_deterministic(capsys):
@@ -249,6 +280,34 @@ def test_dense_cli(capsys, tmp_path):
     code, out = run(capsys, ["--input", path, "dense", "--p", "18"])
     data = json.loads(out)
     assert code == 0 and data["found"] and data["case"] == "i"
+    # every closed neighbourhood of C8 is a 3-vertex path, of minimum degree 1
+    code, out = run(capsys, ["--input", graph_file(tmp_path, Graph.cycle(8)), "dense", "--p", "4"])
+    assert code == 0 and json.loads(out) == {"found": False, "schema": 1}
+
+
+def test_gen_universal_cli(capsys):
+    code, out = run(capsys, ["--seed", "3", "gen", "--n", "12", "--delta", "5", "--universal"])
+    data = json.loads(out)
+    g, z = gen_universal_vertex(12, 5, 3)
+    assert code == 0 and data["graph6"] == write_graph6(g) and data["universal_vertex"] == z
+    assert parse_graph6(data["graph6"]).degree(z) == 11
+
+
+def test_dirac_cli(capsys, tmp_path):
+    # each neighbourhood of C5 is two non-adjacent vertices, of K5 a clique
+    for g, k, violations in ((Graph.cycle(5), 4, [0, 1, 2, 3, 4]), (Graph.complete(5), 5, [])):
+        code, out = run(capsys, ["--input", graph_file(tmp_path, g), "dirac", "--k", str(k)])
+        assert code == 0 and json.loads(out)["violations"] == violations
+
+
+def test_certify_common_cli(capsys, tmp_path):
+    # the pair 0-1 of K9 minus one edge has 7 = 3k - 2 common neighbours for
+    # k = 3, one short of the variant's 3k - 1
+    path = graph_file(tmp_path, complete_minus_matching(9, 1))
+    code, out = run(capsys, ["--input", path, "certify-common", "--k", "3"])
+    assert code == 0 and json.loads(out) == {"certified": True, "schema": 1, "violating_pair": None}
+    code, out = run(capsys, ["--input", path, "certify-common", "--k", "3", "--knitted-variant"])
+    assert code == 0 and json.loads(out) == {"certified": False, "schema": 1, "violating_pair": [0, 1]}
 
 
 def test_certify_greedy_cli(capsys, tmp_path):

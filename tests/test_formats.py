@@ -159,8 +159,9 @@ def test_auto_detection_reads_each_format_by_its_first_character():
         parse_graph_auto("-1 0")  # a sign starts an edge list
     g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 6)])
     text = write_graph6(g)
-    for wrapped in (text, ">>graph6<<" + text, "\n\n" + text + "\n\n", "\n >>graph6<<" + text + "\n\n"):
-        assert parse_graph_auto(wrapped) == g, repr(wrapped)
+    for wrapped in (text, ">>graph6<<" + text, "\n\n" + text + "\n\n", "\n >>graph6<<" + text + "\n\n",
+                    ">>graph6<<\n" + text + "\n", ">>graph6<<\r\n" + text, ">>graph6<< \t" + text):
+        assert parse_graph_auto(wrapped) == parse_graph6(wrapped) == g, repr(wrapped)
 
 
 _STRINGS = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t\r ab\u00e9\u2028\u6f22\U0001f600')

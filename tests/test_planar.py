@@ -121,13 +121,36 @@ def test_obstruction_tampering_detected():
         (with_rotation(0, rot[0][:-1]), "does not list each"),
         (with_rotation(0, rot[0][:-1] + rot[0][:1]), "does not list each"),
         (with_rotation(apex, [0, 3, 1, 4]), "order s1, s2, t1, t2"),
+        (with_reductions((0b1010,), second), "a .separator, side. pair"),
+        (with_reductions((0b1010, 0), second), "nonempty side"),
+        (with_reductions((0b1010, 1.0), second), "nonempty side"),
+        (with_reductions((0b1110, 0b100), second), "disjoint and in the graph"),
+        (with_reductions((0b1010, 0b1000100), second), "disjoint and in the graph"),
+        (dataclasses.replace(cert, rotation=cert.rotation[:-1]), "must list 7 vertices"),
     ]
     for tampered, message in cases:
         with pytest.raises(InputError, match=message):
             tampered.validate(g, spec)
-    # the same certificate says nothing about pairs 0-1 and 3-4
+    # the same certificate says nothing about pairs 0-1 and 3-4, nor about
+    # three pairs
     with pytest.raises(InputError):
         cert.validate(g, pairs_spec([(0, 1), (3, 4)]))
+    with pytest.raises(InputError, match="exactly two pairs"):
+        cert.validate(g, pairs_spec([(0, 3), (1, 4), (2, 5)]))
+
+
+def test_obstruction_must_reduce_a_stray_component():
+    # C6 plus an isolated vertex: the certificate deletes it as a side with
+    # an empty separator, and without that reduction the drawing is not
+    # connected
+    g = Graph.from_edges(7, [(v, (v + 1) % 6) for v in range(6)])
+    spec = pairs_spec([(0, 3), (1, 4)])
+    cert = two_pair_obstruction(g, spec)
+    cert.validate(g, spec)
+    assert (0, 1 << 6) in cert.reductions
+    kept = tuple(r for r in cert.reductions if r != (0, 1 << 6))
+    with pytest.raises(InputError, match="not connected"):
+        dataclasses.replace(cert, reductions=kept).validate(g, spec)
 
 
 def test_obstruction_rotation_must_be_plane():

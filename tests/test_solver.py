@@ -201,11 +201,12 @@ def _two_pair_systems(graphs, rng, count):
         yield g, [(verts[0], verts[1]), (verts[2], verts[3])], mask_of(verts + extra)
 
 
-def test_link_two_pairs_matches_obstruction_first(census7):
+def test_link_two_pairs_matches_obstruction_first(census7, monkeypatch):
     """The same verdict and witness as the search that runs the two-paths
     test first, on 3000 census two-pair systems, the crossing grids (both
     pairings of their corners) and 500 random systems on up to 16
-    vertices."""
+    vertices; the search itself runs the test at most once a query, and far
+    less often than it answers "no"."""
     rng = random.Random(2020)
     cases = list(_two_pair_systems(census7, rng, 3000))
     cases += list(_two_pair_systems(
@@ -215,26 +216,44 @@ def test_link_two_pairs_matches_obstruction_first(census7):
         g, spec = crossing_grid(rows, cols, random.Random(rows * cols))
         (a, b), (c, d) = spec.parts
         cases += [(g, [(a, b), (c, d)], spec.terminal_mask), (g, [(a, c), (b, d)], spec.terminal_mask)]
-    # a "yes" that the greedy check misses: each pair's first path blocks the
-    # other, and the linkage takes (0, 5, 6, 1) and (2, 4, 7, 8, 3)
+    # a "yes" that the root's first path misses: each pair's first path
+    # blocks the other, and the linkage takes (0, 5, 6, 1) and (2, 4, 7, 8, 3)
     edges = [(0, 4), (4, 1), (0, 5), (5, 6), (6, 1), (2, 4), (4, 5), (5, 3), (4, 7), (7, 8), (8, 3)]
-    cases.append((Graph.from_edges(9, edges), [(0, 1), (2, 3)], 0b1111))
+    blocked_first = (Graph.from_edges(9, edges), [(0, 1), (2, 3)], 0b1111)
+    cases.append(blocked_first)
+    # a "yes" whose root fails on two paths before its third extends, so a
+    # second two-paths test would run if the first "yes" did not end them
+    edges = [(0, 1), (0, 2), (0, 3), (0, 8), (1, 2), (1, 5), (1, 6), (1, 8), (2, 3), (2, 4), (2, 6), (3, 8), (5, 7),
+             (5, 8), (6, 7)]
+    cases.append((Graph.from_edges(9, edges), [(0, 5), (8, 7)], mask_of([0, 5, 8, 7])))
+    calls = 0
+    test = solver._obstruction
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return test(*args)
+
+    monkeypatch.setattr(solver, "_obstruction", counted)
     seen = {True: 0, False: 0}
-    greedy = 0
+    tests = unlinked = 0
     for g, pairs, blocked in cases:
+        calls = 0
         got = _link(g, pairs, blocked)
         assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
         seen[got is not None] += 1
-        # the greedy check only ever skips the two-paths test on a "yes"
-        if solver._greedy_pair(g, pairs, g.full_mask & ~blocked):
-            assert got is not None, (g.adj, pairs, blocked)
-            greedy += 1
-    assert min(seen.values()) > 500 and 0 < greedy < seen[True]
+        assert calls <= 1, (g.adj, pairs, blocked)
+        tests += calls
+        unlinked += got is None and not any(g.has_edge(*p) for p in pairs)
+    assert min(seen.values()) > 500
+    assert 0 < tests < unlinked // 4, (tests, unlinked)
+    calls = 0
+    assert _link(*blocked_first) == ((0, 5, 6, 1), (2, 4, 7, 8, 3)) and calls == 1
 
 
 def test_link_two_pairs_skips_planarity_on_k33_minus_matching(monkeypatch):
     # two removed edges among eight terminals of K33 minus a 16-edge matching
-    # are linked by one path each, which the greedy check finds first
+    # are linked by one path each, which the search's first descent finds
     g = complete_minus_matching(33, 16)
     calls = 0
     test = solver._obstruction
@@ -341,6 +360,51 @@ def test_knit_reduction_and_examples():
     assert knit(Graph.cycle(6), pairs_spec([(0, 3), (1, 4)])) is None
     with pytest.raises(InputError):  # the mask holds 5, beyond the path's 0..2
         Knit((0b100111,)).validate(Graph.path(3), TerminalSpec(((0, 2),)))
+
+
+def test_check_path_rejects_each_fault():
+    g = Graph.cycle(5)
+    assert solver.check_path(g, (4, 0, 1)) == 0b10011
+    for path, fault in (
+        ((), "nonempty"),
+        ((0, 5), "nonempty"),
+        ((0, 1.0), "nonempty"),
+        ((0, 1, 0), "repeats"),
+        ((0, 2), "not an edge"),
+    ):
+        with pytest.raises(InputError, match=fault):
+            solver.check_path(g, path)
+
+
+def test_linkage_validate_rejects_each_fault():
+    g = Graph.complete(6)
+    spec = pairs_spec([(0, 1), (2, 3)])
+    solver.Linkage(((0, 4, 1), (2, 5, 3))).validate(g, spec)
+    for paths, tampered, fault in (
+        (((0, 4, 1),), spec, "path count"),
+        (((0, 1), (2,)), TerminalSpec(((0, 1), (2,))), "must be pairs"),
+        (((0, 4, 2), (1, 5, 3)), spec, "does not join"),
+        (((0, 4, 1), (2, 4, 3)), spec, "not vertex-disjoint"),
+        (((0, 4, 1), (2, 5, 3)), TerminalSpec(((0, 1), (2, 3)), forbidden=1 << 5), "forbidden"),
+    ):
+        with pytest.raises(InputError, match=fault):
+            solver.Linkage(paths).validate(g, tampered)
+
+
+def test_knit_validate_rejects_each_fault():
+    g = Graph.cycle(6)
+    spec = TerminalSpec(((0, 2), (3,)))
+    Knit((0b111, 0b1000)).validate(g, spec)
+    for subgraphs, tampered, fault in (
+        ((0b111,), spec, "subgraph count"),
+        ((0b111 | 1 << 6, 0b1000), spec, "out-of-range"),
+        ((0b11, 0b1000), spec, "misses its terminals"),
+        ((0b111, 0b1100), spec, "overlap"),
+        ((0b111, 0b1000), TerminalSpec(((0, 2), (3,)), forbidden=0b10), "forbidden"),
+        ((0b101, 0b1000), spec, "not connected"),
+    ):
+        with pytest.raises(InputError, match=fault):
+            Knit(subgraphs).validate(g, tampered)
 
 
 def test_knit_agrees_with_reduction_randomized():
@@ -755,6 +819,27 @@ def _reroute_fixture():
     )
     cfg.validate()
     return h, cfg
+
+
+def test_configuration_validate_rejects_each_fault():
+    h, cfg = _reroute_fixture()
+    cfg.validate()
+    for u0, blocks, fault in (
+        (0, ((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5)), "five blocks"),
+        (0, ((0,), (9, 10.0), (11, 12), (1, 2, 3, 4, 5), (6, 7)), "integers"),
+        (0, ((0,), (11, 12), (1, 2, 3, 4, 5), (6, 7), (9, 13)), "outside 0..12"),
+        (8, ((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5), (6, 7)), "anchor"),
+        (0, ((0,), (9,), (11, 12), (1, 2, 3, 4, 5), (6, 7)), "two ends"),
+        (0, ((0,), (11, 12), (9, 10, 9), (1, 2, 3, 4, 5), (6, 7)), "repeats"),
+        (0, ((0,), (3, 7), (9, 10), (11, 12), (1, 2, 3, 4, 5)), "overlap"),
+        (0, ((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5), (6, 8, 7)), "bare pair"),
+        (0, ((0,), (9, 10), (11, 12), (3, 2, 8, 4), (6, 7)), "induced path"),
+        (0, ((0,), (11, 12), (9, 10), (1, 2, 3, 4, 5), (6, 7)), "normal order"),
+    ):
+        with pytest.raises(InputError, match=fault):
+            Configuration(h, u0, blocks).validate()
+    # the chord 3-4 breaks only an induced path
+    Configuration(h, 0, ((0,), (9, 10), (11, 12), (3, 2, 8, 4), (6, 7))).validate(induced_paths=False)
 
 
 def test_reroute_succeeds():
