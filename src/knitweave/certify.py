@@ -151,8 +151,14 @@ class DenseNeighborhoodReport:
     low_degree_vertices: int  # vertices of degree exactly floor(p/2), as a bitset
 
 
+def _check_p(p: int) -> None:
+    if type(p) is not int or p < 0:
+        raise InputError("p must be a nonnegative integer")
+
+
 def dense_conditions(h: Graph, p: int) -> DenseNeighborhoodReport:
     """Classify a graph against the three density shapes for threshold p."""
+    _check_p(p)
     if h.n == 0:
         raise InputError("graph is empty")
     half = p // 2
@@ -175,6 +181,7 @@ def find_dense_neighborhood(
     l: Graph, s: int, p: int
 ) -> Optional[tuple[int, DenseNeighborhoodReport]]:
     """First vertex outside ``s`` whose closed neighborhood classifies densely."""
+    _check_p(p)
     if s & ~l.full_mask:
         raise InputError(f"the set holds vertex {s.bit_length() - 1}, outside 0..{l.n - 1}")
     for v in range(l.n):

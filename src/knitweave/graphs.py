@@ -251,15 +251,16 @@ def components(g: Graph, domain: Optional[int] = None) -> list[int]:
 
 def reachable(g: Graph, start: int, domain: int) -> int:
     """Vertices of ``domain`` reachable from the bitset ``start`` inside ``domain``."""
-    comp = start & domain
-    frontier = comp
+    adj = g.adj
+    comp = frontier = start & domain
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= domain & ~comp
-        comp |= nxt
-        frontier = nxt
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & domain & ~comp
+        comp |= frontier
     return comp
 
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, bits, is_connected, mask_of, set_of
+from .graphs import Graph, bits, components, is_connected, mask_of, set_of
 from .planar import face_count, planar_rotation
 
 # _link branches on the pair with the fewest candidate paths, counted by
@@ -613,55 +613,77 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     the one chosen only with a smaller count, so the first pair of least
     count wins a tie), each trying its paths from
     :func:`iter_paths_by_length`, shortest first and lexicographic within a
-    length ((length, lex) order), under a unit-capacity flow bound between
-    the unlinked terminals that prunes hopeless branches early. So each pair
-    takes the first path in that order that lets the pairs after it be
-    linked.
+    length ((length, lex) order). So each pair takes the first path in that
+    order that lets the pairs after it be linked.
 
-    Two pairs, neither an edge, are decided by the two-paths theorem
-    (:func:`_obstruction`, polynomial) only where the search is stuck: after
-    the root's flow bound and counts, when its first path does not extend.
-    A "no" there returns None; a "yes" lets the search go on to its linkage.
-    Every other "no" is the search's exhaustion.
+    A node with r >= 2 pairs left first checks that each pair has a path at
+    all: some component of the free interior meets the neighbourhoods of
+    both its ends. Otherwise it returns False, and so every count is at
+    least 1. The node runs its flow bound only where it is stuck, once,
+    after its first path fails to extend: a unit-capacity flow from the
+    pairs' first ends to their second ends, capped at r, and a value below
+    r returns False. At the root of two pairs, neither an edge, a bound that
+    passes is followed by the two-paths theorem (:func:`_obstruction`,
+    polynomial): a "no" returns None and a "yes" lets the search go on to
+    its linkage. Every other "no" is the search's exhaustion.
+
+    A bound cuts only subtrees that hold no linkage, so the answer is the
+    one an eager bound at every node gives. Nor does the delay cost much.
+    Say a node's bound fails. By Menger, fewer than r vertices S meet every
+    source-to-sink path of its network. The path Q that the node opens is
+    such a path, so it meets S. The child's network lies inside the
+    parent's and avoids Q, so the child's paths meet S - Q, which has fewer
+    than r - 1 vertices, and the child's bound fails too; by induction, so
+    does every node below. So below a node that an eager bound would
+    prune, the search walks one chain of first paths, at most k nodes for
+    k pairs, and unwinds bound by bound: at most k + 1 times the nodes of
+    the eager search.
     """
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions
     todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
     free = g.full_mask & ~blocked
+    adj = g.adj
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
         if not remaining:
             return True
         interior = free & ~used
         best = remaining[0]
-        if len(remaining) > 1:
-            srcs = mask_of(p[0] for _, p in remaining)
-            snks = mask_of(p[1] for _, p in remaining)
-            if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=len(remaining)) < len(remaining):
-                return False
+        r = len(remaining)
+        if r > 1:
+            # a pair's paths run inside one component of the interior, which
+            # meets both ends' neighbourhoods; so every count below is >= 1
+            comps = components(g, interior)
+            for _, (a, b) in remaining:
+                if not any(c & adj[a] and c & adj[b] for c in comps):
+                    return False
             best_count = _COUNT_CAP
             for item in remaining:
                 # only a count below the fewest so far changes the choice
                 cnt = _count_paths(g, *item[1], interior, best_count)
-                if cnt == 0:
-                    return False
                 if cnt < best_count:
                     best, best_count = item, cnt
                     if cnt == 1:
                         break
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
-        # the root of two pairs, neither an edge: once its first path fails,
-        # the two-paths theorem decides, and only a "yes" goes on searching
-        decide = len(remaining) == len(pairs) == 2
+        stuck = r > 1
         for path in iter_paths_by_length(g, u, v, interior, g.n):
             chosen[idx] = path
             if search(used | mask_of(path[1:-1]), rest):
                 return True
-            if decide and _obstruction(g, pairs, blocked) is not None:
-                return False
-            decide = False
+            if stuck:
+                stuck = False
+                srcs = mask_of(p[0] for _, p in remaining)
+                snks = mask_of(p[1] for _, p in remaining)
+                if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=r) < r:
+                    return False
+                # the root of two pairs, neither an edge: the two-paths
+                # theorem decides, and only a "yes" goes on searching
+                if r == len(pairs) == 2 and _obstruction(g, pairs, blocked) is not None:
+                    return False
         return False
 
     return tuple(chosen) if search(0, todo) else None
@@ -672,10 +694,13 @@ def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
     search is :func:`_link`, which tries each pair's paths shortest first, in
     (length, lex) order, with no cap on their length.
 
-    Two pairs, neither an edge, whose root path does not extend are decided
-    there by the two-paths test (:func:`two_pair_obstruction` gives the
-    certificate of a "no"): a "no" ends in polynomial time, and a "yes" is
-    the search's linkage. Three or more pairs take the exhaustive search.
+    Where a search node's first path does not extend, a flow bound between
+    the pairs left may end it. Two pairs, neither an edge, whose root path
+    does not extend and whose root bound passes are decided there by the
+    two-paths test (:func:`two_pair_obstruction` gives the certificate of a
+    "no"): a "no" ends in polynomial time, and a "yes" is the search's
+    linkage. A "no" that the bound shows runs no planarity test. Three or
+    more pairs take the exhaustive search.
     """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):

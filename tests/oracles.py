@@ -841,7 +841,9 @@ def link_by_obstruction_first(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """The previous ``_link``: two pairs, neither an edge, go to the
-    two-paths test before any path is read."""
+    two-paths test before any path is read, and every node with two or more
+    pairs left runs its flow bound on entry, before it counts or reads a
+    path."""
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions

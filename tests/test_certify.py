@@ -235,6 +235,15 @@ def test_find_dense_neighborhood():
         find_dense_neighborhood(Graph.complete(5), 1 << 99, 4)
 
 
+@pytest.mark.parametrize("p", [-2, 2.5, True, "4", None])
+def test_dense_threshold_must_be_a_nonnegative_int(p):
+    for call in (lambda: dense_conditions(Graph.complete(5), p),
+                 lambda: find_dense_neighborhood(Graph.complete(5), 0, p),
+                 lambda: find_dense_neighborhood(Graph.complete(5), 0b11111, p)):
+        with pytest.raises(InputError, match="nonnegative integer"):
+            call()
+
+
 def _complete_multipartite(*sizes: int) -> Graph:
     part = [i for i, size in enumerate(sizes) for _ in range(size)]
     n = len(part)

@@ -118,6 +118,7 @@ def test_malformed_vertex_arguments_name_their_token(capsys, tmp_path):
         (["linkage", "--pairs", "0-1,2"], "'2'"),
         (["knit", "--terminals", "0,1,y", "--profile", "2,1"], "'y'"),
         (["dense", "--p", "4", "--set", "99"], "vertex 99"),
+        (["dense", "--p", "-2"], "nonnegative integer"),
         (["massed", "--p", "4", "--set", "0,-1"], "'-1'"),
     ):
         assert cli_main(["--input", path] + argv) == 2, argv

@@ -30,6 +30,7 @@ from knitweave.solver import (
     reroute,
     s_value,
 )
+from knitweave.structure import pair_is_knitted
 
 from conftest import crossing_grid, random_graph
 from oracles import (
@@ -176,17 +177,42 @@ def test_link_unchanged_under_enumerated_counts(monkeypatch):
     assert 500 < linked < len(corpus) - 500
 
 
-def test_link_matches_obstruction_first_on_three_and_four_pairs():
-    """The same verdict and witness as the previous search, whose counts all
-    run to the full cap, on every corpus case of three or more pairs: capping
-    each later count at the fewest so far changes no choice."""
-    cases = [case for case in _link_corpus() if len(case[1]) >= 3]
+def _pool_systems(rng, count):
+    """``count`` systems like the benchmark's random-host queries: three or
+    four pairs on a ``gen_min_degree`` host of 20..36 vertices and minimum
+    degree 3..8, with the ends and up to three other vertices blocked."""
+    for _ in range(count):
+        n = rng.randint(20, 36)
+        g = gen_min_degree(n, rng.randint(3, 8), rng.randrange(1 << 30))
+        k = rng.randint(3, 4)
+        verts = rng.sample(range(n), 2 * k + 3)
+        yield g, [(verts[2 * i], verts[2 * i + 1]) for i in range(k)], mask_of(verts[:2 * k + rng.randint(0, 3)])
+
+
+def _linked_as_before(cases):
+    """The number of ``cases`` that link, each answer checked against the
+    previous search."""
     linked = 0
     for g, pairs, blocked in cases:
         got = _link(g, pairs, blocked)
         assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
         linked += got is not None
+    return linked
+
+
+def test_link_matches_obstruction_first_on_three_and_four_pairs():
+    """The same verdict and witness as the previous search, whose counts all
+    run to the full cap and which runs its flow bound on entry to every
+    node, on every corpus case of three or more pairs and on 240 systems
+    like the benchmark's: capping each later count at the fewest so far
+    changes no choice, and bounding only where the search is stuck prunes
+    the same answers."""
+    cases = [case for case in _link_corpus() if len(case[1]) >= 3]
+    linked = _linked_as_before(cases)
     assert 100 < linked < len(cases) - 100
+    pool = list(_pool_systems(random.Random(5), 240))
+    linked = _linked_as_before(pool)
+    assert 200 < linked < len(pool)
 
 
 def _two_pair_systems(graphs, rng, count):
@@ -305,6 +331,42 @@ def test_link_reads_paths_once_per_search_node(monkeypatch):
         sys.setprofile(None)
     assert paths is not None
     assert nodes == 7 and reads <= nodes
+
+
+def test_link_runs_its_flow_bound_only_where_stuck(monkeypatch):
+    """A search node runs its flow bound once, after its first path fails,
+    and the two-paths test runs only after a bound that passes: a "yes"
+    whose first paths all extend runs no flow, a "no" that two vertices cut
+    ends after one chain of first paths, and a two-pair "no" that one
+    vertex cuts runs no planarity test."""
+    calls = {"flow": 0, "read": 0, "obstruction": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(solver, "max_vertex_disjoint_flow", spy("flow", solver.max_vertex_disjoint_flow))
+    monkeypatch.setattr(solver, "iter_paths_by_length", spy("read", solver.iter_paths_by_length))
+    monkeypatch.setattr(solver, "_obstruction", spy("obstruction", solver._obstruction))
+    n = 64
+    circulant = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
+    for seed in (1, 2, 3):
+        calls.update(flow=0)
+        assert pair_is_knitted(circulant, mask_of(random.Random(seed).sample(range(n), 8))) == (True, None)
+        assert calls["flow"] == 0, seed
+    # two K6s, on 0..5 and on 8..13, joined only through 6 and 7
+    edges = [(u, v) for side in (range(6), range(8, 14)) for u, v in itertools.combinations(side, 2)]
+    edges += [(w, x) for w in (6, 7) for x in (*range(6), *range(8, 14))]
+    calls.update(flow=0, read=0)
+    assert disjoint_paths(Graph.from_edges(14, edges), pairs_spec([(0, 8), (1, 9), (2, 10)])) is None
+    assert calls["read"] <= 3 and calls["flow"] <= 2, calls
+    calls.update(flow=0, obstruction=0)
+    cut = Graph.from_edges(14, [e for e in edges if 7 not in e])
+    assert disjoint_paths(cut, pairs_spec([(0, 8), (1, 9)])) is None
+    assert calls["flow"] == 1 and calls["obstruction"] == 0, calls
 
 
 def test_disjoint_paths_direct_edges():
