@@ -398,6 +398,8 @@ _INSTANCES = {"lemma-si": _lemma_instances, "pipeline-4linked": _pipeline_instan
 
 def _campaign(experiment: str, samples: int, seed: int, no_timestamps: bool) -> dict:
     """The report of one campaign run, each instance timed in ``wall_ms``."""
+    if type(samples) is not int or samples < 0:
+        raise InputError(f"samples must be a nonnegative int, not {samples!r}")
     instances = []
     t0 = _now(no_timestamps)
     for inst in _INSTANCES[experiment](samples, seed):
@@ -458,8 +460,8 @@ def revalidate_report(report: dict) -> None:
     kind, seed, requested = report.get("experiment"), report.get("seed"), report.get("samples_requested")
     if kind not in _INSTANCES:
         raise InputError(f"unknown experiment kind {kind!r}")
-    if type(seed) is not int or type(requested) is not int:
-        raise InputError("seed and samples_requested must be integers")
+    if type(seed) is not int or type(requested) is not int or requested < 0:
+        raise InputError("seed must be an integer and samples_requested a nonnegative one")
     instances = report.get("instances")
     if not (isinstance(instances, list) and all(isinstance(inst, dict) for inst in instances)):
         raise InputError("instances must be a list of objects")

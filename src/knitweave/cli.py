@@ -285,7 +285,6 @@ def _dispatch(args) -> int:
         sep = structure.Separation(
             mask_of(_parse_ints(args.side_a)), mask_of(_parse_ints(args.side_b))
         )
-        sep.validate(g)
         return _emit({"rigid": structure.is_rigid(g, sep)})
     if cmd == "chromatic":
         chi, col = coloring.chromatic_number(g)

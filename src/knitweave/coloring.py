@@ -161,7 +161,8 @@ def _delete_vertex(g: Graph, v: int) -> Graph:
 
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
     """Whether the chromatic number is exactly k and every proper minor needs
-    fewer colors. On failure returns a validated witness minor.
+    fewer colors. On failure returns a witness minor that passes
+    :meth:`MinorWitness.validate` and whose quotient needs k colors.
 
     Every proper minor is a subgraph of G - v, of G - e, or of a contraction
     G/F with F nonempty, and deleting never raises the chromatic number. So
@@ -175,6 +176,8 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     v outside C, G - v contains C and needs k colors, so it is taken
     uncolored. The vertices of C, and every vertex when |C| < k, are still
     colored, so the first witness is the same as if every G - v were colored.
+    Its labels follow :func:`_delete_rows` or the ``merged.pop(v)`` of
+    :func:`contraction_quotients`, so it is valid by construction.
     """
     if type(k) is not int:
         raise InputError(f"k is not an int: {k!r}")
@@ -191,9 +194,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
             # the edges of G - v, as Graph.edges lists them
             rows = _delete_rows(g.adj, v)
             edges = tuple((u, w) for u, r in enumerate(rows) for w in bits(r >> u + 1 << u + 1))
-            wit = MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
-            wit.validate()
-            return False, wit
+            return False, MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
         low, row = (1 << v) - 1, g.adj[v]
         # N(v) by color of G - v, in its labels; disjoint, so a sum is a union
         by_class = [((row & low) | (row >> (v + 1) << v)) & cls for cls in classes]
@@ -207,7 +208,6 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     )
     for wit in itertools.chain(edge_deletions, contraction_quotients(g)):
         if _color_with_clique(wit.quotient())[0] >= k:
-            wit.validate()
             return False, wit
     return True, None
 

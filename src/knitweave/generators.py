@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, mask_of
+from .graphs import Graph
 
 
 def gen_min_degree(n: int, delta: int, seed: int) -> Graph:
@@ -66,8 +66,6 @@ class SplitHost:
 
     graph: Graph
     terminals: tuple[int, ...]  # u0 then four pairs
-    blob_a: int
-    blob_b: int
     straddling: int  # how many of the four pairs straddle the blobs (1 or 2)
 
 
@@ -132,7 +130,5 @@ def gen_split_host(seed: int, blob_size: int = 12) -> SplitHost:
     return SplitHost(
         graph=g,
         terminals=terminals,
-        blob_a=mask_of(range(a0, a0 + m)),
-        blob_b=mask_of(range(b0, b0 + m)),
         straddling=straddling,
     )

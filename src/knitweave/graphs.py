@@ -98,7 +98,7 @@ def _check_count(n) -> None:
 class Graph:
     """Immutable simple undirected graph with one adjacency bitset per vertex."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         """Validate and store the rows: ``n`` and every row must be ints (not
@@ -132,7 +132,6 @@ class Graph:
                 raise InputError(f"edge {v},{u} is not symmetric")
         self.n = n
         self.adj = adj
-        self._hash = hash((n, adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -211,7 +210,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 
@@ -6,6 +7,8 @@ import pytest
 
 from knitweave.campaigns import (
     PIPELINE_P,
+    _is_biconnected,
+    _lemma_instances,
     _pipeline_one,
     _report,
     campaign_lemma_si,
@@ -27,6 +30,40 @@ def test_lemma_si_zero_samples():
     assert rep["samples_run"] == 0
     assert rep["violations"] == []
     revalidate_report(rep)
+
+
+@pytest.mark.parametrize("samples", [-2, 2.5, True])
+@pytest.mark.parametrize("campaign", [campaign_lemma_si, campaign_pipeline_4linked])
+def test_campaigns_reject_samples_that_are_not_a_nonnegative_int(campaign, samples):
+    with pytest.raises(InputError, match="nonnegative int"):
+        campaign(samples, 1, no_timestamps=True)
+
+
+@pytest.mark.parametrize("campaign", [campaign_lemma_si, campaign_pipeline_4linked])
+def test_a_report_requesting_negative_samples_fails_revalidation(campaign):
+    # the rerun of -2 samples writes the same instances as the rerun of 0
+    rep = campaign(0, 1, no_timestamps=True)
+    rep["samples_requested"] = -2
+    with pytest.raises(InputError, match="nonnegative"):
+        load_report(report_to_json(rep))
+
+
+def test_lemma_configurations_pass_their_validator():
+    # build_configuration does not validate its own output: every
+    # configuration the campaign builds, on 300 hosts, must pass
+    for seed in (1, 2, 3):
+        for inst in itertools.islice(_lemma_instances(10**6, seed), 100):
+            g = parse_graph6(inst["graph6"])
+            cfg = Configuration(g, inst["terminals"][0], tuple(map(tuple, inst["blocks"])))
+            cfg.validate(induced_paths=True)
+
+
+def test_is_biconnected():
+    assert _is_biconnected(Graph.cycle(4), 0b1111)
+    assert not _is_biconnected(Graph.path(3), 0b111)  # vertex 1 is a cut vertex
+    assert not _is_biconnected(Graph.complete(4), 0b11)  # fewer than 3 vertices
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not _is_biconnected(two_triangles, two_triangles.full_mask)
 
 
 # sha256 of report_to_json with no_timestamps: campaign reports are meant to

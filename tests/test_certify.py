@@ -264,6 +264,11 @@ def test_knitted1_input_errors():
     # no universal vertex
     with pytest.raises(InputError):
         knitted1_check(complete_minus_matching(16, 8), 18, samples=5, seed=0)
+    # its first candidate has 16 vertices, so it is sampled
+    g, _ = gen_universal_vertex(16, 9, 29)
+    for samples in (2.5, -5, True):
+        with pytest.raises(InputError, match="samples must be a nonnegative int"):
+            knitted1_check(g, 18, samples=samples, seed=0)
 
 
 def test_knitted1_certifies_universal_vertex_graphs():

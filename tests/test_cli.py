@@ -180,8 +180,8 @@ def test_rigid_cli(capsys, tmp_path):
     path = graph_file(tmp_path, Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)]))
     code, out = run(capsys, ["--input", path, "rigid", *sides])
     assert code == 0 and json.loads(out)["rigid"] is False
-    code, _ = run(capsys, ["--input", path, "rigid", "--side-a", "0,1", "--side-b", "2,3,4"])
-    assert code == 2  # edge 0-2 joins the private sides
+    assert cli_main(["--input", path, "rigid", "--side-a", "0,1", "--side-b", "2,3,4"]) == 2
+    assert "edge between the private sides" in capsys.readouterr().err  # the edge 0-2
 
 
 def test_massed_cli(capsys, tmp_path):
@@ -357,6 +357,18 @@ def test_knitted1_prints_failures(capsys, tmp_path, monkeypatch):
     assert tuple(tuple(sorted(p)) for p in failure["pairs"]) == calls[0].parts
     assert failure["forbidden"] == sorted(set_of(calls[0].forbidden))
     assert len(failure["pairs"]) == 3 and len(failure["forbidden"]) == 1
+
+
+def test_negative_samples_exit_2(capsys, tmp_path):
+    path = graph_file(tmp_path, gen_universal_vertex(16, 9, 29)[0])
+    for argv in (
+        ["--input", path, "--samples", "-3", "knitted1", "--p", "18"],
+        ["--samples", "-2", "--seed", "1", "--no-timestamps", "campaign-si"],
+        ["--samples", "-2", "--seed", "1", "--no-timestamps", "campaign-4linked"],
+    ):
+        assert cli_main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "samples must be a nonnegative int" in err, (argv, err)
 
 
 def test_k_linked_sampled_prints_null_and_rejects_bad_input(capsys, tmp_path):

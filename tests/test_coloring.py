@@ -131,6 +131,23 @@ def test_contraction_critical_matches_minor_oracle():
                     assert chromatic_number(wit.quotient())[0] >= k
 
 
+def test_contraction_critical_witnesses_pass_their_validator(census7):
+    # is_contraction_critical does not validate its witnesses: each one, on
+    # the census at k = chi and on random graphs of up to 9 vertices, must
+    # pass and have a quotient that needs k colors
+    rng = random.Random(29)
+    graphs = census7 + [random_graph(rng, rng.randint(6, 9), p=rng.uniform(0.3, 0.9)) for _ in range(150)]
+    witnesses = 0
+    for g in graphs:
+        k = chromatic_number(g)[0]
+        ok, wit = is_contraction_critical(g, k)
+        if wit is not None:
+            wit.validate()
+            assert chromatic_number(wit.quotient())[0] >= k, g
+            witnesses += 1
+    assert witnesses > 1000
+
+
 def _verdict(result):
     ok, wit = result
     return ok, wit and (wit.branch_sets, wit.model_edges)
@@ -293,6 +310,14 @@ def test_coding_extras_only_with_second_big_class():
     assert set(extras) == {0, 1}
     lists2, codes2, extras2 = coding_colors([0, 1], [2, 1], 16)
     assert extras2 == {}
+
+
+def test_coding_colors_rejects_a_palette_too_small_for_the_codes():
+    # three classes need four subset codes beside their three colors and the
+    # reserved one: eight colors
+    with pytest.raises(PreconditionError) as err:
+        coding_colors([0, 1, 2], [2, 1, 1], 5)
+    assert err.value.clause == "palette"
 
 
 def test_power_set_coding_validator_catches_breakage():

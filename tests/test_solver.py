@@ -920,6 +920,9 @@ def test_reroute_precondition_errors():
         ((8, 1, 3, 4), "y-interior"),
         ((8, 3, 3, 2), "j-disconnected"),
         ((8, 3, 4, 1), "i-connected"),
+        ((8, 3, 3, 3), "block-indices"),
+        ((8, 3, 0, 4), "block-indices"),
+        ((8, 2, 3, 4), "x-adjacent-flanks"),  # 8 misses 2's flank 1
     ]
     for (x, y, i, j), clause in cases:
         with pytest.raises(PreconditionError) as err:
@@ -927,6 +930,13 @@ def test_reroute_precondition_errors():
         assert err.value.clause == clause
     with pytest.raises(InputError):
         reroute(cfg, -1, 3, 3, 4)
+    # without the edge 3-7, no (6, 7)-path runs through 3
+    h = Graph.from_edges(13, [e for e in REROUTE_EDGES if e != (3, 7)])
+    cfg = Configuration(h, 0, cfg.blocks)
+    cfg.validate()
+    with pytest.raises(PreconditionError) as err:
+        reroute(cfg, 8, 3, 3, 4)
+    assert err.value.clause == "path-through-y"
 
 
 @pytest.mark.parametrize("args", [(8, 3.0, 3, 4), (8, 3, 3.0, 4), (8, 3, 3, 4.0), (8, 3, True, 4)])
@@ -956,7 +966,7 @@ def test_reroute_randomized_invariants():
         cfg.validate(induced_paths=False)
         new = reroute(cfg, 8, 3, 3, 4)
         new.validate(induced_paths=False)
-        assert new.connected_count > cfg.connected_count
+        assert new.connected_count == cfg.connected_count + 1
 
 
 def test_s_value_examples():
