@@ -400,6 +400,8 @@ def _campaign(experiment: str, samples: int, seed: int, no_timestamps: bool) -> 
     """The report of one campaign run, each instance timed in ``wall_ms``."""
     if type(samples) is not int or samples < 0:
         raise InputError(f"samples must be a nonnegative int, not {samples!r}")
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, not {seed!r}")
     instances = []
     t0 = _now(no_timestamps)
     for inst in _INSTANCES[experiment](samples, seed):

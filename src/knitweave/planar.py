@@ -12,7 +12,7 @@ graph's rotation system is a plane drawing exactly when V - E + F = 2
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import bits, mask_of
 
@@ -147,6 +147,24 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
     attachment vertices. If some fragment fits no face the block is not
     planar; otherwise draw a path through a fragment that fits one face only,
     else through the first fragment, inside the first face it fits.
+    Fragments are ordered edges first, by their ends, then components, by
+    their least vertex.
+
+    The fragments and the faces each fits, as a bitmask, are kept from step
+    to step rather than found afresh. Drawing a path through a fragment in
+    face i splits face i into two, kept at i and at the end of the list, and
+    changes no other fragment's vertices or attachments: another component
+    is not adjacent to the drawn one. So only fragments that fit face i can
+    fit either new face (every new face lies within face i and the path's
+    new vertices), and only they are refitted. The drawn fragment gives way
+    to the components of its undrawn rest and to the undrawn edges at the
+    path's new vertices; each attaches at a new vertex, which lies on the
+    two new faces only, so it is fitted against those two. The fragments
+    and their faces are thus those a rebuild finds, and so is the pick. A
+    fragment that fits no face never fits one later, since faces only
+    split, so a rebuild would return None as well: returning at once gives
+    the same answer (``tests/oracles.py`` keeps the rebuild as
+    ``block_faces_by_rebuild``).
     """
     nb = {v: adj[v] & block for v in bits(block)}
     if sum(m.bit_count() for m in nb.values()) // 2 > 3 * block.bit_count() - 6:
@@ -162,37 +180,23 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
     for x, y in zip(cycle, cycle[1:] + cycle[:1]):
         drawn_adj[x] |= 1 << y
         drawn_adj[y] |= 1 << x
-    while True:
-        fragments = []  # (attachments, undrawn vertices; 0 for one edge)
-        for x in bits(drawn):
-            for y in bits(nb[x] & drawn & ~drawn_adj[x] & ~((2 << x) - 1)):
-                fragments.append(((1 << x) | (1 << y), 0))
-        left = block & ~drawn
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                nxt = 0
-                for w in bits(frontier):
-                    nxt |= nb[w]
-                frontier = nxt & left & ~comp
-                comp |= frontier
-            attach = 0
-            for w in bits(comp):
-                attach |= nb[w]
-            fragments.append((attach & drawn, comp))
-            left &= ~comp
-        if not fragments:
-            return faces
-        pick = None
-        for attach, comp in fragments:
-            fits = [i for i, m in enumerate(masks) if not attach & ~m]
-            if not fits:
-                return None
-            if pick is None or len(fits) == 1:
-                pick = (attach, comp, fits[0])
-                if len(fits) == 1:
-                    break
-        attach, comp, i = pick
+    # key -> [attachments, undrawn vertices (0 for one edge), faces it fits];
+    # an edge's key (0, x, y) with x < y sorts before a component's (1, least).
+    # Both faces of the cycle hold every drawn vertex, so every fragment
+    # fits both.
+    frags = {}
+    for x in bits(drawn):
+        for y in bits(nb[x] & drawn & ~drawn_adj[x] & ~((2 << x) - 1)):
+            frags[0, x, y] = [(1 << x) | (1 << y), 0, 0b11]
+    for comp in _components(nb, block & ~drawn):
+        attach = 0
+        for w in bits(comp):
+            attach |= nb[w]
+        frags[1, (comp & -comp).bit_length() - 1] = [attach & drawn, comp, 0b11]
+    while frags:
+        one = [key for key, f in frags.items() if not f[2] & (f[2] - 1)]
+        attach, comp, fits = frags.pop(min(one or frags))
+        i = (fits & -fits).bit_length() - 1
         u = (attach & -attach).bit_length() - 1
         w = (attach & (attach - 1) & -(attach & (attach - 1))).bit_length() - 1
         path = [u, w] if not comp else _path(nb, u, nb[u] & comp, comp, w)
@@ -211,3 +215,40 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
             drawn_adj[x] |= 1 << y
             drawn_adj[y] |= 1 << x
             drawn |= 1 << y
+        if comp:
+            # the rest of the drawn fragment, each piece attached at a new
+            # vertex: it can fit only the two new faces, refitted below
+            for part in _components(nb, comp & ~mask_of(inner)):
+                attach = 0
+                for x in bits(part):
+                    attach |= nb[x]
+                frags[1, (part & -part).bit_length() - 1] = [attach & drawn, part, 1 << i]
+            for x in inner:
+                for y in bits(nb[x] & drawn & ~drawn_adj[x]):
+                    frags[(0, x, y) if x < y else (0, y, x)] = [(1 << x) | (1 << y), 0, 1 << i]
+        new = len(faces) - 1
+        for f in frags.values():
+            if (f[2] >> i) & 1:
+                fits = f[2] & ~(1 << i)
+                if not f[0] & ~masks[i]:
+                    fits |= 1 << i
+                if not f[0] & ~masks[new]:
+                    fits |= 1 << new
+                if not fits:
+                    return None
+                f[2] = fits
+    return faces
+
+
+def _components(nb: dict[int, int], left: int) -> Iterator[int]:
+    """The vertex masks of the components of ``left``, by least vertex."""
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            nxt = 0
+            for w in bits(frontier):
+                nxt |= nb[w]
+            frontier = nxt & left & ~comp
+            comp |= frontier
+        yield comp
+        left &= ~comp

@@ -509,6 +509,13 @@ def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tupl
     then the set of vertices whose out-node the residual reaches from v, in
     the node-split network with unbounded edge arcs, and the separator is
     the set of vertices whose in-node alone is reached.
+
+    The side depends on the graph alone, not on which maximum flow is
+    found. Every arc that leaves the source side of a minimum cut is
+    saturated by any maximum flow, and every arc that enters it carries
+    none, so no residual arc leaves it and the residual-reachable set lies
+    inside it. That set is itself the source side of a minimum cut, so it
+    is the least one, the same for every maximum flow.
     """
     allowed = live & ~(1 << v)
     flow, paths = max_vertex_disjoint_flow(h, h.adj[v], ends, allowed, cap=4, collect=True)
@@ -539,6 +546,37 @@ def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tupl
     return reach_in & ~reach_out, reach_out | (1 << v)
 
 
+def _fan_of_four(adj: list[int], v: int, good: int, live: int) -> bool:
+    """Whether four successive shortest paths from ``v`` inside ``live``, each
+    avoiding the vertices of the ones before, end at four vertices of
+    ``good``. If so, they meet only at v. A "no" says nothing: other paths
+    may still exist."""
+    free = live & ~(1 << v)
+    for _ in range(4):
+        layers = []
+        frontier = seen = adj[v] & free
+        while not frontier & good:
+            if not frontier:
+                return False
+            layers.append(frontier)
+            nxt = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                nxt |= adj[low.bit_length() - 1]
+                rest ^= low
+            frontier = nxt & free & ~seen
+            seen |= frontier
+        hit = frontier & good
+        x = (hit & -hit).bit_length() - 1
+        free &= ~(1 << x)
+        for layer in reversed(layers):
+            back = adj[x] & layer
+            x = (back & -back).bit_length() - 1
+            free &= ~(1 << x)
+    return True
+
+
 def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
     """Decide whether the two ``pairs`` are linked with no interior vertex in
     ``blocked``, by the two-paths theorem (Seymour 1980; Thomassen 1980): a
@@ -554,6 +592,26 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     s1 s2 t1 t2 has a plane drawing with the cycle bounding a face, that is,
     when it stays planar with an apex joined to the cycle. The certificate
     keeps that drawing without the cycle's added edges.
+
+    Call a vertex good when four paths from it to the terminals meet only
+    at it, and count the terminals as good. A good vertex has no such side:
+    its capped flow (:func:`_terminal_free_side`) finds four paths and
+    reduces nothing. So the pass runs that flow only at vertices not known
+    to be good, and makes the reductions of one flow per vertex: each turn
+    sees the graph that pass would, and a flow's side depends on the graph
+    alone.
+
+    Good-neighbour lemma: a vertex v with four paths to four distinct good
+    vertices, meeting only at v, is good; in particular one with four good
+    neighbours. For if at most three vertices S, not v, cut v off from the
+    terminals, one of the four paths misses S, and its good end u lies with
+    v on the terminal-free side of S. A terminal cannot lie there, and a
+    good u cannot either, since one of its own four paths misses S. The
+    pass tries such paths greedily before any flow (:func:`_fan_of_four`),
+    and marks good each vertex that they or its flow show. Goodness
+    survives the later reductions, by the clique argument above, so the
+    marks stay true. No vertex of a side is ever marked: its separator
+    cuts it off.
     """
     (s1, t1), (s2, t2) = pairs
     ends = mask_of((s1, t1, s2, t2))
@@ -562,13 +620,20 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     # the flow reads only n, adj and full_mask, and _reduce keeps ``adj`` a
     # simple graph's adjacency, so a view of the list stands in for a Graph
     h = SimpleNamespace(n=g.n, adj=adj, full_mask=g.full_mask)
+    good = ends
     for v in bits(live & ~ends):
-        if (live >> v) & 1:
-            r = _terminal_free_side(h, v, ends, live)
-            if r is not None:
-                reductions.append(r)
-                _reduce(adj, *r)
-                live &= ~r[1]
+        if not (live >> v) & 1:
+            continue
+        if _fan_of_four(adj, v, good, live):
+            good |= 1 << v
+            continue
+        r = _terminal_free_side(h, v, ends, live)
+        if r is None:
+            good |= 1 << v
+        else:
+            reductions.append(r)
+            _reduce(adj, *r)
+            live &= ~r[1]
     ring = (s1, s2, t1, t2)
     added = [(a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not (adj[a] >> b) & 1]
     for a, b in added:

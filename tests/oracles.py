@@ -25,13 +25,16 @@ the previous ``separations_exist``, for its answers;
 witnesses; ``graph6_parse_by_bit_lists``, the previous
 ``parse_graph6``, for graphs and error messages and positions; and
 ``max_rows_by_vertex_rows``, the previous ``_max_rows``, for canonical
-rows and census verdicts.
+rows and census verdicts; ``block_faces_by_rebuild``, the previous
+``planar._block_faces``, for faces; and ``obstruction_by_flows``, the
+previous ``_obstruction``, for two-paths certificates.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 from knitweave.coloring import Coloring, chromatic_number
@@ -47,13 +50,18 @@ from knitweave.graphs import (
     max_clique,
     set_of,
 )
+from knitweave.planar import _blocks, _path
 from knitweave.solver import (
     _COUNT_CAP,
     PATH_CAP,
     Configuration,
+    PlanarObstruction,
     _count_paths,
+    _deleted,
     _link,
     _obstruction,
+    _reduce,
+    _terminal_free_side,
     iter_paths_by_length,
     max_vertex_disjoint_flow,
     partitions_with_profile,
@@ -938,3 +946,140 @@ def graph6_parse_by_bit_lists(text: str) -> Graph:
                 rows[j] |= 1 << i
             idx += 1
     return Graph(n, tuple(rows))
+
+
+# -- reference planarity and two-paths test -----------------------------------
+# The embedding that rebuilt every fragment at every step, and the two-paths
+# test that ran one capped flow per non-terminal vertex, before the
+# fragments were kept between steps and known fans skipped the flow; kept to
+# pin faces, rotations and certificates.
+
+def block_faces_by_rebuild(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
+    """The previous ``planar._block_faces``: Demoucron-Malgrange-Pertuiset
+    with every fragment and every fragment's faces found afresh at each
+    step."""
+    nb = {v: adj[v] & block for v in bits(block)}
+    if sum(m.bit_count() for m in nb.values()) // 2 > 3 * block.bit_count() - 6:
+        return None
+    a = (block & -block).bit_length() - 1
+    b = (nb[a] & -nb[a]).bit_length() - 1
+    rest = block & ~(1 << a) & ~(1 << b)
+    cycle = _path(nb, b, nb[b] & rest, rest, a)
+    faces = [cycle, cycle[::-1]]
+    masks = [mask_of(cycle)] * 2
+    drawn = masks[0]
+    drawn_adj = dict.fromkeys(nb, 0)
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        drawn_adj[x] |= 1 << y
+        drawn_adj[y] |= 1 << x
+    while True:
+        fragments = []  # (attachments, undrawn vertices; 0 for one edge)
+        for x in bits(drawn):
+            for y in bits(nb[x] & drawn & ~drawn_adj[x] & ~((2 << x) - 1)):
+                fragments.append(((1 << x) | (1 << y), 0))
+        left = block & ~drawn
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                nxt = 0
+                for w in bits(frontier):
+                    nxt |= nb[w]
+                frontier = nxt & left & ~comp
+                comp |= frontier
+            attach = 0
+            for w in bits(comp):
+                attach |= nb[w]
+            fragments.append((attach & drawn, comp))
+            left &= ~comp
+        if not fragments:
+            return faces
+        pick = None
+        for attach, comp in fragments:
+            fits = [i for i, m in enumerate(masks) if not attach & ~m]
+            if not fits:
+                return None
+            if pick is None or len(fits) == 1:
+                pick = (attach, comp, fits[0])
+                if len(fits) == 1:
+                    break
+        attach, comp, i = pick
+        u = (attach & -attach).bit_length() - 1
+        w = (attach & (attach - 1) & -(attach & (attach - 1))).bit_length() - 1
+        path = [u, w] if not comp else _path(nb, u, nb[u] & comp, comp, w)
+        face = faces[i]
+        iu, iw = face.index(u), face.index(w)
+        if iu < iw:
+            there, back = face[iu:iw + 1], face[iw:] + face[:iu + 1]
+        else:
+            there, back = face[iu:] + face[:iw + 1], face[iw:iu + 1]
+        inner = path[1:-1]
+        faces[i] = there + inner[::-1]
+        faces.append(back + inner)
+        masks[i] = mask_of(faces[i])
+        masks.append(mask_of(faces[-1]))
+        for x, y in zip(path, path[1:]):
+            drawn_adj[x] |= 1 << y
+            drawn_adj[y] |= 1 << x
+            drawn |= 1 << y
+
+
+def rotation_by_rebuild(adj: Sequence[int]) -> Optional[list[list[int]]]:
+    """``planar.planar_rotation`` with each block's faces from
+    :func:`block_faces_by_rebuild`."""
+    rotation: list[list[int]] = [[] for _ in adj]
+    for block in _blocks(adj):
+        if block.bit_count() == 2:
+            x, y = bits(block)
+            rotation[x].append(y)
+            rotation[y].append(x)
+            continue
+        faces = block_faces_by_rebuild(adj, block)
+        if faces is None:
+            return None
+        after = {}
+        for face in faces:
+            for i, y in enumerate(face):
+                after[y, face[i - 1]] = face[(i + 1) % len(face)]
+        for y in bits(block):
+            first = x = (adj[y] & block & -(adj[y] & block)).bit_length() - 1
+            while True:
+                rotation[y].append(x)
+                x = after[y, x]
+                if x == first:
+                    break
+    return rotation
+
+
+def obstruction_by_flows(
+    g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
+) -> Optional[PlanarObstruction]:
+    """The previous ``solver._obstruction``: one capped flow for every
+    non-terminal vertex still in the graph at its turn, then the embedding
+    of :func:`rotation_by_rebuild`."""
+    (s1, t1), (s2, t2) = pairs
+    ends = mask_of((s1, t1, s2, t2))
+    live, adj = _deleted(g, ends, blocked)
+    reductions = []
+    h = SimpleNamespace(n=g.n, adj=adj, full_mask=g.full_mask)
+    for v in bits(live & ~ends):
+        if (live >> v) & 1:
+            r = _terminal_free_side(h, v, ends, live)
+            if r is not None:
+                reductions.append(r)
+                _reduce(adj, *r)
+                live &= ~r[1]
+    ring = (s1, s2, t1, t2)
+    added = [(a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not (adj[a] >> b) & 1]
+    for a, b in added:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    adj.append(ends)
+    for t in ring:
+        adj[t] |= 1 << g.n
+    rotation = rotation_by_rebuild(adj)
+    if rotation is None:
+        return None
+    for a, b in added:
+        rotation[a].remove(b)
+        rotation[b].remove(a)
+    return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))

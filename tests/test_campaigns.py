@@ -39,6 +39,13 @@ def test_campaigns_reject_samples_that_are_not_a_nonnegative_int(campaign, sampl
         campaign(samples, 1, no_timestamps=True)
 
 
+@pytest.mark.parametrize("campaign, seed", [(campaign_lemma_si, 2.5), (campaign_pipeline_4linked, True)])
+def test_campaigns_reject_a_seed_that_is_not_an_int(campaign, seed):
+    # load_report rejects such a seed, so no report is written with one
+    with pytest.raises(InputError, match="seed must be an int"):
+        campaign(1, seed, no_timestamps=True)
+
+
 @pytest.mark.parametrize("campaign", [campaign_lemma_si, campaign_pipeline_4linked])
 def test_a_report_requesting_negative_samples_fails_revalidation(campaign):
     # the rerun of -2 samples writes the same instances as the rerun of 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from knitweave.errors import InputError
 from knitweave.graphs import Graph, bits, components, mask_of
-from knitweave.planar import face_count, planar_rotation
+from knitweave import solver
+from knitweave.planar import _block_faces, _blocks, face_count, planar_rotation
 from knitweave.solver import (
     TerminalSpec,
     disjoint_paths,
@@ -15,8 +17,13 @@ from knitweave.solver import (
     two_pair_obstruction,
 )
 
-from conftest import crossing_grid, random_graph
-from oracles import two_pair_systems_solvable, two_pairs_linked_by_induced_paths
+from conftest import crossing_grid, random_graph, two_pair_corpus
+from oracles import (
+    block_faces_by_rebuild,
+    obstruction_by_flows,
+    two_pair_systems_solvable,
+    two_pairs_linked_by_induced_paths,
+)
 
 
 def test_planar_rotation_matches_networkx():
@@ -178,3 +185,75 @@ def test_crossing_grids_decided_within_budget(rows, cols, budget):
         cert = two_pair_obstruction(g, spec)
         cert.validate(g, spec)
         assert time.perf_counter() - t0 < budget
+
+
+def test_block_faces_match_the_rebuild():
+    rng = random.Random(30)
+    hosts = [random_graph(rng, rng.randint(3, 30), rng.choice([0.1, 0.2, 0.3, 0.45])) for _ in range(1000)]
+    for rows in range(3, 9):
+        for cols in range(3, 9):
+            g, _ = crossing_grid(rows, cols, rng)
+            u, v = rng.choice([(u, v) for u in range(g.n) for v in range(u) if not g.has_edge(u, v)])
+            hosts += [g, Graph.from_edges(g.n, [*g.edges(), (u, v)])]
+    answers = {True: 0, False: 0}
+    for g in hosts:
+        for block in _blocks(g.adj):
+            if block.bit_count() > 2:
+                want = block_faces_by_rebuild(g.adj, block)
+                assert _block_faces(g.adj, block) == want
+                answers[want is None] += 1
+    assert min(answers.values()) > 300
+
+
+def test_obstruction_matches_one_flow_per_vertex():
+    # the corpus holds random and minimum-degree hosts, shuffled grids from
+    # 3x3 to 8x8, grids with a chord, and grids with a planted 3-separation
+    counts = {"none": 0, "certified": 0, "reduced": 0}
+    for g, spec in two_pair_corpus(random.Random(31), 1500):
+        pairs = [p for p in spec.parts if len(p) == 2]
+        if any(g.has_edge(*p) for p in pairs):
+            continue
+        want = obstruction_by_flows(g, pairs, spec.forbidden | spec.terminal_mask)
+        assert two_pair_obstruction(g, spec) == want
+        counts["none" if want is None else "certified"] += 1
+        counts["reduced"] += want is not None and bool(want.reductions)
+    assert min(counts.values()) > 150, counts
+
+
+@pytest.mark.parametrize("size", [4, 5, 6, 8])
+def test_obstruction_skips_the_flow_where_a_fan_is_known(monkeypatch, size):
+    g, spec = crossing_grid(size, size, random.Random(size))
+    calls = 0
+    flow = solver.max_vertex_disjoint_flow
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "max_vertex_disjoint_flow", counted)
+    cert = two_pair_obstruction(g, spec)
+    cert.validate(g, spec)
+    assert calls < g.n - 4
+    assert cert == obstruction_by_flows(g, spec.parts, spec.terminal_mask)
+
+
+def test_obstruction_still_reduces_a_planted_side():
+    # a K5 behind the triangle 6, 7, 12 of the crossing 5x5 grid: each of
+    # its vertices has four neighbours inside it and three in the triangle,
+    # and none has four paths to the corners, so none may be marked good
+    grid, _ = crossing_grid(5, 5)
+    blob = range(25, 30)
+    edges = [*grid.edges(), *itertools.combinations(blob, 2)]
+    edges += [(b, s) for b in blob for s in (6, 7, 12)]
+    rng = random.Random(32)
+    for _ in range(8):
+        perm = list(range(30))
+        rng.shuffle(perm)
+        g = Graph.from_edges(30, [(perm[u], perm[v]) for u, v in edges])
+        spec = pairs_spec([(perm[0], perm[24]), (perm[4], perm[20])])
+        cert = two_pair_obstruction(g, spec)
+        cert.validate(g, spec)
+        side = mask_of(perm[b] for b in blob)
+        assert (mask_of(perm[s] for s in (6, 7, 12)), side) in cert.reductions
+        assert cert == obstruction_by_flows(g, spec.parts, spec.terminal_mask)
