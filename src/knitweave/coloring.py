@@ -240,7 +240,6 @@ class RecombinationPlan:
     class_colors: tuple[int, ...]     # the color each class carries
     lists: tuple[frozenset[int], ...]
     codes: dict
-    extras: dict
     components: tuple[int, ...]       # C_i, aligned with classes
     leftovers: tuple[int, ...]        # D_j
     phi1: Coloring
@@ -339,7 +338,7 @@ def build_recombination_plan(
     classes = tuple(cls for _, cls in ordered)
     sizes = [cls.bit_count() for cls in classes]
 
-    lists, codes, extras = coding_colors(class_colors, sizes, r)
+    lists, codes, _ = coding_colors(class_colors, sizes, r)
     validate_power_set_coding(lists)
 
     comps: list[int] = []
@@ -370,7 +369,6 @@ def build_recombination_plan(
         class_colors=class_colors,
         lists=tuple(lists),
         codes=codes,
-        extras=extras,
         components=tuple(comps),
         leftovers=leftovers,
         phi1=phi1,

@@ -37,79 +37,30 @@ def face_count(rotation: Sequence[Sequence[int]]) -> int:
 def planar_rotation(adj: Sequence[int]) -> Optional[list[list[int]]]:
     """A plane rotation system of the graph, or None if it is not planar.
 
-    Each biconnected block is embedded on its own by Demoucron, Malgrange and
-    Pertuiset (:func:`_block_faces`). At a cut vertex the rotations from its
-    blocks are concatenated, which draws each block inside one face of the
-    others. Isolated vertices get empty rotations.
+    The graph's non-isolated vertices must be at least three and induce a
+    2-connected graph, one block, which is embedded by Demoucron, Malgrange
+    and Pertuiset (:func:`_block_faces`); on any other graph the search for
+    its first cycle (:func:`_path`) does not terminate. Isolated vertices
+    get empty rotations.
     """
+    block = mask_of(v for v, row in enumerate(adj) if row)
+    faces = _block_faces(adj, block)
+    if faces is None:
+        return None
+    # a face runs ... x, y, z ...: z follows x in the rotation at y
+    after = {}
+    for face in faces:
+        for i, y in enumerate(face):
+            after[y, face[i - 1]] = face[(i + 1) % len(face)]
     rotation: list[list[int]] = [[] for _ in adj]
-    for block in _blocks(adj):
-        if block.bit_count() == 2:
-            x, y = bits(block)
-            rotation[x].append(y)
+    for y in bits(block):
+        first = x = (adj[y] & -adj[y]).bit_length() - 1
+        while True:
             rotation[y].append(x)
-            continue
-        faces = _block_faces(adj, block)
-        if faces is None:
-            return None
-        # a face runs ... x, y, z ...: z follows x in the rotation at y
-        after = {}
-        for face in faces:
-            for i, y in enumerate(face):
-                after[y, face[i - 1]] = face[(i + 1) % len(face)]
-        for y in bits(block):
-            first = x = (adj[y] & block & -(adj[y] & block)).bit_length() - 1
-            while True:
-                rotation[y].append(x)
-                x = after[y, x]
-                if x == first:
-                    break
+            x = after[y, x]
+            if x == first:
+                break
     return rotation
-
-
-def _blocks(adj: Sequence[int]) -> list[int]:
-    """Vertex masks of the biconnected blocks that hold an edge (Hopcroft and
-    Tarjan's low points, as one loop over an explicit stack). An edge lies in
-    the one block that holds both its ends."""
-    disc = [0] * len(adj)  # discovery time, from 1; 0 = not yet visited
-    low = [0] * len(adj)
-    clock = 0
-    out = []
-    for root in range(len(adj)):
-        if disc[root] or not adj[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        open_ = [root]  # visited vertices not yet closed into a block
-        stack = [[root, -1, adj[root]]]  # vertex, parent, neighbours untried
-        while stack:
-            top = stack[-1]
-            v, parent, rest = top
-            if rest:
-                wb = rest & -rest
-                top[2] = rest ^ wb
-                w = wb.bit_length() - 1
-                if not disc[w]:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    open_.append(w)
-                    stack.append([w, v, adj[w]])
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-                continue
-            stack.pop()
-            if parent < 0:
-                continue
-            low[parent] = min(low[parent], low[v])
-            if low[v] >= disc[parent]:
-                block = 1 << parent
-                while True:
-                    x = open_.pop()
-                    block |= 1 << x
-                    if x == v:
-                        break
-                out.append(block)
-    return out
 
 
 def _path(adj: Sequence[int], src: int, first: int, domain: int, dst: int) -> list[int]:

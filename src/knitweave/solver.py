@@ -612,6 +612,17 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     survives the later reductions, by the clique argument above, so the
     marks stay true. No vertex of a side is ever marked: its separator
     cuts it off.
+
+    So the graph that is embedded, the reduced graph plus the cycle and
+    the apex, is one block on its non-isolated vertices, as
+    :func:`planar_rotation` requires. After the pass every live
+    non-terminal vertex is good: it was marked when visited, since a vertex
+    not marked is deleted with its side, and no marked vertex is ever in a
+    side. Delete any one vertex x. A good vertex other than x keeps at
+    least three of its four paths, which meet only at it and so end at
+    distinct terminals, and so a path to a terminal other than x; and the
+    terminals other than x stay joined through the cycle s1 s2 t1 t2 and
+    the apex.
     """
     (s1, t1), (s2, t2) = pairs
     ends = mask_of((s1, t1, s2, t2))
@@ -687,10 +698,11 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     least 1. The node runs its flow bound only where it is stuck, once,
     after its first path fails to extend: a unit-capacity flow from the
     pairs' first ends to their second ends, capped at r, and a value below
-    r returns False. At the root of two pairs, neither an edge, a bound that
-    passes is followed by the two-paths theorem (:func:`_obstruction`,
-    polynomial): a "no" returns None and a "yes" lets the search go on to
-    its linkage. Every other "no" is the search's exhaustion.
+    r returns False. At the root of a query whose non-edge pairs are two, a
+    bound that passes is followed by the two-paths theorem on those pairs,
+    with the edge pairs' ends blocked (:func:`_obstruction`, polynomial): a
+    "no" returns None and a "yes" lets the search go on to its linkage.
+    Every other "no" is the search's exhaustion.
 
     A bound cuts only subtrees that hold no linkage, so the answer is the
     one an eager bound at every node gives. Nor does the delay cost much.
@@ -745,9 +757,10 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
                 snks = mask_of(p[1] for _, p in remaining)
                 if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=r) < r:
                     return False
-                # the root of two pairs, neither an edge: the two-paths
-                # theorem decides, and only a "yes" goes on searching
-                if r == len(pairs) == 2 and _obstruction(g, pairs, blocked) is not None:
+                # the root of two pairs to search, the edge pairs' ends
+                # blocked: the two-paths theorem decides, and only a "yes"
+                # goes on searching
+                if r == len(todo) == 2 and _obstruction(g, [p for _, p in remaining], blocked) is not None:
                     return False
         return False
 
@@ -760,12 +773,13 @@ def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
     (length, lex) order, with no cap on their length.
 
     Where a search node's first path does not extend, a flow bound between
-    the pairs left may end it. Two pairs, neither an edge, whose root path
-    does not extend and whose root bound passes are decided there by the
-    two-paths test (:func:`two_pair_obstruction` gives the certificate of a
-    "no"): a "no" ends in polynomial time, and a "yes" is the search's
-    linkage. A "no" that the bound shows runs no planarity test. Three or
-    more pairs take the exhaustive search.
+    the pairs left may end it. A query whose non-edge pairs are two, whose
+    root path does not extend and whose root bound passes, is decided there
+    by the two-paths test (:func:`two_pair_obstruction` gives the
+    certificate of a "no" when the query is those two pairs alone): a "no"
+    ends in polynomial time, and a "yes" is the search's linkage. A "no"
+    that the bound shows runs no planarity test. Three or more non-edge
+    pairs take the exhaustive search.
     """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):

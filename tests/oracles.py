@@ -37,6 +37,8 @@ import itertools
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
+import networkx as nx
+
 from knitweave.coloring import Coloring, chromatic_number
 from knitweave.errors import Graph6Error, InputError
 from knitweave.graphs import (
@@ -50,7 +52,7 @@ from knitweave.graphs import (
     max_clique,
     set_of,
 )
-from knitweave.planar import _blocks, _path
+from knitweave.planar import _path
 from knitweave.solver import (
     _COUNT_CAP,
     PATH_CAP,
@@ -1023,11 +1025,20 @@ def block_faces_by_rebuild(adj: Sequence[int], block: int) -> Optional[list[list
             drawn |= 1 << y
 
 
+def biconnected_blocks(adj: Sequence[int]) -> list[int]:
+    """The vertex masks of the biconnected blocks of the graph with adjacency
+    bitmasks ``adj`` that hold an edge, from networkx."""
+    h = nx.Graph((v, w) for v, row in enumerate(adj) for w in bits(row) if v < w)
+    return [mask_of(block) for block in nx.biconnected_components(h)]
+
+
 def rotation_by_rebuild(adj: Sequence[int]) -> Optional[list[list[int]]]:
-    """``planar.planar_rotation`` with each block's faces from
-    :func:`block_faces_by_rebuild`."""
+    """A plane rotation system of any graph, or None: each block's faces
+    from :func:`block_faces_by_rebuild`, the blocks from networkx, and the
+    rotations of a cut vertex's blocks concatenated, which draws each block
+    inside one face of the others."""
     rotation: list[list[int]] = [[] for _ in adj]
-    for block in _blocks(adj):
+    for block in biconnected_blocks(adj):
         if block.bit_count() == 2:
             x, y = bits(block)
             rotation[x].append(y)

@@ -7,9 +7,9 @@ import networkx as nx
 import pytest
 
 from knitweave.errors import InputError
-from knitweave.graphs import Graph, bits, components, mask_of
+from knitweave.graphs import Graph, bits, mask_of
 from knitweave import solver
-from knitweave.planar import _block_faces, _blocks, face_count, planar_rotation
+from knitweave.planar import _block_faces, face_count, planar_rotation
 from knitweave.solver import (
     TerminalSpec,
     disjoint_paths,
@@ -19,6 +19,7 @@ from knitweave.solver import (
 
 from conftest import crossing_grid, random_graph, two_pair_corpus
 from oracles import (
+    biconnected_blocks,
     block_faces_by_rebuild,
     obstruction_by_flows,
     two_pair_systems_solvable,
@@ -27,23 +28,29 @@ from oracles import (
 
 
 def test_planar_rotation_matches_networkx():
+    # a graph is planar exactly when each of its blocks is, and each block
+    # of at least three vertices is embedded on its own rows
     rng = random.Random(2024)
     planar = 0
     for _ in range(1500):
         n = rng.randint(1, 16)
         g = random_graph(rng, n, p=rng.choice([0.1, 0.2, 0.3, 0.45]))
         want, _ = nx.check_planarity(nx.Graph(list(g.edges())))
-        rotation = planar_rotation(g.adj)
-        assert (rotation is not None) == want
-        if rotation is None:
-            continue
-        planar += 1
-        for v in range(n):
-            assert len(rotation[v]) == g.adj[v].bit_count() and mask_of(rotation[v]) == g.adj[v]
-        # Euler per component; an isolated vertex traces no face
-        isolated = sum(1 for row in g.adj if not row)
-        faces = face_count(rotation) + isolated
-        assert n - g.edge_count() + faces == 2 * len(components(g))
+        embeds = True
+        for block in biconnected_blocks(g.adj):
+            if block.bit_count() < 3:
+                continue
+            rows = [row & block if (block >> v) & 1 else 0 for v, row in enumerate(g.adj)]
+            rotation = planar_rotation(rows)
+            if rotation is None:
+                embeds = False
+                continue
+            for v in range(n):
+                assert len(rotation[v]) == rows[v].bit_count() and mask_of(rotation[v]) == rows[v]
+            edges = sum(row.bit_count() for row in rows) // 2
+            assert block.bit_count() - edges + face_count(rotation) == 2
+        assert embeds == want
+        planar += embeds
     assert 300 < planar < 1400  # both answers are well exercised
 
 
@@ -197,7 +204,7 @@ def test_block_faces_match_the_rebuild():
             hosts += [g, Graph.from_edges(g.n, [*g.edges(), (u, v)])]
     answers = {True: 0, False: 0}
     for g in hosts:
-        for block in _blocks(g.adj):
+        for block in biconnected_blocks(g.adj):
             if block.bit_count() > 2:
                 want = block_faces_by_rebuild(g.adj, block)
                 assert _block_faces(g.adj, block) == want
@@ -205,9 +212,19 @@ def test_block_faces_match_the_rebuild():
     assert min(answers.values()) > 300
 
 
-def test_obstruction_matches_one_flow_per_vertex():
+def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
     # the corpus holds random and minimum-degree hosts, shuffled grids from
-    # 3x3 to 8x8, grids with a chord, and grids with a planted 3-separation
+    # 3x3 to 8x8, grids with a chord, and grids with a planted 3-separation;
+    # every graph the test embeds must be one block on its non-isolated
+    # vertices, as planar_rotation requires
+    embedded = []
+    rotation = solver.planar_rotation
+
+    def recorded(adj):
+        embedded.append(list(adj))
+        return rotation(adj)
+
+    monkeypatch.setattr(solver, "planar_rotation", recorded)
     counts = {"none": 0, "certified": 0, "reduced": 0}
     for g, spec in two_pair_corpus(random.Random(31), 1500):
         pairs = [p for p in spec.parts if len(p) == 2]
@@ -218,6 +235,10 @@ def test_obstruction_matches_one_flow_per_vertex():
         counts["none" if want is None else "certified"] += 1
         counts["reduced"] += want is not None and bool(want.reductions)
     assert min(counts.values()) > 150, counts
+    assert len(embedded) == counts["none"] + counts["certified"]
+    for adj in embedded:
+        h = nx.Graph((v, w) for v, row in enumerate(adj) for w in bits(row))
+        assert nx.is_biconnected(h), adj
 
 
 @pytest.mark.parametrize("size", [4, 5, 6, 8])

@@ -303,6 +303,20 @@ def test_link_two_pairs_skips_planarity_on_k33_minus_matching(monkeypatch):
     assert calls == 0
 
 
+def test_two_pairs_plus_an_edge_pair_decided_within_budget():
+    # the crossing grid's corners plus the diagonal edge (i, i) - (i + 1,
+    # i + 1) at its centre: the edge pair uses no interior vertex, so the
+    # two corner pairs go to the two-paths test, with the edge's ends
+    # blocked; in order, so that an exhaustive search fails at 5x5 first
+    for size in (5, 6, 8):
+        g, spec = crossing_grid(size, size)
+        centre = (size // 2 - 1) * (size + 1)
+        spec = pairs_spec([*spec.parts, (centre, centre + size + 1)])
+        t0 = time.perf_counter()
+        assert disjoint_paths(g, spec) is None
+        assert time.perf_counter() - t0 < 0.25, size
+
+
 def test_link_reads_paths_once_per_search_node(monkeypatch):
     # four pairs, none an edge, on a sparse pool-style host, where the search
     # backtracks; the candidate counts take no path from the generator, so
