@@ -21,6 +21,9 @@ from .solver import (
 def mader_threshold(s: int, t: int) -> int:
     """Chromatic threshold above which a separator of size <= s with
     independence defect t cannot exist: s + 2^(t-1) - t."""
+    for name, x in (("s", s), ("t", t)):
+        if type(x) is not int:
+            raise InputError(f"{name} must be an int, not {x!r}")
     if t < 3:
         raise InputError("t must be at least 3")
     if s < 1:
@@ -30,6 +33,8 @@ def mader_threshold(s: int, t: int) -> int:
 
 def easy_connectivity_threshold(t: int) -> int:
     """Chromatic threshold forcing t-connectedness: 2^(t-4) + 2."""
+    if type(t) is not int:
+        raise InputError(f"t must be an int, not {t!r}")
     if t < 6:
         raise InputError("t must be at least 6")
     return (1 << (t - 4)) + 2
@@ -37,6 +42,8 @@ def easy_connectivity_threshold(t: int) -> int:
 
 def main_theorem_table(k: int) -> int:
     """Best proven connectivity of a noncomplete k-contraction-critical graph."""
+    if type(k) is not int:
+        raise InputError(f"k must be an int, not {k!r}")
     if k < 5:
         raise InputError("k must be at least 5")
     if k >= 41:

@@ -56,6 +56,18 @@ def test_main_theorem_table():
         main_theorem_table(4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: main_theorem_table(17.5),
+    lambda: main_theorem_table(True),
+    lambda: mader_threshold(2.5, 4),
+    lambda: mader_threshold(3, 4.0),
+    lambda: easy_connectivity_threshold(6.0),
+])
+def test_thresholds_reject_non_int_arguments(call):
+    with pytest.raises(InputError, match="must be an int"):
+        call()
+
+
 def test_greedy_link_direct_edges():
     g = Graph.complete(9)
     spec = pairs_spec([(0, 1), (2, 3), (4, 5), (6, 7)])

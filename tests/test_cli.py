@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import sys
 
@@ -9,6 +10,8 @@ from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of, set_of
 from knitweave.solver import PlanarObstruction, TerminalSpec, disjoint_paths, knit, pairs_spec
 from knitweave.structure import Separation
+
+from conftest import crossing_grid
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -90,6 +93,31 @@ def test_linkage_prints_a_certificate_for_a_two_pair_no(capsys, tmp_path):
     code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-2,3-5"])
     data = json.loads(out)
     assert data["exists"] is True and data["certificate"] is None
+
+
+def test_linkage_prints_a_certificate_when_two_pairs_are_unlinked(capsys, tmp_path):
+    # three pairs on the crossing 5x5 grid, and the 6x6 grid's corners plus
+    # the edge pair 14-21: the corner pairs are unlinked with the other
+    # ends deleted, and the certificate checks against the whole spec
+    for size, pairs in ((5, "0-24,4-20,7-17"), (6, "0-35,5-30,14-21")):
+        g, _ = crossing_grid(size, size)
+        path = graph_file(tmp_path, g)
+        code, out = run(capsys, ["--input", path, "linkage", "--pairs", pairs])
+        data = json.loads(out)
+        assert code == 0 and data["exists"] is False
+        cert = PlanarObstruction(
+            tuple((mask_of(r["separator"]), mask_of(r["side"])) for r in data["certificate"]["reductions"]),
+            tuple(tuple(order) for order in data["certificate"]["rotation"]),
+        )
+        cert.validate(g, pairs_spec([tuple(map(int, p.split("-"))) for p in pairs.split(",")]))
+    # two K6s joined through 6 and 7: the flow bound shows the "no", and
+    # every two of the pairs are linked, so there is no certificate
+    edges = [(u, v) for side in (range(6), range(8, 14)) for u, v in itertools.combinations(side, 2)]
+    edges += [(w, x) for w in (6, 7) for x in (*range(6), *range(8, 14))]
+    path = graph_file(tmp_path, Graph.from_edges(14, edges))
+    code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-8,1-9,2-10"])
+    data = json.loads(out)
+    assert code == 0 and data["exists"] is False and data["certificate"] is None
 
 
 def test_usage_error_exit_2(capsys):

@@ -141,15 +141,19 @@ def test_obstruction_tampering_detected():
         (with_reductions((0b1110, 0b100), second), "disjoint and in the graph"),
         (with_reductions((0b1010, 0b1000100), second), "disjoint and in the graph"),
         (dataclasses.replace(cert, rotation=cert.rotation[:-1]), "must list 7 vertices"),
+        # the apex sees three terminals, so it names no two pairs
+        (with_rotation(apex, rot[apex][:3]), "two pairs of the specification"),
     ]
     for tampered, message in cases:
         with pytest.raises(InputError, match=message):
             tampered.validate(g, spec)
     # the same certificate says nothing about pairs 0-1 and 3-4, nor about
-    # three pairs
-    with pytest.raises(InputError):
-        cert.validate(g, pairs_spec([(0, 1), (3, 4)]))
-    with pytest.raises(InputError, match="exactly two pairs"):
+    # 0-3 beside 2-5; with 2-5 as a third pair it names two pairs of the
+    # specification, but 2 and 5 are deleted, so its reductions fail
+    for pairs in ([(0, 1), (3, 4)], [(0, 3), (2, 5)]):
+        with pytest.raises(InputError, match="two pairs of the specification"):
+            cert.validate(g, pairs_spec(pairs))
+    with pytest.raises(InputError, match="disjoint and in the graph"):
         cert.validate(g, pairs_spec([(0, 3), (1, 4), (2, 5)]))
 
 

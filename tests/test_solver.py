@@ -29,6 +29,7 @@ from knitweave.solver import (
     partitions_with_profile,
     reroute,
     s_value,
+    two_pair_obstruction,
 )
 from knitweave.structure import pair_is_knitted
 
@@ -190,14 +191,22 @@ def _pool_systems(rng, count):
 
 
 def _linked_as_before(cases):
-    """The number of ``cases`` that link, each answer checked against the
-    previous search."""
-    linked = 0
+    """The numbers of ``cases`` that link and of those that
+    ``two_pair_obstruction`` certifies unlinked, each answer checked against
+    the previous search and each certificate against the whole
+    specification; a "yes" gets none."""
+    linked = certified = 0
     for g, pairs, blocked in cases:
         got = _link(g, pairs, blocked)
         assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
         linked += got is not None
-    return linked
+        spec = TerminalSpec(tuple(pairs), blocked & ~mask_of(v for p in pairs for v in p))
+        cert = two_pair_obstruction(g, spec)
+        if cert is not None:
+            assert got is None, (g.adj, pairs, blocked)
+            cert.validate(g, spec)
+            certified += 1
+    return linked, certified
 
 
 def test_link_matches_obstruction_first_on_three_and_four_pairs():
@@ -208,10 +217,11 @@ def test_link_matches_obstruction_first_on_three_and_four_pairs():
     changes no choice, and bounding only where the search is stuck prunes
     the same answers."""
     cases = [case for case in _link_corpus() if len(case[1]) >= 3]
-    linked = _linked_as_before(cases)
+    linked, certified = _linked_as_before(cases)
     assert 100 < linked < len(cases) - 100
+    assert 50 < certified < len(cases) - linked, certified
     pool = list(_pool_systems(random.Random(5), 240))
-    linked = _linked_as_before(pool)
+    linked, _ = _linked_as_before(pool)
     assert 200 < linked < len(pool)
 
 
@@ -315,6 +325,24 @@ def test_two_pairs_plus_an_edge_pair_decided_within_budget():
         t0 = time.perf_counter()
         assert disjoint_paths(g, spec) is None
         assert time.perf_counter() - t0 < 0.25, size
+
+
+def test_three_pairs_two_of_them_unlinked_decided_within_budget():
+    # two of the three pairs are unlinked, so the two-paths test at the
+    # root ends the query; in order, so that an exhaustive search fails at
+    # the 5x5 grid first; the 30-vertex, 71-edge graph took 87 s that way
+    sparse = parse_graph6("]I?bG?C?GG?KHOA?dK?CHOO?CCQ??@O??I@???@Pa?OAICO?Cc@?_A?aA??O??hB@CXGaEC???")
+    cases = [
+        (crossing_grid(5, 5)[0], [(0, 24), (4, 20), (7, 17)]),
+        (crossing_grid(5, 6)[0], [(0, 29), (5, 24), (12, 17)]),
+        (sparse, [(11, 10), (8, 6), (12, 0)]),
+    ]
+    for g, pairs in cases:
+        spec = pairs_spec(pairs)
+        t0 = time.perf_counter()
+        assert disjoint_paths(g, spec) is None
+        assert time.perf_counter() - t0 < 0.1, pairs
+        two_pair_obstruction(g, spec).validate(g, spec)
 
 
 def test_link_reads_paths_once_per_search_node(monkeypatch):
