@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
@@ -26,21 +26,36 @@ _COUNT_CAP = 24
 @dataclass(frozen=True)
 class TerminalSpec:
     """A partition of the terminal set into parts of size 1 or 2, plus a set of
-    vertices the connecting subgraphs must avoid."""
+    vertices the connecting subgraphs must avoid. ``terminal_mask`` is the
+    mask of the parts' vertices, built once with them."""
 
     parts: tuple[tuple[int, ...], ...]
     forbidden: int = 0
+    terminal_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = 0
         norm = []
         for part in self.parts:
-            if not all(type(x) is int and x >= 0 for x in part):
-                raise InputError(f"part {part} must hold vertex indices")
-            t = tuple(sorted(part))
-            if len(t) not in (1, 2) or len(set(t)) != len(t):
+            size = len(part)
+            if size == 2:
+                a, b = part
+                if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
+                    raise InputError(f"part {part} must hold vertex indices")
+                if a == b:
+                    raise InputError(f"part {part} must have one or two distinct vertices")
+                t = (a, b) if a < b else (b, a)
+                m = 1 << a | 1 << b
+            elif size == 1:
+                (a,) = part
+                if not (type(a) is int and a >= 0):
+                    raise InputError(f"part {part} must hold vertex indices")
+                t = (a,)
+                m = 1 << a
+            else:
+                if not all(type(x) is int and x >= 0 for x in part):
+                    raise InputError(f"part {part} must hold vertex indices")
                 raise InputError(f"part {part} must have one or two distinct vertices")
-            m = mask_of(t)
             if m & seen:
                 raise InputError("terminal parts overlap")
             seen |= m
@@ -48,10 +63,7 @@ class TerminalSpec:
         if seen & self.forbidden:
             raise InputError("terminals overlap the forbidden set")
         object.__setattr__(self, "parts", tuple(norm))
-
-    @property
-    def terminal_mask(self) -> int:
-        return mask_of(v for part in self.parts for v in part)
+        object.__setattr__(self, "terminal_mask", seen)
 
     def check_in_graph(self, g: Graph) -> None:
         if (self.terminal_mask | self.forbidden) & ~g.full_mask:
@@ -206,13 +218,23 @@ def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
     b, and the subtracted term drops the choices with a = c.
 
     Longer paths are walked as in :func:`iter_paths_by_length`, one
-    depth-first pass per length from six vertices, but each pass stops one
-    vertex early: at the second-to-last interior vertex w, every unused
-    vertex of N(w) & last is the last interior vertex of exactly one path,
-    so the pass adds their number. Every term is a count of paths, so the
-    running count never falls, and it returns ``cap`` as soon as the count
-    reaches it, within a sum or a pass. So the walk and its breadth-first
-    search run only when the short paths leave the count below ``cap``.
+    depth-first pass per length from six vertices, but each pass stops two
+    vertices early, at the third-to-last interior vertex x. A path
+    u ... x w c v goes on from x to an unused w in N(x) within two steps of
+    v (near[2]), then to an unused c in N(w) & last other than x, so one
+    loop over those w adds, for each, the number of unused vertices of
+    N(w) & last without x. Here w differs from x and from c, being a
+    neighbour of each, and lies in inner, as near[2] does.
+
+    Every path's interior is connected and meets N(v), so it lies in v's
+    component of inner, near[top]; the passes end at lengths of
+    ``near[top].bit_count() + 2`` vertices, since no longer path exists.
+
+    Every term is a count of paths, so the running count never falls, and
+    it returns ``cap`` as soon as the count reaches it: within a sum, or
+    once per third-to-last vertex in a pass. So the walk and its
+    breadth-first search run only when the short paths leave the count
+    below ``cap``.
     """
     if u == v:
         return 0
@@ -246,8 +268,9 @@ def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
     if shortest is None:
         return 0
     top = len(near) - 1
-    for length in range(max(shortest, 6), inner.bit_count() + 3):
-        depth = length - 3  # path vertices before the second-to-last interior vertex
+    near2 = near[min(2, top)]
+    for length in range(max(shortest, 6), near[top].bit_count() + 3):
+        depth = length - 4  # path vertices before the third-to-last interior vertex
         path = [1 << u]
         on = 1 << u
         untried = [adj[u] & near[min(length - 2, top)]]
@@ -259,15 +282,20 @@ def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
                 continue
             low = cand & -cand
             untried[-1] = cand ^ low
-            w = low.bit_length() - 1
+            x = low.bit_length() - 1
             if len(path) == depth:
-                count += (adj[w] & last & ~on).bit_count()
+                ends = last & ~on & ~low
+                rest = adj[x] & near2 & ~on
+                while rest:
+                    w = rest & -rest
+                    count += (adj[w.bit_length() - 1] & ends).bit_count()
+                    rest ^= w
                 if count >= cap:
                     return cap
                 continue
             path.append(low)
             on |= low
-            untried.append(adj[w] & near[min(length - len(path) - 1, top)] & ~on)
+            untried.append(adj[x] & near[min(length - len(path) - 1, top)] & ~on)
     return count
 
 
@@ -663,12 +691,42 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
 
 
+def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int) -> bool:
+    """Whether the two pairs are linked, with no interior vertex in
+    ``blocked`` (which holds their ends), by one pair's lexicographically
+    first shortest path, read off :func:`_near_layers`, and some path of
+    the other pair in the free vertices it leaves; each pair is tried first
+    in turn. True proves the pairs linked; False says nothing."""
+    adj = g.adj
+    free = g.full_mask & ~blocked
+    for (u, v), (s, t) in (two, two[::-1]):
+        _, near, shortest = _near_layers(g, u, v, free)
+        if shortest is None:
+            return False
+        # step down the layers: a vertex r steps from v has a neighbour r - 1
+        # steps away, and the least such one keeps the path shortest
+        x, on = u, 0
+        for r in range(shortest - 2, 0, -1):
+            step = adj[x] & near[r]
+            step &= -step
+            on |= step
+            x = step.bit_length() - 1
+        if _near_layers(g, s, t, free & ~on)[2] is not None:
+            return True
+    return False
+
+
 def _pair_obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
     """The certificate of the first two of ``pairs``, in order, that
     :func:`_obstruction` shows unlinked with ``blocked`` deleted (it must
     hold every pair's ends); None if every two are linked. Pairs are linked
-    only if every two of them are, so a certificate is a "no" for all."""
+    only if every two of them are, so a certificate is a "no" for all.
+
+    Two pairs that :func:`_shortest_first_links` links have no certificate,
+    so the planarity test runs only on the others."""
     for two in itertools.combinations(pairs, 2):
+        if _shortest_first_links(g, two, blocked):
+            continue
         cert = _obstruction(g, two, blocked)
         if cert is not None:
             return cert
@@ -717,12 +775,16 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     pairs returns None, and a "yes" for every two lets the search go on.
     Every other "no" is the search's exhaustion.
 
-    The tests run at the root alone. Run at every stuck node, with the
-    paths chosen so far blocked, they cost about 10% of the linkage-queries
-    benchmark's ops_per_s, since most of them answer "yes": its linked
-    21-vertex ``knit`` query of four pairs and a singleton (pool query
-    1717) ran 15 tests, 12 of them "yes", in 3.5 ms, where the root alone
-    runs 6 in 2.3 ms.
+    Two pairs that one pair's shortest path and a path of the other link
+    (:func:`_shortest_first_links`) skip the planarity test, which could
+    only answer "yes" for them. The tests run at the root alone. Run at
+    every stuck node, with the paths chosen so far blocked, they cost about
+    10% of the linkage-queries benchmark's ops_per_s, since most of them
+    answer "yes": its linked 21-vertex ``knit`` query of four pairs and a
+    singleton (pool query 1717) ran 15 tests, 12 of them "yes", in 3.5 ms.
+    At the root alone it ran 6, all "yes", in about 2.1 ms; the shortest
+    paths link each of those six twos, so it runs none, in about 1.3 ms
+    (best of 30 runs, 2-core x86-64, CPython 3.11).
 
     A bound cuts only subtrees that hold no linkage, so the answer is the
     one an eager bound at every node gives. Nor does the delay cost much.
@@ -738,10 +800,11 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     """
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
-    # other paths; taking it loses no solutions
-    todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
-    free = g.full_mask & ~blocked
+    # other paths; taking it loses no solutions. The callers have checked
+    # that the pairs are vertices of g
     adj = g.adj
+    todo = [(idx, (u, v)) for idx, (u, v) in enumerate(pairs) if not adj[u] >> v & 1]
+    free = g.full_mask & ~blocked
 
     def search(used: int, remaining: list[tuple[int, tuple[int, int]]]) -> bool:
         if not remaining:
@@ -793,11 +856,13 @@ def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
 
     Where a search node's first path does not extend, a flow bound between
     the pairs left may end it. Where the root's path does not extend and
-    its bound passes, the two-paths test runs on every two non-edge pairs:
-    two that are unlinked end the query in polynomial time with a "no",
-    whose certificate :func:`two_pair_obstruction` gives. Otherwise the
-    search goes on, and any other "no" is its exhaustion. A "no" that the
-    bound shows runs no planarity test.
+    its bound passes, every two non-edge pairs are checked: two that one
+    pair's shortest path and a path of the other link are passed over, and
+    the two-paths test runs on the rest. Two that are unlinked end the
+    query in polynomial time with a "no", whose certificate
+    :func:`two_pair_obstruction` gives. Otherwise the search goes on, and
+    any other "no" is its exhaustion. A "no" that the bound shows runs no
+    planarity test.
     """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):

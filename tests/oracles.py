@@ -26,8 +26,10 @@ witnesses; ``graph6_parse_by_bit_lists``, the previous
 ``parse_graph6``, for graphs and error messages and positions; and
 ``max_rows_by_vertex_rows``, the previous ``_max_rows``, for canonical
 rows and census verdicts; ``block_faces_by_rebuild``, the previous
-``planar._block_faces``, for faces; and ``obstruction_by_flows``, the
-previous ``_obstruction``, for two-paths certificates.
+``planar._block_faces``, for faces; ``obstruction_by_flows``, the
+previous ``_obstruction``, for two-paths certificates; and
+``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
+for normalised parts, terminal masks and error messages.
 """
 
 from __future__ import annotations
@@ -1094,3 +1096,24 @@ def obstruction_by_flows(
         rotation[a].remove(b)
         rotation[b].remove(a)
     return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
+
+
+def terminal_spec_by_sorting(parts, forbidden: int = 0):
+    """The previous ``TerminalSpec.__post_init__``: the normalised parts and
+    their mask, or the message of the ``InputError`` it raised."""
+    seen = 0
+    norm = []
+    for part in parts:
+        if not all(type(x) is int and x >= 0 for x in part):
+            return f"part {part} must hold vertex indices"
+        t = tuple(sorted(part))
+        if len(t) not in (1, 2) or len(set(t)) != len(t):
+            return f"part {part} must have one or two distinct vertices"
+        m = mask_of(t)
+        if m & seen:
+            return "terminal parts overlap"
+        seen |= m
+        norm.append(t)
+    if seen & forbidden:
+        return "terminals overlap the forbidden set"
+    return tuple(norm), seen

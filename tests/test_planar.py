@@ -220,12 +220,16 @@ def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
     # the corpus holds random and minimum-degree hosts, shuffled grids from
     # 3x3 to 8x8, grids with a chord, and grids with a planted 3-separation;
     # every graph the test embeds must be one block on its non-isolated
-    # vertices, as planar_rotation requires
+    # vertices, as planar_rotation requires. two_pair_obstruction embeds no
+    # "yes" that a shortest path settles, so the embeddings are recorded
+    # from _obstruction itself, on every system
     embedded = []
+    recording = False
     rotation = solver.planar_rotation
 
     def recorded(adj):
-        embedded.append(list(adj))
+        if recording:
+            embedded.append(list(adj))
         return rotation(adj)
 
     monkeypatch.setattr(solver, "planar_rotation", recorded)
@@ -234,8 +238,12 @@ def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
         pairs = [p for p in spec.parts if len(p) == 2]
         if any(g.has_edge(*p) for p in pairs):
             continue
-        want = obstruction_by_flows(g, pairs, spec.forbidden | spec.terminal_mask)
+        blocked = spec.forbidden | spec.terminal_mask
+        want = obstruction_by_flows(g, pairs, blocked)
         assert two_pair_obstruction(g, spec) == want
+        recording = True
+        assert solver._obstruction(g, pairs, blocked) == want
+        recording = False
         counts["none" if want is None else "certified"] += 1
         counts["reduced"] += want is not None and bool(want.reductions)
     assert min(counts.values()) > 150, counts
@@ -243,6 +251,24 @@ def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
     for adj in embedded:
         h = nx.Graph((v, w) for v, row in enumerate(adj) for w in bits(row))
         assert nx.is_biconnected(h), adj
+
+
+def test_shortest_first_links_only_linked_pairs():
+    # a "linked" from one pair's shortest path and a path of the other must
+    # never meet a certificate, and it settles most linked systems
+    linked = settled = 0
+    for g, spec in two_pair_corpus(random.Random(31), 1500):
+        pairs = [p for p in spec.parts if len(p) == 2]
+        if any(g.has_edge(*p) for p in pairs):
+            continue
+        blocked = spec.forbidden | spec.terminal_mask
+        says = solver._shortest_first_links(g, pairs, blocked)
+        if obstruction_by_flows(g, pairs, blocked) is None:
+            linked += 1
+            settled += says
+        else:
+            assert not says, (g, spec)
+    assert linked > 150 and 2 * settled >= linked, (linked, settled)
 
 
 @pytest.mark.parametrize("size", [4, 5, 6, 8])

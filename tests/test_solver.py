@@ -43,6 +43,7 @@ from oracles import (
     knittable_by_paths,
     link_by_obstruction_first,
     profile_knitted_by_sweep,
+    terminal_spec_by_sorting,
     two_pair_systems_solvable,
 )
 
@@ -58,6 +59,66 @@ def test_terminal_spec_validation():
         TerminalSpec(((0, 1.0),))
     spec = TerminalSpec(((3, 1), (2,)))
     assert spec.parts == ((1, 3), (2,))
+
+
+def _malformed(rng: random.Random, parts: list, forbidden: int) -> tuple[list, int]:
+    """``parts`` and ``forbidden`` with one random fault: an empty part, a
+    part of three vertices, a repeated vertex, a bool, float or negative
+    vertex, a part overlapping another, or a terminal in ``forbidden``;
+    or none, with the parts given as lists."""
+    parts = list(parts)
+    fresh = 30 + rng.randrange(30)
+    i = rng.randrange(len(parts))
+    v = parts[i][0]
+    kind = rng.randrange(9)
+    if kind == 0:
+        parts[i] = ()
+    elif kind == 1:
+        parts[i] = (v, fresh, fresh + 30)
+    elif kind == 2:
+        parts[i] = (v, v)
+    elif kind in (3, 4, 5):
+        bad = (rng.random() < 0.5, float(v), -1 - v)[kind - 3]
+        parts[i] = parts[i][:-1] + (bad,)
+    elif kind == 6:
+        parts.insert(rng.randrange(i + 1, len(parts) + 1), rng.choice([(v,), (fresh, v)]))
+    elif kind == 7:
+        forbidden |= 1 << v
+    else:
+        parts = [list(p) for p in parts]
+    if rng.random() < 0.2:
+        parts = [list(p) for p in parts]
+    return parts, forbidden
+
+
+def test_terminal_spec_matches_sorting():
+    # the mask is built once with the parts, and equality, hashing and repr
+    # ignore it; every malformed input fails with the previous message
+    rng = random.Random(43)
+    faults = 0
+    for _ in range(2000):
+        verts = rng.sample(range(30), rng.randint(1, 9))
+        parts = []
+        while verts:
+            parts.append(tuple(verts.pop() for _ in range(min(len(verts), rng.choice((1, 2))))))
+        forbidden = rng.getrandbits(40) & ~mask_of(v for p in parts for v in p)
+        spec = TerminalSpec(tuple(parts), forbidden)
+        assert spec.terminal_mask == mask_of(v for p in parts for v in p)
+        twin = TerminalSpec(tuple(p[::-1] for p in parts), forbidden)
+        object.__setattr__(twin, "terminal_mask", 0)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(spec) == f"TerminalSpec(parts={spec.parts!r}, forbidden={forbidden!r})"
+        bad_parts, bad_forbidden = _malformed(rng, parts, forbidden)
+        want = terminal_spec_by_sorting(bad_parts, bad_forbidden)
+        if isinstance(want, str):
+            faults += 1
+            with pytest.raises(InputError) as err:
+                TerminalSpec(tuple(bad_parts), bad_forbidden)
+            assert str(err.value) == want
+        else:
+            got = TerminalSpec(tuple(bad_parts), bad_forbidden)
+            assert (got.parts, got.terminal_mask) == want
+    assert faults > 1500
 
 
 def _path_cases():
@@ -409,6 +470,28 @@ def test_link_runs_its_flow_bound_only_where_stuck(monkeypatch):
     cut = Graph.from_edges(14, [e for e in edges if 7 not in e])
     assert disjoint_paths(cut, pairs_spec([(0, 8), (1, 9)])) is None
     assert calls["flow"] == 1 and calls["obstruction"] == 0, calls
+
+
+def test_root_rule_settles_linked_pairs_by_shortest_paths(monkeypatch):
+    # linkage-queries pool query 1717: four non-edge pairs and a singleton,
+    # linked, whose root is stuck; every two of its pairs are linked by one
+    # pair's shortest path and a path of the other, so the root rule runs
+    # no planarity test
+    calls = 0
+    obstruction = solver._obstruction
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return obstruction(*args)
+
+    monkeypatch.setattr(solver, "_obstruction", counted)
+    g = gen_min_degree(21, 4, 3739012258)
+    spec = TerminalSpec(((0, 4), (2, 19), (6, 17), (3, 5), (10,)))
+    got = knit(g, spec)
+    assert got == Knit((264209, 630916, 1184064, 16936, 1024))
+    got.validate(g, spec)
+    assert calls == 0
 
 
 def test_disjoint_paths_direct_edges():
