@@ -172,6 +172,10 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     (k - 1)-coloring found for G - v: v takes that color in G - vw, so G - vw
     needs fewer than k colors.
 
+    The quotients come level by level, each level one vertex smaller, and
+    a graph on fewer than k vertices needs fewer than k colors; so the walk
+    stops at the first quotient with fewer than k vertices.
+
     Let C be the clique found while coloring G. If |C| = k, then for
     v outside C, G - v contains C and needs k colors, so it is taken
     uncolored. The vertices of C, and every vertex when |C| < k, are still
@@ -207,6 +211,8 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
         if not (spare[u] >> w & 1 or spare[w] >> u & 1)
     )
     for wit in itertools.chain(edge_deletions, contraction_quotients(g)):
+        if len(wit.branch_sets) < k:
+            break
         if _color_with_clique(wit.quotient())[0] >= k:
             return False, wit
     return True, None
@@ -215,6 +221,8 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
 def dirac_neighborhood_check(g: Graph, k: int) -> list[int]:
     """Vertices whose neighborhood independence number exceeds d(u) - k + 2;
     an empty list is necessary for k-contraction-criticality."""
+    if type(k) is not int:
+        raise InputError(f"k is not an int: {k!r}")
     out = []
     for u in range(g.n):
         sub, _ = induced(g, g.adj[u])

@@ -203,6 +203,36 @@ def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkey
     assert cases > 1000
 
 
+def test_contraction_walk_stops_below_k_vertices(census7, monkeypatch):
+    # a quotient of fewer than k vertices needs fewer than k colors and the
+    # levels fall in order, so the walk ends at the first such quotient; the
+    # verdicts and witnesses stay those of the full scan
+    # (test_contraction_critical_matches_scan)
+    real = coloring.contraction_quotients
+    sizes = []
+
+    def walk(g):
+        for wit in real(g):
+            sizes.append(len(wit.branch_sets))
+            yield wit
+
+    monkeypatch.setattr(coloring, "contraction_quotients", walk)
+    stopped = 0
+    for g in census7:
+        chi = chromatic_number(g)[0]
+        for k in (chi - 1, chi, chi + 1):
+            sizes.clear()
+            got = is_contraction_critical(g, k)
+            assert got == critical_by_scan(g, k), (g, k)
+            assert all(size >= k for size in sizes[:-1]), (g, k)
+            stopped += bool(sizes) and sizes[-1] < k
+    assert stopped == 6, stopped  # K2..K7, the census's contraction-critical graphs with an edge
+    for k in (5, 6, 7):
+        sizes.clear()
+        assert is_contraction_critical(Graph.complete(k), k) == (True, None)
+        assert sizes == [k - 1]
+
+
 def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census7, monkeypatch):
     # G - 0 is the witness, found from G's rows with no G - v built or colored,
     # when the clique returned with G's coloring has chi(G) vertices and misses 0
@@ -284,6 +314,12 @@ def test_dirac_examples():
 def test_dirac_empty_for_verified_critical():
     for k in range(2, 6):
         assert dirac_neighborhood_check(Graph.complete(k), k) == []
+
+
+def test_dirac_rejects_a_k_that_is_not_an_int():
+    for k in (None, 2.5, True, "3"):
+        with pytest.raises(InputError, match="k is not an int"):
+            dirac_neighborhood_check(Graph.cycle(5), k)
 
 
 # --- recombination ----------------------------------------------------------

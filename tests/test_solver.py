@@ -61,6 +61,17 @@ def test_terminal_spec_validation():
     assert spec.parts == ((1, 3), (2,))
 
 
+def test_terminal_spec_rejects_a_forbidden_set_that_is_not_a_mask():
+    # a float, a bool or a negative int is not read as a set of vertices,
+    # even where no terminal overlaps it
+    for bad in (4.0, True, False, -4, None, "4"):
+        with pytest.raises(InputError, match="forbidden must be a nonnegative int mask"):
+            TerminalSpec(((0, 1),), forbidden=bad)
+    assert TerminalSpec(((0, 1),), forbidden=4).forbidden == 4
+    with pytest.raises(InputError, match="terminals overlap the forbidden set"):
+        TerminalSpec(((0, 1),), forbidden=2)
+
+
 def _malformed(rng: random.Random, parts: list, forbidden: int) -> tuple[list, int]:
     """``parts`` and ``forbidden`` with one random fault: an empty part, a
     part of three vertices, a repeated vertex, a bool, float or negative
@@ -188,8 +199,9 @@ def _count_cases():
 def test_count_paths_matches_enumeration(monkeypatch):
     """The capped count equals the count of enumerated paths at every cap
     1..24, and the cases reach each way it can end: the closed forms for
-    paths of at most five vertices reaching the cap, and the walk from six
-    vertices adding paths, both up to the cap and short of it."""
+    paths of at most five vertices reaching the cap, the six-vertex sum
+    bringing it to the cap, and the walk from seven vertices adding paths,
+    both up to the cap and short of it."""
     walks = 0
 
     def counted(*args):
@@ -200,10 +212,11 @@ def test_count_paths_matches_enumeration(monkeypatch):
     near_layers = solver._near_layers
     monkeypatch.setattr(solver, "_near_layers", counted)
     counts = set()
-    ends = {"closed form": 0, "walk at cap": 0, "walk below cap": 0}
+    ends = {"closed form": 0, "six-vertex sum": 0, "walk at cap": 0, "walk below cap": 0}
     for g, u, v, allowed in _count_cases():
         total = count_paths_by_enumeration(g, u, v, allowed, 24)  # at cap c it reads min(total, c)
-        short = sum(1 for _ in iter_paths_by_length(g, u, v, allowed, 5))
+        five = sum(1 for _ in iter_paths_by_length(g, u, v, allowed, 5))
+        short = sum(1 for _ in iter_paths_by_length(g, u, v, allowed, 6))
         for cap in range(1, 25):
             walks = 0
             got = _count_paths(g, u, v, allowed, cap)
@@ -211,11 +224,31 @@ def test_count_paths_matches_enumeration(monkeypatch):
             counts.add(got)
             if not walks:
                 assert got == 0 or min(short, cap) == cap
-                ends["closed form"] += got == cap
+                if got == cap:
+                    ends["closed form" if five >= cap else "six-vertex sum"] += 1
             elif got > short:
                 ends["walk at cap" if got == cap else "walk below cap"] += 1
     assert counts == set(range(25))  # every count below the cap occurs
     assert min(ends.values()) > 100, ends
+
+
+def test_link_branches_without_counting_where_bounds_settle_the_choice(monkeypatch):
+    """On a dense host every pair's component bound reaches the cap, so the
+    search takes the pairs in order and counts no paths, and finds the
+    linkage it found when it counted them (5 counts)."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return count_paths(*args)
+
+    count_paths = solver._count_paths
+    monkeypatch.setattr(solver, "_count_paths", counted)
+    g = gen_min_degree(24, 8, 11)
+    got = disjoint_paths(g, pairs_spec([(0, 1), (2, 3), (4, 5)]))
+    assert got.paths == ((0, 21, 1), (2, 9, 3), (4, 7, 5))
+    assert calls == 0
 
 
 def _link_corpus():
