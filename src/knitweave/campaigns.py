@@ -82,8 +82,8 @@ def _sides(cfg: Configuration, j: int) -> Optional[dict]:
     uj, vj = cfg.pairs[j - 1]
     cover = cfg.cover_mask
     dom = g.full_mask & ~(cover & ~mask_of((uj, vj)))
-    comp_a = reachable(g, 1 << uj, dom)
-    comp_b = reachable(g, 1 << vj, dom)
+    comp_a = reachable(g.adj, 1 << uj, dom)
+    comp_b = reachable(g.adj, 1 << vj, dom)
     if comp_a & comp_b:
         return None
     return {
@@ -314,7 +314,7 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int):
     # route |s| disjoint paths from s into the certified subgraph, then link
     # the entry points inside it; s-vertices already inside enter trivially
     flow, into = max_vertex_disjoint_flow(
-        g, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True
+        g.adj, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True
     )
     trivial = [(x,) for x in bits(s & cand)]
     into = list(into) + trivial

@@ -236,6 +236,8 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
         raise InputError(f"threshold must be one of {sorted(_TARGETS)}")
     if type(samples) is not int or samples < 0:
         raise InputError(f"samples must be a nonnegative int, not {samples!r}")
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, not {seed!r}")
     k, variant, clique_bound = _TARGETS[p]
     if dense_conditions(h, p).case == "none":
         raise InputError("graph does not satisfy any dense-neighborhood shape")

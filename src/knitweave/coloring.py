@@ -355,7 +355,7 @@ def build_recombination_plan(
         pool = mask_of(
             v for v in bits(dom & ~removed) if phi1.colors[v] in lists[i]
         )
-        pieces = components(g1, pool)
+        pieces = components(g1.adj, pool)
         holding = [c for c in pieces if c & classes[i]]
         if len(holding) != 1:
             swap_options = sorted(lists[i] - {class_colors[i]})
@@ -368,7 +368,7 @@ def build_recombination_plan(
             )
         comps.append(holding[0])
         removed |= holding[0]
-    leftovers = tuple(components(g1, dom & ~removed))
+    leftovers = tuple(components(g1.adj, dom & ~removed))
     return RecombinationPlan(
         domain=dom,
         u=u,

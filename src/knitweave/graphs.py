@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceError
 
@@ -237,20 +237,22 @@ def induced(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(verts), tuple(rows)), verts
 
 
-def components(g: Graph, domain: Optional[int] = None) -> list[int]:
-    """Connected components restricted to ``domain`` (default all), as bitsets."""
-    remaining = g.full_mask if domain is None else domain & g.full_mask
+def components(adj: Sequence[int], domain: int) -> list[int]:
+    """Connected components of ``domain``, as bitsets by least vertex.
+
+    ``adj`` may be any indexable adjacency rows: a ``Graph.adj``, a list, or
+    a dict keyed by the vertices of ``domain``. :func:`reachable` and
+    :func:`shortest_path` take the same."""
     out = []
-    while remaining:
-        comp = reachable(g, remaining & -remaining, remaining)
+    while domain:
+        comp = reachable(adj, domain & -domain, domain)
         out.append(comp)
-        remaining &= ~comp
+        domain &= ~comp
     return out
 
 
-def reachable(g: Graph, start: int, domain: int) -> int:
+def reachable(adj: Sequence[int], start: int, domain: int) -> int:
     """Vertices of ``domain`` reachable from the bitset ``start`` inside ``domain``."""
-    adj = g.adj
     comp = frontier = start & domain
     while frontier:
         nxt = 0
@@ -263,11 +265,42 @@ def reachable(g: Graph, start: int, domain: int) -> int:
     return comp
 
 
+def shortest_path(adj: Sequence[int], src: int, ends: int, domain: int) -> list[int]:
+    """A shortest path from ``src`` to a vertex of ``ends`` with every
+    vertex after ``src`` in ``domain``, without ``src``; [] if there is none.
+
+    Breadth-first layers from src inside ``domain`` run until one meets
+    ``ends``. The path ends at that layer's least vertex in ``ends`` and
+    steps back through the layers, each time to the least neighbour."""
+    layers = []
+    seen = 1 << src
+    frontier = adj[src] & domain & ~seen
+    while not frontier & ends:
+        if not frontier:
+            return []
+        layers.append(frontier)
+        seen |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & domain & ~seen
+    hit = frontier & ends
+    x = (hit & -hit).bit_length() - 1
+    path = [x]
+    for layer in reversed(layers):
+        back = adj[x] & layer
+        x = (back & -back).bit_length() - 1
+        path.append(x)
+    return path[::-1]
+
+
 def is_connected(g: Graph, domain: Optional[int] = None) -> bool:
     dom = g.full_mask if domain is None else domain & g.full_mask
     if dom == 0:
         return True
-    return reachable(g, dom & -dom, dom) == dom
+    return reachable(g.adj, dom & -dom, dom) == dom
 
 
 def rho(g: Graph, t: int) -> int:

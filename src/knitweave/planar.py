@@ -12,9 +12,9 @@ graph's rotation system is a plane drawing exactly when V - E + F = 2
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import bits, mask_of
+from .graphs import bits, components, mask_of, shortest_path
 
 
 def face_count(rotation: Sequence[Sequence[int]]) -> int:
@@ -39,9 +39,8 @@ def planar_rotation(adj: Sequence[int]) -> Optional[list[list[int]]]:
 
     The graph's non-isolated vertices must be at least three and induce a
     2-connected graph, one block, which is embedded by Demoucron, Malgrange
-    and Pertuiset (:func:`_block_faces`); on any other graph the search for
-    its first cycle (:func:`_path`) does not terminate. Isolated vertices
-    get empty rotations.
+    and Pertuiset (:func:`_block_faces`); on any other graph its answer means
+    nothing. Isolated vertices get empty rotations.
     """
     block = mask_of(v for v, row in enumerate(adj) if row)
     faces = _block_faces(adj, block)
@@ -61,29 +60,6 @@ def planar_rotation(adj: Sequence[int]) -> Optional[list[list[int]]]:
             if x == first:
                 break
     return rotation
-
-
-def _path(adj: Sequence[int], src: int, first: int, domain: int, dst: int) -> list[int]:
-    """A shortest path src, w1, ..., wk, dst with w1 in ``first``, every wi in
-    ``domain``, and wk adjacent to dst; the caller guarantees one exists."""
-    parent = dict.fromkeys(bits(first), src)
-    frontier = seen = first
-    while True:
-        nxt = 0
-        for w in bits(frontier):
-            if (adj[w] >> dst) & 1:
-                path = [dst]
-                while w != src:
-                    path.append(w)
-                    w = parent[w]
-                path.append(src)
-                return path[::-1]
-            new = adj[w] & domain & ~seen
-            seen |= new
-            nxt |= new
-            for x in bits(new):
-                parent[x] = w
-        frontier = nxt
 
 
 def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
@@ -123,7 +99,7 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
     a = (block & -block).bit_length() - 1
     b = (nb[a] & -nb[a]).bit_length() - 1
     rest = block & ~(1 << a) & ~(1 << b)
-    cycle = _path(nb, b, nb[b] & rest, rest, a)
+    cycle = [b, *shortest_path(nb, b, nb[a], rest), a]
     faces = [cycle, cycle[::-1]]
     masks = [mask_of(cycle)] * 2
     drawn = masks[0]
@@ -139,7 +115,7 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
     for x in bits(drawn):
         for y in bits(nb[x] & drawn & ~drawn_adj[x] & ~((2 << x) - 1)):
             frags[0, x, y] = [(1 << x) | (1 << y), 0, 0b11]
-    for comp in _components(nb, block & ~drawn):
+    for comp in components(nb, block & ~drawn):
         attach = 0
         for w in bits(comp):
             attach |= nb[w]
@@ -150,7 +126,7 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
         i = (fits & -fits).bit_length() - 1
         u = (attach & -attach).bit_length() - 1
         w = (attach & (attach - 1) & -(attach & (attach - 1))).bit_length() - 1
-        path = [u, w] if not comp else _path(nb, u, nb[u] & comp, comp, w)
+        path = [u, *shortest_path(nb, u, nb[w], comp), w] if comp else [u, w]
         face = faces[i]
         iu, iw = face.index(u), face.index(w)
         if iu < iw:
@@ -169,7 +145,7 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
         if comp:
             # the rest of the drawn fragment, each piece attached at a new
             # vertex: it can fit only the two new faces, refitted below
-            for part in _components(nb, comp & ~mask_of(inner)):
+            for part in components(nb, comp & ~mask_of(inner)):
                 attach = 0
                 for x in bits(part):
                     attach |= nb[x]
@@ -189,17 +165,3 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
                     return None
                 f[2] = fits
     return faces
-
-
-def _components(nb: dict[int, int], left: int) -> Iterator[int]:
-    """The vertex masks of the components of ``left``, by least vertex."""
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= nb[w]
-            frontier = nxt & left & ~comp
-            comp |= frontier
-        yield comp
-        left &= ~comp

@@ -11,11 +11,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, bits, components, is_connected, mask_of, set_of
+from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
 from .planar import face_count, planar_rotation
 
 # _link branches on the pair with the fewest candidate paths, counted by
@@ -330,14 +329,15 @@ def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
 
 
 def max_vertex_disjoint_flow(
-    g: Graph,
+    adj: Sequence[int],
     sources: int,
     sinks: int,
     allowed: int,
     cap: Optional[int] = None,
     collect: bool = False,
 ):
-    """Maximum number of vertex-disjoint paths from ``sources`` to ``sinks``.
+    """Maximum number of vertex-disjoint paths from ``sources`` to ``sinks``
+    in the graph with adjacency rows ``adj``.
 
     Interior vertices are restricted to ``allowed``; source and sink vertices
     carry capacity one as well, so each is the endpoint of at most one path.
@@ -382,11 +382,11 @@ def max_vertex_disjoint_flow(
     flow consists of them only, S reaches the least unstarted overlap vertex
     first and its in-node closes a length-3 path at once.
     """
-    n = g.n
-    adj = g.adj
-    sources &= g.full_mask
-    sinks &= g.full_mask
-    usable = (allowed | sources | sinks) & g.full_mask
+    n = len(adj)
+    full = (1 << n) - 1
+    sources &= full
+    sinks &= full
+    usable = (allowed | sources | sinks) & full
     limit = min(sources.bit_count(), sinks.bit_count()) if cap is None else cap
     seeds = sources & sinks
     while seeds.bit_count() > max(limit, 0):
@@ -544,21 +544,14 @@ class PlanarObstruction:
             ):
                 raise InputError(f"the rotation at {v} does not list each of its neighbours once")
         live |= 1 << apex
-        seen = frontier = 1 << apex
-        while frontier:
-            nxt = 0
-            for x in bits(frontier):
-                nxt |= adj[x]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != live:
+        if reachable(adj, 1 << apex, live) != live:
             raise InputError("the reduced graph plus the apex is not connected")
         edges = sum(row.bit_count() for row in adj) // 2
         if live.bit_count() - edges + face_count(self.rotation) != 2:
             raise InputError("the rotation's faces break Euler's formula: it is not a plane drawing")
 
 
-def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tuple[int, int]]:
+def _terminal_free_side(adj: list[int], v: int, ends: int, live: int) -> Optional[tuple[int, int]]:
     """The separator and the least terminal-free side around the
     non-terminal ``v`` that at most three vertices cut off from ``ends``, or
     None.
@@ -577,7 +570,7 @@ def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tupl
     is the least one, the same for every maximum flow.
     """
     allowed = live & ~(1 << v)
-    flow, paths = max_vertex_disjoint_flow(h, h.adj[v], ends, allowed, cap=4, collect=True)
+    flow, paths = max_vertex_disjoint_flow(adj, adj[v], ends, allowed, cap=4, collect=True)
     if flow == 4:
         return None
     on = starts = 0
@@ -586,7 +579,7 @@ def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tupl
         on |= mask_of(p)
         starts |= 1 << p[0]
         pred.update(zip(p[1:], p))
-    reach_in = todo = h.adj[v]
+    reach_in = todo = adj[v]
     reach_out = 0
     while todo:
         out = 0
@@ -599,7 +592,7 @@ def _terminal_free_side(h: Graph, v: int, ends: int, live: int) -> Optional[tupl
         reach_out |= out
         todo = 0
         for x in bits(out):
-            todo |= h.adj[x] & allowed
+            todo |= adj[x] & allowed
         todo = (todo | (out & on)) & ~reach_in
         reach_in |= todo
     return reach_in & ~reach_out, reach_out | (1 << v)
@@ -612,27 +605,10 @@ def _fan_of_four(adj: list[int], v: int, good: int, live: int) -> bool:
     may still exist."""
     free = live & ~(1 << v)
     for _ in range(4):
-        layers = []
-        frontier = seen = adj[v] & free
-        while not frontier & good:
-            if not frontier:
-                return False
-            layers.append(frontier)
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= adj[low.bit_length() - 1]
-                rest ^= low
-            frontier = nxt & free & ~seen
-            seen |= frontier
-        hit = frontier & good
-        x = (hit & -hit).bit_length() - 1
-        free &= ~(1 << x)
-        for layer in reversed(layers):
-            back = adj[x] & layer
-            x = (back & -back).bit_length() - 1
-            free &= ~(1 << x)
+        path = shortest_path(adj, v, good, free)
+        if not path:
+            return False
+        free &= ~mask_of(path)
     return True
 
 
@@ -687,9 +663,6 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     ends = mask_of((s1, t1, s2, t2))
     live, adj = _deleted(g, ends, blocked)
     reductions = []
-    # the flow reads only n, adj and full_mask, and _reduce keeps ``adj`` a
-    # simple graph's adjacency, so a view of the list stands in for a Graph
-    h = SimpleNamespace(n=g.n, adj=adj, full_mask=g.full_mask)
     good = ends
     for v in bits(live & ~ends):
         if not (live >> v) & 1:
@@ -697,7 +670,7 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
         if _fan_of_four(adj, v, good, live):
             good |= 1 << v
             continue
-        r = _terminal_free_side(h, v, ends, live)
+        r = _terminal_free_side(adj, v, ends, live)
         if r is None:
             good |= 1 << v
         else:
@@ -723,25 +696,17 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
 
 def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int) -> bool:
     """Whether the two pairs are linked, with no interior vertex in
-    ``blocked`` (which holds their ends), by one pair's lexicographically
-    first shortest path, read off :func:`_near_layers`, and some path of
-    the other pair in the free vertices it leaves; each pair is tried first
-    in turn. True proves the pairs linked; False says nothing."""
+    ``blocked`` (which holds their ends), by one pair's least-vertex
+    shortest path (:func:`shortest_path`) and some path of the other pair in
+    the free vertices it leaves; each pair is tried first in turn. True
+    proves the pairs linked; False says nothing."""
     adj = g.adj
     free = g.full_mask & ~blocked
     for (u, v), (s, t) in (two, two[::-1]):
-        _, near, shortest = _near_layers(g, u, v, free)
-        if shortest is None:
+        path = shortest_path(adj, u, 1 << v, free | (1 << v))
+        if not path:
             return False
-        # step down the layers: a vertex r steps from v has a neighbour r - 1
-        # steps away, and the least such one keeps the path shortest
-        x, on = u, 0
-        for r in range(shortest - 2, 0, -1):
-            step = adj[x] & near[r]
-            step &= -step
-            on |= step
-            x = step.bit_length() - 1
-        if _near_layers(g, s, t, free & ~on)[2] is not None:
+        if reachable(adj, 1 << s, (free & ~mask_of(path)) | (1 << s) | (1 << t)) >> t & 1:
             return True
     return False
 
@@ -803,9 +768,8 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     every pair after the first has a bound of at least ``_COUNT_CAP``, the
     first pair is taken with no count at all: a skipped count could only
     tie or exceed, and a tie goes to the earlier pair, so the choice is the
-    one the counts make. With the six-vertex sum of :func:`_count_paths`,
-    a seed-1 pass of the linkage-queries benchmark makes 296 counts where
-    it made 717, and 99 walks where it made 278.
+    one the counts make.
+
     The node runs its flow bound only where it is stuck, once,
     after its first path fails to extend: a unit-capacity flow from the
     pairs' first ends to their second ends, capped at r, and a value below
@@ -817,14 +781,9 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
 
     Two pairs that one pair's shortest path and a path of the other link
     (:func:`_shortest_first_links`) skip the planarity test, which could
-    only answer "yes" for them. The tests run at the root alone. Run at
-    every stuck node, with the paths chosen so far blocked, they cost about
-    10% of the linkage-queries benchmark's ops_per_s, since most of them
-    answer "yes": its linked 21-vertex ``knit`` query of four pairs and a
-    singleton (pool query 1717) ran 15 tests, 12 of them "yes", in 3.5 ms.
-    At the root alone it ran 6, all "yes", in about 2.1 ms; the shortest
-    paths link each of those six twos, so it runs none, in about 1.3 ms
-    (best of 30 runs, 2-core x86-64, CPython 3.11).
+    only answer "yes" for them. The tests run at the root alone: run at
+    every stuck node, with the paths chosen so far blocked, most of them
+    answer "yes" and they cost more than they prune.
 
     A bound cuts only subtrees that hold no linkage, so the answer is the
     one an eager bound at every node gives. Nor does the delay cost much.
@@ -856,7 +815,7 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
             # each pair's count is at least its bound: the ordered choices of
             # a first and a last interior vertex in one component of the
             # interior. A zero bound leaves the pair no path
-            comps = components(g, interior)
+            comps = components(adj, interior)
             bounds = []
             for _, (a, b) in remaining:
                 na, nb = adj[a], adj[b]
@@ -890,7 +849,7 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
                 stuck = False
                 srcs = mask_of(p[0] for _, p in remaining)
                 snks = mask_of(p[1] for _, p in remaining)
-                if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=r) < r:
+                if max_vertex_disjoint_flow(adj, srcs, snks, interior, cap=r) < r:
                     return False
                 # the root: two unlinked pairs end the search, and if every
                 # two are linked it goes on
@@ -997,6 +956,12 @@ def _nonedge_matchings(g: Graph, s: int, j: int) -> Iterator[tuple[tuple[int, in
     return grow(s, 0, (), True)
 
 
+def _check_profile(profile: Sequence[int]) -> None:
+    """Raise InputError unless each part size in ``profile`` is the int 1 or 2."""
+    if any(type(x) is not int or x not in (1, 2) for x in profile):
+        raise InputError("profile sizes must be 1 or 2")
+
+
 def is_profile_knitted(
     g: Graph, s: int, profile: Sequence[int]
 ) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
@@ -1025,10 +990,9 @@ def is_profile_knitted(
     returned; a partition's pairs are linked as given, once per distinct
     N(P) (a matching already answered counts).
     """
+    _check_profile(profile)
     if s & ~g.full_mask:
         raise InputError("terminal set mentions out-of-range vertices")
-    if any(x not in (1, 2) for x in profile):
-        raise InputError("profile sizes must be 1 or 2")
     if sum(profile) != s.bit_count():
         raise InputError("profile does not sum to the terminal set size")
     linked = {}
@@ -1054,6 +1018,7 @@ def least_unknitted(g: Graph, profile: Sequence[int]) -> Optional[tuple[tuple[in
     """The violating partition that :func:`is_profile_knitted` gives for the
     least ``sum(profile)``-set of vertices, in lexicographic order, that is
     not knitted in ``g``; None when every such set is."""
+    _check_profile(profile)
     for verts in itertools.combinations(range(g.n), sum(profile)):
         ok, wit = is_profile_knitted(g, mask_of(verts), profile)
         if not ok:
@@ -1085,6 +1050,8 @@ def is_k_linked(
         raise InputError(f"unknown mode {mode!r}")
     if type(samples) is not int or samples < 0:
         raise InputError(f"samples must be a nonnegative int, not {samples!r}")
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, not {seed!r}")
     rng = random.Random(seed)
     for _ in range(samples):
         verts = rng.sample(range(g.n), 2 * k)

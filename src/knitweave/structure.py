@@ -105,7 +105,7 @@ def separations_exist(l: Graph, s: int, max_order: int) -> bool:
                 bound += 1
         if bound <= max_order:
             # fan from b: paths share only b, so its neighbors act as the sources
-            flow = max_vertex_disjoint_flow(l, adj[b], s, full & ~s & ~(1 << b), cap=max_order + 1)
+            flow = max_vertex_disjoint_flow(adj, adj[b], s, full & ~s & ~(1 << b), cap=max_order + 1)
             if flow <= max_order:
                 return True
     return False
@@ -129,7 +129,7 @@ def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separati
     full = l.full_mask
     for xs in _subsets_lex(tuple(range(l.n)), max_order):
         x = mask_of(xs)
-        comps = components(l, full & ~x)
+        comps = components(l.adj, full & ~x)
         free = [c for c in comps if not (c & s)]
         if not free:
             continue

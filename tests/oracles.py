@@ -26,7 +26,9 @@ witnesses; ``graph6_parse_by_bit_lists``, the previous
 ``parse_graph6``, for graphs and error messages and positions; and
 ``max_rows_by_vertex_rows``, the previous ``_max_rows``, for canonical
 rows and census verdicts; ``block_faces_by_rebuild``, the previous
-``planar._block_faces``, for faces; ``obstruction_by_flows``, the
+``planar._block_faces``, for faces; ``path_by_parents``, the previous
+``planar._path``, for the paths of ``graphs.shortest_path``;
+``obstruction_by_flows``, the
 previous ``_obstruction``, for two-paths certificates; and
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
 for normalised parts, terminal masks and error messages.
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import networkx as nx
@@ -54,7 +55,6 @@ from knitweave.graphs import (
     max_clique,
     set_of,
 )
-from knitweave.planar import _path
 from knitweave.solver import (
     _COUNT_CAP,
     PATH_CAP,
@@ -842,7 +842,7 @@ def separations_by_flows(l: Graph, s: int, max_order: int) -> bool:
     for b in bits(full & ~s):
         # fan from b: paths share only b, so its neighbors act as the sources
         flow = max_vertex_disjoint_flow(
-            l, l.adj[b] & ~(1 << b), s, full & ~s & ~(1 << b), cap=max_order + 1
+            l.adj, l.adj[b] & ~(1 << b), s, full & ~s & ~(1 << b), cap=max_order + 1
         )
         if flow <= max_order:
             return True
@@ -872,7 +872,7 @@ def link_by_obstruction_first(
         if len(remaining) > 1:
             srcs = mask_of(p[0] for _, p in remaining)
             snks = mask_of(p[1] for _, p in remaining)
-            if max_vertex_disjoint_flow(g, srcs, snks, interior, cap=len(remaining)) < len(remaining):
+            if max_vertex_disjoint_flow(g.adj, srcs, snks, interior, cap=len(remaining)) < len(remaining):
                 return False
             best_count = None
             for item in remaining:
@@ -958,6 +958,31 @@ def graph6_parse_by_bit_lists(text: str) -> Graph:
 # fragments were kept between steps and known fans skipped the flow; kept to
 # pin faces, rotations and certificates.
 
+def path_by_parents(adj: Sequence[int], src: int, first: int, domain: int, dst: int) -> list[int]:
+    """The previous ``planar._path``: a shortest path src, w1, ..., wk, dst
+    with w1 in ``first``, every wi in ``domain``, and wk adjacent to dst,
+    each vertex's parent the first vertex of the previous layer to reach
+    it; the caller guarantees one exists."""
+    parent = dict.fromkeys(bits(first), src)
+    frontier = seen = first
+    while True:
+        nxt = 0
+        for w in bits(frontier):
+            if (adj[w] >> dst) & 1:
+                path = [dst]
+                while w != src:
+                    path.append(w)
+                    w = parent[w]
+                path.append(src)
+                return path[::-1]
+            new = adj[w] & domain & ~seen
+            seen |= new
+            nxt |= new
+            for x in bits(new):
+                parent[x] = w
+        frontier = nxt
+
+
 def block_faces_by_rebuild(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
     """The previous ``planar._block_faces``: Demoucron-Malgrange-Pertuiset
     with every fragment and every fragment's faces found afresh at each
@@ -968,7 +993,7 @@ def block_faces_by_rebuild(adj: Sequence[int], block: int) -> Optional[list[list
     a = (block & -block).bit_length() - 1
     b = (nb[a] & -nb[a]).bit_length() - 1
     rest = block & ~(1 << a) & ~(1 << b)
-    cycle = _path(nb, b, nb[b] & rest, rest, a)
+    cycle = path_by_parents(nb, b, nb[b] & rest, rest, a)
     faces = [cycle, cycle[::-1]]
     masks = [mask_of(cycle)] * 2
     drawn = masks[0]
@@ -1009,7 +1034,7 @@ def block_faces_by_rebuild(adj: Sequence[int], block: int) -> Optional[list[list
         attach, comp, i = pick
         u = (attach & -attach).bit_length() - 1
         w = (attach & (attach - 1) & -(attach & (attach - 1))).bit_length() - 1
-        path = [u, w] if not comp else _path(nb, u, nb[u] & comp, comp, w)
+        path = [u, w] if not comp else path_by_parents(nb, u, nb[u] & comp, comp, w)
         face = faces[i]
         iu, iw = face.index(u), face.index(w)
         if iu < iw:
@@ -1073,10 +1098,9 @@ def obstruction_by_flows(
     ends = mask_of((s1, t1, s2, t2))
     live, adj = _deleted(g, ends, blocked)
     reductions = []
-    h = SimpleNamespace(n=g.n, adj=adj, full_mask=g.full_mask)
     for v in bits(live & ~ends):
         if (live >> v) & 1:
-            r = _terminal_free_side(h, v, ends, live)
+            r = _terminal_free_side(adj, v, ends, live)
             if r is not None:
                 reductions.append(r)
                 _reduce(adj, *r)

@@ -281,6 +281,9 @@ def test_knitted1_input_errors():
     for samples in (2.5, -5, True):
         with pytest.raises(InputError, match="samples must be a nonnegative int"):
             knitted1_check(g, 18, samples=samples, seed=0)
+    for seed in (None, "1", 1.0, True):
+        with pytest.raises(InputError, match="seed must be an int"):
+            knitted1_check(g, 18, samples=2, seed=seed)
 
 
 def test_knitted1_certifies_universal_vertex_graphs():

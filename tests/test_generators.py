@@ -80,6 +80,6 @@ def test_split_host_forces_disconnected_blocks():
             u, v = blk
             cover = cfg.cover_mask
             dom = host.graph.full_mask & ~(cover & ~((1 << u) | (1 << v)))
-            side_u = reachable(host.graph, 1 << u, dom)
-            side_v = reachable(host.graph, 1 << v, dom)
+            side_u = reachable(host.graph.adj, 1 << u, dom)
+            side_v = reachable(host.graph.adj, 1 << v, dom)
             assert side_u & side_v == 0

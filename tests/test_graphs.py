@@ -14,6 +14,7 @@ from knitweave.graphs import (
     are_isomorphic,
     bits,
     canonical_form,
+    components,
     contract_edge,
     contraction_quotients,
     independence_number,
@@ -23,8 +24,10 @@ from knitweave.graphs import (
     max_clique,
     neighbors_closed,
     nonisomorphic_graphs,
+    reachable,
     rho,
     set_of,
+    shortest_path,
 )
 
 from conftest import random_graph, relabelled
@@ -38,6 +41,7 @@ from oracles import (
     graph_rows_by_scan,
     independence_by_enumeration,
     max_rows_by_vertex_rows,
+    path_by_parents,
     rho_by_double_loop,
 )
 
@@ -460,7 +464,67 @@ def test_components_and_connectivity():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
     from knitweave.graphs import components
 
-    comps = components(g)
+    comps = components(g.adj, g.full_mask)
     assert sorted(c.bit_count() for c in comps) == [1, 2, 3]
     assert not is_connected(g)
     assert is_connected(g, mask_of([2, 3, 4]))
+
+
+def test_shortest_path_steps_back_as_the_previous_planar_search():
+    # planar's searches ask for a path src, w1, ..., wk, dst with every wi in
+    # the domain, over list rows and over a dict keyed by the block
+    rng = random.Random(35)
+    found = 0
+    for _ in range(800):
+        n = rng.randint(3, 16)
+        rows = list(random_graph(rng, n, rng.uniform(0.1, 0.6)).adj)
+        src, dst = rng.sample(range(n), 2)
+        domain = rng.getrandbits(n) & ~(1 << src) & ~(1 << dst)
+        for adj in (rows, {v: rows[v] for v in bits(domain | (1 << src) | (1 << dst))}):
+            got = shortest_path(adj, src, adj[dst], domain)
+            if reachable(adj, adj[src] & domain, domain) & adj[dst]:
+                assert [src, *got, dst] == path_by_parents(adj, src, adj[src] & domain, domain, dst)
+                found += 1
+            else:
+                assert got == []
+    assert found > 400
+
+
+def test_shortest_path_is_shortest_ends_in_ends_and_stays_in_domain():
+    import networkx as nx
+
+    rng = random.Random(36)
+    for _ in range(600):
+        n = rng.randint(2, 20)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        src = rng.randrange(n)
+        ends = rng.getrandbits(n) & rng.getrandbits(n)
+        domain = rng.getrandbits(n) | rng.getrandbits(n)
+        got = shortest_path(g.adj, src, ends, domain)
+        keep = domain | (1 << src)
+        h = nx.Graph()
+        h.add_nodes_from(bits(keep))
+        h.add_edges_from((u, v) for u, v in g.edges() if (keep >> u) & 1 and (keep >> v) & 1)
+        dist = nx.single_source_shortest_path_length(h, src)
+        lengths = [d for t, d in dist.items() if t != src and (ends >> t) & 1 and (domain >> t) & 1]
+        if not lengths:
+            assert got == []
+            continue
+        assert len(got) == min(lengths)
+        assert (ends >> got[-1]) & 1
+        assert not mask_of(got) & ~domain and len(set(got)) == len(got) and src not in got
+        assert all(g.has_edge(a, b) for a, b in zip([src, *got], got))
+
+
+def test_reachable_and_components_read_dict_rows_as_graph_rows():
+    rng = random.Random(37)
+    for _ in range(400):
+        n = rng.randint(1, 20)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.4))
+        domain = rng.getrandbits(n) | rng.getrandbits(n)
+        rows = {v: g.adj[v] & domain for v in bits(domain)}
+        comps = components(g.adj, domain)
+        assert components(rows, domain) == comps
+        assert sum(comps) == domain and all(is_connected(g, c) for c in comps)
+        start = rng.getrandbits(n)
+        assert reachable(rows, start, domain) == reachable(g.adj, start, domain)

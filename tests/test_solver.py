@@ -24,6 +24,7 @@ from knitweave.solver import (
     is_profile_knitted,
     iter_paths_by_length,
     knit,
+    least_unknitted,
     max_vertex_disjoint_flow,
     pairs_spec,
     partitions_with_profile,
@@ -786,10 +787,26 @@ def test_is_k_linked():
     {"k": 2, "mode": "sampled", "samples": -5},
     {"k": 2, "mode": "sampled", "samples": 2.0},
     {"k": 2, "mode": "sampled", "samples": True},
+    # random.Random(None) seeds from the OS, so its answers would not repeat
+    {"k": 2, "mode": "sampled", "samples": 3, "seed": None},
+    {"k": 2, "mode": "sampled", "samples": 3, "seed": "1"},
+    {"k": 2, "mode": "sampled", "samples": 3, "seed": 1.0},
+    {"k": 2, "mode": "sampled", "samples": 3, "seed": True},
 ])
 def test_is_k_linked_input_errors(kwargs):
     with pytest.raises(InputError):
         is_k_linked(Graph.cycle(6), **kwargs)
+
+
+def test_profiles_are_checked_before_any_work():
+    # K2 has no 3-set, so a sweep would never reach the profile
+    with pytest.raises(InputError, match="profile sizes must be 1 or 2"):
+        least_unknitted(Graph.complete(2), (3,))
+    for profile in ((2.0, 1), (2, True)):
+        with pytest.raises(InputError, match="profile sizes must be 1 or 2"):
+            least_unknitted(Graph.cycle(6), profile)
+        with pytest.raises(InputError, match="profile sizes must be 1 or 2"):
+            is_profile_knitted(Graph.cycle(6), 0b111, profile)
 
 
 def test_sampled_k_linked_never_answers_true():
@@ -842,20 +859,20 @@ def test_k_linked_boundary_on_matching_deleted_clique():
 def test_flow_counts():
     g = Graph.complete(8)
     interior = g.full_mask & ~mask_of([0, 1, 6, 7])
-    assert max_vertex_disjoint_flow(g, mask_of([0, 1]), mask_of([6, 7]), interior) == 2
+    assert max_vertex_disjoint_flow(g.adj, mask_of([0, 1]), mask_of([6, 7]), interior) == 2
     c6 = Graph.cycle(6)
     assert (
-        max_vertex_disjoint_flow(c6, mask_of([0, 1]), mask_of([3, 4]), c6.full_mask & ~mask_of([0, 1, 3, 4]))
+        max_vertex_disjoint_flow(c6.adj, mask_of([0, 1]), mask_of([3, 4]), c6.full_mask & ~mask_of([0, 1, 3, 4]))
         == 2
     )
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert max_vertex_disjoint_flow(star, mask_of([1, 2]), mask_of([3, 4]), 1) == 1
+    assert max_vertex_disjoint_flow(star.adj, mask_of([1, 2]), mask_of([3, 4]), 1) == 1
 
 
 def test_flow_collect_paths_disjoint():
     g = Graph.complete(9)
     flow, paths = max_vertex_disjoint_flow(
-        g, mask_of([0, 1, 2]), mask_of([6, 7, 8]), g.full_mask & ~mask_of([0, 1, 2, 6, 7, 8]), collect=True
+        g.adj, mask_of([0, 1, 2]), mask_of([6, 7, 8]), g.full_mask & ~mask_of([0, 1, 2, 6, 7, 8]), collect=True
     )
     assert flow == len(paths) == 3
     used = set()
@@ -912,12 +929,12 @@ def test_flow_matches_matrix_reference():
         overlap = (sources & sinks).bit_count()
         for cap in (None, 0, max(overlap - 1, 0), rng.randint(0, 10)):
             want = flow_by_matrix(g, sources, sinks, allowed, cap, collect=True)
-            assert max_vertex_disjoint_flow(g, sources, sinks, allowed, cap, collect=True) == want
-            assert max_vertex_disjoint_flow(g, sources, sinks, allowed, cap) == want[0]
+            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True) == want
+            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap) == want[0]
             assert want[0] == (value if cap is None else min(value, cap))
     # a cap below the overlap takes its lowest vertices
     k6 = Graph.complete(6)
-    got = max_vertex_disjoint_flow(k6, mask_of([1, 2, 3, 4]), mask_of([2, 3, 4, 5]), 0, cap=2, collect=True)
+    got = max_vertex_disjoint_flow(k6.adj, mask_of([1, 2, 3, 4]), mask_of([2, 3, 4, 5]), 0, cap=2, collect=True)
     assert got == (2, [(2,), (3,)])
 
 

@@ -195,7 +195,7 @@ def test_rigidity_agrees_with_direct_sweep():
         g = random_graph(rng, 7, p=rng.uniform(0.3, 0.9))
         a = mask_of(rng.sample(range(7), rng.randint(2, 5)))
         cut = a
-        comps = [c for c in __import__("knitweave.graphs", fromlist=["components"]).components(g, g.full_mask & ~cut)]
+        comps = [c for c in __import__("knitweave.graphs", fromlist=["components"]).components(g.adj, g.full_mask & ~cut)]
         if not comps:
             continue
         b = cut | comps[0]
