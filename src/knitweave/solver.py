@@ -17,10 +17,6 @@ from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
 from .planar import face_count, planar_rotation
 
-# _link branches on the pair with the fewest candidate paths, counted by
-# _count_paths up to this cap; larger counts tie, and no path is built
-_COUNT_CAP = 24
-
 
 @dataclass(frozen=True)
 class TerminalSpec:
@@ -136,12 +132,18 @@ class Knit:
 # Path and flow machinery
 # ---------------------------------------------------------------------------
 
-def _near_layers(g: Graph, u: int, v: int, allowed: int) -> tuple[int, list[int], Optional[int]]:
-    """The breadth-first layers that both path walkers below step through:
-    ``(inner, near, shortest)``, where ``inner`` is ``allowed`` without u and
-    v, ``near[0]`` is v alone, ``near[r]`` for r >= 1 holds the vertices of
-    ``inner`` at most r steps from v inside it, and ``shortest`` is the
-    vertex count of a shortest u-v path (None if there is none)."""
+def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Simple u-v paths whose interior lies in ``allowed``, at most
+    ``max_len`` vertices long, shortest first and in lexicographic order of
+    the vertex sequence within a length ((length, lex) order).
+
+    One breadth-first search from v inside ``allowed`` gives ``near[r]``,
+    the interior vertices at most r steps from v (``near[0]`` is v alone).
+    Then one depth-first pass per exact length steps only to a vertex that
+    is near enough to v for the steps left; the last step goes to v.
+    """
+    if u == v:
+        return
     adj = g.adj
     target = 1 << v
     inner = allowed & ~(1 << u) & ~target
@@ -157,26 +159,8 @@ def _near_layers(g: Graph, u: int, v: int, allowed: int) -> tuple[int, list[int]
         seen |= frontier
         near.append(seen & inner)
     shortest = next((r + 2 for r, layer in enumerate(near) if adj[u] & layer), None)
-    return inner, near, shortest
-
-
-def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Simple u-v paths whose interior lies in ``allowed``, at most
-    ``max_len`` vertices long, shortest first and in lexicographic order of
-    the vertex sequence within a length ((length, lex) order).
-
-    One breadth-first search from v inside ``allowed`` (:func:`_near_layers`)
-    gives the interior vertices at most r steps from v. Then one depth-first
-    pass per exact length steps only to a vertex that is near enough to v for
-    the steps left; the last step goes to v.
-    """
-    if u == v:
-        return
-    inner, near, shortest = _near_layers(g, u, v, allowed)
     if shortest is None:
         return
-    adj = g.adj
-    target = 1 << v
     top = len(near) - 1
     for length in range(shortest, min(max_len, inner.bit_count() + 2) + 1):
         path = [u]
@@ -197,135 +181,6 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
             path.append(low.bit_length() - 1)
             on |= low
             untried.append(adj[path[-1]] & near[min(length - len(path) - 1, top)] & ~on)
-
-
-def _count_paths(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
-    """``min(cap, number of simple u-v paths with interior in allowed)``,
-    without building a path.
-
-    Let inner be ``allowed`` without u and v, first = N(u) & inner and
-    last = N(v) & inner. Paths of at most six vertices are counted in
-    closed form:
-
-    - 2 vertices: 1 if uv is an edge;
-    - 3 vertices (u a v): |first & last|;
-    - 4 vertices (u a c v): the sum over a in first of |N(a) & last|;
-    - 5 vertices (u a b c v): the sum over b in N(first) & inner of
-      |N(b) & first| * |N(b) & last| - |N(b) & first & last|;
-    - 6 vertices (u a b c d v): the sum over b in N(first) & inner and
-      c in N(b) & N(last) & inner of |A| * |D| - |A & D|, with
-      A = N(b) & first - {c} and D = N(c) & last - {b}.
-
-    In each, a vertex differs from the next one because they are adjacent,
-    and every interior vertex differs from u and v because it lies in
-    inner. That leaves only a and c of a 5-vertex path, both neighbours of
-    b, and the subtracted term drops the choices with a = c. In a 6-vertex
-    path, a != c and b != d are removed from A and D, and the subtracted
-    term drops a = d; every other two vertices are adjacent or an end.
-
-    Longer paths are walked as in :func:`iter_paths_by_length`, one
-    depth-first pass per length from seven vertices, but each pass stops
-    two vertices early, at the third-to-last interior vertex x. A path
-    u ... x w c v goes on from x to an unused w in N(x) within two steps of
-    v (near[2]), then to an unused c in N(w) & last other than x, so one
-    loop over those w adds, for each, the number of unused vertices of
-    N(w) & last without x. Here w differs from x and from c, being a
-    neighbour of each, and lies in inner, as near[2] does.
-
-    Every path's interior is connected and meets N(v), so it lies in v's
-    component of inner, near[top]; the passes end at lengths of
-    ``near[top].bit_count() + 2`` vertices, since no longer path exists.
-
-    Every term is a count of paths, so the running count never falls, and
-    it returns ``cap`` as soon as the count reaches it: within a sum, or
-    once per third-to-last vertex in a pass. So the walk and its
-    breadth-first search run only when the paths of at most six vertices
-    leave the count below ``cap``.
-    """
-    if u == v:
-        return 0
-    adj = g.adj
-    inner = allowed & ~(1 << u) & ~(1 << v)
-    first = adj[u] & inner
-    last = adj[v] & inner
-    count = ((adj[u] >> v) & 1) + (first & last).bit_count()
-    if count >= cap:
-        return cap
-    second = 0  # N(first) & inner: the middle vertex b of a 5-vertex path
-    rest = first
-    while rest:
-        low = rest & -rest
-        a = adj[low.bit_length() - 1]
-        count += (a & last).bit_count()
-        if count >= cap:
-            return cap
-        second |= a
-        rest ^= low
-    second &= inner
-    rest = second
-    while rest:
-        low = rest & -rest
-        b = adj[low.bit_length() - 1]
-        ends = b & first
-        count += ends.bit_count() * (b & last).bit_count() - (ends & last).bit_count()
-        if count >= cap:
-            return cap
-        rest ^= low
-    third = 0  # N(last) & inner: the vertex c of a 6-vertex path
-    rest = last
-    while rest:
-        low = rest & -rest
-        third |= adj[low.bit_length() - 1]
-        rest ^= low
-    third &= inner
-    rest = second
-    while rest:
-        low = rest & -rest
-        b = adj[low.bit_length() - 1]
-        ends = b & first
-        mid = b & third
-        while mid:
-            c = mid & -mid
-            heads = ends & ~c
-            tails = adj[c.bit_length() - 1] & last & ~low
-            count += heads.bit_count() * tails.bit_count() - (heads & tails).bit_count()
-            mid ^= c
-        if count >= cap:
-            return cap
-        rest ^= low
-    inner, near, shortest = _near_layers(g, u, v, allowed)
-    if shortest is None:
-        return 0
-    top = len(near) - 1
-    near2 = near[min(2, top)]
-    for length in range(max(shortest, 7), near[top].bit_count() + 3):
-        depth = length - 4  # path vertices before the third-to-last interior vertex
-        path = [1 << u]
-        on = 1 << u
-        untried = [adj[u] & near[min(length - 2, top)]]
-        while untried:
-            cand = untried[-1]
-            if not cand:
-                untried.pop()
-                on ^= path.pop()
-                continue
-            low = cand & -cand
-            untried[-1] = cand ^ low
-            x = low.bit_length() - 1
-            if len(path) == depth:
-                ends = last & ~on & ~low
-                rest = adj[x] & near2 & ~on
-                while rest:
-                    w = rest & -rest
-                    count += (adj[w.bit_length() - 1] & ends).bit_count()
-                    rest ^= w
-                if count >= cap:
-                    return cap
-                continue
-            path.append(low)
-            on |= low
-            untried.append(adj[x] & near[min(length - len(path) - 1, top)] & ~on)
-    return count
 
 
 def max_vertex_disjoint_flow(
@@ -743,47 +598,83 @@ def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruc
 # Disjoint paths and knits
 # ---------------------------------------------------------------------------
 
+def _two_pair_links(
+    g: Graph, first: tuple[int, int], second: tuple[int, int], blocked: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Paths for two pairs that are linked with no interior vertex in
+    ``blocked`` (which holds their ends): the lexicographically least path
+    of ``first`` that leaves ``second`` linked, then the path
+    :func:`shortest_path` gives ``second`` in the vertices left free.
+
+    Say ``first`` is (s, t). Its path grows from s one vertex at a time, by
+    the least neighbour w of the last vertex such that (w, t) and
+    ``second`` are still linked with the path so far blocked. A prefix that
+    passes has a completion, so the walk never backtracks, and one that
+    fails has none, so no lesser path is passed over: one test per
+    neighbour of each path vertex at most. Where w is t or a neighbour of t,
+    the edge wt links (w, t) with no interior vertex, so the test is
+    whether ``second``'s ends are still joined; otherwise it is
+    :func:`_pair_obstruction`, which tries :func:`_shortest_first_links`
+    before the planarity test.
+    """
+    adj = g.adj
+    (s, t), (a, b) = first, second
+    path = [s]
+    taken = blocked
+
+    def keeps_linked(w: int) -> bool:
+        if w == t or adj[w] >> t & 1:
+            return reachable(adj, 1 << a, g.full_mask & ~taken & ~(1 << w) | 1 << a | 1 << b) >> b & 1
+        return _pair_obstruction(g, ((w, t), second), taken | 1 << w) is None
+
+    while path[-1] != t:
+        w = next(w for w in bits(adj[path[-1]] & (~taken | 1 << t)) if keeps_linked(w))
+        path.append(w)
+        taken |= 1 << w
+    return tuple(path), (a, *shortest_path(adj, a, 1 << b, g.full_mask & ~taken | 1 << b))
+
+
 def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[tuple[tuple[int, ...], ...]]:
     """Vertex-disjoint paths from u to v for each ``(u, v)`` of ``pairs``, in
     pair order, with no interior vertex in ``blocked`` (which must hold every
     pair's ends); None if there are none.
 
-    Every linkage comes from the exhaustive backtracking search: direct
-    edges first, then the other pairs fewest-candidate-paths first
-    (recomputed as the search deepens, each count from :func:`_count_paths`,
-    which builds no path, and capped at the fewest so far: a pair replaces
-    the one chosen only with a smaller count, so the first pair of least
-    count wins a tie), each trying its paths from
-    :func:`iter_paths_by_length`, shortest first and lexicographic within a
-    length ((length, lex) order). So each pair takes the first path in that
-    order that lets the pairs after it be linked.
+    Direct edges are taken first. The other pairs go to a backtracking
+    search, each node of which branches on one pair left, trying its paths
+    from :func:`iter_paths_by_length`, shortest first and lexicographic
+    within a length ((length, lex) order).
 
-    A node with r >= 2 pairs left first bounds each pair's count from the
+    A node with r >= 2 pairs left bounds each pair's paths from the
     components C of the free interior: a pair (a, b) has at least the sum
     over C of |N(a) & C| * |N(b) & C| paths, since each ordered choice of
     x in N(a) & C and y in N(b) & C starts and ends a different path
     (a x b when x = y, else a x ... y b inside C). A zero bound leaves the
-    pair no path and returns False, so every count is at least 1. A pair
-    whose bound reaches the fewest count so far is not counted, and when
-    every pair after the first has a bound of at least ``_COUNT_CAP``, the
-    first pair is taken with no count at all: a skipped count could only
-    tie or exceed, and a tie goes to the earlier pair, so the choice is the
-    one the counts make.
+    pair no path and returns False. Otherwise the node branches on the pair
+    of least bound, the earlier pair on a tie.
 
-    The node runs its flow bound only where it is stuck, once,
-    after its first path fails to extend: a unit-capacity flow from the
-    pairs' first ends to their second ends, capped at r, and a value below
-    r returns False. At the root, a bound that passes is followed by the
-    two-paths theorem on every two non-edge pairs, with the other pairs'
-    ends blocked (:func:`_pair_obstruction`, polynomial): a "no" for two
-    pairs returns None, and a "yes" for every two lets the search go on.
-    Every other "no" is the search's exhaustion.
+    The node runs its flow bound only where it is stuck, once, after its
+    first path fails to extend: a unit-capacity flow from the pairs' first
+    ends to their second ends, capped at r, and a value below r returns
+    False. At the root, and at a node with two pairs left, a bound that
+    passes is followed by the two-paths theorem on every two pairs, with the
+    other pairs' ends and the paths chosen so far blocked
+    (:func:`_pair_obstruction`, polynomial): a "no" for two pairs returns
+    False. At the root, a "yes" for every two lets the search go on. At a
+    node with two pairs left, a "yes" links them without a further search
+    (:func:`_two_pair_links`, polynomial). Every other "no" is the search's
+    exhaustion.
 
     Two pairs that one pair's shortest path and a path of the other link
     (:func:`_shortest_first_links`) skip the planarity test, which could
-    only answer "yes" for them. The tests run at the root alone: run at
-    every stuck node, with the paths chosen so far blocked, most of them
-    answer "yes" and they cost more than they prune.
+    only answer "yes" for them. A stuck node below the root with three or
+    more pairs left runs no two-paths test: there most of them answer "yes"
+    and they cost more than they prune.
+
+    So each pair takes the first path in (length, lex) order that lets the
+    pairs after it be linked, except at a stuck node with two pairs left:
+    there the pair branched on takes its lexicographically least path that
+    leaves the other pair linked, and the other pair the path
+    :func:`shortest_path` gives it in what is left.
 
     A bound cuts only subtrees that hold no linkage, so the answer is the
     one an eager bound at every node gives. Nor does the delay cost much.
@@ -812,9 +703,6 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
         best = remaining[0]
         r = len(remaining)
         if r > 1:
-            # each pair's count is at least its bound: the ordered choices of
-            # a first and a last interior vertex in one component of the
-            # interior. A zero bound leaves the pair no path
             comps = components(adj, interior)
             bounds = []
             for _, (a, b) in remaining:
@@ -825,19 +713,7 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
                 if not low:
                     return False
                 bounds.append(low)
-            best_count = _COUNT_CAP
-            # only a count below the fewest so far changes the choice, and no
-            # count is below its bound; so where no pair after the first can
-            # come below the cap, the first is taken uncounted
-            if min(bounds[1:]) < _COUNT_CAP:
-                for item, low in zip(remaining, bounds):
-                    if low >= best_count:
-                        continue
-                    cnt = _count_paths(g, *item[1], interior, best_count)
-                    if cnt < best_count:
-                        best, best_count = item, cnt
-                        if cnt == 1:
-                            break
+            best = remaining[bounds.index(min(bounds))]
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
         stuck = r > 1
@@ -851,10 +727,16 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
                 snks = mask_of(p[1] for _, p in remaining)
                 if max_vertex_disjoint_flow(adj, srcs, snks, interior, cap=r) < r:
                     return False
-                # the root: two unlinked pairs end the search, and if every
-                # two are linked it goes on
-                if r == len(todo) and _pair_obstruction(g, [p for _, p in todo], blocked) is not None:
+                # at the root or with two pairs left, two unlinked pairs end
+                # the node, and two linked pairs are linked without a search
+                if (r == 2 or r == len(todo)) and _pair_obstruction(
+                    g, [p for _, p in remaining], blocked | used
+                ) is not None:
                     return False
+                if r == 2:
+                    (other, pair), = rest
+                    chosen[idx], chosen[other] = _two_pair_links(g, (u, v), pair, blocked | used)
+                    return True
         return False
 
     return tuple(chosen) if search(0, todo) else None
@@ -862,8 +744,9 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
 
 def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
     """Pairwise vertex-disjoint paths joining every pair of ``spec``; the
-    search is :func:`_link`, which tries each pair's paths shortest first, in
-    (length, lex) order, with no cap on their length.
+    search is :func:`_link`, which branches on the pair of least component
+    bound and tries its paths shortest first, in (length, lex) order, with
+    no cap on their length.
 
     Where a search node's first path does not extend, a flow bound between
     the pairs left may end it. Where the root's path does not extend and
@@ -871,9 +754,13 @@ def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
     pair's shortest path and a path of the other link are passed over, and
     the two-paths test runs on the rest. Two that are unlinked end the
     query in polynomial time with a "no", whose certificate
-    :func:`two_pair_obstruction` gives. Otherwise the search goes on, and
-    any other "no" is its exhaustion. A "no" that the bound shows runs no
-    planarity test.
+    :func:`two_pair_obstruction` gives. A stuck node with two pairs left
+    runs the same check, with the paths chosen so far blocked, and links a
+    "yes" in polynomial time: the pair it branches on takes its
+    lexicographically least path that leaves the other pair linked, and
+    the other pair its shortest path in what is left. Any other "no" is
+    the search's exhaustion. A "no" that the bound shows runs no planarity
+    test.
     """
     spec.check_in_graph(g)
     if any(len(p) != 2 for p in spec.parts):
@@ -889,7 +776,10 @@ def knit(g: Graph, spec: TerminalSpec) -> Optional[Knit]:
     a path between its two vertices, and a path is itself connected, so the
     pair parts are solved as a linkage whose paths must additionally avoid all
     singleton-part vertices. Each pair's subgraph is the path :func:`_link`
-    picks, trying the pair's paths in (length, lex) order.
+    picks: the first in (length, lex) order that lets the pairs after it be
+    linked, or, where a search node with two pairs left is stuck, the
+    lexicographically least that leaves the other pair linked, and the
+    other pair's shortest path.
     """
     spec.check_in_graph(g)
     paths = _link(g, [p for p in spec.parts if len(p) == 2], spec.forbidden | spec.terminal_mask)

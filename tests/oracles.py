@@ -3,8 +3,7 @@
 Everything here is written against the definitions directly, sharing no
 search machinery with the package, so the two sides can disagree. The
 exceptions are previous implementations kept as references:
-``count_paths_by_enumeration``, the previous candidate-path count in
-``_link``, for path counts; ``configuration_by_orders``, the previous
+``configuration_by_orders``, the previous
 configuration search, for the selected blocks;
 ``profile_knitted_by_sweep``, the previous
 ``is_profile_knitted``, for verdicts and violating partitions;
@@ -21,8 +20,8 @@ verdicts and witnesses; ``graph_rows_by_scan``, the previous check in
 ``complete_minus_matching_by_edges``, the previous
 ``complete_minus_matching``, for its graphs; ``separations_by_flows``,
 the previous ``separations_exist``, for its answers;
-``link_by_obstruction_first``, the previous ``_link``, for verdicts and
-witnesses; ``graph6_parse_by_bit_lists``, the previous
+``link_by_obstruction_first``, a plainer form of ``_link``, for verdicts
+and witnesses; ``graph6_parse_by_bit_lists``, the previous
 ``parse_graph6``, for graphs and error messages and positions; and
 ``max_rows_by_vertex_rows``, the previous ``_max_rows``, for canonical
 rows and census verdicts; ``block_faces_by_rebuild``, the previous
@@ -50,17 +49,17 @@ from knitweave.graphs import (
     MinorWitness,
     bits,
     canonical_form,
+    components,
     contraction_quotients,
     mask_of,
     max_clique,
     set_of,
+    shortest_path,
 )
 from knitweave.solver import (
-    _COUNT_CAP,
     PATH_CAP,
     Configuration,
     PlanarObstruction,
-    _count_paths,
     _deleted,
     _link,
     _obstruction,
@@ -90,12 +89,6 @@ def all_simple_paths(g: Graph, u: int, v: int, banned: set[int], max_len: Option
                 yield from rec(path + [w], seen | {w})
 
     yield from rec([u], {u})
-
-
-def count_paths_by_enumeration(g: Graph, u: int, v: int, allowed: int, cap: int) -> int:
-    """The candidate-path count ``_link`` made before ``_count_paths``: build
-    the first ``cap`` u-v paths with interior in ``allowed`` and count them."""
-    return sum(1 for _ in itertools.islice(iter_paths_by_length(g, u, v, allowed, g.n), cap))
 
 
 def two_pair_systems_solvable(g: Graph, p1, p2) -> bool:
@@ -852,10 +845,15 @@ def separations_by_flows(l: Graph, s: int, max_order: int) -> bool:
 def link_by_obstruction_first(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
 ) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The previous ``_link``: two pairs, neither an edge, go to the
-    two-paths test before any path is read, and every node with two or more
-    pairs left runs its flow bound on entry, before it counts or reads a
-    path."""
+    """The linkage ``_link`` returns, by a plainer search: two pairs, neither
+    an edge, go to the two-paths test before any path is read, and every
+    node with two or more pairs left runs its flow bound on entry. A node
+    branches on the pair of least component bound, the earlier on a tie,
+    and tries its paths in (length, lex) order. Where a node with two pairs
+    left finds that its first path does not extend, the pair takes the
+    first path in lexicographic order, by plain enumeration, that leaves
+    the other pair a path, and the other pair takes ``shortest_path`` in
+    what is left."""
     chosen = list(pairs)
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions
@@ -874,21 +872,26 @@ def link_by_obstruction_first(
             snks = mask_of(p[1] for _, p in remaining)
             if max_vertex_disjoint_flow(g.adj, srcs, snks, interior, cap=len(remaining)) < len(remaining):
                 return False
-            best_count = None
-            for item in remaining:
-                cnt = _count_paths(g, *item[1], interior, _COUNT_CAP)
-                if cnt == 0:
-                    return False
-                if best_count is None or cnt < best_count:
-                    best, best_count = item, cnt
-                    if cnt == 1:
-                        break
+            comps = components(g.adj, interior)
+            bounds = [sum((c & g.adj[a]).bit_count() * (c & g.adj[b]).bit_count() for c in comps)
+                      for _, (a, b) in remaining]
+            if 0 in bounds:
+                return False
+            best = remaining[bounds.index(min(bounds))]
         idx, (u, v) = best
         rest = [it for it in remaining if it is not best]
         for path in iter_paths_by_length(g, u, v, interior, g.n):
             chosen[idx] = path
             if search(used | mask_of(path[1:-1]), rest):
                 return True
+            if len(remaining) == 2:
+                (other, (s, t)), = rest
+                for path in all_simple_paths(g, u, v, set(bits(g.full_mask & ~interior))):
+                    tail = shortest_path(g.adj, s, 1 << t, interior & ~mask_of(path) | 1 << t)
+                    if tail:
+                        chosen[idx], chosen[other] = tuple(path), (s, *tail)
+                        return True
+                return False
         return False
 
     return tuple(chosen) if search(0, todo) else None

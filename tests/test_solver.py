@@ -15,7 +15,6 @@ from knitweave.solver import (
     Configuration,
     Knit,
     TerminalSpec,
-    _count_paths,
     _link,
     _nonedge_matchings,
     build_configuration,
@@ -34,12 +33,11 @@ from knitweave.solver import (
 )
 from knitweave.structure import pair_is_knitted
 
-from conftest import crossing_grid, random_graph
+from conftest import crossing_grid, random_graph, two_pair_corpus
 from oracles import (
     all_simple_paths,
     best_configuration_value,
     configuration_by_orders,
-    count_paths_by_enumeration,
     flow_by_matrix,
     knittable_by_paths,
     link_by_obstruction_first,
@@ -166,92 +164,6 @@ def test_iter_paths_by_length_matches_sorted_oracle():
             assert list(itertools.islice(got, read)) == want[:read]
 
 
-def _count_cases():
-    """(g, u, v, allowed) cases for the path counter: 3000 random graphs of
-    2..22 vertices with random interior sets, then corner and random pairs on
-    triangulated grids, random pairs on the circulant C_40(1..15), and random
-    pairs and interior sets on pool-like hosts of minimum degree 4..8 on
-    20..30 vertices."""
-    rng = random.Random(16)
-    for _ in range(3000):
-        n = rng.randint(2, 22)
-        g = random_graph(rng, n, p=rng.uniform(0.05, 0.7))
-        allowed = rng.getrandbits(n) | (rng.getrandbits(n) if rng.random() < 0.7 else 0)
-        yield g, rng.randrange(n), rng.randrange(n), allowed
-    for rows, cols in ((3, 3), (4, 5), (5, 5), (6, 6), (8, 8)):
-        g, spec = crossing_grid(rows, cols)
-        ends = list(spec.parts) + [tuple(rng.sample(range(g.n), 2)) for _ in range(20)]
-        for u, v in ends:
-            yield g, u, v, g.full_mask
-            yield g, u, v, g.full_mask & ~rng.getrandbits(g.n) & ~rng.getrandbits(g.n)
-    n = 40
-    g = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
-    for _ in range(40):
-        u, v = rng.sample(range(n), 2)
-        yield g, u, v, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
-    for n in range(20, 31):
-        for delta in range(4, 9):
-            g = gen_min_degree(n, delta, rng.randrange(1 << 30))
-            for _ in range(4):
-                u, v = rng.sample(range(n), 2)
-                yield g, u, v, rng.getrandbits(n) & rng.getrandbits(n)
-
-
-def test_count_paths_matches_enumeration(monkeypatch):
-    """The capped count equals the count of enumerated paths at every cap
-    1..24, and the cases reach each way it can end: the closed forms for
-    paths of at most five vertices reaching the cap, the six-vertex sum
-    bringing it to the cap, and the walk from seven vertices adding paths,
-    both up to the cap and short of it."""
-    walks = 0
-
-    def counted(*args):
-        nonlocal walks
-        walks += 1
-        return near_layers(*args)
-
-    near_layers = solver._near_layers
-    monkeypatch.setattr(solver, "_near_layers", counted)
-    counts = set()
-    ends = {"closed form": 0, "six-vertex sum": 0, "walk at cap": 0, "walk below cap": 0}
-    for g, u, v, allowed in _count_cases():
-        total = count_paths_by_enumeration(g, u, v, allowed, 24)  # at cap c it reads min(total, c)
-        five = sum(1 for _ in iter_paths_by_length(g, u, v, allowed, 5))
-        short = sum(1 for _ in iter_paths_by_length(g, u, v, allowed, 6))
-        for cap in range(1, 25):
-            walks = 0
-            got = _count_paths(g, u, v, allowed, cap)
-            assert got == min(total, cap), (g.n, u, v, allowed, cap)
-            counts.add(got)
-            if not walks:
-                assert got == 0 or min(short, cap) == cap
-                if got == cap:
-                    ends["closed form" if five >= cap else "six-vertex sum"] += 1
-            elif got > short:
-                ends["walk at cap" if got == cap else "walk below cap"] += 1
-    assert counts == set(range(25))  # every count below the cap occurs
-    assert min(ends.values()) > 100, ends
-
-
-def test_link_branches_without_counting_where_bounds_settle_the_choice(monkeypatch):
-    """On a dense host every pair's component bound reaches the cap, so the
-    search takes the pairs in order and counts no paths, and finds the
-    linkage it found when it counted them (5 counts)."""
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return count_paths(*args)
-
-    count_paths = solver._count_paths
-    monkeypatch.setattr(solver, "_count_paths", counted)
-    g = gen_min_degree(24, 8, 11)
-    got = disjoint_paths(g, pairs_spec([(0, 1), (2, 3), (4, 5)]))
-    assert got.paths == ((0, 21, 1), (2, 9, 3), (4, 7, 5))
-    assert calls == 0
-
-
 def _link_corpus():
     rng = random.Random(2853)
     for _ in range(2000):
@@ -262,15 +174,6 @@ def _link_corpus():
         rest = [w for w in range(n) if w not in verts]
         extra = rng.sample(rest, rng.randint(0, min(3, len(rest))))
         yield g, [(verts[2 * i], verts[2 * i + 1]) for i in range(k)], mask_of(verts + extra)
-
-
-def test_link_unchanged_under_enumerated_counts(monkeypatch):
-    corpus = list(_link_corpus())
-    got = [_link(*case) for case in corpus]
-    monkeypatch.setattr(solver, "_count_paths", count_paths_by_enumeration)
-    assert [_link(*case) for case in corpus] == got
-    linked = sum(paths is not None for paths in got)
-    assert 500 < linked < len(corpus) - 500
 
 
 def _pool_systems(rng, count):
@@ -288,7 +191,7 @@ def _pool_systems(rng, count):
 def _linked_as_before(cases):
     """The numbers of ``cases`` that link and of those that
     ``two_pair_obstruction`` certifies unlinked, each answer checked against
-    the previous search and each certificate against the whole
+    the plainer search and each certificate against the whole
     specification; a "yes" gets none."""
     linked = certified = 0
     for g, pairs, blocked in cases:
@@ -305,12 +208,13 @@ def _linked_as_before(cases):
 
 
 def test_link_matches_obstruction_first_on_three_and_four_pairs():
-    """The same verdict and witness as the previous search, whose counts all
-    run to the full cap and which runs its flow bound on entry to every
-    node, on every corpus case of three or more pairs and on 240 systems
-    like the benchmark's: capping each later count at the fewest so far
-    changes no choice, and bounding only where the search is stuck prunes
-    the same answers."""
+    """The same verdict and witness as the plainer search, which runs its
+    flow bound on entry to every node and links a stuck two-pair node by
+    enumerating paths in lexicographic order, on every corpus case of three
+    or more pairs and on 240 systems like the benchmark's: bounding only
+    where the search is stuck prunes the same answers, and the two-pair
+    step finds the lexicographically least path that leaves the other pair
+    linked."""
     cases = [case for case in _link_corpus() if len(case[1]) >= 3]
     linked, certified = _linked_as_before(cases)
     assert 100 < linked < len(cases) - 100
@@ -336,8 +240,10 @@ def test_link_two_pairs_matches_obstruction_first(census7, monkeypatch):
     """The same verdict and witness as the search that runs the two-paths
     test first, on 3000 census two-pair systems, the crossing grids (both
     pairings of their corners) and 500 random systems on up to 16
-    vertices; the search itself runs the test at most once a query, and far
-    less often than it answers "no"."""
+    vertices. The search itself runs the test far less often than it
+    answers "no": a "no" runs it at most once, at the root, and a "yes"
+    that the first descent misses runs it there and at most once per
+    neighbour of each vertex of the path the two-pair step builds."""
     rng = random.Random(2020)
     cases = list(_two_pair_systems(census7, rng, 3000))
     cases += list(_two_pair_systems(
@@ -373,7 +279,8 @@ def test_link_two_pairs_matches_obstruction_first(census7, monkeypatch):
         got = _link(g, pairs, blocked)
         assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
         seen[got is not None] += 1
-        assert calls <= 1, (g.adj, pairs, blocked)
+        step = 0 if got is None else max(map(len, got)) * max(row.bit_count() for row in g.adj)
+        assert calls <= 1 + step, (g.adj, pairs, blocked)
         tests += calls
         unlinked += got is None and not any(g.has_edge(*p) for p in pairs)
     assert min(seen.values()) > 500
@@ -440,10 +347,29 @@ def test_three_pairs_two_of_them_unlinked_decided_within_budget():
         two_pair_obstruction(g, spec).validate(g, spec)
 
 
+def test_two_pair_yes_missed_by_the_first_descent_decided_within_budget():
+    # linked two-pair systems whose first paths block each other, in both
+    # pair orders: one order of each took 0.4-11 s when the search walked
+    # the pair's paths in (length, lex) order after its first failed
+    corpus = two_pair_corpus(random.Random(2026), 5793)
+    cases = [corpus[i] for i in (2074, 4917, 5792)]
+    for size, chord in ((7, (36, 42)), (8, (42, 57)), (8, (6, 55))):
+        g, spec = crossing_grid(size, size)
+        cases.append((Graph.from_edges(g.n, [*g.edges(), chord]), spec))
+    for g, spec in cases:
+        for parts in (spec.parts, spec.parts[::-1]):
+            swapped = TerminalSpec(parts, spec.forbidden)
+            t0 = time.perf_counter()
+            got = disjoint_paths(g, swapped)
+            assert time.perf_counter() - t0 < 0.5, parts
+            assert got is not None, parts
+            got.validate(g, swapped)
+
+
 def test_link_reads_paths_once_per_search_node(monkeypatch):
     # four pairs, none an edge, on a sparse pool-style host, where the search
-    # backtracks; the candidate counts take no path from the generator, so
-    # only a node's branching loop calls it
+    # backtracks; only a node's branching loop reads paths from the
+    # generator, and the two-pair step reads none
     g = gen_min_degree(20, 4, 14)
     verts = random.Random(14).sample(range(20), 8)
     pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(4)]
@@ -467,7 +393,7 @@ def test_link_reads_paths_once_per_search_node(monkeypatch):
     finally:
         sys.setprofile(None)
     assert paths is not None
-    assert nodes == 7 and reads <= nodes
+    assert nodes == 24 and reads <= nodes
 
 
 def test_link_runs_its_flow_bound_only_where_stuck(monkeypatch):
@@ -510,14 +436,14 @@ def test_root_rule_settles_linked_pairs_by_shortest_paths(monkeypatch):
     # linkage-queries pool query 1717: four non-edge pairs and a singleton,
     # linked, whose root is stuck; every two of its pairs are linked by one
     # pair's shortest path and a path of the other, so the root rule runs
-    # no planarity test
-    calls = 0
+    # no planarity test. The one test is a stuck two-pair node's, two
+    # levels down, and the two-pair step that links its pairs needs no other
+    calls = []
     obstruction = solver._obstruction
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return obstruction(*args)
+    def counted(g, pairs, blocked):
+        calls.append(tuple(pairs))
+        return obstruction(g, pairs, blocked)
 
     monkeypatch.setattr(solver, "_obstruction", counted)
     g = gen_min_degree(21, 4, 3739012258)
@@ -525,7 +451,7 @@ def test_root_rule_settles_linked_pairs_by_shortest_paths(monkeypatch):
     got = knit(g, spec)
     assert got == Knit((264209, 630916, 1184064, 16936, 1024))
     got.validate(g, spec)
-    assert calls == 0
+    assert calls == [((2, 19), (3, 5))]
 
 
 def test_disjoint_paths_direct_edges():
