@@ -92,6 +92,12 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
     split, so a rebuild would return None as well: returning at once gives
     the same answer (``tests/oracles.py`` keeps the rebuild as
     ``block_faces_by_rebuild``).
+
+    Each face's vertex mask is kept beside it. Face i is a cycle, which u
+    and w split into two sides that share only u and w. One new face is
+    the side ``there`` plus the path's new vertices; the other is face i
+    less that side's vertices other than u and w, plus the same new
+    vertices. So only the side is read vertex by vertex, not the faces.
     """
     nb = {v: adj[v] & block for v in bits(block)}
     if sum(m.bit_count() for m in nb.values()) // 2 > 3 * block.bit_count() - 6:
@@ -134,18 +140,20 @@ def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
         else:
             there, back = face[iu:] + face[:iw + 1], face[iw:iu + 1]
         inner = path[1:-1]
+        new_mask = mask_of(inner)
+        side = mask_of(there)
         faces[i] = there + inner[::-1]
         faces.append(back + inner)
-        masks[i] = mask_of(faces[i])
-        masks.append(mask_of(faces[-1]))
+        masks.append(masks[i] & ~side | 1 << u | 1 << w | new_mask)
+        masks[i] = side | new_mask
+        drawn |= new_mask
         for x, y in zip(path, path[1:]):
             drawn_adj[x] |= 1 << y
             drawn_adj[y] |= 1 << x
-            drawn |= 1 << y
         if comp:
             # the rest of the drawn fragment, each piece attached at a new
             # vertex: it can fit only the two new faces, refitted below
-            for part in components(nb, comp & ~mask_of(inner)):
+            for part in components(nb, comp & ~new_mask):
                 attach = 0
                 for x in bits(part):
                     attach |= nb[x]

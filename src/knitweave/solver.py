@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
-from .planar import face_count, planar_rotation
+from .planar import _block_faces, face_count, planar_rotation
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,15 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
     ``max_len`` vertices long, shortest first and in lexicographic order of
     the vertex sequence within a length ((length, lex) order).
 
-    One breadth-first search from v inside ``allowed`` gives ``near[r]``,
-    the interior vertices at most r steps from v (``near[0]`` is v alone).
-    Then one depth-first pass per exact length steps only to a vertex that
-    is near enough to v for the steps left; the last step goes to v.
+    A breadth-first search from v inside ``allowed`` gives ``near[r]``, the
+    interior vertices at most r steps from v (``near[0]`` is v alone). It
+    grows one layer per length, only as far as that length reads: a path of
+    ``length`` vertices steps first into ``near[length - 2]``. A length
+    whose layer misses N(u) has no path and is passed over, and once the
+    search runs out of vertices with N(u) still missed there is no path at
+    all; a search run out keeps its last layer for every later length. Then
+    one depth-first pass per exact length steps only to a vertex that is
+    near enough to v for the steps left; the last step goes to v.
     """
     if u == v:
         return
@@ -149,24 +154,25 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
     inner = allowed & ~(1 << u) & ~target
     near = [target]  # near[0]: the only vertex a path can step to last
     seen = frontier = target
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & inner & ~seen
-        seen |= frontier
-        near.append(seen & inner)
-    shortest = next((r + 2 for r, layer in enumerate(near) if adj[u] & layer), None)
-    if shortest is None:
-        return
-    top = len(near) - 1
-    for length in range(shortest, min(max_len, inner.bit_count() + 2) + 1):
+    for length in range(2, min(max_len, inner.bit_count() + 2) + 1):
+        if length > 2:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & inner & ~seen
+            seen |= frontier
+            near.append(seen & inner)
+        first = adj[u] & near[-1]
+        if not first:
+            if not frontier:
+                return
+            continue
         path = [u]
         on = 1 << u
         # untried[i]: the next vertices not yet tried after path[i]
-        untried = [adj[u] & near[min(length - 2, top)]]
+        untried = [first]
         while untried:
             cand = untried[-1]
             if not cand:
@@ -180,7 +186,7 @@ def iter_paths_by_length(g: Graph, u: int, v: int, allowed: int, max_len: int) -
                 continue
             path.append(low.bit_length() - 1)
             on |= low
-            untried.append(adj[path[-1]] & near[min(length - len(path) - 1, top)] & ~on)
+            untried.append(adj[path[-1]] & near[length - len(path) - 1] & ~on)
 
 
 def max_vertex_disjoint_flow(
@@ -457,9 +463,17 @@ def _fan_of_four(adj: list[int], v: int, good: int, live: int) -> bool:
     """Whether four successive shortest paths from ``v`` inside ``live``, each
     avoiding the vertices of the ones before, end at four vertices of
     ``good``. If so, they meet only at v. A "no" says nothing: other paths
-    may still exist."""
+    may still exist.
+
+    While v has a good neighbour left, the next shortest path
+    (:func:`shortest_path`) is the one edge to the least of them. So v's
+    good neighbours are taken first, as one-edge paths, and only the paths
+    still missing are searched for: none when v has four good neighbours.
+    """
     free = live & ~(1 << v)
-    for _ in range(4):
+    near = adj[v] & good & free
+    free &= ~near
+    for _ in range(4 - near.bit_count()):
         path = shortest_path(adj, v, good, free)
         if not path:
             return False
@@ -467,10 +481,13 @@ def _fan_of_four(adj: list[int], v: int, good: int, live: int) -> bool:
     return True
 
 
-def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
-    """Decide whether the two ``pairs`` are linked with no interior vertex in
-    ``blocked``, by the two-paths theorem (Seymour 1980; Thomassen 1980): a
-    certificate when they are not, None when they are.
+def _reduced_with_apex(
+    g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
+) -> tuple[tuple[tuple[int, int], ...], list[int], list[tuple[int, int]]]:
+    """The graph whose planarity decides, by the two-paths theorem (Seymour
+    1980; Thomassen 1980), whether the two ``pairs`` are linked with no
+    interior vertex in ``blocked``: its reductions, its adjacency (the apex
+    is vertex ``g.n``) and the cycle edges it adds.
 
     Delete the blocked vertices other than the terminals. Then, for each
     non-terminal vertex once, cut off the least terminal-free side around it
@@ -480,8 +497,7 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     the side), so one pass leaves no such side. The theorem then says the
     pairs are not linked exactly when the reduced graph plus the cycle
     s1 s2 t1 t2 has a plane drawing with the cycle bounding a face, that is,
-    when it stays planar with an apex joined to the cycle. The certificate
-    keeps that drawing without the cycle's added edges.
+    when it stays planar with an apex joined to the cycle.
 
     Call a vertex good when four paths from it to the terminals meet only
     at it, and count the terminals as good. A good vertex has no such side:
@@ -540,13 +556,22 @@ def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Op
     adj.append(ends)
     for t in ring:
         adj[t] |= 1 << g.n
+    return tuple(reductions), adj, added
+
+
+def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
+    """The certificate that the two ``pairs`` are not linked with no
+    interior vertex in ``blocked``, None when they are: the reductions and a
+    plane drawing of :func:`_reduced_with_apex`'s graph, without the cycle's
+    added edges."""
+    reductions, adj, added = _reduced_with_apex(g, pairs, blocked)
     rotation = planar_rotation(adj)
     if rotation is None:
         return None
     for a, b in added:
         rotation[a].remove(b)
         rotation[b].remove(a)
-    return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
+    return PlanarObstruction(reductions, tuple(map(tuple, rotation)))
 
 
 def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int) -> bool:
@@ -566,14 +591,43 @@ def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int
     return False
 
 
-def _pair_obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
-    """The certificate of the first two of ``pairs``, in order, that
-    :func:`_obstruction` shows unlinked with ``blocked`` deleted (it must
-    hold every pair's ends); None if every two are linked. Pairs are linked
-    only if every two of them are, so a certificate is a "no" for all.
+def _pair_obstruction(
+    g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
+) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """The first two of ``pairs``, in order, that are not linked with
+    ``blocked`` deleted (it must hold every pair's ends); None if every two
+    are linked. Pairs are linked only if every two of them are, so two
+    unlinked pairs are a "no" for all.
 
-    Two pairs that :func:`_shortest_first_links` links have no certificate,
-    so the planarity test runs only on the others."""
+    Two pairs that :func:`_shortest_first_links` links are passed over.
+    The others go to the planarity test of :func:`_reduced_with_apex`'s
+    graph, which is only decided here: whether a drawing exists
+    (:func:`_block_faces`), with no rotation system or certificate built
+    from it."""
+    for two in itertools.combinations(pairs, 2):
+        if _shortest_first_links(g, two, blocked):
+            continue
+        _, adj, _ = _reduced_with_apex(g, two, blocked)
+        if _block_faces(adj, mask_of(v for v, row in enumerate(adj) if row)) is not None:
+            return two
+    return None
+
+
+def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruction]:
+    """The certificate that the pairs of ``spec`` have no disjoint linking
+    paths avoiding its other vertices, when two of its non-edge pairs have
+    none: that of the first two in order that :func:`_pair_obstruction`
+    finds. None when every two non-edge pairs are linked, with the other
+    terminals and the forbidden set deleted; the pairs may still be
+    unlinked then.
+
+    It tests the same pairs in the same order, but each by
+    :func:`_obstruction`, so the two pairs it certifies are reduced and
+    embedded once, and theirs is the only drawing turned into a rotation
+    system: a linked pair's graph has none."""
+    spec.check_in_graph(g)
+    pairs = [p for p in spec.parts if len(p) == 2 and not g.has_edge(*p)]
+    blocked = spec.forbidden | spec.terminal_mask
     for two in itertools.combinations(pairs, 2):
         if _shortest_first_links(g, two, blocked):
             continue
@@ -581,17 +635,6 @@ def _pair_obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) 
         if cert is not None:
             return cert
     return None
-
-
-def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruction]:
-    """The certificate that the pairs of ``spec`` have no disjoint linking
-    paths avoiding its other vertices, when two of its non-edge pairs have
-    none: that of the first two in order (:func:`_pair_obstruction`). None
-    when every two non-edge pairs are linked, with the other terminals and
-    the forbidden set deleted; the pairs may still be unlinked then."""
-    spec.check_in_graph(g)
-    pairs = [p for p in spec.parts if len(p) == 2 and not g.has_edge(*p)]
-    return _pair_obstruction(g, pairs, spec.forbidden | spec.terminal_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ rows and census verdicts; ``block_faces_by_rebuild``, the previous
 ``planar._block_faces``, for faces; ``path_by_parents``, the previous
 ``planar._path``, for the paths of ``graphs.shortest_path``;
 ``obstruction_by_flows``, the
-previous ``_obstruction``, for two-paths certificates; and
+previous ``_obstruction``, for two-paths certificates;
+``fan_by_shortest_paths``, the previous ``_fan_of_four``, for its
+answers; and
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
 for normalised parts, terminal masks and error messages.
 """
@@ -1123,6 +1125,19 @@ def obstruction_by_flows(
         rotation[a].remove(b)
         rotation[b].remove(a)
     return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
+
+
+def fan_by_shortest_paths(adj: Sequence[int], v: int, good: int, live: int) -> bool:
+    """The previous ``solver._fan_of_four``: whether four successive shortest
+    paths from ``v`` inside ``live``, each avoiding the vertices of the ones
+    before, end at four vertices of ``good``."""
+    free = live & ~(1 << v)
+    for _ in range(4):
+        path = shortest_path(adj, v, good, free)
+        if not path:
+            return False
+        free &= ~mask_of(path)
+    return True
 
 
 def terminal_spec_by_sorting(parts, forbidden: int = 0):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 
 from knitweave.cli import cli_main
@@ -118,6 +119,35 @@ def test_linkage_prints_a_certificate_when_two_pairs_are_unlinked(capsys, tmp_pa
     code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-8,1-9,2-10"])
     data = json.loads(out)
     assert code == 0 and data["exists"] is False and data["certificate"] is None
+
+
+# sha256 of the linkage command's standard output: the certificates of the
+# crossing 5x5 grid, of the 8x8 grid shuffled by random.Random(8) (the
+# pairs as tier1.yml passes them) and of the 5x5 grid's three-pair "no",
+# and the witnesses of the 8x8 grid plus the chord 6-55 in both pair orders
+PINNED_LINKAGE_STDOUT = {
+    "grid5 0-24,4-20": "8022be30e29ee353f7aa3bc5c235d007b190dfa8865089bcd22c7711571e7c91",
+    "grid8 48-29,50-2": "ff15d496755f9cde0cb700d63f2a5efa7321078282e702ad7db2c59d9ac1d096",
+    "grid5 0-24,4-20,7-17": "08866f4a209c7c53bddb6678ff888b80ed71dc8a59877db1a70799bbaeb00e64",
+    "chord 0-63,7-56": "45f5dac825c6387445f967f424005b2bad7727831f19815d03477676a242660c",
+    "chord 7-56,0-63": "5c7ddbf18b2b7e38011c5fe2fd949e320c634ee4c58c6c8004bc506f6126af0c",
+}
+
+
+def test_linkage_stdout_matches_pinned_digests(capsys, tmp_path):
+    grid8, _ = crossing_grid(8, 8)
+    graphs = {
+        "grid5": crossing_grid(5, 5)[0],
+        "grid8": crossing_grid(8, 8, random.Random(8))[0],
+        "chord": Graph.from_edges(64, [*grid8.edges(), (6, 55)]),
+    }
+    got = {}
+    for key in PINNED_LINKAGE_STDOUT:
+        name, pairs = key.split()
+        code, out = run(capsys, ["--input", graph_file(tmp_path, graphs[name]), "linkage", "--pairs", pairs])
+        assert code == 0
+        got[key] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_LINKAGE_STDOUT
 
 
 def test_usage_error_exit_2(capsys):

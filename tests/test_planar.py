@@ -21,6 +21,7 @@ from conftest import crossing_grid, random_graph, two_pair_corpus
 from oracles import (
     biconnected_blocks,
     block_faces_by_rebuild,
+    fan_by_shortest_paths,
     obstruction_by_flows,
     two_pair_systems_solvable,
     two_pairs_linked_by_induced_paths,
@@ -251,6 +252,48 @@ def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
     for adj in embedded:
         h = nx.Graph((v, w) for v, row in enumerate(adj) for w in bits(row))
         assert nx.is_biconnected(h), adj
+
+
+def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):
+    # the fan that takes v's good neighbours as one-edge paths before any
+    # search answers as the successive shortest paths do, at every vertex
+    # the reduction pass visits
+    fan = solver._fan_of_four
+    seen = {True: 0, False: 0}
+    neighbours = [0] * 5
+
+    def checked(adj, v, good, live):
+        got = fan(adj, v, good, live)
+        assert got == fan_by_shortest_paths(adj, v, good, live), (adj, v, good, live)
+        seen[got] += 1
+        neighbours[min((adj[v] & good & live).bit_count(), 4)] += 1
+        return got
+
+    monkeypatch.setattr(solver, "_fan_of_four", checked)
+    for g, spec in two_pair_corpus(random.Random(31), 1500):
+        pairs = [p for p in spec.parts if len(p) == 2]
+        if not any(g.has_edge(*p) for p in pairs):
+            solver._obstruction(g, pairs, spec.forbidden | spec.terminal_mask)
+    assert min(seen.values()) > 1000 and min(neighbours) > 100, (seen, neighbours)
+
+
+def test_fan_of_four_reads_four_good_neighbours_without_a_search(monkeypatch):
+    # v = 0 has four good neighbours, 1..4, and one more neighbour, 5
+    calls = 0
+    search = solver.shortest_path
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(solver, "shortest_path", counted)
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 1)])
+    assert solver._fan_of_four(list(g.adj), 0, mask_of([1, 2, 3, 4, 6]), g.full_mask)
+    assert calls == 0
+    # with three good neighbours the fourth path is searched for: 0 5 6
+    assert solver._fan_of_four(list(g.adj), 0, mask_of([1, 2, 3, 6]), g.full_mask)
+    assert calls == 1
 
 
 def test_shortest_first_links_only_linked_pairs():

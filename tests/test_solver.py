@@ -135,7 +135,36 @@ def _path_cases():
     """(g, u, v, allowed, caps, read) cases for the path generator: 1500 with
     one random cap and a random partial read (a read of None takes every
     path), then 1000 graphs of at most 12 vertices, each read in full at
-    every cap 2..6."""
+    every cap 2..6, then 300 of each case where the layers stop early: a
+    cap below the u-v distance, u and v in different components of
+    ``allowed``, and u adjacent to v."""
+    rng = random.Random(17)
+    for _ in range(300):
+        # a cycle with a few chords, u and v far apart on it
+        n = rng.randint(6, 14)
+        chords = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 2))]
+        g = Graph.from_edges(n, [*((w, (w + 1) % n) for w in range(n)), *chords])
+        u = rng.randrange(n)
+        v = (u + n // 2) % n
+        distance = nx.shortest_path_length(nx.Graph(g.edges()), u, v)
+        yield g, u, v, g.full_mask, (rng.randint(0, distance),), None
+    for _ in range(300):
+        # two random graphs joined only through vertices outside allowed
+        a, b, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 3)
+        n = a + b + c
+        edges = [e for e in itertools.combinations(range(a), 2) if rng.random() < 0.5]
+        edges += [e for e in itertools.combinations(range(a, a + b), 2) if rng.random() < 0.5]
+        edges += [(w, x) for w in range(a + b, n) for x in range(a + b) if rng.random() < 0.5]
+        g = Graph.from_edges(n, edges)
+        u, v = rng.randrange(a), rng.randrange(a, a + b)
+        yield g, u, v, (1 << (a + b)) - 1, (rng.randint(0, n + 1),), rng.choice([1, None])
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        u, v = rng.sample(range(n), 2)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.6))
+        g = Graph.from_edges(n, [*g.edges(), (u, v)])
+        allowed = rng.getrandbits(n) | rng.getrandbits(n)
+        yield g, u, v, allowed, (rng.randint(0, n + 1),), rng.choice([1, 3, None])
     rng = random.Random(13)
     for _ in range(1500):
         n = rng.randint(2, 14)
@@ -192,7 +221,8 @@ def _linked_as_before(cases):
     """The numbers of ``cases`` that link and of those that
     ``two_pair_obstruction`` certifies unlinked, each answer checked against
     the plainer search and each certificate against the whole
-    specification; a "yes" gets none."""
+    specification; a "yes" gets none. The certificate's two pairs are
+    those the search's verdict-only test finds first."""
     linked = certified = 0
     for g, pairs, blocked in cases:
         got = _link(g, pairs, blocked)
@@ -200,9 +230,15 @@ def _linked_as_before(cases):
         linked += got is not None
         spec = TerminalSpec(tuple(pairs), blocked & ~mask_of(v for p in pairs for v in p))
         cert = two_pair_obstruction(g, spec)
-        if cert is not None:
+        nonedge = [p for p in spec.parts if not g.has_edge(*p)]
+        two = solver._pair_obstruction(g, nonedge, blocked)
+        if cert is None:
+            assert two is None, (g.adj, pairs, blocked)
+        else:
             assert got is None, (g.adj, pairs, blocked)
             cert.validate(g, spec)
+            ring = cert.rotation[g.n]
+            assert {tuple(sorted(ring[::2])), tuple(sorted(ring[1::2]))} == set(two), (g.adj, pairs, blocked)
             certified += 1
     return linked, certified
 
@@ -264,20 +300,22 @@ def test_link_two_pairs_matches_obstruction_first(census7, monkeypatch):
              (5, 8), (6, 7)]
     cases.append((Graph.from_edges(9, edges), [(0, 5), (8, 7)], mask_of([0, 5, 8, 7])))
     calls = 0
-    test = solver._obstruction
+    test = solver._reduced_with_apex
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return test(*args)
 
-    monkeypatch.setattr(solver, "_obstruction", counted)
+    monkeypatch.setattr(solver, "_reduced_with_apex", counted)
     seen = {True: 0, False: 0}
     tests = unlinked = 0
     for g, pairs, blocked in cases:
+        # the oracle's own two-paths test runs before the count starts
+        want = link_by_obstruction_first(g, pairs, blocked)
         calls = 0
         got = _link(g, pairs, blocked)
-        assert got == link_by_obstruction_first(g, pairs, blocked), (g.adj, pairs, blocked)
+        assert got == want, (g.adj, pairs, blocked)
         seen[got is not None] += 1
         step = 0 if got is None else max(map(len, got)) * max(row.bit_count() for row in g.adj)
         assert calls <= 1 + step, (g.adj, pairs, blocked)
@@ -294,14 +332,14 @@ def test_link_two_pairs_skips_planarity_on_k33_minus_matching(monkeypatch):
     # are linked by one path each, which the search's first descent finds
     g = complete_minus_matching(33, 16)
     calls = 0
-    test = solver._obstruction
+    test = solver._reduced_with_apex
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return test(*args)
 
-    monkeypatch.setattr(solver, "_obstruction", counted)
+    monkeypatch.setattr(solver, "_reduced_with_apex", counted)
     rng = random.Random(33)
     linked = 0
     while linked < 20:
@@ -413,7 +451,7 @@ def test_link_runs_its_flow_bound_only_where_stuck(monkeypatch):
 
     monkeypatch.setattr(solver, "max_vertex_disjoint_flow", spy("flow", solver.max_vertex_disjoint_flow))
     monkeypatch.setattr(solver, "iter_paths_by_length", spy("read", solver.iter_paths_by_length))
-    monkeypatch.setattr(solver, "_obstruction", spy("obstruction", solver._obstruction))
+    monkeypatch.setattr(solver, "_reduced_with_apex", spy("obstruction", solver._reduced_with_apex))
     n = 64
     circulant = Graph.from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, 16)])
     for seed in (1, 2, 3):
@@ -439,13 +477,13 @@ def test_root_rule_settles_linked_pairs_by_shortest_paths(monkeypatch):
     # no planarity test. The one test is a stuck two-pair node's, two
     # levels down, and the two-pair step that links its pairs needs no other
     calls = []
-    obstruction = solver._obstruction
+    obstruction = solver._reduced_with_apex
 
     def counted(g, pairs, blocked):
         calls.append(tuple(pairs))
         return obstruction(g, pairs, blocked)
 
-    monkeypatch.setattr(solver, "_obstruction", counted)
+    monkeypatch.setattr(solver, "_reduced_with_apex", counted)
     g = gen_min_degree(21, 4, 3739012258)
     spec = TerminalSpec(((0, 4), (2, 19), (6, 17), (3, 5), (10,)))
     got = knit(g, spec)
