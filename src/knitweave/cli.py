@@ -16,7 +16,7 @@ from . import campaigns, certify, coloring, solver, structure
 from .errors import InputError, InternalConsistencyError, KnitweaveError
 from .formats import parse_graph_auto, write_edge_list, write_graph6, write_json
 from .generators import gen_min_degree, gen_universal_vertex
-from .graphs import Graph, mask_of, set_of
+from .graphs import MAX_VERTICES, Graph, mask_of, set_of
 
 
 def _read_graph(args) -> Graph:
@@ -27,13 +27,17 @@ def _read_graph(args) -> Graph:
 
 
 def _parse_int(token: str) -> int:
-    """A vertex or a part size, so a nonnegative integer."""
+    """A vertex or a part size, so a nonnegative integer below
+    ``MAX_VERTICES``; a larger one is rejected before it becomes a bit of a
+    mask."""
     try:
         value = int(token)
     except ValueError:
         value = -1
     if value < 0:
         raise InputError(f"{token!r} is not a nonnegative integer")
+    if value >= MAX_VERTICES:
+        raise InputError(f"vertex {value} is outside 0..{MAX_VERTICES - 1}")
     return value
 
 

@@ -39,26 +39,33 @@ def planar_rotation(adj: Sequence[int]) -> Optional[list[list[int]]]:
 
     The graph's non-isolated vertices must be at least three and induce a
     2-connected graph, one block, which is embedded by Demoucron, Malgrange
-    and Pertuiset (:func:`_block_faces`); on any other graph its answer means
+    and Pertuiset (:func:`_block_faces`) and read off its faces by
+    :func:`rotation_from_faces`; on any other graph its answer means
     nothing. Isolated vertices get empty rotations.
     """
-    block = mask_of(v for v, row in enumerate(adj) if row)
-    faces = _block_faces(adj, block)
-    if faces is None:
-        return None
+    faces = _block_faces(adj, mask_of(v for v, row in enumerate(adj) if row))
+    return None if faces is None else rotation_from_faces(adj, faces)
+
+
+def rotation_from_faces(adj: Sequence[int], faces: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rotation system of the plane drawing whose faces
+    :func:`_block_faces` returned for the graph: each non-isolated vertex
+    lists its neighbours in the cyclic order the faces give, from its least
+    neighbour on."""
     # a face runs ... x, y, z ...: z follows x in the rotation at y
     after = {}
     for face in faces:
         for i, y in enumerate(face):
             after[y, face[i - 1]] = face[(i + 1) % len(face)]
     rotation: list[list[int]] = [[] for _ in adj]
-    for y in bits(block):
-        first = x = (adj[y] & -adj[y]).bit_length() - 1
-        while True:
-            rotation[y].append(x)
-            x = after[y, x]
-            if x == first:
-                break
+    for y, row in enumerate(adj):
+        if row:
+            first = x = (row & -row).bit_length() - 1
+            while True:
+                rotation[y].append(x)
+                x = after[y, x]
+                if x == first:
+                    break
     return rotation
 
 

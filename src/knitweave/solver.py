@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
-from .planar import _block_faces, face_count, planar_rotation
+from .planar import _block_faces, face_count, rotation_from_faces
 
 
 @dataclass(frozen=True)
@@ -373,13 +373,16 @@ class PlanarObstruction:
             isinstance(ring, tuple)
             and len(ring) == 4
             and all(type(x) is int for x in ring)
+            and len(set(ring)) == 4
             and {tuple(sorted(ring[::2])), tuple(sorted(ring[1::2]))} <= set(spec.parts)
         ):
             raise InputError("the apex does not see two pairs of the specification in the order s1, s2, t1, t2")
         ends = mask_of(ring)
         live, adj = _deleted(g, ends, spec.forbidden | spec.terminal_mask)
-        if not all(isinstance(r, tuple) and len(r) == 2 for r in self.reductions):
-            raise InputError("each reduction must be a (separator, side) pair")
+        if not isinstance(self.reductions, tuple) or not all(
+            isinstance(r, tuple) and len(r) == 2 for r in self.reductions
+        ):
+            raise InputError("the reductions must be a tuple, each a (separator, side) pair")
         for separator, side in self.reductions:
             if not (type(separator) is int and type(side) is int and side > 0 and separator >= 0):
                 raise InputError("a reduction needs a separator mask and a nonempty side mask")
@@ -521,7 +524,7 @@ def _reduced_with_apex(
 
     So the graph that is embedded, the reduced graph plus the cycle and
     the apex, is one block on its non-isolated vertices, as
-    :func:`planar_rotation` requires. After the pass every live
+    :func:`_block_faces` requires. After the pass every live
     non-terminal vertex is good: it was marked when visited, since a vertex
     not marked is deleted with its side, and no marked vertex is ever in a
     side. Delete any one vertex x. A good vertex other than x keeps at
@@ -559,21 +562,6 @@ def _reduced_with_apex(
     return tuple(reductions), adj, added
 
 
-def _obstruction(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[PlanarObstruction]:
-    """The certificate that the two ``pairs`` are not linked with no
-    interior vertex in ``blocked``, None when they are: the reductions and a
-    plane drawing of :func:`_reduced_with_apex`'s graph, without the cycle's
-    added edges."""
-    reductions, adj, added = _reduced_with_apex(g, pairs, blocked)
-    rotation = planar_rotation(adj)
-    if rotation is None:
-        return None
-    for a, b in added:
-        rotation[a].remove(b)
-        rotation[b].remove(a)
-    return PlanarObstruction(reductions, tuple(map(tuple, rotation)))
-
-
 def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int) -> bool:
     """Whether the two pairs are linked, with no interior vertex in
     ``blocked`` (which holds their ends), by one pair's least-vertex
@@ -593,23 +581,28 @@ def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int
 
 def _pair_obstruction(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
-) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+) -> Optional[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], list[int],
+                    list[tuple[int, int]], list[list[int]]]]:
     """The first two of ``pairs``, in order, that are not linked with
-    ``blocked`` deleted (it must hold every pair's ends); None if every two
-    are linked. Pairs are linked only if every two of them are, so two
-    unlinked pairs are a "no" for all.
+    ``blocked`` deleted (it must hold every pair's ends), with the drawing
+    that shows they are not; None if every two are linked. Pairs are
+    linked only if every two of them are, so two unlinked pairs are a "no"
+    for all.
 
     Two pairs that :func:`_shortest_first_links` links are passed over.
     The others go to the planarity test of :func:`_reduced_with_apex`'s
-    graph, which is only decided here: whether a drawing exists
-    (:func:`_block_faces`), with no rotation system or certificate built
-    from it."""
+    graph: whether a drawing exists (:func:`_block_faces`). The first that
+    has one is returned with what the test built: the two pairs, the
+    reductions, the graph, the cycle edges it adds and the faces of its
+    drawing. The search reads only whether it found two such pairs; the
+    certificate is read off the rest (:func:`two_pair_obstruction`)."""
     for two in itertools.combinations(pairs, 2):
         if _shortest_first_links(g, two, blocked):
             continue
-        _, adj, _ = _reduced_with_apex(g, two, blocked)
-        if _block_faces(adj, mask_of(v for v, row in enumerate(adj) if row)) is not None:
-            return two
+        reductions, adj, added = _reduced_with_apex(g, two, blocked)
+        faces = _block_faces(adj, mask_of(v for v, row in enumerate(adj) if row))
+        if faces is not None:
+            return two, reductions, adj, added, faces
     return None
 
 
@@ -621,20 +614,21 @@ def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruc
     terminals and the forbidden set deleted; the pairs may still be
     unlinked then.
 
-    It tests the same pairs in the same order, but each by
-    :func:`_obstruction`, so the two pairs it certifies are reduced and
-    embedded once, and theirs is the only drawing turned into a rotation
-    system: a linked pair's graph has none."""
+    The certificate is the drawing that test made, so each two pairs
+    tested are reduced and embedded once: its reductions, and the rotation
+    system of its faces (:func:`rotation_from_faces`) without the cycle's
+    added edges."""
     spec.check_in_graph(g)
     pairs = [p for p in spec.parts if len(p) == 2 and not g.has_edge(*p)]
-    blocked = spec.forbidden | spec.terminal_mask
-    for two in itertools.combinations(pairs, 2):
-        if _shortest_first_links(g, two, blocked):
-            continue
-        cert = _obstruction(g, two, blocked)
-        if cert is not None:
-            return cert
-    return None
+    found = _pair_obstruction(g, pairs, spec.forbidden | spec.terminal_mask)
+    if found is None:
+        return None
+    _, reductions, adj, added, faces = found
+    rotation = rotation_from_faces(adj, faces)
+    for a, b in added:
+        rotation[a].remove(b)
+        rotation[b].remove(a)
+    return PlanarObstruction(reductions, tuple(map(tuple, rotation)))
 
 
 # ---------------------------------------------------------------------------

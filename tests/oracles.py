@@ -27,8 +27,10 @@ and witnesses; ``graph6_parse_by_bit_lists``, the previous
 rows and census verdicts; ``block_faces_by_rebuild``, the previous
 ``planar._block_faces``, for faces; ``path_by_parents``, the previous
 ``planar._path``, for the paths of ``graphs.shortest_path``;
-``obstruction_by_flows``, the
-previous ``_obstruction``, for two-paths certificates;
+``obstruction_by_flows``, the previous two-paths test, which
+reduced with one flow per vertex and embedded by rebuilding, for the
+certificates of ``two_pair_obstruction`` (read off the drawing its test
+makes) and for the two-pair verdicts of ``link_by_obstruction_first``;
 ``fan_by_shortest_paths``, the previous ``_fan_of_four``, for its
 answers; and
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
@@ -64,7 +66,6 @@ from knitweave.solver import (
     PlanarObstruction,
     _deleted,
     _link,
-    _obstruction,
     _reduce,
     _terminal_free_side,
     iter_paths_by_length,
@@ -848,7 +849,8 @@ def link_by_obstruction_first(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """The linkage ``_link`` returns, by a plainer search: two pairs, neither
-    an edge, go to the two-paths test before any path is read, and every
+    an edge, go to the two-paths test before any path is read (here
+    :func:`obstruction_by_flows`, not the code under test), and every
     node with two or more pairs left runs its flow bound on entry. A node
     branches on the pair of least component bound, the earlier on a tie,
     and tries its paths in (length, lex) order. Where a node with two pairs
@@ -860,7 +862,7 @@ def link_by_obstruction_first(
     # a direct edge uses no interior vertex, so it can never conflict with the
     # other paths; taking it loses no solutions
     todo = [(idx, p) for idx, p in enumerate(pairs) if not g.has_edge(*p)]
-    if len(pairs) == len(todo) == 2 and _obstruction(g, pairs, blocked) is not None:
+    if len(pairs) == len(todo) == 2 and obstruction_by_flows(g, pairs, blocked) is not None:
         return None
     free = g.full_mask & ~blocked
 
@@ -1096,7 +1098,8 @@ def rotation_by_rebuild(adj: Sequence[int]) -> Optional[list[list[int]]]:
 def obstruction_by_flows(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
 ) -> Optional[PlanarObstruction]:
-    """The previous ``solver._obstruction``: one capped flow for every
+    """The two-paths certificate as a previous ``solver._obstruction`` made
+    it: one capped flow for every
     non-terminal vertex still in the graph at its turn, then the embedding
     of :func:`rotation_by_rebuild`."""
     (s1, t1), (s2, t2) = pairs

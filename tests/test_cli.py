@@ -5,6 +5,8 @@ import json
 import random
 import sys
 
+import pytest
+
 from knitweave.cli import cli_main
 from knitweave.formats import parse_graph6, write_edge_list, write_graph6
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
@@ -182,6 +184,23 @@ def test_malformed_vertex_arguments_name_their_token(capsys, tmp_path):
         assert cli_main(["--input", path] + argv) == 2, argv
         err = capsys.readouterr().err
         assert fault in err and not any(bare in err for bare in ("unpack", "base 10", "shift")), (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["linkage", "--pairs", f"0-{2 ** 70}"],
+    ["linkage", "--pairs", "0-64"],
+    ["massed", "--p", "4", "--set", f"0,{2 ** 70}"],
+    ["knit", "--terminals", f"0,1,{2 ** 70}", "--profile", "2,1"],
+    ["knit", "--terminals", "0,1", "--profile", "2", "--forbidden", f"{2 ** 70}"],
+])
+def test_vertex_arguments_past_the_vertex_limit_are_input_errors(capsys, tmp_path, argv):
+    # a vertex past the limit is rejected as it is read, before it is
+    # shifted into a mask, so 2**70 raises no OverflowError and does not
+    # exit 1, the code of a mathematical finding
+    path = graph_file(tmp_path, Graph.complete(5))
+    assert cli_main(["--input", path] + argv) == 2
+    err = capsys.readouterr().err
+    assert "outside 0..63" in err and "Traceback" not in err, err
 
 
 def test_comment_line_reads_as_the_empty_graph(capsys, monkeypatch):

@@ -137,6 +137,9 @@ def test_obstruction_tampering_detected():
         (with_rotation(0, rot[0][:-1] + rot[0][:1]), "does not list each"),
         (with_rotation(apex, [0, 3, 1, 4]), "order s1, s2, t1, t2"),
         (with_reductions((0b1010,), second), "a .separator, side. pair"),
+        (dataclasses.replace(cert, reductions=None), "must be a tuple"),
+        (dataclasses.replace(cert, reductions=5), "must be a tuple"),
+        (dataclasses.replace(cert, reductions=list(cert.reductions)), "must be a tuple"),
         (with_reductions((0b1010, 0), second), "nonempty side"),
         (with_reductions((0b1010, 1.0), second), "nonempty side"),
         (with_reductions((0b1110, 0b100), second), "disjoint and in the graph"),
@@ -144,6 +147,8 @@ def test_obstruction_tampering_detected():
         (dataclasses.replace(cert, rotation=cert.rotation[:-1]), "must list 7 vertices"),
         # the apex sees three terminals, so it names no two pairs
         (with_rotation(apex, rot[apex][:3]), "two pairs of the specification"),
+        # both halves of this ring are the pair 0-3, so it names no second pair
+        (with_rotation(apex, [0, 3, 3, 0]), "two pairs of the specification"),
     ]
     for tampered, message in cases:
         with pytest.raises(InputError, match=message):
@@ -217,23 +222,14 @@ def test_block_faces_match_the_rebuild():
     assert min(answers.values()) > 300
 
 
-def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
+def test_obstruction_matches_one_flow_per_vertex():
     # the corpus holds random and minimum-degree hosts, shuffled grids from
     # 3x3 to 8x8, grids with a chord, and grids with a planted 3-separation;
     # every graph the test embeds must be one block on its non-isolated
-    # vertices, as planar_rotation requires. two_pair_obstruction embeds no
-    # "yes" that a shortest path settles, so the embeddings are recorded
-    # from _obstruction itself, on every system
+    # vertices, as _block_faces requires. two_pair_obstruction embeds no
+    # "yes" that a shortest path settles, so the graphs are reduced here, on
+    # every system, and embedded as the test embeds them
     embedded = []
-    recording = False
-    rotation = solver.planar_rotation
-
-    def recorded(adj):
-        if recording:
-            embedded.append(list(adj))
-        return rotation(adj)
-
-    monkeypatch.setattr(solver, "planar_rotation", recorded)
     counts = {"none": 0, "certified": 0, "reduced": 0}
     for g, spec in two_pair_corpus(random.Random(31), 1500):
         pairs = [p for p in spec.parts if len(p) == 2]
@@ -242,9 +238,9 @@ def test_obstruction_matches_one_flow_per_vertex(monkeypatch):
         blocked = spec.forbidden | spec.terminal_mask
         want = obstruction_by_flows(g, pairs, blocked)
         assert two_pair_obstruction(g, spec) == want
-        recording = True
-        assert solver._obstruction(g, pairs, blocked) == want
-        recording = False
+        _, adj, _ = solver._reduced_with_apex(g, pairs, blocked)
+        embedded.append(adj)
+        assert (_block_faces(adj, mask_of(v for v, row in enumerate(adj) if row)) is None) == (want is None)
         counts["none" if want is None else "certified"] += 1
         counts["reduced"] += want is not None and bool(want.reductions)
     assert min(counts.values()) > 150, counts
@@ -273,7 +269,7 @@ def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):
     for g, spec in two_pair_corpus(random.Random(31), 1500):
         pairs = [p for p in spec.parts if len(p) == 2]
         if not any(g.has_edge(*p) for p in pairs):
-            solver._obstruction(g, pairs, spec.forbidden | spec.terminal_mask)
+            solver._reduced_with_apex(g, pairs, spec.forbidden | spec.terminal_mask)
     assert min(seen.values()) > 1000 and min(neighbours) > 100, (seen, neighbours)
 
 

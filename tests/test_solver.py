@@ -222,7 +222,7 @@ def _linked_as_before(cases):
     ``two_pair_obstruction`` certifies unlinked, each answer checked against
     the plainer search and each certificate against the whole
     specification; a "yes" gets none. The certificate's two pairs are
-    those the search's verdict-only test finds first."""
+    those the search's two-paths test finds first."""
     linked = certified = 0
     for g, pairs, blocked in cases:
         got = _link(g, pairs, blocked)
@@ -231,14 +231,14 @@ def _linked_as_before(cases):
         spec = TerminalSpec(tuple(pairs), blocked & ~mask_of(v for p in pairs for v in p))
         cert = two_pair_obstruction(g, spec)
         nonedge = [p for p in spec.parts if not g.has_edge(*p)]
-        two = solver._pair_obstruction(g, nonedge, blocked)
+        found = solver._pair_obstruction(g, nonedge, blocked)
         if cert is None:
-            assert two is None, (g.adj, pairs, blocked)
+            assert found is None, (g.adj, pairs, blocked)
         else:
             assert got is None, (g.adj, pairs, blocked)
             cert.validate(g, spec)
             ring = cert.rotation[g.n]
-            assert {tuple(sorted(ring[::2])), tuple(sorted(ring[1::2]))} == set(two), (g.adj, pairs, blocked)
+            assert {tuple(sorted(ring[::2])), tuple(sorted(ring[1::2]))} == set(found[0]), (g.adj, pairs, blocked)
             certified += 1
     return linked, certified
 
@@ -311,7 +311,6 @@ def test_link_two_pairs_matches_obstruction_first(census7, monkeypatch):
     seen = {True: 0, False: 0}
     tests = unlinked = 0
     for g, pairs, blocked in cases:
-        # the oracle's own two-paths test runs before the count starts
         want = link_by_obstruction_first(g, pairs, blocked)
         calls = 0
         got = _link(g, pairs, blocked)
