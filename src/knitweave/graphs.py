@@ -575,6 +575,11 @@ class MinorWitness:
     def validate(self) -> None:
         host, branch_sets = self.host, self.branch_sets
         adj, full = host.adj, host.full_mask
+        if not isinstance(branch_sets, tuple) or not all(type(bs) is int for bs in branch_sets):
+            raise InputError("the branch sets must be a tuple of int masks")
+        edges = self.model_edges
+        if not isinstance(edges, tuple) or not all(isinstance(e, tuple) and len(e) == 2 for e in edges):
+            raise InputError("the model edges must be a tuple of index pairs")
         seen = 0
         reach = []  # reach[i]: the host vertices adjacent to branch set i
         for bs in branch_sets:
@@ -596,7 +601,7 @@ class MinorWitness:
             reach.append(r)
         m = len(reach)
         used = set()
-        for i, j in self.model_edges:
+        for i, j in edges:
             if not (type(i) is int and type(j) is int and 0 <= i < m and 0 <= j < m):
                 raise InputError(f"model edge {i!r},{j!r} is not a pair of branch set indices")
             if i == j:

@@ -34,19 +34,6 @@ def face_count(rotation: Sequence[Sequence[int]]) -> int:
     return faces
 
 
-def planar_rotation(adj: Sequence[int]) -> Optional[list[list[int]]]:
-    """A plane rotation system of the graph, or None if it is not planar.
-
-    The graph's non-isolated vertices must be at least three and induce a
-    2-connected graph, one block, which is embedded by Demoucron, Malgrange
-    and Pertuiset (:func:`_block_faces`) and read off its faces by
-    :func:`rotation_from_faces`; on any other graph its answer means
-    nothing. Isolated vertices get empty rotations.
-    """
-    faces = _block_faces(adj, mask_of(v for v, row in enumerate(adj) if row))
-    return None if faces is None else rotation_from_faces(adj, faces)
-
-
 def rotation_from_faces(adj: Sequence[int], faces: Sequence[Sequence[int]]) -> list[list[int]]:
     """The rotation system of the plane drawing whose faces
     :func:`_block_faces` returned for the graph: each non-isolated vertex

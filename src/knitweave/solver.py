@@ -90,6 +90,8 @@ class Linkage:
     paths: tuple[tuple[int, ...], ...]
 
     def validate(self, g: Graph, spec: TerminalSpec) -> None:
+        if not isinstance(self.paths, tuple) or not all(isinstance(p, (tuple, list)) for p in self.paths):
+            raise InputError("the paths must be a tuple of vertex sequences")
         if len(self.paths) != len(spec.parts):
             raise InputError("path count does not match the terminal parts")
         used = 0
@@ -111,6 +113,8 @@ class Knit:
     subgraphs: tuple[int, ...]
 
     def validate(self, g: Graph, spec: TerminalSpec) -> None:
+        if not isinstance(self.subgraphs, tuple) or not all(type(sub) is int for sub in self.subgraphs):
+            raise InputError("the subgraphs must be a tuple of int masks")
         if len(self.subgraphs) != len(spec.parts):
             raise InputError("subgraph count does not match the terminal parts")
         used = 0
@@ -415,12 +419,12 @@ class PlanarObstruction:
             raise InputError("the rotation's faces break Euler's formula: it is not a plane drawing")
 
 
-def _terminal_free_side(adj: list[int], v: int, ends: int, live: int) -> Optional[tuple[int, int]]:
+def _terminal_free_side(adj: list[int], v: int, ends: int, live: int, k: int) -> Optional[tuple[int, int]]:
     """The separator and the least terminal-free side around the
-    non-terminal ``v`` that at most three vertices cut off from ``ends``, or
-    None.
+    non-terminal ``v`` that fewer than ``k`` vertices cut off from ``ends``,
+    or None.
 
-    A flow capped at four paths from v's neighbours to the ends, inside
+    A flow capped at k paths from v's neighbours to the ends, inside
     ``live`` without v, finds whether there is one (Menger). Its side is
     then the set of vertices whose out-node the residual reaches from v, in
     the node-split network with unbounded edge arcs, and the separator is
@@ -434,8 +438,8 @@ def _terminal_free_side(adj: list[int], v: int, ends: int, live: int) -> Optiona
     is the least one, the same for every maximum flow.
     """
     allowed = live & ~(1 << v)
-    flow, paths = max_vertex_disjoint_flow(adj, adj[v], ends, allowed, cap=4, collect=True)
-    if flow == 4:
+    flow, paths = max_vertex_disjoint_flow(adj, adj[v], ends, allowed, cap=k, collect=True)
+    if flow == k:
         return None
     on = starts = 0
     pred = {}
@@ -462,26 +466,67 @@ def _terminal_free_side(adj: list[int], v: int, ends: int, live: int) -> Optiona
     return reach_in & ~reach_out, reach_out | (1 << v)
 
 
-def _fan_of_four(adj: list[int], v: int, good: int, live: int) -> bool:
-    """Whether four successive shortest paths from ``v`` inside ``live``, each
-    avoiding the vertices of the ones before, end at four vertices of
+def _fan(adj: list[int], v: int, good: int, live: int, k: int) -> bool:
+    """Whether ``k`` successive shortest paths from ``v`` inside ``live``,
+    each avoiding the vertices of the ones before, end at k vertices of
     ``good``. If so, they meet only at v. A "no" says nothing: other paths
     may still exist.
 
     While v has a good neighbour left, the next shortest path
     (:func:`shortest_path`) is the one edge to the least of them. So v's
     good neighbours are taken first, as one-edge paths, and only the paths
-    still missing are searched for: none when v has four good neighbours.
+    still missing are searched for: none when v has k good neighbours.
     """
     free = live & ~(1 << v)
     near = adj[v] & good & free
     free &= ~near
-    for _ in range(4 - near.bit_count()):
+    for _ in range(k - near.bit_count()):
         path = shortest_path(adj, v, good, free)
         if not path:
             return False
         free &= ~mask_of(path)
     return True
+
+
+def _small_cuts(adj: list[int], ends: int, live: int, k: int) -> Iterator[tuple[int, int]]:
+    """The terminal-free sides that fewer than ``k`` vertices cut off from
+    ``ends``, in the graph on ``live`` with rows ``adj``, as
+    ``(separator, side)`` pairs. The sweep visits each non-terminal vertex
+    still in the graph at its turn once, in order, and yields the least
+    side around a vertex that has one (:func:`_terminal_free_side`). When
+    resumed, it deletes that side and makes its separator a clique
+    (:func:`_reduce`, on ``adj`` in place), so later sides are those of
+    the reduced graph.
+
+    Call a vertex good when k paths from it to the ends meet only at it,
+    and count the ends as good. Fewer than k vertices cannot cut a good
+    vertex off: they miss one of its k paths. So a good vertex has no side,
+    and the sweep runs the capped flow only at a vertex not yet known to be
+    good; it yields what one flow per visited vertex would, since a flow's
+    side depends on the graph alone.
+
+    Good-neighbour lemma: a vertex v with k paths to k distinct good
+    vertices, meeting only at v, is good. For if fewer than k vertices S,
+    not v, cut v off from the ends, one of the k paths misses S, and its
+    good end u lies with v on the terminal-free side of S. An end cannot
+    lie there, and a good u cannot either, since one of its own k paths
+    misses S. The sweep tries such paths greedily before any flow
+    (:func:`_fan`), and marks good each vertex that they or its flow show.
+    Goodness survives the later reductions: the paths that cross a side
+    enter and leave it through distinct separator vertices, and the
+    clique edge between the two stands in for each detour. So the marks
+    stay true, and no marked vertex is ever in a side.
+    """
+    good = ends
+    for v in bits(live & ~ends):
+        if not (live >> v) & 1:
+            continue
+        if _fan(adj, v, good, live, k) or (cut := _terminal_free_side(adj, v, ends, live, k)) is None:
+            good |= 1 << v
+        else:
+            yield cut
+            _reduce(adj, *cut)
+            live &= ~cut[1]
 
 
 def _reduced_with_apex(
@@ -492,65 +537,26 @@ def _reduced_with_apex(
     interior vertex in ``blocked``: its reductions, its adjacency (the apex
     is vertex ``g.n``) and the cycle edges it adds.
 
-    Delete the blocked vertices other than the terminals. Then, for each
-    non-terminal vertex once, cut off the least terminal-free side around it
-    that at most three vertices separate from the terminals, and make that
-    separator a clique. Reducing never lowers another vertex's connectivity
-    to the terminals (a clique edge stands in for a path's detour through
-    the side), so one pass leaves no such side. The theorem then says the
-    pairs are not linked exactly when the reduced graph plus the cycle
-    s1 s2 t1 t2 has a plane drawing with the cycle bounding a face, that is,
-    when it stays planar with an apex joined to the cycle.
+    Delete the blocked vertices other than the terminals, then reduce every
+    terminal-free side that at most three vertices cut off from the
+    terminals: the sweep :func:`_small_cuts` with k = 4, after which every
+    live non-terminal vertex is good (a vertex not marked when visited is
+    deleted with its side), so no such side is left. The theorem then
+    says the pairs are not linked exactly when the reduced graph plus the
+    cycle s1 s2 t1 t2 has a plane drawing with the cycle bounding a face,
+    that is, when it stays planar with an apex joined to the cycle.
 
-    Call a vertex good when four paths from it to the terminals meet only
-    at it, and count the terminals as good. A good vertex has no such side:
-    its capped flow (:func:`_terminal_free_side`) finds four paths and
-    reduces nothing. So the pass runs that flow only at vertices not known
-    to be good, and makes the reductions of one flow per vertex: each turn
-    sees the graph that pass would, and a flow's side depends on the graph
-    alone.
-
-    Good-neighbour lemma: a vertex v with four paths to four distinct good
-    vertices, meeting only at v, is good; in particular one with four good
-    neighbours. For if at most three vertices S, not v, cut v off from the
-    terminals, one of the four paths misses S, and its good end u lies with
-    v on the terminal-free side of S. A terminal cannot lie there, and a
-    good u cannot either, since one of its own four paths misses S. The
-    pass tries such paths greedily before any flow (:func:`_fan_of_four`),
-    and marks good each vertex that they or its flow show. Goodness
-    survives the later reductions, by the clique argument above, so the
-    marks stay true. No vertex of a side is ever marked: its separator
-    cuts it off.
-
-    So the graph that is embedded, the reduced graph plus the cycle and
-    the apex, is one block on its non-isolated vertices, as
-    :func:`_block_faces` requires. After the pass every live
-    non-terminal vertex is good: it was marked when visited, since a vertex
-    not marked is deleted with its side, and no marked vertex is ever in a
-    side. Delete any one vertex x. A good vertex other than x keeps at
-    least three of its four paths, which meet only at it and so end at
-    distinct terminals, and so a path to a terminal other than x; and the
-    terminals other than x stay joined through the cycle s1 s2 t1 t2 and
-    the apex.
+    That graph, with the apex, is one block on its non-isolated vertices,
+    as :func:`_block_faces` requires. Delete any one vertex x. A good
+    vertex other than x keeps at least three of its four paths, which meet
+    only at it and so end at distinct terminals, and so a path to a
+    terminal other than x; and the terminals other than x stay joined
+    through the cycle s1 s2 t1 t2 and the apex.
     """
     (s1, t1), (s2, t2) = pairs
     ends = mask_of((s1, t1, s2, t2))
     live, adj = _deleted(g, ends, blocked)
-    reductions = []
-    good = ends
-    for v in bits(live & ~ends):
-        if not (live >> v) & 1:
-            continue
-        if _fan_of_four(adj, v, good, live):
-            good |= 1 << v
-            continue
-        r = _terminal_free_side(adj, v, ends, live)
-        if r is None:
-            good |= 1 << v
-        else:
-            reductions.append(r)
-            _reduce(adj, *r)
-            live &= ~r[1]
+    reductions = tuple(_small_cuts(adj, ends, live, 4))
     ring = (s1, s2, t1, t2)
     added = [(a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not (adj[a] >> b) & 1]
     for a, b in added:
@@ -559,7 +565,7 @@ def _reduced_with_apex(
     adj.append(ends)
     for t in ring:
         adj[t] |= 1 << g.n
-    return tuple(reductions), adj, added
+    return reductions, adj, added
 
 
 def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int) -> bool:

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits, components, induced, mask_of, rho, set_of
-from .solver import is_profile_knitted, max_vertex_disjoint_flow
+from .solver import _small_cuts, is_profile_knitted
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class Separation:
         return self.a & self.b
 
     def validate(self, g: Graph, s: int = 0) -> None:
+        if not (type(self.a) is int and type(self.b) is int):
+            raise InputError("the separation's sides a and b must be int masks")
         if (self.a | self.b) != g.full_mask:
             raise InputError("separation sides do not cover the graph")
         priv_a = self.a & ~self.b
@@ -76,39 +78,13 @@ def separations_exist(l: Graph, s: int, max_order: int) -> bool:
 
     Valid whenever ``max_order < |s|``: such a separation exists iff some
     vertex outside s can be cut off from s by at most ``max_order`` vertices
-    (Menger, with the terminal set as sinks).
-
-    Before its flow, each vertex b gets a lower bound on that fan from the
-    paths seen without a search: one one-vertex path per neighbour of b in
-    s, and one two-vertex path c-t per terminal t not adjacent to b that
-    has a neighbour c among b's neighbours outside s not yet taken, each t
-    taking its least such c. These paths are vertex-disjoint (distinct
-    terminals, distinct c, and no c in s), so the flow is at least their
-    number; when that number exceeds ``max_order`` the flow would too, and
-    b cannot be cut off. So the flow runs only where the bound is at most
-    ``max_order``, and the answer is the same.
+    (Menger, with the terminal set as sinks), that is, iff the small-cut
+    sweep with k = ``max_order + 1`` (:func:`_small_cuts`) finds a first
+    cut.
     """
     if max_order >= s.bit_count():
         raise InputError("shortcut requires max_order < |s|")
-    full = l.full_mask
-    adj = l.adj
-    for b in bits(full & ~s):
-        fan = adj[b] & s
-        bound = fan.bit_count()
-        spare = adj[b] & ~s
-        for t in bits(s & ~fan):
-            if bound > max_order:
-                break
-            c = adj[t] & spare
-            if c:
-                spare ^= c & -c
-                bound += 1
-        if bound <= max_order:
-            # fan from b: paths share only b, so its neighbors act as the sources
-            flow = max_vertex_disjoint_flow(adj, adj[b], s, full & ~s & ~(1 << b), cap=max_order + 1)
-            if flow <= max_order:
-                return True
-    return False
+    return next(_small_cuts(list(l.adj), s, l.full_mask, max_order + 1), None) is not None
 
 
 def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separation]:

@@ -31,8 +31,8 @@ rows and census verdicts; ``block_faces_by_rebuild``, the previous
 reduced with one flow per vertex and embedded by rebuilding, for the
 certificates of ``two_pair_obstruction`` (read off the drawing its test
 makes) and for the two-pair verdicts of ``link_by_obstruction_first``;
-``fan_by_shortest_paths``, the previous ``_fan_of_four``, for its
-answers; and
+``fan_by_shortest_paths``, the previous ``_fan_of_four`` for any k, for
+the answers of ``_fan``; and
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
 for normalised parts, terminal masks and error messages.
 """
@@ -1108,7 +1108,7 @@ def obstruction_by_flows(
     reductions = []
     for v in bits(live & ~ends):
         if (live >> v) & 1:
-            r = _terminal_free_side(adj, v, ends, live)
+            r = _terminal_free_side(adj, v, ends, live, 4)
             if r is not None:
                 reductions.append(r)
                 _reduce(adj, *r)
@@ -1130,12 +1130,12 @@ def obstruction_by_flows(
     return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
 
 
-def fan_by_shortest_paths(adj: Sequence[int], v: int, good: int, live: int) -> bool:
-    """The previous ``solver._fan_of_four``: whether four successive shortest
-    paths from ``v`` inside ``live``, each avoiding the vertices of the ones
-    before, end at four vertices of ``good``."""
+def fan_by_shortest_paths(adj: Sequence[int], v: int, good: int, live: int, k: int) -> bool:
+    """The previous ``solver._fan_of_four``, for any ``k``: whether k
+    successive shortest paths from ``v`` inside ``live``, each avoiding the
+    vertices of the ones before, end at k vertices of ``good``."""
     free = live & ~(1 << v)
-    for _ in range(4):
+    for _ in range(k):
         path = shortest_path(adj, v, good, free)
         if not path:
             return False

@@ -454,6 +454,11 @@ def test_minor_witness_validate_rejects():
         (MinorWitness(k3, (1, 2, 4), ((0, -1),)), "indices"),
         (MinorWitness(k3, (1, 2, 4), ((0, 3),)), "indices"),
         (MinorWitness(k3, (1, 2, 4), ((0, True),)), "indices"),
+        (MinorWitness(Graph.complete(4), (1.0, 2, 4, 8), ()), "branch sets must be a tuple of int masks"),
+        (MinorWitness(k3, (True, 2, 4), ((0, 1), (0, 2), (1, 2))), "branch sets must be a tuple of int masks"),
+        (MinorWitness(k3, [1, 2, 4], ()), "branch sets must be a tuple of int masks"),
+        (MinorWitness(k3, (1, 2, 4), None), "model edges must be a tuple of index pairs"),
+        (MinorWitness(k3, (1, 2, 4), ((0, 1, 2),)), "model edges must be a tuple of index pairs"),
     ]
     for wit, message in bad:
         with pytest.raises(InputError, match=message):

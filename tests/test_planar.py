@@ -9,7 +9,7 @@ import pytest
 from knitweave.errors import InputError
 from knitweave.graphs import Graph, bits, mask_of
 from knitweave import solver
-from knitweave.planar import _block_faces, face_count, planar_rotation
+from knitweave.planar import _block_faces, face_count, rotation_from_faces
 from knitweave.solver import (
     TerminalSpec,
     disjoint_paths,
@@ -42,10 +42,11 @@ def test_planar_rotation_matches_networkx():
             if block.bit_count() < 3:
                 continue
             rows = [row & block if (block >> v) & 1 else 0 for v, row in enumerate(g.adj)]
-            rotation = planar_rotation(rows)
-            if rotation is None:
+            faces = _block_faces(rows, block)
+            if faces is None:
                 embeds = False
                 continue
+            rotation = rotation_from_faces(rows, faces)
             for v in range(n):
                 assert len(rotation[v]) == rows[v].bit_count() and mask_of(rotation[v]) == rows[v]
             edges = sum(row.bit_count() for row in rows) // 2
@@ -60,13 +61,12 @@ def test_planar_rotation_dense_near_planar():
     # 3-connected; an edge between two inner vertices on no common face,
     # (1, 1) and (3, 3), makes it nonplanar
     g, _ = crossing_grid(5, 5)
-    assert planar_rotation(g.adj) is not None
+    assert _block_faces(g.adj, g.full_mask) is not None
     chord = Graph.from_edges(25, [*g.edges(), (6, 18)])
-    assert planar_rotation(chord.adj) is None
-    assert planar_rotation(list(Graph.complete(5).adj)) is None
+    assert _block_faces(chord.adj, chord.full_mask) is None
     k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    assert planar_rotation(k33.adj) is None
-    assert planar_rotation(Graph.petersen().adj) is None
+    for h in (Graph.complete(5), k33, Graph.petersen()):
+        assert _block_faces(h.adj, h.full_mask) is None
 
 
 def test_two_pair_decision_matches_independent_oracle():
@@ -253,19 +253,20 @@ def test_obstruction_matches_one_flow_per_vertex():
 def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):
     # the fan that takes v's good neighbours as one-edge paths before any
     # search answers as the successive shortest paths do, at every vertex
-    # the reduction pass visits
-    fan = solver._fan_of_four
+    # the small-cut sweep visits at k = 4
+    fan = solver._fan
     seen = {True: 0, False: 0}
     neighbours = [0] * 5
 
-    def checked(adj, v, good, live):
-        got = fan(adj, v, good, live)
-        assert got == fan_by_shortest_paths(adj, v, good, live), (adj, v, good, live)
+    def checked(adj, v, good, live, k):
+        assert k == 4
+        got = fan(adj, v, good, live, k)
+        assert got == fan_by_shortest_paths(adj, v, good, live, k), (adj, v, good, live)
         seen[got] += 1
         neighbours[min((adj[v] & good & live).bit_count(), 4)] += 1
         return got
 
-    monkeypatch.setattr(solver, "_fan_of_four", checked)
+    monkeypatch.setattr(solver, "_fan", checked)
     for g, spec in two_pair_corpus(random.Random(31), 1500):
         pairs = [p for p in spec.parts if len(p) == 2]
         if not any(g.has_edge(*p) for p in pairs):
@@ -285,10 +286,10 @@ def test_fan_of_four_reads_four_good_neighbours_without_a_search(monkeypatch):
 
     monkeypatch.setattr(solver, "shortest_path", counted)
     g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 1)])
-    assert solver._fan_of_four(list(g.adj), 0, mask_of([1, 2, 3, 4, 6]), g.full_mask)
+    assert solver._fan(list(g.adj), 0, mask_of([1, 2, 3, 4, 6]), g.full_mask, 4)
     assert calls == 0
     # with three good neighbours the fourth path is searched for: 0 5 6
-    assert solver._fan_of_four(list(g.adj), 0, mask_of([1, 2, 3, 6]), g.full_mask)
+    assert solver._fan(list(g.adj), 0, mask_of([1, 2, 3, 6]), g.full_mask, 4)
     assert calls == 1
 
 

@@ -570,6 +570,9 @@ def test_linkage_validate_rejects_each_fault():
         (((0, 4, 2), (1, 5, 3)), spec, "does not join"),
         (((0, 4, 1), (2, 4, 3)), spec, "not vertex-disjoint"),
         (((0, 4, 1), (2, 5, 3)), TerminalSpec(((0, 1), (2, 3)), forbidden=1 << 5), "forbidden"),
+        (None, spec, "paths must be a tuple"),
+        ([(0, 4, 1), (2, 5, 3)], spec, "paths must be a tuple"),
+        (((0, 4, 1), 5), spec, "paths must be a tuple"),
     ):
         with pytest.raises(InputError, match=fault):
             solver.Linkage(paths).validate(g, tampered)
@@ -586,6 +589,10 @@ def test_knit_validate_rejects_each_fault():
         ((0b111, 0b1100), spec, "overlap"),
         ((0b111, 0b1000), TerminalSpec(((0, 2), (3,)), forbidden=0b10), "forbidden"),
         ((0b101, 0b1000), spec, "not connected"),
+        ((1.5,), TerminalSpec(((0,),)), "subgraphs must be a tuple of int masks"),
+        ((True,), TerminalSpec(((0,),)), "subgraphs must be a tuple of int masks"),
+        ([0b111, 0b1000], spec, "subgraphs must be a tuple of int masks"),
+        (None, spec, "subgraphs must be a tuple of int masks"),
     ):
         with pytest.raises(InputError, match=fault):
             Knit(subgraphs).validate(g, tampered)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from knitweave import structure
+from knitweave import solver
 from knitweave.errors import InputError, PreconditionError
 from knitweave.generators import complete_minus_matching
 from knitweave.graphs import Graph, bits, mask_of, rho
-from knitweave.solver import _link
+from knitweave.solver import _link, max_vertex_disjoint_flow
 from knitweave.structure import (
     Separation,
     enumerate_separations,
@@ -21,7 +21,7 @@ from knitweave.structure import (
 )
 
 from conftest import random_graph
-from oracles import first_unknittable_partition, separations_by_flows
+from oracles import fan_by_shortest_paths, first_unknittable_partition, separations_by_flows
 
 
 def naive_separations(g: Graph, s: int, max_order: int):
@@ -115,21 +115,112 @@ def test_separations_exist_matches_flow_sweep_randomized():
     assert answers == {True, False}
 
 
+def _swept(g: Graph, ends: int, k: int) -> tuple[int, int]:
+    """Run the small-cut sweep with ``k`` on ``g``; check each cut it yields
+    in the graph it is yielded from and, in the reduced graph it leaves,
+    every vertex it marked good; return the counts of both."""
+    adj, live = list(g.adj), g.full_mask
+    cuts = 0
+    for separator, side in solver._small_cuts(adj, ends, live, k):
+        assert separator.bit_count() < k
+        assert side and not side & (ends | separator) and not (side | separator) & ~live
+        assert all(not adj[x] & ~side & ~separator for x in bits(side)), (g.adj, ends, k)
+        live &= ~side
+        cuts += 1
+    # a vertex not marked is deleted with its side, so the marked ones are
+    # the non-terminals left, and they stay good as the graph is reduced
+    good = live & ~ends
+    for v in bits(good):
+        assert max_vertex_disjoint_flow(adj, adj[v], ends, live & ~(1 << v), cap=k) == k, (g.adj, ends, k)
+    return cuts, good.bit_count()
+
+
+def _fan_checked(monkeypatch, ends: list) -> dict:
+    """Check, at every vertex the sweep visits, the fan against successive
+    shortest paths, and that a fan found gives a capped flow of k to the
+    ends (``ends[0]``) in the graph it is found in."""
+    fan = solver._fan
+    seen = {True: 0, False: 0}
+
+    def checked(adj, v, good, live, k):
+        got = fan(adj, v, good, live, k)
+        assert got == fan_by_shortest_paths(adj, v, good, live, k), (adj, v, good, live, k)
+        if got:
+            assert max_vertex_disjoint_flow(adj, adj[v], ends[0], live & ~(1 << v), cap=k) == k
+        seen[got] += 1
+        return got
+
+    monkeypatch.setattr(solver, "_fan", checked)
+    return seen
+
+
+def test_small_cuts_for_any_k_on_census(census7, monkeypatch):
+    rng = random.Random(40)
+    ends = [0]
+    seen = _fan_checked(monkeypatch, ends)
+    cuts = good = 0
+    for g in census7[1:]:  # the first has no vertex to be a terminal
+        for k in range(1, 7):
+            ends[0] = mask_of(rng.sample(range(g.n), rng.randint(1, g.n)))
+            c, m = _swept(g, ends[0], k)
+            cuts += c
+            good += m
+    assert min(cuts, good, seen[True], seen[False]) > 500, (cuts, good, seen)
+
+
+def test_small_cuts_for_any_k_randomized(monkeypatch):
+    rng = random.Random(41)
+    ends = [0]
+    seen = _fan_checked(monkeypatch, ends)
+    cuts = good = 0
+    for _ in range(600):
+        n = rng.randint(6, 24)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.9))
+        k = rng.randint(1, 6)
+        ends[0] = mask_of(rng.sample(range(n), rng.randint(k, min(n, 9))))
+        c, m = _swept(g, ends[0], k)
+        cuts += c
+        good += m
+    assert min(cuts, good, seen[True], seen[False]) > 300, (cuts, good, seen)
+
+
+@pytest.mark.parametrize("family", ["complete-minus-matching", "circulant"])
+def test_separations_exist_matches_flow_sweep_on_dense_hosts(family):
+    # K_n - M is (n - 2)-connected and C_n(1..d) is 2d-connected: orders at
+    # a vertex's degree cut it off, and orders below the connectivity do not;
+    # on K_n - M only small n leave a vertex outside s whose degree is below |s|
+    rng = random.Random(42)
+    answers = set()
+    for n in (5, 6, 8, 10, 13, 17, 24, 33, 40):
+        for _ in range(10 if n <= 8 else 3):
+            if family == "circulant":
+                d = rng.randint(1, min(6, (n - 1) // 2))
+                g = Graph.from_edges(n, [(u, (u + j) % n) for u in range(n) for j in range(1, d + 1)])
+            else:
+                g = complete_minus_matching(n, rng.randint(1, n // 2))
+            s = mask_of(rng.sample(range(n), rng.randint(1, min(n - 1, 9))))
+            for max_order in range(s.bit_count()):
+                got = separations_exist(g, s, max_order)
+                assert got == separations_by_flows(g, s, max_order), (family, n, s, max_order)
+                answers.add(got)
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize("host", ["K32", "K33-matching"])
 def test_separations_exist_runs_no_flow_on_dense_hosts(host, monkeypatch):
     # every vertex outside eight terminals sees at least seven of them, and a
-    # missed one through any other neighbour outside, so the fan bound
-    # reaches 8 > 7 before a flow is needed
+    # missed one through any other neighbour outside, so the sweep's fan
+    # finds 8 > 7 paths to good vertices before a flow is needed
     g = Graph.complete(32) if host == "K32" else complete_minus_matching(33, 16)
     calls = 0
-    flow = structure.max_vertex_disjoint_flow
+    flow = solver.max_vertex_disjoint_flow
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "max_vertex_disjoint_flow", counted)
+    monkeypatch.setattr(solver, "max_vertex_disjoint_flow", counted)
     for seed in range(20):
         s = mask_of(random.Random(seed).sample(range(g.n), 8))
         assert separations_exist(g, s, 7) is False
@@ -175,6 +266,21 @@ def test_massed_condition_i_monotone_under_outside_edges():
         rows[v] |= 1 << u
         g2 = Graph(g.n, tuple(rows))
         assert is_p_massed(g2, s, p).condition_i
+
+
+def test_separation_validate_rejects_each_fault():
+    g = Graph.path(4)
+    Separation(0b0011, 0b1110).validate(g, 0b0001)
+    for a, b, s, fault in (
+        (0b0011, 0b0110, 0, "do not cover"),
+        (0b0011, 0b1100, 0, "private sides"),
+        (0b0011, 0b1110, 0b1000, "not inside side a"),
+        (3.0, 14, 0, "sides a and b must be int masks"),
+        (True, 0b1111, 0, "sides a and b must be int masks"),
+        (0b0011, None, 0, "sides a and b must be int masks"),
+    ):
+        with pytest.raises(InputError, match=fault):
+            Separation(a, b).validate(g, s)
 
 
 def test_rigidity_examples():
