@@ -73,7 +73,6 @@ from .certify import (
     knitted1_check,
     mader_threshold,
     main_theorem_table,
-    uncommon_neighbor_certificate,
 )
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 

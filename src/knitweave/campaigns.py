@@ -22,7 +22,7 @@ from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
 from .errors import InputError
-from .formats import write_graph6, write_json
+from .formats import write_graph6
 from .generators import complete_minus_matching, gen_min_degree, gen_split_host
 from .graphs import (
     Graph,
@@ -38,6 +38,7 @@ from .graphs import (
 from .solver import (
     Configuration,
     Linkage,
+    _check_sampling,
     build_configuration,
     disjoint_paths,
     max_vertex_disjoint_flow,
@@ -398,10 +399,7 @@ _INSTANCES = {"lemma-si": _lemma_instances, "pipeline-4linked": _pipeline_instan
 
 def _campaign(experiment: str, samples: int, seed: int, no_timestamps: bool) -> dict:
     """The report of one campaign run, each instance timed in ``wall_ms``."""
-    if type(samples) is not int or samples < 0:
-        raise InputError(f"samples must be a nonnegative int, not {samples!r}")
-    if type(seed) is not int:
-        raise InputError(f"seed must be an int, not {seed!r}")
+    _check_sampling(samples, seed)
     instances = []
     t0 = _now(no_timestamps)
     for inst in _INSTANCES[experiment](samples, seed):
@@ -480,10 +478,6 @@ def revalidate_report(report: dict) -> None:
         raise InputError(f"the report lacks instance {len(instances)} of the campaign's rerun")
     if not _same(report, _report(kind, seed, requested, report.get("timestamp"), rebuilt)):
         raise InputError("samples_run or violations do not match the instances")
-
-
-def report_to_json(report: dict) -> str:
-    return write_json(report)
 
 
 def load_report(text: str) -> dict:

@@ -9,13 +9,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .graphs import Graph, bits, induced, mask_of, max_clique, neighbors_closed, set_of
-from .solver import (
-    Linkage,
-    TerminalSpec,
-    disjoint_paths,
-    least_unknitted,
-)
+from .graphs import Graph, induced, mask_of, max_clique, neighbors_closed, set_of
+from .solver import Linkage, TerminalSpec, _check_sampling, _sampled_unknitted, least_unknitted
 
 
 def mader_threshold(s: int, t: int) -> int:
@@ -118,37 +113,6 @@ def common_neighbor_certificate(
     return True, None
 
 
-def uncommon_neighbor_certificate(
-    l: Graph,
-    v: int,
-    k: int,
-    knitted_variant: bool = False,
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Two-tier certificate around a distinguished vertex: pairs involving v
-    need 2k-1 (2k) common neighbors; other non-adjacent pairs x, y need 3k-2
-    (3k-1) common neighbors of x and y.
-    """
-    if type(k) is not int or k < 1:
-        raise InputError(f"k must be a positive int, not {k!r}")
-    if l.n < 2 * k + 1:
-        raise InputError(f"need at least {2 * k + 1} vertices")
-    l._check_vertex(v)
-    tier1 = 2 * k if knitted_variant else 2 * k - 1
-    tier2 = 3 * k - 1 if knitted_variant else 3 * k - 2
-    closed = neighbors_closed(l, v)
-    for x in bits(l.full_mask & ~closed):
-        if (l.adj[v] & l.adj[x]).bit_count() < tier1:
-            return False, (v, x)
-    rest = l.full_mask & ~(1 << v)
-    for x in bits(rest):
-        for y in bits(rest >> (x + 1) << (x + 1)):
-            if l.has_edge(x, y):
-                continue
-            if (l.adj[x] & l.adj[y]).bit_count() < tier2:
-                return False, (x, y)
-    return True, None
-
-
 @dataclass(frozen=True)
 class DenseNeighborhoodReport:
     vertex: Optional[int]
@@ -230,14 +194,13 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
     candidate of at most 12 vertices that :func:`least_unknitted` clears,
     or whose least violating system goes into ``failures``. A larger
     candidate is only searched for a counterexample, on ``samples`` systems
-    drawn from ``random.Random(seed)``; passing samples certify nothing.
+    drawn from one ``random.Random(seed)`` by the search of
+    ``is_k_linked(mode="sampled")`` (:func:`_sampled_unknitted`), whose first
+    failing system goes into ``failures``; passing samples certify nothing.
     """
     if p not in _TARGETS:
         raise InputError(f"threshold must be one of {sorted(_TARGETS)}")
-    if type(samples) is not int or samples < 0:
-        raise InputError(f"samples must be a nonnegative int, not {samples!r}")
-    if type(seed) is not int:
-        raise InputError(f"seed must be an int, not {seed!r}")
+    _check_sampling(samples, seed)
     k, variant, clique_bound = _TARGETS[p]
     if dense_conditions(h, p).case == "none":
         raise InputError("graph does not satisfy any dense-neighborhood shape")
@@ -271,22 +234,16 @@ def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict
             wit = least_unknitted(sub, profile)
             if wit is None:
                 return Knitted1Verdict("certified", "exhaustive", cand, run, tuple(failures))
-            pairs = tuple(part for part in wit if len(part) == 2)
-            forb = mask_of(part[0] for part in wit if len(part) == 1)
-            failures.append(_in_host(pairs, forb, vmap))
-            continue
-        for _ in range(samples):
-            run += 1
-            chosen = rng.sample(range(sub.n), sum(profile))
-            forb = 1 << chosen.pop(0) if variant else 0
-            pairs = tuple(zip(chosen[::2], chosen[1::2]))
-            if disjoint_paths(sub, TerminalSpec(pairs, forb)) is None:
-                failures.append(_in_host(pairs, forb, vmap))
-                break
+        else:
+            drawn, wit = _sampled_unknitted(sub, profile, samples, rng)
+            run += drawn
+        if wit is not None:
+            failures.append(_in_host(wit, vmap))
     return Knitted1Verdict("not-found", "", 0, run, tuple(failures))
 
 
-def _in_host(pairs: tuple, forbidden: int, vmap) -> tuple:
-    """A (pairs, forbidden mask) system of an induced subgraph in host labels."""
-    return tuple(tuple(vmap[x] for x in pr) for pr in pairs), mask_of(vmap[x] for x in bits(forbidden))
-
+def _in_host(parts: tuple, vmap) -> tuple:
+    """A partition of an induced subgraph's vertices, singletons first, as a
+    (pairs, forbidden mask) system in host labels."""
+    pairs = tuple(tuple(vmap[x] for x in part) for part in parts if len(part) == 2)
+    return pairs, mask_of(vmap[part[0]] for part in parts if len(part) == 1)

@@ -507,10 +507,6 @@ def _max_rows(
     return tuple(best)
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_form(g) == canonical_form(h)
-
-
 _CENSUS_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 

@@ -512,6 +512,9 @@ def _small_cuts(adj: list[int], ends: int, live: int, k: int) -> Iterator[tuple[
     lie there, and a good u cannot either, since one of its own k paths
     misses S. The sweep tries such paths greedily before any flow
     (:func:`_fan`), and marks good each vertex that they or its flow show.
+    A vertex with k good neighbours has them as its k one-edge paths, and
+    is marked without the call: the rows and the good set stay inside
+    ``live``, so the fan would take exactly those.
     Goodness survives the later reductions: the paths that cross a side
     enter and leave it through distinct separator vertices, and the
     clique edge between the two stands in for each detour. So the marks
@@ -521,7 +524,11 @@ def _small_cuts(adj: list[int], ends: int, live: int, k: int) -> Iterator[tuple[
     for v in bits(live & ~ends):
         if not (live >> v) & 1:
             continue
-        if _fan(adj, v, good, live, k) or (cut := _terminal_free_side(adj, v, ends, live, k)) is None:
+        if (
+            (adj[v] & good).bit_count() >= k
+            or _fan(adj, v, good, live, k)
+            or (cut := _terminal_free_side(adj, v, ends, live, k)) is None
+        ):
             good |= 1 << v
         else:
             yield cut
@@ -970,7 +977,8 @@ def is_k_linked(
 
     Exhaustive mode answers True, or False with the least violating system.
     Sampled mode only searches ``samples`` pseudorandom systems for a
-    counterexample: False with the first that fails, else (None, None).
+    counterexample (:func:`_sampled_unknitted`, on ``random.Random(seed)``):
+    False with the first that fails, else (None, None).
     """
     if type(k) is not int or k < 1:
         raise InputError(f"k must be a positive int, not {k!r}")
@@ -981,18 +989,42 @@ def is_k_linked(
         return system is None, system
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
+    _check_sampling(samples, seed)
+    _, system = _sampled_unknitted(g, (2,) * k, samples, random.Random(seed))
+    return (None, None) if system is None else (False, system)
+
+
+def _check_sampling(samples: int, seed: int) -> None:
+    """Raise InputError unless ``samples`` is a nonnegative int and ``seed``
+    an int: ``random.Random(None)`` seeds from the OS, so its answers would
+    not repeat."""
     if type(samples) is not int or samples < 0:
         raise InputError(f"samples must be a nonnegative int, not {samples!r}")
     if type(seed) is not int:
         raise InputError(f"seed must be an int, not {seed!r}")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        verts = rng.sample(range(g.n), 2 * k)
+
+
+def _sampled_unknitted(
+    g: Graph, profile: Sequence[int], samples: int, rng: random.Random
+) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
+    """The number of systems drawn and the first that cannot be knit, as
+    :func:`least_unknitted` gives one (singletons first, then the pairs,
+    each sorted), among ``samples`` partitions of random vertex sets of
+    ``g`` with the given part sizes; None when every one drawn is knit.
+
+    A draw takes ``sum(profile)`` vertices by ``rng.sample``, shuffles them,
+    pairs them off in order and leaves the last ones single. Its pairs are
+    linked with every drawn vertex blocked, so a draw is knittable exactly
+    when :func:`_link` links them.
+    """
+    j = profile.count(2)
+    for run in range(1, samples + 1):
+        verts = rng.sample(range(g.n), sum(profile))
         rng.shuffle(verts)
-        system = tuple(sorted(tuple(sorted(verts[2 * i:2 * i + 2])) for i in range(k)))
-        if _link(g, system, mask_of(verts)) is None:
-            return False, system
-    return None, None
+        pairs = tuple(sorted(tuple(sorted(verts[2 * i:2 * i + 2])) for i in range(j)))
+        if _link(g, pairs, mask_of(verts)) is None:
+            return run, tuple((v,) for v in sorted(verts[2 * j:])) + pairs
+    return samples, None
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ makes) and for the two-pair verdicts of ``link_by_obstruction_first``;
 ``fan_by_shortest_paths``, the previous ``_fan_of_four`` for any k, for
 the answers of ``_fan``; and
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
-for normalised parts, terminal masks and error messages.
+for normalised parts, terminal masks and error messages. And
+``are_isomorphic``, the previous ``graphs.are_isomorphic``, compares
+canonical forms.
 """
 
 from __future__ import annotations
@@ -260,6 +262,11 @@ def _canon_small(g: Graph) -> tuple:
         if best is None or key < best:
             best = key
     return best if best is not None else (0, ())
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether ``g`` and ``h`` have the same :func:`canonical_form`."""
+    return canonical_form(g) == canonical_form(h)
 
 
 def canonical_by_permutations(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -27,7 +27,6 @@ from knitweave.formats import parse_graph6, write_graph6
 from knitweave.generators import complete_minus_matching
 from knitweave.graphs import (
     Graph,
-    are_isomorphic,
     independence_number,
     induced,
     set_of,
@@ -35,7 +34,7 @@ from knitweave.graphs import (
 from knitweave.solver import disjoint_paths, is_profile_knitted, pairs_spec, two_pair_obstruction
 
 from conftest import dense_universal_vertex_family, random_graph
-from oracles import two_pair_systems_solvable
+from oracles import are_isomorphic, two_pair_systems_solvable
 from recomb_fixtures import build_recomb_fixture
 
 

@@ -14,11 +14,10 @@ from knitweave.campaigns import (
     campaign_lemma_si,
     campaign_pipeline_4linked,
     load_report,
-    report_to_json,
     revalidate_report,
 )
 from knitweave.errors import InputError
-from knitweave.formats import parse_graph6
+from knitweave.formats import parse_graph6, write_json
 from knitweave.graphs import Graph, bits, mask_of
 from knitweave.solver import Configuration
 
@@ -52,7 +51,7 @@ def test_a_report_requesting_negative_samples_fails_revalidation(campaign):
     rep = campaign(0, 1, no_timestamps=True)
     rep["samples_requested"] = -2
     with pytest.raises(InputError, match="nonnegative"):
-        load_report(report_to_json(rep))
+        load_report(write_json(rep))
 
 
 def test_lemma_configurations_pass_their_validator():
@@ -73,7 +72,7 @@ def test_is_biconnected():
     assert not _is_biconnected(two_triangles, two_triangles.full_mask)
 
 
-# sha256 of report_to_json with no_timestamps: campaign reports are meant to
+# sha256 of write_json with no_timestamps: campaign reports are meant to
 # stay byte-stable, so a change that alters these bytes must say why and re-pin
 PINNED_DIGESTS = {
     ("lemma-si", 1): "e0e0d2f5c49d8c8cb43af16f7ade734de72259e24661d924ba87548de616c606",
@@ -92,7 +91,7 @@ def test_reports_match_pinned_digests():
             campaign_lemma_si(30, seed, no_timestamps=True),
             campaign_pipeline_4linked(2, seed, no_timestamps=True),
         ):
-            digest = hashlib.sha256(report_to_json(rep).encode()).hexdigest()
+            digest = hashlib.sha256(write_json(rep).encode()).hexdigest()
             got[rep["experiment"], seed] = digest
     assert got == PINNED_DIGESTS
 
@@ -102,8 +101,8 @@ def test_lemma_si_runs_clean_and_deterministic():
     assert rep["samples_run"] == 60
     assert rep["violations"] == []
     rep2 = campaign_lemma_si(60, seed=9, no_timestamps=True)
-    assert report_to_json(rep) == report_to_json(rep2)
-    assert report_to_json(rep) != report_to_json(campaign_lemma_si(60, seed=10, no_timestamps=True))
+    assert write_json(rep) == write_json(rep2)
+    assert write_json(rep) != write_json(campaign_lemma_si(60, seed=10, no_timestamps=True))
     revalidate_report(rep)
     # both lemma record kinds appear and both side forms get exercised
     kinds = {s["lemma"] for inst in rep["instances"] for s in inst["samples"]}
@@ -126,7 +125,7 @@ def test_lemma_si_pair_conclusions_trigger():
 
 def test_revalidation_catches_tampering():
     rep = campaign_lemma_si(10, seed=2, no_timestamps=True)
-    blob = json.loads(report_to_json(rep))
+    blob = json.loads(write_json(rep))
     scored = next(
         s for inst in blob["instances"] for s in inst["samples"] if s["lemma"] == "si" and s["scores"]
     )
@@ -134,7 +133,7 @@ def test_revalidation_catches_tampering():
     with pytest.raises(InputError):
         load_report(json.dumps(blob))
 
-    text = report_to_json(campaign_lemma_si(30, seed=3, no_timestamps=True))
+    text = write_json(campaign_lemma_si(30, seed=3, no_timestamps=True))
     first = json.loads(text)["instances"][0]
     assert first["blocks"][1:] == [[23, 24], [25, 26], [27, 0, 28], [1, 12]]
     assert first["samples"][0]["j"] == 4
@@ -211,7 +210,7 @@ def test_revalidation_catches_tampering():
                             blob["timestamp"], blob["instances"]))
 
     for seed in (1, 2, 3):
-        blob = json.loads(report_to_json(campaign_lemma_si(30, seed, no_timestamps=True)))
+        blob = json.loads(write_json(campaign_lemma_si(30, seed, no_timestamps=True)))
         bare_block(blob)
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
@@ -233,7 +232,7 @@ def test_revalidation_rejects_malformed_blocks():
         [[22.0]] + good[1:],
     )
     for blocks in malformed:
-        blob = json.loads(report_to_json(rep))
+        blob = json.loads(write_json(rep))
         inst = blob["instances"][0]
         inst["blocks"] = blocks
         # no recomputed record can give the tampering away, and the tallies
@@ -250,7 +249,7 @@ def test_revalidation_checks_terminals_against_blocks():
     assert inst["terminals"] == [22, 23, 24, 25, 26, 27, 28, 1, 12]
     swapped = inst["terminals"][:7] + [12, 1]  # block (1, 12) read as (12, 1)
     for terminals in (list(range(9)), swapped, inst["terminals"][:8], [22.0] + inst["terminals"][1:]):
-        blob = json.loads(report_to_json(rep))
+        blob = json.loads(write_json(rep))
         blob["instances"][0]["terminals"] = terminals
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
@@ -258,7 +257,7 @@ def test_revalidation_checks_terminals_against_blocks():
 
 def test_revalidation_recomputes_pair_scores():
     rep = campaign_lemma_si(4, seed=3, no_timestamps=True)
-    blob = json.loads(report_to_json(rep))
+    blob = json.loads(write_json(rep))
     paired = [s for s in blob["instances"][0]["samples"] if s["lemma"] == "si2"]
     assert paired[0]["pair_scores"]["1"] == [2, 2]
     paired[0]["pair_scores"]["1"] = [9, 9]
@@ -340,7 +339,7 @@ def test_pipeline_tampered_linkage_detected():
         blob.update(_report(blob["experiment"], blob["seed"], blob["samples_requested"],
                             blob["timestamp"], blob["instances"]))
 
-    texts = {seed: report_to_json(campaign_pipeline_4linked(1, seed=seed, no_timestamps=True)) for seed in (3, 11)}
+    texts = {seed: write_json(campaign_pipeline_4linked(1, seed=seed, no_timestamps=True)) for seed in (3, 11)}
     assert _linkage_stage(json.loads(texts[3])["instances"][0])["paths"][0] == [15, 1, 3, 18]
     cases = [(11, repeated)] + [(3, t) for t in (empty_path, float_path, float_pair, fractional_p, no_massed,
                                                  one_vertex_pair, descended, candidate_off_host,
@@ -397,7 +396,7 @@ def test_pipeline_tampered_into_paths_detected():
     cases = [(0, all_zero), (0, shared), (0, off_terminal), (0, miscounted),
              (0, short), (0, non_integer), (1, non_edge), (0, outside_candidate)]
     for idx, tamper in cases:
-        blob = json.loads(report_to_json(rep))
+        blob = json.loads(write_json(rep))
         tamper(_into_stage(blob["instances"][idx]))
         with pytest.raises(InputError):
             load_report(json.dumps(blob))
@@ -413,14 +412,14 @@ def test_pipeline_reports_an_eight_vertex_candidate():
     assert stage["knitted-subgraph"]["route"] == "clique"
     assert stage["link-inside"]["method"] == "exact"
     rep = _report("pipeline-4linked", 0, 1, None, [inst])
-    assert json.loads(report_to_json(rep)) == rep
+    assert json.loads(write_json(rep)) == rep
     # revalidation compares with the campaign's rerun, whose first host is K32
     with pytest.raises(InputError, match="instance 0 differs"):
-        load_report(report_to_json(rep))
+        load_report(write_json(rep))
 
 
 def test_pipeline_p_is_the_campaign_threshold():
-    text = report_to_json(campaign_pipeline_4linked(1, seed=3, no_timestamps=True))
+    text = write_json(campaign_pipeline_4linked(1, seed=3, no_timestamps=True))
     for p in (0, 1, 8, 29, 31):
         blob = json.loads(text)
         blob["instances"][0]["p"] = p
@@ -435,7 +434,7 @@ def test_pipeline_report_must_hold_the_campaign_draw():
     samples_requested, so a dropped instance, an edited request or seed, or
     swapped pairs fail, even with the tallies redone and the instance
     rebuilt from its swapped pairs."""
-    text = report_to_json(campaign_pipeline_4linked(2, seed=1, no_timestamps=True))
+    text = write_json(campaign_pipeline_4linked(2, seed=1, no_timestamps=True))
 
     def dropped(blob):
         del blob["instances"][1]
@@ -486,7 +485,7 @@ def test_lemma_report_must_hold_the_campaign_draw():
     """A lemma-si report is rerun from its seed and samples_requested, so an
     edited seed or request, or a dropped or appended instance, fails, even
     with the tallies redone; a huge request stops where the report ends."""
-    text = report_to_json(campaign_lemma_si(30, seed=3, no_timestamps=True))
+    text = write_json(campaign_lemma_si(30, seed=3, no_timestamps=True))
 
     def other_seed(blob):
         blob["seed"] = 4
@@ -518,7 +517,7 @@ def test_timestamped_reports_revalidate():
     for rep in (campaign_lemma_si(30, seed=1), campaign_pipeline_4linked(1, seed=1)):
         assert rep["timestamp"] is not None
         assert all(inst["wall_ms"] is not None for inst in rep["instances"])
-        assert load_report(report_to_json(rep)) == rep
+        assert load_report(write_json(rep)) == rep
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knitweave import solver
 from knitweave.certify import (
     common_neighbor_certificate,
     dense_conditions,
@@ -12,7 +13,6 @@ from knitweave.certify import (
     knitted1_check,
     mader_threshold,
     main_theorem_table,
-    uncommon_neighbor_certificate,
 )
 from knitweave.errors import InputError
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
@@ -139,9 +139,8 @@ def test_common_neighbor_certificate():
 
 @pytest.mark.parametrize("k", [-1, 0, 2.0, True, "3", None])
 def test_certificates_take_a_positive_int_k(k):
-    for certify in (common_neighbor_certificate, lambda g, k: uncommon_neighbor_certificate(g, 0, k)):
-        with pytest.raises(InputError, match="positive int"):
-            certify(Graph.cycle(8), k)
+    with pytest.raises(InputError, match="positive int"):
+        common_neighbor_certificate(Graph.cycle(8), k)
 
 
 def test_certificate_implies_solver_agreement():
@@ -156,47 +155,6 @@ def test_certificate_implies_solver_agreement():
         assert res.failed_pair is None
         res.linkage.validate(g, spec)
         assert disjoint_paths(g, spec) is not None
-
-
-def test_uncommon_neighbor_certificate():
-    ok, _ = uncommon_neighbor_certificate(Graph.complete(8), 0, 3)
-    assert ok
-    ok, wit = uncommon_neighbor_certificate(Graph.cycle(8), 0, 3)
-    assert not ok
-
-
-def _appendix_shape(break_it: bool) -> Graph:
-    """Dense block of nine on a three-vertex path with an apex: every
-    non-adjacent pair has eleven common neighbors unless ``break_it`` strips
-    the block's edges onto the path."""
-    n = 13  # block 0..8, path 9-10-11, apex 12
-    edges = []
-    for u in range(9):
-        for v in range(u + 1, 9):
-            if not (u % 2 == 0 and v == u + 1 and u < 8):
-                edges.append((u, v))
-    edges += [(9, 10), (10, 11)]
-    for b in range(9):
-        for w in (9, 10, 11):
-            if break_it and w != 10:
-                continue
-            edges.append((b, w))
-    for v in range(12):
-        edges.append((12, v))
-    return Graph.from_edges(n, edges)
-
-
-def test_uncommon_certificate_on_apex_block_shape():
-    good = _appendix_shape(break_it=False)
-    ok, _ = uncommon_neighbor_certificate(good, 12, 4)
-    assert ok
-    # counted bound: non-adjacent block pairs have |block| + 2 = 11 >= 10
-    assert (good.adj[0] & good.adj[1]).bit_count() == 11
-    spec = pairs_spec([(0, 1), (2, 3), (4, 5), (9, 11)])
-    assert disjoint_paths(good, spec) is not None
-    bad = _appendix_shape(break_it=True)
-    ok, pair = uncommon_neighbor_certificate(bad, 12, 4)
-    assert not ok and pair is not None
 
 
 def test_dense_conditions_cases():
@@ -311,20 +269,23 @@ def test_knitted1_reports_a_failed_sample_and_certifies_a_smaller_candidate(monk
     # which has 16 vertices and so is only searched for counterexamples
     g, _ = gen_universal_vertex(16, 9, 29)
     calls = []
+    link = solver._link
 
-    def first_call_fails(sub, spec):
-        calls.append((sub.n, spec))
-        return None if len(calls) == 1 else disjoint_paths(sub, spec)
+    def first_call_fails(sub, pairs, blocked):
+        calls.append((sub.n, pairs, blocked))
+        return None if len(calls) == 1 else link(sub, pairs, blocked)
 
-    monkeypatch.setattr("knitweave.certify.disjoint_paths", first_call_fails)
+    monkeypatch.setattr("knitweave.solver._link", first_call_fails)
     v = knitted1_check(g, 18, samples=20, seed=29)
-    n, spec = calls[0]
+    n, linked, blocked = calls[0]
     assert n == g.n
     assert v.status == "certified" and v.route == "exhaustive"
     assert v.candidate.bit_count() <= 12 and v.candidate != g.full_mask
-    # the whole graph's local labels are host labels
+    # the whole graph's local labels are host labels; every drawn vertex is
+    # blocked, and the one not in a pair is the forbidden one
     ((pairs, forbidden),) = v.failures
-    assert tuple(tuple(sorted(pr)) for pr in pairs) == spec.parts and forbidden == spec.forbidden
+    ends = mask_of(x for pr in linked for x in pr)
+    assert tuple(tuple(sorted(pr)) for pr in pairs) == linked and forbidden == blocked & ~ends
     monkeypatch.undo()
     # unpatched, the whole graph runs all 20 of its samples
     assert knitted1_check(g, 18, samples=20, seed=29) == Knitted1Verdict(
@@ -360,7 +321,7 @@ def test_knitted1_certificate_routes_run_no_linkage(monkeypatch, g, p, route):
     def spy(*args):
         raise AssertionError("a certificate route ran a linkage check")
 
-    monkeypatch.setattr("knitweave.certify.disjoint_paths", spy)
+    monkeypatch.setattr("knitweave.solver._link", spy)
     monkeypatch.setattr("knitweave.solver.is_profile_knitted", spy)
     v = knitted1_check(g, p, samples=20, seed=1)
     assert (v.status, v.route, v.samples_run, v.failures) == ("certified", route, 0, ())

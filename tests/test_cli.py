@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
+from knitweave import solver
 from knitweave.cli import cli_main
 from knitweave.formats import parse_graph6, write_edge_list, write_graph6
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of, set_of
-from knitweave.solver import PlanarObstruction, TerminalSpec, disjoint_paths, knit, pairs_spec
+from knitweave.solver import PlanarObstruction, TerminalSpec, knit, pairs_spec
 from knitweave.structure import Separation
 
 from conftest import crossing_grid
@@ -294,7 +295,7 @@ def test_campaign_cli_deterministic(capsys):
 
 
 # sha256 of cli_main's standard output with --no-timestamps; PINNED_DIGESTS in
-# test_campaigns.py pins report_to_json, this pins the text the CLI writes
+# test_campaigns.py pins write_json of the report, this pins the text the CLI writes
 PINNED_STDOUT = {
     ("campaign-4linked", 1): "9f15dfe50614ae3a7de05f34d1e399642ddcc37d427c59ea22d5c794dc333aa9",
     ("campaign-4linked", 2): "21e0342240029b0af7d05da3a7f6b7266ae4a6efd0f81d3900477837c771c29d",
@@ -418,21 +419,24 @@ def test_knitted1_prints_failures(capsys, tmp_path, monkeypatch):
     g, _ = gen_universal_vertex(16, 9, 29)
     path = graph_file(tmp_path, g)
     calls = []
+    link = solver._link
 
-    def first_call_fails(sub, spec):
-        calls.append(spec)
-        return None if len(calls) == 1 else disjoint_paths(sub, spec)
+    def first_call_fails(sub, pairs, blocked):
+        calls.append((pairs, blocked))
+        return None if len(calls) == 1 else link(sub, pairs, blocked)
 
-    monkeypatch.setattr("knitweave.certify.disjoint_paths", first_call_fails)
+    monkeypatch.setattr("knitweave.solver._link", first_call_fails)
     argv = ["--input", path, "--samples", "20", "--seed", "29", "knitted1", "--p", "18"]
     code, out = run(capsys, argv)
     data = json.loads(out)
     assert code == 0 and data["status"] == "certified" and data["route"] == "exhaustive"
     assert len(data["candidate"]) == 12
-    # the first candidate is the whole graph, so local labels are host labels
+    # the first candidate is the whole graph, so local labels are host labels;
+    # every drawn vertex is blocked, and the one not in a pair is forbidden
     (failure,) = data["failures"]
-    assert tuple(tuple(sorted(p)) for p in failure["pairs"]) == calls[0].parts
-    assert failure["forbidden"] == sorted(set_of(calls[0].forbidden))
+    linked, blocked = calls[0]
+    assert tuple(tuple(sorted(p)) for p in failure["pairs"]) == linked
+    assert failure["forbidden"] == sorted(set_of(blocked & ~mask_of(x for p in linked for x in p)))
     assert len(failure["pairs"]) == 3 and len(failure["forbidden"]) == 1
 
 

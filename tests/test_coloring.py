@@ -18,7 +18,6 @@ from knitweave.coloring import (
 from knitweave.errors import InputError, PreconditionError, ResourceError, SplitClassError
 from knitweave.graphs import (
     Graph,
-    are_isomorphic,
     bits,
     canonical_form,
     induced,
@@ -30,6 +29,7 @@ from knitweave.graphs import (
 
 from conftest import random_graph, relabelled
 from oracles import (
+    are_isomorphic,
     chromatic_by_enumeration,
     chromatic_by_saturation,
     critical_by_scan,

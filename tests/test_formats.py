@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knitweave.campaigns import campaign_lemma_si, campaign_pipeline_4linked, report_to_json
+from knitweave.campaigns import campaign_lemma_si, campaign_pipeline_4linked
 from knitweave.errors import Graph6Error, InputError
 from knitweave.formats import (
     parse_edge_list,
@@ -196,7 +196,7 @@ def test_write_json_matches_dumps_on_campaign_reports():
                 campaign_lemma_si(8, seed, no_timestamps=not stamped),
                 campaign_pipeline_4linked(2, seed, no_timestamps=not stamped),
             ):
-                assert report_to_json(rep) == json.dumps(rep, indent=2, sort_keys=True)
+                assert write_json(rep) == json.dumps(rep, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": 1, 2: "b"}, [{"a": {None: 0}}], {"a", "b"}, [1, {2}]])

@@ -11,7 +11,6 @@ from knitweave.graphs import (
     Graph,
     MinorWitness,
     _max_rows,
-    are_isomorphic,
     bits,
     canonical_form,
     components,
@@ -33,6 +32,7 @@ from knitweave.graphs import (
 from conftest import random_graph, relabelled
 from oracles import (
     _canon_small,
+    are_isomorphic,
     canonical_by_permutations,
     census_by_dedup,
     clique_by_branching,

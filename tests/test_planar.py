@@ -253,7 +253,9 @@ def test_obstruction_matches_one_flow_per_vertex():
 def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):
     # the fan that takes v's good neighbours as one-edge paths before any
     # search answers as the successive shortest paths do, at every vertex
-    # the small-cut sweep visits at k = 4
+    # the small-cut sweep visits at k = 4. The sweep marks a vertex with
+    # four good neighbours without a fan, so the fan is also called here on
+    # each such vertex still to be visited, where it must answer "yes"
     fan = solver._fan
     seen = {True: 0, False: 0}
     neighbours = [0] * 5
@@ -264,6 +266,10 @@ def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):
         assert got == fan_by_shortest_paths(adj, v, good, live, k), (adj, v, good, live)
         seen[got] += 1
         neighbours[min((adj[v] & good & live).bit_count(), 4)] += 1
+        for w in bits(live & ~good >> (v + 1) << (v + 1)):
+            if (adj[w] & good & live).bit_count() >= 4:
+                assert fan(adj, w, good, live, k) and fan_by_shortest_paths(adj, w, good, live, k), (adj, w)
+                neighbours[4] += 1
         return got
 
     monkeypatch.setattr(solver, "_fan", checked)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -794,6 +795,68 @@ def test_sampled_k_linked_never_answers_true():
             assert ok is False and disjoint_paths(g, pairs_spec(system)) is None
     assert True not in answers and None in answers
     assert is_k_linked(g, 4, mode="sampled", samples=0) == (None, None)
+
+
+def _sampled_corpus():
+    """43 hosts for sampled queries: complete graphs minus a matching, cycles
+    and seeded random graphs of 8 to 16 vertices."""
+    rng = random.Random(2026)
+    hosts = [complete_minus_matching(n, m) for n, m in ((9, 2), (10, 3), (11, 4), (12, 5), (13, 6))]
+    hosts += [Graph.cycle(n) for n in (8, 10, 12)]
+    while len(hosts) < 43:
+        hosts.append(random_graph(rng, rng.randint(8, 16), p=rng.uniform(0.3, 0.95)))
+    return hosts
+
+
+# sha256 of repr() of the list of is_k_linked(g, k, mode="sampled",
+# samples=30, seed=seed) answers over _sampled_corpus(), k = 2..4 and seeds
+# 0..3: the answers of the sampled search as it was before knitted1_check
+# shared it
+SAMPLED_K_LINKED_DIGEST = "d52acd895242dab39dbde6fa416f4afb56d6899a7cbfac113e6b45467f7cf2e6"
+
+
+def test_sampled_unknitted_returns_unknittable_partitions(monkeypatch):
+    # each partition the sampled search returns lists its singletons first,
+    # as least_unknitted does, and cannot be knit; it draws one system per
+    # _link call and counts each
+    calls = 0
+    link = solver._link
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return link(*args)
+
+    monkeypatch.setattr(solver, "_link", counted)
+    # K11 - M4 fails only its four matching pairs, so its draws all pass;
+    # K9 - M4, K8 - M4 and the random graph fail often
+    hosts = [complete_minus_matching(n, 4) for n in (11, 9, 8)] + [random_graph(random.Random(9), 11)]
+    found = {(2, 2, 2, 2): 0, (2, 2, 2, 1): 0}
+    for g in hosts:
+        for profile in found:
+            for seed in range(10):
+                calls = 0
+                run, parts = solver._sampled_unknitted(g, profile, 40, random.Random(seed))
+                assert run == calls and (parts is not None or run == 40)
+                if parts is None:
+                    continue
+                found[profile] += 1
+                singles = [p for p in parts if len(p) == 1]
+                pairs = [p for p in parts if len(p) == 2]
+                assert parts == tuple(sorted(singles) + sorted(pairs)), parts
+                assert all(p == tuple(sorted(p)) for p in pairs) and sorted(map(len, parts)) == sorted(profile)
+                assert not knittable_by_paths(g, parts), (g, parts)
+    assert min(found.values()) > 5, found
+    monkeypatch.undo()
+    answers = [
+        is_k_linked(g, k, mode="sampled", samples=30, seed=seed)
+        for g in _sampled_corpus()
+        for k in (2, 3, 4)
+        if g.n >= 2 * k
+        for seed in range(4)
+    ]
+    assert len(answers) == 516 and {ok for ok, _ in answers} == {False, None}
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == SAMPLED_K_LINKED_DIGEST
 
 
 def test_is_k_linked_matches_oracle():
