@@ -437,6 +437,29 @@ def max_clique(g: Graph) -> int:
 # Canonical form
 # ---------------------------------------------------------------------------
 
+def twin_classes(g: Graph) -> tuple[int, ...]:
+    """The twin classes of ``g`` as vertex masks, by lowest vertex; every
+    vertex is in exactly one.
+
+    u and v are twins when N(u) - v = N(v) - u, so swapping them is an
+    automorphism. The relation is an equivalence: for twins u ~ v ~ w, a
+    vertex outside {u, v, w} is adjacent to all three or to none, and uv is
+    an edge iff uw is (v ~ w), iff vw is (u ~ v), so N(u) - w = N(w) - u.
+    """
+    adj = g.adj
+    out = []
+    left = g.full_mask
+    while left:
+        v = (left & -left).bit_length() - 1
+        cls, a = 1 << v, adj[v]
+        for w in bits(left ^ cls):
+            if not (adj[w] ^ a) & ~(1 << w | 1 << v):
+                cls |= 1 << w
+        left ^= cls
+        out.append(cls)
+    return tuple(out)
+
+
 def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact canonical form: (n, lexicographically maximal row-bit sequence).
 
@@ -463,14 +486,30 @@ def _max_rows(
     2r + 1 < 2r' whenever r < r' the parts stay in falling order. So the
     first cell holds exactly the vertices of largest row, under that row.
     """
+    full = (1 << n) - 1
+    return _descend(n, adj, bound, 0, [(full, 0)], full)
+
+
+def _descend(
+    n: int,
+    adj: tuple[int, ...],
+    bound: Optional[tuple[int, ...]],
+    placed: int,
+    cells: list[tuple[int, int]],
+    todo: int,
+) -> Optional[tuple[int, ...]]:
+    """The search of :func:`_max_rows` from one node, where ``placed``
+    vertices are placed with the first rows of ``bound`` (a search without
+    a bound starts at the root), the unplaced ones form ``cells`` and
+    ``todo`` holds the vertices of the first cell to try there."""
     # the best sequence found; its first entries are the current prefix's
-    # rows, and a prefix that beats it overwrites it from there on
-    best = list(bound) if bound is not None else [0] if n else []
+    # rows, and a prefix that beats it overwrites it from there on (a bound
+    # is never written: the search stops where it would be)
+    best = bound if bound is not None else [0] if n else []
     # one frame per position: the cells of the unplaced vertices and the
     # first cell's vertices left to try, highest label first, so that a
     # census candidate's bound, the ordering by falling labels, comes first
-    full = (1 << n) - 1
-    stack = [[[(full, 0)], full]]
+    stack = [[cells, todo]]
     while stack:
         cells, todo = frame = stack[-1]
         if not todo:
@@ -485,7 +524,7 @@ def _max_rows(
             if not (adj[w] ^ a) & ~(1 << w | bit):
                 todo ^= 1 << w  # a twin of x
         frame[1] = todo
-        i = len(stack)
+        i = placed + len(stack)
         if i == n:
             continue  # a full ordering; ``best`` already holds its rows
         nxt = []
@@ -521,35 +560,182 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     only the vertices placed before it. A row sequence determines its graph,
     so each class on n vertices is exactly one pair (canonical rows R of a
     class on n - 1 vertices, last row r) such that R + (r,) is the largest
-    row sequence of the graph it describes, and a candidate is kept when
-    :func:`_max_rows` finds no ordering beating it. Swapping the last two
-    vertices moves row r >> 1 to position n - 2, so a candidate with
-    r >> 1 > R[-1] is never kept and is not built.
+    row sequence of the graph it describes; :func:`_extensions` finds the
+    last rows of each class on n - 1 vertices.
 
     Vertex i of each graph is the (n - 1 - i)-th vertex of its canonical
     ordering, so its canonical rows are ``adj[v] >> (v + 1)`` for v from
     n - 1 down to 0, and a candidate's new last vertex is vertex 0. Each
     call returns a new list, so a caller may change it.
     """
+    if type(n) is not int:
+        raise InputError(f"census size n must be an int, not {n!r}")
     if n < 0:
         raise InputError("negative vertex count")
     if n > 8:
         raise ResourceError("census generation supported for n <= 8")
     if n in _CENSUS_CACHE:
         return list(_CENSUS_CACHE[n])
-    if n == 0:
-        out = [Graph.empty(0)]
+    if n <= 1:
+        out = [Graph.empty(n)]
     else:
-        out = []
-        for g in nonisomorphic_graphs(n - 1):
-            rows = tuple(g.adj[v] >> (v + 1) for v in range(n - 2, -1, -1))
-            # the last rows r with r >> 1 <= rows[-1]
-            for r in range(2 * rows[-1] + 2 if rows else 1):
-                adj = (r << 1,) + tuple(a << 1 | (r >> v & 1) for v, a in enumerate(g.adj))
-                if _max_rows(n, adj, rows + (r,)) is not None:
-                    out.append(Graph(n, adj))
+        out = [h for g in nonisomorphic_graphs(n - 1) for h in _extensions(g)]
     _CENSUS_CACHE[n] = tuple(out)
     return out
+
+
+def _extensions(g: Graph) -> list[Graph]:
+    """The census graphs whose canonical rows extend those of ``g``, a
+    census graph with at least one vertex, by one row, in rising order of
+    that row.
+
+    Let m = g.n, R the canonical rows of g and s = (m - 1, ..., 0) the
+    ordering of g by falling labels, whose rows are R. A candidate last row
+    r describes H: g plus a vertex v0 adjacent to each v with bit v of r,
+    and the ordering s, v0 with rows B = R + (r,). The candidate is kept
+    when no ordering of H beats B. Swapping the last two vertices of s, v0
+    moves row r >> 1 to position m - 1, so a candidate with r >> 1 > R[-1]
+    is never kept and is not built. Two cheap rejections come first:
+
+    - Twin packing. Swapping twins u > w of g (see :func:`twin_classes`) is
+      an automorphism, so it maps s to an ordering with rows R, and that
+      ordering followed by v0 has last row r with bits u and w swapped. If r
+      holds w but not u, that row is larger, u being placed first. So a
+      kept r holds the highest vertices of each twin class.
+    - Tie leaves. An ordering t of g with rows R, followed by v0, has rows
+      R + (r read along t), so r is rejected when r read along t is larger.
+      The orderings t are the full-length prefixes of :func:`_tie_tree`.
+
+    One walk of the tie tree then decides the rest. Let an ordering of H
+    first exceed B at position i, with v0 at position p. If p > i, its
+    first i + 1 vertices are vertices of g with their rows in g: equal to
+    R before i and larger at i, so any completion would beat R on g, which
+    is the largest. So p <= i: the vertices before v0 form a tie prefix of
+    g (rows R[:p]), and v0's row toward them is B[p] (p < i) or more
+    (p = i). The walk carries that row along the prefixes. Where it is
+    larger than B[p], B is beaten; where it is equal, :func:`_descend`
+    searches on from v0 placed there. A vertex of g that follows a prefix,
+    v0 still unplaced, has its row in g, which reaches R[p] only in the
+    first cell, so the walk follows the tree's kids. Twins x > w of g in
+    that cell lead to the same outcome when r holds both or neither (the
+    swap is an automorphism of H fixing the prefix). Otherwise w's subtree
+    is x's subtree in the graph H' whose v0 has bits x and w of r swapped
+    (the swap maps H onto H' and keeps B); but r holds x, since it packs
+    the class and the vertices of the class placed before are its highest,
+    and below x v0's row in H' is smaller than in H, the first difference
+    being at x. So a row that reaches B[q] in H' exceeds it in H at the same
+    prefix, and x's subtree in H alone decides. Last, v0's row at a node
+    below the current one, q - p positions deeper, reads the current row in
+    its top bits, so a subtree whose rows R[q] >> (q - p) all exceed that
+    row (its floor) is skipped, and full-length prefixes are left to the
+    tie-leaf rejection.
+    """
+    m, gadj = g.n, g.adj
+    n = m + 1
+    rows = tuple(gadj[v] >> (v + 1) for v in range(m - 1, -1, -1))
+    classes = twin_classes(g)
+    root, leaves = _tie_tree(g, rows, classes)
+
+    def beats(node, p, row):
+        # whether an ordering of H that begins with ``node``'s prefix, v0's
+        # row toward it ``row`` (at least the node's floor), beats ``bound``
+        if row > rows[p]:
+            return True
+        _, entry, kids = node
+        if row == rows[p] and _descend(n, adj, bound, p, entry, 1) is None:
+            return True
+        for x, child in kids:
+            nxt = 2 * row + (r >> x & 1)
+            if nxt >= child[0] and beats(child, p + 1, nxt):
+                return True
+        return False
+
+    out = []
+    for r in range(2 * rows[-1] + 2):
+        if not _packs_twins(r, classes) or any(_read_along(r, t) > r for t in leaves):
+            continue
+        bound = rows + (r,)
+        # H's rows: v0 is vertex 0, g's vertices shift up one
+        adj = (r << 1,) + tuple(a << 1 | (r >> v & 1) for v, a in enumerate(gadj))
+        if not beats(root, 0, 0):
+            out.append(Graph(n, adj))
+    return out
+
+
+def _packs_twins(r: int, classes: Sequence[int]) -> bool:
+    """Whether ``r`` holds the highest vertices of each class, some or none."""
+    for c in classes:
+        held = r & c
+        if held and c & ~r > held & -held:
+            return False
+    return True
+
+
+def _read_along(r: int, order: Sequence[int]) -> int:
+    """The bits of ``r`` at the vertices of ``order``, the first highest."""
+    out = 0
+    for v in order:
+        out = 2 * out + (r >> v & 1)
+    return out
+
+
+def _tie_tree(
+    g: Graph, rows: tuple[int, ...], classes: Sequence[int]
+) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The tie prefixes of ``g``, a graph with at least one vertex whose
+    largest rows are ``rows`` and twin classes ``classes``, as a tree, and
+    its full-length prefixes.
+
+    A tie prefix is an ordering of some vertices of g whose rows are the
+    first rows of ``rows``. The tree has one node per tie prefix shorter
+    than g, a dead end (where no vertex of g can follow) included, and
+    places one vertex of each twin class of the first cell, its highest, as
+    :func:`_descend` does. A node at depth p is ``(floor, entry, kids)``:
+    ``floor`` is the least ``rows[q] >> (q - p)`` over the depths q of the
+    subtree, ``entry`` the cells of g plus a new vertex 0 (g's vertices
+    shifted up one) whose row toward the prefix is ``rows[p]``, and
+    ``kids`` a ``(x, child)`` per vertex x placed next, below depth m - 1.
+    """
+    m, adj = g.n, g.adj
+    twin_of = [0] * m
+    for c in classes:
+        for v in bits(c):
+            twin_of[v] = c
+    leaves = []
+
+    def grow(cells, prefix):
+        p = len(prefix)
+        first, top = cells[0]
+        entry = [(c << 1, r) for c, r in cells]
+        if top < rows[p]:
+            return rows[p], [(1, rows[p])] + entry, ()
+        entry[0] = (first << 1 | 1, top)
+        floor = rows[p]
+        kids = []
+        todo = first
+        while todo:
+            x = todo.bit_length() - 1
+            twins = todo & twin_of[x]
+            todo ^= twins
+            if p + 1 == m:
+                leaves.append(prefix + (x,))
+                continue
+            bit, a = 1 << x, adj[x]
+            nxt = []
+            for c, r in cells:
+                c &= ~bit
+                hi = c & a
+                if hi:
+                    nxt.append((hi, 2 * r + 1))
+                if c ^ hi:
+                    nxt.append((c ^ hi, 2 * r))
+            child = grow(nxt, prefix + (x,))
+            floor = min(floor, child[0] >> 1)
+            kids.append((x, child))
+        return floor, entry, tuple(kids)
+
+    root = grow([((1 << m) - 1, 0)], ())
+    return root, leaves
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ configuration search, for the selected blocks;
 ``flow_by_matrix``, the previous
 ``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
 and collected paths; ``census_by_dedup``, the previous census, for the
-isomorphism classes; ``chromatic_by_saturation``, the previous
+isomorphism classes; ``census_by_bounded_search``, the previous census
+step, for the census lists and for the candidates its rejections drop; ``chromatic_by_saturation``, the previous
 ``chromatic_number``, for chromatic numbers and colorings; and
 ``critical_by_scan``, the previous ``is_contraction_critical``, for
 verdicts and witnesses; ``graph_rows_by_scan``, the previous check in
@@ -53,6 +54,7 @@ from knitweave.graphs import (
     MAX_VERTICES,
     Graph,
     MinorWitness,
+    _max_rows,
     bits,
     canonical_form,
     components,
@@ -597,6 +599,24 @@ def census_by_dedup(n: int) -> list[Graph]:
             h = Graph(n, tuple(rows))
             seen.setdefault(canonical_form(h), h)
     return list(seen.values())
+
+
+@functools.cache
+def census_by_bounded_search(n: int) -> list[Graph]:
+    """The previous ``nonisomorphic_graphs``: each candidate last row r of
+    each class on n - 1 vertices, the candidates with r >> 1 above the last
+    canonical row left out, is kept when one bounded ``_max_rows`` call
+    finds no ordering beating its rows."""
+    if n == 0:
+        return [Graph.empty(0)]
+    out = []
+    for g in census_by_bounded_search(n - 1):
+        rows = tuple(g.adj[v] >> (v + 1) for v in range(n - 2, -1, -1))
+        for r in range(2 * rows[-1] + 2 if rows else 1):
+            adj = (r << 1,) + tuple(a << 1 | (r >> v & 1) for v, a in enumerate(g.adj))
+            if _max_rows(n, adj, rows + (r,)) is not None:
+                out.append(Graph(n, adj))
+    return out
 
 
 def max_rows_by_vertex_rows(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -11,6 +12,9 @@ from knitweave.graphs import (
     Graph,
     MinorWitness,
     _max_rows,
+    _packs_twins,
+    _read_along,
+    _tie_tree,
     bits,
     canonical_form,
     components,
@@ -27,6 +31,7 @@ from knitweave.graphs import (
     rho,
     set_of,
     shortest_path,
+    twin_classes,
 )
 
 from conftest import random_graph, relabelled
@@ -34,6 +39,7 @@ from oracles import (
     _canon_small,
     are_isomorphic,
     canonical_by_permutations,
+    census_by_bounded_search,
     census_by_dedup,
     clique_by_branching,
     clique_by_enumeration,
@@ -270,6 +276,70 @@ def test_census_results_are_not_shared():
     assert [len(nonisomorphic_graphs(n)) for n in range(6)] == list(A000088[:6])
     assert nonisomorphic_graphs(3)[0] != Graph.complete(3)
     assert nonisomorphic_graphs(3) is not nonisomorphic_graphs(3)
+
+
+def test_census_matches_bounded_search():
+    # the same graphs, labels and order as one bounded search per candidate
+    for n in range(8):
+        assert nonisomorphic_graphs(n) == census_by_bounded_search(n)
+
+
+# sha256 of repr([[g.adj for g in nonisomorphic_graphs(n)] for n in range(9)])
+# as the census built by one bounded search per candidate gave it
+CENSUS_DIGEST = "4c76bfca249976f6bd5e324bf39d4aebeda53ecf18e7a34a9f73033759e16fd6"
+
+
+def test_census_digest_up_to_n8():
+    census = repr([[g.adj for g in nonisomorphic_graphs(n)] for n in range(9)])
+    assert hashlib.sha256(census.encode()).hexdigest() == CENSUS_DIGEST
+
+
+def test_census_rejections_drop_only_what_the_search_rejects():
+    """Over every candidate of the census for 2 <= n <= 7, twin packing and
+    the tie leaves drop only candidates that the bounded search rejects; of
+    the 3160 candidates, 1251 are kept, packing drops 1168 and the tie
+    leaves 444 of the rest."""
+    counts = [0, 0, 0, 0]  # candidates, kept, dropped by packing, by tie leaves
+    for n in range(2, 8):
+        for g in nonisomorphic_graphs(n - 1):
+            rows = _falling_rows(g)
+            classes = twin_classes(g)
+            _, leaves = _tie_tree(g, rows, classes)
+            for r in range(2 * rows[-1] + 2):
+                adj = (r << 1,) + tuple(a << 1 | (r >> v & 1) for v, a in enumerate(g.adj))
+                kept = _max_rows(n, adj, rows + (r,)) is not None
+                counts[0] += 1
+                counts[1] += kept
+                if not _packs_twins(r, classes):
+                    assert not kept, (g, r)
+                    counts[2] += 1
+                elif any(_read_along(r, t) > r for t in leaves):
+                    assert not kept, (g, r)
+                    counts[3] += 1
+    assert counts == [3160, 1251, 1168, 444]
+
+
+@pytest.mark.parametrize("n", [2.5, "3", None, True, 3.0])
+def test_census_rejects_a_size_that_is_not_an_int(n):
+    with pytest.raises(InputError, match=r"\bn\b"):
+        nonisomorphic_graphs(n)
+
+
+def test_twin_classes_match_definition(census7):
+    # u and v share a class iff N(u) - v = N(v) - u; classes are listed by
+    # lowest vertex and cover every vertex once
+    rng = random.Random(8)
+    cases = list(census7) + [random_graph(rng, rng.randint(8, 20), rng.uniform(0.1, 0.9)) for _ in range(200)]
+    cases += [complete_minus_matching(12, 3), Graph.complete(5), Graph.empty(4)]
+    for g in cases:
+        classes = twin_classes(g)
+        assert sum(c.bit_count() for c in classes) == g.n and sum(classes) == g.full_mask
+        assert list(classes) == sorted(classes, key=lambda c: c & -c)
+        cls = {v: c for c in classes for v in bits(c)}
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                twins = not (g.adj[u] ^ g.adj[v]) & ~(1 << u | 1 << v)
+                assert (cls[u] == cls[v]) == twins, (g, u, v)
 
 
 def _grid(rows: int, cols: int) -> Graph:
