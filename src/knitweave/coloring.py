@@ -20,6 +20,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    MINOR_ENUM_LIMIT,
     MinorWitness,
     bits,
     components,
@@ -61,15 +62,20 @@ class Coloring:
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with an optimal coloring.
 
-    Saturation-guided backtracking: try k-colorability for increasing k
-    between the clique lower bound and the greedy upper bound, branching on
-    the most saturated vertex and never opening more than one fresh color.
-    Both keep each color class as a bitset: a vertex's saturation is the
-    number of classes its neighborhood meets, and its colors are the classes
-    it misses, tried first to last, so the coloring is the same as from sets
-    of neighbor colors.
+    Let ub be the number of greedy classes (:func:`_first_fit`). If the
+    clique of :func:`_top_clique` has ub vertices, then omega >= ub >= chi
+    >= omega and the greedy coloring is optimal. Otherwise k-colorability
+    is decided by :func:`_saturate` for k rising from the
+    :func:`max_clique` bound, which colors that clique 0, 1, ... in vertex
+    order, up to ub, where the greedy classes stand.
     """
-    k, classes, _ = _color_with_clique(g)
+    rows = g.adj
+    classes = _first_fit(rows)
+    if _top_clique(rows).bit_count() < len(classes):
+        clique = max_clique(g)
+        found = (_saturate(rows, j, clique) for j in range(clique.bit_count(), len(classes)))
+        classes = next((got for got in found if got is not None), classes)
+    k = len(classes)
     colors = [0] * g.n
     for c, cls in enumerate(classes):
         while cls:
@@ -79,84 +85,97 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     return k, Coloring(tuple(colors), k)
 
 
-def _color_with_clique(g: Graph) -> tuple[int, list[int], int]:
-    """:func:`chromatic_number`'s answer as its k color classes (bitsets,
-    class i holding color i), plus a maximum clique (a bitset).
-
-    Let ub be the number of greedy classes. One clique H is built first:
-    from the whole vertex set, take the highest vertex v and narrow the set
-    to N(v), until it is empty. If |H| = ub, then omega >= |H| = ub >= chi
-    >= omega, so the greedy coloring is optimal and H is a maximum clique:
-    the search would have had lb = ub and returned the same coloring, so
-    :func:`max_clique` is not called. H may differ from its mask, but both
-    then have chi vertices, and :func:`is_contraction_critical` gives the
-    same witness from any clique of chi vertices.
-
-    The search gives the clique colors 0, 1, ... in vertex order; its colors
-    in use stay 0..used - 1, as each step opens at most the next one.
-    """
-    n = g.n
-    if n == 0:
-        return 0, [], 0
-    adj = g.adj
-
+def _first_fit(rows: Sequence[int]) -> list[int]:
+    """Greedy color classes (bitsets): the vertices by falling degree, ties
+    by label, each put in the first class it has no neighbor in."""
     classes: list[int] = []
-    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
-        row = adj[v]
-        for c, cls in enumerate(classes):
+    for v in sorted(range(len(rows)), key=[-r.bit_count() for r in rows].__getitem__):
+        row, c = rows[v], 0
+        for cls in classes:
             if not cls & row:
                 classes[c] = cls | 1 << v
                 break
+            c += 1
         else:
             classes.append(1 << v)
-    ub = len(classes)
-    clique, cand = 0, g.full_mask
+    return classes
+
+
+def _top_clique(rows: Sequence[int]) -> int:
+    """A clique grown from the highest vertex down: take the highest vertex
+    of the candidates, all vertices at first, and narrow them to its
+    neighbors, until none is left."""
+    clique, cand = 0, (1 << len(rows)) - 1
     while cand:
         v = cand.bit_length() - 1
         clique |= 1 << v
-        cand &= adj[v]
-    if clique.bit_count() == ub:
-        return ub, classes, clique
-    clique = max_clique(g)
-    lb = clique.bit_count()
+        cand &= rows[v]
+    return clique
 
-    def try_k(k: int) -> Optional[list[int]]:
-        trial = [1 << v for v in bits(clique)] + [0] * (k - lb)
 
-        def saturation(x: int) -> tuple[int, int, int]:
-            return sum(1 for cls in trial if cls & adj[x]), adj[x].bit_count(), -x
+def _saturate(rows: Sequence[int], j: int, clique: int) -> Optional[list[int]]:
+    """j color classes of the graph with these rows, the vertices of
+    ``clique`` (at most j of them) colored 0, 1, ... in vertex order, or
+    None if it needs more than j colors.
 
-        def rec(pending: int, used: int) -> bool:
-            if not pending:
+    Saturation-guided backtracking (DSATUR, Brelaz 1979): branch on the
+    uncolored vertex whose neighbors show the most colors, then the highest
+    degree, then the lowest label, and give it each color its neighbors
+    miss, lowest first, opening at most one color beyond those in use;
+    coloring the clique first breaks no generality. ``seen[x]`` holds the
+    colors of x's colored neighbors as bits, set on each assignment for
+    the uncolored neighbors that lacked the color and cleared for the same
+    ones on undo, so a saturation is one popcount.
+    """
+    n = len(rows)
+    trial, seen = [0] * j, [0] * n
+    for c, v in enumerate(bits(clique)):
+        trial[c] = 1 << v
+        for u in bits(rows[v]):
+            seen[u] |= 1 << c
+
+    def rec(pending: int, used: int) -> bool:
+        if not pending:
+            return True
+        v = max(bits(pending), key=lambda x: (seen[x].bit_count(), rows[x].bit_count(), -x))
+        bit = 1 << v
+        pending ^= bit
+        near = rows[v] & pending
+        free = ~seen[v] & ((1 << min(j, used + 1)) - 1)
+        while free:
+            color = free & -free
+            free ^= color
+            c = color.bit_length() - 1
+            fresh = [u for u in bits(near) if not seen[u] & color]
+            for u in fresh:
+                seen[u] |= color
+            trial[c] |= bit
+            if rec(pending, max(used, c + 1)):
                 return True
-            v = max(bits(pending), key=saturation)
-            bit, row = 1 << v, adj[v]
-            for c in range(min(k, used + 1)):
-                if not trial[c] & row:
-                    trial[c] |= bit
-                    if rec(pending ^ bit, max(used, c + 1)):
-                        return True
-                    trial[c] ^= bit
-            return False
+            trial[c] ^= bit
+            for u in fresh:
+                seen[u] ^= color
+        return False
 
-        return trial if rec(g.full_mask & ~clique, lb) else None
+    return trial if rec((1 << n) - 1 & ~clique, clique.bit_count()) else None
 
-    for k in range(lb, ub):
-        got = try_k(k)
-        if got is not None:
-            return k, got, clique
-    return ub, classes, clique
+
+def _colorable(rows: Sequence[int], j: int) -> Optional[list[int]]:
+    """j color classes (bitsets, some possibly empty) of the graph with these
+    rows, or None if it needs more than j colors: the greedy classes when
+    there are at most j of them, None when :func:`_top_clique` has more than
+    j vertices, and otherwise :func:`_saturate` from that clique."""
+    classes = _first_fit(rows)
+    if len(classes) <= j:
+        return classes + [0] * (j - len(classes))
+    clique = _top_clique(rows)
+    return None if clique.bit_count() > j else _saturate(rows, j, clique)
 
 
 def _delete_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
     """The rows of G - v, the vertices above v shifted down by one, unchecked."""
     low = (1 << v) - 1
-    return tuple((r & low) | (r >> (v + 1) << v) for r in rows[:v] + rows[v + 1:])
-
-
-def _delete_vertex(g: Graph, v: int) -> Graph:
-    """G - v, validated."""
-    return Graph(g.n - 1, _delete_rows(g.adj, v))
+    return tuple([(r & low) | (r >> (v + 1) << v) for r in rows[:v] + rows[v + 1:]])
 
 
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
@@ -164,56 +183,81 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     fewer colors. On failure returns a witness minor that passes
     :meth:`MinorWitness.validate` and whose quotient needs k colors.
 
+    chi(G) = k is read off one greedy pass (ub classes) and the clique C of
+    :func:`_top_clique` (lb vertices): it needs lb <= k <= ub, a k-coloring
+    unless k = ub, and no (k - 1)-coloring unless k = lb, each decided by
+    :func:`_saturate` from C.
+
     Every proper minor is a subgraph of G - v, of G - e, or of a contraction
     G/F with F nonempty, and deleting never raises the chromatic number. So
-    the check tries the vertex deletions, then the edge deletions, then
-    :func:`contraction_quotients`, and returns the first of them that needs
-    k colors. An edge vw is not tried when N(v) - w misses a color of the
-    (k - 1)-coloring found for G - v: v takes that color in G - vw, so G - vw
-    needs fewer than k colors.
+    the check asks :func:`_colorable` whether k - 1 colors suffice for each
+    vertex deletion, then each edge deletion, then each of
+    :func:`contraction_quotients`, on rows (:func:`_delete_rows`, G's rows
+    with the edge removed, the model edges), and returns the first minor
+    for which they do not. If |C| = k, G - v contains C for v outside C
+    and needs k colors, so it is taken undecided; every other G - v is
+    decided, so the first witness is the same as if all were. An edge vw
+    is not tried when N(v) - w misses a class of the (k - 1)-coloring
+    found for G - v (an empty class included): v takes that color in
+    G - vw, so G - vw needs fewer than k colors.
 
     The quotients come level by level, each level one vertex smaller, and
     a graph on fewer than k vertices needs fewer than k colors; so the walk
-    stops at the first quotient with fewer than k vertices.
-
-    Let C be the clique found while coloring G. If |C| = k, then for
-    v outside C, G - v contains C and needs k colors, so it is taken
-    uncolored. The vertices of C, and every vertex when |C| < k, are still
-    colored, so the first witness is the same as if every G - v were colored.
-    Its labels follow :func:`_delete_rows` or the ``merged.pop(v)`` of
-    :func:`contraction_quotients`, so it is valid by construction.
+    stops at the first quotient with fewer than k vertices, and is not
+    begun when n - 1 < k, that is, when G = K_k (the walk itself raises
+    ResourceError above MINOR_ENUM_LIMIT). Witness labels follow
+    :func:`_delete_rows` or the ``merged.pop(v)`` of
+    :func:`contraction_quotients`, so each is valid by construction.
     """
     if type(k) is not int:
         raise InputError(f"k is not an int: {k!r}")
-    chi, _, clique = _color_with_clique(g)
-    if chi != k:
+    n, adj = g.n, g.adj
+    clique = _top_clique(adj)
+    lb, ub = clique.bit_count(), len(_first_fit(adj))
+    if not (
+        lb <= k <= ub
+        and (k == ub or _saturate(adj, k, clique) is not None)
+        and (k == lb or _saturate(adj, k - 1, clique) is None)
+    ):
         return False, None
-    colored = clique if clique.bit_count() == k else g.full_mask
-    singletons = tuple(1 << v for v in range(g.n))
+    decided = clique if lb == k else g.full_mask
+    singletons = tuple([1 << v for v in range(n)])
+    colorings = []  # colorings[v]: the k - 1 classes found for G - v
+    for v in range(n):
+        rows = _delete_rows(adj, v)
+        classes = _colorable(rows, k - 1) if decided >> v & 1 else None
+        if classes is None:
+            # the edges of G - v, as Graph.edges lists them
+            edges = tuple([(u, w) for u in range(n - 1) for w in range(u + 1, n - 1) if rows[u] >> w & 1])
+            return False, MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
+        colorings.append(classes)
     # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
     spare = []
-    for v in range(g.n):
-        c, classes, _ = _color_with_clique(_delete_vertex(g, v)) if colored >> v & 1 else (k, None, 0)
-        if c >= k:
-            # the edges of G - v, as Graph.edges lists them
-            rows = _delete_rows(g.adj, v)
-            edges = tuple((u, w) for u, r in enumerate(rows) for w in bits(r >> u + 1 << u + 1))
-            return False, MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
-        low, row = (1 << v) - 1, g.adj[v]
+    for v, classes in enumerate(colorings):
+        low, row = (1 << v) - 1, adj[v]
         # N(v) by color of G - v, in its labels; disjoint, so a sum is a union
         by_class = [((row & low) | (row >> (v + 1) << v)) & cls for cls in classes]
         single = sum(m for m in by_class if m.bit_count() == 1)
         spare.append(row if 0 in by_class else (single & low) | (single >> v << (v + 1)))
     edges = tuple(g.edges())
-    edge_deletions = (
-        MinorWitness(g, singletons, tuple(f for f in edges if f != (u, w)))
-        for u, w in edges
-        if not (spare[u] >> w & 1 or spare[w] >> u & 1)
-    )
-    for wit in itertools.chain(edge_deletions, contraction_quotients(g)):
+    for u, w in edges:
+        if spare[u] >> w & 1 or spare[w] >> u & 1:
+            continue
+        rows = list(adj)
+        rows[u] ^= 1 << w
+        rows[w] ^= 1 << u
+        if _colorable(rows, k - 1) is None:
+            return False, MinorWitness(g, singletons, tuple(f for f in edges if f != (u, w)))
+    if n - 1 < k and n <= MINOR_ENUM_LIMIT:
+        return True, None
+    for wit in contraction_quotients(g):
         if len(wit.branch_sets) < k:
             break
-        if _color_with_clique(wit.quotient())[0] >= k:
+        rows = [0] * len(wit.branch_sets)
+        for a, b in wit.model_edges:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        if _colorable(rows, k - 1) is None:
             return False, wit
     return True, None
 

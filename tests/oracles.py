@@ -238,13 +238,26 @@ def rho_by_double_loop(g: Graph, t: int) -> int:
 
 
 def chromatic_by_enumeration(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        for assign in itertools.product(range(k), repeat=g.n):
-            if all(assign[u] != assign[v] for u, v in g.edges()):
-                return k
-    return g.n
+    """The least k such that some assignment of k colors leaves no edge
+    monochromatic. The assignments are enumerated vertex by vertex in label
+    order, each vertex taking every color below k in turn; a partial
+    assignment is dropped once a vertex has an earlier neighbor's color,
+    since no later choice can recolor that edge."""
+    earlier = [[u for u in range(v) if g.has_edge(u, v)] for v in range(g.n)]
+
+    def extend(colors: list[int], k: int) -> bool:
+        v = len(colors)
+        if v == g.n:
+            return True
+        for c in range(k):
+            if all(colors[u] != c for u in earlier[v]):
+                colors.append(c)
+                if extend(colors, k):
+                    return True
+                colors.pop()
+        return False
+
+    return next(k for k in range(g.n + 1) if extend([], k))
 
 
 # -- independent minor enumeration ------------------------------------------

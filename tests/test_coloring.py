@@ -22,7 +22,6 @@ from knitweave.graphs import (
     canonical_form,
     induced,
     mask_of,
-    max_clique,
     nonisomorphic_graphs,
     set_of,
 )
@@ -90,9 +89,40 @@ def test_chromatic_number_skips_max_clique_when_a_greedy_clique_fills_the_classe
         if calls:
             searched += 1
             continue
-        _, _, clique = coloring._color_with_clique(g)
+        clique = coloring._top_clique(g.adj)
         assert clique.bit_count() == chi and _is_clique(g, clique), g
     assert len(census7[1:]) == 1252 and searched <= 80
+
+
+def _check_classes(g, j, classes):
+    # j disjoint classes covering every vertex, a proper coloring of g
+    assert len(classes) == j, (g, j)
+    colors, covered = [None] * g.n, 0
+    for c, cls in enumerate(classes):
+        assert not cls & covered, (g, j)
+        covered |= cls
+        for v in bits(cls):
+            colors[v] = c
+    assert covered == g.full_mask, (g, j)
+    Coloring(tuple(colors), j).check_proper(g)
+
+
+def test_colorable_decides_every_palette_as_enumeration_does(census7):
+    # the kernel answers None exactly when chi > j, else j classes that
+    # color g properly; on each graph every j from 0 to n is asked
+    rng = random.Random(41)
+    graphs = census7 + [random_graph(rng, rng.randint(0, 9), p=rng.uniform(0.1, 0.9)) for _ in range(500)]
+    searched = 0
+    for g in graphs:
+        chi = chromatic_by_enumeration(g)
+        for j in range(g.n + 1):
+            classes = coloring._colorable(g.adj, j)
+            assert (classes is None) == (chi > j), (g, j)
+            if classes is not None:
+                _check_classes(g, j, classes)
+            # the greedy classes and the grown clique leave j open
+            searched += len(coloring._first_fit(g.adj)) > j >= coloring._top_clique(g.adj).bit_count()
+    assert searched >= 100, searched
 
 
 def test_complete_graph_chromatic():
@@ -177,26 +207,30 @@ def test_contraction_critical_matches_scan(census7):
             assert _verdict(is_contraction_critical(g, k)) == _verdict(critical_by_scan(g, k)), (g, k)
 
 
+def _spy_on_kernel(monkeypatch, orders):
+    # record the vertex count of every graph the coloring kernel is asked about
+    for name in ("_colorable", "_saturate"):
+        def call(rows, *args, real=getattr(coloring, name)):
+            orders.append(len(rows))
+            return real(rows, *args)
+        monkeypatch.setattr(coloring, name, call)
+
+
 def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkeypatch):
-    # when the clique found while coloring G has chi(G) = k vertices and
-    # misses vertex 0, G - 0 contains it and is the witness without a coloring
-    real = coloring._color_with_clique
+    # when the clique grown from the highest vertex down has chi(G) = k
+    # vertices and misses vertex 0, G - 0 contains it and is the witness
+    # without a decision: the kernel is asked about G itself and nothing else
     orders = []
-
-    def spy(h):
-        orders.append(h.n)
-        return real(h)
-
-    monkeypatch.setattr(coloring, "_color_with_clique", spy)
+    _spy_on_kernel(monkeypatch, orders)
     cases = 0
     for g in census7:
-        k = real(g)[0]
-        clique = max_clique(g)
+        k = chromatic_number(g)[0]
+        clique = coloring._top_clique(g.adj)
         if not g.n or clique.bit_count() != k or clique & 1:
             continue
         orders.clear()
         ok, wit = coloring.is_contraction_critical(g, k)
-        assert min(orders, default=g.n) >= g.n, g
+        assert all(order == g.n for order in orders), g
         assert not ok and wit.branch_sets == tuple(1 << v for v in range(1, g.n)), g
         assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
         cases += 1
@@ -209,9 +243,10 @@ def test_contraction_walk_stops_below_k_vertices(census7, monkeypatch):
     # verdicts and witnesses stay those of the full scan
     # (test_contraction_critical_matches_scan)
     real = coloring.contraction_quotients
-    sizes = []
+    sizes, walks = [], []
 
     def walk(g):
+        walks.append(g)
         for wit in real(g):
             sizes.append(len(wit.branch_sets))
             yield wit
@@ -226,16 +261,23 @@ def test_contraction_walk_stops_below_k_vertices(census7, monkeypatch):
             assert got == critical_by_scan(g, k), (g, k)
             assert all(size >= k for size in sizes[:-1]), (g, k)
             stopped += bool(sizes) and sizes[-1] < k
-    assert stopped == 6, stopped  # K2..K7, the census's contraction-critical graphs with an edge
+    # the census's contraction-critical graphs are K0..K7, which answer
+    # before the walk; every other walk ends at its witness
+    assert stopped == 0, stopped
+    orders = []
+    _spy_on_kernel(monkeypatch, orders)
     for k in (5, 6, 7):
-        sizes.clear()
+        walks.clear()
+        orders.clear()
         assert is_contraction_critical(Graph.complete(k), k) == (True, None)
-        assert sizes == [k - 1]
+        # no quotient built, and only G and its k vertex deletions asked about
+        assert walks == [] and orders == [k - 1] * k, (k, orders)
 
 
 def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census7, monkeypatch):
-    # G - 0 is the witness, found from G's rows with no G - v built or colored,
-    # when the clique returned with G's coloring has chi(G) vertices and misses 0
+    # G - 0 is the witness, found from G's rows with no G - v colored, no
+    # chromatic number and no maximum clique searched, when the clique grown
+    # from the highest vertex down has chi(G) vertices and misses 0
     calls = []
 
     def spy(real):
@@ -244,16 +286,17 @@ def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census
             return real(*args)
         return call
 
-    for name in ("chromatic_number", "_delete_vertex"):
+    for name in ("chromatic_number", "max_clique", "_colorable", "_delete_rows"):
         monkeypatch.setattr(coloring, name, spy(getattr(coloring, name)))
     cases = 0
     for g in census7[1:]:
-        k, _, clique = coloring._color_with_clique(g)
+        k = chromatic_number(g)[0]
+        clique = coloring._top_clique(g.adj)
         if clique.bit_count() != k or clique & 1:
             continue
         calls.clear()
         ok, wit = coloring.is_contraction_critical(g, k)
-        assert not calls and not ok, g
+        assert len(calls) == 1 and calls[0] == (g.adj, 0) and not ok, g
         assert wit.branch_sets == tuple(1 << v for v in range(1, g.n)), g
         assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
         cases += 1

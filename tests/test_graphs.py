@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knitweave.coloring import chromatic_number, is_contraction_critical
 from knitweave.errors import InputError
 from knitweave.generators import complete_minus_matching
 from knitweave.graphs import (
@@ -292,6 +293,25 @@ CENSUS_DIGEST = "4c76bfca249976f6bd5e324bf39d4aebeda53ecf18e7a34a9f73033759e16fd
 def test_census_digest_up_to_n8():
     census = repr([[g.adj for g in nonisomorphic_graphs(n)] for n in range(9)])
     assert hashlib.sha256(census.encode()).hexdigest() == CENSUS_DIGEST
+
+
+def test_criticality_and_colorings_digest_at_n8():
+    # is_contraction_critical(g, chi(g)) verdicts and witnesses, and the
+    # chromatic_number colorings, over the whole n = 8 census
+    census = nonisomorphic_graphs(8)
+    colorings = [chromatic_number(g) for g in census]
+    verdicts = []
+    for g, (chi, _) in zip(census, colorings):
+        ok, wit = is_contraction_critical(g, chi)
+        verdicts.append((ok, wit and (wit.branch_sets, wit.model_edges)))
+    got = [
+        hashlib.sha256(repr(verdicts).encode()).hexdigest(),
+        hashlib.sha256(repr([(chi, col.colors) for chi, col in colorings]).encode()).hexdigest(),
+    ]
+    assert got == [
+        "fb791184091a8b2d0ab688a8702d31940d1d7e2f5dac0bd17b827f733d66bfff",
+        "f8151a0240af0c70f9cfb166f3fffef4efe3a2d1631666d6dc673f94142517f8",
+    ]
 
 
 def test_census_rejections_drop_only_what_the_search_rejects():
