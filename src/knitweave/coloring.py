@@ -40,6 +40,8 @@ class Coloring:
 
     def check_proper(self, g: Graph, domain: Optional[int] = None) -> None:
         dom = g.full_mask if domain is None else domain
+        if not isinstance(self.colors, Sequence):
+            raise InputError(f"the colors must be a sequence, one per vertex: {self.colors!r}")
         if len(self.colors) != g.n:
             raise InputError("coloring length does not match the graph")
         if type(self.palette_size) is not int:
@@ -201,8 +203,13 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     found for G - v (an empty class included): v takes that color in
     G - vw, so G - vw needs fewer than k colors.
 
-    The quotients come level by level, each level one vertex smaller, and
-    a graph on fewer than k vertices needs fewer than k colors; so the walk
+    The walk yields one quotient per partition into connected branch sets,
+    isomorphic ones included: telling a repeat apart costs more than
+    deciding it, and the first quotient that needs k colors is the one a
+    walk keeping one quotient per isomorphism class would return (the proof
+    is in :func:`contraction_quotients`). The quotients come level by
+    level, each level one vertex smaller, and a graph on fewer than k
+    vertices needs fewer than k colors; so the walk
     stops at the first quotient with fewer than k vertices, and is not
     begun when n - 1 < k, that is, when G = K_k (the walk itself raises
     ResourceError above MINOR_ENUM_LIMIT). Witness labels follow

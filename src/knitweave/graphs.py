@@ -797,31 +797,46 @@ class MinorWitness:
 
 
 def contraction_quotients(g: Graph) -> Iterator[MinorWitness]:
-    """Stream G/F for every nonempty edge set F, one per isomorphism class.
+    """Stream G/F for every nonempty edge set F, one per partition.
 
     Each witness partitions the vertices into connected branch sets and keeps
-    every quotient edge. Contracting the edges of G/F gives the contractions
-    of G that coarsen its partition, so the walk merges two adjacent branch
-    sets per step and expands one representative per class, level by level
-    (every quotient on a level has the same order).
+    every quotient edge; each such partition other than the one into single
+    vertices comes exactly once. Contracting the edges of G/F gives the
+    contractions of G that coarsen its partition, so the walk merges two
+    adjacent branch sets per step, level by level (every quotient on a level
+    has the same order). A level maps each partition, its branch sets sorted
+    by least vertex, to its quotient; merging set v into set u < v keeps
+    that order, so the tuple names the partition, and a partition reached
+    again on its level is skipped.
+
+    Isomorphic quotients are not merged. A caller that wants the first
+    quotient with some isomorphism-invariant property (as
+    :func:`~knitweave.coloring.is_contraction_critical` does) gets the same
+    witness as from a walk that kept only the first quotient of each
+    isomorphism class on a level and expanded only those. By induction on
+    levels, that walk keeps the first member of each class in this walk's
+    order, in the same order: isomorphic quotients have children in the
+    same classes, so the first child in a class is a child of a parent that
+    is first in its class, and that walk expands those parents in the same
+    order along the same edges. The first quotient with the property is
+    first in its class, since an earlier isomorphic quotient would have the
+    property too, so that walk keeps it and meets no other one before it.
     """
     if g.n > MINOR_ENUM_LIMIT:
         raise ResourceError(
             f"contraction quotients supported for n <= {MINOR_ENUM_LIMIT}; "
-            f"got n = {g.n} (the state space is the set of all smaller graphs)"
+            f"got n = {g.n} (the walk lists every partition into connected branch sets)"
         )
-    level = [(g, tuple(1 << v for v in range(g.n)))]
+    level = {tuple(1 << v for v in range(g.n)): g}
     while level:
         found: dict = {}
-        for q, branch_sets in level:
+        for branch_sets, q in level.items():
             for u, v in q.edges():
-                h = contract_edge(q, u, v)
-                key = canonical_form(h)
-                if key in found:
-                    continue
                 merged = list(branch_sets)
                 merged[u] |= merged.pop(v)  # u < v, so u keeps its index
                 bs = tuple(merged)
-                found[key] = (h, bs)
+                if bs in found:
+                    continue
+                h = found[bs] = contract_edge(q, u, v)
                 yield MinorWitness(g, bs, tuple(h.edges()))
-        level = list(found.values())
+        level = found

@@ -1076,6 +1076,8 @@ class Configuration:
         return mask_of(v for b in self.blocks for v in b)
 
     def validate(self, induced_paths: bool = True) -> None:
+        if not isinstance(self.blocks, tuple) or not all(isinstance(b, tuple) for b in self.blocks):
+            raise InputError("the blocks must be a tuple of vertex tuples")
         if len(self.blocks) != 5:
             raise InputError("need five blocks")
         if not all(type(v) is int for b in self.blocks for v in b):

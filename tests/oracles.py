@@ -14,8 +14,10 @@ isomorphism classes; ``census_by_bounded_search``, the previous census
 step, for the census lists and for the candidates its rejections drop; ``chromatic_by_saturation``, the previous
 ``chromatic_number``, for chromatic numbers and colorings; and
 ``critical_by_scan``, the previous ``is_contraction_critical``, for
-verdicts and witnesses; ``graph_rows_by_scan``, the previous check in
-``Graph.__init__``, for accepting or rejecting rows and the message;
+verdicts and witnesses, walking ``quotients_by_class``, the previous
+``contraction_quotients``, which kept one quotient per isomorphism class;
+``graph_rows_by_scan``, the previous check in ``Graph.__init__``, for
+accepting or rejecting rows and the message;
 ``clique_by_branching``, the previous ``max_clique``, for clique masks;
 ``graph6_by_bit_lists``, the previous ``write_graph6``, for graph6 text;
 ``complete_minus_matching_by_edges``, the previous
@@ -58,7 +60,7 @@ from knitweave.graphs import (
     bits,
     canonical_form,
     components,
-    contraction_quotients,
+    contract_edge,
     mask_of,
     max_clique,
     set_of,
@@ -339,6 +341,32 @@ def contractions_by_recursion(g: Graph) -> set:
 
     visit(g)
     return seen
+
+
+def connected_partitions_by_brute_force(g: Graph) -> set[tuple[int, ...]]:
+    """Every partition of the vertices into sets that each induce a connected
+    subgraph, as a tuple of masks sorted by least vertex: each set partition,
+    built vertex by vertex, tested with networkx."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    out = set()
+
+    def place(v: int, blocks: list[list[int]]):
+        if v == g.n:
+            if all(nx.is_connected(h.subgraph(b)) for b in blocks):
+                out.add(tuple(sum(1 << x for x in b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(v)
+            place(v + 1, blocks)
+            b.pop()
+        blocks.append([v])
+        place(v + 1, blocks)
+        blocks.pop()
+
+    place(0, [])
+    return out
 
 
 def _sub(g: Graph, keep: list[int]) -> Graph:
@@ -754,13 +782,35 @@ def _single_deletions(g: Graph) -> Iterator[MinorWitness]:
         yield MinorWitness(g, singletons, tuple(f for f in edges if f != e))
 
 
+def quotients_by_class(g: Graph) -> Iterator[MinorWitness]:
+    """The previous ``contraction_quotients``: G/F for every nonempty edge
+    set F, one per isomorphism class. Each level keeps the first quotient of
+    each ``canonical_form`` and only those are contracted further."""
+    level = [(g, tuple(1 << v for v in range(g.n)))]
+    while level:
+        found: dict = {}
+        for q, branch_sets in level:
+            for u, v in q.edges():
+                h = contract_edge(q, u, v)
+                key = canonical_form(h)
+                if key in found:
+                    continue
+                merged = list(branch_sets)
+                merged[u] |= merged.pop(v)  # u < v, so u keeps its index
+                bs = tuple(merged)
+                found[key] = (h, bs)
+                yield MinorWitness(g, bs, tuple(h.edges()))
+        level = list(found.values())
+
+
 def critical_by_scan(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
     """Contraction-criticality by asking ``chromatic_number`` of every vertex
-    deletion, then every edge deletion, then every contraction quotient, and
-    returning the first that needs k colors."""
+    deletion, then every edge deletion, then every contraction quotient of
+    :func:`quotients_by_class`, and returning the first that needs k
+    colors."""
     if chromatic_number(g)[0] != k:
         return False, None
-    for wit in itertools.chain(_single_deletions(g), contraction_quotients(g)):
+    for wit in itertools.chain(_single_deletions(g), quotients_by_class(g)):
         if chromatic_number(wit.quotient())[0] >= k:
             return False, wit
     return True, None

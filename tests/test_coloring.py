@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -16,6 +17,7 @@ from knitweave.coloring import (
     validate_power_set_coding,
 )
 from knitweave.errors import InputError, PreconditionError, ResourceError, SplitClassError
+from knitweave.formats import parse_graph6
 from knitweave.graphs import (
     Graph,
     bits,
@@ -196,6 +198,8 @@ def _census8_sample(rng, count):
 
 
 def test_contraction_critical_matches_scan(census7):
+    # the scan walks one quotient per isomorphism class, the check one per
+    # partition; the first witness must be the same
     rng = random.Random(13)
     graphs = census7 + [random_graph(rng, 8, p=rng.uniform(0.2, 0.9)) for _ in range(100)]
     graphs += _census8_sample(rng, 300)
@@ -274,6 +278,48 @@ def test_contraction_walk_stops_below_k_vertices(census7, monkeypatch):
         assert walks == [] and orders == [k - 1] * k, (k, orders)
 
 
+# The 46 graphs of the n = 9 census whose check at k = chi(G) reaches the
+# contraction walk, by k (every other one is answered by its chromatic
+# number or a deletion), found by running the check with a spy on the walk
+# over graphs._extensions of every n = 8 census graph
+WALKS_AT_N9 = [
+    (3, ("HqGOOGB",)),
+    (4, ("HKh]@cN", "H[V@oKF", "H{d@?K^", "H}P@OkN", "HhaROkN", "HqJ_okN", "H}G_OK^", "H]h_OK^",
+        "HlR?PK^", "HraAPK^", "H]`_PK^", "H]`@PK^", "HtP?OK~", "H{WOOK^", "H{OOPK^", "HsXOOK~",
+        "HkGSQK~", "HsHOQK~", "HsGQQK~", "Hk_a_[~", "Hq`@_[~")),
+    (5, ("H}lah[^", "H{dbG{^", "H~ooW[N", "H~`oW[N", "H}hPW{^", "H}opW{^", "H{orW{^", "H{QrW{^",
+        "H{`rW{^", "HvwOY{~", "HrwSY{~", "HrYSY{~", "HqYTY{~", "HqJTY{~", "HsQrY{~", "Hs`rY{~",
+        "HkhOX~~", "HqJOX~~", "HqGO^~~", "H{O_w~~", "HsOax~~")),
+    (6, ("H{WW~~~", "HsXX~~~")),
+    (7, ("HqN~~~~",)),
+]
+# sha256 of repr([(graph6, k, verdict, witness branch sets and model edges)])
+# as the walk that kept one quotient per isomorphism class gave it
+WALKS_AT_N9_DIGEST = "5dbbf52d10d8afda38ef916eb31a995003f4f718a295fdeae29b3500f2157f40"
+
+
+def test_contraction_walks_at_n9_within_budget(monkeypatch):
+    # the walk lists every partition and canonicalises no quotient; the
+    # verdicts and witnesses are still those of the class-keyed walk
+    walked, forms = [], []
+    real = coloring.contraction_quotients
+    monkeypatch.setattr(coloring, "contraction_quotients", lambda g: walked.append(g) or real(g))
+    monkeypatch.setattr("knitweave.graphs.canonical_form", lambda g: forms.append(g))
+    cases = [(g6, k) for k, strings in WALKS_AT_N9 for g6 in strings]
+    got = []
+    t0 = time.perf_counter()
+    for g6, k in cases:
+        got.append((g6, k) + _verdict(is_contraction_critical(parse_graph6(g6), k)))
+    assert time.perf_counter() - t0 < 1.0
+    assert len(walked) == len(cases) == 46 and forms == []
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == WALKS_AT_N9_DIGEST
+    monkeypatch.undo()
+    for g6, k, *verdict in got:
+        g = parse_graph6(g6)
+        assert chromatic_number(g)[0] == k
+        assert tuple(verdict) == _verdict(critical_by_scan(g, k)), g6
+
+
 def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census7, monkeypatch):
     # G - 0 is the witness, found from G's rows with no G - v colored, no
     # chromatic number and no maximum clique searched, when the clique grown
@@ -315,6 +361,9 @@ def test_check_proper_requires_int_colors_and_palette():
     Coloring((0, 1, 0), 2).check_proper(p3)
     for colors in ((0, 1.5, 0), (0, True, 0), (0.0, 1, 0)):
         with pytest.raises(InputError, match="outside the palette"):
+            Coloring(colors, 2).check_proper(p3)
+    for colors in (None, 5):
+        with pytest.raises(InputError, match="the colors must be a sequence"):
             Coloring(colors, 2).check_proper(p3)
     for palette in (2.0, True, "2"):
         with pytest.raises(InputError, match="palette size is not an int"):

@@ -44,6 +44,7 @@ from oracles import (
     census_by_dedup,
     clique_by_branching,
     clique_by_enumeration,
+    connected_partitions_by_brute_force,
     contractions_by_recursion,
     graph_rows_by_scan,
     independence_by_enumeration,
@@ -483,17 +484,22 @@ def test_canonical_form_agrees_with_networkx():
 
 
 def _quotient_classes(g):
+    # one witness per partition into connected branch sets (validate rejects
+    # a set that is not connected), every such partition but the one into
+    # single vertices; returns the isomorphism classes of the quotients
     witnesses = list(contraction_quotients(g))
     for w in witnesses:
         w.validate()
-    keys = [_canon_small(w.quotient()) for w in witnesses]
-    assert len(set(keys)) == len(keys)
-    return set(keys)
+    partitions = [w.branch_sets for w in witnesses]
+    assert len(set(partitions)) == len(partitions)
+    singletons = tuple(1 << v for v in range(g.n))
+    assert set(partitions) == connected_partitions_by_brute_force(g) - {singletons}
+    return {_canon_small(w.quotient()) for w in witnesses}
 
 
 def test_minor_enumeration_k3():
     assert _quotient_classes(Graph.complete(3)) == contractions_by_recursion(Graph.complete(3))
-    assert [w.quotient().n for w in contraction_quotients(Graph.complete(3))] == [2, 1]
+    assert [w.quotient().n for w in contraction_quotients(Graph.complete(3))] == [2, 2, 2, 1]
 
 
 def test_minor_enumeration_matches_oracle_small():

@@ -1095,6 +1095,8 @@ def test_configuration_validate_rejects_each_fault():
     h, cfg = _reroute_fixture()
     cfg.validate()
     for u0, blocks, fault in (
+        (0, None, "the blocks must be a tuple of vertex tuples"),
+        (0, ((0,), (1, 2), (3, 4), (5, 6), 7), "the blocks must be a tuple of vertex tuples"),
         (0, ((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5)), "five blocks"),
         (0, ((0,), (9, 10.0), (11, 12), (1, 2, 3, 4, 5), (6, 7)), "integers"),
         (0, ((0,), (11, 12), (1, 2, 3, 4, 5), (6, 7), (9, 13)), "outside 0..12"),
