@@ -22,6 +22,8 @@ from .graphs import (
     Graph,
     MINOR_ENUM_LIMIT,
     MinorWitness,
+    _delete_rows,
+    _row_edges,
     bits,
     components,
     contraction_quotients,
@@ -40,6 +42,8 @@ class Coloring:
 
     def check_proper(self, g: Graph, domain: Optional[int] = None) -> None:
         dom = g.full_mask if domain is None else domain
+        if type(dom) is not int or dom & ~g.full_mask:
+            raise InputError(f"domain is not a vertex mask of the graph: {domain!r}")
         if not isinstance(self.colors, Sequence):
             raise InputError(f"the colors must be a sequence, one per vertex: {self.colors!r}")
         if len(self.colors) != g.n:
@@ -174,10 +178,9 @@ def _colorable(rows: Sequence[int], j: int) -> Optional[list[int]]:
     return None if clique.bit_count() > j else _saturate(rows, j, clique)
 
 
-def _delete_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """The rows of G - v, the vertices above v shifted down by one, unchecked."""
-    low = (1 << v) - 1
-    return tuple([(r & low) | (r >> (v + 1) << v) for r in rows[:v] + rows[v + 1:]])
+def _witness(g: Graph, branch_sets: tuple[int, ...], rows: Sequence[int]) -> MinorWitness:
+    """The minor of g with these branch sets whose quotient has these rows."""
+    return MinorWitness(g, branch_sets, tuple(_row_edges(rows)))
 
 
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
@@ -195,7 +198,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     the check asks :func:`_colorable` whether k - 1 colors suffice for each
     vertex deletion, then each edge deletion, then each of
     :func:`contraction_quotients`, on rows (:func:`_delete_rows`, G's rows
-    with the edge removed, the model edges), and returns the first minor
+    with the edge removed, the walk's rows), and returns the first minor
     for which they do not. If |C| = k, G - v contains C for v outside C
     and needs k colors, so it is taken undecided; every other G - v is
     decided, so the first witness is the same as if all were. An edge vw
@@ -214,7 +217,9 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     begun when n - 1 < k, that is, when G = K_k (the walk itself raises
     ResourceError above MINOR_ENUM_LIMIT). Witness labels follow
     :func:`_delete_rows` or the ``merged.pop(v)`` of
-    :func:`contraction_quotients`, so each is valid by construction.
+    :func:`contraction_quotients`, so each is valid by construction. No
+    :class:`Graph` is built: only the minor returned becomes a witness, its
+    model edges listed from its rows (:func:`_witness`).
     """
     if type(k) is not int:
         raise InputError(f"k is not an int: {k!r}")
@@ -234,9 +239,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
         rows = _delete_rows(adj, v)
         classes = _colorable(rows, k - 1) if decided >> v & 1 else None
         if classes is None:
-            # the edges of G - v, as Graph.edges lists them
-            edges = tuple([(u, w) for u in range(n - 1) for w in range(u + 1, n - 1) if rows[u] >> w & 1])
-            return False, MinorWitness(g, singletons[:v] + singletons[v + 1:], edges)
+            return False, _witness(g, singletons[:v] + singletons[v + 1:], rows)
         colorings.append(classes)
     # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
     spare = []
@@ -246,26 +249,21 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
         by_class = [((row & low) | (row >> (v + 1) << v)) & cls for cls in classes]
         single = sum(m for m in by_class if m.bit_count() == 1)
         spare.append(row if 0 in by_class else (single & low) | (single >> v << (v + 1)))
-    edges = tuple(g.edges())
-    for u, w in edges:
+    for u, w in _row_edges(adj):
         if spare[u] >> w & 1 or spare[w] >> u & 1:
             continue
         rows = list(adj)
         rows[u] ^= 1 << w
         rows[w] ^= 1 << u
         if _colorable(rows, k - 1) is None:
-            return False, MinorWitness(g, singletons, tuple(f for f in edges if f != (u, w)))
+            return False, _witness(g, singletons, rows)
     if n - 1 < k and n <= MINOR_ENUM_LIMIT:
         return True, None
-    for wit in contraction_quotients(g):
-        if len(wit.branch_sets) < k:
+    for branch_sets, rows in contraction_quotients(g):
+        if len(rows) < k:
             break
-        rows = [0] * len(wit.branch_sets)
-        for a, b in wit.model_edges:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
         if _colorable(rows, k - 1) is None:
-            return False, wit
+            return False, _witness(g, branch_sets, rows)
     return True, None
 
 

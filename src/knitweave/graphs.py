@@ -194,9 +194,7 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+        return iter(_row_edges(self.adj))
 
     def complement(self) -> "Graph":
         full = self.full_mask
@@ -315,25 +313,33 @@ def rho(g: Graph, t: int) -> int:
     return inside // 2 + crossing
 
 
+def _row_edges(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges (u, w), u < w, of the graph with these rows, by u then w."""
+    return [(u, w) for u, row in enumerate(rows) for w in bits(row >> (u + 1) << (u + 1))]
+
+
+def _delete_rows(rows: Sequence[int], v: int) -> tuple[int, ...]:
+    """The rows of G - v, the vertices above v shifted down by one, unchecked."""
+    low = (1 << v) - 1
+    return tuple([(r & low) | (r >> (v + 1) << v) for r in rows[:v] + rows[v + 1:]])
+
+
+def _contract_rows(rows: Sequence[int], u: int, v: int) -> tuple[int, ...]:
+    """The rows of G/uv for adjacent u < v, unchecked: row v folded into row
+    u, then v deleted (:func:`_delete_rows`)."""
+    out = list(rows)
+    out[u] = (rows[u] | rows[v]) & ~(1 << u)
+    for w in bits(rows[v] & ~(1 << u)):
+        out[w] |= 1 << u
+    return _delete_rows(out, v)
+
+
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
     """Contract the edge uv; the merged vertex sits at min(u, v), labels above
     max(u, v) shift down by one, and parallel edges/loops are simplified."""
     if not g.has_edge(u, v):
         raise InputError(f"{u},{v} is not an edge")
-    keep, gone = min(u, v), max(u, v)
-    merged = (g.adj[keep] | g.adj[gone]) & ~(1 << keep) & ~(1 << gone)
-    rows = []
-    for w in range(g.n):
-        if w == gone:
-            continue
-        row = merged if w == keep else g.adj[w]
-        if w != keep:
-            if (row >> gone) & 1:
-                row = (row & ~(1 << gone)) | (1 << keep)
-        low = row & ((1 << gone) - 1)
-        high = row >> (gone + 1)
-        rows.append(low | (high << gone))
-    return Graph(g.n - 1, tuple(rows))
+    return Graph(g.n - 1, _contract_rows(g.adj, min(u, v), max(u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -796,18 +802,21 @@ class MinorWitness:
                 raise InputError(f"model edge {i},{j} has no host edge backing it")
 
 
-def contraction_quotients(g: Graph) -> Iterator[MinorWitness]:
-    """Stream G/F for every nonempty edge set F, one per partition.
+def contraction_quotients(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Stream G/F for every nonempty edge set F, one per partition, as the
+    pair (branch sets, rows of the quotient), the rows unchecked.
 
-    Each witness partitions the vertices into connected branch sets and keeps
-    every quotient edge; each such partition other than the one into single
-    vertices comes exactly once. Contracting the edges of G/F gives the
-    contractions of G that coarsen its partition, so the walk merges two
-    adjacent branch sets per step, level by level (every quotient on a level
-    has the same order). A level maps each partition, its branch sets sorted
-    by least vertex, to its quotient; merging set v into set u < v keeps
+    Each pair partitions the vertices into connected branch sets, and row i
+    holds every j whose branch set is adjacent to set i; each such partition
+    other than the one into single vertices comes exactly once. Contracting
+    the edges of G/F gives the contractions of G that coarsen its partition,
+    so the walk merges two adjacent branch sets per step
+    (:func:`_contract_rows`), level by level (every quotient on a level has
+    the same order). A level maps each partition, its branch sets sorted by
+    least vertex, to its quotient's rows; merging set v into set u < v keeps
     that order, so the tuple names the partition, and a partition reached
-    again on its level is skipped.
+    again on its level is skipped. No :class:`Graph` is built: a caller
+    that keeps a quotient builds its :class:`MinorWitness` from the pair.
 
     Isomorphic quotients are not merged. A caller that wants the first
     quotient with some isomorphism-invariant property (as
@@ -827,16 +836,16 @@ def contraction_quotients(g: Graph) -> Iterator[MinorWitness]:
             f"contraction quotients supported for n <= {MINOR_ENUM_LIMIT}; "
             f"got n = {g.n} (the walk lists every partition into connected branch sets)"
         )
-    level = {tuple(1 << v for v in range(g.n)): g}
+    level = {tuple(1 << v for v in range(g.n)): g.adj}
     while level:
         found: dict = {}
-        for branch_sets, q in level.items():
-            for u, v in q.edges():
+        for branch_sets, rows in level.items():
+            for u, v in _row_edges(rows):
                 merged = list(branch_sets)
                 merged[u] |= merged.pop(v)  # u < v, so u keeps its index
                 bs = tuple(merged)
                 if bs in found:
                     continue
-                h = found[bs] = contract_edge(q, u, v)
-                yield MinorWitness(g, bs, tuple(h.edges()))
+                h = found[bs] = _contract_rows(rows, u, v)
+                yield bs, h
         level = found

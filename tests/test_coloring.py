@@ -251,9 +251,9 @@ def test_contraction_walk_stops_below_k_vertices(census7, monkeypatch):
 
     def walk(g):
         walks.append(g)
-        for wit in real(g):
-            sizes.append(len(wit.branch_sets))
-            yield wit
+        for branch_sets, rows in real(g):
+            sizes.append(len(branch_sets))
+            yield branch_sets, rows
 
     monkeypatch.setattr(coloring, "contraction_quotients", walk)
     stopped = 0
@@ -299,19 +299,31 @@ WALKS_AT_N9_DIGEST = "5dbbf52d10d8afda38ef916eb31a995003f4f718a295fdeae29b3500f2
 
 
 def test_contraction_walks_at_n9_within_budget(monkeypatch):
-    # the walk lists every partition and canonicalises no quotient; the
-    # verdicts and witnesses are still those of the class-keyed walk
-    walked, forms = [], []
+    # the walk lists every partition, canonicalises no quotient and builds
+    # no Graph; the verdicts and witnesses are still those of the
+    # class-keyed walk
+    walked, forms, built = [], [], []
     real = coloring.contraction_quotients
     monkeypatch.setattr(coloring, "contraction_quotients", lambda g: walked.append(g) or real(g))
     monkeypatch.setattr("knitweave.graphs.canonical_form", lambda g: forms.append(g))
+    real_init = Graph.__init__
+
+    def init(self, n, adj):
+        built.append(n)
+        real_init(self, n, adj)
+
+    monkeypatch.setattr("knitweave.graphs.Graph.__init__", init)
     cases = [(g6, k) for k, strings in WALKS_AT_N9 for g6 in strings]
-    got = []
+    got, inside = [], 0
     t0 = time.perf_counter()
     for g6, k in cases:
-        got.append((g6, k) + _verdict(is_contraction_critical(parse_graph6(g6), k)))
+        g = parse_graph6(g6)
+        before = len(built)
+        got.append((g6, k) + _verdict(is_contraction_critical(g, k)))
+        inside += len(built) - before
     assert time.perf_counter() - t0 < 1.0
-    assert len(walked) == len(cases) == 46 and forms == []
+    assert len(walked) == len(cases) == 46 and forms == [] and inside == 0
+    assert len(built) == 46  # one per parse_graph6
     assert hashlib.sha256(repr(got).encode()).hexdigest() == WALKS_AT_N9_DIGEST
     monkeypatch.undo()
     for g6, k, *verdict in got:
@@ -368,6 +380,10 @@ def test_check_proper_requires_int_colors_and_palette():
     for palette in (2.0, True, "2"):
         with pytest.raises(InputError, match="palette size is not an int"):
             Coloring((0, 1, 0), palette).check_proper(p3)
+    Coloring((0, 1, 0), 2).check_proper(p3, 0b101)
+    for domain in (8, -1, 1 << 70, 2.5, True, "7"):
+        with pytest.raises(InputError, match="domain"):
+            Coloring((0, 1, 0), 2).check_proper(p3, domain)
 
 
 def test_contraction_critical_c5_pins_deep_minors():

@@ -483,23 +483,29 @@ def test_canonical_form_agrees_with_networkx():
         assert ours == truth
 
 
+def _pair_witness(g, branch_sets, rows):
+    # the witness of one (branch sets, rows) pair of the walk, its rows
+    # checked by the Graph constructor
+    return MinorWitness(g, branch_sets, tuple(Graph(len(rows), rows).edges()))
+
+
 def _quotient_classes(g):
-    # one witness per partition into connected branch sets (validate rejects
+    # one pair per partition into connected branch sets (validate rejects
     # a set that is not connected), every such partition but the one into
     # single vertices; returns the isomorphism classes of the quotients
-    witnesses = list(contraction_quotients(g))
-    for w in witnesses:
-        w.validate()
-    partitions = [w.branch_sets for w in witnesses]
+    pairs = list(contraction_quotients(g))
+    for bs, rows in pairs:
+        _pair_witness(g, bs, rows).validate()
+    partitions = [bs for bs, _ in pairs]
     assert len(set(partitions)) == len(partitions)
     singletons = tuple(1 << v for v in range(g.n))
     assert set(partitions) == connected_partitions_by_brute_force(g) - {singletons}
-    return {_canon_small(w.quotient()) for w in witnesses}
+    return {_canon_small(Graph(len(rows), rows)) for _, rows in pairs}
 
 
 def test_minor_enumeration_k3():
     assert _quotient_classes(Graph.complete(3)) == contractions_by_recursion(Graph.complete(3))
-    assert [w.quotient().n for w in contraction_quotients(Graph.complete(3))] == [2, 2, 2, 1]
+    assert [len(rows) for _, rows in contraction_quotients(Graph.complete(3))] == [2, 2, 2, 1]
 
 
 def test_minor_enumeration_matches_oracle_small():
@@ -514,20 +520,33 @@ def test_minor_k1_and_c5():
     assert list(contraction_quotients(Graph.complete(1))) == []
     c5 = Graph.cycle(5)
     hits = [
-        w for w in contraction_quotients(c5) if are_isomorphic(w.quotient(), Graph.complete(3))
+        (bs, rows)
+        for bs, rows in contraction_quotients(c5)
+        if are_isomorphic(Graph(len(rows), rows), Graph.complete(3))
     ]
     assert hits
-    hits[0].validate()
-    assert len(hits[0].branch_sets) == 3
+    _pair_witness(c5, *hits[0]).validate()
+    assert len(hits[0][0]) == 3
 
 
 def test_minor_witnesses_validate():
     petersen_minus_vertex, _ = induced(Graph.petersen(), (1 << 10) - 2)
-    for g in (Graph.cycle(6), petersen_minus_vertex, Graph.complete(4)):
-        for w in contraction_quotients(g):
+    hosts = [Graph.cycle(6), petersen_minus_vertex, Graph.complete(4)]
+    hosts += [g for n in range(7) for g in nonisomorphic_graphs(n)]
+    for g in hosts:
+        for bs, rows in contraction_quotients(g):
+            # row i holds every branch set adjacent to set i in the host
+            reach = [0] * len(bs)
+            for i in range(len(bs)):
+                for v in bits(bs[i]):
+                    reach[i] |= g.adj[v]
+            assert rows == tuple(
+                sum(1 << j for j in range(len(bs)) if j != i and reach[i] & bs[j])
+                for i in range(len(bs))
+            ), (g, bs)
+            w = _pair_witness(g, bs, rows)
             w.validate()
             # the model keeps every edge between adjacent branch sets
-            bs = w.branch_sets
             assert set(w.model_edges) == {
                 (i, j)
                 for i in range(len(bs))
