@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     MINOR_ENUM_LIMIT,
     MinorWitness,
+    _contract_rows,
     _delete_rows,
     _row_edges,
     bits,
@@ -128,42 +129,64 @@ def _saturate(rows: Sequence[int], j: int, clique: int) -> Optional[list[int]]:
     uncolored vertex whose neighbors show the most colors, then the highest
     degree, then the lowest label, and give it each color its neighbors
     miss, lowest first, opening at most one color beyond those in use;
-    coloring the clique first breaks no generality. ``seen[x]`` holds the
-    colors of x's colored neighbors as bits, set on each assignment for
-    the uncolored neighbors that lacked the color and cleared for the same
-    ones on undo, so a saturation is one popcount.
+    coloring the clique first breaks no generality. ``sees[c]`` holds the
+    vertices with a neighbor colored c, and ``by_sat[s]`` the uncolored
+    vertices whose neighbors show s colors (colored ones linger there,
+    masked off by ``pending``); no uncolored vertex lies above ``top``.
+    Coloring v with c raises the saturation of exactly the uncolored
+    neighbors of v outside ``sees[c]``, each by one, so the branch hands
+    down a copy of the buckets with those lifted one bucket up. The highest
+    bucket meeting ``pending`` holds the most saturated vertices, the first
+    class of ``by_degree`` (falling degree) meeting it those of highest
+    degree among them, and its lowest bit the lowest label: the vertex of
+    the (saturation, degree, -label) maximum, so the search tree, the
+    colors tried and the classes returned are those of a scan for it.
     """
     n = len(rows)
-    trial, seen = [0] * j, [0] * n
+    trial, sees = [0] * j, [0] * j
     for c, v in enumerate(bits(clique)):
-        trial[c] = 1 << v
-        for u in bits(rows[v]):
-            seen[u] |= 1 << c
+        trial[c], sees[c] = 1 << v, rows[v]
+    by_sat, by_degree = [0] * (j + 1), [0] * n
+    for v, row in enumerate(rows):
+        by_sat[(row & clique).bit_count()] |= 1 << v
+        by_degree[n - 1 - row.bit_count()] |= 1 << v
+    by_degree = [cls for cls in by_degree if cls]
 
-    def rec(pending: int, used: int) -> bool:
+    def rec(pending: int, used: int, by_sat: list[int], top: int) -> bool:
         if not pending:
             return True
-        v = max(bits(pending), key=lambda x: (seen[x].bit_count(), rows[x].bit_count(), -x))
-        bit = 1 << v
+        while not by_sat[top] & pending:
+            top -= 1
+        cand = by_sat[top] & pending
+        for cls in by_degree:
+            if cand & cls:
+                cand &= cls
+                break
+        bit = cand & -cand
         pending ^= bit
-        near = rows[v] & pending
-        free = ~seen[v] & ((1 << min(j, used + 1)) - 1)
-        while free:
-            color = free & -free
-            free ^= color
-            c = color.bit_length() - 1
-            fresh = [u for u in bits(near) if not seen[u] & color]
-            for u in fresh:
-                seen[u] |= color
+        row = rows[bit.bit_length() - 1]
+        near = row & pending
+        for c in range(min(j, used + 1)):
+            seen = sees[c]
+            if seen & bit:
+                continue
+            lifted, fresh, s = by_sat[:], near & ~seen, top
+            while fresh:
+                moved = lifted[s] & fresh
+                lifted[s] ^= moved
+                lifted[s + 1] |= moved
+                fresh ^= moved
+                s -= 1
+            sees[c] = seen | row
             trial[c] |= bit
-            if rec(pending, max(used, c + 1)):
+            if rec(pending, max(used, c + 1), lifted, top + 1):
                 return True
             trial[c] ^= bit
-            for u in fresh:
-                seen[u] ^= color
+            sees[c] = seen
         return False
 
-    return trial if rec((1 << n) - 1 & ~clique, clique.bit_count()) else None
+    top = clique.bit_count()
+    return trial if rec((1 << n) - 1 & ~clique, top, by_sat, top) else None
 
 
 def _colorable(rows: Sequence[int], j: int) -> Optional[list[int]]:
@@ -191,14 +214,18 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     chi(G) = k is read off one greedy pass (ub classes) and the clique C of
     :func:`_top_clique` (lb vertices): it needs lb <= k <= ub, a k-coloring
     unless k = ub, and no (k - 1)-coloring unless k = lb, each decided by
-    :func:`_saturate` from C.
+    :func:`_saturate` from C. The last is decided after the vertex
+    deletions: a G - v that needs k colors shows that G needs k too, so it
+    is the witness whichever runs first, and G's (k - 1)-refutation runs
+    only when every G - v is (k - 1)-colorable (a (k - 1)-coloring found
+    there still answers no, with no witness).
 
     Every proper minor is a subgraph of G - v, of G - e, or of a contraction
     G/F with F nonempty, and deleting never raises the chromatic number. So
     the check asks :func:`_colorable` whether k - 1 colors suffice for each
     vertex deletion, then each edge deletion, then each of
-    :func:`contraction_quotients`, on rows (:func:`_delete_rows`, G's rows
-    with the edge removed, the walk's rows), and returns the first minor
+    :func:`contraction_quotients`, on rows (:func:`_delete_rows`,
+    :func:`_contract_rows`, the walk's rows), and returns the first minor
     for which they do not. If |C| = k, G - v contains C for v outside C
     and needs k colors, so it is taken undecided; every other G - v is
     decided, so the first witness is the same as if all were. An edge vw
@@ -206,15 +233,25 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     found for G - v (an empty class included): v takes that color in
     G - vw, so G - vw needs fewer than k colors.
 
+    By then chi(G) >= k is known, and G - vw is (k - 1)-colorable exactly
+    when G/vw is: a (k - 1)-coloring of G - vw gives v and w one color (or
+    it would color G), which colors G/vw with the merged vertex in it, and
+    a (k - 1)-coloring of G/vw colors G - vw with v and w in the merged
+    vertex's color. So each G - vw is decided on the n - 1 rows of G/vw,
+    and its own rows are built only for the witness. The contractions G/vw
+    are the walk's first level, so once every G - vw is decided (or
+    skipped) that level holds no witness: its quotients are walked only to
+    reach the next level, not decided.
+
     The walk yields one quotient per partition into connected branch sets,
     isomorphic ones included: telling a repeat apart costs more than
     deciding it, and the first quotient that needs k colors is the one a
     walk keeping one quotient per isomorphism class would return (the proof
     is in :func:`contraction_quotients`). The quotients come level by
     level, each level one vertex smaller, and a graph on fewer than k
-    vertices needs fewer than k colors; so the walk
-    stops at the first quotient with fewer than k vertices, and is not
-    begun when n - 1 < k, that is, when G = K_k (the walk itself raises
+    vertices needs fewer than k colors; so the walk stops at the first
+    quotient with fewer than k vertices, and is not begun when n - 2 < k,
+    that is, when its second level is below k (the walk itself raises
     ResourceError above MINOR_ENUM_LIMIT). Witness labels follow
     :func:`_delete_rows` or the ``merged.pop(v)`` of
     :func:`contraction_quotients`, so each is valid by construction. No
@@ -226,11 +263,7 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     n, adj = g.n, g.adj
     clique = _top_clique(adj)
     lb, ub = clique.bit_count(), len(_first_fit(adj))
-    if not (
-        lb <= k <= ub
-        and (k == ub or _saturate(adj, k, clique) is not None)
-        and (k == lb or _saturate(adj, k - 1, clique) is None)
-    ):
+    if not (lb <= k <= ub and (k == ub or _saturate(adj, k, clique) is not None)):
         return False, None
     decided = clique if lb == k else g.full_mask
     singletons = tuple([1 << v for v in range(n)])
@@ -241,6 +274,8 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
         if classes is None:
             return False, _witness(g, singletons[:v] + singletons[v + 1:], rows)
         colorings.append(classes)
+    if k > lb and _saturate(adj, k - 1, clique) is not None:
+        return False, None
     # spare[v]: the neighbors w of v such that N(v) - w misses a color of G - v
     spare = []
     for v, classes in enumerate(colorings):
@@ -252,17 +287,17 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitne
     for u, w in _row_edges(adj):
         if spare[u] >> w & 1 or spare[w] >> u & 1:
             continue
-        rows = list(adj)
-        rows[u] ^= 1 << w
-        rows[w] ^= 1 << u
-        if _colorable(rows, k - 1) is None:
+        if _colorable(_contract_rows(adj, u, w), k - 1) is None:
+            rows = list(adj)
+            rows[u] ^= 1 << w
+            rows[w] ^= 1 << u
             return False, _witness(g, singletons, rows)
-    if n - 1 < k and n <= MINOR_ENUM_LIMIT:
+    if n - 2 < k and n <= MINOR_ENUM_LIMIT:
         return True, None
     for branch_sets, rows in contraction_quotients(g):
         if len(rows) < k:
             break
-        if _colorable(rows, k - 1) is None:
+        if len(rows) < n - 1 and _colorable(rows, k - 1) is None:
             return False, _witness(g, branch_sets, rows)
     return True, None
 

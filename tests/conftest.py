@@ -31,6 +31,15 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def mycielskian(g: Graph) -> Graph:
+    """The Mycielskian of G (Mycielski 1955), one more color and no larger
+    clique: vertex i of G, its twin n + i adjacent to the neighbors of i,
+    and the apex 2n adjacent to every twin."""
+    n, edges = g.n, list(g.edges())
+    twins = [(n + i, j) for i, j in edges] + [(n + j, i) for i, j in edges]
+    return Graph.from_edges(2 * n + 1, edges + twins + [(n + i, 2 * n) for i in range(n)])
+
+
 def crossing_grid(rows: int, cols: int, rng=None) -> tuple[Graph, TerminalSpec]:
     """The triangulated grid with the corners paired across it, vertices
     shuffled by ``rng`` when given: the corners lie on the outer face in the

@@ -12,7 +12,9 @@ configuration search, for the selected blocks;
 and collected paths; ``census_by_dedup``, the previous census, for the
 isomorphism classes; ``census_by_bounded_search``, the previous census
 step, for the census lists and for the candidates its rejections drop; ``chromatic_by_saturation``, the previous
-``chromatic_number``, for chromatic numbers and colorings; and
+``chromatic_number``, for chromatic numbers and colorings;
+``saturate_by_scan``, the previous ``coloring._saturate``, for the
+color classes of the saturation search; and
 ``critical_by_scan``, the previous ``is_contraction_critical``, for
 verdicts and witnesses, walking ``quotients_by_class``, the previous
 ``contraction_quotients``, which kept one quotient per isomorphism class;
@@ -767,6 +769,44 @@ def chromatic_by_saturation(g: Graph) -> tuple[int, Coloring]:
         if got is not None:
             return k, Coloring(tuple(got), k)
     return ub, Coloring(tuple(greedy), ub)
+
+
+def saturate_by_scan(rows: Sequence[int], j: int, clique: int) -> Optional[list[int]]:
+    """The previous ``coloring._saturate``: the same DSATUR search, picking
+    each vertex by a scan of every uncolored vertex for the (saturation,
+    degree, -label) maximum, where ``seen[x]`` holds the colors of x's
+    colored neighbors as bits, set on assign and cleared on undo."""
+    n = len(rows)
+    trial, seen = [0] * j, [0] * n
+    for c, v in enumerate(bits(clique)):
+        trial[c] = 1 << v
+        for u in bits(rows[v]):
+            seen[u] |= 1 << c
+
+    def rec(pending: int, used: int) -> bool:
+        if not pending:
+            return True
+        v = max(bits(pending), key=lambda x: (seen[x].bit_count(), rows[x].bit_count(), -x))
+        bit = 1 << v
+        pending ^= bit
+        near = rows[v] & pending
+        free = ~seen[v] & ((1 << min(j, used + 1)) - 1)
+        while free:
+            color = free & -free
+            free ^= color
+            c = color.bit_length() - 1
+            fresh = [u for u in bits(near) if not seen[u] & color]
+            for u in fresh:
+                seen[u] |= color
+            trial[c] |= bit
+            if rec(pending, max(used, c + 1)):
+                return True
+            trial[c] ^= bit
+            for u in fresh:
+                seen[u] ^= color
+        return False
+
+    return trial if rec((1 << n) - 1 & ~clique, clique.bit_count()) else None
 
 
 # -- reference contraction-criticality ---------------------------------------

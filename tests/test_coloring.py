@@ -22,19 +22,22 @@ from knitweave.graphs import (
     Graph,
     bits,
     canonical_form,
+    contract_edge,
     induced,
     mask_of,
+    max_clique,
     nonisomorphic_graphs,
     set_of,
 )
 
-from conftest import random_graph, relabelled
+from conftest import mycielskian, random_graph, relabelled
 from oracles import (
     are_isomorphic,
     chromatic_by_enumeration,
     chromatic_by_saturation,
     critical_by_scan,
     minors_by_recursion,
+    saturate_by_scan,
 )
 from recomb_fixtures import build_recomb_fixture
 
@@ -125,6 +128,39 @@ def test_colorable_decides_every_palette_as_enumeration_does(census7):
             # the greedy classes and the grown clique leave j open
             searched += len(coloring._first_fit(g.adj)) > j >= coloring._top_clique(g.adj).bit_count()
     assert searched >= 100, searched
+
+
+def test_saturate_matches_the_scan_reference(census7):
+    # the buckets pick the vertex the scan picks, so the classes (or None)
+    # are the reference's for every palette from the seed clique's size up,
+    # seeded by a maximum clique and by the clique grown from the top
+    rng = random.Random(47)
+    grotzsch = mycielskian(Graph.cycle(5))
+    cases = [(g, range(g.n + 1)) for g in census7 + _census8_sample(rng, 300)]
+    cases += [(grotzsch, (4, 5)), (mycielskian(grotzsch), (4, 5))]
+    refuted = 0
+    for g, palettes in cases:
+        for seed in (max_clique(g), coloring._top_clique(g.adj)):
+            for j in palettes:
+                if j >= seed.bit_count():
+                    got = coloring._saturate(g.adj, j, seed)
+                    assert got == saturate_by_scan(g.adj, j, seed), (g, j, seed)
+                    refuted += got is None
+    assert refuted > 100, refuted
+
+
+def test_mycielski_chromatic_numbers_within_budget():
+    # refuting 4 colors on the 23-vertex graph and 5 on the 47-vertex one
+    # (chi 5 and 6, no triangle) is the whole of each search: about 1.5 ms
+    # and 1.0-1.1 s on one core of a 2-core x86_64 VM (5 ms and 5-6 s when
+    # each node scanned every uncolored vertex)
+    g23 = mycielskian(mycielskian(Graph.cycle(5)))
+    for g, want, budget in ((g23, 5, 0.05), (mycielskian(g23), 6, 4.0)):
+        t0 = time.perf_counter()
+        chi, col = chromatic_number(g)
+        assert time.perf_counter() - t0 < budget, (g.n, budget)
+        assert chi == want and len(col.colors_used(g.full_mask)) == want
+        col.check_proper(g)
 
 
 def test_complete_graph_chromatic():
@@ -218,6 +254,80 @@ def _spy_on_kernel(monkeypatch, orders):
             orders.append(len(rows))
             return real(rows, *args)
         monkeypatch.setattr(coloring, name, call)
+
+
+def test_edge_deletion_and_contraction_need_k_colors_together(census7):
+    # at k = chi(G), G - uw is (k - 1)-colorable exactly when G/uw is, which
+    # lets the check decide each G - uw on the rows of G/uw
+    both = 0
+    for g in census7:
+        k = chromatic_number(g)[0]
+        for u, w in g.edges():
+            rows = list(g.adj)
+            rows[u] ^= 1 << w
+            rows[w] ^= 1 << u
+            deleted = coloring._colorable(rows, k - 1) is None
+            assert deleted == (coloring._colorable(contract_edge(g, u, w).adj, k - 1) is None), (g, u, w)
+            both += deleted
+    assert both > 100, both
+
+
+def test_contraction_walk_decides_no_quotient_on_n_minus_1_vertices(census7, monkeypatch):
+    # the walk's first level is the G/uw, settled with the G - uw: the kernel
+    # is asked about none of its quotients, which only lead to the next level
+    real = coloring.contraction_quotients
+    first, asked = [], []
+
+    def walk(g):
+        for branch_sets, rows in real(g):
+            if len(rows) == g.n - 1:
+                first.append(rows)
+            yield branch_sets, rows
+
+    monkeypatch.setattr(coloring, "contraction_quotients", walk)
+    for name in ("_colorable", "_saturate"):
+        def call(rows, *args, real=getattr(coloring, name)):
+            asked.append(rows)
+            return real(rows, *args)
+        monkeypatch.setattr(coloring, name, call)
+    graphs = census7 + [parse_graph6(g6) for _, strings in WALKS_AT_N9 for g6 in strings]
+    walked = 0
+    for g in graphs:
+        k = chromatic_number(g)[0]
+        first.clear()
+        asked.clear()
+        is_contraction_critical(g, k)
+        # the first level's rows are held in ``first``, so no other tuple
+        # can share an identity with one of them
+        assert not {id(rows) for rows in asked} & {id(rows) for rows in first}, g
+        walked += bool(first)
+    assert walked > 46, walked
+
+
+def test_vertex_deletion_witness_spares_the_refutation_of_g(census7, monkeypatch):
+    # below a k-clique, a G - v that needs k colors shows that G does too:
+    # the search never refutes k - 1 colors on G's own rows
+    calls = []
+
+    def spy(rows, j, clique, real=coloring._saturate):
+        calls.append((rows, j))
+        return real(rows, j, clique)
+
+    monkeypatch.setattr(coloring, "_saturate", spy)
+    cases = 0
+    for g in census7:
+        k = chromatic_number(g)[0]
+        if coloring._top_clique(g.adj).bit_count() == k:
+            continue
+        calls.clear()
+        ok, wit = is_contraction_critical(g, k)
+        # a G - v: n - 1 branch sets, each one vertex
+        if wit is not None and len(wit.branch_sets) == g.n - 1 and all(
+            b.bit_count() == 1 for b in wit.branch_sets
+        ):
+            assert (g.adj, k - 1) not in calls, g
+            cases += 1
+    assert cases >= 30, cases
 
 
 def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkeypatch):
