@@ -15,7 +15,6 @@ from .graphs import (
     MinorWitness,
     bits,
     canonical_form,
-    contract_edge,
     contraction_quotients,
     independence_number,
     induced,
@@ -38,7 +37,6 @@ from .solver import (
     is_profile_knitted,
     knit,
     pairs_spec,
-    reroute,
     s_value,
     two_pair_obstruction,
 )

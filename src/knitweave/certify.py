@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, check_ints
 from .graphs import Graph, induced, mask_of, max_clique, neighbors_closed, set_of
 from .solver import Linkage, TerminalSpec, _check_sampling, _sampled_unknitted, least_unknitted
 
@@ -16,9 +16,7 @@ from .solver import Linkage, TerminalSpec, _check_sampling, _sampled_unknitted, 
 def mader_threshold(s: int, t: int) -> int:
     """Chromatic threshold above which a separator of size <= s with
     independence defect t cannot exist: s + 2^(t-1) - t."""
-    for name, x in (("s", s), ("t", t)):
-        if type(x) is not int:
-            raise InputError(f"{name} must be an int, not {x!r}")
+    check_ints(s=s, t=t)
     if t < 3:
         raise InputError("t must be at least 3")
     if s < 1:
@@ -28,8 +26,7 @@ def mader_threshold(s: int, t: int) -> int:
 
 def easy_connectivity_threshold(t: int) -> int:
     """Chromatic threshold forcing t-connectedness: 2^(t-4) + 2."""
-    if type(t) is not int:
-        raise InputError(f"t must be an int, not {t!r}")
+    check_ints(t=t)
     if t < 6:
         raise InputError("t must be at least 6")
     return (1 << (t - 4)) + 2
@@ -37,8 +34,7 @@ def easy_connectivity_threshold(t: int) -> int:
 
 def main_theorem_table(k: int) -> int:
     """Best proven connectivity of a noncomplete k-contraction-critical graph."""
-    if type(k) is not int:
-        raise InputError(f"k must be an int, not {k!r}")
+    check_ints(k=k)
     if k < 5:
         raise InputError("k must be at least 5")
     if k >= 41:
@@ -115,7 +111,6 @@ def common_neighbor_certificate(
 
 @dataclass(frozen=True)
 class DenseNeighborhoodReport:
-    vertex: Optional[int]
     case: str  # "i", "ii", "iii" or "none"
     n_h: int
     delta_h: int
@@ -145,7 +140,7 @@ def dense_conditions(h: Graph, p: int) -> DenseNeighborhoodReport:
         case = "ii"
     elif n <= p - 4 and delta >= half:
         case = "iii"
-    return DenseNeighborhoodReport(None, case, n, delta, low)
+    return DenseNeighborhoodReport(case, n, delta, low)
 
 
 def find_dense_neighborhood(
@@ -161,7 +156,7 @@ def find_dense_neighborhood(
         sub, _ = induced(l, neighbors_closed(l, v))
         rep = dense_conditions(sub, p)
         if rep.case != "none":
-            return v, DenseNeighborhoodReport(v, rep.case, rep.n_h, rep.delta_h, rep.low_degree_vertices)
+            return v, rep
     return None
 
 

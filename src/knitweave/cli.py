@@ -199,7 +199,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     except InternalConsistencyError as exc:
         _write_json({"error": str(exc), "kind": "internal-consistency"})
         return 1
-    except (InputError, KnitweaveError, OSError, ValueError) as exc:
+    except (KnitweaveError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

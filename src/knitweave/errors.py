@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all knitweave modules."""
+"""Exception hierarchy shared by all knitweave modules, and the int check
+that raises one."""
 
 
 class KnitweaveError(Exception):
@@ -46,3 +47,11 @@ class SplitClassError(PreconditionError):
 
 class InternalConsistencyError(KnitweaveError):
     """An operation reached a state the underlying theory rules out."""
+
+
+def check_ints(**values) -> None:
+    """Raise InputError naming the first argument that is not an int; a bool
+    or a float equal to an int is not one."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise InputError(f"{name} must be an int, not {x!r}")

@@ -7,13 +7,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_ints
 from .graphs import Graph
 
 
 def gen_min_degree(n: int, delta: int, seed: int) -> Graph:
     """Random graph with minimum degree at least ``delta``: a binomial base
     augmented by random edges at deficient vertices. Deterministic per seed."""
+    check_ints(n=n, delta=delta, seed=seed)
     if not 0 <= delta < n:
         raise InputError(f"need 0 <= delta < n, got delta={delta}, n={n}")
     rng = random.Random(seed)
@@ -39,6 +40,7 @@ def gen_min_degree(n: int, delta: int, seed: int) -> Graph:
 def gen_universal_vertex(n: int, delta: int, seed: int) -> tuple[Graph, int]:
     """Graph whose vertex 0 is adjacent to everything, minimum degree at
     least ``delta`` overall."""
+    check_ints(n=n, delta=delta, seed=seed)
     if not 1 <= delta < n:
         raise InputError(f"need 1 <= delta < n, got delta={delta}, n={n}")
     base = gen_min_degree(n - 1, delta - 1, seed)
@@ -50,6 +52,9 @@ def gen_universal_vertex(n: int, delta: int, seed: int) -> tuple[Graph, int]:
 
 def complete_minus_matching(n: int, m: int) -> Graph:
     """Complete graph minus the matching {0,1}, {2,3}, ..., {2m-2, 2m-1}."""
+    check_ints(n=n, m=m)
+    if m < 0:
+        raise InputError(f"matching size m must be nonnegative, not {m}")
     if 2 * m > n:
         raise InputError("matching does not fit")
     full = (1 << n) - 1
@@ -77,6 +82,7 @@ def gen_split_host(seed: int, blob_size: int = 12) -> SplitHost:
     straddling pairs' endpoints see only their own blob, forcing any
     connection to run through at least four intermediate vertices.
     """
+    check_ints(seed=seed, blob_size=blob_size)
     rng = random.Random(seed)
     straddling = rng.choice([1, 2])
     m = blob_size

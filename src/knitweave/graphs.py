@@ -334,14 +334,6 @@ def _contract_rows(rows: Sequence[int], u: int, v: int) -> tuple[int, ...]:
     return _delete_rows(out, v)
 
 
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract the edge uv; the merged vertex sits at min(u, v), labels above
-    max(u, v) shift down by one, and parallel edges/loops are simplified."""
-    if not g.has_edge(u, v):
-        raise InputError(f"{u},{v} is not an edge")
-    return Graph(g.n - 1, _contract_rows(g.adj, min(u, v), max(u, v)))
-
-
 # ---------------------------------------------------------------------------
 # Exact independence number and maximum clique
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Exact decision procedures with certificates: disjoint paths, knits,
-profile knittedness, and terminal-block configurations with reroutes.
+profile knittedness, and terminal-block configurations.
 
 Everything here is deterministic: ties break lexicographically by vertex
 index, so repeated runs return identical certificates.
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
 from .planar import _block_faces, face_count, rotation_from_faces
 
@@ -32,24 +32,19 @@ class TerminalSpec:
         seen = 0
         norm = []
         for part in self.parts:
-            size = len(part)
-            if size == 2:
-                a, b = part
-                if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
+            for x in part:
+                if type(x) is not int or x < 0:
                     raise InputError(f"part {part} must hold vertex indices")
-                if a == b:
-                    raise InputError(f"part {part} must have one or two distinct vertices")
+            size = len(part)
+            if size == 2 and part[0] != part[1]:
+                a, b = part
                 t = (a, b) if a < b else (b, a)
                 m = 1 << a | 1 << b
             elif size == 1:
                 (a,) = part
-                if not (type(a) is int and a >= 0):
-                    raise InputError(f"part {part} must hold vertex indices")
                 t = (a,)
                 m = 1 << a
             else:
-                if not all(type(x) is int and x >= 0 for x in part):
-                    raise InputError(f"part {part} must hold vertex indices")
                 raise InputError(f"part {part} must have one or two distinct vertices")
             if m & seen:
                 raise InputError("terminal parts overlap")
@@ -1028,7 +1023,7 @@ def _sampled_unknitted(
 
 
 # ---------------------------------------------------------------------------
-# Configurations (terminal blocks with reroutes and coverage scores)
+# Configurations (terminal blocks and coverage scores)
 # ---------------------------------------------------------------------------
 
 PATH_CAP = 5  # vertex cap for connecting paths when building configurations
@@ -1075,7 +1070,7 @@ class Configuration:
     def cover_mask(self) -> int:
         return mask_of(v for b in self.blocks for v in b)
 
-    def validate(self, induced_paths: bool = True) -> None:
+    def validate(self) -> None:
         if not isinstance(self.blocks, tuple) or not all(isinstance(b, tuple) for b in self.blocks):
             raise InputError("the blocks must be a tuple of vertex tuples")
         if len(self.blocks) != 5:
@@ -1098,7 +1093,7 @@ class Configuration:
             used |= m
             if not conn and len(block) != 2:
                 raise InputError("a disconnected block must be a bare pair")
-            if conn and induced_paths:
+            if conn:
                 for i, a in enumerate(block):
                     for j in range(i + 2, len(block)):
                         if self.host.has_edge(a, block[j]):
@@ -1121,7 +1116,7 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
     Ties go to the first selection found, taking the bare slot-4 pair from
     the last input pair back and deciding the other pairs in input order,
     each trying its paths in that order before staying bare.
-    The result passes ``validate(induced_paths=True)``: a chord would give a
+    The result passes :meth:`Configuration.validate`: a chord would give a
     smaller selection with the same connected count, so optimal paths are
     induced; the used mask makes the blocks disjoint; and
     :meth:`Configuration.normal` fixes their order.
@@ -1174,57 +1169,6 @@ def build_configuration(h: Graph, terminals: Sequence[int]) -> Configuration:
         chosen.pop()
 
     return Configuration.normal(h, u0, best["blocks"])
-
-
-def reroute(cfg: Configuration, x: int, y: int, i: int, j: int) -> Configuration:
-    """Swap the interior vertex ``y`` of connected block ``i`` for the outside
-    vertex ``x``, then connect the disconnected block ``j`` through ``y``.
-
-    Each violated precondition raises a structured error naming the failed
-    clause. If ``cfg`` passes ``validate(induced_paths=False)``, so does the
-    result, with one more connected block: block i stays a path, through x,
-    and block j becomes a path through y, on vertices no other block uses.
-    """
-    h = cfg.host
-    h._check_vertex(x)
-    if type(y) is not int:
-        raise InputError(f"vertex {y!r} is not an int")
-    for index in (i, j):
-        if type(index) is not int:
-            raise InputError(f"block index {index!r} is not an int")
-    if not (1 <= i <= 4 and 1 <= j <= 4 and i != j):
-        raise PreconditionError("block-indices", "i and j must be distinct block indices in 1..4")
-    bi = cfg.blocks[i]
-    if not cfg.connected[i]:
-        raise PreconditionError("i-connected", f"block {i} is not a connected path")
-    if y not in bi[1:-1]:
-        raise PreconditionError("y-interior", f"{y} is not interior to block {i}")
-    pos = bi.index(y)
-    z1, z2 = bi[pos - 1], bi[pos + 1]
-    bj = cfg.blocks[j]
-    if len(bj) != 2 or cfg.connected[j]:
-        raise PreconditionError("j-disconnected", f"block {j} is not a disconnected pair")
-    cover = cfg.cover_mask
-    if (cover >> x) & 1:
-        raise PreconditionError("x-outside", f"{x} lies inside the configuration")
-    if not (h.has_edge(x, z1) and h.has_edge(x, z2)):
-        raise PreconditionError("x-adjacent-flanks", f"{x} must be adjacent to {z1} and {z2}")
-    uj, vj = bj
-    allowed = (h.full_mask & ~cover & ~(1 << x)) | (1 << y)
-    newpath = None
-    for p in iter_paths_by_length(h, uj, vj, allowed, h.n):
-        if y in p[1:-1]:
-            newpath = p
-            break
-    if newpath is None:
-        raise PreconditionError(
-            "path-through-y",
-            f"no ({uj},{vj})-path whose only configuration-interior vertex is {y}",
-        )
-    blocks = list(cfg.blocks[1:])
-    blocks[i - 1] = bi[:pos] + (x,) + bi[pos + 1:]
-    blocks[j - 1] = newpath
-    return Configuration.normal(h, cfg.u0, blocks)
 
 
 def s_value(cfg: Configuration, a: int, b: int, i: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, check_ints
 from .graphs import Graph, bits, components, induced, mask_of, rho, set_of
 from .solver import _small_cuts, is_profile_knitted
 
@@ -82,6 +82,7 @@ def separations_exist(l: Graph, s: int, max_order: int) -> bool:
     sweep with k = ``max_order + 1`` (:func:`_small_cuts`) finds a first
     cut.
     """
+    check_ints(s=s, max_order=max_order)
     if max_order >= s.bit_count():
         raise InputError("shortcut requires max_order < |s|")
     return next(_small_cuts(list(l.adj), s, l.full_mask, max_order + 1), None) is not None
@@ -96,6 +97,7 @@ def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separati
     leaves A - B nonempty. Each separation is produced exactly once since
     (A, B) determines X = A & B and B - A.
     """
+    check_ints(s=s, max_order=max_order)
     if s & ~l.full_mask:
         raise InputError("terminal set is not a subset of the graph")
     if max_order > l.n:
@@ -127,6 +129,7 @@ def is_p_massed(l: Graph, s: int, p: int) -> MassedReport:
     The first violating separation under lexicographic separator order is
     reported when condition (ii) fails.
     """
+    check_ints(s=s)
     if s & ~l.full_mask:
         raise InputError("terminal set is not a subset of the graph")
     if type(p) is not int or p < 0:
@@ -195,7 +198,6 @@ class MinimizeResult:
     graph: Graph
     s: int
     trail: tuple[tuple, ...]
-    vertex_map: tuple[int, ...]  # new index -> original vertex
 
 
 def minimize_pair(l: Graph, s: int, p: int) -> MinimizeResult:
@@ -205,6 +207,7 @@ def minimize_pair(l: Graph, s: int, p: int) -> MinimizeResult:
     unknitted), each failure naming its clause, then runs
     :func:`descend_pair`.
     """
+    check_ints(s=s)
     if 2 * s.bit_count() > p - 2:
         raise PreconditionError("size", f"|s| = {s.bit_count()} exceeds p/2 - 1 for p = {p}")
     if not is_p_massed(l, s, p).satisfied:
@@ -225,7 +228,7 @@ def descend_pair(l: Graph, s: int, p: int) -> MinimizeResult:
     global is claimed.
     """
     cur, cur_s = l, s
-    vmap = tuple(range(l.n))
+    vmap = tuple(range(l.n))  # cur's labels -> l's, for the trail
     trail: list[tuple] = []
     while True:
         for move, g2, s2, sub_map in _moves(cur, cur_s):
@@ -235,7 +238,7 @@ def descend_pair(l: Graph, s: int, p: int) -> MinimizeResult:
                 cur, cur_s = g2, s2
                 break
         else:
-            return MinimizeResult(graph=cur, s=cur_s, trail=tuple(trail), vertex_map=vmap)
+            return MinimizeResult(graph=cur, s=cur_s, trail=tuple(trail))
 
 
 def _moves(g: Graph, s: int) -> Iterator[tuple[tuple, Graph, int, tuple[int, ...]]]:

@@ -58,11 +58,11 @@ from knitweave.graphs import (
     MAX_VERTICES,
     Graph,
     MinorWitness,
+    _contract_rows,
     _max_rows,
     bits,
     canonical_form,
     components,
-    contract_edge,
     mask_of,
     max_clique,
     set_of,
@@ -540,7 +540,7 @@ def configuration_by_orders(h: Graph, terminals: Sequence[int]) -> Configuration
         u0=u0,
         blocks=((u0,),) + tuple(blk for _, _, blk, _ in items),
     )
-    cfg.validate(induced_paths=True)
+    cfg.validate()
     return cfg
 
 
@@ -831,7 +831,7 @@ def quotients_by_class(g: Graph) -> Iterator[MinorWitness]:
         found: dict = {}
         for q, branch_sets in level:
             for u, v in q.edges():
-                h = contract_edge(q, u, v)
+                h = Graph(q.n - 1, _contract_rows(q.adj, u, v))
                 key = canonical_form(h)
                 if key in found:
                     continue

@@ -61,7 +61,7 @@ def test_lemma_configurations_pass_their_validator():
         for inst in itertools.islice(_lemma_instances(10**6, seed), 100):
             g = parse_graph6(inst["graph6"])
             cfg = Configuration(g, inst["terminals"][0], tuple(map(tuple, inst["blocks"])))
-            cfg.validate(induced_paths=True)
+            cfg.validate()
 
 
 def test_is_biconnected():

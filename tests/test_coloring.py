@@ -20,9 +20,9 @@ from knitweave.errors import InputError, PreconditionError, ResourceError, Split
 from knitweave.formats import parse_graph6
 from knitweave.graphs import (
     Graph,
+    _contract_rows,
     bits,
     canonical_form,
-    contract_edge,
     induced,
     mask_of,
     max_clique,
@@ -267,7 +267,7 @@ def test_edge_deletion_and_contraction_need_k_colors_together(census7):
             rows[u] ^= 1 << w
             rows[w] ^= 1 << u
             deleted = coloring._colorable(rows, k - 1) is None
-            assert deleted == (coloring._colorable(contract_edge(g, u, w).adj, k - 1) is None), (g, u, w)
+            assert deleted == (coloring._colorable(_contract_rows(g.adj, u, w), k - 1) is None), (g, u, w)
             both += deleted
     assert both > 100, both
 

@@ -36,6 +36,29 @@ def test_min_degree_rejects_impossible():
         gen_min_degree(5, 5, 0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: gen_min_degree(10, 3, None), "seed"),
+        (lambda: gen_min_degree(10, 2.5, 0), "delta"),
+        (lambda: gen_min_degree(10.0, 3, 0), "n"),
+        (lambda: gen_min_degree(10, 3, True), "seed"),
+        (lambda: gen_universal_vertex(12, 9, 5.0), "seed"),
+        (lambda: complete_minus_matching(5, 1.5), "m"),
+        (lambda: complete_minus_matching(5, True), "m"),
+        (lambda: gen_split_host(None, 10), "seed"),
+        (lambda: gen_split_host(0, 10.0), "blob_size"),
+    ],
+    ids=["min-degree-none-seed", "min-degree-float-delta", "min-degree-float-n", "min-degree-bool-seed",
+         "universal-float-seed", "matching-float-m", "matching-bool-m", "split-none-seed",
+         "split-float-blob"],
+)
+def test_non_int_size_or_seed_is_an_input_error(call, name):
+    # a None seed would draw from the OS, so two runs would differ
+    with pytest.raises(InputError, match=f"^{name} must be an int"):
+        call()
+
+
 def test_universal_vertex():
     for seed in range(5):
         g, z = gen_universal_vertex(16, 10, seed)
@@ -53,6 +76,8 @@ def test_complete_minus_matching():
         assert not g.has_edge(2 * i, 2 * i + 1)
     with pytest.raises(InputError):
         complete_minus_matching(5, 3)
+    with pytest.raises(InputError, match="nonnegative"):
+        complete_minus_matching(5, -1)  # not K5
 
 
 def test_complete_minus_matching_matches_edge_list():

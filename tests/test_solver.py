@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from knitweave import solver
-from knitweave.errors import InputError, PreconditionError
+from knitweave.errors import InputError
 from knitweave.formats import parse_graph6
 from knitweave.generators import complete_minus_matching, gen_min_degree, gen_split_host
 from knitweave.graphs import Graph, bits, mask_of, neighbors_closed
@@ -28,7 +28,6 @@ from knitweave.solver import (
     max_vertex_disjoint_flow,
     pairs_spec,
     partitions_with_profile,
-    reroute,
     s_value,
     two_pair_obstruction,
 )
@@ -1077,11 +1076,11 @@ def test_build_configuration_reads_paths_on_demand():
     assert elapsed < 0.2
 
 
-REROUTE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (8, 2), (8, 4), (6, 3), (3, 7), (9, 10), (11, 12)]
+CONFIGURATION_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (8, 2), (8, 4), (6, 3), (3, 7), (9, 10), (11, 12)]
 
 
-def _reroute_fixture():
-    h = Graph.from_edges(13, REROUTE_EDGES)
+def _configuration_fixture():
+    h = Graph.from_edges(13, CONFIGURATION_EDGES)
     cfg = Configuration(
         host=h,
         u0=0,
@@ -1092,7 +1091,7 @@ def _reroute_fixture():
 
 
 def test_configuration_validate_rejects_each_fault():
-    h, cfg = _reroute_fixture()
+    h, cfg = _configuration_fixture()
     cfg.validate()
     for u0, blocks, fault in (
         (0, None, "the blocks must be a tuple of vertex tuples"),
@@ -1110,73 +1109,6 @@ def test_configuration_validate_rejects_each_fault():
     ):
         with pytest.raises(InputError, match=fault):
             Configuration(h, u0, blocks).validate()
-    # the chord 3-4 breaks only an induced path
-    Configuration(h, 0, ((0,), (9, 10), (11, 12), (3, 2, 8, 4), (6, 7))).validate(induced_paths=False)
-
-
-def test_reroute_succeeds():
-    h, cfg = _reroute_fixture()
-    new = reroute(cfg, 8, 3, 3, 4)
-    assert new.connected_count == cfg.connected_count + 1
-    new.validate(induced_paths=False)
-    assert (6, 3, 7) in new.blocks
-    assert (1, 2, 8, 4, 5) in new.blocks
-
-
-def test_reroute_precondition_errors():
-    h, cfg = _reroute_fixture()
-    cases = [
-        ((2, 3, 3, 4), "x-outside"),
-        ((8, 1, 3, 4), "y-interior"),
-        ((8, 3, 3, 2), "j-disconnected"),
-        ((8, 3, 4, 1), "i-connected"),
-        ((8, 3, 3, 3), "block-indices"),
-        ((8, 3, 0, 4), "block-indices"),
-        ((8, 2, 3, 4), "x-adjacent-flanks"),  # 8 misses 2's flank 1
-    ]
-    for (x, y, i, j), clause in cases:
-        with pytest.raises(PreconditionError) as err:
-            reroute(cfg, x, y, i, j)
-        assert err.value.clause == clause
-    with pytest.raises(InputError):
-        reroute(cfg, -1, 3, 3, 4)
-    # without the edge 3-7, no (6, 7)-path runs through 3
-    h = Graph.from_edges(13, [e for e in REROUTE_EDGES if e != (3, 7)])
-    cfg = Configuration(h, 0, cfg.blocks)
-    cfg.validate()
-    with pytest.raises(PreconditionError) as err:
-        reroute(cfg, 8, 3, 3, 4)
-    assert err.value.clause == "path-through-y"
-
-
-@pytest.mark.parametrize("args", [(8, 3.0, 3, 4), (8, 3, 3.0, 4), (8, 3, 3, 4.0), (8, 3, True, 4)])
-def test_reroute_non_int_arguments_are_input_errors(args):
-    # y is a vertex, i and j are block indices; a float or a bool equal to a
-    # valid value is none of them
-    h, cfg = _reroute_fixture()
-    with pytest.raises(InputError, match="not an int"):
-        reroute(cfg, *args)
-
-
-def test_reroute_randomized_invariants():
-    rng = random.Random(8)
-    for trial in range(20):
-        # embed the reroutable shape into noise vertices
-        extra = rng.randint(0, 3)
-        n = 13 + extra
-        edges = list(REROUTE_EDGES)
-        for e in range(13, n):
-            edges.append((e, rng.randrange(0, 8)))
-        h = Graph.from_edges(n, edges)
-        cfg = Configuration(
-            host=h,
-            u0=0,
-            blocks=((0,), (9, 10), (11, 12), (1, 2, 3, 4, 5), (6, 7)),
-        )
-        cfg.validate(induced_paths=False)
-        new = reroute(cfg, 8, 3, 3, 4)
-        new.validate(induced_paths=False)
-        assert new.connected_count == cfg.connected_count + 1
 
 
 def test_s_value_examples():
@@ -1218,16 +1150,14 @@ def test_s_value_matches_naive():
         lambda h, cfg, v: h.degree(v),
         lambda h, cfg, v: neighbors_closed(h, v),
         lambda h, cfg, v: build_configuration(h, (0, v, 2, 3, 4, 5, 6, 7, 8)),
-        lambda h, cfg, v: reroute(cfg, v, 3, 3, 4),
         lambda h, cfg, v: s_value(cfg, 8, v, 1),
         lambda h, cfg, v: s_value(cfg, 8, 8, v),
     ],
-    ids=["has_edge", "degree", "neighbors_closed", "build_configuration", "reroute", "s_value",
-         "s_value_block"],
+    ids=["has_edge", "degree", "neighbors_closed", "build_configuration", "s_value", "s_value_block"],
 )
 def test_non_int_vertex_is_an_input_error(call, v):
     # a float or a bool equal to a valid index is still not a vertex
-    h, cfg = _reroute_fixture()
+    h, cfg = _configuration_fixture()
     with pytest.raises(InputError, match="not an int"):
         call(h, cfg, v)
 

@@ -245,6 +245,31 @@ def test_is_p_massed_examples():
     assert 2 * rho(g, bpriv) > 2 * bpriv.bit_count()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda g: list(enumerate_separations(g, 0b1001, 2.5)), "max_order"),
+        (lambda g: list(enumerate_separations(g, 0b1001, "1")), "max_order"),
+        (lambda g: list(enumerate_separations(g, 0b1001, True)), "max_order"),
+        (lambda g: separations_exist(g, 0b1001, 1.0), "max_order"),
+        (lambda g: list(enumerate_separations(g, 9.0, 2)), "s"),
+        (lambda g: separations_exist(g, 9.0, 1), "s"),
+        (lambda g: is_p_massed(g, 9.0, 2), "s"),
+        (lambda g: is_p_massed(g, True, 2), "s"),
+        (lambda g: minimize_pair(g, 9.0, 12), "s"),
+    ],
+    ids=["enumerate-float-order", "enumerate-str-order", "enumerate-bool-order", "exist-float-order",
+         "enumerate-float-s", "exist-float-s", "massed-float-s", "massed-bool-s", "minimize-float-s"],
+)
+def test_non_int_max_order_or_terminal_set_is_an_input_error(call, name):
+    # the subset sweep stops only at an int bound; past a float one it would
+    # list C6's separations of every order, 36 of them for s = {0, 3}
+    g = Graph.cycle(6)
+    with pytest.raises(InputError, match=f"^{name} must be an int"):
+        call(g)
+    assert len(list(enumerate_separations(g, 0b1001, 2))) == 6
+
+
 def test_massed_condition_i_monotone_under_outside_edges():
     rng = random.Random(31)
     for _ in range(200):
