@@ -147,6 +147,7 @@ def find_dense_neighborhood(
     l: Graph, s: int, p: int
 ) -> Optional[tuple[int, DenseNeighborhoodReport]]:
     """First vertex outside ``s`` whose closed neighborhood classifies densely."""
+    check_ints(s=s)
     _check_p(p)
     if s & ~l.full_mask:
         raise InputError(f"the set holds vertex {s.bit_length() - 1}, outside 0..{l.n - 1}")

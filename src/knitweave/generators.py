@@ -80,9 +80,13 @@ def gen_split_host(seed: int, blob_size: int = 12) -> SplitHost:
     Middle-layer pairs sit one endpoint per side with their connecting
     vertices inside the middle, so every block lives in the middle; the
     straddling pairs' endpoints see only their own blob, forcing any
-    connection to run through at least four intermediate vertices.
+    connection to run through at least four intermediate vertices. The
+    straddling pairs take vertices 1 and 2 of each blob, so ``blob_size``
+    is at least 3.
     """
     check_ints(seed=seed, blob_size=blob_size)
+    if blob_size < 3:
+        raise InputError(f"blob_size must be at least 3, got {blob_size}")
     rng = random.Random(seed)
     straddling = rng.choice([1, 2])
     m = blob_size

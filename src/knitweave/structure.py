@@ -73,6 +73,14 @@ def _subsets_lex(universe: tuple[int, ...], max_size: int) -> Iterator[tuple[int
     yield from rec([], 0)
 
 
+def _check_terminals(l: Graph, s: int, **ints) -> None:
+    """Raise InputError unless ``s`` and ``ints`` are ints and ``s`` is a
+    set of vertices of ``l``."""
+    check_ints(s=s, **ints)
+    if s & ~l.full_mask:
+        raise InputError("terminal set is not a subset of the graph")
+
+
 def separations_exist(l: Graph, s: int, max_order: int) -> bool:
     """Fast emptiness test for proper separations of (l, s) of small order.
 
@@ -82,10 +90,24 @@ def separations_exist(l: Graph, s: int, max_order: int) -> bool:
     sweep with k = ``max_order + 1`` (:func:`_small_cuts`) finds a first
     cut.
     """
-    check_ints(s=s, max_order=max_order)
+    _check_terminals(l, s, max_order=max_order)
     if max_order >= s.bit_count():
         raise InputError("shortcut requires max_order < |s|")
     return next(_small_cuts(list(l.adj), s, l.full_mask, max_order + 1), None) is not None
+
+
+def _free_components(l: Graph, s: int, max_order: int) -> Iterator[tuple[int, list[int]]]:
+    """Each separator X of at most ``max_order`` vertices that leaves a free
+    component (one of l - X that misses ``s``), in :func:`_subsets_lex`
+    order, with its free components; none at all when ``max_order < |s|``
+    and :func:`separations_exist` says no separation exists."""
+    if max_order < s.bit_count() and not separations_exist(l, s, max_order):
+        return
+    for xs in _subsets_lex(tuple(range(l.n)), max_order):
+        x = mask_of(xs)
+        free = [c for c in components(l.adj, l.full_mask & ~x) if not c & s]
+        if free:
+            yield x, free
 
 
 def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separation]:
@@ -97,64 +119,65 @@ def enumerate_separations(l: Graph, s: int, max_order: int) -> Iterator[Separati
     leaves A - B nonempty. Each separation is produced exactly once since
     (A, B) determines X = A & B and B - A.
     """
-    check_ints(s=s, max_order=max_order)
-    if s & ~l.full_mask:
-        raise InputError("terminal set is not a subset of the graph")
+    _check_terminals(l, s, max_order=max_order)
     if max_order > l.n:
         raise InputError("max_order exceeds the vertex count")
-    if max_order < s.bit_count() and not separations_exist(l, s, max_order):
-        return
     full = l.full_mask
-    for xs in _subsets_lex(tuple(range(l.n)), max_order):
-        x = mask_of(xs)
-        comps = components(l.adj, full & ~x)
-        free = [c for c in comps if not (c & s)]
-        if not free:
-            continue
+    for x, free in _free_components(l, s, max_order):
         for r in range(1, len(free) + 1):
             for combo in itertools.combinations(free, r):
-                bset = x
-                for c in combo:
-                    bset |= c
-                a = full & ~(bset & ~x)
-                if a & ~bset == 0:
-                    continue  # A must keep a private side
-                yield Separation(a, bset)
+                union = sum(combo)  # the components are disjoint masks
+                if full & ~x & ~union:  # A must keep a private side
+                    yield Separation(full & ~union, x | union)
 
 
 def is_p_massed(l: Graph, s: int, p: int) -> MassedReport:
-    """Density report: the graph outside ``s`` is dense (rho > p/2 per vertex)
-    and no small separation hangs a sparse piece off the terminal side.
+    """Density report: (i) the graph outside ``s`` is dense (rho > p/2 per
+    vertex), and (ii) no separation of order below |s| hangs a dense piece
+    off the terminal side, that is, none with 2 rho(B - A) > p |B - A|.
 
-    The first violating separation under lexicographic separator order is
-    reported when condition (ii) fails.
+    When (ii) fails, the first violating separation of
+    :func:`enumerate_separations` is reported. Two facts let the check read
+    one free component C of l - X at a time (its B - A) rather than every
+    union of them:
+
+    - rho is additive over vertex sets with no edge between them, since no
+      edge has an end in each. The components of l - X have none, so for a
+      union U of them 2 rho(U) - p |U| is the sum of 2 rho(C) - p |C| over
+      its components: U is dense only if one of its components is. At each
+      X the enumeration lists the single components first, in the order
+      read here, and each keeps A - B nonempty, since it misses ``s`` and
+      |X| < |s|. So the first dense separation is (V - C, X | C) for the
+      first dense C at the first X that has one.
+    - A free component C has N(C) inside X, so |N(C)| <= |s| - 1, and each
+      edge counted by rho(C) lies inside C or joins it to N(C): 2 rho(C) <=
+      |C| (|C| - 1) + 2 |C| (|s| - 1). A dense C therefore has |C| - 1 +
+      2 (|s| - 1) > p, that is |C| >= p - 2|s| + 4. As C lies outside
+      ``s``, no piece is dense when |V - s| < p - 2|s| + 4, and no
+      separator is walked.
     """
-    check_ints(s=s)
-    if s & ~l.full_mask:
-        raise InputError("terminal set is not a subset of the graph")
+    _check_terminals(l, s)
     if type(p) is not int or p < 0:
         raise InputError("p must be a nonnegative integer")
     outside = l.full_mask & ~s
     rv = rho(l, outside)
     size = outside.bit_count()
     cond_i = 2 * rv > p * size
-    cond_ii = True
     violator = None
-    max_order = s.bit_count() - 1
-    if max_order >= 0:
-        for sep in enumerate_separations(l, s, max_order):
-            bpriv = sep.b & ~sep.a
-            if 2 * rho(l, bpriv) > p * bpriv.bit_count():
-                cond_ii = False
-                violator = sep
+    k = s.bit_count()
+    if k and size >= p - 2 * k + 4:
+        for x, free in _free_components(l, s, k - 1):
+            c = next((c for c in free if 2 * rho(l, c) > p * c.bit_count()), None)
+            if c is not None:
+                violator = Separation(l.full_mask & ~c, x | c)
                 break
     return MassedReport(
-        satisfied=cond_i and cond_ii,
+        satisfied=cond_i and violator is None,
         rho_value=rv,
         threshold=Fraction(p * size, 2),
         violating_separation=violator,
         condition_i=cond_i,
-        condition_ii=cond_ii,
+        condition_ii=violator is None,
     )
 
 
@@ -175,6 +198,7 @@ def pair_is_knitted(l: Graph, s: int) -> tuple[bool, Optional[tuple[tuple[int, .
     # most-pairs-first sweep of all profiles, so the first violating
     # partition, which the partition sweep finds on a "no", is that sweep's
     # first as well.
+    check_ints(s=s)
     k = s.bit_count()
     return is_profile_knitted(l, s, [2] * (k // 2) + [1] * (k % 2))
 
@@ -207,7 +231,7 @@ def minimize_pair(l: Graph, s: int, p: int) -> MinimizeResult:
     unknitted), each failure naming its clause, then runs
     :func:`descend_pair`.
     """
-    check_ints(s=s)
+    check_ints(s=s, p=p)
     if 2 * s.bit_count() > p - 2:
         raise PreconditionError("size", f"|s| = {s.bit_count()} exceeds p/2 - 1 for p = {p}")
     if not is_p_massed(l, s, p).satisfied:

@@ -25,6 +25,8 @@ accepting or rejecting rows and the message;
 ``complete_minus_matching_by_edges``, the previous
 ``complete_minus_matching``, for its graphs; ``separations_by_flows``,
 the previous ``separations_exist``, for its answers;
+``massed_by_separations``, the previous ``is_p_massed``, which tried every
+union of free components, for its reports;
 ``link_by_obstruction_first``, a plainer form of ``_link``, for verdicts
 and witnesses; ``graph6_parse_by_bit_lists``, the previous
 ``parse_graph6``, for graphs and error messages and positions; and
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import networkx as nx
@@ -65,6 +68,7 @@ from knitweave.graphs import (
     components,
     mask_of,
     max_clique,
+    rho,
     set_of,
     shortest_path,
 )
@@ -80,6 +84,7 @@ from knitweave.solver import (
     max_vertex_disjoint_flow,
     partitions_with_profile,
 )
+from knitweave.structure import MassedReport, enumerate_separations
 
 
 def all_simple_paths(g: Graph, u: int, v: int, banned: set[int], max_len: Optional[int] = None):
@@ -973,6 +978,32 @@ def separations_by_flows(l: Graph, s: int, max_order: int) -> bool:
         if flow <= max_order:
             return True
     return False
+
+
+def massed_by_separations(l: Graph, s: int, p: int) -> MassedReport:
+    """The previous ``is_p_massed``: condition (ii) walks every separation
+    of order below |s| that ``enumerate_separations`` lists, unions of
+    free components included, and reports the first whose B - A is
+    dense."""
+    outside = l.full_mask & ~s
+    rv = rho(l, outside)
+    size = outside.bit_count()
+    cond_i = 2 * rv > p * size
+    violator = None
+    if s:
+        for sep in enumerate_separations(l, s, s.bit_count() - 1):
+            bpriv = sep.b & ~sep.a
+            if 2 * rho(l, bpriv) > p * bpriv.bit_count():
+                violator = sep
+                break
+    return MassedReport(
+        satisfied=cond_i and violator is None,
+        rho_value=rv,
+        threshold=Fraction(p * size, 2),
+        violating_separation=violator,
+        condition_i=cond_i,
+        condition_ii=violator is None,
+    )
 
 
 def link_by_obstruction_first(

@@ -62,6 +62,8 @@ def test_main_theorem_table():
     lambda: mader_threshold(2.5, 4),
     lambda: mader_threshold(3, 4.0),
     lambda: easy_connectivity_threshold(6.0),
+    lambda: find_dense_neighborhood(Graph.complete(6), 1.0, 4),
+    lambda: find_dense_neighborhood(Graph.complete(6), True, 4),
 ])
 def test_thresholds_reject_non_int_arguments(call):
     with pytest.raises(InputError, match="must be an int"):

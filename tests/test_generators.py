@@ -108,3 +108,17 @@ def test_split_host_forces_disconnected_blocks():
             side_u = reachable(host.graph.adj, 1 << u, dom)
             side_v = reachable(host.graph.adj, 1 << v, dom)
             assert side_u & side_v == 0
+
+
+@pytest.mark.parametrize("blob_size", [-3, 0, 1, 2])
+def test_split_host_rejects_blobs_below_three(blob_size):
+    # the straddling pairs take vertices 1 and 2 of each blob, so a smaller
+    # blob would repeat terminals or leave the vertex range
+    with pytest.raises(InputError, match="^blob_size must be at least 3"):
+        gen_split_host(0, blob_size)
+
+
+def test_split_host_terminals_are_distinct_from_blob_size_three():
+    for seed in range(8):
+        host = gen_split_host(seed, 3)
+        assert len(set(host.terminals)) == len(host.terminals) == 9

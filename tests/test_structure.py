@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -7,10 +8,11 @@ import pytest
 
 from knitweave import solver
 from knitweave.errors import InputError, PreconditionError
-from knitweave.generators import complete_minus_matching
+from knitweave.generators import complete_minus_matching, gen_min_degree
 from knitweave.graphs import Graph, bits, mask_of, rho
 from knitweave.solver import _link, max_vertex_disjoint_flow
 from knitweave.structure import (
+    MassedReport,
     Separation,
     enumerate_separations,
     is_p_massed,
@@ -21,7 +23,12 @@ from knitweave.structure import (
 )
 
 from conftest import random_graph
-from oracles import fan_by_shortest_paths, first_unknittable_partition, separations_by_flows
+from oracles import (
+    fan_by_shortest_paths,
+    first_unknittable_partition,
+    massed_by_separations,
+    separations_by_flows,
+)
 
 
 def naive_separations(g: Graph, s: int, max_order: int):
@@ -257,9 +264,13 @@ def test_is_p_massed_examples():
         (lambda g: is_p_massed(g, 9.0, 2), "s"),
         (lambda g: is_p_massed(g, True, 2), "s"),
         (lambda g: minimize_pair(g, 9.0, 12), "s"),
+        (lambda g: minimize_pair(g, 3, 2.5), "p"),
+        (lambda g: pair_is_knitted(g, 3.0), "s"),
+        (lambda g: pair_is_knitted(g, True), "s"),
     ],
     ids=["enumerate-float-order", "enumerate-str-order", "enumerate-bool-order", "exist-float-order",
-         "enumerate-float-s", "exist-float-s", "massed-float-s", "massed-bool-s", "minimize-float-s"],
+         "enumerate-float-s", "exist-float-s", "massed-float-s", "massed-bool-s", "minimize-float-s",
+         "minimize-float-p", "knitted-float-s", "knitted-bool-s"],
 )
 def test_non_int_max_order_or_terminal_set_is_an_input_error(call, name):
     # the subset sweep stops only at an int bound; past a float one it would
@@ -268,6 +279,83 @@ def test_non_int_max_order_or_terminal_set_is_an_input_error(call, name):
     with pytest.raises(InputError, match=f"^{name} must be an int"):
         call(g)
     assert len(list(enumerate_separations(g, 0b1001, 2))) == 6
+
+
+@pytest.mark.parametrize("s", [1 << 10, -1, 1 << 6])
+def test_terminal_set_outside_the_graph_is_an_input_error(s):
+    g = Graph.path(6)
+    for call in (
+        lambda: separations_exist(g, s, 0),
+        lambda: list(enumerate_separations(g, s, 0)),
+        lambda: is_p_massed(g, s, 2),
+    ):
+        with pytest.raises(InputError, match="^terminal set is not a subset of the graph"):
+            call()
+
+
+def _massed_as_union_sweep(g: Graph, s: int, p: int) -> MassedReport:
+    """is_p_massed's report, checked against the sweep over every union of
+    free components, field by field; a violator must validate and have a
+    dense B - A."""
+    got = is_p_massed(g, s, p)
+    want = massed_by_separations(g, s, p)
+    for field in dataclasses.fields(MassedReport):
+        assert getattr(got, field.name) == getattr(want, field.name), (g.adj, s, p, field.name)
+    sep = got.violating_separation
+    if sep is not None:
+        sep.validate(g, s)
+        bpriv = sep.b & ~sep.a
+        assert sep.order < s.bit_count() and 2 * rho(g, bpriv) > p * bpriv.bit_count()
+    return got
+
+
+def test_is_p_massed_matches_union_sweep_on_census(census7):
+    """The same report as the union sweep on every graph of at most 6
+    vertices, every terminal set of 1 to 4 vertices and every p up to 8."""
+    violators = 0
+    for g in census7:
+        if g.n > 6:
+            break
+        for k in range(1, min(g.n, 4) + 1):
+            for sverts in itertools.combinations(range(g.n), k):
+                for p in range(9):
+                    rep = _massed_as_union_sweep(g, mask_of(sverts), p)
+                    violators += rep.violating_separation is not None
+    assert violators > 10000
+
+
+def test_is_p_massed_matches_union_sweep_randomized():
+    # p up to 16 on 8-13 vertices: no piece can be dense once
+    # |V - s| < p - 2|s| + 4, so many of these reports skip the walk
+    rng = random.Random(48)
+    skipped = violators = 0
+    for seed in range(400):
+        n = rng.randint(8, 13)
+        g = gen_min_degree(n, rng.randint(1, 4), seed)
+        s = mask_of(rng.sample(range(n), rng.randint(1, 4)))
+        p = rng.randint(0, 16)
+        k = s.bit_count()
+        skipped += n - k < p - 2 * k + 4
+        violators += _massed_as_union_sweep(g, s, p).violating_separation is not None
+    assert skipped > 100 and violators > 20, (skipped, violators)
+
+
+@pytest.mark.parametrize("host", ["K10-with-24-pendants", "K20-plus-pendant"])
+def test_is_p_massed_reads_no_unions(host):
+    # 24 pendants on one vertex of K10 make 2^24 - 1 unions behind one
+    # separator, none dense; K20 plus a pendant has 13 vertices outside
+    # eight terminals, fewer than p - 2|s| + 4 = 18, so no piece is dense
+    if host == "K20-plus-pendant":
+        edges = [*itertools.combinations(range(20), 2), (0, 20)]
+        g, s, p = Graph.from_edges(21, edges), mask_of(range(8)), 30
+    else:
+        edges = [*itertools.combinations(range(10), 2), *((9, v) for v in range(10, 34))]
+        g, s, p = Graph.from_edges(34, edges), 0b1111, 4
+    t0 = time.perf_counter()
+    rep = is_p_massed(g, s, p)
+    assert time.perf_counter() - t0 < 1
+    assert rep.condition_ii and rep.violating_separation is None
+    assert rep.condition_i == (host == "K10-with-24-pendants")
 
 
 def test_massed_condition_i_monotone_under_outside_edges():
