@@ -72,6 +72,7 @@ from .certify import (
     mader_threshold,
     main_theorem_table,
 )
+from .formats import certificate_from_json, certificate_to_json
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
 from .errors import InputError
-from .formats import write_graph6
+from .formats import certificate_to_json, write_graph6
 from .generators import complete_minus_matching, gen_min_degree, gen_split_host
 from .graphs import (
     Graph,
@@ -359,7 +359,7 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int):
     yield {
         "stage": "linkage",
         "ok": True,
-        "paths": [list(pp) for pp in full_paths],
+        "paths": certificate_to_json(linkage),
     }
 
 

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from typing import Optional
 
 from . import campaigns, certify, coloring, solver, structure
-from .errors import InputError, InternalConsistencyError, KnitweaveError
-from .formats import parse_graph_auto, write_edge_list, write_graph6, write_json
+from .errors import InputError, InternalConsistencyError, KnitweaveError, ResourceError
+from .formats import certificate_to_json, parse_graph_auto, write_edge_list, write_graph6, write_json
 from .generators import gen_min_degree, gen_universal_vertex
 from .graphs import MAX_VERTICES, Graph, mask_of, set_of
+
+# the separations command lists at most this many, rather than hold an
+# unbounded listing in memory; one separator can cut off exponentially many
+# unions of pieces
+SEPARATIONS_LIMIT = 1 << 16
 
 
 def _read_graph(args) -> Graph:
@@ -170,24 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _paths_json(linkage: Optional[solver.Linkage]):
-    return None if linkage is None else [list(p) for p in linkage.paths]
-
-
-def _obstruction_json(cert: Optional[solver.PlanarObstruction]):
-    """The reductions (separator and side vertex lists) and the rotation
-    system, whose last entry is the apex's."""
-    if cert is None:
-        return None
-    return {
-        "reductions": [
-            {"separator": list(set_of(separator)), "side": list(set_of(side))}
-            for separator, side in cert.reductions
-        ],
-        "rotation": [list(order) for order in cert.rotation],
-    }
-
-
 def cli_main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     try:
@@ -238,87 +226,66 @@ def _dispatch(args) -> int:
         cert = solver.two_pair_obstruction(g, spec) if got is None else None
         return _emit({
             "exists": got is not None,
-            "paths": _paths_json(got),
-            "certificate": _obstruction_json(cert),
+            "paths": got and certificate_to_json(got),
+            "certificate": cert and certificate_to_json(cert),
         })
     if cmd == "knit":
         spec = _spec_from_args(args)
         got = solver.knit(g, spec)
-        return _emit({
-            "exists": got is not None,
-            "subgraphs": None if got is None else [sorted(set_of(m)) for m in got.subgraphs],
-        })
+        return _emit({"exists": got is not None, "subgraphs": got and certificate_to_json(got)})
     if cmd == "profile-knitted":
-        ts = mask_of(_parse_ints(args.terminals))
-        ok, witness = solver.is_profile_knitted(g, ts, tuple(_parse_ints(args.profile)))
-        return _emit({"knitted": ok, "violating_partition": witness and [list(p) for p in witness]})
+        ok, witness = solver.is_profile_knitted(g, _mask_arg(args.terminals), tuple(_parse_ints(args.profile)))
+        return _emit({"knitted": ok, "violating_partition": witness})
     if cmd == "k-linked":
         ok, witness = solver.is_k_linked(
             g, args.k, mode=args.mode, samples=args.samples, seed=args.seed
         )
-        return _emit({"k_linked": ok, "violating_pairs": witness and [list(p) for p in witness]})
+        return _emit({"k_linked": ok, "violating_pairs": witness})
     if cmd == "massed":
-        rep = structure.is_p_massed(g, mask_of(_parse_ints(args.set)), args.p)
+        rep = structure.is_p_massed(g, _mask_arg(args.set), args.p)
         return _emit({
             "massed": rep.satisfied,
             "rho": rep.rho_value,
             "threshold": str(rep.threshold),
             "condition_i": rep.condition_i,
             "condition_ii": rep.condition_ii,
-            "violating_separation": rep.violating_separation and {
-                "a": sorted(set_of(rep.violating_separation.a)),
-                "b": sorted(set_of(rep.violating_separation.b)),
-            },
+            "violating_separation": rep.violating_separation and certificate_to_json(rep.violating_separation),
         })
     if cmd == "separations":
-        seps = [
-            {"a": sorted(set_of(sp.a)), "b": sorted(set_of(sp.b)), "order": sp.order}
-            for sp in structure.enumerate_separations(
-                g, mask_of(_parse_ints(args.set)), args.max_order
-            )
-        ]
-        return _emit({"count": len(seps), "separations": seps})
+        found = structure.enumerate_separations(g, _mask_arg(args.set), args.max_order)
+        seps = list(itertools.islice(found, SEPARATIONS_LIMIT + 1))
+        if len(seps) > SEPARATIONS_LIMIT:
+            raise ResourceError(f"more than {SEPARATIONS_LIMIT} separations, the most the CLI lists")
+        listed = [{**certificate_to_json(sp), "order": sp.order} for sp in seps]
+        return _emit({"count": len(listed), "separations": listed})
     if cmd == "minimize":
-        res = structure.minimize_pair(g, mask_of(_parse_ints(args.set)), args.p)
-        return _emit({
-            "graph6": write_graph6(res.graph),
-            "set": sorted(set_of(res.s)),
-            "trail": [list(t) for t in res.trail],
-        })
+        res = structure.minimize_pair(g, _mask_arg(args.set), args.p)
+        return _emit({"graph6": write_graph6(res.graph), "set": set_of(res.s), "trail": res.trail})
     if cmd == "rigid":
-        sep = structure.Separation(
-            mask_of(_parse_ints(args.side_a)), mask_of(_parse_ints(args.side_b))
-        )
+        sep = structure.Separation(_mask_arg(args.side_a), _mask_arg(args.side_b))
         return _emit({"rigid": structure.is_rigid(g, sep)})
     if cmd == "chromatic":
         chi, col = coloring.chromatic_number(g)
-        return _emit({"chromatic_number": chi, "coloring": [c + 1 for c in col.colors]})
+        return _emit({"chromatic_number": chi, "coloring": certificate_to_json(col)})
     if cmd == "critical":
         ok, wit = coloring.is_contraction_critical(g, args.k)
-        return _emit({
-            "contraction_critical": ok,
-            "witness_minor": wit and {
-                "branch_sets": [sorted(set_of(b)) for b in wit.branch_sets],
-                "model_edges": [list(e) for e in wit.model_edges],
-            },
-        })
+        return _emit({"contraction_critical": ok, "witness_minor": wit and certificate_to_json(wit)})
     if cmd == "dirac":
         return _emit({"violations": coloring.dirac_neighborhood_check(g, args.k)})
     if cmd == "certify-common":
         ok, pair = certify.common_neighbor_certificate(g, args.k, args.knitted_variant)
-        return _emit({"certified": ok, "violating_pair": pair and list(pair)})
+        return _emit({"certified": ok, "violating_pair": pair})
     if cmd == "certify-greedy":
         spec = _spec_from_args(args)
         res = certify.greedy_link(g, spec)
         return _emit({
             "linked": res.linkage is not None,
-            "paths": _paths_json(res.linkage),
-            "ordering": list(res.ordering),
-            "failed_pair": res.failed_pair and list(res.failed_pair),
+            "paths": res.linkage and certificate_to_json(res.linkage),
+            "ordering": res.ordering,
+            "failed_pair": res.failed_pair,
         })
     if cmd == "dense":
-        s = mask_of(_parse_ints(args.set)) if args.set else 0
-        hit = certify.find_dense_neighborhood(g, s, args.p)
+        hit = certify.find_dense_neighborhood(g, _mask_arg(args.set), args.p)
         if hit is None:
             return _emit({"found": False})
         v, rep = hit
@@ -335,12 +302,9 @@ def _dispatch(args) -> int:
         _emit({
             "status": verdict.status,
             "route": verdict.route,
-            "candidate": sorted(set_of(verdict.candidate)),
+            "candidate": set_of(verdict.candidate),
             "samples_run": verdict.samples_run,
-            "failures": [
-                {"pairs": [list(pair) for pair in pairs], "forbidden": sorted(set_of(forbidden))}
-                for pairs, forbidden in verdict.failures
-            ],
+            "failures": [{"pairs": pairs, "forbidden": set_of(forbidden)} for pairs, forbidden in verdict.failures],
         })
         return code
     raise InputError(f"unknown command {cmd!r}")

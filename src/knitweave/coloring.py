@@ -2,8 +2,9 @@
 independence test, and the monochromatic-set recombination engine.
 
 Color indices are 0-based internally; the reserved color of the
-monochromatic set is the last palette index (palette_size - 1). The CLI
-layer converts to 1-based for display.
+monochromatic set is the last palette index (palette_size - 1). The
+certificate codec, ``formats.certificate_to_json``, writes them 1-based, as
+the CLI prints them, and ``certificate_from_json`` reads them back.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""graph6, edge-list and indented JSON text formats.
+"""graph6, edge-list and indented JSON text formats, and the JSON form of
+every certificate the CLI prints.
 
 graph6 follows the McKay convention bit for bit: size header, then the upper
 triangle read column by column, packed into 6-bit printable characters.
@@ -10,8 +11,11 @@ import binascii
 import re
 from json.encoder import encode_basestring_ascii
 
+from .coloring import Coloring
 from .errors import Graph6Error, InputError
-from .graphs import Graph, MAX_VERTICES, symmetric_closure
+from .graphs import Graph, MAX_VERTICES, MinorWitness, mask_of, set_of, symmetric_closure
+from .solver import Knit, Linkage, PlanarObstruction
+from .structure import Separation
 
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
@@ -189,3 +193,100 @@ def parse_graph_auto(text: str) -> Graph:
     if ">" <= body[:1] <= "~":
         return parse_graph6(body)
     return parse_edge_list(text)
+
+
+
+def certificate_to_json(obj):
+    """The JSON value of one certificate, as the CLI prints it; a vertex
+    mask is written as its sorted vertex list.
+
+    - ``Linkage``: its paths, each a vertex list;
+    - ``Knit``: its subgraphs, each a vertex list;
+    - ``PlanarObstruction``: ``{"reductions": [{"separator", "side"}, ...],
+      "rotation"}``, the rotation's last entry the apex's;
+    - ``MinorWitness``: ``{"branch_sets", "model_edges"}``, without the host;
+    - ``Separation``: ``{"a", "b"}``;
+    - ``Coloring``: the colors, 1-based, without the palette size.
+
+    Any other type raises ``TypeError``.
+    """
+    t = type(obj)
+    if t is Linkage:
+        return [list(path) for path in obj.paths]
+    if t is Knit:
+        return [list(set_of(sub)) for sub in obj.subgraphs]
+    if t is PlanarObstruction:
+        reductions = [{"separator": list(set_of(sep)), "side": list(set_of(side))} for sep, side in obj.reductions]
+        return {"reductions": reductions, "rotation": [list(order) for order in obj.rotation]}
+    if t is MinorWitness:
+        edges = [list(e) for e in obj.model_edges]
+        return {"branch_sets": [list(set_of(b)) for b in obj.branch_sets], "model_edges": edges}
+    if t is Separation:
+        return {"a": list(set_of(obj.a)), "b": list(set_of(obj.b))}
+    if t is Coloring:
+        return [c + 1 for c in obj.colors]
+    raise TypeError(f"{t.__name__} is not a certificate")
+
+
+def certificate_from_json(cls: type, g: Graph, data):
+    """The certificate of class ``cls`` that :func:`certificate_to_json`
+    wrote as ``data``; the JSON names no kind, so the caller does. A
+    ``MinorWitness`` gets ``g`` as its host, and a ``Coloring`` its largest
+    color as its palette size (0 with no vertex).
+
+    It only decodes: lists become tuples and vertex lists masks. Every list
+    of vertices, branch-set indices or colors must be a list of ints in
+    0..MAX_VERTICES (a 64-vertex graph's rotation names the apex 64);
+    anything else, a bool or a float included, and a missing key raise
+    ``InputError`` naming the field. Other keys are ignored. Every other
+    check is left to the class's ``validate`` (``check_proper`` for a
+    coloring), which the caller runs. Another class raises ``TypeError``.
+    """
+    if cls is Linkage:
+        return Linkage(_rows(data, "paths"))
+    if cls is Knit:
+        return Knit(_masks(data, "subgraphs"))
+    if cls is PlanarObstruction:
+        return PlanarObstruction(_field(data, "reductions", _reductions), _field(data, "rotation", _rows))
+    if cls is MinorWitness:
+        return MinorWitness(g, _field(data, "branch_sets", _masks), _field(data, "model_edges", _rows))
+    if cls is Separation:
+        return Separation(_field(data, "a", _mask), _field(data, "b", _mask))
+    if cls is Coloring:
+        colors = _ints(data, "coloring")
+        return Coloring(tuple(c - 1 for c in colors), max(colors, default=0))
+    raise TypeError(f"{cls!r} is not a certificate class")
+
+
+def _field(data, key: str, read, where: str = ""):
+    """``read`` of the field ``key`` of the JSON object ``data``; ``where``
+    prefixes its name."""
+    if type(data) is not dict or key not in data:
+        raise InputError(f"the certificate has no field {where}{key}")
+    return read(data[key], where + key)
+
+
+def _ints(data, name: str) -> tuple[int, ...]:
+    if type(data) is not list or not all(type(x) is int and 0 <= x <= MAX_VERTICES for x in data):
+        raise InputError(f"{name} must be a list of ints in 0..{MAX_VERTICES}, not {data!r}")
+    return tuple(data)
+
+
+def _mask(data, name: str) -> int:
+    return mask_of(_ints(data, name))
+
+
+def _list_of(read):
+    """The reader of a list whose items ``read`` reads, each named by its index."""
+
+    def read_list(data, name: str) -> tuple:
+        if type(data) is not list:
+            raise InputError(f"{name} must be a list, not {data!r}")
+        return tuple(read(item, f"{name}[{i}]") for i, item in enumerate(data))
+
+    return read_list
+
+
+_rows = _list_of(_ints)
+_masks = _list_of(_mask)
+_reductions = _list_of(lambda r, at: (_field(r, "separator", _mask, at + "."), _field(r, "side", _mask, at + ".")))

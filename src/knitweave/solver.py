@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_ints
 from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
 from .planar import _block_faces, face_count, rotation_from_faces
 
@@ -32,6 +32,8 @@ class TerminalSpec:
         seen = 0
         norm = []
         for part in self.parts:
+            if not isinstance(part, (tuple, list)):
+                raise InputError(f"part {part!r} must be a tuple or list of vertices")
             for x in part:
                 if type(x) is not int or x < 0:
                     raise InputError(f"part {part} must hold vertex indices")
@@ -925,6 +927,7 @@ def is_profile_knitted(
     returned; a partition's pairs are linked as given, once per distinct
     N(P) (a matching already answered counts).
     """
+    check_ints(s=s)
     _check_profile(profile)
     if s & ~g.full_mask:
         raise InputError("terminal set mentions out-of-range vertices")

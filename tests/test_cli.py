@@ -4,12 +4,13 @@ import itertools
 import json
 import random
 import sys
+import time
 
 import pytest
 
 from knitweave import solver
-from knitweave.cli import cli_main
-from knitweave.formats import parse_graph6, write_edge_list, write_graph6
+from knitweave.cli import SEPARATIONS_LIMIT, cli_main
+from knitweave.formats import certificate_from_json, certificate_to_json, parse_graph6, write_edge_list, write_graph6
 from knitweave.generators import complete_minus_matching, gen_universal_vertex
 from knitweave.graphs import Graph, mask_of, set_of
 from knitweave.solver import PlanarObstruction, TerminalSpec, knit, pairs_spec
@@ -20,8 +21,6 @@ from conftest import crossing_grid
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io, sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = cli_main(argv)
     out = capsys.readouterr().out
@@ -89,11 +88,7 @@ def test_linkage_prints_a_certificate_for_a_two_pair_no(capsys, tmp_path):
     code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-3,1-4"])
     data = json.loads(out)
     assert code == 0 and data["exists"] is False
-    cert = PlanarObstruction(
-        tuple((mask_of(r["separator"]), mask_of(r["side"])) for r in data["certificate"]["reductions"]),
-        tuple(tuple(order) for order in data["certificate"]["rotation"]),
-    )
-    cert.validate(g, pairs_spec([(0, 3), (1, 4)]))
+    certificate_from_json(PlanarObstruction, g, data["certificate"]).validate(g, pairs_spec([(0, 3), (1, 4)]))
     code, out = run(capsys, ["--input", path, "linkage", "--pairs", "0-2,3-5"])
     data = json.loads(out)
     assert data["exists"] is True and data["certificate"] is None
@@ -109,11 +104,8 @@ def test_linkage_prints_a_certificate_when_two_pairs_are_unlinked(capsys, tmp_pa
         code, out = run(capsys, ["--input", path, "linkage", "--pairs", pairs])
         data = json.loads(out)
         assert code == 0 and data["exists"] is False
-        cert = PlanarObstruction(
-            tuple((mask_of(r["separator"]), mask_of(r["side"])) for r in data["certificate"]["reductions"]),
-            tuple(tuple(order) for order in data["certificate"]["rotation"]),
-        )
-        cert.validate(g, pairs_spec([tuple(map(int, p.split("-"))) for p in pairs.split(",")]))
+        spec = pairs_spec([tuple(map(int, p.split("-"))) for p in pairs.split(",")])
+        certificate_from_json(PlanarObstruction, g, data["certificate"]).validate(g, spec)
     # two K6s joined through 6 and 7: the flow bound shows the "no", and
     # every two of the pairs are linked, so there is no certificate
     edges = [(u, v) for side in (range(6), range(8, 14)) for u, v in itertools.combinations(side, 2)]
@@ -248,6 +240,20 @@ def test_separations_cli(capsys, tmp_path):
     assert json.loads(out)["count"] == 0
 
 
+def test_separations_cli_stops_past_its_limit(capsys, tmp_path):
+    # K10 with k pendant vertices on vertex 9: the separator {9} cuts off k
+    # pieces, each union of them a separation, 23654 in all for k = 8 and
+    # 109633 for k = 10, which the CLI refuses rather than hold
+    for k, code in ((8, 0), (10, 2)):
+        edges = [*itertools.combinations(range(10), 2), *((9, v) for v in range(10, 10 + k))]
+        path = graph_file(tmp_path, Graph.from_edges(10 + k, edges))
+        t0 = time.perf_counter()
+        assert cli_main(["--input", path, "separations", "--set", "0,1,2,3", "--max-order", "3"]) == code, k
+        assert time.perf_counter() - t0 < 5.0, k
+        out, err = capsys.readouterr()
+        assert json.loads(out)["count"] == 23654 if k == 8 else out == "" and f"more than {SEPARATIONS_LIMIT}" in err
+
+
 def test_rigid_cli(capsys, tmp_path):
     sides = ["--side-a", "0,1,2", "--side-b", "1,2,3,4"]
     k4_edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 1), (0, 2)]
@@ -276,7 +282,7 @@ def test_massed_cli(capsys, tmp_path):
     assert code == 0 and data["massed"] is False and data["condition_ii"] is False
     sep = data["violating_separation"]
     assert sep == {"a": [0, 1, 2, 3, 4], "b": [0, 4, 5, 6, 7]}
-    Separation(mask_of(sep["a"]), mask_of(sep["b"])).validate(g, 0b111)
+    certificate_from_json(Separation, g, sep).validate(g, 0b111)
 
 
 def test_gen_deterministic(capsys):
@@ -390,8 +396,6 @@ def test_certify_common_cli(capsys, tmp_path):
 
 
 def test_certify_greedy_cli(capsys, tmp_path):
-    from knitweave.generators import complete_minus_matching
-
     path = graph_file(tmp_path, complete_minus_matching(11, 5))
     code, out = run(capsys, ["--input", path, "certify-greedy", "--pairs", "0-1,2-3,4-5"])
     data = json.loads(out)
@@ -408,7 +412,7 @@ def test_repeated_calls_share_no_state(capsys, tmp_path):
         want = knit(g, TerminalSpec(((0, 4), (5,)), forbidden))
         data = json.loads(out)
         assert data["exists"] is (want is not None)
-        assert data["subgraphs"] == (want and [sorted(set_of(m)) for m in want.subgraphs])
+        assert data["subgraphs"] == (want and certificate_to_json(want))
         answers.append(data["exists"])
     assert answers == [False, True]
 

@@ -1,13 +1,22 @@
+import io
+import itertools
 import json
 import random
+import re
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knitweave.campaigns import campaign_lemma_si, campaign_pipeline_4linked
+from knitweave.certify import greedy_link
+from knitweave.cli import cli_main
+from knitweave.coloring import Coloring, chromatic_number, is_contraction_critical
 from knitweave.errors import Graph6Error, InputError
 from knitweave.formats import (
+    certificate_from_json,
+    certificate_to_json,
     parse_edge_list,
     parse_graph6,
     parse_graph_auto,
@@ -15,9 +24,21 @@ from knitweave.formats import (
     write_graph6,
     write_json,
 )
-from knitweave.graphs import Graph
+from knitweave.generators import complete_minus_matching
+from knitweave.graphs import Graph, MinorWitness
+from knitweave.solver import (
+    Knit,
+    Linkage,
+    PlanarObstruction,
+    TerminalSpec,
+    disjoint_paths,
+    knit,
+    pairs_spec,
+    two_pair_obstruction,
+)
+from knitweave.structure import Separation, enumerate_separations, is_p_massed
 
-from conftest import random_graph
+from conftest import crossing_grid, random_graph
 from oracles import graph6_by_bit_lists, graph6_parse_by_bit_lists
 
 
@@ -203,3 +224,78 @@ def test_write_json_matches_dumps_on_campaign_reports():
 def test_write_json_rejects_non_str_keys_and_other_types(value):
     with pytest.raises(TypeError):
         write_json(value)
+
+
+def _printed_certificates():
+    """(argv, graph, the keys of the certificate in the printed JSON, its
+    class, the library's certificate, the arguments of its check) for each
+    kind the CLI prints."""
+    c5, c6, p5, k9 = Graph.cycle(5), Graph.cycle(6), Graph.path(5), Graph.complete(9)
+    for g, pairs in ((c6, "0-2,3-5"), (c6, "0-3,1-4"), (crossing_grid(5, 5)[0], "0-24,4-20,7-17"),
+                     (crossing_grid(6, 6)[0], "0-35,5-30,14-21")):
+        spec = pairs_spec([tuple(map(int, p.split("-"))) for p in pairs.split(",")])
+        linkage = disjoint_paths(g, spec)
+        if linkage is None:
+            cert = two_pair_obstruction(g, spec)
+            yield ["linkage", "--pairs", pairs], g, ["certificate"], PlanarObstruction, cert, (g, spec)
+        else:
+            yield ["linkage", "--pairs", pairs], g, ["paths"], Linkage, linkage, (g, spec)
+    spec = TerminalSpec(((0, 1), (2, 3), (4, 5), (6, 7), (8,)))
+    argv = ["knit", "--terminals", "0,1,2,3,4,5,6,7,8", "--profile", "2,2,2,2,1"]
+    yield argv, k9, ["subgraphs"], Knit, knit(k9, spec), (k9, spec)
+    g, spec = complete_minus_matching(11, 5), pairs_spec([(0, 1), (2, 3), (4, 5)])
+    yield ["certify-greedy", "--pairs", "0-1,2-3,4-5"], g, ["paths"], Linkage, greedy_link(g, spec).linkage, (g, spec)
+    # K5 with a triangle hanging off vertex 4 by the edge 4-5
+    g = Graph.from_edges(8, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (5, 7), (6, 7)])
+    sep = is_p_massed(g, 0b111, 2).violating_separation
+    yield ["massed", "--set", "0,1,2", "--p", "2"], g, ["violating_separation"], Separation, sep, (g, 0b111)
+    sep = next(enumerate_separations(p5, 0b1, 1))
+    yield ["separations", "--set", "0", "--max-order", "1"], p5, ["separations", 0], Separation, sep, (p5, 0b1)
+    yield ["critical", "--k", "3"], c5, ["witness_minor"], MinorWitness, is_contraction_critical(c5, 3)[1], ()
+    for g in (c5, Graph(0, ())):
+        yield ["chromatic"], g, ["coloring"], Coloring, chromatic_number(g)[1], (g,)
+
+
+def test_certificate_from_json_reads_back_what_the_cli_prints(capsys, monkeypatch):
+    kinds = []
+    for argv, g, keys, cls, want, args in _printed_certificates():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(write_graph6(g)))
+        assert cli_main(argv) == 0, argv
+        data = json.loads(capsys.readouterr().out)
+        for key in keys:
+            data = data[key]
+        got = certificate_from_json(cls, g, data)
+        assert got == want, argv
+        (got.check_proper if cls is Coloring else got.validate)(*args)
+        kinds.append(cls.__name__)
+    assert kinds == [
+        "Linkage", "PlanarObstruction", "PlanarObstruction", "PlanarObstruction", "Knit", "Linkage",
+        "Separation", "Separation", "MinorWitness", "Coloring", "Coloring",
+    ]
+
+
+@pytest.mark.parametrize("cls, data, field", [
+    (PlanarObstruction, {"reductions": [], "rotation": 5}, "rotation must be a list"),
+    (PlanarObstruction, {"reductions": [], "rotation": [[1], (0,)]}, "rotation[1] must be a list of ints"),
+    (PlanarObstruction, {"reductions": [{"separator": [1]}], "rotation": []}, "no field reductions[0].side"),
+    (PlanarObstruction, {"rotation": []}, "no field reductions"),
+    (Linkage, [[0, True]], "paths[0] must be a list of ints"),
+    (Knit, [[0.0]], "subgraphs[0] must be a list of ints"),
+    (Separation, {"a": [-1], "b": [0]}, "a must be a list of ints"),
+    (Separation, {"a": [0], "b": [2 ** 70]}, "b must be a list of ints"),
+    (Separation, [[0], [0]], "no field a"),
+    (MinorWitness, {"branch_sets": [[0]]}, "no field model_edges"),
+    (Coloring, [1, False], "coloring must be a list of ints"),
+])
+def test_certificate_from_json_names_a_malformed_field(cls, data, field):
+    # a bool, a float, a negative vertex or one past the vertex limit is
+    # named before it becomes a bit of a mask
+    with pytest.raises(InputError, match=re.escape(field)):
+        certificate_from_json(cls, Graph.complete(3), data)
+
+
+def test_certificate_codec_rejects_other_types():
+    with pytest.raises(TypeError):
+        certificate_to_json((1, 2))
+    with pytest.raises(TypeError):
+        certificate_from_json(Graph, Graph.complete(3), [])

@@ -56,6 +56,8 @@ def test_terminal_spec_validation():
         TerminalSpec(((0, 1),), forbidden=0b10)
     with pytest.raises(InputError):
         TerminalSpec(((0, 1.0),))
+    with pytest.raises(InputError, match="part 1 must be a tuple or list"):
+        TerminalSpec((1, 2))
     spec = TerminalSpec(((3, 1), (2,)))
     assert spec.parts == ((1, 3), (2,))
 

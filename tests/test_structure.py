@@ -267,10 +267,12 @@ def test_is_p_massed_examples():
         (lambda g: minimize_pair(g, 3, 2.5), "p"),
         (lambda g: pair_is_knitted(g, 3.0), "s"),
         (lambda g: pair_is_knitted(g, True), "s"),
+        (lambda g: solver.is_profile_knitted(g, 3.0, [2]), "s"),
+        (lambda g: solver.is_profile_knitted(g, True, [1]), "s"),
     ],
     ids=["enumerate-float-order", "enumerate-str-order", "enumerate-bool-order", "exist-float-order",
          "enumerate-float-s", "exist-float-s", "massed-float-s", "massed-bool-s", "minimize-float-s",
-         "minimize-float-p", "knitted-float-s", "knitted-bool-s"],
+         "minimize-float-p", "knitted-float-s", "knitted-bool-s", "profile-float-s", "profile-bool-s"],
 )
 def test_non_int_max_order_or_terminal_set_is_an_input_error(call, name):
     # the subset sweep stops only at an int bound; past a float one it would
