@@ -5,11 +5,10 @@ drives the knitted-subgraph search."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, check_ints
-from .graphs import Graph, induced, mask_of, max_clique, neighbors_closed, set_of
+from .graphs import Graph, _Value, induced, mask_of, max_clique, neighbors_closed, set_of
 from .solver import Linkage, TerminalSpec, _check_sampling, _sampled_unknitted, least_unknitted
 
 
@@ -50,11 +49,9 @@ def main_theorem_table(k: int) -> int:
     return 5
 
 
-@dataclass(frozen=True)
-class GreedyLinkResult:
-    linkage: Optional[Linkage]
-    ordering: tuple[int, ...]
-    failed_pair: Optional[tuple[int, int]]
+class GreedyLinkResult(_Value):
+    def __init__(self, linkage: Optional[Linkage], ordering: tuple[int, ...], failed_pair: Optional[tuple[int, int]]):
+        self.__dict__.update(linkage=linkage, ordering=ordering, failed_pair=failed_pair)
 
 
 def greedy_link(l: Graph, spec: TerminalSpec) -> GreedyLinkResult:
@@ -109,12 +106,12 @@ def common_neighbor_certificate(
     return True, None
 
 
-@dataclass(frozen=True)
-class DenseNeighborhoodReport:
-    case: str  # "i", "ii", "iii" or "none"
-    n_h: int
-    delta_h: int
-    low_degree_vertices: int  # vertices of degree exactly floor(p/2), as a bitset
+class DenseNeighborhoodReport(_Value):
+    """``case`` is "i", "ii", "iii" or "none"; ``low_degree_vertices`` is the
+    bitset of the vertices of degree exactly floor(p/2)."""
+
+    def __init__(self, case: str, n_h: int, delta_h: int, low_degree_vertices: int):
+        self.__dict__.update(case=case, n_h=n_h, delta_h=delta_h, low_degree_vertices=low_degree_vertices)
 
 
 def _check_p(p: int) -> None:
@@ -168,13 +165,14 @@ _TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class Knitted1Verdict:
-    status: str  # "certified" or "not-found"
-    route: str   # "clique", "common-neighbor" or "exhaustive"; "" when not found
-    candidate: int
-    samples_run: int
-    failures: tuple  # (pairs, forbidden mask) per failing system, host labels
+class Knitted1Verdict(_Value):
+    """``status`` is "certified" or "not-found"; ``route`` is "clique",
+    "common-neighbor" or "exhaustive", or "" when not found; ``failures``
+    holds (pairs, forbidden mask) per failing system, in host labels."""
+
+    def __init__(self, status: str, route: str, candidate: int, samples_run: int, failures: tuple):
+        self.__dict__.update(status=status, route=route, candidate=candidate, samples_run=samples_run,
+                             failures=failures)
 
 
 def knitted1_check(h: Graph, p: int, samples: int, seed: int) -> Knitted1Verdict:

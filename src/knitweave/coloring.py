@@ -10,7 +10,6 @@ the CLI prints them, and ``certificate_from_json`` reads them back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -23,6 +22,7 @@ from .graphs import (
     Graph,
     MINOR_ENUM_LIMIT,
     MinorWitness,
+    _Value,
     _contract_rows,
     _delete_rows,
     _row_edges,
@@ -37,10 +37,9 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Coloring:
-    colors: tuple[int, ...]
-    palette_size: int
+class Coloring(_Value):
+    def __init__(self, colors: tuple[int, ...], palette_size: int):
+        self.__dict__.update(colors=colors, palette_size=palette_size)
 
     def check_proper(self, g: Graph, domain: Optional[int] = None) -> None:
         dom = g.full_mask if domain is None else domain
@@ -320,22 +319,18 @@ def dirac_neighborhood_check(g: Graph, k: int) -> list[int]:
 # Recombination engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecombinationPlan:
+class RecombinationPlan(_Value):
     """Everything extracted from the side-1 coloring: color classes on the
     separator remainder, the power-set color lists, the class components, and
-    the leftover components."""
+    the leftover components: ``classes`` holds the V_i as bitsets over W,
+    ``class_colors`` the color each class carries, ``components`` the C_i,
+    aligned with the classes, and ``leftovers`` the D_j."""
 
-    domain: int
-    u: int
-    w: int
-    classes: tuple[int, ...]          # V_i as bitsets over W
-    class_colors: tuple[int, ...]     # the color each class carries
-    lists: tuple[frozenset[int], ...]
-    codes: dict
-    components: tuple[int, ...]       # C_i, aligned with classes
-    leftovers: tuple[int, ...]        # D_j
-    phi1: Coloring
+    def __init__(self, domain: int, u: int, w: int, classes: tuple[int, ...], class_colors: tuple[int, ...],
+                 lists: tuple[frozenset[int], ...], codes: dict, components: tuple[int, ...],
+                 leftovers: tuple[int, ...], phi1: Coloring):
+        self.__dict__.update(domain=domain, u=u, w=w, classes=classes, class_colors=class_colors, lists=lists,
+                             codes=codes, components=components, leftovers=leftovers, phi1=phi1)
 
 
 def coding_colors(class_colors: Sequence[int], class_sizes: Sequence[int], palette_size: int):

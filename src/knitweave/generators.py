@@ -5,10 +5,9 @@ coverage-score campaign."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InputError, check_ints
-from .graphs import Graph
+from .graphs import Graph, _Value
 
 
 def gen_min_degree(n: int, delta: int, seed: int) -> Graph:
@@ -63,15 +62,15 @@ def complete_minus_matching(n: int, m: int) -> Graph:
     ))
 
 
-@dataclass(frozen=True)
-class SplitHost:
+class SplitHost(_Value):
     """Two dense blobs joined only through a sparse middle layer. Built so
     that the straddling terminal pairs can never connect within the path cap
-    and the blob sides stay in separate components once the middle is used."""
+    and the blob sides stay in separate components once the middle is used.
+    ``terminals`` lists u0, then the four pairs; ``straddling`` is how many
+    of the pairs straddle the blobs (1 or 2)."""
 
-    graph: Graph
-    terminals: tuple[int, ...]  # u0 then four pairs
-    straddling: int  # how many of the four pairs straddle the blobs (1 or 2)
+    def __init__(self, graph: Graph, terminals: tuple[int, ...], straddling: int):
+        self.__dict__.update(graph=graph, terminals=terminals, straddling=straddling)
 
 
 def gen_split_host(seed: int, blob_size: int = 12) -> SplitHost:

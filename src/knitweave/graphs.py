@@ -8,7 +8,6 @@ targets (nothing in the domain exceeds a few dozen vertices).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceError
@@ -93,6 +92,46 @@ def _check_count(n) -> None:
         raise InputError(f"vertex count {n!r} is not an int")
     if not 0 <= n <= MAX_VERTICES:
         raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+
+
+class _Value:
+    """Base of the package's frozen value classes.
+
+    A subclass's fields are the parameters of its ``__init__``, in order; the
+    ``__init__`` stores each in the instance ``__dict__`` under its own name
+    and may store other attributes beside them, which are not fields.
+    Assigning or deleting an attribute raises ``AttributeError``. Two
+    instances are equal when they are of one class, not merely related ones,
+    and have equal fields; against any other class ``==`` returns
+    ``NotImplemented``. The hash is that of the tuple of fields, and the repr
+    is ``Name(field=value, ...)``, as a frozen dataclass writes both.
+    ``copy`` and ``pickle`` copy the ``__dict__``.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={d[f]!r}' for f in self._fields)})"
 
 
 class Graph:
@@ -315,7 +354,14 @@ def rho(g: Graph, t: int) -> int:
 
 def _row_edges(rows: Sequence[int]) -> list[tuple[int, int]]:
     """The edges (u, w), u < w, of the graph with these rows, by u then w."""
-    return [(u, w) for u, row in enumerate(rows) for w in bits(row >> (u + 1) << (u + 1))]
+    out = []
+    for u, row in enumerate(rows):
+        row &= -2 << u  # the bits above u
+        while row:
+            low = row & -row
+            out.append((u, low.bit_length() - 1))
+            row ^= low
+    return out
 
 
 def _delete_rows(rows: Sequence[int], v: int) -> tuple[int, ...]:
@@ -325,13 +371,21 @@ def _delete_rows(rows: Sequence[int], v: int) -> tuple[int, ...]:
 
 
 def _contract_rows(rows: Sequence[int], u: int, v: int) -> tuple[int, ...]:
-    """The rows of G/uv for adjacent u < v, unchecked: row v folded into row
-    u, then v deleted (:func:`_delete_rows`)."""
-    out = list(rows)
-    out[u] = (rows[u] | rows[v]) & ~(1 << u)
-    for w in bits(rows[v] & ~(1 << u)):
-        out[w] |= 1 << u
-    return _delete_rows(out, v)
+    """The rows of G/uv for adjacent u < v, unchecked, built in one pass:
+    row u takes row v's neighbours, row v goes, and in every other row bit v
+    is folded into bit u; then the bits above v shift down by one, as in
+    :func:`_delete_rows`."""
+    low = (1 << v) - 1
+    out = []
+    for w, r in enumerate(rows):
+        if w == u:
+            r = (r | rows[v]) & ~(1 << u)
+        elif w == v:
+            continue
+        elif r >> v & 1:
+            r |= 1 << u
+        out.append(r & low | r >> (v + 1) << v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -740,14 +794,12 @@ def _tie_tree(
 # Minors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(_Value):
     """A minor model: disjoint connected branch sets of the host plus the kept
     adjacencies between them. ``quotient()`` rebuilds the minor itself."""
 
-    host: Graph
-    branch_sets: tuple[int, ...]
-    model_edges: tuple[tuple[int, int], ...]
+    def __init__(self, host: Graph, branch_sets: tuple[int, ...], model_edges: tuple[tuple[int, int], ...]):
+        self.__dict__.update(host=host, branch_sets=branch_sets, model_edges=model_edges)
 
     def quotient(self) -> Graph:
         return Graph.from_edges(len(self.branch_sets), self.model_edges)

@@ -9,29 +9,23 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, check_ints
-from .graphs import Graph, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
+from .graphs import Graph, _Value, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
 from .planar import _block_faces, face_count, rotation_from_faces
 
 
-@dataclass(frozen=True)
-class TerminalSpec:
+class TerminalSpec(_Value):
     """A partition of the terminal set into parts of size 1 or 2, plus a set of
     vertices the connecting subgraphs must avoid. ``terminal_mask`` is the
-    mask of the parts' vertices, built once with them."""
+    mask of the parts' vertices, built once with them; it is not a field."""
 
-    parts: tuple[tuple[int, ...], ...]
-    forbidden: int = 0
-    terminal_mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, parts: tuple[tuple[int, ...], ...], forbidden: int = 0):
         seen = 0
         norm = []
-        for part in self.parts:
+        for part in parts:
             if not isinstance(part, (tuple, list)):
                 raise InputError(f"part {part!r} must be a tuple or list of vertices")
             for x in part:
@@ -52,12 +46,11 @@ class TerminalSpec:
                 raise InputError("terminal parts overlap")
             seen |= m
             norm.append(t)
-        if type(self.forbidden) is not int or self.forbidden < 0:
-            raise InputError(f"forbidden must be a nonnegative int mask: {self.forbidden!r}")
-        if seen & self.forbidden:
+        if type(forbidden) is not int or forbidden < 0:
+            raise InputError(f"forbidden must be a nonnegative int mask: {forbidden!r}")
+        if seen & forbidden:
             raise InputError("terminals overlap the forbidden set")
-        object.__setattr__(self, "parts", tuple(norm))
-        object.__setattr__(self, "terminal_mask", seen)
+        self.__dict__.update(parts=tuple(norm), forbidden=forbidden, terminal_mask=seen)
 
     def check_in_graph(self, g: Graph) -> None:
         if (self.terminal_mask | self.forbidden) & ~g.full_mask:
@@ -82,9 +75,9 @@ def check_path(g: Graph, path: Sequence[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Linkage:
-    paths: tuple[tuple[int, ...], ...]
+class Linkage(_Value):
+    def __init__(self, paths: tuple[tuple[int, ...], ...]):
+        self.__dict__["paths"] = paths
 
     def validate(self, g: Graph, spec: TerminalSpec) -> None:
         if not isinstance(self.paths, tuple) or not all(isinstance(p, (tuple, list)) for p in self.paths):
@@ -105,9 +98,9 @@ class Linkage:
             used |= m
 
 
-@dataclass(frozen=True)
-class Knit:
-    subgraphs: tuple[int, ...]
+class Knit(_Value):
+    def __init__(self, subgraphs: tuple[int, ...]):
+        self.__dict__["subgraphs"] = subgraphs
 
     def validate(self, g: Graph, spec: TerminalSpec) -> None:
         if not isinstance(self.subgraphs, tuple) or not all(type(sub) is int for sub in self.subgraphs):
@@ -340,8 +333,7 @@ def _deleted(g: Graph, ends: int, blocked: int) -> tuple[int, list[int]]:
     return live, [row & live if (live >> v) & 1 else 0 for v, row in enumerate(g.adj)]
 
 
-@dataclass(frozen=True)
-class PlanarObstruction:
+class PlanarObstruction(_Value):
     """Certificate that two pairs s1-t1 and s2-t2 of a specification have no
     disjoint linking paths, and so that its pairs have none.
 
@@ -361,8 +353,8 @@ class PlanarObstruction:
     each joins two opposite entries.
     """
 
-    reductions: tuple[tuple[int, int], ...]
-    rotation: tuple[tuple[int, ...], ...]
+    def __init__(self, reductions: tuple[tuple[int, int], ...], rotation: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(reductions=reductions, rotation=rotation)
 
     def validate(self, g: Graph, spec: TerminalSpec) -> None:
         spec.check_in_graph(g)
@@ -1036,14 +1028,12 @@ def _is_path(h: Graph, block: Sequence[int]) -> bool:
     return all(h.has_edge(a, b) for a, b in zip(block, block[1:]))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Value):
     """Blocks C_0..C_4 for nine terminals: C_0 = {u_0}; block i is either the
     vertex sequence of an induced path joining pair i or the bare pair."""
 
-    host: Graph
-    u0: int
-    blocks: tuple[tuple[int, ...], ...]
+    def __init__(self, host: Graph, u0: int, blocks: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(host=host, u0=u0, blocks=blocks)
 
     @classmethod
     def normal(cls, host: Graph, u0: int, pair_blocks: Sequence[tuple[int, ...]]) -> "Configuration":

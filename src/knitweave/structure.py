@@ -8,22 +8,20 @@ arithmetic (2*rho versus p*size); no floats anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InputError, PreconditionError, check_ints
-from .graphs import Graph, bits, components, induced, mask_of, rho, set_of
+from .graphs import Graph, _Value, bits, components, induced, mask_of, rho, set_of
 from .solver import _small_cuts, is_profile_knitted
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(_Value):
     """An ordered cover (a, b) of the vertex set with no edge between the two
     private sides; its order is |a & b|."""
 
-    a: int
-    b: int
+    def __init__(self, a: int, b: int):
+        self.__dict__.update(a=a, b=b)
 
     @property
     def order(self) -> int:
@@ -47,14 +45,12 @@ class Separation:
             raise InputError("terminal set is not inside side a")
 
 
-@dataclass(frozen=True)
-class MassedReport:
-    satisfied: bool
-    rho_value: int
-    threshold: Fraction
-    violating_separation: Optional[Separation]
-    condition_i: bool
-    condition_ii: bool
+class MassedReport(_Value):
+    def __init__(self, satisfied: bool, rho_value: int, threshold: Fraction,
+                 violating_separation: Optional[Separation], condition_i: bool, condition_ii: bool):
+        self.__dict__.update(satisfied=satisfied, rho_value=rho_value, threshold=threshold,
+                             violating_separation=violating_separation, condition_i=condition_i,
+                             condition_ii=condition_ii)
 
 
 def _subsets_lex(universe: tuple[int, ...], max_size: int) -> Iterator[tuple[int, ...]]:
@@ -217,11 +213,9 @@ def is_rigid(l: Graph, sep: Separation) -> bool:
 # Local minimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    graph: Graph
-    s: int
-    trail: tuple[tuple, ...]
+class MinimizeResult(_Value):
+    def __init__(self, graph: Graph, s: int, trail: tuple[tuple, ...]):
+        self.__dict__.update(graph=graph, s=s, trail=trail)
 
 
 def minimize_pair(l: Graph, s: int, p: int) -> MinimizeResult:

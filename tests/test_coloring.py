@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import time
@@ -8,6 +7,7 @@ import pytest
 import knitweave.coloring as coloring
 from knitweave.coloring import (
     Coloring,
+    RecombinationPlan,
     build_recombination_plan,
     chromatic_number,
     coding_colors,
@@ -697,7 +697,7 @@ def test_recombine_rejects_each_gluing_fault():
             # g is not g1 plus g2
             (_with_edges(fx.g, drop=[first]), fx.g1, fx.g2, plan),
             # side 1 reaches past g
-            (fx.g, fx.g1, fx.g2, dataclasses.replace(plan, domain=plan.domain | 1 << fx.g.n)),
+            (fx.g, fx.g1, fx.g2, RecombinationPlan(**{**vars(plan), "domain": plan.domain | 1 << fx.g.n})),
             # side 1 does not fit g1, side 2 does not fit g2
             (fx.g, _truncated(fx.g1, fx.dom1.bit_length() - 1), fx.g2, plan),
             (fx.g, fx.g1, _truncated(fx.g2, fx.g.n - 1), plan),

@@ -232,6 +232,20 @@ def test_contract_shrinks_and_stays_simple(g):
             assert not (h.adj[x] >> x) & 1
 
 
+def test_contract_rows_matches_contraction_by_edge_list(census7):
+    # G/uv through Graph.from_edges: each edge of G with v renamed u and the
+    # vertices above v numbered down by one, the edge uv itself dropped
+    for g in census7:
+        edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if g.adj[a] >> b & 1]
+        assert list(g.edges()) == edges
+        for u, v in edges:
+            def new(x):
+                return u if x == v else x - (x > v)
+
+            want = Graph.from_edges(g.n - 1, [(new(a), new(b)) for a, b in edges if new(a) != new(b)])
+            assert Graph(g.n - 1, _contract_rows(g.adj, u, v)) == want, (g, u, v)
+
+
 def test_canonical_form_invariance():
     rng = random.Random(3)
     graphs = [random_graph(rng, rng.randint(1, 7)) for _ in range(30)]

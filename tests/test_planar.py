@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -11,6 +10,7 @@ from knitweave.graphs import Graph, bits, mask_of
 from knitweave import solver
 from knitweave.planar import _block_faces, face_count, rotation_from_faces
 from knitweave.solver import (
+    PlanarObstruction,
     TerminalSpec,
     disjoint_paths,
     pairs_spec,
@@ -120,10 +120,10 @@ def test_obstruction_tampering_detected():
     def with_rotation(v, order):
         new = list(map(tuple, rot))
         new[v] = tuple(order)
-        return dataclasses.replace(cert, rotation=tuple(new))
+        return PlanarObstruction(cert.reductions, tuple(new))
 
     def with_reductions(*reductions):
-        return dataclasses.replace(cert, reductions=reductions)
+        return PlanarObstruction(reductions, cert.rotation)
 
     first, second = cert.reductions
     cases = [
@@ -137,14 +137,14 @@ def test_obstruction_tampering_detected():
         (with_rotation(0, rot[0][:-1] + rot[0][:1]), "does not list each"),
         (with_rotation(apex, [0, 3, 1, 4]), "order s1, s2, t1, t2"),
         (with_reductions((0b1010,), second), "a .separator, side. pair"),
-        (dataclasses.replace(cert, reductions=None), "must be a tuple"),
-        (dataclasses.replace(cert, reductions=5), "must be a tuple"),
-        (dataclasses.replace(cert, reductions=list(cert.reductions)), "must be a tuple"),
+        (PlanarObstruction(None, cert.rotation), "must be a tuple"),
+        (PlanarObstruction(5, cert.rotation), "must be a tuple"),
+        (PlanarObstruction(list(cert.reductions), cert.rotation), "must be a tuple"),
         (with_reductions((0b1010, 0), second), "nonempty side"),
         (with_reductions((0b1010, 1.0), second), "nonempty side"),
         (with_reductions((0b1110, 0b100), second), "disjoint and in the graph"),
         (with_reductions((0b1010, 0b1000100), second), "disjoint and in the graph"),
-        (dataclasses.replace(cert, rotation=cert.rotation[:-1]), "must list 7 vertices"),
+        (PlanarObstruction(cert.reductions, cert.rotation[:-1]), "must list 7 vertices"),
         # the apex sees three terminals, so it names no two pairs
         (with_rotation(apex, rot[apex][:3]), "two pairs of the specification"),
         # both halves of this ring are the pair 0-3, so it names no second pair
@@ -174,7 +174,7 @@ def test_obstruction_must_reduce_a_stray_component():
     assert (0, 1 << 6) in cert.reductions
     kept = tuple(r for r in cert.reductions if r != (0, 1 << 6))
     with pytest.raises(InputError, match="not connected"):
-        dataclasses.replace(cert, reductions=kept).validate(g, spec)
+        PlanarObstruction(kept, cert.rotation).validate(g, spec)
 
 
 def test_obstruction_rotation_must_be_plane():
@@ -187,7 +187,7 @@ def test_obstruction_rotation_must_be_plane():
     assert len(cert.rotation[centre]) == 6
     rotation = list(cert.rotation)
     rotation[centre] = rotation[centre][::-1]
-    tampered = dataclasses.replace(cert, rotation=tuple(rotation))
+    tampered = PlanarObstruction(cert.reductions, tuple(rotation))
     assert face_count(tampered.rotation) != face_count(cert.rotation)
     with pytest.raises(InputError, match="Euler"):
         tampered.validate(g, spec)

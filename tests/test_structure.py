@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -301,8 +300,8 @@ def _massed_as_union_sweep(g: Graph, s: int, p: int) -> MassedReport:
     dense B - A."""
     got = is_p_massed(g, s, p)
     want = massed_by_separations(g, s, p)
-    for field in dataclasses.fields(MassedReport):
-        assert getattr(got, field.name) == getattr(want, field.name), (g.adj, s, p, field.name)
+    for name in MassedReport._fields:
+        assert getattr(got, name) == getattr(want, name), (g.adj, s, p, name)
     sep = got.violating_separation
     if sep is not None:
         sep.validate(g, s)
