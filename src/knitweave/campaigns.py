@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from typing import Optional
 
 from .certify import find_dense_neighborhood, greedy_link, knitted1_check
 from .errors import InputError
@@ -52,16 +51,32 @@ SCHEMA = 1
 PIPELINE_P = 30
 
 
-def _now(no_timestamps: bool) -> Optional[float]:
+def _now(no_timestamps: bool) -> float | None:
     return None if no_timestamps else time.time()
 
 
-def _elapsed_ms(t0: Optional[float]) -> Optional[float]:
+def _elapsed_ms(t0: float | None) -> float | None:
     return None if t0 is None else round((time.time() - t0) * 1000.0, 3)
 
 
 def _is_biconnected(g: Graph, domain: int) -> bool:
-    if domain.bit_count() < 3 or not is_connected(g, domain):
+    """Whether H = G[domain] is 2-connected: at least 3 vertices, and
+    connected with any one of them deleted.
+
+    When every vertex has at least |H|/2 neighbors in H, the answer is yes
+    without a search (Dirac 1952). In H - x, two non-adjacent vertices u, w
+    have at least |H|/2 - 1 neighbors each among the |H| - 3 vertices other
+    than x, u and w, so |H| - 2 in all, and therefore a common neighbor;
+    so H - x is connected, and so is H, as x has a neighbor. Otherwise one
+    search tests H and one each H - x.
+    """
+    size = domain.bit_count()
+    if size < 3:
+        return False
+    adj = g.adj
+    if all(2 * (adj[v] & domain).bit_count() >= size for v in bits(domain)):
+        return True
+    if not is_connected(g, domain):
         return False
     for v in bits(domain):
         if not is_connected(g, domain & ~(1 << v)):
@@ -73,7 +88,7 @@ def _is_biconnected(g: Graph, domain: int) -> bool:
 # Coverage-score lemma campaign
 # ---------------------------------------------------------------------------
 
-def _sides(cfg: Configuration, j: int) -> Optional[dict]:
+def _sides(cfg: Configuration, j: int) -> dict | None:
     """The two side forms of pair block ``j``, each as (A, B, whether paired
     draws are allowed): "AB", the components of the block's ends once the
     other block vertices are deleted (paired draws need both biconnected), and

@@ -5,7 +5,6 @@ drives the knitted-subgraph search."""
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .errors import InputError, check_ints
 from .graphs import Graph, _Value, induced, mask_of, max_clique, neighbors_closed, set_of
@@ -50,7 +49,7 @@ def main_theorem_table(k: int) -> int:
 
 
 class GreedyLinkResult(_Value):
-    def __init__(self, linkage: Optional[Linkage], ordering: tuple[int, ...], failed_pair: Optional[tuple[int, int]]):
+    def __init__(self, linkage: Linkage | None, ordering: tuple[int, ...], failed_pair: tuple[int, int] | None):
         self.__dict__.update(linkage=linkage, ordering=ordering, failed_pair=failed_pair)
 
 
@@ -91,7 +90,7 @@ def greedy_link(l: Graph, spec: TerminalSpec) -> GreedyLinkResult:
 
 def common_neighbor_certificate(
     l: Graph, k: int, knitted_variant: bool = False
-) -> tuple[bool, Optional[tuple[int, int]]]:
+) -> tuple[bool, tuple[int, int] | None]:
     """Every non-adjacent pair has at least 3k-2 common neighbors (3k-1 for
     the variant that also dodges one forbidden vertex)."""
     if type(k) is not int or k < 1:
@@ -142,7 +141,7 @@ def dense_conditions(h: Graph, p: int) -> DenseNeighborhoodReport:
 
 def find_dense_neighborhood(
     l: Graph, s: int, p: int
-) -> Optional[tuple[int, DenseNeighborhoodReport]]:
+) -> tuple[int, DenseNeighborhoodReport] | None:
     """First vertex outside ``s`` whose closed neighborhood classifies densely."""
     check_ints(s=s)
     _check_p(p)

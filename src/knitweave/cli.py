@@ -11,7 +11,6 @@ import argparse
 import functools
 import itertools
 import sys
-from typing import Optional
 
 from . import campaigns, certify, coloring, solver, structure
 from .errors import InputError, InternalConsistencyError, KnitweaveError, ResourceError
@@ -61,7 +60,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _mask_arg(text: Optional[str]) -> int:
+def _mask_arg(text: str | None) -> int:
     return mask_of(_parse_ints(text)) if text else 0
 
 
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def cli_main(argv: Optional[list[str]] = None) -> int:
+def cli_main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -10,7 +10,7 @@ the CLI prints them, and ``certificate_from_json`` reads them back.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     InputError,
@@ -41,7 +41,7 @@ class Coloring(_Value):
     def __init__(self, colors: tuple[int, ...], palette_size: int):
         self.__dict__.update(colors=colors, palette_size=palette_size)
 
-    def check_proper(self, g: Graph, domain: Optional[int] = None) -> None:
+    def check_proper(self, g: Graph, domain: int | None = None) -> None:
         dom = g.full_mask if domain is None else domain
         if type(dom) is not int or dom & ~g.full_mask:
             raise InputError(f"domain is not a vertex mask of the graph: {domain!r}")
@@ -120,7 +120,7 @@ def _top_clique(rows: Sequence[int]) -> int:
     return clique
 
 
-def _saturate(rows: Sequence[int], j: int, clique: int) -> Optional[list[int]]:
+def _saturate(rows: Sequence[int], j: int, clique: int) -> list[int] | None:
     """j color classes of the graph with these rows, the vertices of
     ``clique`` (at most j of them) colored 0, 1, ... in vertex order, or
     None if it needs more than j colors.
@@ -189,7 +189,7 @@ def _saturate(rows: Sequence[int], j: int, clique: int) -> Optional[list[int]]:
     return trial if rec((1 << n) - 1 & ~clique, top, by_sat, top) else None
 
 
-def _colorable(rows: Sequence[int], j: int) -> Optional[list[int]]:
+def _colorable(rows: Sequence[int], j: int) -> list[int] | None:
     """j color classes (bitsets, some possibly empty) of the graph with these
     rows, or None if it needs more than j colors: the greedy classes when
     there are at most j of them, None when :func:`_top_clique` has more than
@@ -206,7 +206,7 @@ def _witness(g: Graph, branch_sets: tuple[int, ...], rows: Sequence[int]) -> Min
     return MinorWitness(g, branch_sets, tuple(_row_edges(rows)))
 
 
-def is_contraction_critical(g: Graph, k: int) -> tuple[bool, Optional[MinorWitness]]:
+def is_contraction_critical(g: Graph, k: int) -> tuple[bool, MinorWitness | None]:
     """Whether the chromatic number is exactly k and every proper minor needs
     fewer colors. On failure returns a witness minor that passes
     :meth:`MinorWitness.validate` and whose quotient needs k colors.
@@ -391,7 +391,7 @@ def validate_power_set_coding(lists: Sequence[frozenset[int]]) -> None:
 
 
 def build_recombination_plan(
-    g1: Graph, s: int, u: int, phi1: Coloring, domain: Optional[int] = None
+    g1: Graph, s: int, u: int, phi1: Coloring, domain: int | None = None
 ) -> RecombinationPlan:
     """Extract the recombination structure from a side-1 coloring.
 

@@ -21,15 +21,19 @@ _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 _NOT_GRAPH6_DATA = re.compile("[^?-~]")
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode under the given labeling; no canonical relabeling is applied.
 
-    The upper triangle is one bit string: column j = 1..n-1 gives bits 0..j-1
-    of row j, lowest first. Padded to a multiple of 24 bits it is a whole
-    number of bytes, whose base64 text has one character per 6 bits in the
-    same order; mapping the base64 alphabet onto chr(63)..chr(126) and
+    The upper triangle is one int: the edge ij with i < j is bit
+    j(j-1)/2 + i, so column j = 1..n-1 holds bits 0..j-1 of row j, lowest
+    first. graph6 reads it as a bit stream from bit 0 up, padded to a
+    multiple of 24 bits, each byte taking eight bits most significant
+    first: the int's little-endian bytes with the bits of each byte
+    reversed. Whole 3-byte groups have one base64 character per 6 bits in
+    the same order; mapping the base64 alphabet onto chr(63)..chr(126) and
     dropping the characters that hold only padding gives the graph6 body.
     """
     n, adj = g.n, g.adj
@@ -37,10 +41,11 @@ def write_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    upper = 0
+    for j in range(n - 1, 0, -1):
+        upper = (upper << j) | (adj[j] & ((1 << j) - 1))
     nbits = n * (n - 1) // 2
-    upper = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
-    upper += "0" * (-nbits % 24)
-    data = int("0" + upper, 2).to_bytes(len(upper) // 8, "big")
+    data = upper.to_bytes((nbits + 23) // 24 * 3, "little").translate(_REVERSE_BITS)
     body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_GRAPH6)
     return head + body[:(nbits + 5) // 6].decode()
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError, check_ints
-from .graphs import Graph, _Value
+from .graphs import Graph, _Value, _check_count, bits, symmetric_closure
 
 
 def gen_min_degree(n: int, delta: int, seed: int) -> Graph:
@@ -24,15 +24,15 @@ def gen_min_degree(n: int, delta: int, seed: int) -> Graph:
             if rng.random() < p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    while True:
-        deficient = [v for v in range(n) if rows[v].bit_count() < delta]
-        if not deficient:
-            break
-        v = deficient[0]
-        options = [w for w in range(n) if w != v and not (rows[v] >> w) & 1]
-        w = rng.choice(options)
-        rows[v] |= 1 << w
-        rows[w] |= 1 << v
+    # each repair joins the least deficient vertex to a random non-neighbor;
+    # an added edge leaves no vertex deficient that was not, so the least
+    # deficient vertex only moves up
+    full = (1 << n) - 1
+    for v in range(n):
+        while rows[v].bit_count() < delta:
+            w = rng.choice(list(bits(full & ~rows[v] & ~(1 << v))))
+            rows[v] |= 1 << w
+            rows[w] |= 1 << v
     return Graph(n, tuple(rows))
 
 
@@ -89,52 +89,53 @@ def gen_split_host(seed: int, blob_size: int = 12) -> SplitHost:
     rng = random.Random(seed)
     straddling = rng.choice([1, 2])
     m = blob_size
-    # layout: blob A = [0, m); blob B = [m, 2m); middle/anchor vertices after
+    bridge_pairs = 4 - straddling
+    # layout: blob A = [0, m); blob B = [m, 2m); then u0, the bridge pairs
+    # and the last pair's connecting vertex
+    n = 2 * m + 2 * bridge_pairs + 2
+    _check_count(n)
     a0, b0 = 0, m
     nxt = 2 * m
     u0 = nxt
     nxt += 1
-    mid_a = []   # middle vertices attached to blob A only
+    mid_a = [u0]  # middle vertices attached to blob A only
     mid_b = []
     mid_ab = []  # middle terminals attached to both blobs; safe because
     pairs = []   # terminals are never interior to a connecting path
-    edges = []
-    bridge_pairs = 4 - straddling
+    # each row holds its neighbors above it, and a middle row its blobs too;
+    # the symmetric closure adds the rest
+    rows = [0] * n
     for i in range(bridge_pairs):
         ua, vb = nxt, nxt + 1
         nxt += 2
         (mid_ab if rng.random() < 0.5 else mid_a).append(ua)
         (mid_ab if rng.random() < 0.5 else mid_b).append(vb)
         if i < bridge_pairs - 1:
-            edges.append((ua, vb))  # adjacent cross pair
-            pairs.append((ua, vb))
+            rows[ua] |= 1 << vb  # adjacent cross pair
         else:
             w = nxt
             nxt += 1
             mid_b.append(w)
-            edges.append((ua, w))
-            edges.append((w, vb))
-            pairs.append((ua, vb))
+            rows[ua] |= 1 << w
+            rows[vb] |= 1 << w
+        pairs.append((ua, vb))
     for i in range(straddling):
-        xa = a0 + 1 + i
-        xb = b0 + 1 + i
-        pairs.append((xa, xb))
-    n = nxt
+        pairs.append((a0 + 1 + i, b0 + 1 + i))
+    random01 = rng.random
     for base in (a0, b0):
         for u in range(base, base + m):
-            for v in range(u + 1, base + m):
-                if rng.random() < 0.9:
-                    edges.append((u, v))
-    for x in mid_a + [u0]:
-        for v in range(a0, a0 + m):
-            edges.append((x, v))
-    for x in mid_b:
-        for v in range(b0, b0 + m):
-            edges.append((x, v))
-    for x in mid_ab:
-        for v in range(a0, b0 + m):
-            edges.append((x, v))
-    g = Graph.from_edges(n, edges)
+            row, bit = 0, 1 << (u + 1)
+            for _ in range(base + m - u - 1):
+                if random01() < 0.9:
+                    row |= bit
+                bit <<= 1
+            rows[u] = row
+    blob_a = ((1 << m) - 1) << a0
+    blob_b = ((1 << m) - 1) << b0
+    for side, blob in ((mid_a, blob_a), (mid_b, blob_b), (mid_ab, blob_a | blob_b)):
+        for x in side:
+            rows[x] |= blob
+    g = Graph(n, symmetric_closure(tuple(rows)))
     terminals = (u0,) + tuple(x for p in pairs for x in p)
     return SplitHost(
         graph=g,

@@ -8,7 +8,7 @@ targets (nothing in the domain exceeds a few dozen vertices).
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError
 
@@ -333,7 +333,7 @@ def shortest_path(adj: Sequence[int], src: int, ends: int, domain: int) -> list[
     return path[::-1]
 
 
-def is_connected(g: Graph, domain: Optional[int] = None) -> bool:
+def is_connected(g: Graph, domain: int | None = None) -> bool:
     dom = g.full_mask if domain is None else domain & g.full_mask
     if dom == 0:
         return True
@@ -522,8 +522,8 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def _max_rows(
-    n: int, adj: tuple[int, ...], bound: Optional[tuple[int, ...]] = None
-) -> Optional[tuple[int, ...]]:
+    n: int, adj: tuple[int, ...], bound: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
     """The largest row sequence over every vertex ordering of the graph.
 
     The search places at each position only vertices whose row is the
@@ -545,11 +545,11 @@ def _max_rows(
 def _descend(
     n: int,
     adj: tuple[int, ...],
-    bound: Optional[tuple[int, ...]],
+    bound: tuple[int, ...] | None,
     placed: int,
     cells: list[tuple[int, int]],
     todo: int,
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """The search of :func:`_max_rows` from one node, where ``placed``
     vertices are placed with the first rows of ``bound`` (a search without
     a bound starts at the root), the unplaced ones form ``cells`` and

@@ -12,7 +12,7 @@ graph's rotation system is a plane drawing exactly when V - E + F = 2
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .graphs import bits, components, mask_of, shortest_path
 
@@ -56,7 +56,7 @@ def rotation_from_faces(adj: Sequence[int], faces: Sequence[Sequence[int]]) -> l
     return rotation
 
 
-def _block_faces(adj: Sequence[int], block: int) -> Optional[list[list[int]]]:
+def _block_faces(adj: Sequence[int], block: int) -> list[list[int]] | None:
     """The faces of a plane drawing of a biconnected block with at least three
     vertices, each a vertex cycle oriented so that every edge is run once each
     way; None if the block is not planar.

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator, Sequence
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, check_ints
 from .graphs import Graph, _Value, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
@@ -188,7 +188,7 @@ def max_vertex_disjoint_flow(
     sources: int,
     sinks: int,
     allowed: int,
-    cap: Optional[int] = None,
+    cap: int | None = None,
     collect: bool = False,
 ):
     """Maximum number of vertex-disjoint paths from ``sources`` to ``sinks``
@@ -408,7 +408,7 @@ class PlanarObstruction(_Value):
             raise InputError("the rotation's faces break Euler's formula: it is not a plane drawing")
 
 
-def _terminal_free_side(adj: list[int], v: int, ends: int, live: int, k: int) -> Optional[tuple[int, int]]:
+def _terminal_free_side(adj: list[int], v: int, ends: int, live: int, k: int) -> tuple[int, int] | None:
     """The separator and the least terminal-free side around the
     non-terminal ``v`` that fewer than ``k`` vertices cut off from ``ends``,
     or None.
@@ -583,8 +583,8 @@ def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int
 
 def _pair_obstruction(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
-) -> Optional[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], list[int],
-                    list[tuple[int, int]], list[list[int]]]]:
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], list[int],
+           list[tuple[int, int]], list[list[int]]] | None:
     """The first two of ``pairs``, in order, that are not linked with
     ``blocked`` deleted (it must hold every pair's ends), with the drawing
     that shows they are not; None if every two are linked. Pairs are
@@ -608,7 +608,7 @@ def _pair_obstruction(
     return None
 
 
-def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> Optional[PlanarObstruction]:
+def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> PlanarObstruction | None:
     """The certificate that the pairs of ``spec`` have no disjoint linking
     paths avoiding its other vertices, when two of its non-edge pairs have
     none: that of the first two in order that :func:`_pair_obstruction`
@@ -673,7 +673,7 @@ def _two_pair_links(
     return tuple(path), (a, *shortest_path(adj, a, 1 << b, g.full_mask & ~taken | 1 << b))
 
 
-def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[tuple[tuple[int, ...], ...]]:
+def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> tuple[tuple[int, ...], ...] | None:
     """Vertex-disjoint paths from u to v for each ``(u, v)`` of ``pairs``, in
     pair order, with no interior vertex in ``blocked`` (which must hold every
     pair's ends); None if there are none.
@@ -781,7 +781,7 @@ def _link(g: Graph, pairs: Sequence[tuple[int, int]], blocked: int) -> Optional[
     return tuple(chosen) if search(0, todo) else None
 
 
-def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
+def disjoint_paths(g: Graph, spec: TerminalSpec) -> Linkage | None:
     """Pairwise vertex-disjoint paths joining every pair of ``spec``; the
     search is :func:`_link`, which branches on the pair of least component
     bound and tries its paths shortest first, in (length, lex) order, with
@@ -808,7 +808,7 @@ def disjoint_paths(g: Graph, spec: TerminalSpec) -> Optional[Linkage]:
     return None if paths is None else Linkage(paths)
 
 
-def knit(g: Graph, spec: TerminalSpec) -> Optional[Knit]:
+def knit(g: Graph, spec: TerminalSpec) -> Knit | None:
     """Disjoint connected subgraphs, one per part, each containing its part.
 
     Reduces to disjoint paths: a connected subgraph containing a pair contains
@@ -893,7 +893,7 @@ def _check_profile(profile: Sequence[int]) -> None:
 
 def is_profile_knitted(
     g: Graph, s: int, profile: Sequence[int]
-) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
+) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Whether every partition of ``s`` with the given part sizes can be knit.
 
     Let j be the number of pairs in ``profile``, and N(P) the pairs of a
@@ -944,7 +944,7 @@ def is_profile_knitted(
     return False, next(parts for parts in partitions if not knittable(parts))
 
 
-def least_unknitted(g: Graph, profile: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
+def least_unknitted(g: Graph, profile: Sequence[int]) -> tuple[tuple[int, ...], ...] | None:
     """The violating partition that :func:`is_profile_knitted` gives for the
     least ``sum(profile)``-set of vertices, in lexicographic order, that is
     not knitted in ``g``; None when every such set is."""
@@ -962,7 +962,7 @@ def is_k_linked(
     mode: str = "exhaustive",
     samples: int = 0,
     seed: int = 0,
-) -> tuple[Optional[bool], Optional[tuple[tuple[int, int], ...]]]:
+) -> tuple[bool | None, tuple[tuple[int, int], ...] | None]:
     """Whether every k disjoint terminal pairs admit disjoint linking paths.
 
     Exhaustive mode answers True, or False with the least violating system.
@@ -996,7 +996,7 @@ def _check_sampling(samples: int, seed: int) -> None:
 
 def _sampled_unknitted(
     g: Graph, profile: Sequence[int], samples: int, rng: random.Random
-) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
+) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
     """The number of systems drawn and the first that cannot be knit, as
     :func:`least_unknitted` gives one (singletons first, then the pairs,
     each sorted), among ``samples`` partitions of random vertex sets of

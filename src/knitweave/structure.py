@@ -8,8 +8,8 @@ arithmetic (2*rho versus p*size); no floats anywhere.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator, Optional
 
 from .errors import InputError, PreconditionError, check_ints
 from .graphs import Graph, _Value, bits, components, induced, mask_of, rho, set_of
@@ -47,7 +47,7 @@ class Separation(_Value):
 
 class MassedReport(_Value):
     def __init__(self, satisfied: bool, rho_value: int, threshold: Fraction,
-                 violating_separation: Optional[Separation], condition_i: bool, condition_ii: bool):
+                 violating_separation: Separation | None, condition_i: bool, condition_ii: bool):
         self.__dict__.update(satisfied=satisfied, rho_value=rho_value, threshold=threshold,
                              violating_separation=violating_separation, condition_i=condition_i,
                              condition_ii=condition_ii)
@@ -181,7 +181,7 @@ def is_p_massed(l: Graph, s: int, p: int) -> MassedReport:
 # Knittedness of a pair, rigidity
 # ---------------------------------------------------------------------------
 
-def pair_is_knitted(l: Graph, s: int) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
+def pair_is_knitted(l: Graph, s: int) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Whether (l, s) is knitted for every partition of ``s`` into parts of
     size at most two. Returns the first violating partition otherwise."""
     # The max-pairing partitions (floor(|s|/2) pairs, at most one singleton)

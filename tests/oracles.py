@@ -39,9 +39,13 @@ reduced with one flow per vertex and embedded by rebuilding, for the
 certificates of ``two_pair_obstruction`` (read off the drawing its test
 makes) and for the two-pair verdicts of ``link_by_obstruction_first``;
 ``fan_by_shortest_paths``, the previous ``_fan_of_four`` for any k, for
-the answers of ``_fan``; and
+the answers of ``_fan``;
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
-for normalised parts, terminal masks and error messages. And
+for normalised parts, terminal masks and error messages;
+``min_degree_by_rescan`` and ``split_host_by_edges``, the previous
+``gen_min_degree`` and ``gen_split_host``, for their graphs, terminals and
+straddling counts; and ``biconnected_by_sweep``, the previous
+``campaigns._is_biconnected``, for its verdicts. And
 ``are_isomorphic``, the previous ``graphs.are_isomorphic``, compares
 canonical forms.
 """
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -66,6 +71,7 @@ from knitweave.graphs import (
     bits,
     canonical_form,
     components,
+    is_connected,
     mask_of,
     max_clique,
     rho,
@@ -1323,3 +1329,89 @@ def terminal_spec_by_sorting(parts, forbidden: int = 0):
     if seen & forbidden:
         return "terminals overlap the forbidden set"
     return tuple(norm), seen
+
+
+# -- previous generators and biconnectivity test ------------------------------
+
+def min_degree_by_rescan(n: int, delta: int, seed: int) -> Graph:
+    """The previous ``gen_min_degree``: after the binomial base, every
+    repair rescans all vertices for the least deficient one."""
+    rng = random.Random(seed)
+    p = min(0.95, (delta + 1) / max(1, n - 1))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    while True:
+        deficient = [v for v in range(n) if rows[v].bit_count() < delta]
+        if not deficient:
+            break
+        v = deficient[0]
+        options = [w for w in range(n) if w != v and not (rows[v] >> w) & 1]
+        w = rng.choice(options)
+        rows[v] |= 1 << w
+        rows[w] |= 1 << v
+    return Graph(n, tuple(rows))
+
+
+def split_host_by_edges(seed: int, blob_size: int) -> tuple[Graph, tuple[int, ...], int]:
+    """The previous ``gen_split_host``, which listed every edge and built
+    the host with ``Graph.from_edges``: its graph, terminals and straddling
+    count."""
+    rng = random.Random(seed)
+    straddling = rng.choice([1, 2])
+    m = blob_size
+    a0, b0 = 0, m
+    nxt = 2 * m
+    u0 = nxt
+    nxt += 1
+    mid_a, mid_b, mid_ab, pairs, edges = [], [], [], [], []
+    bridge_pairs = 4 - straddling
+    for i in range(bridge_pairs):
+        ua, vb = nxt, nxt + 1
+        nxt += 2
+        (mid_ab if rng.random() < 0.5 else mid_a).append(ua)
+        (mid_ab if rng.random() < 0.5 else mid_b).append(vb)
+        if i < bridge_pairs - 1:
+            edges.append((ua, vb))
+            pairs.append((ua, vb))
+        else:
+            w = nxt
+            nxt += 1
+            mid_b.append(w)
+            edges.append((ua, w))
+            edges.append((w, vb))
+            pairs.append((ua, vb))
+    for i in range(straddling):
+        pairs.append((a0 + 1 + i, b0 + 1 + i))
+    n = nxt
+    for base in (a0, b0):
+        for u in range(base, base + m):
+            for v in range(u + 1, base + m):
+                if rng.random() < 0.9:
+                    edges.append((u, v))
+    for x in mid_a + [u0]:
+        for v in range(a0, a0 + m):
+            edges.append((x, v))
+    for x in mid_b:
+        for v in range(b0, b0 + m):
+            edges.append((x, v))
+    for x in mid_ab:
+        for v in range(a0, b0 + m):
+            edges.append((x, v))
+    terminals = (u0,) + tuple(x for p in pairs for x in p)
+    return Graph.from_edges(n, edges), terminals, straddling
+
+
+def biconnected_by_sweep(g: Graph, domain: int) -> bool:
+    """The previous ``campaigns._is_biconnected``: G[domain] has at least 3
+    vertices and stays connected with any one of them deleted, tested by one
+    search for the whole domain and one per vertex."""
+    if domain.bit_count() < 3 or not is_connected(g, domain):
+        return False
+    for v in bits(domain):
+        if not is_connected(g, domain & ~(1 << v)):
+            return False
+    return True

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import random
 import time
 
 import pytest
 
+from knitweave import campaigns
 from knitweave.campaigns import (
     PIPELINE_P,
     _is_biconnected,
@@ -18,10 +20,11 @@ from knitweave.campaigns import (
 )
 from knitweave.errors import InputError
 from knitweave.formats import parse_graph6, write_json
-from knitweave.graphs import Graph, bits, mask_of
+from knitweave.graphs import Graph, bits, is_connected, mask_of
 from knitweave.solver import Configuration
 
-from oracles import flow_by_matrix
+from conftest import random_graph
+from oracles import biconnected_by_sweep, flow_by_matrix
 
 
 def test_lemma_si_zero_samples():
@@ -70,6 +73,68 @@ def test_is_biconnected():
     assert not _is_biconnected(Graph.complete(4), 0b11)  # fewer than 3 vertices
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert not _is_biconnected(two_triangles, two_triangles.full_mask)
+
+
+def _searches(monkeypatch) -> list:
+    """Count the searches ``_is_biconnected`` runs from now on."""
+    calls = []
+
+    def counted(g, domain):
+        calls.append(domain)
+        return is_connected(g, domain)
+
+    monkeypatch.setattr(campaigns, "is_connected", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_is_biconnected_complete_bipartite_is_settled_by_the_degree_bound(m, monkeypatch):
+    # every degree is m = |D|/2, so no search runs
+    k = Graph.from_edges(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
+    searches = _searches(monkeypatch)
+    assert _is_biconnected(k, k.full_mask)
+    assert searches == []
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_is_biconnected_two_cliques_on_a_cut_vertex(m, monkeypatch):
+    # 2 * delta = 2m - 2 = |D| - 1 misses the bound by one, and vertex m - 1
+    # is shared, so the sweep finds the cut vertex
+    cliques = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    g = Graph.from_edges(2 * m - 1, cliques + [(m - 1 + u, m - 1 + v) for u, v in cliques])
+    searches = _searches(monkeypatch)
+    assert not _is_biconnected(g, g.full_mask)
+    assert searches
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(6, [(0, v) for v in range(1, 6)]),
+    Graph.path(6),
+    Graph.cycle(6),
+], ids=["star", "path", "cycle"])
+def test_is_biconnected_low_degree_goes_to_the_sweep(g, monkeypatch):
+    searches = _searches(monkeypatch)
+    assert _is_biconnected(g, g.full_mask) == (g == Graph.cycle(6))
+    assert searches
+
+
+@pytest.mark.parametrize("domain", [0, 0b1, 0b1000, 0b11, 0b1010])
+def test_is_biconnected_below_three_vertices(domain):
+    assert not _is_biconnected(Graph.complete(4), domain)
+
+
+def test_is_biconnected_matches_sweep(census7):
+    # every domain of every graph on at most 6 vertices, the whole graph on 7
+    for g in census7:
+        domains = range(1 << g.n) if g.n <= 6 else [g.full_mask]
+        for domain in domains:
+            assert _is_biconnected(g, domain) == biconnected_by_sweep(g, domain), (g, domain)
+    rng = random.Random(51)
+    for _ in range(3000):
+        n = rng.randint(8, 20)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+        domain = rng.getrandbits(n) | rng.getrandbits(n)
+        assert _is_biconnected(g, domain) == biconnected_by_sweep(g, domain), (g, domain)
 
 
 # sha256 of write_json with no_timestamps: campaign reports are meant to

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knitweave.errors import InputError
@@ -11,7 +13,7 @@ from knitweave.generators import (
 from knitweave.graphs import Graph, reachable
 from knitweave.solver import build_configuration
 
-from oracles import complete_minus_matching_by_edges
+from oracles import complete_minus_matching_by_edges, min_degree_by_rescan, split_host_by_edges
 
 
 def test_min_degree_postcondition():
@@ -29,6 +31,16 @@ def test_min_degree_seed_stable():
     b = gen_min_degree(14, 8, 42)
     assert write_graph6(a) == write_graph6(b)
     assert write_graph6(gen_min_degree(14, 8, 43)) != write_graph6(a)
+
+
+def test_min_degree_matches_rescanning_repair():
+    # the repair walks the least deficient vertex upward instead of
+    # rescanning, so its draws, and the graph, must stay the same
+    rng = random.Random(51)
+    for n in range(1, 65):
+        for _ in range(6):
+            delta, seed = rng.randrange(n), rng.randrange(10**6)
+            assert gen_min_degree(n, delta, seed) == min_degree_by_rescan(n, delta, seed)
 
 
 def test_min_degree_rejects_impossible():
@@ -122,3 +134,17 @@ def test_split_host_terminals_are_distinct_from_blob_size_three():
     for seed in range(8):
         host = gen_split_host(seed, 3)
         assert len(set(host.terminals)) == len(host.terminals) == 9
+
+
+def test_split_host_matches_edge_list_build():
+    for seed in range(2000):
+        for blob_size in range(3, 17):
+            host = gen_split_host(seed, blob_size)
+            assert (host.graph, host.terminals, host.straddling) == split_host_by_edges(seed, blob_size)
+
+
+def test_split_host_past_the_vertex_envelope_is_an_input_error():
+    # blob_size 29 gives 64 vertices with two straddling pairs, 66 with one
+    with pytest.raises(InputError, match="^vertex count 66 outside"):
+        gen_split_host(1, 29)
+    assert gen_split_host(0, 29).graph.n == 64
