@@ -131,7 +131,8 @@ def _lemma_record(cfg: Configuration, j: int, form: str, sides: dict, observers:
                     bad.append(f"(a) disconnected block {i} has score {svals[i]} > 0")
                 continue
             for x in (a, b):
-                hits = [pos for pos, w in enumerate(blk) if g.has_edge(x, w)]
+                row = g.adj[x]
+                hits = [pos for pos, w in enumerate(blk) if (row >> w) & 1]
                 if any(q - pq > 2 for pq, q in zip(hits, hits[1:])):
                     bad.append(f"(b) vertex {x} has spread neighbors on block {i}")
                 if len(hits) > 3:
@@ -186,7 +187,7 @@ def _lemma_record(cfg: Configuration, j: int, form: str, sides: dict, observers:
         if si + si2 == 4:
             if si != 2 or si2 != 2:
                 bad.append(f"(c) pair scores {si},{si2} not both 2")
-            elif not all(g.has_edge(x, e) for x in observers for e in (blk[0], blk[-1])):
+            elif any(~g.adj[x] & (1 << blk[0] | 1 << blk[-1]) for x in observers):
                 bad.append(f"(c) observers not complete to block {i} ends")
     return {
         "lemma": "si2",
@@ -329,7 +330,7 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int):
 
     # route |s| disjoint paths from s into the certified subgraph, then link
     # the entry points inside it; s-vertices already inside enter trivially
-    flow, into = max_vertex_disjoint_flow(
+    flow, into, _ = max_vertex_disjoint_flow(
         g.adj, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True
     )
     trivial = [(x,) for x in bits(s & cand)]

@@ -56,8 +56,9 @@ def parse_graph6(text: str) -> Graph:
 
     The inverse of :func:`write_graph6`: the body, mapped back onto the
     base64 alphabet and padded with zero characters to whole 4-character
-    groups, decodes to bytes whose leading n(n-1)/2 bits are the upper
-    triangle, and the bits after them must be zero.
+    groups, decodes to bytes that the encoder's bit-reversal table and a
+    little-endian read turn back into one int, whose bit j(j-1)/2 + i is
+    the edge ij (i < j); its bits from n(n-1)/2 up must be zero.
     """
     # the header may stand on its own line
     s = text.strip().removeprefix(">>graph6<<").lstrip()
@@ -97,12 +98,9 @@ def parse_graph6(text: str) -> Graph:
     if bad:
         raise Graph6Error("invalid data character", pos + bad.start())
     data = binascii.a2b_base64(body.encode().translate(_GRAPH6_TO_BASE64) + b"A" * (-nchars % 4))
-    spare = 8 * len(data) - nbits
-    stream = int.from_bytes(data, "big")
-    if stream & ((1 << spare) - 1):
+    upper = int.from_bytes(data.translate(_REVERSE_BITS), "little")
+    if upper >> nbits:
         raise Graph6Error("nonzero padding bits", pos + nchars - 1)
-    # reversed, the bit of the edge ij with i < j is bit j(j-1)/2 + i
-    upper = int("0" + format(stream >> spare, f"0{nbits}b")[::-1], 2)
     cols = tuple((upper >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n))
     return Graph(n, symmetric_closure(cols))
 

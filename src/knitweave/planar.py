@@ -92,6 +92,14 @@ def _block_faces(adj: Sequence[int], block: int) -> list[list[int]] | None:
     the side ``there`` plus the path's new vertices; the other is face i
     less that side's vertices other than u and w, plus the same new
     vertices. So only the side is read vertex by vertex, not the faces.
+
+    The first cycle runs from b, the least neighbour of the block's least
+    vertex a, along a shortest path to N(a) inside the block less a and b,
+    and closes at a. It has no chord, so at the start no undrawn edge joins
+    two drawn vertices: the path's vertices lie in successive breadth-first
+    layers from b, so two of them more than one step apart are not
+    adjacent, and the search stops at the first layer that meets N(a), so
+    no path vertex before the last is adjacent to a.
     """
     nb = {v: adj[v] & block for v in bits(block)}
     if sum(m.bit_count() for m in nb.values()) // 2 > 3 * block.bit_count() - 6:
@@ -109,12 +117,9 @@ def _block_faces(adj: Sequence[int], block: int) -> list[list[int]] | None:
         drawn_adj[y] |= 1 << x
     # key -> [attachments, undrawn vertices (0 for one edge), faces it fits];
     # an edge's key (0, x, y) with x < y sorts before a component's (1, least).
-    # Both faces of the cycle hold every drawn vertex, so every fragment
-    # fits both.
+    # The cycle has no chord, so the first fragments are components; both
+    # faces of the cycle hold every drawn vertex, so every fragment fits both.
     frags = {}
-    for x in bits(drawn):
-        for y in bits(nb[x] & drawn & ~drawn_adj[x] & ~((2 << x) - 1)):
-            frags[0, x, y] = [(1 << x) | (1 << y), 0, 0b11]
     for comp in components(nb, block & ~drawn):
         attach = 0
         for w in bits(comp):

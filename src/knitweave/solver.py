@@ -199,7 +199,10 @@ def max_vertex_disjoint_flow(
     Paths stop at the first sink they touch. A vertex that is both a source
     and a sink counts as a length-one path. The search stops at ``cap`` paths
     (default: the smaller of the two end sets). With ``collect`` it returns
-    ``(flow, paths)``, one path per used source in ascending order.
+    ``(flow, paths, cut)``: one path per used source in ascending order,
+    and ``cut`` None when the flow reached its limit, else a minimum vertex
+    cut ``(separator, side)`` read off the last search, which found no
+    augmenting path.
 
     This is Edmonds-Karp on the node-split network: a super source S, arcs
     S -> v_in for sources, v_in -> v_out for usable v, v_out -> w_in along
@@ -236,6 +239,24 @@ def max_vertex_disjoint_flow(
     Edmonds-Karp finds exactly these paths first and in this order: while
     flow consists of them only, S reaches the least unstarted overlap vertex
     first and its in-node closes a length-3 path at once.
+
+    The cut. ``side`` is the set of vertices whose out-node the last search
+    reached, and ``separator`` is ``(in-nodes reached | sources) & ~side``:
+    ``flow`` vertices that meet every path from the sources to the sinks
+    through usable vertices. Let R be S with the nodes that search reached.
+    No residual arc leaves R, so every arc leaving it is saturated and none
+    entering it carries flow: the arcs leaving it form a cut of capacity
+    ``flow``. No edge arc is among them: a
+    flow-carrying x_out is reached only back from the in-node of its
+    successor, so its one saturated edge arc ends in R; and no sink's
+    out-node is reached (an unused one would close a path, a used one is
+    entered from T alone). So each cut arc is S -> s_in of a source whose
+    nodes both lie outside R, or the split arc of a vertex whose in-node
+    alone is reached, and these are the separator's vertices. The cut is
+    the least minimum cut, the same for every maximum flow: every arc
+    leaving the source side of a minimum cut is saturated by any maximum
+    flow and every arc entering it carries none, so no residual arc leaves
+    it and R lies inside it; R is itself such a source side.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -311,7 +332,10 @@ def max_vertex_disjoint_flow(
         while not (sinks >> path[-1]) & 1:
             path.append(succ[path[-1]].bit_length() - 1)
         paths.append(tuple(path))
-    return flow, paths
+    if flow >= limit:
+        return flow, paths, None
+    side = mask_of(entry)
+    return flow, paths, ((seen | sources) & ~side, side)
 
 
 # ---------------------------------------------------------------------------
@@ -408,53 +432,6 @@ class PlanarObstruction(_Value):
             raise InputError("the rotation's faces break Euler's formula: it is not a plane drawing")
 
 
-def _terminal_free_side(adj: list[int], v: int, ends: int, live: int, k: int) -> tuple[int, int] | None:
-    """The separator and the least terminal-free side around the
-    non-terminal ``v`` that fewer than ``k`` vertices cut off from ``ends``,
-    or None.
-
-    A flow capped at k paths from v's neighbours to the ends, inside
-    ``live`` without v, finds whether there is one (Menger). Its side is
-    then the set of vertices whose out-node the residual reaches from v, in
-    the node-split network with unbounded edge arcs, and the separator is
-    the set of vertices whose in-node alone is reached.
-
-    The side depends on the graph alone, not on which maximum flow is
-    found. Every arc that leaves the source side of a minimum cut is
-    saturated by any maximum flow, and every arc that enters it carries
-    none, so no residual arc leaves it and the residual-reachable set lies
-    inside it. That set is itself the source side of a minimum cut, so it
-    is the least one, the same for every maximum flow.
-    """
-    allowed = live & ~(1 << v)
-    flow, paths = max_vertex_disjoint_flow(adj, adj[v], ends, allowed, cap=k, collect=True)
-    if flow == k:
-        return None
-    on = starts = 0
-    pred = {}
-    for p in paths:
-        on |= mask_of(p)
-        starts |= 1 << p[0]
-        pred.update(zip(p[1:], p))
-    reach_in = todo = adj[v]
-    reach_out = 0
-    while todo:
-        out = 0
-        for x in bits(todo):
-            if not (on >> x) & 1:
-                out |= 1 << x
-            elif not (starts >> x) & 1:
-                out |= 1 << pred[x]
-        out &= ~reach_out
-        reach_out |= out
-        todo = 0
-        for x in bits(out):
-            todo |= adj[x] & allowed
-        todo = (todo | (out & on)) & ~reach_in
-        reach_in |= todo
-    return reach_in & ~reach_out, reach_out | (1 << v)
-
-
 def _fan(adj: list[int], v: int, good: int, live: int, k: int) -> bool:
     """Whether ``k`` successive shortest paths from ``v`` inside ``live``,
     each avoiding the vertices of the ones before, end at k vertices of
@@ -482,8 +459,11 @@ def _small_cuts(adj: list[int], ends: int, live: int, k: int) -> Iterator[tuple[
     ``ends``, in the graph on ``live`` with rows ``adj``, as
     ``(separator, side)`` pairs. The sweep visits each non-terminal vertex
     still in the graph at its turn once, in order, and yields the least
-    side around a vertex that has one (:func:`_terminal_free_side`). When
-    resumed, it deletes that side and makes its separator a clique
+    side around a vertex v that has one. A flow capped at k paths from v's
+    neighbours to the ends, inside ``live`` without v, finds whether there
+    is one (Menger), and its cut (:func:`max_vertex_disjoint_flow`) gives
+    it: the flow's separator, and its side with v added. When resumed, the
+    sweep deletes that side and makes its separator a clique
     (:func:`_reduce`, on ``adj`` in place), so later sides are those of
     the reduced graph.
 
@@ -516,13 +496,15 @@ def _small_cuts(adj: list[int], ends: int, live: int, k: int) -> Iterator[tuple[
         if (
             (adj[v] & good).bit_count() >= k
             or _fan(adj, v, good, live, k)
-            or (cut := _terminal_free_side(adj, v, ends, live, k)) is None
+            or (cut := max_vertex_disjoint_flow(adj, adj[v], ends, live & ~(1 << v), cap=k, collect=True)[2]) is None
         ):
             good |= 1 << v
         else:
-            yield cut
-            _reduce(adj, *cut)
-            live &= ~cut[1]
+            separator, side = cut
+            side |= 1 << v
+            yield separator, side
+            _reduce(adj, separator, side)
+            live &= ~side
 
 
 def _reduced_with_apex(

@@ -39,7 +39,11 @@ reduced with one flow per vertex and embedded by rebuilding, for the
 certificates of ``two_pair_obstruction`` (read off the drawing its test
 makes) and for the two-pair verdicts of ``link_by_obstruction_first``;
 ``fan_by_shortest_paths``, the previous ``_fan_of_four`` for any k, for
-the answers of ``_fan``;
+the answers of ``_fan``; ``terminal_free_side_by_walk``, the previous
+``solver._terminal_free_side``, which walked the residual of the flow's
+paths a second time, for the cuts that ``max_vertex_disjoint_flow``
+returns, and ``small_cuts_by_walk``, the previous ``_small_cuts`` on it,
+for the sweep's cuts;
 ``terminal_spec_by_sorting``, the previous ``TerminalSpec`` validation,
 for normalised parts, terminal masks and error messages;
 ``min_degree_by_rescan`` and ``split_host_by_edges``, the previous
@@ -85,7 +89,6 @@ from knitweave.solver import (
     _deleted,
     _link,
     _reduce,
-    _terminal_free_side,
     iter_paths_by_length,
     max_vertex_disjoint_flow,
     partitions_with_profile,
@@ -1275,7 +1278,7 @@ def obstruction_by_flows(
     reductions = []
     for v in bits(live & ~ends):
         if (live >> v) & 1:
-            r = _terminal_free_side(adj, v, ends, live, 4)
+            r = terminal_free_side_by_walk(adj, v, ends, live, 4)
             if r is not None:
                 reductions.append(r)
                 _reduce(adj, *r)
@@ -1295,6 +1298,67 @@ def obstruction_by_flows(
         rotation[a].remove(b)
         rotation[b].remove(a)
     return PlanarObstruction(tuple(reductions), tuple(map(tuple, rotation)))
+
+
+def terminal_free_side_by_walk(adj: list[int], v: int, ends: int, live: int, k: int) -> Optional[tuple[int, int]]:
+    """The previous ``solver._terminal_free_side``: the separator and the
+    least terminal-free side around the non-terminal ``v`` that fewer than
+    ``k`` vertices cut off from ``ends``, or None.
+
+    A flow capped at k paths from v's neighbours to the ends, inside
+    ``live`` without v, finds whether there is one. Its side is then the set
+    of vertices whose out-node the residual reaches from v, in the
+    node-split network with unbounded edge arcs, walked afresh from the
+    flow's paths, and the separator is the set of vertices whose in-node
+    alone is reached."""
+    allowed = live & ~(1 << v)
+    flow, paths, _ = max_vertex_disjoint_flow(adj, adj[v], ends, allowed, cap=k, collect=True)
+    if flow == k:
+        return None
+    on = starts = 0
+    pred = {}
+    for p in paths:
+        on |= mask_of(p)
+        starts |= 1 << p[0]
+        pred.update(zip(p[1:], p))
+    reach_in = todo = adj[v]
+    reach_out = 0
+    while todo:
+        out = 0
+        for x in bits(todo):
+            if not (on >> x) & 1:
+                out |= 1 << x
+            elif not (starts >> x) & 1:
+                out |= 1 << pred[x]
+        out &= ~reach_out
+        reach_out |= out
+        todo = 0
+        for x in bits(out):
+            todo |= adj[x] & allowed
+        todo = (todo | (out & on)) & ~reach_in
+        reach_in |= todo
+    return reach_in & ~reach_out, reach_out | (1 << v)
+
+
+def small_cuts_by_walk(adj: list[int], ends: int, live: int, k: int) -> Iterator[tuple[int, int]]:
+    """The previous ``solver._small_cuts``: the fan of
+    :func:`fan_by_shortest_paths` marks a vertex good, and otherwise
+    :func:`terminal_free_side_by_walk` gives its side, which is yielded,
+    deleted and its separator made a clique on ``adj`` in place."""
+    good = ends
+    for v in bits(live & ~ends):
+        if not (live >> v) & 1:
+            continue
+        if fan_by_shortest_paths(adj, v, good, live, k):
+            good |= 1 << v
+            continue
+        cut = terminal_free_side_by_walk(adj, v, ends, live, k)
+        if cut is None:
+            good |= 1 << v
+            continue
+        yield cut
+        _reduce(adj, *cut)
+        live &= ~cut[1]
 
 
 def fan_by_shortest_paths(adj: Sequence[int], v: int, good: int, live: int, k: int) -> bool:

@@ -483,6 +483,41 @@ def test_pipeline_reports_an_eight_vertex_candidate():
         load_report(write_json(rep))
 
 
+def test_pipeline_descends_then_falls_short_of_paths_into_the_candidate():
+    # the ten terminals are massed at 22 but not knitted, so the pair is
+    # descended; its 9-clique holds the five odd terminals, and the five even
+    # ones can enter it only through the four interior vertices
+    from test_structure import _massed_unknitted_fixture
+
+    g, s = _massed_unknitted_fixture()
+    inst = _pipeline_one(g, tuple((i, i + 1) for i in range(0, 10, 2)), 22)
+    assert [(st["stage"], st["ok"]) for st in inst["stages"]] == [
+        ("massed", True), ("minimize", True), ("dense-subgraph", True),
+        ("knitted-subgraph", True), ("paths-into-subgraph", False),
+    ]
+    assert not inst["ok"]
+    massed, minimize, dense, knitted, into = inst["stages"]
+    assert minimize["outcome"] == "descended" and minimize["trail"] == [["delete_edge", 0, 10]]
+    assert list(parse_graph6(minimize["graph6"]).edges()) == [e for e in g.edges() if e != (0, 10)]
+    assert dense["route"] == knitted["route"] == "clique"
+    assert dense["candidate"] == [1, 3, 5, 7, 9, 10, 11, 12, 13]
+    assert into["count"] == len(into["paths"]) == 9
+    assert into["paths"] == [[0, 10], [2, 11], [4, 12], [6, 13], [1], [3], [5], [7], [9]]
+
+
+def test_pipeline_stops_with_no_dense_subgraph_on_a_turan_host():
+    # T(40, 8) at p = 30: the pairs are knitted already, the largest clique
+    # has eight vertices, and no closed neighbourhood has a dense shape
+    g = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if u % 8 != v % 8])
+    inst = _pipeline_one(g, ((8, 36), (4, 16), (7, 31), (28, 30)), PIPELINE_P)
+    assert PIPELINE_P == 30
+    assert inst["stages"][1:] == [
+        {"stage": "minimize", "ok": True, "outcome": "already-knitted"},
+        {"stage": "dense-subgraph", "ok": False},
+    ]
+    assert inst["stages"][0]["ok"] and not inst["ok"]
+
+
 def test_pipeline_p_is_the_campaign_threshold():
     text = write_json(campaign_pipeline_4linked(1, seed=3, no_timestamps=True))
     for p in (0, 1, 8, 29, 31):

@@ -11,7 +11,7 @@ from knitweave import solver
 from knitweave.errors import InputError
 from knitweave.formats import parse_graph6
 from knitweave.generators import complete_minus_matching, gen_min_degree, gen_split_host
-from knitweave.graphs import Graph, bits, mask_of, neighbors_closed
+from knitweave.graphs import Graph, bits, mask_of, neighbors_closed, reachable
 from knitweave.solver import (
     Configuration,
     Knit,
@@ -905,10 +905,10 @@ def test_flow_counts():
 
 def test_flow_collect_paths_disjoint():
     g = Graph.complete(9)
-    flow, paths = max_vertex_disjoint_flow(
+    flow, paths, cut = max_vertex_disjoint_flow(
         g.adj, mask_of([0, 1, 2]), mask_of([6, 7, 8]), g.full_mask & ~mask_of([0, 1, 2, 6, 7, 8]), collect=True
     )
-    assert flow == len(paths) == 3
+    assert flow == len(paths) == 3 and cut is None
     used = set()
     for p in paths:
         assert not used & set(p)
@@ -963,13 +963,45 @@ def test_flow_matches_matrix_reference():
         overlap = (sources & sinks).bit_count()
         for cap in (None, 0, max(overlap - 1, 0), rng.randint(0, 10)):
             want = flow_by_matrix(g, sources, sinks, allowed, cap, collect=True)
-            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True) == want
+            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True)[:2] == want
             assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap) == want[0]
             assert want[0] == (value if cap is None else min(value, cap))
     # a cap below the overlap takes its lowest vertices
     k6 = Graph.complete(6)
     got = max_vertex_disjoint_flow(k6.adj, mask_of([1, 2, 3, 4]), mask_of([2, 3, 4, 5]), 0, cap=2, collect=True)
-    assert got == (2, [(2,), (3,)])
+    assert got == (2, [(2,), (3,)], None)
+
+
+def test_flow_cut_separates_the_ends():
+    # a flow that falls short returns ``flow`` vertices that no path from the
+    # sources to the sinks avoids, and as its side the vertices such paths
+    # reach before the separator
+    rng = random.Random(52)
+    short = 0
+    for i in range(4000):
+        n = rng.randint(1, 24)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(1.2, 3) / n)
+        sources = rng.getrandbits(n) & rng.getrandbits(n)
+        sinks = rng.getrandbits(n) & rng.getrandbits(n)
+        if i % 3 == 0:
+            sinks &= ~sources
+        elif i % 3 == 1:
+            sinks |= sources & rng.getrandbits(n)
+        allowed = g.full_mask if i % 4 == 0 else rng.getrandbits(n) | rng.getrandbits(n)
+        cap = None if i % 2 else rng.randint(0, 8)
+        flow, _, cut = max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True)
+        limit = min(sources.bit_count(), sinks.bit_count()) if cap is None else cap
+        if cut is None:
+            assert flow == limit
+            continue
+        short += 1
+        separator, side = cut
+        usable = (allowed | sources | sinks) & g.full_mask
+        assert flow < limit and separator.bit_count() == flow, (g.adj, sources, sinks, allowed, cap)
+        assert not separator & ~usable and not separator & side
+        assert reachable(g.adj, sources & ~separator, usable & ~separator) == side, (g.adj, sources, sinks, allowed)
+        assert not side & sinks
+    assert short > 1000, short
 
 
 # --- configurations ---------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     first_unknittable_partition,
     massed_by_separations,
     separations_by_flows,
+    small_cuts_by_walk,
 )
 
 
@@ -188,6 +189,41 @@ def test_small_cuts_for_any_k_randomized(monkeypatch):
         cuts += c
         good += m
     assert min(cuts, good, seen[True], seen[False]) > 300, (cuts, good, seen)
+
+
+def _sweeps_agree(g: Graph, ends: int, k: int) -> int:
+    """Run the small-cut sweep and the sweep on the previous residual walk
+    with ``k`` on ``g``; check that they yield the same cuts and leave the
+    same rows; return the number of cuts."""
+    adj, ref = list(g.adj), list(g.adj)
+    got = list(solver._small_cuts(adj, ends, g.full_mask, k))
+    assert got == list(small_cuts_by_walk(ref, ends, g.full_mask, k)), (g.adj, ends, k)
+    assert adj == ref
+    return len(got)
+
+
+def test_small_cuts_match_the_residual_walk_on_census(census7):
+    rng = random.Random(52)
+    cuts = swept = 0
+    for g in census7[1:]:  # the first has no vertex to be a terminal
+        for k in range(1, 6):
+            c = _sweeps_agree(g, mask_of(rng.sample(range(g.n), rng.randint(1, g.n))), k)
+            cuts += c
+            swept += c > 0
+    assert swept > 3000, (swept, cuts)
+
+
+def test_small_cuts_match_the_residual_walk_randomized():
+    rng = random.Random(53)
+    cuts = swept = 0
+    for i in range(10000):
+        n = rng.randint(4, 20)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(1.2, 4) / n)
+        k = rng.randint(1, 6)
+        c = _sweeps_agree(g, mask_of(rng.sample(range(n), rng.randint(1, min(n, 9)))), k)
+        cuts += c
+        swept += c > 0
+    assert swept > 6000, (swept, cuts)
 
 
 @pytest.mark.parametrize("family", ["complete-minus-matching", "circulant"])
