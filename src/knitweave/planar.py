@@ -8,13 +8,19 @@ they leave it in a drawing. Its faces are the orbits of the darts under
 graph's rotation system is a plane drawing exactly when V - E + F = 2
 (Euler's formula), which is what a validator checks with
 :func:`face_count`.
+
+The drawing is the left-right planarity algorithm (de Fraysseix and
+Rosenstiehl 1985, in the form of Brandes 2009), in two phases:
+:func:`lr_test` decides planarity and returns its state, and
+:func:`lr_rotation` turns that state into the rotation system, so a caller
+that needs only the verdict runs the first phase alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import bits, components, mask_of, shortest_path
+from .graphs import bits
 
 
 def face_count(rotation: Sequence[Sequence[int]]) -> int:
@@ -34,141 +40,230 @@ def face_count(rotation: Sequence[Sequence[int]]) -> int:
     return faces
 
 
-def rotation_from_faces(adj: Sequence[int], faces: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The rotation system of the plane drawing whose faces
-    :func:`_block_faces` returned for the graph: each non-isolated vertex
-    lists its neighbours in the cyclic order the faces give, from its least
-    neighbour on."""
-    # a face runs ... x, y, z ...: z follows x in the rotation at y
-    after = {}
-    for face in faces:
-        for i, y in enumerate(face):
-            after[y, face[i - 1]] = face[(i + 1) % len(face)]
-    rotation: list[list[int]] = [[] for _ in adj]
-    for y, row in enumerate(adj):
-        if row:
-            first = x = (row & -row).bit_length() - 1
-            while True:
-                rotation[y].append(x)
-                x = after[y, x]
-                if x == first:
-                    break
-    return rotation
+def lr_test(adj: Sequence[int]) -> tuple | None:
+    """The left-right test's state for the graph with rows ``adj``, whose
+    non-isolated vertices must be connected; None if it is not planar.
 
+    A graph on V >= 3 vertices with more than 3V - 6 edges is not planar.
+    Otherwise a depth-first search from the least non-isolated vertex,
+    neighbours in increasing order, orients each edge: a tree edge away
+    from the root, a back edge towards it. An edge's lowpoint is the least
+    height (distance from the root in the tree) that a back edge from it
+    or from below it returns to, and lowpt2 the next least, or the height
+    of its tail where there is none. Its nesting depth is twice its
+    lowpoint, plus one when lowpt2 is below its tail (a chordal edge).
 
-def _block_faces(adj: Sequence[int], block: int) -> list[list[int]] | None:
-    """The faces of a plane drawing of a biconnected block with at least three
-    vertices, each a vertex cycle oriented so that every edge is run once each
-    way; None if the block is not planar.
+    Each vertex's out-edges are sorted by nesting depth, ties in search
+    order, and a second search takes them in that order with a stack of
+    conflict pairs. A pair holds two intervals of back edges, each a
+    chain of ``ref`` links from its high edge to its low one, that must
+    lie on opposite sides of the tree; the edges of one interval lie on
+    one side. An out-edge e_i of v after the first must lie on the other
+    side of every back edge of e_1 ... e_(i-1) that returns above the
+    lowpoint of e_i: the edges of e_i's return intervals that return above
+    the lowpoint of v's parent edge merge into one interval, and the
+    conflicting intervals below it into the other. An interval that
+    conflicts on both sides shows the graph is not planar. When the search
+    leaves v's child, the back edges returning to v leave the stack, and
+    each edge's side is set relative to another edge's (its ``ref``) by a
+    sign (``side``).
 
-    Demoucron-Malgrange-Pertuiset: draw one cycle, then repeatedly take the
-    fragments of the block relative to the drawn part H (an undrawn edge
-    between two drawn vertices, or a component of the undrawn vertices with
-    its edges to H) and the faces of H that hold all of a fragment's
-    attachment vertices. If some fragment fits no face the block is not
-    planar; otherwise draw a path through a fragment that fits one face only,
-    else through the first fragment, inside the first face it fits.
-    Fragments are ordered edges first, by their ends, then components, by
-    their least vertex.
-
-    The fragments and the faces each fits, as a bitmask, are kept from step
-    to step rather than found afresh. Drawing a path through a fragment in
-    face i splits face i into two, kept at i and at the end of the list, and
-    changes no other fragment's vertices or attachments: another component
-    is not adjacent to the drawn one. So only fragments that fit face i can
-    fit either new face (every new face lies within face i and the path's
-    new vertices), and only they are refitted. The drawn fragment gives way
-    to the components of its undrawn rest and to the undrawn edges at the
-    path's new vertices; each attaches at a new vertex, which lies on the
-    two new faces only, so it is fitted against those two. The fragments
-    and their faces are thus those a rebuild finds, and so is the pick. A
-    fragment that fits no face never fits one later, since faces only
-    split, so a rebuild would return None as well: returning at once gives
-    the same answer (``tests/oracles.py`` keeps the rebuild as
-    ``block_faces_by_rebuild``).
-
-    Each face's vertex mask is kept beside it. Face i is a cycle, which u
-    and w split into two sides that share only u and w. One new face is
-    the side ``there`` plus the path's new vertices; the other is face i
-    less that side's vertices other than u and w, plus the same new
-    vertices. So only the side is read vertex by vertex, not the faces.
-
-    The first cycle runs from b, the least neighbour of the block's least
-    vertex a, along a shortest path to N(a) inside the block less a and b,
-    and closes at a. It has no chord, so at the start no undrawn edge joins
-    two drawn vertices: the path's vertices lie in successive breadth-first
-    layers from b, so two of them more than one step apart are not
-    adjacent, and the search stops at the first layer that meets N(a), so
-    no path vertex before the last is adjacent to a.
+    The state is the root, the out-edges of each vertex, each edge's head,
+    each vertex's tree edge, and each edge's nesting depth, sign and
+    ``ref``; edges are numbered as the first search orients them.
     """
-    nb = {v: adj[v] & block for v in bits(block)}
-    if sum(m.bit_count() for m in nb.values()) // 2 > 3 * block.bit_count() - 6:
+    n = len(adj)
+    verts = [v for v, row in enumerate(adj) if row]
+    m = sum(row.bit_count() for row in adj) // 2
+    if len(verts) > 2 and m > 3 * len(verts) - 6:
         return None
-    a = (block & -block).bit_length() - 1
-    b = (nb[a] & -nb[a]).bit_length() - 1
-    rest = block & ~(1 << a) & ~(1 << b)
-    cycle = [b, *shortest_path(nb, b, nb[a], rest), a]
-    faces = [cycle, cycle[::-1]]
-    masks = [mask_of(cycle)] * 2
-    drawn = masks[0]
-    drawn_adj = dict.fromkeys(nb, 0)
-    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-        drawn_adj[x] |= 1 << y
-        drawn_adj[y] |= 1 << x
-    # key -> [attachments, undrawn vertices (0 for one edge), faces it fits];
-    # an edge's key (0, x, y) with x < y sorts before a component's (1, least).
-    # The cycle has no chord, so the first fragments are components; both
-    # faces of the cycle hold every drawn vertex, so every fragment fits both.
-    frags = {}
-    for comp in components(nb, block & ~drawn):
-        attach = 0
-        for w in bits(comp):
-            attach |= nb[w]
-        frags[1, (comp & -comp).bit_length() - 1] = [attach & drawn, comp, 0b11]
-    while frags:
-        one = [key for key, f in frags.items() if not f[2] & (f[2] - 1)]
-        attach, comp, fits = frags.pop(min(one or frags))
-        i = (fits & -fits).bit_length() - 1
-        u = (attach & -attach).bit_length() - 1
-        w = (attach & (attach - 1) & -(attach & (attach - 1))).bit_length() - 1
-        path = [u, *shortest_path(nb, u, nb[w], comp), w] if comp else [u, w]
-        face = faces[i]
-        iu, iw = face.index(u), face.index(w)
-        if iu < iw:
-            there, back = face[iu:iw + 1], face[iw:] + face[:iu + 1]
-        else:
-            there, back = face[iu:] + face[:iw + 1], face[iw:iu + 1]
-        inner = path[1:-1]
-        new_mask = mask_of(inner)
-        side = mask_of(there)
-        faces[i] = there + inner[::-1]
-        faces.append(back + inner)
-        masks.append(masks[i] & ~side | 1 << u | 1 << w | new_mask)
-        masks[i] = side | new_mask
-        drawn |= new_mask
-        for x, y in zip(path, path[1:]):
-            drawn_adj[x] |= 1 << y
-            drawn_adj[y] |= 1 << x
-        if comp:
-            # the rest of the drawn fragment, each piece attached at a new
-            # vertex: it can fit only the two new faces, refitted below
-            for part in components(nb, comp & ~new_mask):
-                attach = 0
-                for x in bits(part):
-                    attach |= nb[x]
-                frags[1, (part & -part).bit_length() - 1] = [attach & drawn, part, 1 << i]
-            for x in inner:
-                for y in bits(nb[x] & drawn & ~drawn_adj[x]):
-                    frags[(0, x, y) if x < y else (0, y, x)] = [(1 << x) | (1 << y), 0, 1 << i]
-        new = len(faces) - 1
-        for f in frags.values():
-            if (f[2] >> i) & 1:
-                fits = f[2] & ~(1 << i)
-                if not f[0] & ~masks[i]:
-                    fits |= 1 << i
-                if not f[0] & ~masks[new]:
-                    fits |= 1 << new
-                if not fits:
-                    return None
-                f[2] = fits
-    return faces
+    # edge m is the root's parent edge, so every vertex has one
+    root = verts[0] if verts else 0
+    height: list[int | None] = [None] * n
+    height[root] = 0
+    parent = [m] * n
+    out: list[list[int]] = [[] for _ in adj]
+    head: list[int] = []
+    low = [0] * (m + 1)
+    low2 = [0] * (m + 1)
+    depth = [0] * (m + 1)
+
+    def orient(v: int, e: int) -> None:
+        h = height[v]
+        edges = out[v]
+        for w in bits(adj[v]):
+            hw = height[w]
+            if hw is not None and hw >= h - 1:
+                continue  # the tree edge to v's parent, or a back edge to v
+            k = len(head)
+            head.append(w)
+            edges.append(k)
+            low2[k] = h
+            if hw is None:
+                parent[w] = k
+                height[w] = h + 1
+                low[k] = h
+                orient(w, k)
+            else:
+                low[k] = hw
+            lk, l2 = low[k], low2[k]
+            depth[k] = 2 * lk + (l2 < h)
+            le = low[e]
+            if lk < le:
+                low2[e] = min(le, l2)
+                low[e] = lk
+            elif lk > le:
+                low2[e] = min(low2[e], lk)
+            else:
+                low2[e] = min(low2[e], l2)
+
+    orient(root, m)
+    for edges in out:
+        edges.sort(key=depth.__getitem__)
+
+    # a conflict pair is [left low, left high, right low, right high], an
+    # empty interval None at both ends
+    stack: list[list] = []
+    ref: list[int | None] = [None] * (m + 1)
+    side = [1] * (m + 1)
+    lowedge = [0] * (m + 1)
+    bottom: list[list | None] = [None] * m
+
+    def lowest(p: list) -> int:
+        if p[0] is None:
+            return low[p[2]]
+        if p[2] is None:
+            return low[p[0]]
+        return min(low[p[0]], low[p[2]])
+
+    def constrain(ei: int, e: int) -> bool:
+        p = [None, None, None, None]
+        floor, top = low[e], bottom[ei]
+        while True:  # e_i's return edges: merged into p's right, or aligned
+            q = stack.pop()
+            if q[0] is not None:
+                q = q[2:] + q[:2]
+                if q[0] is not None:
+                    return False
+            if low[q[2]] > floor:
+                if p[2] is None:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:
+                ref[q[2]] = lowedge[e]
+            if (stack[-1] if stack else None) is top:
+                break
+        mark = low[ei]
+        while stack:  # the conflicting return edges of e_1 ... e_(i-1): p's left
+            q = stack[-1]
+            right = q[3] is not None and low[q[3]] > mark
+            if not (right or q[1] is not None and low[q[1]] > mark):
+                break
+            stack.pop()
+            if right:
+                q = q[2:] + q[:2]
+                if q[3] is not None and low[q[3]] > mark:
+                    return False
+            if p[2] is not None:
+                ref[p[2]] = q[3]
+            if q[2] is not None:
+                p[2] = q[2]
+            if p[0] is None:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p[0] is not None or p[2] is not None:
+            stack.append(p)
+        return True
+
+    def test(v: int, e: int) -> bool:
+        h = height[v]
+        edges = out[v]
+        for ei in edges:
+            bottom[ei] = stack[-1] if stack else None
+            w = head[ei]
+            if parent[w] != ei:
+                lowedge[ei] = ei
+                stack.append([None, None, ei, ei])
+            else:
+                if not test(w, ei):
+                    return False
+                # the back edges returning to v leave the stack
+                while stack and lowest(stack[-1]) == h:
+                    p = stack.pop()
+                    if p[0] is not None:
+                        side[p[0]] = -1
+                if stack:
+                    p = stack[-1]
+                    for lo, hi in (0, 1), (2, 3):
+                        while p[hi] is not None and head[p[hi]] == v:
+                            p[hi] = ref[p[hi]]
+                        if p[hi] is None and p[lo] is not None:
+                            ref[p[lo]] = p[2 - lo]
+                            side[p[lo]] = -1
+                            p[lo] = None
+                if low[ei] < h:  # e_i takes the side of a highest return edge
+                    hl, hr = stack[-1][1], stack[-1][3]
+                    ref[ei] = hl if hl is not None and (hr is None or low[hl] > low[hr]) else hr
+            if low[ei] < h:
+                if ei == edges[0]:
+                    lowedge[e] = lowedge[ei]
+                elif not constrain(ei, e):
+                    return False
+        return True
+
+    if not test(root, m):
+        return None
+    return root, out, head, parent, depth, side, ref
+
+
+def lr_rotation(state: tuple) -> list[list[int]]:
+    """The rotation system of the plane drawing that :func:`lr_test`'s
+    ``state`` shows: each non-isolated vertex lists its neighbours in cyclic
+    order from its least neighbour on.
+
+    Each edge's side is its sign times that of its ``ref``, resolved along
+    the chain once. The out-edges of each vertex are sorted again, by
+    nesting depth times side, and a third search places them: a vertex's
+    list starts as its sorted out-edges, a tree edge vw puts v first in w's
+    list, and a back edge from v to w goes just after the tree edge by
+    which the search left w (right side), or just before the leftmost edge
+    placed there so far (left side)."""
+    root, out, head, parent, depth, side, ref = state
+
+    def sign(e: int) -> int:
+        r = ref[e]
+        if r is not None:
+            side[e] *= sign(r)
+            ref[e] = None
+        return side[e]
+
+    signed = [d * sign(e) for e, d in enumerate(depth)]
+    out = [sorted(edges, key=signed.__getitem__) for edges in out]
+    rotation = [[head[e] for e in edges] for edges in out]
+    left = [0] * len(out)
+    right = [0] * len(out)
+
+    def embed(v: int) -> None:
+        for e in out[v]:
+            w = head[e]
+            at = rotation[w]
+            if parent[w] == e:
+                at.insert(0, v)
+                left[v] = right[v] = w
+                embed(w)
+            elif side[e] > 0:
+                at.insert(at.index(right[w]) + 1, v)
+            else:
+                at.insert(at.index(left[w]), v)
+                left[w] = v
+
+    embed(root)
+    for at in rotation:
+        if at:
+            i = at.index(min(at))
+            at[:] = at[i:] + at[:i]
+    return rotation

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import InputError, check_ints
 from .graphs import Graph, _Value, bits, components, is_connected, mask_of, reachable, set_of, shortest_path
-from .planar import _block_faces, face_count, rotation_from_faces
+from .planar import face_count, lr_rotation, lr_test
 
 
 class TerminalSpec(_Value):
@@ -524,12 +524,15 @@ def _reduced_with_apex(
     cycle s1 s2 t1 t2 has a plane drawing with the cycle bounding a face,
     that is, when it stays planar with an apex joined to the cycle.
 
-    That graph, with the apex, is one block on its non-isolated vertices,
-    as :func:`_block_faces` requires. Delete any one vertex x. A good
-    vertex other than x keeps at least three of its four paths, which meet
-    only at it and so end at distinct terminals, and so a path to a
-    terminal other than x; and the terminals other than x stay joined
-    through the cycle s1 s2 t1 t2 and the apex.
+    That graph, with the apex, is 3-connected on its non-isolated
+    vertices, so its plane drawing, if it has one, is unique up to mirror
+    image (Whitney 1932). The apex and the cycle s1 s2 t1 t2 form a wheel,
+    which is 3-connected, so two vertices that separate the graph leave
+    the whole wheel on one side. The other side then holds only
+    non-terminal vertices, cut off from the terminals by at most two
+    vertices. But the sweep leaves every such vertex good, with four paths
+    to the terminals that meet only at it, and two vertices miss one of
+    them. So no two vertices separate the graph.
     """
     (s1, t1), (s2, t2) = pairs
     ends = mask_of((s1, t1, s2, t2))
@@ -565,28 +568,27 @@ def _shortest_first_links(g: Graph, two: Sequence[tuple[int, int]], blocked: int
 
 def _pair_obstruction(
     g: Graph, pairs: Sequence[tuple[int, int]], blocked: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], list[int],
-           list[tuple[int, int]], list[list[int]]] | None:
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], list[tuple[int, int]], tuple] | None:
     """The first two of ``pairs``, in order, that are not linked with
-    ``blocked`` deleted (it must hold every pair's ends), with the drawing
-    that shows they are not; None if every two are linked. Pairs are
-    linked only if every two of them are, so two unlinked pairs are a "no"
-    for all.
+    ``blocked`` deleted (it must hold every pair's ends), with the
+    planarity test that shows they are not; None if every two are linked.
+    Pairs are linked only if every two of them are, so two unlinked pairs
+    are a "no" for all.
 
     Two pairs that :func:`_shortest_first_links` links are passed over.
-    The others go to the planarity test of :func:`_reduced_with_apex`'s
-    graph: whether a drawing exists (:func:`_block_faces`). The first that
-    has one is returned with what the test built: the two pairs, the
-    reductions, the graph, the cycle edges it adds and the faces of its
-    drawing. The search reads only whether it found two such pairs; the
-    certificate is read off the rest (:func:`two_pair_obstruction`)."""
+    The others go to the test phase of the left-right planarity algorithm
+    (:func:`lr_test`) on :func:`_reduced_with_apex`'s graph. The first
+    that is planar is returned with what the test built: the two pairs,
+    the reductions, the cycle edges it adds and the test's state. The
+    search reads only whether it found two such pairs; the certificate
+    runs the embedding phase on that state (:func:`two_pair_obstruction`)."""
     for two in itertools.combinations(pairs, 2):
         if _shortest_first_links(g, two, blocked):
             continue
         reductions, adj, added = _reduced_with_apex(g, two, blocked)
-        faces = _block_faces(adj, mask_of(v for v, row in enumerate(adj) if row))
-        if faces is not None:
-            return two, reductions, adj, added, faces
+        state = lr_test(adj)
+        if state is not None:
+            return two, reductions, added, state
     return None
 
 
@@ -598,17 +600,17 @@ def two_pair_obstruction(g: Graph, spec: TerminalSpec) -> PlanarObstruction | No
     terminals and the forbidden set deleted; the pairs may still be
     unlinked then.
 
-    The certificate is the drawing that test made, so each two pairs
-    tested are reduced and embedded once: its reductions, and the rotation
-    system of its faces (:func:`rotation_from_faces`) without the cycle's
-    added edges."""
+    The certificate is read off that test, so each two pairs tested are
+    reduced and tested once: its reductions, and the rotation system that
+    the embedding phase (:func:`lr_rotation`) makes from the test's state,
+    without the cycle's added edges."""
     spec.check_in_graph(g)
     pairs = [p for p in spec.parts if len(p) == 2 and not g.has_edge(*p)]
     found = _pair_obstruction(g, pairs, spec.forbidden | spec.terminal_mask)
     if found is None:
         return None
-    _, reductions, adj, added, faces = found
-    rotation = rotation_from_faces(adj, faces)
+    _, reductions, added, state = found
+    rotation = lr_rotation(state)
     for a, b in added:
         rotation[a].remove(b)
         rotation[b].remove(a)

@@ -31,13 +31,17 @@ union of free components, for its reports;
 and witnesses; ``graph6_parse_by_bit_lists``, the previous
 ``parse_graph6``, for graphs and error messages and positions; and
 ``max_rows_by_vertex_rows``, the previous ``_max_rows``, for canonical
-rows and census verdicts; ``block_faces_by_rebuild``, the previous
-``planar._block_faces``, for faces; ``path_by_parents``, the previous
+rows and census verdicts; ``block_faces_by_rebuild``, an earlier
+``planar._block_faces``, the Demoucron-Malgrange-Pertuiset drawing that
+the left-right algorithm replaced, for the verdicts of ``planar.lr_test``,
+and ``rotation_by_rebuild`` on it for the rotations of
+``planar.lr_rotation`` up to mirror image; ``path_by_parents``, the previous
 ``planar._path``, for the paths of ``graphs.shortest_path``;
 ``obstruction_by_flows``, the previous two-paths test, which
 reduced with one flow per vertex and embedded by rebuilding, for the
-certificates of ``two_pair_obstruction`` (read off the drawing its test
-makes) and for the two-pair verdicts of ``link_by_obstruction_first``;
+certificates of ``two_pair_obstruction`` (their reductions, and their
+rotations up to mirror image) and for the two-pair verdicts of
+``link_by_obstruction_first``;
 ``fan_by_shortest_paths``, the previous ``_fan_of_four`` for any k, for
 the answers of ``_fan``; ``terminal_free_side_by_walk``, the previous
 ``solver._terminal_free_side``, which walked the residual of the flow's
@@ -1130,10 +1134,10 @@ def graph6_parse_by_bit_lists(text: str) -> Graph:
 
 
 # -- reference planarity and two-paths test -----------------------------------
-# The embedding that rebuilt every fragment at every step, and the two-paths
-# test that ran one capped flow per non-terminal vertex, before the
-# fragments were kept between steps and known fans skipped the flow; kept to
-# pin faces, rotations and certificates.
+# The Demoucron-Malgrange-Pertuiset embedding that rebuilt every fragment at
+# every step, and the two-paths test that ran one capped flow per
+# non-terminal vertex on it; kept to pin the left-right algorithm's
+# verdicts, its rotations up to mirror image, and certificates.
 
 def path_by_parents(adj: Sequence[int], src: int, first: int, domain: int, dst: int) -> list[int]:
     """The previous ``planar._path``: a shortest path src, w1, ..., wk, dst

@@ -8,7 +8,7 @@ import pytest
 from knitweave.errors import InputError
 from knitweave.graphs import Graph, bits, mask_of
 from knitweave import solver
-from knitweave.planar import _block_faces, face_count, rotation_from_faces
+from knitweave.planar import face_count, lr_rotation, lr_test
 from knitweave.solver import (
     PlanarObstruction,
     TerminalSpec,
@@ -23,9 +23,42 @@ from oracles import (
     block_faces_by_rebuild,
     fan_by_shortest_paths,
     obstruction_by_flows,
+    rotation_by_rebuild,
     two_pair_systems_solvable,
     two_pairs_linked_by_induced_paths,
 )
+
+
+def _lr_drawing(rows):
+    """Whether the block with adjacency ``rows`` (at least three vertices)
+    is planar by the left-right test, checked four ways: the verdict is
+    networkx's and the rebuild's; a rotation lists each neighbour once and
+    passes Euler's formula; and on a 3-connected block, whose plane
+    drawing is unique up to mirror image (Whitney 1932), it is the
+    rebuild's rotation or that rotation's mirror image."""
+    block = mask_of(v for v, row in enumerate(rows) if row)
+    h = nx.Graph((v, w) for v, row in enumerate(rows) for w in bits(row))
+    state = lr_test(rows)
+    assert (state is not None) == nx.check_planarity(h)[0], rows
+    assert (state is not None) == (block_faces_by_rebuild(rows, block) is not None), rows
+    if state is None:
+        return False
+    rotation = lr_rotation(state)
+    for v, row in enumerate(rows):
+        assert len(rotation[v]) == row.bit_count() and mask_of(rotation[v]) == row, (rows, v)
+    edges = sum(row.bit_count() for row in rows) // 2
+    assert block.bit_count() - edges + face_count(rotation) == 2, rows
+    if all(nx.is_biconnected(h.subgraph(set(h) - {x})) for x in h):
+        want = rotation_by_rebuild(rows)
+        assert rotation in (want, [order[:1] + order[:0:-1] for order in want]), rows
+    return True
+
+
+def _block_rows(g):
+    """The rows of each block of ``g`` with at least three vertices."""
+    for block in biconnected_blocks(g.adj):
+        if block.bit_count() > 2:
+            yield [row & block if (block >> v) & 1 else 0 for v, row in enumerate(g.adj)]
 
 
 def test_planar_rotation_matches_networkx():
@@ -37,36 +70,84 @@ def test_planar_rotation_matches_networkx():
         n = rng.randint(1, 16)
         g = random_graph(rng, n, p=rng.choice([0.1, 0.2, 0.3, 0.45]))
         want, _ = nx.check_planarity(nx.Graph(list(g.edges())))
-        embeds = True
-        for block in biconnected_blocks(g.adj):
-            if block.bit_count() < 3:
-                continue
-            rows = [row & block if (block >> v) & 1 else 0 for v, row in enumerate(g.adj)]
-            faces = _block_faces(rows, block)
-            if faces is None:
-                embeds = False
-                continue
-            rotation = rotation_from_faces(rows, faces)
-            for v in range(n):
-                assert len(rotation[v]) == rows[v].bit_count() and mask_of(rotation[v]) == rows[v]
-            edges = sum(row.bit_count() for row in rows) // 2
-            assert block.bit_count() - edges + face_count(rotation) == 2
+        embeds = all([_lr_drawing(rows) for rows in _block_rows(g)])
         assert embeds == want
         planar += embeds
     assert 300 < planar < 1400  # both answers are well exercised
 
 
+def _stacked_triangulation(rng, n):
+    """A maximal planar graph on ``n`` >= 3 vertices, each vertex after the
+    first three put inside a random face and joined to its corners, with
+    its vertices shuffled."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(v, a), (v, b), (v, c)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
+def _subdivided_kuratowski(rng):
+    """K5 or K3,3 with each edge subdivided by up to three new vertices."""
+    if rng.random() < 0.5:
+        n, base = 5, itertools.combinations(range(5), 2)
+    else:
+        n, base = 6, [(a, b) for a in range(3) for b in range(3, 6)]
+    edges = []
+    for u, v in base:
+        path = [u, *range(n, n + rng.randint(0, 3)), v]
+        n += len(path) - 2
+        edges += zip(path, path[1:])
+    return n, edges
+
+
 def test_planar_rotation_dense_near_planar():
-    # the triangulated grid's inner faces are triangles, and it is
-    # 3-connected; an edge between two inner vertices on no common face,
-    # (1, 1) and (3, 3), makes it nonplanar
+    # the triangulated grid's inner faces are triangles (two of its corners
+    # have degree 2, so it is not 3-connected); an edge between two inner
+    # vertices on no common face, (1, 1) and (3, 3), makes it nonplanar
     g, _ = crossing_grid(5, 5)
-    assert _block_faces(g.adj, g.full_mask) is not None
+    assert lr_test(g.adj) is not None
     chord = Graph.from_edges(25, [*g.edges(), (6, 18)])
-    assert _block_faces(chord.adj, chord.full_mask) is None
+    assert lr_test(chord.adj) is None
     k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
     for h in (Graph.complete(5), k33, Graph.petersen()):
-        assert _block_faces(h.adj, h.full_mask) is None
+        assert lr_test(h.adj) is None
+    # blocks of up to 64 vertices: shuffled triangulated grids and stacked
+    # triangulations with edges dropped or one added, subdivided K5 and
+    # K3,3 with one edge added or not, and G(n, m) near the planar density
+    rng = random.Random(53)
+    hosts = []
+    for _ in range(300):
+        if rng.random() < 0.5:
+            g, _ = crossing_grid(rng.randint(3, 8), rng.randint(3, 8), rng)
+            n, edges = g.n, list(g.edges())
+        else:
+            n = rng.randint(4, 64)
+            edges = _stacked_triangulation(rng, n)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 6)):
+                edges.remove(rng.choice(edges))
+        else:
+            edges.append(tuple(rng.sample(range(n), 2)))
+        hosts.append(Graph.from_edges(n, edges))
+    for _ in range(100):
+        n, edges = _subdivided_kuratowski(rng)
+        if rng.random() < 0.5:
+            edges.append(tuple(rng.sample(range(n), 2)))
+        hosts.append(Graph.from_edges(n, edges))
+    for _ in range(100):
+        n = rng.randint(8, 64)
+        pairs = list(itertools.combinations(range(n), 2))
+        hosts.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(n, 2 * n))))
+    answers = {True: 0, False: 0}
+    for h in hosts:
+        for rows in _block_rows(h):
+            answers[_lr_drawing(rows)] += 1
+    assert min(answers.values()) > 150, answers
 
 
 def test_two_pair_decision_matches_independent_oracle():
@@ -214,21 +295,37 @@ def test_block_faces_match_the_rebuild():
             hosts += [g, Graph.from_edges(g.n, [*g.edges(), (u, v)])]
     answers = {True: 0, False: 0}
     for g in hosts:
-        for block in biconnected_blocks(g.adj):
-            if block.bit_count() > 2:
-                want = block_faces_by_rebuild(g.adj, block)
-                assert _block_faces(g.adj, block) == want
-                answers[want is None] += 1
+        for rows in _block_rows(g):
+            answers[_lr_drawing(rows)] += 1
     assert min(answers.values()) > 300
+
+
+def _same_certificate(got, want):
+    """Whether two certificates have the same reductions and the same
+    rotation up to mirror image: every list the same cyclic order, or
+    every list the reverse cyclic order. The drawn graph is 3-connected
+    (``solver._reduced_with_apex``), so its drawing is unique up to mirror
+    image, and a list keeps its cyclic order when the cycle's added edges
+    leave it, though not always its first entry."""
+
+    def cyclic(order):
+        i = order.index(min(order)) if order else 0
+        return order[i:] + order[:i]
+
+    return got.reductions == want.reductions and [cyclic(order) for order in got.rotation] in (
+        [cyclic(order) for order in want.rotation],
+        [cyclic(order[::-1]) for order in want.rotation],
+    )
 
 
 def test_obstruction_matches_one_flow_per_vertex():
     # the corpus holds random and minimum-degree hosts, shuffled grids from
     # 3x3 to 8x8, grids with a chord, and grids with a planted 3-separation;
-    # every graph the test embeds must be one block on its non-isolated
-    # vertices, as _block_faces requires. two_pair_obstruction embeds no
-    # "yes" that a shortest path settles, so the graphs are reduced here, on
-    # every system, and embedded as the test embeds them
+    # every graph the test embeds must be 3-connected on its non-isolated
+    # vertices, so that its drawing is unique up to mirror image.
+    # two_pair_obstruction embeds no "yes" that a shortest path settles, so
+    # the graphs are reduced here, on every system, and tested as
+    # _pair_obstruction tests them
     embedded = []
     counts = {"none": 0, "certified": 0, "reduced": 0}
     for g, spec in two_pair_corpus(random.Random(31), 1500):
@@ -237,17 +334,18 @@ def test_obstruction_matches_one_flow_per_vertex():
             continue
         blocked = spec.forbidden | spec.terminal_mask
         want = obstruction_by_flows(g, pairs, blocked)
-        assert two_pair_obstruction(g, spec) == want
+        got = two_pair_obstruction(g, spec)
+        assert got is want is None or _same_certificate(got, want), (g, spec)
         _, adj, _ = solver._reduced_with_apex(g, pairs, blocked)
         embedded.append(adj)
-        assert (_block_faces(adj, mask_of(v for v, row in enumerate(adj) if row)) is None) == (want is None)
+        assert (lr_test(adj) is None) == (want is None)
         counts["none" if want is None else "certified"] += 1
         counts["reduced"] += want is not None and bool(want.reductions)
     assert min(counts.values()) > 150, counts
     assert len(embedded) == counts["none"] + counts["certified"]
     for adj in embedded:
         h = nx.Graph((v, w) for v, row in enumerate(adj) for w in bits(row))
-        assert nx.is_biconnected(h), adj
+        assert nx.node_connectivity(h) >= 3, adj
 
 
 def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):
@@ -332,7 +430,7 @@ def test_obstruction_skips_the_flow_where_a_fan_is_known(monkeypatch, size):
     cert = two_pair_obstruction(g, spec)
     cert.validate(g, spec)
     assert calls < g.n - 4
-    assert cert == obstruction_by_flows(g, spec.parts, spec.terminal_mask)
+    assert _same_certificate(cert, obstruction_by_flows(g, spec.parts, spec.terminal_mask))
 
 
 def test_obstruction_still_reduces_a_planted_side():
@@ -353,4 +451,4 @@ def test_obstruction_still_reduces_a_planted_side():
         cert.validate(g, spec)
         side = mask_of(perm[b] for b in blob)
         assert (mask_of(perm[s] for s in (6, 7, 12)), side) in cert.reductions
-        assert cert == obstruction_by_flows(g, spec.parts, spec.terminal_mask)
+        assert _same_certificate(cert, obstruction_by_flows(g, spec.parts, spec.terminal_mask))
