@@ -114,7 +114,10 @@ def write_json(obj) -> str:
     With ``indent`` set, ``json`` drops to its pure-Python encoder, which
     walks the value through nested generators and yields one fragment per
     token. This writer makes the same walk as one recursive function that
-    returns each value's text whole. It takes values whose type is exactly
+    returns each value's text whole; a container writes its items of type
+    int, str, bool or None in its own loop, with the same text the function
+    would return for them, and calls the function only for the others. It
+    takes values whose type is exactly
     str, int, float, bool, None, list, tuple or dict with str keys; any
     other type, subclasses included, raises ``TypeError``. On those values
     the text cannot differ from the encoder's: strings go through the same
@@ -141,13 +144,40 @@ def _json_text(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + nl + "]"
+        items = []
+        for v in obj:
+            tv = type(v)
+            if tv is int:
+                text = int.__repr__(v)
+            elif tv is str:
+                text = encode_basestring_ascii(v)
+            elif v is None:
+                text = "null"
+            elif tv is bool:
+                text = "true" if v else "false"
+            else:
+                text = _json_text(v, inner)
+            items.append(text)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         if not obj:
             return "{}"
         inner = nl + "  "
+        entries = []
         # a key that is not a str fails the sort or the escape with TypeError
-        entries = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        for k, v in sorted(obj.items()):
+            tv = type(v)
+            if tv is int:
+                text = int.__repr__(v)
+            elif tv is str:
+                text = encode_basestring_ascii(v)
+            elif v is None:
+                text = "null"
+            elif tv is bool:
+                text = "true" if v else "false"
+            else:
+                text = _json_text(v, inner)
+            entries.append(encode_basestring_ascii(k) + ": " + text)
         return "{" + inner + ("," + inner).join(entries) + nl + "}"
     if obj is None:
         return "null"

@@ -260,26 +260,41 @@ def neighbors_closed(g: Graph, v: int) -> int:
 
 
 def induced(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on bitset ``s``; also returns new-index -> old-vertex map."""
+    """Induced subgraph on bitset ``s``; also returns new-index -> old-vertex map.
+
+    ``s`` splits into maximal runs of consecutive vertices. A run of width
+    w that starts at vertex a keeps its order, so it lands on new indices
+    o..o + w - 1, where o is the width of the runs before it: the run's
+    bits of an old row move there by one mask and one shift right by
+    a - o. A kept row is the OR of its runs moved so, one step per run."""
     if s & ~g.full_mask:
         raise InputError("vertex set is not a subset of the graph")
-    verts = set_of(s)
-    pos = {v: i for i, v in enumerate(verts)}
+    verts = []
+    runs = []  # (the run's mask, a - o)
+    rest = s
+    while rest:
+        low = rest & -rest
+        run = ((rest + low) & ~rest) - low
+        a = low.bit_length() - 1
+        runs.append((run, a - len(verts)))
+        verts.extend(range(a, a + run.bit_count()))
+        rest ^= run
+    adj = g.adj
     rows = []
     for v in verts:
+        old = adj[v]
         row = 0
-        for u in bits(g.adj[v] & s):
-            row |= 1 << pos[u]
+        for run, drop in runs:
+            row |= (old & run) >> drop
         rows.append(row)
-    return Graph(len(verts), tuple(rows)), verts
+    return Graph(len(verts), tuple(rows)), tuple(verts)
 
 
 def components(adj: Sequence[int], domain: int) -> list[int]:
     """Connected components of ``domain``, as bitsets by least vertex.
 
-    ``adj`` may be any indexable adjacency rows: a ``Graph.adj``, a list, or
-    a dict keyed by the vertices of ``domain``. :func:`reachable` and
-    :func:`shortest_path` take the same."""
+    ``adj`` may be any indexable adjacency rows: a ``Graph.adj`` or a list.
+    :func:`reachable` and :func:`shortest_path` take the same."""
     out = []
     while domain:
         comp = reachable(adj, domain & -domain, domain)

@@ -69,8 +69,9 @@ def check_path(g: Graph, path: Sequence[int]) -> int:
     m = mask_of(path)
     if m.bit_count() != len(path):
         raise InputError(f"path {path} repeats a vertex")
+    adj = g.adj
     for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
+        if not adj[a] >> b & 1:
             raise InputError(f"{a},{b} on path {path} is not an edge")
     return m
 
@@ -240,6 +241,35 @@ def max_vertex_disjoint_flow(
     flow consists of them only, S reaches the least unstarted overlap vertex
     first and its in-node closes a length-3 path at once.
 
+    The direct pass. Next, each unstarted source in ascending order takes
+    its least free adjacent sink (one that carries no flow), up to the
+    limit; the searches then go on from that state. Edmonds-Karp makes
+    exactly these augmentations first. Unless the limit is already reached,
+    every overlap vertex is started, so no unstarted source is a sink.
+    While every path is an overlap vertex or one edge, ``thru`` is the
+    started sources and the used sinks, no unstarted source carries flow,
+    and a search runs:
+
+    - The layer from S lists the in-nodes of the unstarted sources in
+      ascending order; none is a sink or carries flow, so each hands on its
+      own out-node, and the next layer lists those out-nodes in the same
+      order.
+    - The out-node of such a source x expands to ``adj[x] & usable``
+      ascending, less what is seen. A free sink is never seen before the
+      search ends, since finding one closes the path; so x's out-node stops
+      at its least free adjacent sink, if it has one, closing the path
+      S, x_in, x_out, w_in, w_out, T: one more edge path.
+    - A source with no free adjacent sink marks as seen only non-sinks and
+      used sinks, which ends no search and keeps no later source from its
+      own free sinks.
+
+    So the search ends at the least unstarted source with a free adjacent
+    sink, at its least one. Free sinks only shrink, so a source passed over
+    never gains one, and the next search goes on from the next source: the
+    searches follow the ascending pass until no unstarted source has a free
+    adjacent sink or the limit is reached. The value, the collected paths
+    and the cut are those of the matrix form.
+
     The cut. ``side`` is the set of vertices whose out-node the last search
     reached, and ``separator`` is ``(in-nodes reached | sources) & ~side``:
     ``flow`` vertices that meet every path from the sources to the sinks
@@ -268,9 +298,25 @@ def max_vertex_disjoint_flow(
     while seeds.bit_count() > max(limit, 0):
         seeds &= ~(1 << (seeds.bit_length() - 1))
     flow = seeds.bit_count()
-    started = thru = seeds
     succ = [0] * n
     pred = [0] * n
+    # the direct pass: each unstarted source takes its least free adjacent sink
+    free = sinks & ~seeds
+    rest = sources & ~seeds
+    started = seeds
+    while rest and free and flow < limit:
+        xb = rest & -rest
+        rest ^= xb
+        x = xb.bit_length() - 1
+        hit = adj[x] & free
+        if hit:
+            wb = hit & -hit
+            free ^= wb
+            started |= xb
+            succ[x] = wb
+            pred[wb.bit_length() - 1] = x
+            flow += 1
+    thru = started | (sinks & ~free)
     while flow < limit:
         pin = {}  # in-node w -> the out-node reaching it (-1 for S)
         entry = {}  # out-node x -> the in-node reaching it

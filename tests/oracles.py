@@ -8,8 +8,8 @@ configuration search, for the selected blocks;
 ``profile_knitted_by_sweep``, the previous
 ``is_profile_knitted``, for verdicts and violating partitions;
 ``flow_by_matrix``, the previous
-``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values
-and collected paths; ``census_by_dedup``, the previous census, for the
+``max_vertex_disjoint_flow`` over a dense capacity matrix, for flow values,
+collected paths and cuts; ``census_by_dedup``, the previous census, for the
 isomorphism classes; ``census_by_bounded_search``, the previous census
 step, for the census lists and for the candidates its rejections drop; ``chromatic_by_saturation``, the previous
 ``chromatic_number``, for chromatic numbers and colorings;
@@ -257,6 +257,17 @@ def rho_by_double_loop(g: Graph, t: int) -> int:
             if g.has_edge(u, v) and (u in tset or v in tset):
                 count += 1
     return count
+
+
+def induced_by_pairs(g: Graph, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows of the subgraph induced on the vertices of ``s``, renumbered in
+    ascending order, and the new -> old map: new i and j are adjacent when
+    the kept vertices they stand for are."""
+    keep = [v for v in range(g.n) if (s >> v) & 1]
+    rows = tuple(
+        sum(1 << j for j, v in enumerate(keep) if g.has_edge(u, v)) for u in keep
+    )
+    return rows, tuple(keep)
 
 
 def chromatic_by_enumeration(g: Graph) -> int:
@@ -565,8 +576,8 @@ def configuration_by_orders(h: Graph, terminals: Sequence[int]) -> Configuration
 # -- reference flow ----------------------------------------------------------
 # The Edmonds-Karp search over a dense (2n+2)^2 capacity matrix that
 # ``solver.max_vertex_disjoint_flow`` ran before the bitset residual replaced
-# it; kept to pin flow values and the collected paths, which campaign reports
-# embed.
+# it; kept to pin flow values, the collected paths, which campaign reports
+# embed, and the cut.
 
 def flow_by_matrix(
     g: Graph,
@@ -582,7 +593,11 @@ def flow_by_matrix(
     Interior vertices are restricted to ``allowed``; source and sink vertices
     carry capacity one as well, so each is the endpoint of at most one path.
     Paths stop at the first sink they touch. A vertex that is both a source
-    and a sink counts as a length-one path.
+    and a sink counts as a length-one path. With ``collect`` it returns
+    ``(flow, paths, cut)``: ``cut`` is None when the flow reached its limit,
+    else the vertices ``(separator, side)`` of the minimum cut around the
+    nodes the last search reached: ``side`` the vertices whose out-node it
+    reached, ``separator`` one vertex per capacity arc leaving them.
     """
     n = g.n
     sources &= g.full_mask
@@ -600,6 +615,7 @@ def flow_by_matrix(
         else:
             for w in bits(g.adj[v] & usable):
                 capm[2 * v + 1][2 * w] = 1
+    arcs = [row[:] for row in capm]
     flow = 0
     limit = min(sources.bit_count(), sinks.bit_count()) if cap is None else cap
     while flow < limit:
@@ -640,7 +656,20 @@ def flow_by_matrix(
                 path.append(nxt)
                 cur = nxt
             paths.append(tuple(path))
-    return flow, paths
+    if flow >= limit:
+        return flow, paths, None
+    reached = [p != -1 for p in parent]
+    side = mask_of(v for v in range(n) if reached[2 * v + 1])
+    separator = 0
+    for x in range(size):
+        for y in range(size):
+            if reached[x] and not reached[y] and arcs[x][y]:
+                if x == S:
+                    separator |= 1 << (y // 2)
+                else:
+                    assert y == x + 1 and x % 2 == 0, "an edge or sink arc leaves the reached nodes"
+                    separator |= 1 << (x // 2)
+    return flow, paths, (separator, side)
 
 
 # -- reference census --------------------------------------------------------

@@ -630,6 +630,6 @@ def test_pipeline_into_paths_match_matrix_flow(seed):
         dense = next(st for st in inst["stages"] if st["stage"] == "dense-subgraph")
         assert dense["route"] == "clique"
         cand = mask_of(dense["candidate"])
-        _, into = flow_by_matrix(g, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True)
+        _, into, _ = flow_by_matrix(g, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True)
         want = [list(p) for p in into] + [[x] for x in bits(s & cand)]
         assert _into_stage(inst)["paths"] == want

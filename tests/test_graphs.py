@@ -48,6 +48,7 @@ from oracles import (
     contractions_by_recursion,
     graph_rows_by_scan,
     independence_by_enumeration,
+    induced_by_pairs,
     max_rows_by_vertex_rows,
     path_by_parents,
     rho_by_double_loop,
@@ -158,6 +159,23 @@ def test_induced_full_is_identity():
         g = random_graph(rng, rng.randint(0, 9))
         h, vmap = induced(g, g.full_mask)
         assert h == g and vmap == tuple(range(g.n))
+
+
+def test_induced_matches_pairwise_oracle():
+    # runs of kept vertices: none, one, every vertex alone, the whole row
+    # split in two at a deleted vertex, and scattered runs of every width
+    rng = random.Random(55)
+    for n in range(65):
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        masks = [0, g.full_mask]
+        masks += [1 << v for v in range(n)]
+        masks += [g.full_mask & ~(1 << v) for v in range(n)]
+        for _ in range(2):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            masks += [a, a & b, a | b]
+        for s in masks:
+            h, vmap = induced(g, s)
+            assert (h.adj, vmap) == induced_by_pairs(g, s), (g.adj, s)
 
 
 def test_independence_number_examples():
@@ -603,16 +621,16 @@ def test_components_and_connectivity():
 
 
 def test_shortest_path_steps_back_as_the_previous_planar_search():
-    # planar's searches ask for a path src, w1, ..., wk, dst with every wi in
-    # the domain, over list rows and over a dict keyed by the block
+    # a path src, w1, ..., wk, dst with every wi in the domain, over the
+    # rows of a Graph and over a list of them
     rng = random.Random(35)
     found = 0
     for _ in range(800):
         n = rng.randint(3, 16)
-        rows = list(random_graph(rng, n, rng.uniform(0.1, 0.6)).adj)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
         src, dst = rng.sample(range(n), 2)
         domain = rng.getrandbits(n) & ~(1 << src) & ~(1 << dst)
-        for adj in (rows, {v: rows[v] for v in bits(domain | (1 << src) | (1 << dst))}):
+        for adj in (g.adj, list(g.adj)):
             got = shortest_path(adj, src, adj[dst], domain)
             if reachable(adj, adj[src] & domain, domain) & adj[dst]:
                 assert [src, *got, dst] == path_by_parents(adj, src, adj[src] & domain, domain, dst)

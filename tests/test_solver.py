@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from knitweave import solver
+from knitweave.campaigns import campaign_pipeline_4linked
 from knitweave.errors import InputError
 from knitweave.formats import parse_graph6
 from knitweave.generators import complete_minus_matching, gen_min_degree, gen_split_host
@@ -963,13 +964,58 @@ def test_flow_matches_matrix_reference():
         overlap = (sources & sinks).bit_count()
         for cap in (None, 0, max(overlap - 1, 0), rng.randint(0, 10)):
             want = flow_by_matrix(g, sources, sinks, allowed, cap, collect=True)
-            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True)[:2] == want
+            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True) == want
             assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap) == want[0]
             assert want[0] == (value if cap is None else min(value, cap))
     # a cap below the overlap takes its lowest vertices
     k6 = Graph.complete(6)
     got = max_vertex_disjoint_flow(k6.adj, mask_of([1, 2, 3, 4]), mask_of([2, 3, 4, 5]), 0, cap=2, collect=True)
     assert got == (2, [(2,), (3,)], None)
+
+
+def _dense_flow_hosts(rng):
+    """K_n, K_n - M, the Turan graph T(n, r) and the circulant C_n(1..r) for
+    n up to 64: hosts where most sources see a free sink directly."""
+    for n in (3, 5, 9, 16, 24, 33, 48, 64):
+        yield Graph.complete(n)
+        yield complete_minus_matching(n, rng.randint(1, n // 2))
+        r = rng.randint(2, max(2, n // 4))
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u) if u % r != v % r])
+        r = rng.randint(1, max(1, (n - 1) // 2))
+        yield Graph.from_edges(n, [(u, (u + j) % n) for u in range(n) for j in range(1, r + 1)])
+
+
+def test_flow_matches_matrix_reference_on_dense_hosts():
+    rng = random.Random(54)
+    cases = []
+    for g in _dense_flow_hosts(rng):
+        n = g.n
+        for i in range(9):
+            sources = mask_of(rng.sample(range(n), rng.randint(1, min(n, 16))))
+            sinks = mask_of(rng.sample(range(n), rng.randint(1, min(n, 16))))
+            if i % 2 == 0:
+                sinks &= ~sources
+            allowed = (g.full_mask, 0, rng.getrandbits(n))[i % 3]
+            cases.append((g, sources, sinks, allowed))
+    # the pipeline stage's flows: from the terminals outside the certified
+    # clique into the clique's vertices that are not terminals
+    for seed in (1, 2, 3):
+        for inst in campaign_pipeline_4linked(2, seed=seed, no_timestamps=True)["instances"]:
+            g = parse_graph6(inst["graph6"])
+            s = mask_of(x for pr in inst["pairs"] for x in pr)
+            dense = next(st for st in inst["stages"] if st["stage"] == "dense-subgraph")
+            cand = mask_of(dense["candidate"])
+            cases.append((g, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s))
+    one_edge = cut = 0
+    for g, sources, sinks, allowed in cases:
+        for cap in (None, rng.randint(0, 12)):
+            want = flow_by_matrix(g, sources, sinks, allowed, cap, collect=True)
+            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap, collect=True) == want, (
+                g.adj, sources, sinks, allowed, cap)
+            assert max_vertex_disjoint_flow(g.adj, sources, sinks, allowed, cap) == want[0]
+            one_edge += sum(len(p) == 2 for p in want[1])
+            cut += want[2] is not None
+    assert one_edge > 1000 and cut > 100, (one_edge, cut)
 
 
 def test_flow_cut_separates_the_ends():
