@@ -1,14 +1,12 @@
 """knitweave: exact, certificate-producing solvers for linkages, knitted
-subgraphs, separations, and coloring recombination on small dense graphs."""
+subgraphs, separations, and contraction-criticality on small dense graphs."""
 
 from .errors import (
     Graph6Error,
     InputError,
-    InternalConsistencyError,
     KnitweaveError,
     PreconditionError,
     ResourceError,
-    SplitClassError,
 )
 from .graphs import (
     Graph,
@@ -52,12 +50,9 @@ from .structure import (
 )
 from .coloring import (
     Coloring,
-    RecombinationPlan,
-    build_recombination_plan,
     chromatic_number,
     dirac_neighborhood_check,
     is_contraction_critical,
-    recombine,
 )
 from .certify import (
     DenseNeighborhoodReport,

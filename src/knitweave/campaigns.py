@@ -273,7 +273,7 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int):
     if not rep.satisfied:
         return
 
-    work, work_s = g, s
+    work, work_s, kept = g, s, range(g.n)  # kept[i]: work's vertex i in g
     if pair_is_knitted(g, s)[0]:
         yield {
             "stage": "minimize",
@@ -283,6 +283,10 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int):
     else:
         res = descend_pair(g, s, p)
         work, work_s = res.graph, res.s
+        # the trail names deleted vertices in g's labels, and induced keeps
+        # the others in order
+        gone = mask_of(move[1] for move in res.trail if move[0] == "delete_vertex")
+        kept = set_of(g.full_mask & ~gone)
         yield {
             "stage": "minimize",
             "ok": True,
@@ -328,8 +332,10 @@ def _pipeline_stages(g: Graph, pairs: tuple, p: int):
             return
         cand = mask_of(vmap[i] for i in bits(verdict.candidate))
 
-    # route |s| disjoint paths from s into the certified subgraph, then link
-    # the entry points inside it; s-vertices already inside enter trivially
+    # route |s| disjoint paths from s into the certified subgraph, read in
+    # g's labels, then link the entry points inside it; s-vertices already
+    # inside enter trivially
+    cand = mask_of(kept[v] for v in bits(cand))
     flow, into, _ = max_vertex_disjoint_flow(
         g.adj, s & ~cand, cand & ~s, g.full_mask & ~cand & ~s, collect=True
     )

@@ -2,7 +2,7 @@
 JSON-emitting tool.
 
 Exit codes: 0 = verdict computed (whatever it is), 1 = a mathematical finding
-(campaign violation or internal-consistency failure), 2 = input error.
+(campaign violation) or a ``knitted1`` "not-found", 2 = input error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import sys
 
 from . import campaigns, certify, coloring, solver, structure
-from .errors import InputError, InternalConsistencyError, KnitweaveError, ResourceError
+from .errors import InputError, KnitweaveError, ResourceError
 from .formats import certificate_to_json, parse_graph_auto, write_edge_list, write_graph6, write_json
 from .generators import gen_min_degree, gen_universal_vertex
 from .graphs import MAX_VERTICES, Graph, mask_of, set_of
@@ -183,9 +183,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except InternalConsistencyError as exc:
-        _write_json({"error": str(exc), "kind": "internal-consistency"})
-        return 1
     except (KnitweaveError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

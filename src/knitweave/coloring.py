@@ -1,23 +1,16 @@
-"""Exact chromatic number, contraction-criticality, the neighborhood
-independence test, and the monochromatic-set recombination engine.
+"""Exact chromatic number, contraction-criticality, and the neighborhood
+independence test.
 
-Color indices are 0-based internally; the reserved color of the
-monochromatic set is the last palette index (palette_size - 1). The
-certificate codec, ``formats.certificate_to_json``, writes them 1-based, as
-the CLI prints them, and ``certificate_from_json`` reads them back.
+Color indices are 0-based internally. The certificate codec,
+``formats.certificate_to_json``, writes them 1-based, as the CLI prints
+them, and ``certificate_from_json`` reads them back.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
-from .errors import (
-    InputError,
-    InternalConsistencyError,
-    PreconditionError,
-    SplitClassError,
-)
+from .errors import InputError
 from .graphs import (
     Graph,
     MINOR_ENUM_LIMIT,
@@ -27,13 +20,10 @@ from .graphs import (
     _delete_rows,
     _row_edges,
     bits,
-    components,
     contraction_quotients,
     independence_number,
     induced,
-    mask_of,
     max_clique,
-    set_of,
 )
 
 
@@ -41,26 +31,20 @@ class Coloring(_Value):
     def __init__(self, colors: tuple[int, ...], palette_size: int):
         self.__dict__.update(colors=colors, palette_size=palette_size)
 
-    def check_proper(self, g: Graph, domain: int | None = None) -> None:
-        dom = g.full_mask if domain is None else domain
-        if type(dom) is not int or dom & ~g.full_mask:
-            raise InputError(f"domain is not a vertex mask of the graph: {domain!r}")
+    def check_proper(self, g: Graph) -> None:
         if not isinstance(self.colors, Sequence):
             raise InputError(f"the colors must be a sequence, one per vertex: {self.colors!r}")
         if len(self.colors) != g.n:
             raise InputError("coloring length does not match the graph")
         if type(self.palette_size) is not int:
             raise InputError(f"palette size is not an int: {self.palette_size!r}")
-        for v in bits(dom):
+        for v in range(g.n):
             c = self.colors[v]
             if type(c) is not int or not 0 <= c < self.palette_size:
                 raise InputError(f"color of {v} outside the palette: {c!r}")
-            for u in bits(g.adj[v] & dom):
+            for u in bits(g.adj[v]):
                 if self.colors[u] == c:
                     raise InputError(f"monochromatic edge {v},{u}")
-
-    def color_class(self, c: int, domain: int) -> int:
-        return mask_of(v for v in bits(domain) if self.colors[v] == c)
 
     def colors_used(self, domain: int) -> set[int]:
         return {self.colors[v] for v in bits(domain)}
@@ -314,272 +298,3 @@ def dirac_neighborhood_check(g: Graph, k: int) -> list[int]:
             out.append(u)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Recombination engine
-# ---------------------------------------------------------------------------
-
-class RecombinationPlan(_Value):
-    """Everything extracted from the side-1 coloring: color classes on the
-    separator remainder, the power-set color lists, the class components, and
-    the leftover components: ``classes`` holds the V_i as bitsets over W,
-    ``class_colors`` the color each class carries, ``components`` the C_i,
-    aligned with the classes, and ``leftovers`` the D_j."""
-
-    def __init__(self, domain: int, u: int, w: int, classes: tuple[int, ...], class_colors: tuple[int, ...],
-                 lists: tuple[frozenset[int], ...], codes: dict, components: tuple[int, ...],
-                 leftovers: tuple[int, ...], phi1: Coloring):
-        self.__dict__.update(domain=domain, u=u, w=w, classes=classes, class_colors=class_colors, lists=lists,
-                             codes=codes, components=components, leftovers=leftovers, phi1=phi1)
-
-
-def coding_colors(class_colors: Sequence[int], class_sizes: Sequence[int], palette_size: int):
-    """Deterministic power-set color lists for the given classes.
-
-    List i holds the class color plus one fresh color per subset of classes
-    containing i (subsets ordered lexicographically get ascending fresh
-    colors), plus one extra fresh color per big class when some class other
-    than the first is big.
-    """
-    p = len(class_colors)
-    reserved = palette_size - 1
-    taken = set(class_colors) | {reserved}
-    fresh = (c for c in range(palette_size) if c not in taken)
-    codes = {}
-    subsets = sorted(
-        tuple(c) for r in range(2, p + 1) for c in itertools.combinations(range(p), r)
-    )
-    try:
-        for j in subsets:
-            codes[frozenset(j)] = next(fresh)
-        extras = {}
-        if any(class_sizes[i] >= 2 for i in range(1, p)):
-            for i in range(p):
-                if class_sizes[i] >= 2:
-                    extras[i] = next(fresh)
-    except StopIteration:
-        raise PreconditionError(
-            "palette",
-            f"palette of {palette_size} cannot host the coding colors",
-        )
-    lists = []
-    for i in range(p):
-        li = {class_colors[i]}
-        for j, c in codes.items():
-            if i in j:
-                li.add(c)
-        if i in extras:
-            li.add(extras[i])
-        lists.append(frozenset(li))
-    return lists, codes, extras
-
-
-def validate_power_set_coding(lists: Sequence[frozenset[int]]) -> None:
-    """Brute-force check: every nonempty index set J owns a color common to
-    exactly the lists indexed by J."""
-    p = len(lists)
-    for r in range(1, p + 1):
-        for combo in itertools.combinations(range(p), r):
-            j = set(combo)
-            ok = False
-            for c in set().union(*lists):
-                if all((c in lists[i]) == (i in j) for i in range(p)):
-                    ok = True
-                    break
-            if not ok:
-                raise InternalConsistencyError(f"no color codes exactly the set {sorted(j)}")
-
-
-def build_recombination_plan(
-    g1: Graph, s: int, u: int, phi1: Coloring, domain: int | None = None
-) -> RecombinationPlan:
-    """Extract the recombination structure from a side-1 coloring.
-
-    Preconditions: phi1 proper on side 1, monochromatic on ``u`` with the
-    reserved color, and using fewer colors on w = s - u than w has vertices.
-    A class split across components of its list-induced subgraph is the
-    classic color-swap contradiction and raises :class:`SplitClassError`
-    describing the swap instead of being repaired.
-    """
-    dom = g1.full_mask if domain is None else domain
-    if u & ~s or s & ~dom:
-        raise PreconditionError("nesting", "need u inside s inside the domain")
-    phi1.check_proper(g1, dom)
-    r = phi1.palette_size
-    reserved = r - 1
-    for v in bits(u):
-        if phi1.colors[v] != reserved:
-            raise PreconditionError("u-monochromatic", f"vertex {v} does not carry the reserved color")
-    w = s & ~u
-    w_colors = sorted(phi1.colors_used(w)) if w else []
-    if reserved in w_colors:
-        raise PreconditionError("w-colors", "the reserved color appears on w")
-    p = len(w_colors)
-    if p >= w.bit_count():
-        raise PreconditionError("fewer-colors", f"w carries {p} colors on {w.bit_count()} vertices; need fewer")
-
-    raw = [(c, phi1.color_class(c, w)) for c in w_colors]
-    raw.sort(key=lambda t: set_of(t[1])[0])
-    big_at = next(i for i, (_, cls) in enumerate(raw) if cls.bit_count() >= 2)
-    ordered = [raw[big_at]] + raw[:big_at] + raw[big_at + 1:]
-    class_colors = tuple(c for c, _ in ordered)
-    classes = tuple(cls for _, cls in ordered)
-    sizes = [cls.bit_count() for cls in classes]
-
-    lists, codes, _ = coding_colors(class_colors, sizes, r)
-    validate_power_set_coding(lists)
-
-    comps: list[int] = []
-    removed = 0
-    for i in range(p):
-        pool = mask_of(
-            v for v in bits(dom & ~removed) if phi1.colors[v] in lists[i]
-        )
-        pieces = components(g1.adj, pool)
-        holding = [c for c in pieces if c & classes[i]]
-        if len(holding) != 1:
-            swap_options = sorted(lists[i] - {class_colors[i]})
-            raise SplitClassError(
-                i,
-                tuple(holding),
-                swap_options[0] if swap_options else None,
-                f"class {i} spans {len(holding)} components of its list subgraph; "
-                f"swapping its color on one component would put more colors on w",
-            )
-        comps.append(holding[0])
-        removed |= holding[0]
-    leftovers = tuple(components(g1.adj, dom & ~removed))
-    return RecombinationPlan(
-        domain=dom,
-        u=u,
-        w=w,
-        classes=classes,
-        class_colors=class_colors,
-        lists=tuple(lists),
-        codes=codes,
-        components=tuple(comps),
-        leftovers=leftovers,
-        phi1=phi1,
-    )
-
-
-def recombine(
-    g: Graph, g1: Graph, g2: Graph, plan: RecombinationPlan, phi2prime: Coloring
-) -> Coloring:
-    """Merge the side colorings into one proper coloring of the whole graph.
-
-    The plan fixes the sides: u is ``plan.u``, the separator s is
-    ``plan.u | plan.w``, side 1 is ``plan.domain`` and side 2 is the rest of
-    the graph plus s. Side 1 must lie in g and in g1, side 2 in g2, no edge
-    may join the private sides, and g must be the union of g1 and g2; each
-    failure raises the clause ``"gluing"``. The side-2 coloring must be
-    proper, monochromatic on u, constant on every class, and use the group
-    code of each set of classes it merges (a solo class keeps its own
-    color). Swapping, per component: the side-2 color with the class color
-    on each class component, and the side-2 color of its separator vertices
-    with the reserved color on each leftover component. The result is
-    asserted proper; a failure here would mean the swap argument itself is
-    wrong and raises InternalConsistencyError.
-    """
-    u, s, domain1 = plan.u, plan.u | plan.w, plan.domain
-    domain2 = g.full_mask & ~domain1 | s
-    if domain1 & ~(g.full_mask & g1.full_mask) or domain2 & ~g2.full_mask:
-        raise PreconditionError("gluing", "a side does not fit its graph")
-    for v in bits(domain1 & ~s):
-        if g.adj[v] & domain2 & ~s:
-            raise PreconditionError("gluing", "edge between the private sides")
-    for v in range(g.n):
-        row1 = g1.adj[v] if v < g1.n else 0
-        row2 = g2.adj[v] if v < g2.n else 0
-        if (row1 | row2) != g.adj[v]:
-            raise PreconditionError("gluing", f"edges at {v} are not the union of the sides")
-
-    r = plan.phi1.palette_size
-    if phi2prime.palette_size != r:
-        raise PreconditionError("palette", "side colorings use different palettes")
-    phi2prime.check_proper(g2, domain2)
-    mu = None
-    for v in bits(u):
-        if mu is None:
-            mu = phi2prime.colors[v]
-        elif phi2prime.colors[v] != mu:
-            raise PreconditionError("u-monochromatic", "side-2 coloring is not constant on u")
-
-    p = len(plan.classes)
-    lam = []
-    for i, cls in enumerate(plan.classes):
-        vals = {phi2prime.colors[v] for v in bits(cls)}
-        if len(vals) != 1:
-            raise PreconditionError("class-constant", f"class {i} is not monochromatic on side 2")
-        lam.append(vals.pop())
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(lam):
-        groups.setdefault(c, []).append(i)
-    for c, members in groups.items():
-        if len(members) == 1:
-            i = members[0]
-            if c != plan.class_colors[i]:
-                raise PreconditionError(
-                    "group-code", f"solo class {i} must keep its own color, got {c}"
-                )
-        else:
-            want = plan.codes.get(frozenset(members))
-            if c != want:
-                raise PreconditionError(
-                    "group-code",
-                    f"classes {members} share color {c} but their group code is {want}",
-                )
-    list_colors = set().union(*plan.lists) if plan.lists else set()
-    w_used = {phi2prime.colors[v] for v in bits(plan.w)}
-    u_used = {phi2prime.colors[v] for v in bits(u)}
-    for c in sorted(list_colors - w_used):
-        if c in u_used:
-            raise PreconditionError(
-                "coding-compatible",
-                f"coding color {c} is unused on w but appears on u",
-            )
-
-    reserved = r - 1
-    new1 = list(plan.phi1.colors)
-
-    def swap(region: int, c1: int, c2: int) -> None:
-        if c1 == c2:
-            return
-        for v in bits(region):
-            if new1[v] == c1:
-                new1[v] = c2
-            elif new1[v] == c2:
-                new1[v] = c1
-
-    for i in range(p):
-        swap(plan.components[i], lam[i], plan.class_colors[i])
-    for dcomp in plan.leftovers:
-        anchor = dcomp & s
-        if not anchor:
-            continue
-        vals = {phi2prime.colors[v] for v in bits(anchor)}
-        if len(vals) != 1:
-            raise PreconditionError(
-                "leftover-constant", "a leftover component meets s in two side-2 colors"
-            )
-        swap(dcomp, vals.pop(), reserved)
-
-    phi1prime = Coloring(tuple(new1), r)
-    try:
-        phi1prime.check_proper(g1, domain1)
-    except InputError as exc:
-        raise InternalConsistencyError(f"swaps broke properness on side 1: {exc}") from exc
-    for v in bits(s):
-        if phi1prime.colors[v] != phi2prime.colors[v]:
-            raise InternalConsistencyError(
-                f"swapped side-1 coloring disagrees with side 2 at {v}"
-            )
-    merged = [0] * g.n
-    for v in range(g.n):
-        merged[v] = phi1prime.colors[v] if (domain1 >> v) & 1 else phi2prime.colors[v]
-    final = Coloring(tuple(merged), r)
-    try:
-        final.check_proper(g)
-    except InputError as exc:
-        raise InternalConsistencyError(f"merged coloring is not proper: {exc}") from exc
-    return final

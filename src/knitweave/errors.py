@@ -30,25 +30,6 @@ class PreconditionError(InputError):
         self.clause = clause
 
 
-class SplitClassError(PreconditionError):
-    """A color class is not contained in one component of its list-induced subgraph.
-
-    Carries the swap that would produce a coloring with more colors on the
-    separator, which is exactly why the situation is treated as an error
-    instead of being repaired silently.
-    """
-
-    def __init__(self, class_index: int, components: tuple, swap_color, message: str):
-        super().__init__("single-component", message)
-        self.class_index = class_index
-        self.components = components
-        self.swap_color = swap_color
-
-
-class InternalConsistencyError(KnitweaveError):
-    """An operation reached a state the underlying theory rules out."""
-
-
 def check_ints(**values) -> None:
     """Raise InputError naming the first argument that is not an int; a bool
     or a float equal to an int is not one."""

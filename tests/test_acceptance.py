@@ -17,25 +17,14 @@ from knitweave.certify import (
     mader_threshold,
     main_theorem_table,
 )
-from knitweave.coloring import (
-    build_recombination_plan,
-    chromatic_number,
-    is_contraction_critical,
-    recombine,
-)
+from knitweave.coloring import chromatic_number, is_contraction_critical
 from knitweave.formats import parse_graph6, write_graph6
 from knitweave.generators import complete_minus_matching
-from knitweave.graphs import (
-    Graph,
-    independence_number,
-    induced,
-    set_of,
-)
+from knitweave.graphs import Graph
 from knitweave.solver import disjoint_paths, is_profile_knitted, pairs_spec, two_pair_obstruction
 
 from conftest import dense_universal_vertex_family, random_graph
 from oracles import are_isomorphic, two_pair_systems_solvable
-from recomb_fixtures import build_recomb_fixture
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -147,27 +136,6 @@ def test_acceptance_05_contraction_criticality():
         5,
         ok and elapsed < 300.0,
         f"K1..K5 are contraction-critical, C5 is not (validated K3 witness) in {elapsed:.1f}s (< 300s)",
-    )
-
-
-def test_acceptance_06_recombination_500():
-    failures = 0
-    for seed in range(500):
-        fx = build_recomb_fixture(seed)
-        sub, _ = induced(fx.g, fx.s)
-        assert independence_number(sub) == fx.s.bit_count() - 4
-        plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-        final = recombine(fx.g, fx.g1, fx.g2, plan, fx.phi2prime)
-        final.check_proper(fx.g)
-        if max(final.colors) >= fx.r or any(
-            final.colors[v] != fx.phi2prime.colors[v] for v in set_of(fx.s)
-        ):
-            failures += 1
-    _report(
-        6,
-        failures == 0,
-        "recombination produced a proper palette coloring agreeing on the "
-        "separator in 500/500 two-block fixtures",
     )
 
 

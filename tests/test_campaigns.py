@@ -505,6 +505,28 @@ def test_pipeline_descends_then_falls_short_of_paths_into_the_candidate():
     assert into["paths"] == [[0, 10], [2, 11], [4, 12], [6, 13], [1], [3], [5], [7], [9]]
 
 
+def test_pipeline_routes_into_the_candidate_after_a_descent_deletes_vertices():
+    # terminals 0-9 form a clique minus the matching 0-1, ..., 8-9; 11-14 a
+    # clique complete to them; 10 sees 11-14 only. The descent deletes 10-13,
+    # so the descended graph's vertex 10 is g's 14, and the candidate it
+    # names must be routed into in g's labels
+    edges = [(u, v) for u, v in itertools.combinations(range(10), 2) if not (u % 2 == 0 and v == u + 1)]
+    edges += list(itertools.combinations(range(11, 15), 2))
+    edges += [(t, x) for t in range(11) for x in range(11, 15)]
+    g = Graph.from_edges(15, edges)
+    inst = _pipeline_one(g, tuple((i, i + 1) for i in range(0, 10, 2)), 18)
+    massed, minimize, dense, knitted, into = inst["stages"]
+    assert minimize["trail"] == [
+        ["delete_vertex", 10], ["delete_vertex", 11], ["delete_vertex", 12], ["delete_vertex", 13],
+        ["add_edge", 0, 1], ["add_edge", 2, 3], ["add_edge", 4, 5],
+    ]
+    # printed in the descended graph's labels, as the minimize graph6 reads
+    assert dense["candidate"] == [0, 1, 2, 3, 4, 5, 7, 9, 10]
+    assert parse_graph6(minimize["graph6"]).n == 11
+    cand = {0, 1, 2, 3, 4, 5, 7, 9, 14}
+    assert into["paths"] and all(path[-1] in cand for path in into["paths"]), into["paths"]
+
+
 def test_pipeline_stops_with_no_dense_subgraph_on_a_turan_host():
     # T(40, 8) at p = 30: the pairs are knitted already, the largest clique
     # has eight vertices, and no closed neighbourhood has a dense shape

@@ -323,19 +323,6 @@ def test_campaign_stdout_matches_pinned_digests(capsys):
     assert got == PINNED_STDOUT
 
 
-def test_internal_consistency_error_output(capsys, monkeypatch):
-    from knitweave import cli
-    from knitweave.errors import InternalConsistencyError
-
-    def fail(args):
-        raise InternalConsistencyError("boom")
-
-    monkeypatch.setattr(cli, "_dispatch", fail)
-    code, out = run(capsys, ["thresholds", "--t", "8"])
-    assert code == 1
-    assert out == '{\n  "error": "boom",\n  "kind": "internal-consistency"\n}\n'
-
-
 def test_thresholds_cli(capsys):
     code, out = run(capsys, ["thresholds", "--t", "8", "--k", "41"])
     data = json.loads(out)

@@ -7,16 +7,11 @@ import pytest
 import knitweave.coloring as coloring
 from knitweave.coloring import (
     Coloring,
-    RecombinationPlan,
-    build_recombination_plan,
     chromatic_number,
-    coding_colors,
     dirac_neighborhood_check,
     is_contraction_critical,
-    recombine,
-    validate_power_set_coding,
 )
-from knitweave.errors import InputError, PreconditionError, ResourceError, SplitClassError
+from knitweave.errors import InputError, ResourceError
 from knitweave.formats import parse_graph6
 from knitweave.graphs import (
     Graph,
@@ -24,10 +19,8 @@ from knitweave.graphs import (
     bits,
     canonical_form,
     induced,
-    mask_of,
     max_clique,
     nonisomorphic_graphs,
-    set_of,
 )
 
 from conftest import mycielskian, random_graph, relabelled
@@ -39,7 +32,6 @@ from oracles import (
     minors_by_recursion,
     saturate_by_scan,
 )
-from recomb_fixtures import build_recomb_fixture
 
 
 def test_chromatic_examples():
@@ -490,10 +482,6 @@ def test_check_proper_requires_int_colors_and_palette():
     for palette in (2.0, True, "2"):
         with pytest.raises(InputError, match="palette size is not an int"):
             Coloring((0, 1, 0), palette).check_proper(p3)
-    Coloring((0, 1, 0), 2).check_proper(p3, 0b101)
-    for domain in (8, -1, 1 << 70, 2.5, True, "7"):
-        with pytest.raises(InputError, match="domain"):
-            Coloring((0, 1, 0), 2).check_proper(p3, domain)
 
 
 def test_contraction_critical_c5_pins_deep_minors():
@@ -539,181 +527,3 @@ def test_dirac_rejects_a_k_that_is_not_an_int():
         with pytest.raises(InputError, match="k is not an int"):
             dirac_neighborhood_check(Graph.cycle(5), k)
 
-
-# --- recombination ----------------------------------------------------------
-
-
-def test_coding_colors_structure():
-    lists, codes, extras = coding_colors([0, 1, 2], [2, 1, 1], 16)
-    validate_power_set_coding(lists)
-    assert all(i in li for i, li in zip(range(3), (l for l in lists)))
-    # singleton color never leaks onto another list
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert i not in lists[j]
-    # lexicographically least subset gets the least fresh color
-    assert codes[frozenset({0, 1})] == 3
-    assert extras == {}
-    total = set().union(*lists)
-    assert len(total) == (1 << 3) - 1  # one color per nonempty class subset
-
-
-def test_coding_extras_only_with_second_big_class():
-    lists, codes, extras = coding_colors([0, 1], [2, 2], 16)
-    assert set(extras) == {0, 1}
-    lists2, codes2, extras2 = coding_colors([0, 1], [2, 1], 16)
-    assert extras2 == {}
-
-
-def test_coding_colors_rejects_a_palette_too_small_for_the_codes():
-    # three classes need four subset codes beside their three colors and the
-    # reserved one: eight colors
-    with pytest.raises(PreconditionError) as err:
-        coding_colors([0, 1, 2], [2, 1, 1], 5)
-    assert err.value.clause == "palette"
-
-
-def test_power_set_coding_validator_catches_breakage():
-    from knitweave.errors import InternalConsistencyError
-
-    with pytest.raises(InternalConsistencyError):
-        validate_power_set_coding([frozenset({0}), frozenset({1})])  # no {0,1} code
-
-
-def test_plan_components_and_leftovers():
-    fx = build_recomb_fixture(0)
-    plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-    covered = 0
-    for cls, comp in zip(plan.classes, plan.components):
-        assert cls & ~comp == 0
-        assert comp & covered == 0
-        covered |= comp
-    for d in plan.leftovers:
-        assert d & covered == 0
-        covered |= d
-    assert covered == fx.dom1
-    assert plan.u & mask_of(v for d in plan.leftovers for v in set_of(d)) == plan.u
-    # total list colors stay within the power-set budget for the remainder
-    t = plan.w.bit_count()
-    assert len(set().union(*plan.lists)) <= (1 << (t - 1)) - 1
-
-
-def test_plan_rejects_defective_inputs():
-    fx = build_recomb_fixture(1)
-    # wrong reserved color on u
-    broken = list(fx.phi1.colors)
-    broken[0] = 0 if broken[0] != 0 else 1
-    with pytest.raises(InputError):
-        build_recombination_plan(fx.g1, fx.s, fx.u, Coloring(tuple(broken), fx.r), domain=fx.dom1)
-    # distinct colors on every separator-remainder vertex: no class repeats
-    g = Graph.complete(4)
-    phi = Coloring((0, 1, 2, 3), 5)
-    with pytest.raises(PreconditionError) as err:
-        build_recombination_plan(g, 0b1111, 0, phi)
-    assert err.value.clause == "fewer-colors"
-
-
-def test_plan_reports_split_class_as_swap():
-    # two same-colored vertices with no bridge: the class sits in two
-    # components of its list subgraph, which must surface as the swap finding
-    g = Graph.from_edges(6, [(0, 2), (1, 2), (3, 0), (3, 1), (4, 0), (5, 1)])
-    #    w w            u=2? build: s = {0,1,2}, u = {2}, w = {0,1} same color
-    colors = [0, 0, 4, 2, 2, 3]
-    phi = Coloring(tuple(colors), 5)
-    with pytest.raises(SplitClassError) as err:
-        build_recombination_plan(g, 0b111, 0b100, phi)
-    assert err.value.class_index == 0
-    assert len(err.value.components) == 2
-
-
-def test_recombine_identity_when_colors_agree():
-    fx = build_recomb_fixture(3)
-    plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-    final = recombine(fx.g, fx.g1, fx.g2, plan, fx.phi2prime)
-    final.check_proper(fx.g)
-    for v in set_of(fx.s):
-        assert final.colors[v] == fx.phi2prime.colors[v]
-    for v in set_of(fx.dom2):
-        assert final.colors[v] == fx.phi2prime.colors[v]
-
-
-def test_recombine_batch_of_fixtures():
-    merged_swaps = 0
-    for seed in range(120):
-        fx = build_recomb_fixture(seed)
-        plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-        final = recombine(fx.g, fx.g1, fx.g2, plan, fx.phi2prime)
-        final.check_proper(fx.g)
-        assert max(final.colors) < fx.r
-        for v in set_of(fx.s):
-            assert final.colors[v] == fx.phi2prime.colors[v]
-        if fx.family.endswith("+merge"):
-            merged_swaps += 1
-    assert merged_swaps > 10  # the non-identity swap branch is exercised
-
-
-def test_recombine_rejects_degenerate_all_separator():
-    g = Graph.complete(4)
-    phi = Coloring((0, 1, 2, 3), 6)
-    with pytest.raises(PreconditionError):
-        build_recombination_plan(g, g.full_mask, 0, phi)
-
-
-def test_recombine_rejects_wrong_group_code():
-    fx = build_recomb_fixture(7)
-    plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-    bad = list(fx.phi2prime.colors)
-    cls0 = set_of(plan.classes[0])
-    wrong = plan.phi1.palette_size - 2  # the spare color: proper but uncoded
-    for v in cls0:
-        bad[v] = wrong
-    with pytest.raises(PreconditionError) as err:
-        recombine(fx.g, fx.g1, fx.g2, plan, Coloring(tuple(bad), fx.r))
-    assert err.value.clause in ("group-code", "class-constant")
-
-
-def _with_edges(g, add=(), drop=()):
-    return Graph.from_edges(g.n, [e for e in g.edges() if e not in drop] + list(add))
-
-
-def _truncated(g, m):
-    """g on its first m vertices."""
-    return Graph(m, tuple(r & ((1 << m) - 1) for r in g.adj[:m]))
-
-
-def test_recombine_rejects_each_gluing_fault():
-    # each fault raises the clause, never an IndexError from a side that
-    # reaches past a graph
-    for seed in range(20):
-        fx = build_recomb_fixture(seed)
-        plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-        a = set_of(fx.dom1 & ~fx.s)[0]
-        b = set_of(fx.dom2 & ~fx.s)[0]
-        first = next(iter(fx.g.edges()))
-        cases = [
-            # an edge between the private sides, in g and in g2
-            (_with_edges(fx.g, add=[(a, b)]), fx.g1, _with_edges(fx.g2, add=[(a, b)]), plan),
-            # g is not g1 plus g2
-            (_with_edges(fx.g, drop=[first]), fx.g1, fx.g2, plan),
-            # side 1 reaches past g
-            (fx.g, fx.g1, fx.g2, RecombinationPlan(**{**vars(plan), "domain": plan.domain | 1 << fx.g.n})),
-            # side 1 does not fit g1, side 2 does not fit g2
-            (fx.g, _truncated(fx.g1, fx.dom1.bit_length() - 1), fx.g2, plan),
-            (fx.g, fx.g1, _truncated(fx.g2, fx.g.n - 1), plan),
-        ]
-        for g, g1, g2, pl in cases:
-            with pytest.raises(PreconditionError) as err:
-                recombine(g, g1, g2, pl, fx.phi2prime)
-            assert err.value.clause == "gluing", (seed, str(err.value))
-
-
-def test_recombine_rejects_a_side2_coloring_not_constant_on_the_plans_u():
-    for seed in range(20):
-        fx = build_recomb_fixture(seed)
-        plan = build_recombination_plan(fx.g1, fx.s, fx.u, fx.phi1, domain=fx.dom1)
-        bad = list(fx.phi2prime.colors)
-        bad[set_of(plan.u)[0]] = fx.r - 1  # the reserved color, unused on side 2: still proper
-        with pytest.raises(PreconditionError) as err:
-            recombine(fx.g, fx.g1, fx.g2, plan, Coloring(tuple(bad), fx.r))
-        assert err.value.clause == "u-monochromatic", seed

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from knitweave.errors import InputError
-from knitweave.graphs import Graph, bits, mask_of
+from knitweave.graphs import Graph, bits, mask_of, reachable
 from knitweave import solver
 from knitweave.planar import face_count, lr_rotation, lr_test
 from knitweave.solver import (
@@ -344,8 +344,35 @@ def test_obstruction_matches_one_flow_per_vertex():
     assert min(counts.values()) > 150, counts
     assert len(embedded) == counts["none"] + counts["certified"]
     for adj in embedded:
-        h = nx.Graph((v, w) for v, row in enumerate(adj) for w in bits(row))
-        assert nx.node_connectivity(h) >= 3, adj
+        assert _three_connected(adj), adj
+
+
+def _three_connected(adj):
+    """Whether the graph with rows ``adj`` is 3-connected on its
+    non-isolated vertices: at least four of them, and connected after
+    deleting any two."""
+    live = mask_of(v for v, row in enumerate(adj) if row)
+    if live.bit_count() < 4:
+        return False
+    for a in bits(live):
+        rest = live & ~(1 << a)
+        for b in bits(rest >> (a + 1) << (a + 1)):
+            left = rest & ~(1 << b)
+            if reachable(adj, left & -left, left) != left:
+                return False
+    return True
+
+
+def test_three_connected_check_rejects_a_two_separator():
+    k4 = list(itertools.combinations(range(4), 2))
+    assert _three_connected(Graph.complete(4).adj)
+    assert _three_connected(Graph.from_edges(6, k4).adj)  # isolated vertices do not count
+    assert not _three_connected(Graph.complete(3).adj)
+    # two K4s sharing the vertices 0 and 1
+    shared = k4 + [(u, v) for u, v in itertools.combinations((0, 1, 4, 5), 2) if (u, v) != (0, 1)]
+    assert not _three_connected(Graph.from_edges(6, shared).adj)
+    # K4 with a pendant vertex
+    assert not _three_connected(Graph.from_edges(5, k4 + [(3, 4)]).adj)
 
 
 def test_fan_of_four_matches_successive_shortest_paths(monkeypatch):

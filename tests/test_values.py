@@ -13,7 +13,7 @@ import pytest
 
 import knitweave
 from knitweave.certify import DenseNeighborhoodReport, GreedyLinkResult, Knitted1Verdict
-from knitweave.coloring import Coloring, RecombinationPlan
+from knitweave.coloring import Coloring
 from knitweave.generators import SplitHost
 from knitweave.graphs import Graph, MinorWitness, _Value
 from knitweave.solver import Configuration, Knit, Linkage, PlanarObstruction, TerminalSpec
@@ -49,12 +49,6 @@ SAMPLES = [
     ),
     (Coloring, lambda: ((0, 1, 0), 2), "Coloring(colors=(0, 1, 0), palette_size=2)"),
     (
-        RecombinationPlan,
-        lambda: (0b111, 0, 2, (0b10,), (1,), (frozenset({1, 2}),), {(0,): 2}, (0b10,), (), Coloring((0, 1, 0), 2)),
-        "RecombinationPlan(domain=7, u=0, w=2, classes=(2,), class_colors=(1,), lists=(frozenset({1, 2}),),"
-        " codes={(0,): 2}, components=(2,), leftovers=(), phi1=Coloring(colors=(0, 1, 0), palette_size=2))",
-    ),
-    (
         GreedyLinkResult,
         lambda: (Linkage(((0, 2, 1),)), (0,), None),
         "GreedyLinkResult(linkage=Linkage(paths=((0, 2, 1),)), ordering=(0,), failed_pair=None)",
@@ -86,11 +80,7 @@ SAMPLES = [
 def test_value_class_contract(cls, fields, want_repr):
     obj, twin = cls(*fields()), cls(*fields())
     assert obj == twin and not obj != twin
-    if cls is RecombinationPlan:  # its codes field is a dict
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(obj)
-    else:
-        assert hash(obj) == hash(twin)
+    assert hash(obj) == hash(twin)
     # a class with the same fields, even a subclass, is another value
     other = type(cls.__name__, (cls,), {})(*fields())
     assert obj != other and other != obj and obj.__eq__(other) is NotImplemented
