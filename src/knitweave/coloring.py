@@ -9,6 +9,7 @@ them, and ``certificate_from_json`` reads them back.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
 
 from .errors import InputError
 from .graphs import (
@@ -193,7 +194,21 @@ def _witness(g: Graph, branch_sets: tuple[int, ...], rows: Sequence[int]) -> Min
 def is_contraction_critical(g: Graph, k: int) -> tuple[bool, MinorWitness | None]:
     """Whether the chromatic number is exactly k and every proper minor needs
     fewer colors. On failure returns a witness minor that passes
-    :meth:`MinorWitness.validate` and whose quotient needs k colors.
+    :meth:`MinorWitness.validate` and whose quotient needs k colors, or None
+    when chi(G) != k and the clique rule below does not apply.
+
+    A proper K_k minor refutes criticality whatever chi(G) is, since it
+    needs k colors: either chi(G) != k, or G has a proper minor that is not
+    (k - 1)-colorable. So when 0 < k < n and the clique C of
+    :func:`_top_clique` has at least k vertices, the answer is no and no
+    coloring is searched. The witness is the K_k model on C's k highest
+    vertices (the first k it takes): singleton branch sets in ascending
+    order, every pair of them a model edge. It leaves out n - k > 0
+    vertices, so it is proper, and its quotient is K_k, which needs k colors
+    with no coloring to show it. Such a no carries this model where the
+    search below would return None (chi(G) > k) or G - v for the lowest v
+    outside C (chi(G) = k); every other input gets the search's answer.
+    Past this rule, C has k vertices only when G = K_k.
 
     chi(G) = k is read off one greedy pass (ub classes) and the clique C of
     :func:`_top_clique` (lb vertices): it needs lb <= k <= ub, a k-coloring
@@ -210,12 +225,10 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, MinorWitness | None
     vertex deletion, then each edge deletion, then each of
     :func:`contraction_quotients`, on rows (:func:`_delete_rows`,
     :func:`_contract_rows`, the walk's rows), and returns the first minor
-    for which they do not. If |C| = k, G - v contains C for v outside C
-    and needs k colors, so it is taken undecided; every other G - v is
-    decided, so the first witness is the same as if all were. An edge vw
-    is not tried when N(v) - w misses a class of the (k - 1)-coloring
-    found for G - v (an empty class included): v takes that color in
-    G - vw, so G - vw needs fewer than k colors.
+    for which they do not. An edge vw is not tried when N(v) - w misses a
+    class of the (k - 1)-coloring found for G - v (an empty class
+    included): v takes that color in G - vw, so G - vw needs fewer than k
+    colors.
 
     By then chi(G) >= k is known, and G - vw is (k - 1)-colorable exactly
     when G/vw is: a (k - 1)-coloring of G - vw gives v and w one color (or
@@ -246,15 +259,19 @@ def is_contraction_critical(g: Graph, k: int) -> tuple[bool, MinorWitness | None
         raise InputError(f"k is not an int: {k!r}")
     n, adj = g.n, g.adj
     clique = _top_clique(adj)
+    if 0 < k < n and clique.bit_count() >= k:
+        while clique.bit_count() > k:
+            clique &= clique - 1  # drop the lowest vertex
+        model = tuple([1 << v for v in bits(clique)])
+        return False, MinorWitness(g, model, tuple(combinations(range(k), 2)))
     lb, ub = clique.bit_count(), len(_first_fit(adj))
     if not (lb <= k <= ub and (k == ub or _saturate(adj, k, clique) is not None)):
         return False, None
-    decided = clique if lb == k else g.full_mask
     singletons = tuple([1 << v for v in range(n)])
     colorings = []  # colorings[v]: the k - 1 classes found for G - v
     for v in range(n):
         rows = _delete_rows(adj, v)
-        classes = _colorable(rows, k - 1) if decided >> v & 1 else None
+        classes = _colorable(rows, k - 1)
         if classes is None:
             return False, _witness(g, singletons[:v] + singletons[v + 1:], rows)
         colorings.append(classes)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -18,7 +19,6 @@ from knitweave.graphs import (
     _contract_rows,
     bits,
     canonical_form,
-    induced,
     max_clique,
     nonisomorphic_graphs,
 )
@@ -213,6 +213,33 @@ def _verdict(result):
     return ok, wit and (wit.branch_sets, wit.model_edges)
 
 
+def _clique_rule_fires(g, k):
+    # a proper K_k minor answers when the clique grown from the highest
+    # vertex down has k vertices and leaves one out
+    return 0 < k < g.n and coloring._top_clique(g.adj).bit_count() >= k
+
+
+def _assert_clique_model(g, k, result):
+    # the answer is no, with the K_k model on the grown clique's k highest
+    # vertices as singleton branch sets
+    top = list(bits(coloring._top_clique(g.adj)))[-k:]
+    ok, wit = result
+    assert not ok and wit.branch_sets == tuple(1 << v for v in top), (g, k)
+    wit.validate()
+    assert wit.quotient() == Graph.complete(k), (g, k)
+
+
+def _assert_matches_scan(g, k, result):
+    # the scan's verdict always, and its witness too unless the clique rule
+    # answers
+    want = critical_by_scan(g, k)
+    assert result[0] == want[0], (g, k)
+    if _clique_rule_fires(g, k):
+        _assert_clique_model(g, k, result)
+    else:
+        assert result == want, (g, k)
+
+
 def _census8_sample(rng, count):
     """``count`` distinct members of ``nonisomorphic_graphs(8)``, found without
     building the census: a census graph is labelled by its canonical rows,
@@ -236,7 +263,7 @@ def test_contraction_critical_matches_scan(census7):
     for g in graphs:
         chi = chromatic_number(g)[0]
         for k in (chi - 1, chi, chi + 1):
-            assert _verdict(is_contraction_critical(g, k)) == _verdict(critical_by_scan(g, k)), (g, k)
+            _assert_matches_scan(g, k, is_contraction_critical(g, k))
 
 
 def _spy_on_kernel(monkeypatch, orders):
@@ -323,23 +350,21 @@ def test_vertex_deletion_witness_spares_the_refutation_of_g(census7, monkeypatch
 
 
 def test_contraction_critical_skips_deletions_outside_the_clique(census7, monkeypatch):
-    # when the clique grown from the highest vertex down has chi(G) = k
-    # vertices and misses vertex 0, G - 0 contains it and is the witness
-    # without a decision: the kernel is asked about G itself and nothing else
+    # when the clique grown from the highest vertex down has at least k
+    # vertices and misses one, its K_k model is the witness without a
+    # decision: the kernel is asked about nothing
     orders = []
     _spy_on_kernel(monkeypatch, orders)
     cases = 0
     for g in census7:
-        k = chromatic_number(g)[0]
-        clique = coloring._top_clique(g.adj)
-        if not g.n or clique.bit_count() != k or clique & 1:
-            continue
-        orders.clear()
-        ok, wit = coloring.is_contraction_critical(g, k)
-        assert all(order == g.n for order in orders), g
-        assert not ok and wit.branch_sets == tuple(1 << v for v in range(1, g.n)), g
-        assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
-        cases += 1
+        chi = chromatic_number(g)[0]
+        for k in (chi - 1, chi, chi + 1):
+            if not _clique_rule_fires(g, k):
+                continue
+            orders.clear()
+            _assert_clique_model(g, k, coloring.is_contraction_critical(g, k))
+            assert orders == [], (g, k)
+            cases += 1
     assert cases > 1000
 
 
@@ -363,8 +388,7 @@ def test_contraction_walk_stops_below_k_vertices(census7, monkeypatch):
         chi = chromatic_number(g)[0]
         for k in (chi - 1, chi, chi + 1):
             sizes.clear()
-            got = is_contraction_critical(g, k)
-            assert got == critical_by_scan(g, k), (g, k)
+            _assert_matches_scan(g, k, is_contraction_critical(g, k))
             assert all(size >= k for size in sizes[:-1]), (g, k)
             stopped += bool(sizes) and sizes[-1] < k
     # the census's contraction-critical graphs are K0..K7, which answer
@@ -434,10 +458,71 @@ def test_contraction_walks_at_n9_within_budget(monkeypatch):
         assert tuple(verdict) == _verdict(critical_by_scan(g, k)), g6
 
 
+def _clique_model_by_brute_force(g, k):
+    """The vertices of the K_k model that answers the check, or None: when
+    0 < k < n, the first k vertices taken scanning down from the highest,
+    each taken when adjacent to all taken before, if some k-clique contains
+    them (the scan ends on a maximal clique, so one does exactly when it
+    took k)."""
+    if not 0 < k < g.n:
+        return None
+    taken = []
+    for v in reversed(range(g.n)):
+        if all(g.has_edge(v, u) for u in taken):
+            taken.append(v)
+    head = set(taken[:k])
+    for c in itertools.combinations(range(g.n), k):
+        if head <= set(c) and all(g.has_edge(u, w) for u, w in itertools.combinations(c, 2)):
+            return c
+    return None
+
+
+def test_contraction_critical_clique_rule_matches_brute_force(census7, monkeypatch):
+    # a K_k model answers, with no greedy pass begun, exactly where a
+    # brute-force clique search finds one on the vertices the grown clique
+    # takes first; every "no" witness is a proper minor that needs k colors;
+    # and under relabelling the verdict stays and the witness validates on
+    # the relabelled host
+    passes = []
+
+    def first_fit(rows, real=coloring._first_fit):
+        passes.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(coloring, "_first_fit", first_fit)
+    rng = random.Random(56)
+    graphs = census7 + [random_graph(rng, rng.randint(8, 9), p=rng.uniform(0.2, 0.9)) for _ in range(120)]
+    fired = searched = 0  # witnesses of the K_k rule, and of the search
+    for g in graphs:
+        chi = chromatic_number(g)[0]
+        h = relabelled(g, rng)
+        for k in (chi - 1, chi, chi + 1):
+            passes.clear()
+            ok, wit = is_contraction_critical(g, k)
+            model = _clique_model_by_brute_force(g, k)
+            assert (passes == []) == (model is not None), (g, k)
+            if model is not None:
+                assert not ok and wit.branch_sets == tuple(1 << v for v in model), (g, k)
+                assert wit.model_edges == tuple(itertools.combinations(range(k), 2)), (g, k)
+                fired += 1
+            if wit is not None:
+                wit.validate()
+                q = wit.quotient()
+                assert q.n < g.n or q.edge_count() < g.edge_count(), (g, k)
+                assert chromatic_number(q)[0] >= k, (g, k)
+                searched += model is None
+            ok_h, wit_h = is_contraction_critical(h, k)
+            assert ok_h == ok, (g, h, k)
+            if wit_h is not None:
+                assert wit_h.host == h
+                wit_h.validate()
+    assert fired > 2000 and searched > 50, (fired, searched)
+
+
 def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census7, monkeypatch):
-    # G - 0 is the witness, found from G's rows with no G - v colored, no
-    # chromatic number and no maximum clique searched, when the clique grown
-    # from the highest vertex down has chi(G) vertices and misses 0
+    # the K_k model is the witness with no coloring, no chromatic number, no
+    # maximum clique and no G - v built, when the clique grown from the
+    # highest vertex down has at least k vertices and misses one
     calls = []
 
     def spy(real):
@@ -446,20 +531,19 @@ def test_contraction_critical_takes_deletions_outside_the_coloring_clique(census
             return real(*args)
         return call
 
-    for name in ("chromatic_number", "max_clique", "_colorable", "_delete_rows"):
+    names = ("chromatic_number", "max_clique", "_first_fit", "_saturate", "_colorable", "_delete_rows")
+    for name in names:
         monkeypatch.setattr(coloring, name, spy(getattr(coloring, name)))
     cases = 0
     for g in census7[1:]:
-        k = chromatic_number(g)[0]
-        clique = coloring._top_clique(g.adj)
-        if clique.bit_count() != k or clique & 1:
-            continue
+        chi = chromatic_number(g)[0]
         calls.clear()
-        ok, wit = coloring.is_contraction_critical(g, k)
-        assert len(calls) == 1 and calls[0] == (g.adj, 0) and not ok, g
-        assert wit.branch_sets == tuple(1 << v for v in range(1, g.n)), g
-        assert wit.quotient() == induced(g, g.full_mask & ~1)[0], g
-        cases += 1
+        for k in (chi - 1, chi, chi + 1):
+            if not _clique_rule_fires(g, k):
+                continue
+            _assert_clique_model(g, k, coloring.is_contraction_critical(g, k))
+            assert calls == [], (g, k)
+            cases += 1
     assert cases > 1000
 
 
@@ -507,8 +591,11 @@ def test_contraction_critical_witness_order():
 
 
 def test_contraction_critical_wrong_chi():
+    # chi(C5) = 3, and C5 has no K4 minor
+    assert is_contraction_critical(Graph.cycle(5), 4) == (False, None)
+    # K4 - 0 is a proper K3 minor of K4
     ok, wit = is_contraction_critical(Graph.complete(4), 3)
-    assert not ok and wit is None
+    assert not ok and wit.branch_sets == (2, 4, 8) and wit.model_edges == ((0, 1), (0, 2), (1, 2))
 
 
 def test_dirac_examples():
